@@ -12,6 +12,8 @@ conjugation.  Both directions are computed with FFTs in O(N log N).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = ["CkksEncoder"]
@@ -43,12 +45,21 @@ class CkksEncoder:
 
     def embed(self, values: np.ndarray) -> np.ndarray:
         """``tau^{-1}``: slot vector -> real coefficient vector (float64)."""
-        values = np.asarray(values, dtype=np.complex128)
-        if values.ndim != 1 or values.shape[0] > self.slots:
-            raise ValueError(f"need a 1-D vector of at most {self.slots} slots")
-        v = np.zeros(self.n, dtype=np.complex128)
-        v[self._nat_index[: values.shape[0]]] = values
-        s = np.fft.fft(v)  # S_k = sum_t v_t e^{-2 pi i t k / n}
+        return self.embed_many([values])[0]
+
+    def embed_many(self, rows: "Sequence[np.ndarray]") -> np.ndarray:
+        """``tau^{-1}`` of ``B`` slot vectors through one batched FFT.
+
+        Returns ``(B, n)`` float64; row *i* is bit-identical to
+        ``embed(rows[i])`` (the FFT runs per row either way).
+        """
+        v = np.zeros((len(rows), self.n), dtype=np.complex128)
+        for i, row in enumerate(rows):
+            row = np.asarray(row, dtype=np.complex128)
+            if row.ndim != 1 or row.shape[0] > self.slots:
+                raise ValueError(f"need a 1-D vector of at most {self.slots} slots")
+            v[i, self._nat_index[: row.shape[0]]] = row
+        s = np.fft.fft(v, axis=-1)  # S_k = sum_t v_t e^{-2 pi i t k / n}
         return (2.0 / self.n) * np.real(self._omega_neg * s)
 
     def project(self, coeffs_real: np.ndarray) -> np.ndarray:
@@ -64,15 +75,29 @@ class CkksEncoder:
     def encode(self, values: np.ndarray, scale: float) -> np.ndarray:
         """``[Δ · tau^{-1}(z)]`` as an ``object`` (big-int) coefficient array.
 
-        Rounding is to nearest (ties away from zero, matching ``[.]``).
+        Rounding is to nearest, ties to even.
+        """
+        return self.encode_many([values], scale)[0].astype(object)
+
+    def encode_many(self, rows: "Sequence[np.ndarray]", scale: float) -> np.ndarray:
+        """:meth:`encode` of ``B`` slot vectors as one ``(B, n)`` array.
+
+        ``int64`` while every scaled coefficient stays below ``2**62``
+        (``rint`` of a float64 of that size is an exact integer and the
+        cast is lossless); one coefficient at or beyond it switches the
+        whole batch to exact ``object`` big-ints.  Python's ``round``
+        and ``np.rint`` both round half to even, so either way row *i*
+        equals ``encode(rows[i], scale)``.
         """
         if scale <= 0:
             raise ValueError("scale must be positive")
-        real_coeffs = self.embed(values) * float(scale)
+        real_coeffs = self.embed_many(rows) * float(scale)
         if np.max(np.abs(real_coeffs), initial=0.0) >= 2**62:
             # Stay exact beyond float64-int range.
-            return np.array([int(round(c)) for c in real_coeffs], dtype=object)
-        return np.array([int(v) for v in np.rint(real_coeffs).astype(np.int64)], dtype=object)
+            return np.array(
+                [[int(round(c)) for c in row] for row in real_coeffs], dtype=object
+            )
+        return np.rint(real_coeffs).astype(np.int64)
 
     def decode(self, coeffs: np.ndarray, scale: float) -> np.ndarray:
         """Inverse of :meth:`encode` for *centered* integer coefficients."""

@@ -469,7 +469,7 @@ class CkksRnsContext:
         rng: int | np.random.Generator | None = None,
         scale: float | None = None,
     ) -> RnsCiphertext:
-        """``Encrypt(z, Δ, pk)`` at top level.
+        """``Encrypt(z, Δ, pk)`` at top level: :meth:`encrypt_many` of one row.
 
         Parameters
         ----------
@@ -487,11 +487,7 @@ class CkksRnsContext:
         Fresh :class:`~repro.ckksrns.ciphertext.RnsCiphertext` at the
         top level.
         """
-        rng = derive_rng(rng)
-        scale = float(scale or self.params.scale)
-        m = self.encoder.encode(values, scale)
-        m_stack = self._ntt(self._decompose_big(m, self.moduli), self.moduli)
-        return self._encrypt_stack(pk, m_stack, scale, rng)
+        return self.encrypt_many(pk, [values], rng, scale)[0]
 
     @traced("ckksrns.encrypt_many")
     def encrypt_many(
@@ -501,20 +497,21 @@ class CkksRnsContext:
         rng: int | np.random.Generator | None = None,
         scale: float | None = None,
     ) -> list[RnsCiphertext]:
-        """Encrypt many slot vectors through shared batched transforms.
+        """Encrypt ``B`` slot vectors through one batched transform.
 
-        Bit-identical to ``[encrypt(pk, v, rng) for v in values_rows]``
-        with the same generator: the encryption randomness is drawn in
-        exactly that order (zo, e0, e1 per row), only the NTTs of the
-        message/randomness stacks are fused into one ``(k, 4B, n)``
-        batched transform instead of ``4B`` separate ``(k, n)`` ones.
+        The only encryption path.  Per row the randomness is drawn in
+        the order zo, e0, e1; the message is added to ``e0`` in the
+        coefficient domain — ``NTT(m + e0) ≡ NTT(m) + NTT(e0) (mod q)``,
+        see docs/KERNELS.md "Transform the sum" — so a ciphertext costs
+        three transform rows and the batch one ``(k, 3B, n)`` sweep.
 
         Parameters
         ----------
         pk:
             Public key from :meth:`keygen`.
         values_rows:
-            Slot vectors to protect, one fresh ciphertext each.
+            1-D slot vectors (up to ``n/2`` real or complex values
+            each), one fresh ciphertext per row.
         rng, scale:
             As on :meth:`encrypt`.
 
@@ -524,75 +521,28 @@ class CkksRnsContext:
         """
         rng = derive_rng(rng)
         scale = float(scale or self.params.scale)
-        rows = [
-            self.encoder.encode(np.asarray(v, dtype=np.float64), scale)
-            for v in values_rows
-        ]
-        if not rows:
-            return []
-        b = len(rows)
-        small = np.empty((3 * b, self.n), dtype=np.int64)
+        m = self.encoder.encode_many(values_rows, scale)
+        b = len(m)
+        small = np.empty((3, b, self.n), dtype=np.int64)
         for i in range(b):
-            small[3 * i] = sample_zo(self.n, rng)
-            small[3 * i + 1] = sample_gaussian(self.n, rng, self.params.sigma)
-            small[3 * i + 2] = sample_gaussian(self.n, rng, self.params.sigma)
-        m_res = self._decompose_big(np.stack(rows), self.moduli)  # (k, B, n)
-        s_res = self._decompose_small(small, self.moduli)  # (k, 3B, n)
-        ev = self._ntt(np.concatenate([m_res, s_res], axis=1), self.moduli)
-        m_ev = ev[:, :b]
-        v = ev[:, b::3]
-        e0 = ev[:, b + 1 :: 3]
-        e1 = ev[:, b + 2 :: 3]
-        c0 = np.stack(
-            [
-                addmod(
-                    addmod(mulmod(v[i], pk.b[i], m), m_ev[i], m), e0[i], m
-                )
-                for i, m in enumerate(self.moduli)
-            ]
-        )
-        c1 = np.stack(
-            [
-                addmod(mulmod(v[i], pk.a[i], m), e1[i], m)
-                for i, m in enumerate(self.moduli)
-            ]
-        )
-        return [
-            RnsCiphertext(
-                np.ascontiguousarray(c0[:, j]),
-                np.ascontiguousarray(c1[:, j]),
-                self.top_level,
-                scale,
-            )
-            for j in range(b)
-        ]
-
-    def _encrypt_stack(
-        self, pk: RnsPublicKey, m_stack: np.ndarray, scale: float, rng: np.random.Generator
-    ) -> RnsCiphertext:
-        n = self.n
-        v = self._ntt(self._decompose_small(sample_zo(n, rng), self.moduli), self.moduli)
-        e0 = self._ntt(
-            self._decompose_small(sample_gaussian(n, rng, self.params.sigma), self.moduli),
-            self.moduli,
-        )
-        e1 = self._ntt(
-            self._decompose_small(sample_gaussian(n, rng, self.params.sigma), self.moduli),
-            self.moduli,
-        )
-        c0 = np.stack(
-            [
-                addmod(addmod(mulmod(v[i], pk.b[i], m), m_stack[i], m), e0[i], m)
-                for i, m in enumerate(self.moduli)
-            ]
-        )
-        c1 = np.stack(
-            [
-                addmod(mulmod(v[i], pk.a[i], m), e1[i], m)
-                for i, m in enumerate(self.moduli)
-            ]
-        )
-        return RnsCiphertext(c0, c1, self.top_level, scale)
+            small[0, i] = sample_zo(self.n, rng)
+            small[1, i] = sample_gaussian(self.n, rng, self.params.sigma)
+            small[2, i] = sample_gaussian(self.n, rng, self.params.sigma)
+        if m.dtype == object:  # a coefficient reached 2**62: exact big-int residues
+            coeffs = small.astype(object)
+            coeffs[1] += m
+            res = self._decompose_big(coeffs, self.moduli)
+        else:
+            small[1] += m
+            res = self._decompose_small(small, self.moduli)
+        ev = self._ntt(res.reshape(self.k_top, 3 * b, self.n), self.moduli)
+        v, me0, e1 = ev.reshape(self.k_top, 3, b, self.n).swapaxes(0, 1)
+        c0 = np.empty((b, self.k_top, self.n), dtype=np.int64)
+        c1 = np.empty_like(c0)
+        for i, q in enumerate(self.moduli):
+            c0[:, i] = addmod(mulmod(v[i], pk.b[i], q), me0[i], q)
+            c1[:, i] = addmod(mulmod(v[i], pk.a[i], q), e1[i], q)
+        return [RnsCiphertext(c0[j], c1[j], self.top_level, scale) for j in range(b)]
 
     @traced("ckksrns.decrypt")
     def decrypt(self, sk: RnsSecretKey, ct: RnsCiphertext, count: int | None = None) -> np.ndarray:

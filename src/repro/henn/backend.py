@@ -314,12 +314,16 @@ class HeBackend(ABC):
     def decrypt(self, handle: Any, count: int | None = None) -> np.ndarray:
         """Decrypt *handle*, returning the first *count* slots (all if None)."""
 
+    #: Forward-transform rows one fresh encryption costs (0: no NTT on
+    #: this backend); tags the ``henn.stage.encrypt`` span.
+    encrypt_transform_rows = 0
+
     def encrypt_many(self, rows: Sequence[np.ndarray]) -> list[Any]:
         """Encrypt many slot vectors, one handle each.
 
-        The generic implementation loops :meth:`encrypt`; the RNS
-        backend overrides it to run all rows through shared batched
-        transforms (same randomness order, so same ciphertexts).
+        The generic implementation loops :meth:`encrypt` (mock,
+        multiprecision CKKS); the RNS backend runs all rows through one
+        batched transform (same randomness order, so same ciphertexts).
         """
         return [self.encrypt(v) for v in rows]
 
@@ -1000,23 +1004,21 @@ class CkksRnsBackend(HeBackend):
     def max_batch(self) -> int:
         return self.ctx.slots
 
+    #: zo, m + e0 and e1 (docs/KERNELS.md "Transform the sum").
+    encrypt_transform_rows = 3
+
     def encrypt(self, values: np.ndarray):
-        ct = self.ctx.encrypt(self.keys.pk, np.asarray(values, dtype=np.float64), self._rng)
-        if self.fault_injector is not None:
-            ct = self.fault_injector.apply_ciphertext_faults(ct)
-            ct.scale = self.fault_injector.next_scale(ct.scale)
-        return ct
+        return self.encrypt_many([values])[0]
 
     def encrypt_many(self, rows: Sequence[np.ndarray]) -> list[RnsCiphertext]:
         """Batched encryption: one fused NTT sweep for all rows."""
-        cts = self.ctx.encrypt_many(self.keys.pk, list(rows), self._rng)
+        cts = self.ctx.encrypt_many(
+            self.keys.pk, [np.asarray(v, dtype=np.float64) for v in rows], self._rng
+        )
         if self.fault_injector is not None:
-            out = []
-            for ct in cts:
-                ct = self.fault_injector.apply_ciphertext_faults(ct)
+            for j, ct in enumerate(cts):
+                cts[j] = ct = self.fault_injector.apply_ciphertext_faults(ct)
                 ct.scale = self.fault_injector.next_scale(ct.scale)
-                out.append(ct)
-            return out
         return cts
 
     def decrypt(self, handle, count: int | None = None) -> np.ndarray:

@@ -120,12 +120,14 @@ class HeInferenceEngine:
         """Encrypt ``(B, C, H, W)`` floats into a ``(C, H, W)`` handle array.
 
         Slot *i* of the handle at position (c, h, w) holds pixel
-        ``images[i, c, h, w]`` — the batch rides along for free.
+        ``images[i, c, h, w]`` — the batch rides along for free.  All
+        ``C·H·W`` slot rows go to the backend in one
+        :meth:`~repro.henn.backend.HeBackend.encrypt_many` call.
 
         Parameters
         ----------
         images:
-            Batch of at most ``backend.max_batch`` images matching
+            Batch of 1 to ``backend.max_batch`` images matching
             ``input_shape``.
 
         Returns
@@ -138,18 +140,26 @@ class HeInferenceEngine:
                 f"expected (B, {self.input_shape[0]}, {self.input_shape[1]}, "
                 f"{self.input_shape[2]}), got {images.shape}"
             )
-        if images.shape[0] > self.backend.max_batch:
+        batch = images.shape[0]
+        if batch == 0:
+            raise ValueError("empty batch: no image to encrypt")
+        if batch > self.backend.max_batch:
             raise ValueError(
-                f"batch {images.shape[0]} exceeds backend capacity {self.backend.max_batch}"
+                f"batch {batch} exceeds backend capacity {self.backend.max_batch}"
             )
-        c, h, w = self.input_shape
-        enc = np.empty((c, h, w), dtype=object)
-        with obs.span("henn.stage.encrypt", pixels=c * h * w):
-            for ci in range(c):
-                for i in range(h):
-                    for j in range(w):
-                        enc[ci, i, j] = self.backend.encrypt(images[:, ci, i, j])
-        return enc
+        pixels = int(np.prod(self.input_shape))
+        enc = np.empty(pixels, dtype=object)
+        with obs.span(
+            "henn.stage.encrypt",
+            pixels=pixels,
+            batch=batch,
+            transform_rows=pixels * self.backend.encrypt_transform_rows,
+        ):
+            # Row p is pixel position p (C-order over c, h, w) across the batch.
+            rows = images.reshape(batch, pixels).T
+            for p, handle in enumerate(self.backend.encrypt_many(rows)):
+                enc[p] = handle
+        return enc.reshape(self.input_shape)
 
     # -- batch assembly (serving gateway) ----------------------------------------
 

@@ -162,6 +162,10 @@ class MemberwiseBackend(HeBackend):
     def max_batch(self) -> int:
         return self.inner.max_batch
 
+    @property
+    def encrypt_transform_rows(self) -> int:
+        return self.inner.encrypt_transform_rows
+
     def scale_of(self, a: Any) -> float:
         return self.inner.scale_of(_unwrap(a).members[0])
 
@@ -172,6 +176,9 @@ class MemberwiseBackend(HeBackend):
 
     def encrypt(self, values: np.ndarray) -> Any:
         return self.inner.encrypt(values)
+
+    def encrypt_many(self, rows: Sequence[np.ndarray]) -> list[Any]:
+        return self.inner.encrypt_many(rows)
 
     def decrypt(self, handle: Any, count: int | None = None) -> np.ndarray:
         if not isinstance(handle, PackedHandle):
@@ -546,6 +553,10 @@ class SlotPackedBackend(HeBackend):
     def max_batch(self) -> int:
         return self.inner.max_batch
 
+    @property
+    def encrypt_transform_rows(self) -> int:
+        return self.inner.encrypt_transform_rows
+
     def scale_of(self, a: Any) -> float:
         return self.inner.scale_of(_unwrap_lane(a).ct)
 
@@ -556,6 +567,9 @@ class SlotPackedBackend(HeBackend):
 
     def encrypt(self, values: np.ndarray) -> Any:
         return self.inner.encrypt(values)
+
+    def encrypt_many(self, rows: Sequence[np.ndarray]) -> list[Any]:
+        return self.inner.encrypt_many(rows)
 
     def decrypt(self, handle: Any, count: int | None = None) -> np.ndarray:
         if not isinstance(handle, LaneHandle):

@@ -23,6 +23,8 @@ from repro.nt.kernels import MAX_POLY_DEGREE, compile_poly_program
 from repro.obs.metrics import get_registry
 from repro.utils.rng import derive_rng
 
+from .test_encrypt_batch import reference_encrypt
+
 #: Documented decrypt-precision bound for BSGS SLAF evaluation at
 #: Δ = 2**26 (see docs/KERNELS.md): noise grows with ct-mult count, so
 #: the bound is per-degree rather than one global atol.
@@ -140,11 +142,15 @@ def test_rescale_many_and_add_plain_each_bitidentical(rns, rng):
 
 
 def test_encrypt_many_bitidentical_to_sequential(rns, rng):
-    """Batched encryption replays the sequential randomness order exactly."""
+    """Batched encryption replays the sequential randomness order exactly.
+
+    ``encrypt`` delegates to ``encrypt_many``, so the sequential side is
+    the frozen pre-fusion formula of ``test_encrypt_batch``.
+    """
     ctx, pk = rns.ctx, rns.keys.pk
     rows = [rng.uniform(-1, 1, 8) for _ in range(3)]
     r1 = derive_rng(123)
-    seq = [ctx.encrypt(pk, r, r1) for r in rows]
+    seq = [reference_encrypt(ctx, pk, r, r1) for r in rows]
     r2 = derive_rng(123)
     batched = ctx.encrypt_many(pk, rows, r2)
     for b, s in zip(batched, seq):

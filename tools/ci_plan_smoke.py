@@ -15,23 +15,31 @@ second call performed
 i.e. the compile-once contract holds: everything the warm path needs
 was either precompiled by :func:`repro.henn.plan.compile_plan` or
 memoized during the cold call.  Count-based, so it is immune to CI
-machine noise.  Exits non-zero with the offending counter deltas.
+machine noise.  A further warm ``encrypt_images`` must be one fused
+call: its ``henn.stage.encrypt`` span holds one ``ckksrns.encrypt_many``
+span, no ``ckksrns.encrypt`` span and one batched forward transform of
+``3·C·H·W`` rows ("Transform the sum" in ``docs/KERNELS.md``).  Exits
+non-zero with the offending counter deltas.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+from repro import obs
 from repro.ckksrns import CkksRnsParams
 from repro.henn.backend import CkksRnsBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
 from repro.nt.kernels import compile_poly_program
+from repro.nt.ntt import BatchedNttPlan
 from repro.obs.metrics import get_registry
 
 
@@ -94,7 +102,37 @@ def main() -> int:
         f"(expected {expected_relins} for SLAF degrees {slaf_degrees})"
     )
 
+    # One more (warm) request's encrypt stage, alone under a tracer: the
+    # spans it opens, and — the tag being only the engine's claim — the
+    # shape the batched transform was really handed.
+    with obs.tracing() as tracer, mock.patch.object(
+        BatchedNttPlan, "forward", autospec=True, side_effect=BatchedNttPlan.forward
+    ) as forward:
+        engine.encrypt_images(images)
+    under_stage = Counter(s.name for s in tracer.finished())
+    (stage,) = [s for s in tracer.finished() if s.name == "henn.stage.encrypt"]
+    shapes = [np.shape(call.args[1]) for call in forward.call_args_list]
+    ctx = engine.backend.ctx
+    pixels = int(np.prod(engine.input_shape))
+    print(
+        f"warm: encrypt stage tags={stage.tags} spans={dict(under_stage)} transforms={shapes}"
+    )
+
     ok = True
+    if (
+        under_stage["ckksrns.encrypt_many"] != 1
+        or under_stage["ckksrns.encrypt"] != 0
+        or under_stage["nt.ntt.batched.forward"] != 1
+    ):
+        print(f"FAIL: encrypt stage is not one fused call: {under_stage}")
+        ok = False
+    if shapes != [(ctx.k_top, 3 * pixels, ctx.n)]:
+        print(f"FAIL: encryption transformed {shapes}, expected one (k, 3*C*H*W, n) stack")
+        ok = False
+    want_tags = {"pixels": pixels, "batch": len(images), "transform_rows": 3 * pixels}
+    if stage.tags != want_tags:
+        print(f"FAIL: encrypt stage tags {stage.tags}, expected {want_tags}")
+        ok = False
     if warm_fresh != 0:
         print(f"FAIL: warm classify performed {warm_fresh} fresh plaintext encodes")
         ok = False
@@ -118,8 +156,9 @@ def main() -> int:
         ok = False
     if ok:
         print(
-            "OK: warm classify performed zero plaintext encodes and "
-            f"{warm_relin} deferred relinearisation sweeps"
+            "OK: warm classify performed zero plaintext encodes, "
+            f"{warm_relin} deferred relinearisation sweeps and one fused "
+            f"encryption of {3 * pixels} transform rows"
         )
     return 0 if ok else 1
 
