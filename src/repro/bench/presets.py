@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.ckks import CkksParams
 from repro.ckksrns import CkksRnsParams
+from repro.henn.security import he_standard_max_logq
 
 __all__ = ["BenchPreset", "get_preset", "PRESETS"]
 
@@ -34,12 +35,26 @@ class BenchPreset:
     sweep_batch: int = 256  # images per conv-stage sweep measurement
 
     def rns_params(self, depth: int) -> CkksRnsParams:
-        """CKKS-RNS chain long enough for *depth* rescales."""
+        """CKKS-RNS chain long enough for *depth* rescales.
+
+        Hybrid key switching with α = 3 special primes of 36 bits: a
+        third of the digits of α = 1, and every special channel on the
+        lazy-reduction NTT path (a 49-bit prime takes the eager one at
+        twice the cost per row).  Where the ring degree makes a
+        security claim (the chain fits the HE-standard budget), α is the
+        largest value ≤ 3 whose ``log QP`` still fits it; α = 1 is the
+        single 49-bit prime that covers the 40-bit ``q_0``.
+        """
+        bits = (40,) + (26,) * depth
+        alpha = 3
+        headroom = he_standard_max_logq(self.n_ring) - sum(bits)
+        if headroom >= 0:
+            alpha = min(3, max(1, headroom // 36))
         return CkksRnsParams(
             n=self.n_ring,
-            moduli_bits=(40,) + (26,) * depth,
+            moduli_bits=bits,
             scale_bits=26,
-            special_bits=49,
+            special_bits=(36,) * alpha if alpha > 1 else 49,
         )
 
     def mp_params(self, depth: int) -> CkksParams:

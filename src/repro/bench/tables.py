@@ -89,10 +89,7 @@ def table1_rows(measured: list[tuple] | None = None) -> tuple[list[str], list[li
 
 def table2_rows(params) -> tuple[list[str], list[list]]:
     """Table II: CKKS-RNS security settings + HE-standard validation."""
-    from repro.ckksrns import CkksRnsContext
-
-    ctx = CkksRnsContext(params)
-    log_qp = sum(m.bit_length() for m in ctx.ext_moduli)
+    log_qp = params.log_qp
     report = validate_security(params.n, log_qp, 128)
     headers = ["Parameter", "Value"]
     rows = [

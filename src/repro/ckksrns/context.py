@@ -6,14 +6,19 @@ Representation invariants
   ``int64``, canonically reduced per channel, held in the **NTT domain**
   unless a function says otherwise.
 * A ciphertext at ``level`` uses the chain prefix ``q_0 .. q_level``.
-* Key switching uses the RNS-digit gadget with **one digit per channel**
-  and a single special prime ``P``:  digit *j* of ``x`` is
-  ``D_j(x) = [x * (Q_top/q_j)^{-1}]_{q_j}`` and the key for digit *j*
-  encodes ``P * (Q_top/q_j) * s'``.  Reconstruction
-  ``sum_j D_j(x) * (Q_top/q_j) ≡ x (mod q_i)`` holds for every active
-  channel *i*, at every level, because each omitted factor contains
-  ``q_i``.  After accumulation the special channel is divided out
-  exactly (rescale-by-P), leaving noise ``≈ k * q_max * e / P``.
+* Key switching is **hybrid**: with α special primes ``P = p_0 ⋯ p_{α-1}``
+  the chain is grouped α primes at a time, ``Q_g = q_{gα} ⋯ q_{gα+α-1}``
+  (last group partial), and digit *g* of ``x`` is
+  ``D_g(x) = [x * (Q_top/Q_g)^{-1}]_{Q_g}``; the key for digit *g*
+  encodes ``P * (Q_top/Q_g) * s'``.  Reconstruction
+  ``sum_g D_g(x) * (Q_top/Q_g) ≡ x (mod q_i)`` holds for every active
+  channel *i*, at every level (a group is cut to its active primes),
+  because each omitted factor contains ``q_i``.  Each digit is raised to
+  the other active primes and the specials by one exact centered base
+  conversion (ModUp); after accumulation the special channels are
+  divided out exactly (ModDown), leaving noise
+  ``≈ ⌈k/α⌉ * Q_g * e / P``.  α = 1 is the classic one-digit-per-prime
+  gadget.  See docs/KERNELS.md "Hybrid key switching".
 
 Channel independence is exposed through an :class:`repro.parallel`
 executor: NTT batches and key-switch digits fan out per channel — this
@@ -23,6 +28,7 @@ is the parallelism Tables IV/VI sweep.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -50,6 +56,7 @@ from repro.nt.primes import gen_ntt_primes
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import traced
 from repro.rns.base import RnsBase
+from repro.rns.convert import approx_base_convert
 from repro.parallel import Executor, SerialExecutor, make_executor
 from repro.parallel.shm import dispatch_channels
 from repro.utils.cache import PlaintextCache
@@ -58,7 +65,7 @@ from repro.utils.rng import derive_rng
 __all__ = ["CkksRnsContext", "RnsPlaintext"]
 
 #: Batch-axis chunk budget for the digit key switch, in elements of the
-#: ``(k+1, k, B_chunk, ..., n)`` lifted-digit tensor (int64).  1 << 21
+#: ``(k+α, D, B_chunk, ..., n)`` lifted-digit tensor (int64).  1 << 21
 #: elements = 16 MB keeps the decomposition temporaries cache-friendly;
 #: lane-packed serving batches otherwise scale super-linearly (measured
 #: ~2x worse than linear at 16 lanes unchunked).  Default only — override
@@ -121,9 +128,9 @@ class _WeightedSumChannel:
 class _KeySwitchChannel:
     """Picklable per-target-modulus digit inner product.
 
-    All *k* digits are lifted into target modulus ``ext[i]``, batched
-    through one NTT, then inner-multiplied with the digit keys.  Sums of
-    *k* products < 2**50 stay exact in int64 for k <= 8192.
+    Target channel ``ext[i]``'s row of the raised digit tensor is
+    transformed, then inner-multiplied with the digit keys.  Sums of
+    *D* products < 2**50 stay exact in int64 for D <= 8192.
     """
 
     __slots__ = ("n", "ext", "k", "k_top")
@@ -137,13 +144,13 @@ class _KeySwitchChannel:
     def __call__(self, arrays, i: int) -> tuple[np.ndarray, np.ndarray]:
         m = self.ext[i]
         k = self.k
-        centered = arrays["centered"]
-        lifted_eval = NttPlan.get(self.n, m).forward(np.mod(centered, np.int64(m)))
-        key_idx = i if i < k else self.k_top  # special prime is last in key
-        # Key rows (pre-sliced to the active digit rows — possibly p*k of
+        row = arrays["lifted"][i]  # (D, ..., n)
+        lifted_eval = NttPlan.get(self.n, m).forward(row)
+        key_idx = i if i < k else self.k_top + i - k  # specials follow the chain
+        # Key rows (pre-sliced to the active digit rows — possibly p*G of
         # them for a merged multi-key switch) broadcast over any batch
         # axes between digit and coeff.
-        kshape = (centered.shape[0],) + (1,) * (centered.ndim - 2) + (centered.shape[-1],)
+        kshape = (row.shape[0],) + (1,) * (row.ndim - 2) + (row.shape[-1],)
         p0 = mulmod(lifted_eval, arrays["kb"][:, key_idx].reshape(kshape), m)
         p1 = mulmod(lifted_eval, arrays["ka"][:, key_idx].reshape(kshape), m)
         return p0.sum(axis=0) % m, p1.sum(axis=0) % m
@@ -224,13 +231,15 @@ class CkksRnsContext:
         self._hoist_cache: dict[tuple, np.ndarray] = {}
         self._hoist_bytes = 0
         self.encoder = CkksEncoder(params.n)
-        # Ciphertext moduli then the special prime, all distinct NTT primes.
-        all_bits = list(params.moduli_bits) + [params.special_bits]
-        primes = gen_ntt_primes(all_bits, params.n)
-        self.moduli: list[int] = primes[:-1]
-        self.p_special: int = primes[-1]
-        self.ext_moduli: list[int] = self.moduli + [self.p_special]
-        self.k_top = len(self.moduli)
+        # Ciphertext moduli then the special primes, all distinct NTT primes.
+        special_bits = params.special_moduli_bits
+        self.k_top = len(params.moduli_bits)
+        self.alpha = len(special_bits)
+        self.ext_moduli: list[int] = gen_ntt_primes(
+            list(params.moduli_bits) + list(special_bits), params.n
+        )
+        self.moduli: list[int] = self.ext_moduli[: self.k_top]
+        self.special_moduli: list[int] = self.ext_moduli[self.k_top :]
         self.plans = {m: NttPlan.get(params.n, m) for m in self.ext_moduli}
         #: Optional compile-once store for encoded plaintexts; installed
         #: by the inference-plan layer (:mod:`repro.henn.plan`) so scalar
@@ -238,18 +247,40 @@ class CkksRnsContext:
         #: level) instead of per call.
         self.plain_cache: PlaintextCache | None = None
         self._bases = {k: RnsBase(self.moduli[:k], n=params.n) for k in range(1, self.k_top + 1)}
-        # Digit-gadget constants w.r.t. the top basis Q_top.
+        self._special_base = RnsBase(self.special_moduli, n=params.n)
+        # Digit groups: α chain primes each (last one partial), Q_g their
+        # product at the top level and hat_g = Q_top / Q_g.
+        alpha = self.alpha
         q_top = self._bases[self.k_top].modulus
-        self.hat_top = [q_top // m for m in self.moduli]
-        self.hat_inv_top = [pow(h, -1, m) for h, m in zip(self.hat_top, self.moduli)]
-        #: factor_table[j][i] = (P * hat_j) mod ext_moduli[i]
-        self.factor_table = [
-            np.array(
-                [(self.p_special * hj) % mi for mi in self.ext_moduli], dtype=np.int64
-            )
-            for hj in self.hat_top
+        p_prod = self._special_base.modulus
+        group_hats = [
+            q_top // math.prod(self.moduli[s : s + alpha])
+            for s in range(0, self.k_top, alpha)
         ]
-        self.p_inv = [pow(self.p_special % m, -1, m) for m in self.moduli]
+        #: digit_hat_inv[i] = hat_g^{-1} mod q_i for the group g holding q_i
+        self.digit_hat_inv = [
+            pow(group_hats[i // alpha], -1, m) for i, m in enumerate(self.moduli)
+        ]
+        #: factor_table[g][i] = (P * hat_g) mod ext_moduli[i]
+        self.factor_table = [
+            np.array([(p_prod * hg) % mi for mi in self.ext_moduli], dtype=np.int64)
+            for hg in group_hats
+        ]
+        self.p_inv = [pow(p_prod % m, -1, m) for m in self.moduli]
+        #: _digit_groups[k] = the groups cut to k active primes, each
+        #: ``(own channels, their base, rows of the (k+α)-row extended
+        #: stack the digit is raised to)``.
+        self._digit_groups: dict[int, list[tuple[range, RnsBase, list[int]]]] = {
+            k: [
+                (
+                    own,
+                    RnsBase(self.moduli[own.start : own.stop], n=params.n),
+                    [t for t in range(k + alpha) if t not in own],
+                )
+                for own in (range(s, min(s + alpha, k)) for s in range(0, k, alpha))
+            ]
+            for k in range(1, self.k_top + 1)
+        }
 
     # -- small helpers --------------------------------------------------------
 
@@ -390,10 +421,10 @@ class CkksRnsContext:
     def _gen_switch_key(
         self, s_ext: np.ndarray, target_ext: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Digit keys encoding ``P * hat_j * target`` under ``s`` (NTT domain)."""
+        """Digit keys encoding ``P * hat_g * target`` under ``s`` (NTT domain)."""
         digits_b = []
         digits_a = []
-        for j in range(self.k_top):
+        for factors in self.factor_table:
             a_j = self._uniform(self.ext_moduli, rng)
             e_j = self._ntt(
                 self._decompose_small(
@@ -403,7 +434,7 @@ class CkksRnsContext:
             )
             rows_b = []
             for i, m in enumerate(self.ext_moduli):
-                t = mulmod(target_ext[i], np.int64(self.factor_table[j][i]), m)
+                t = mulmod(target_ext[i], factors[i], m)
                 t = addmod(t, e_j[i], m)
                 t = submod(t, mulmod(a_j[i], s_ext[i], m), m)
                 rows_b.append(t)
@@ -1021,10 +1052,10 @@ class CkksRnsContext:
         """Switch the high components back to degree 1.
 
         Degree 2 runs the classic single digit sweep.  Degree 3 runs a
-        *merged* sweep: the ``s²`` and ``s³`` source polynomials'
-        centered digit tensors are concatenated along the digit axis so
-        one batched NTT, one inner-product pass and one exact P-division
-        serve both keys (~1.8× one sweep instead of 2×).
+        *merged* sweep: the ``s²`` and ``s³`` source polynomials' raised
+        digits are concatenated along the digit axis so one batched NTT,
+        one inner-product pass and one exact P-division serve both keys
+        (~1.8× one sweep instead of 2×).
         """
         reg = get_registry()
         reg.counter("relin.count").inc()
@@ -1032,9 +1063,10 @@ class CkksRnsContext:
             reg.counter("relin.deferred").inc()
         k = x.k
         moduli = self.moduli[:k]
+        g = len(self._digit_groups[k])  # active digits per source polynomial
         if x.c3 is None:
             x_coeff = x.c2 if x.coeff_high else self._intt(x.c2, moduli)
-            r0, r1 = self._keyswitch_coeff(x_coeff, relin.b[:k], relin.a[:k], x.level)
+            r0, r1 = self._keyswitch_coeff(x_coeff, relin.b[:g], relin.a[:g], x.level)
         else:
             if relin3 is None:
                 raise ValueError("degree-3 relinearisation requires the s^3 key (relin3)")
@@ -1044,8 +1076,8 @@ class CkksRnsContext:
                 stacked = np.stack([x.c2, x.c3], axis=1)  # (k, 2, ..., n)
                 coeff = self._intt(stacked, moduli)
                 x_coeff = np.concatenate([coeff[:, 0], coeff[:, 1]], axis=0)  # (2k, ..., n)
-            kb = np.concatenate([relin.b[:k], relin3.b[:k]], axis=0)
-            ka = np.concatenate([relin.a[:k], relin3.a[:k]], axis=0)
+            kb = np.concatenate([relin.b[:g], relin3.b[:g]], axis=0)
+            ka = np.concatenate([relin.a[:g], relin3.a[:g]], axis=0)
             r0, r1 = self._keyswitch_coeff(x_coeff, kb, ka, x.level)
         c0 = np.stack([addmod(x.c0[i], r0[i], m) for i, m in enumerate(moduli)])
         c1 = np.stack([addmod(x.c1[i], r1[i], m) for i, m in enumerate(moduli)])
@@ -1053,48 +1085,43 @@ class CkksRnsContext:
 
     # -- key switching core -----------------------------------------------------------
 
-    def _keyswitch_eval(
-        self, x_eval: np.ndarray, kb: np.ndarray, ka: np.ndarray, level: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        k = level + 1
-        x_coeff = self._intt(x_eval, self.moduli[:k])
-        return self._keyswitch_coeff(x_coeff, kb[:k], ka[:k], level)
-
     @traced("ckksrns.keyswitch")
     def _keyswitch_coeff(
         self, x_coeff: np.ndarray, kb: np.ndarray, ka: np.ndarray, level: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Digit key switch of a coefficient-domain stack; returns eval stacks.
+        """Hybrid key switch of a coefficient-domain stack; returns eval stacks.
 
         ``x_coeff`` may be ``(k, n)`` or ``(k, B, n)`` — batch axes ride
-        through the digit decomposition, lifts, transforms and inner
-        products unchanged, so a batched switch is bit-identical to *B*
-        independent ones (same per-element arithmetic, same order).
+        through the digit decomposition, base conversions, transforms
+        and inner products unchanged, so a batched switch is
+        bit-identical to *B* independent ones (same per-element
+        arithmetic, same order).
 
-        ``x_coeff`` may also stack several source polynomials' digit
-        groups along the leading axis — ``(p·k, ..., n)`` with digit *j*
-        belonging to modulus ``j mod k`` and ``kb``/``ka`` row-matched
-        (``(p·k, k_top+1, n)``).  That is the merged multi-key switch of
-        degree-3 relinearisation: every group shares one NTT sweep and
+        ``x_coeff`` may also stack *p* source polynomials along the
+        leading axis — ``(p·k, ..., n)``, row ``s·k + i`` being channel
+        *i* of source *s* — with ``kb``/``ka`` holding the matching
+        digit keys, ``(p·G, k_top+α, n)`` for ``G = ⌈k/α⌉`` active
+        digits, row ``s·G + g``.  That is the merged multi-key switch of
+        degree-3 relinearisation: every source shares one NTT sweep and
         one P-division.  Keys are always passed pre-sliced to the active
         digit rows.
 
-        Large batches are processed in batch-axis chunks: the digit
-        tensor is ``(k+1) * D`` times the position size, so an unchunked
-        lane-packed batch would allocate hundreds of MB of temporaries
-        and fall out of cache (measured super-linear scaling in the lane
-        count).  Chunking only splits the batch axis — per-position
-        arithmetic and ordering are untouched, so results stay
-        bit-identical.  The chunk budget is
+        Large batches are processed in batch-axis chunks: the raised
+        digit tensor is ``(k+α) * D`` times the position size, so an
+        unchunked lane-packed batch would allocate hundreds of MB of
+        temporaries and fall out of cache (measured super-linear scaling
+        in the lane count).  Chunking only splits the batch axis —
+        per-position arithmetic and ordering are untouched, so results
+        stay bit-identical.  The chunk budget is
         :attr:`keyswitch_chunk_elems` (kwarg / env override) and also
         bounds the hoisted-digit cache path, whose entries are cached
         per chunk.
         """
         k = level + 1
-        d_rows = x_coeff.shape[0]
+        d_rows = kb.shape[0]
         if x_coeff.ndim >= 3:
             inner = int(np.prod(x_coeff.shape[2:]))
-            per_b = (k + 1) * d_rows * inner
+            per_b = (k + self.alpha) * d_rows * inner
             chunk = (
                 max(1, self.keyswitch_chunk_elems // per_b) if per_b else x_coeff.shape[1]
             )
@@ -1109,25 +1136,19 @@ class CkksRnsContext:
                     np.concatenate([p[1] for p in parts], axis=1),
                 )
         moduli = self.moduli[:k]
-        ext = moduli + [self.p_special]
-        # Digits D_j = [x * hat_j^{-1}]_{q_j} with centered lifts, stacked.
-        centered = np.empty(x_coeff.shape, dtype=np.int64)
-        for j in range(d_rows):
-            qj = moduli[j % k]
-            d = mulmod(x_coeff[j], np.int64(self.hat_inv_top[j % k]), qj)
-            centered[j] = np.where(d > qj // 2, d - qj, d)
+        ext = moduli + self.special_moduli
         # Key rows broadcast over any batch axes between digit and coeff.
         kshape = (d_rows,) + (1,) * (x_coeff.ndim - 2) + (x_coeff.shape[-1],)
 
         if isinstance(self.executor, SerialExecutor):
-            # All digits lifted into every target modulus at once: a
-            # (k+1, D, ..., n) tensor through one batched stage loop —
+            # All digits raised into every target modulus at once: a
+            # (k+α, D, ..., n) tensor through one batched stage loop —
             # served from the hoist cache when this exact input was
             # decomposed before.
-            lifted_eval = self._lifted_digits(centered, ext, level)
+            lifted_eval = self._lifted_digits(x_coeff, level)
             contribs = []
             for i, m in enumerate(ext):
-                key_idx = i if i < k else self.k_top
+                key_idx = i if i < k else self.k_top + i - k
                 krow_b = kb[:, key_idx].reshape(kshape)
                 krow_a = ka[:, key_idx].reshape(kshape)
                 if d_rows * m * m < 2**63:
@@ -1148,48 +1169,83 @@ class CkksRnsContext:
             contribs = dispatch_channels(
                 self.executor,
                 worker,
-                {"centered": centered, "kb": kb, "ka": ka},
-                list(range(k + 1)),
+                {"lifted": self._raise_digits(x_coeff, level), "kb": kb, "ka": ka},
+                list(range(len(ext))),
             )
         # Both accumulator components divide by P through one fused
-        # (k+1, 2, n) transform pair instead of two separate passes.
+        # (k+α, 2, n) transform pair instead of two separate passes.
         acc = np.stack(
             [np.stack([c[0] for c in contribs]), np.stack([c[1] for c in contribs])],
             axis=1,
         )
-        r = self._div_special(acc, moduli)
+        r = self._div_special(acc, level)
         return np.ascontiguousarray(r[:, 0]), np.ascontiguousarray(r[:, 1])
 
-    def _lifted_digits(
-        self, centered: np.ndarray, ext: list[int], level: int
-    ) -> np.ndarray:
-        """NTT'd lifted digit tensor, hoisted through a content cache.
+    def _raise_digits(self, x_coeff: np.ndarray, level: int) -> np.ndarray:
+        """ModUp: the ``(k+α, D, ..., n)`` raised digit tensor, coefficient domain.
+
+        Digit *g* of a source polynomial is ``[x * hat_g^{-1}]_{Q_g}``
+        over the group's active primes: on its own channels that is just
+        ``x_i * hat_g^{-1} mod q_i``; every other active prime and the α
+        specials get the residue of its centered representative through
+        one exact base conversion.  With α = 1 the conversion of a
+        one-prime base is the centered lift ``d - q·[d > q/2]`` reduced
+        per target modulus.
+        """
+        k = level + 1
+        groups = self._digit_groups[k]
+        ext = self.moduli[:k] + self.special_moduli
+        batch = x_coeff.shape[1:]
+        x = x_coeff.reshape((-1, k) + batch)  # (p, k, ..., n)
+        lifted = np.empty((len(ext), x.shape[0], len(groups)) + batch, dtype=np.int64)
+        for g, (own, base, dst) in enumerate(groups):
+            for i in own:
+                lifted[i, :, g] = mulmod(
+                    x[:, i], np.int64(self.digit_hat_inv[i]), self.moduli[i]
+                )
+            approx_base_convert(
+                [lifted[i, :, g] for i in own],
+                base,
+                [ext[t] for t in dst],
+                out=[lifted[t, :, g] for t in dst],
+            )
+        return lifted.reshape((len(ext), -1) + batch)
+
+    def _lifted_digits(self, x_coeff: np.ndarray, level: int) -> np.ndarray:
+        """NTT'd raised digit tensor, hoisted through a content cache.
 
         The decomposition of a ciphertext polynomial is independent of
-        the key it is later inner-multiplied with, so the lifted/NTT'd
+        the key it is later inner-multiplied with, so the raised/NTT'd
         tensor can be computed once and reused for every switch the same
         polynomial feeds (relin or Galois).  Entries are addressed by
-        ``(level, shape, blake2b(content))`` — rescale or a level drop
-        changes both content and level, so stale entries can never hit.
-        A byte budget (:attr:`hoist_cache_bytes`) bounds the cache;
-        tensors above the budget bypass it (counted as misses).
+        ``(level, shape, blake2b(source polynomial))`` — rescale or a
+        level drop changes both content and level, so stale entries can
+        never hit.  A byte budget (:attr:`hoist_cache_bytes`) bounds the
+        cache; tensors above the budget bypass it — their size is known
+        from the shape, so they are counted as misses without being
+        hashed.
         """
+        k = level + 1
+        ext = self.moduli[:k] + self.special_moduli
+        key = None
         if self.hoist_cache_bytes > 0:
-            digest = hashlib.blake2b(centered.tobytes(), digest_size=16).digest()
-            key = (level, centered.shape, digest)
-            hit = self._hoist_cache.get(key)
             reg = get_registry()
-            if hit is not None:
-                reg.counter("keyswitch.hoist.hit").inc()
-                # Refresh recency so hot entries survive eviction.
-                self._hoist_cache[key] = self._hoist_cache.pop(key)
-                return hit
+            # (k+α) rows per digit, ⌈k/α⌉ digits per k source rows, int64
+            nbytes = x_coeff.size // k * len(self._digit_groups[k]) * len(ext) * 8
+            if nbytes <= self.hoist_cache_bytes:
+                digest = hashlib.blake2b(x_coeff.tobytes(), digest_size=16).digest()
+                key = (level, x_coeff.shape, digest)
+                hit = self._hoist_cache.get(key)
+                if hit is not None:
+                    reg.counter("keyswitch.hoist.hit").inc()
+                    # Refresh recency so hot entries survive eviction.
+                    self._hoist_cache[key] = self._hoist_cache.pop(key)
+                    return hit
             reg.counter("keyswitch.hoist.miss").inc()
-        else:
-            key = None
-        lifted = np.stack([np.mod(centered, np.int64(m)) for m in ext])
-        lifted_eval = BatchedNttPlan.get(self.n, tuple(ext)).forward(lifted)
-        if key is not None and lifted_eval.nbytes <= self.hoist_cache_bytes:
+        lifted_eval = BatchedNttPlan.get(self.n, tuple(ext)).forward(
+            self._raise_digits(x_coeff, level)
+        )
+        if key is not None:
             self._hoist_cache[key] = lifted_eval
             self._hoist_bytes += lifted_eval.nbytes
             while self._hoist_bytes > self.hoist_cache_bytes:
@@ -1197,28 +1253,26 @@ class CkksRnsContext:
                 self._hoist_bytes -= self._hoist_cache.pop(old_key).nbytes
         return lifted_eval
 
-    def _div_special(self, acc_ext: np.ndarray, moduli: list[int]) -> np.ndarray:
-        """Exact division by P: (acc - lift([acc]_P)) * P^{-1}, in eval domain.
+    def _div_special(self, acc_ext: np.ndarray, level: int) -> np.ndarray:
+        """ModDown, exact division by P: (acc - lift([acc]_P)) * P^{-1}, eval domain.
 
-        Accepts ``(k+1, n)`` stacks or ``(k+1, B, n)`` batches (extra
+        Accepts ``(k+α, n)`` stacks or ``(k+α, B, n)`` batches (extra
         axes divide together, sharing the transforms).
 
-        Only the special channel leaves the evaluation domain: its
-        centered lift is transformed forward under each target modulus
-        and subtracted *in eval domain*.  The NTT is a ring isomorphism,
-        so this is bit-identical to inverse-transforming the whole
-        stack, subtracting in coefficient domain and transforming back —
-        while doing one single-channel inverse instead of ``k + 1``
+        Only the α special channels leave the evaluation domain: the
+        centered representative of ``[acc]_P`` is base-converted to each
+        chain modulus, transformed forward and subtracted *in eval
+        domain*.  The NTT is a ring isomorphism, so this is
+        bit-identical to inverse-transforming the whole stack,
+        subtracting in coefficient domain and transforming back — while
+        doing one α-channel inverse instead of ``k + α``
         (see ``docs/KERNELS.md``).
         """
-        k = len(moduli)
-        p = self.p_special
-        last = NttPlan.get(self.n, p).inverse(acc_ext[k])
-        half = p // 2
-        lifted = np.where(last > half, last - p, last)
-        lift_eval = self._ntt(
-            np.stack([np.mod(lifted, np.int64(m)) for m in moduli]), moduli
-        )
+        k = level + 1
+        moduli = self.moduli[:k]
+        last = self._intt(acc_ext[k:], self.special_moduli)
+        lifted = approx_base_convert(last, self._special_base, moduli)
+        lift_eval = self._ntt(lifted, moduli)
         out = np.empty((k,) + acc_ext.shape[1:], dtype=np.int64)
         for i, m in enumerate(moduli):
             t = submod(acc_ext[i], lift_eval[i], m)
@@ -1401,7 +1455,8 @@ class CkksRnsContext:
         c1g = np.stack(
             [_galois_permute(c1_coeff[i], g, self.n, m) for i, m in enumerate(moduli)]
         )
-        r0, r1 = self._keyswitch_coeff(c1g, key.b[: a.k], key.a[: a.k], a.level)
+        g_act = len(self._digit_groups[a.k])
+        r0, r1 = self._keyswitch_coeff(c1g, key.b[:g_act], key.a[:g_act], a.level)
         c0_eval = self._ntt(c0g, moduli)
         c0 = np.stack([addmod(c0_eval[i], r0[i], m) for i, m in enumerate(moduli)])
         return RnsCiphertext(c0, r1, a.level, a.scale)

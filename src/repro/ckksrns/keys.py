@@ -1,8 +1,11 @@
 """Key material for the full-RNS scheme.
 
 All public material is stored channelwise in the NTT domain over the
-*extended* basis ``{q_0..q_L, P}`` (ciphertext chain plus the special
-prime), shape ``(k_top + 1, n)``.
+*extended* basis ``{q_0..q_L, p_0..p_{α-1}}`` (ciphertext chain plus the
+α special primes), shape ``(k_top + α, n)``.  Switch keys hold one such
+pair per digit: ``(digits, k_top + α, n)`` with ``digits = ⌈k_top/α⌉``
+— chain primes are grouped α at a time (hybrid key switching, see
+docs/KERNELS.md).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ __all__ = ["RnsSecretKey", "RnsPublicKey", "RnsRelinKey", "RnsGaloisKey", "RnsKe
 class RnsSecretKey:
     """Secret ``s`` as residue channels over the extended basis (NTT domain)."""
 
-    s: np.ndarray  # (k_top + 1, n)
+    s: np.ndarray  # (k_top + α, n)
     s_coeff: np.ndarray  # signed ternary coefficients, shape (n,), for Galois keygen
 
 
@@ -32,13 +35,15 @@ class RnsPublicKey:
 
 @dataclass
 class RnsRelinKey:
-    """RNS-digit relinearisation key.
+    """Grouped-digit relinearisation key.
 
-    ``b[j], a[j]`` (each ``(k_top + 1, n)``, NTT domain) encode
-    ``P * q̂_j * s^2`` for digit *j* — one digit per ciphertext modulus.
+    ``b[g], a[g]`` (each ``(k_top + α, n)``, NTT domain) encode
+    ``P * (Q_top/Q_g) * s^2`` for digit *g* — one digit per group of α
+    ciphertext moduli, ``P`` the product of the α special primes.  A
+    switch at a lower level uses the leading ``⌈k/α⌉`` digits.
     """
 
-    b: np.ndarray  # (digits, k_top + 1, n)
+    b: np.ndarray  # (digits, k_top + α, n)
     a: np.ndarray
 
 

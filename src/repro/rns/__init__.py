@@ -7,14 +7,14 @@
   and applied to input images in the CNN-RNS architectures of Fig. 5.
 * :mod:`repro.rns.arithmetic` — componentwise channel arithmetic on
   stacked residue tensors.
-* :mod:`repro.rns.convert` — fast (approximate) base conversion and exact
-  single-digit base extension used by RNS key switching.
+* :mod:`repro.rns.convert` — fast base conversion with exact centered
+  overflow correction: the ModUp/ModDown of hybrid key switching.
 """
 
 from repro.rns.base import RnsBase
 from repro.rns.decompose import rns_decompose, rns_recompose, rns_recompose_signed
 from repro.rns.arithmetic import channel_add, channel_mul, channel_neg, channel_scalar_mul
-from repro.rns.convert import approx_base_convert, extend_digit
+from repro.rns.convert import approx_base_convert
 
 __all__ = [
     "RnsBase",
@@ -26,5 +26,4 @@ __all__ = [
     "channel_neg",
     "channel_scalar_mul",
     "approx_base_convert",
-    "extend_digit",
 ]

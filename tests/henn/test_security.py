@@ -28,7 +28,8 @@ def test_unknown_level():
 def test_paper_table2_is_secure():
     """N = 2^14, log q = 366 + 50-bit special prime <= 438-bit budget."""
     p = CkksRnsParams.paper_table2()
-    report = validate_security(p.n, p.log_q + p.special_bits, 128)
+    assert p.log_qp == 366 + 50
+    report = validate_security(p.n, p.log_qp, 128)
     assert report.secure
     assert report.margin_bits >= 0
 

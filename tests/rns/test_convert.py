@@ -1,24 +1,11 @@
-"""Base conversion and digit extension used by RNS key switching."""
+"""Base conversion used by hybrid key switching (ModUp / ModDown)."""
 
 import numpy as np
 import pytest
 
 from repro.rns.base import RnsBase
-from repro.rns.convert import approx_base_convert, extend_digit
+from repro.rns.convert import approx_base_convert
 from repro.rns.decompose import rns_decompose
-
-
-def test_extend_digit_centered(rng):
-    src_m = 97
-    digit = rng.integers(0, src_m, 20)
-    dst = [101, 65537]
-    out = extend_digit(digit, src_m, dst)
-    assert out.shape == (2, 20)
-    for i, m in enumerate(dst):
-        for j in range(20):
-            v = int(digit[j])
-            centered = v - src_m if v > src_m // 2 else v
-            assert int(out[i, j]) == centered % m
 
 
 def test_approx_base_convert_exact_with_correction(rng):
@@ -54,3 +41,38 @@ def test_channel_count_validated(rng):
     dst = RnsBase.from_bit_sizes([30], 64, exclude=set(src.moduli))
     with pytest.raises(ValueError):
         approx_base_convert(np.zeros((3, 4), dtype=np.int64), src, dst)
+
+
+def _uniform_mod(rng, modulus: int, count: int) -> np.ndarray:
+    return np.array(
+        [int.from_bytes(rng.bytes(16), "little") % modulus for _ in range(count)],
+        dtype=object,
+    )
+
+
+@pytest.mark.parametrize("src_bits", [(40, 26, 26), (26, 40, 26), (45, 45), (36, 36, 36), (40,)])
+@pytest.mark.parametrize("dst_bits", [26, 30, 36, 40, 45, 50])
+def test_mixed_width_conversion_is_exact_and_centered(rng, src_bits, dst_bits):
+    """Every source/destination width mix, against big-int arithmetic.
+
+    A source prime wider than a narrow destination used to overflow
+    int64 inside ``mulmod`` (a 40-bit ``q_0`` into a 26- or 30-bit
+    prime); the corrected result is the *centered* representative.
+    """
+    src = RnsBase.from_bit_sizes(list(src_bits), 64)
+    dst = RnsBase.from_bit_sizes([dst_bits, dst_bits], 64, exclude=set(src.moduli))
+    x = _uniform_mod(rng, src.modulus, 2000)
+    centered = np.where(x > src.modulus // 2, x - src.modulus, x)
+    got = approx_base_convert(rns_decompose(x, src), src, dst)
+    assert np.array_equal(got, rns_decompose(centered, dst))
+
+
+def test_out_rows_and_channel_list(rng):
+    """Writing into caller rows from a list of channel views matches the stack."""
+    src = RnsBase.from_bit_sizes([26, 26, 26], 64)
+    dst = RnsBase.from_bit_sizes([36, 26], 64, exclude=set(src.moduli))
+    chans = rns_decompose(_uniform_mod(rng, src.modulus, 64), src)
+    want = approx_base_convert(chans, src, dst)
+    out = np.zeros((3, 64), dtype=np.int64)
+    assert approx_base_convert(list(chans), src, dst.moduli, out=[out[2], out[0]]) is None
+    assert np.array_equal(out[[2, 0]], want) and not out[1].any()

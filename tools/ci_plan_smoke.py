@@ -18,7 +18,11 @@ memoized during the cold call.  Count-based, so it is immune to CI
 machine noise.  A further warm ``encrypt_images`` must be one fused
 call: its ``henn.stage.encrypt`` span holds one ``ckksrns.encrypt_many``
 span, no ``ckksrns.encrypt`` span and one batched forward transform of
-``3·C·H·W`` rows ("Transform the sum" in ``docs/KERNELS.md``).  Exits
+``3·C·H·W`` rows ("Transform the sum" in ``docs/KERNELS.md``).  A
+second engine with α = 3 special primes pins the hybrid key switch: per
+relinearisation sweep exactly one ``(k+α, p·⌈k/α⌉, B, n)`` raised-digit
+forward, one α-channel inverse and one ``(k, 2, B, n)`` forward
+("Hybrid key switching"), shapes read off the real calls.  Exits
 non-zero with the offending counter deltas.
 """
 
@@ -34,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from repro import obs
-from repro.ckksrns import CkksRnsParams
+from repro.ckksrns import CkksRnsContext, CkksRnsParams
 from repro.henn.backend import CkksRnsBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
@@ -43,25 +47,66 @@ from repro.nt.ntt import BatchedNttPlan
 from repro.obs.metrics import get_registry
 
 
-def build_engine() -> HeInferenceEngine:
+def build_engine(
+    special_bits: "int | tuple[int, ...]" = 45,
+    slaf: tuple[float, ...] = (0.1, 0.5, 0.25),
+    levels: int = 5,
+) -> HeInferenceEngine:
     rng = np.random.default_rng(0)
     layers = [
         HeConv2d(rng.uniform(-0.5, 0.5, (2, 1, 3, 3)), rng.uniform(-0.1, 0.1, 2)),
-        HePoly(np.array([0.1, 0.5, 0.25])),
+        HePoly(np.array(slaf)),
         HeFlatten(),
         HeLinear(rng.uniform(-0.3, 0.3, (10, 32)), rng.uniform(-0.1, 0.1, 10)),
     ]
     backend = CkksRnsBackend(
         CkksRnsParams(
             n=128,
-            moduli_bits=(36, 26, 26, 26, 26, 26),
+            moduli_bits=(36,) + (26,) * levels,
             scale_bits=26,
-            special_bits=45,
+            special_bits=special_bits,
             hw=16,
         ),
         seed=0,
     )
     return HeInferenceEngine(backend, layers, (1, 6, 6), plan=True)
+
+
+def hybrid_sweep_shapes(images: np.ndarray) -> tuple[list[dict], int, int]:
+    """Transform shapes of every key-switch sweep of a warm α = 3 classify."""
+    # A degree-5 SLAF on a longer chain: two sweeps, the first a merged
+    # s²/s³ one (p = 2) over two digit groups, the second cut by its level.
+    engine = build_engine((36, 36, 36), slaf=(0.1, 0.5, 0.25, 0.1, 0.05, 0.02), levels=8)
+    engine.classify(images)  # cold
+    sweeps: list[dict] = []
+    inside = [False]
+    real_switch = CkksRnsContext._keyswitch_coeff
+
+    def switch(self, x_coeff, kb, ka, level):
+        sweeps.append(
+            {"level": level, "x": x_coeff.shape, "digits": kb.shape[0], "fwd": [], "inv": []}
+        )
+        inside[0] = True
+        try:
+            return real_switch(self, x_coeff, kb, ka, level)
+        finally:
+            inside[0] = False
+
+    def record(kind, real):
+        def call(plan, stack):
+            if inside[0]:
+                sweeps[-1][kind].append(np.shape(stack))
+            return real(plan, stack)
+
+        return call
+
+    with mock.patch.object(CkksRnsContext, "_keyswitch_coeff", switch), mock.patch.object(
+        BatchedNttPlan, "forward", record("fwd", BatchedNttPlan.forward)
+    ), mock.patch.object(BatchedNttPlan, "inverse", record("inv", BatchedNttPlan.inverse)):
+        engine.classify(images)
+    (slaf,) = [layer for layer in engine.layers if isinstance(layer, HePoly)]
+    relins = compile_poly_program(slaf.coeffs.shape[1] - 1).relins
+    return sweeps, engine.backend.ctx.alpha, relins
 
 
 def main() -> int:
@@ -118,7 +163,26 @@ def main() -> int:
         f"warm: encrypt stage tags={stage.tags} spans={dict(under_stage)} transforms={shapes}"
     )
 
+    sweeps, alpha, hybrid_relins = hybrid_sweep_shapes(images)
+    print(f"warm: alpha={alpha} key-switch sweeps={sweeps}")
+
     ok = True
+    if len(sweeps) != hybrid_relins:
+        print(f"FAIL: {len(sweeps)} key-switch sweeps at alpha={alpha}, expected {hybrid_relins}")
+        ok = False
+    for sw in sweeps:
+        k = sw["level"] + 1
+        batch = sw["x"][1:]
+        sources = sw["x"][0] // k
+        want_fwd = [(k + alpha, sources * -(-k // alpha)) + batch, (k, 2) + batch]
+        want_inv = [(alpha, 2) + batch]
+        if sw["digits"] != want_fwd[0][1] or sw["fwd"] != want_fwd or sw["inv"] != want_inv:
+            print(
+                f"FAIL: sweep {sw} is not one (k+α, p·⌈k/α⌉, B, n) raised-digit forward "
+                f"+ one α-channel inverse + one (k, 2, B, n) forward: "
+                f"expected fwd={want_fwd} inv={want_inv}"
+            )
+            ok = False
     if (
         under_stage["ckksrns.encrypt_many"] != 1
         or under_stage["ckksrns.encrypt"] != 0
@@ -158,7 +222,8 @@ def main() -> int:
         print(
             "OK: warm classify performed zero plaintext encodes, "
             f"{warm_relin} deferred relinearisation sweeps and one fused "
-            f"encryption of {3 * pixels} transform rows"
+            f"encryption of {3 * pixels} transform rows; alpha={alpha} sweeps are "
+            f"one raised-digit forward + one {alpha}-channel inverse + one ModDown forward"
         )
     return 0 if ok else 1
 
