@@ -44,7 +44,9 @@ from repro.obs.metrics import get_registry
 
 RNS_N = 512
 CKKS_N = 256
-DEPTH = 8  # levels; degree-8 BSGS consumes program.depth = 5
+#: Chain levels (9 primes, so the α sweep has digits to group) — not the
+#: depth of any program here: degree-8 BSGS consumes program.depth = 4.
+DEPTH = 8
 DEGREES = range(2, 9)
 ROUNDS = 3
 RNS_POSITIONS = 16  # ciphertexts per evaluation, one batched program

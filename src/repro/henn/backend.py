@@ -116,7 +116,10 @@ def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -
     compensation exactly like the legacy power-basis evaluator, so
     degrees 1–2 reproduce it bit-identically.  A constant-only top block
     is deferred and folded into the first giant step as a plaintext
-    multiply (no ciphertext mult).  Ends with one rescale back to ~Δ.
+    multiply (no ciphertext mult).  Each Horner fold rescales the block
+    sum *before* the product (Δ·Δ, one rescale) rather than after it
+    (Δ²·Δ, two), which is what makes ``prog.depth`` the level count.
+    Ends with one rescale back to ~Δ.
     """
     powers = {1: x}
     for j in range(2, prog.baby_top + 1):
@@ -139,7 +142,7 @@ def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -
             pending = None
             target = ops.scale_of(acc)
         else:
-            acc = ops.rescale(ops.mul(acc, y))
+            acc = ops.mul(ops.rescale(acc), y)
             target = ops.scale_of(acc)
         for j in range(bd, 0, -1):
             ps = target / ops.scale_of(powers[j])
@@ -160,11 +163,11 @@ def _run_poly_program_lazy(
 
     * the giant power ``y = x^baby_m`` is kept raw (degree 2), saving
       its keyswitch entirely;
-    * each Horner fold ``acc * y`` produces a degree-3 extended
-      accumulator; block terms (degree-1 plaintext products) are added
-      into it componentwise, and one *merged* keyswitch (s² and s³
-      digits in a single sweep) relinearises the whole block sum —
-      post-rescale, i.e. one level lower than the eager keyswitch.
+    * each Horner fold ``rescale(acc) * y`` produces a degree-3
+      extended accumulator; block terms (degree-1 plaintext products)
+      are added into it componentwise, and one *merged* keyswitch (s²
+      and s³ digits in a single sweep) relinearises the whole block sum
+      — post-rescale, i.e. one level lower than the eager keyswitch.
 
     ``prog.relins`` counts the sweeps: ``~ceil(degree / baby_m)`` versus
     ``prog.ct_mults ~ 2*sqrt(degree)`` for the eager interpreter.  The
@@ -206,9 +209,10 @@ def _run_poly_program_lazy(
                 # The accumulator must be degree 1 before folding with the
                 # raw giant power (degree 1 x 2 -> 3 is the ceiling the
                 # merged sweep handles): relinearise the block sum now.
-                acc = ops.relinearize(acc_ext)
-                acc_ext = None
-            acc_ext = ops.rescale_ext(ops.mul_raw(acc, y_raw), defer_high=True)
+                acc = ops.relinearize(ops.rescale_ext(acc_ext, defer_high=True))
+            else:
+                acc = ops.rescale(acc)
+            acc_ext = ops.mul_raw(acc, y_raw)
             acc = None
             target = ops.scale_of_ext(acc_ext)
         for j in range(bd, 0, -1):
@@ -506,9 +510,10 @@ class HeBackend(ABC):
 
         Routed through the baby-step/giant-step program of
         :func:`repro.nt.kernels.compile_poly_program`: ``~2*sqrt(d)``
-        ciphertext multiplies and at most ``d`` levels for degree *d*
-        (exact per-degree accounting in ``docs/KERNELS.md``).  One final
-        rescale returns the result to ~Δ.
+        ciphertext multiplies and ``program.depth`` levels for degree
+        *d* — 2 for a cubic, 4 for degree 8; the paper's §V.B accounting
+        charges *d* (per-degree table in ``docs/KERNELS.md``).  One
+        final rescale returns the result to ~Δ.
 
         Parameters
         ----------
@@ -557,7 +562,7 @@ class HeBackend(ABC):
         (compiled on the fly when *program* is None): baby powers once,
         plaintext-weighted blocks, Horner fold over the giant step, all
         terms aligned to a common scale by per-term plain-scale
-        compensation.  Consumes ``program.depth <= degree`` levels and
+        compensation.  Consumes exactly ``program.depth`` levels and
         ``program.ct_mults`` ciphertext multiplies.
         """
         coeffs = self._check_poly_coeffs(coeffs)

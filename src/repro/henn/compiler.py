@@ -21,7 +21,15 @@ import copy
 
 import numpy as np
 
-from repro.henn.layers import HeAvgPool, HeConv2d, HeFlatten, HeLayer, HeLinear, HePoly
+from repro.henn.layers import (  # noqa: F401 - model_depth is compiler surface
+    HeAvgPool,
+    HeConv2d,
+    HeFlatten,
+    HeLayer,
+    HeLinear,
+    HePoly,
+    model_depth,
+)
 from repro.nn.layers.activations import ReLU, SLAF, Square
 from repro.nn.layers.batchnorm import BatchNorm2d
 from repro.nn.layers.conv import Conv2d
@@ -146,12 +154,3 @@ def compile_model(model: Sequential, prune_below: float = 0.0) -> list[HeLayer]:
             raise ValueError(f"no HE lowering for layer {layer!r}")
         i += 1
     return he_layers
-
-
-def model_depth(he_layers: list[HeLayer]) -> int:
-    """Total rescaling levels the compiled graph consumes.
-
-    This is the paper's multiplicative-depth accounting (§V.B): 1 per
-    linear layer, ``degree`` per polynomial activation.
-    """
-    return sum(layer.depth for layer in he_layers)

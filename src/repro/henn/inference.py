@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import obs
 from repro.henn.backend import HeBackend
-from repro.henn.layers import HeLayer
+from repro.henn.layers import HeLayer, check_level_budget
 from repro.henn.packing import BatchLayout
 from repro.henn.plan import InferencePlan, compile_plan
 from repro.obs import health as _health
@@ -88,6 +88,12 @@ class HeInferenceEngine:
         encode-per-call path (bit-identical results, used by the
         plan-equivalence tests); an existing plan object is adopted
         as-is.
+
+    Raises
+    ------
+    LevelBudgetError
+        When *layers* consume more levels than the backend's modulus
+        chain provides.
     """
 
     def __init__(
@@ -97,6 +103,7 @@ class HeInferenceEngine:
         input_shape: tuple[int, int, int],
         plan: "bool | InferencePlan" = True,
     ):
+        check_level_budget(backend, layers)
         self.backend = backend
         self.layers = layers
         self.input_shape = input_shape

@@ -7,8 +7,9 @@ so a layer is evaluated once per scalar position regardless of batch
 size (CryptoNets packing).
 
 Linear layers (conv/dense) consume exactly one rescaling level; a
-degree-*d* polynomial activation consumes *d* (see
-``HeBackend.poly_eval``).
+polynomial activation consumes the depth of its BSGS program (2 for a
+cubic, see ``HeBackend.poly_eval``).  :func:`model_depth` sums them and
+:func:`check_level_budget` holds a backend's modulus chain against it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,13 @@ import numpy as np
 
 from repro.henn.backend import HeBackend
 from repro.nn.layers.conv import conv_output_shape
+from repro.nt.kernels import compile_poly_program
+from repro.obs.health import _top_level
 
 __all__ = [
+    "LevelBudgetError",
+    "model_depth",
+    "check_level_budget",
     "HeLayer",
     "HeConv2d",
     "HeLinear",
@@ -100,6 +106,42 @@ class HeLayer(ABC):
 
     def __call__(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
         return self.forward(backend, x)
+
+
+class LevelBudgetError(ValueError):
+    """The graph consumes more levels than the modulus chain provides.
+
+    Raised when an engine or plan is built, so an undersized chain is a
+    configuration error at start-up rather than a "cannot rescale below
+    level 0" on every request.
+    """
+
+    def __init__(self, needed: int, available: int):
+        super().__init__(
+            f"graph consumes {needed} levels, the modulus chain provides {available}"
+        )
+        self.needed = needed
+        self.available = available
+
+
+def model_depth(he_layers: "list[HeLayer]") -> int:
+    """Total rescaling levels the compiled graph consumes.
+
+    1 per linear layer and ``PolyProgram.depth`` per polynomial
+    activation — the levels actually spent, which is what sizes the
+    modulus chain.  The paper's §V.B accounting charges ``degree`` per
+    activation instead (3 per cubic SLAF: Table II's L = 13 for CNN2,
+    where this schedule consumes 10).
+    """
+    return sum(layer.depth for layer in he_layers)
+
+
+def check_level_budget(backend: HeBackend, he_layers: "list[HeLayer]") -> None:
+    """Raise :class:`LevelBudgetError` if *backend* cannot evaluate the graph."""
+    available = _top_level(backend)
+    needed = model_depth(he_layers)
+    if available is not None and needed > available:
+        raise LevelBudgetError(needed, available)
 
 
 class HeConv2d(HeLayer):
@@ -206,9 +248,9 @@ class HePoly(HeLayer):
     the whole position grid goes through :meth:`HeBackend.poly_eval_many`
     in one call, so backends with a batched path (CKKS-RNS) share the
     baby-step power basis — and its NTT/keyswitch sweeps — across all
-    ``C * H * W`` positions.  Consumes ``compile_poly_program(degree).depth
-    <= degree`` levels; ``self.depth`` stays the conservative ``degree``
-    bound used by the plan compiler's level budget.
+    ``C * H * W`` positions.  ``self.depth`` is the number of levels the
+    evaluation consumes, ``compile_poly_program(degree).depth`` — 2 for
+    the paper's cubic, not the ``degree`` of the §V.B accounting.
 
     Args (constructor):
         coeffs: ``(degree + 1,)`` layer-wide or ``(C, degree + 1)``
@@ -220,7 +262,12 @@ class HePoly(HeLayer):
     def __init__(self, coeffs: np.ndarray, per_channel: bool = False):
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
         self.per_channel = per_channel
-        self.depth = self.coeffs.shape[1] - 1
+        self.depth = compile_poly_program(self.degree).depth
+
+    @property
+    def degree(self) -> int:
+        """Polynomial degree (coefficient count minus one)."""
+        return self.coeffs.shape[1] - 1
 
     def _row(self, channel: int) -> np.ndarray:
         if self.per_channel:
@@ -249,7 +296,7 @@ class HePoly(HeLayer):
         return out.reshape(x.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HePoly(degree={self.depth}, per_channel={self.per_channel})"
+        return f"HePoly(degree={self.degree}, per_channel={self.per_channel})"
 
 
 class HeFlatten(HeLayer):

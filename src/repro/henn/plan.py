@@ -38,6 +38,7 @@ from repro.henn.layers import (
     HeLayer,
     HeLinear,
     HePoly,
+    check_level_budget,
     conv_tap_program,
 )
 from repro.nn.layers.conv import conv_output_shape
@@ -217,11 +218,11 @@ class PlannedPoly(HeLayer):
 
     def __init__(self, src: HePoly, shape: tuple[int, ...]):
         self.src = src
-        self.depth = src.depth
         self.shape = tuple(shape)
         probe = np.empty(self.shape, dtype=object)
         self.rows = src._rows_for(probe)
-        self.program = compile_poly_program(src.coeffs.shape[1] - 1)
+        self.program = compile_poly_program(src.degree)
+        self.depth = self.program.depth
 
     def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
         if x.shape != self.shape:  # planned for a different shape: run unplanned
@@ -292,7 +293,13 @@ def compile_plan(
     cache:
         Cache to (re)use; by default a fresh one per plan.  Sharing one
         cache between plans is safe — keys carry the backend signature.
+
+    Raises
+    ------
+    LevelBudgetError
+        When the graph consumes more levels than the backend's chain has.
     """
+    check_level_budget(backend, layers)
     cache = cache or PlaintextCache()
     ctx = getattr(backend, "ctx", None)
     if ctx is not None and hasattr(ctx, "plain_cache"):

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.henn.backend import HeBackend
 from repro.henn.inference import HeInferenceEngine
-from repro.henn.layers import HeLayer
+from repro.henn.layers import HeLayer, LevelBudgetError
 from repro.obs import health as _obs_health
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
@@ -138,6 +138,10 @@ def _sanitize(exc: BaseException) -> ServiceError:
         )
     if isinstance(exc, RequestValidationError):
         return ServiceError(code, "state", False, "request rejected at admission")
+    if isinstance(exc, LevelBudgetError):
+        return ServiceError(
+            code, "state", False, "modulus chain too short for the model"
+        )
     if isinstance(exc, DrainTimeoutError):
         return ServiceError(
             code, "unavailable", True, "service drained out before evaluation"

@@ -216,8 +216,10 @@ class PolyProgram:
         Ciphertext–ciphertext multiplications consumed
         (``baby_top - 1`` baby steps plus the non-trivial Horner folds).
     depth:
-        Rescaling levels consumed (always ``<= degree``; equality holds
-        for ``degree <= 4``).
+        Rescaling levels consumed, counted by walking the interpreter's
+        schedule: the accumulator is rescaled *before* each Horner fold,
+        so a fold costs one level on top of ``max(accumulator, y)`` and
+        a cubic meets the ``ceil(log2(degree + 1)) = 2`` lower bound.
     relins:
         Relinearisations (key-switch sweeps) performed by the *lazy*
         interpreter, ``~ ceil(degree / baby_m)``.  The eager interpreter
@@ -250,8 +252,9 @@ def compile_poly_program(degree: int) -> PolyProgram:
     -------
     The (cached, immutable) :class:`PolyProgram`.  Complexity of the
     compiled plan: ``ct_mults ~ 2*sqrt(degree)`` ciphertext multiplies
-    and ``depth <= degree`` levels, versus ``degree - 1`` multiplies and
-    ``degree`` levels for power-basis/Horner evaluation.
+    and ``depth ~ log2(degree) + 1`` levels (2, 2, 3, 3, 4, 4, 4 for
+    degrees 2..8), versus ``degree - 1`` multiplies and ``degree``
+    levels for power-basis/Horner evaluation.
     """
     if degree < 1 or degree > MAX_POLY_DEGREE:
         raise ValueError(
@@ -274,7 +277,16 @@ def compile_poly_program(degree: int) -> PolyProgram:
         # plaintext multiply, saving one ciphertext multiplication.
         horner_mults = giants - 1 - (1 if block_degrees[-1] == 0 else 0)
     ct_mults = (baby_top - 1) + horner_mults
-    depth = (baby_top - 1) + horner_mults + 1
+    # Levels below the input at which the block sum forms: a degree-j
+    # baby power sits j - 1 levels down, and a constant top block rides
+    # on y = x^m.  Each Horner fold rescales the sum (one level) and
+    # multiplies it with y, landing on the lower of the two operands;
+    # one final rescale returns the result to ~Δ.
+    top = block_degrees[-1]
+    level = top - 1 if top else m - 1
+    for _ in range(horner_mults):
+        level = max(level + 1, m - 1)
+    depth = level + 1
     if giants <= 1:
         # Power basis: every baby product must be relinearised.
         relins = max(baby_top - 1, 0)

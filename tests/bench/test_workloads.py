@@ -15,7 +15,7 @@ def models():
 
 def test_prepare_models_contents(models):
     assert models.arch == "cnn1"
-    assert models.depth == 9
+    assert models.depth == 7  # conv + 2 x (cubic SLAF = 2) + 2 dense
     assert models.input_shape == (1, 12, 12)
     assert 0.5 < models.relu_acc <= 1.0
     assert 0.5 < models.slaf_acc <= 1.0

@@ -114,7 +114,7 @@ def test_poly_eval_degree_bounds(mock, rng):
 def test_poly_eval_consumes_degree_levels(mock, rng):
     h = mock.encrypt(rng.uniform(-1, 1, 4))
     out = mock.poly_eval(h, np.array([0.0, 1.0, 1.0, 1.0]))
-    assert mock.level_of(h) - mock.level_of(out) == 3
+    assert mock.level_of(h) - mock.level_of(out) == 2  # ceil(log2(3 + 1))
 
 
 def test_real_backend_square_mul(real, rng):

@@ -60,8 +60,8 @@ def test_bn_folding_preserves_function(rng):
 def test_depth_accounting(rng):
     m = _bn_model(rng)
     layers = compile_model(m)
-    # conv(1) + slaf(3) + dense(1) + slaf(3) + dense(1)
-    assert model_depth(layers) == 9
+    # conv(1) + cubic slaf(2) + dense(1) + cubic slaf(2) + dense(1)
+    assert model_depth(layers) == 7
 
 
 def test_relu_rejected(rng):

@@ -22,8 +22,13 @@ span, no ``ckksrns.encrypt`` span and one batched forward transform of
 second engine with α = 3 special primes pins the hybrid key switch: per
 relinearisation sweep exactly one ``(k+α, p·⌈k/α⌉, B, n)`` raised-digit
 forward, one α-channel inverse and one ``(k, 2, B, n)`` forward
-("Hybrid key switching"), shapes read off the real calls.  Exits
-non-zero with the offending counter deltas.
+("Hybrid key switching"), shapes read off the real calls.  A third
+engine, with a cubic SLAF on a chain of **exactly**
+``model_depth(layers) + 1`` primes, pins the depth-optimal BSGS schedule
+from the tracer's spans: per ``HePoly`` one ``ckksrns.rescale`` (the
+block sum, before the Horner fold) + two ``ckksrns.rescale_ext``,
+``PolyProgram.relins`` sweeps, and scores on level 0 — no unused prime.
+Exits non-zero with the offending counter deltas.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from repro import obs
 from repro.ckksrns import CkksRnsContext, CkksRnsParams
 from repro.henn.backend import CkksRnsBackend
 from repro.henn.inference import HeInferenceEngine
-from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
+from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly, model_depth
 from repro.nt.kernels import compile_poly_program
 from repro.nt.ntt import BatchedNttPlan
 from repro.obs.metrics import get_registry
@@ -50,8 +55,9 @@ from repro.obs.metrics import get_registry
 def build_engine(
     special_bits: "int | tuple[int, ...]" = 45,
     slaf: tuple[float, ...] = (0.1, 0.5, 0.25),
-    levels: int = 5,
+    levels: "int | None" = 5,
 ) -> HeInferenceEngine:
+    """Small conv-SLAF-dense engine; ``levels=None`` sizes the chain to the graph."""
     rng = np.random.default_rng(0)
     layers = [
         HeConv2d(rng.uniform(-0.5, 0.5, (2, 1, 3, 3)), rng.uniform(-0.1, 0.1, 2)),
@@ -59,6 +65,8 @@ def build_engine(
         HeFlatten(),
         HeLinear(rng.uniform(-0.3, 0.3, (10, 32)), rng.uniform(-0.1, 0.1, 10)),
     ]
+    if levels is None:
+        levels = model_depth(layers)
     backend = CkksRnsBackend(
         CkksRnsParams(
             n=128,
@@ -107,6 +115,21 @@ def hybrid_sweep_shapes(images: np.ndarray) -> tuple[list[dict], int, int]:
     (slaf,) = [layer for layer in engine.layers if isinstance(layer, HePoly)]
     relins = compile_poly_program(slaf.coeffs.shape[1] - 1).relins
     return sweeps, engine.backend.ctx.alpha, relins
+
+
+def cubic_schedule(images: np.ndarray) -> tuple[Counter, set[int], int, int]:
+    """Spans inside the ``HePoly`` of a warm classify on a chain of depth + 1 primes."""
+    engine = build_engine(slaf=(0.1, 0.5, 0.25, 0.1), levels=None)
+    engine.classify(images)  # cold
+    with obs.tracing() as tracer:
+        scores = engine.run_encrypted(engine.encrypt_images(images))
+    spans = tracer.finished()
+    (poly,) = [s for s in spans if s.name == "henn.layer" and s.tags["layer"] == "HePoly"]
+    # Serial executor: everything the layer ran lies inside its interval.
+    inside = Counter(s.name for s in spans if poly.start <= s.start and s.end <= poly.end)
+    (slaf,) = [layer for layer in engine.layers if isinstance(layer, HePoly)]
+    levels = {engine.backend.level_of(h) for h in scores}
+    return inside, levels, engine.backend.ctx.k_top, compile_poly_program(slaf.degree).relins
 
 
 def main() -> int:
@@ -166,7 +189,26 @@ def main() -> int:
     sweeps, alpha, hybrid_relins = hybrid_sweep_shapes(images)
     print(f"warm: alpha={alpha} key-switch sweeps={sweeps}")
 
+    inside_poly, final_levels, primes, cubic_relins = cubic_schedule(images)
+    cubic = {
+        name: inside_poly[f"ckksrns.{name}"] for name in ("rescale", "rescale_ext", "relinearize")
+    }
+    print(
+        f"warm: cubic SLAF on {primes} primes (graph depth {primes - 1}): "
+        f"HePoly performed {cubic}, score levels {sorted(final_levels)}"
+    )
+
     ok = True
+    want_cubic = {"rescale": 1, "rescale_ext": 2, "relinearize": cubic_relins}
+    if cubic != want_cubic:
+        print(
+            f"FAIL: cubic HePoly performed {cubic}, expected {want_cubic} "
+            "(block sum rescaled before the Horner fold)"
+        )
+        ok = False
+    if final_levels != {0}:
+        print(f"FAIL: scores at levels {sorted(final_levels)} on a depth+1 chain, expected 0")
+        ok = False
     if len(sweeps) != hybrid_relins:
         print(f"FAIL: {len(sweeps)} key-switch sweeps at alpha={alpha}, expected {hybrid_relins}")
         ok = False
