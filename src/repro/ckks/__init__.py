@@ -12,7 +12,7 @@ trick), ``Resc`` (rescaling) and ``Rot`` (slot rotation via Galois keys).
 
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.context import CkksContext, CkksParams
-from repro.ckks.ciphertext import Ciphertext, CiphertextExt
+from repro.ckks.ciphertext import Ciphertext, CiphertextDegreeError
 from repro.ckks.keys import KeyPair, PublicKey, RelinKey, GaloisKey, SecretKey
 
 __all__ = [
@@ -20,7 +20,7 @@ __all__ = [
     "CkksContext",
     "CkksParams",
     "Ciphertext",
-    "CiphertextExt",
+    "CiphertextDegreeError",
     "KeyPair",
     "SecretKey",
     "PublicKey",

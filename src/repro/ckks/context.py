@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ckks.ciphertext import Ciphertext, CiphertextExt
+from repro.ckks.ciphertext import Ciphertext, require_degree1, with_components
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keys import GaloisKey, KeyPair, PublicKey, RelinKey, SecretKey
 from repro.ckks.sampling import DEFAULT_SIGMA, sample_gaussian, sample_hwt, sample_zo
@@ -204,6 +204,7 @@ class CkksContext:
     @traced("ckks.decrypt")
     def decrypt(self, sk: SecretKey, ct: Ciphertext, count: int | None = None) -> np.ndarray:
         """``Decrypt(c, Δ, sk) -> z`` (complex slot vector)."""
+        require_degree1(ct, "decrypt")
         ring = self.ring(ct.level)
         s = np.mod(self._center(sk.s, self.q_top), ring.q)
         m = ring.add(ct.c0, ring.mul(ct.c1, s))
@@ -227,16 +228,29 @@ class CkksContext:
 
     @traced("ckks.add")
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """Homomorphic addition (scales must match)."""
+        """Homomorphic addition (scales must match).
+
+        The operands may differ in degree: missing high components pass
+        through unchanged.
+        """
         a, b = self._align(a, b)
         if not np.isclose(a.scale, b.scale, rtol=1e-9):
             raise ValueError(f"scale mismatch in add: {a.scale} vs {b.scale}")
         ring = self.ring(a.level)
-        return Ciphertext(ring.add(a.c0, b.c0), ring.add(a.c1, b.c1), a.level, a.scale, self.n)
+        xs, ys = a.components(), b.components()
+        if len(xs) < len(ys):
+            xs, ys = ys, xs
+        out = [ring.add(x, y) for x, y in zip(xs, ys)] + [x.copy() for x in xs[len(ys):]]
+        return Ciphertext(
+            out[0], out[1], a.level, a.scale, self.n, *out[2:],
+            deferred=a.deferred or b.deferred,
+        )
 
     @traced("ckks.sub")
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Homomorphic subtraction (scales must match)."""
+        require_degree1(a, "sub")
+        require_degree1(b, "sub")
         a, b = self._align(a, b)
         if not np.isclose(a.scale, b.scale, rtol=1e-9):
             raise ValueError(f"scale mismatch in sub: {a.scale} vs {b.scale}")
@@ -244,12 +258,13 @@ class CkksContext:
         return Ciphertext(ring.sub(a.c0, b.c0), ring.sub(a.c1, b.c1), a.level, a.scale, self.n)
 
     def negate(self, a: Ciphertext) -> Ciphertext:
+        require_degree1(a, "negate")
         ring = self.ring(a.level)
         return Ciphertext(ring.neg(a.c0), ring.neg(a.c1), a.level, a.scale, self.n)
 
     @traced("ckks.add_plain")
     def add_plain(self, a: Ciphertext, values: np.ndarray | float) -> Ciphertext:
-        """Add a plaintext vector/scalar encoded at the ciphertext's scale."""
+        """Add a plaintext vector/scalar encoded at the ciphertext's scale (only ``c0`` moves)."""
         ring = self.ring(a.level)
 
         def encode_now() -> np.ndarray:
@@ -262,13 +277,14 @@ class CkksContext:
             pt = self.plain_cache.get_or_encode(key, encode_now)
         else:
             pt = encode_now()
-        return Ciphertext(ring.add(a.c0, pt), a.c1.copy(), a.level, a.scale, self.n)
+        return with_components(a, [ring.add(a.c0, pt)] + [c.copy() for c in a.components()[1:]])
 
     @traced("ckks.mul_plain")
     def mul_plain(
         self, a: Ciphertext, values: np.ndarray | float, plain_scale: float | None = None
     ) -> Ciphertext:
         """Multiply by a plaintext vector/scalar; output scale multiplies."""
+        require_degree1(a, "mul_plain")
         ring = self.ring(a.level)
         plain_scale = float(plain_scale or self.params.scale)
         if np.isscalar(values):
@@ -283,17 +299,12 @@ class CkksContext:
     def mul_plain_scalar(
         self, a: Ciphertext, scalar: float, plain_scale: float | None = None
     ) -> Ciphertext:
-        """Multiply by one real scalar — coefficientwise, no encoding FFT."""
+        """Multiply every component by one real scalar — coefficientwise, no encoding FFT."""
         ring = self.ring(a.level)
         plain_scale = float(plain_scale or self.params.scale)
         c = int(round(float(scalar) * plain_scale))
-        return Ciphertext(
-            ring.scalar_mul(a.c0, c),
-            ring.scalar_mul(a.c1, c),
-            a.level,
-            a.scale * plain_scale,
-            self.n,
-        )
+        comps = [ring.scalar_mul(comp, c) for comp in a.components()]
+        return with_components(a, comps, scale=a.scale * plain_scale)
 
     @traced("ckks.mul")
     def mul(self, a: Ciphertext, b: Ciphertext, relin: RelinKey) -> Ciphertext:
@@ -305,137 +316,54 @@ class CkksContext:
         """Homomorphic squaring (saves one ring product vs. :meth:`mul`)."""
         return self.relinearize(self.square_raw(a), relin)
 
-    # -- extended (degree >= 2) arithmetic: deferred relinearisation ------------------
+    # -- raw products: deferred relinearisation ---------------------------------------
 
     @traced("ckks.mul_raw")
-    def mul_raw(self, a: Ciphertext, b: "Ciphertext | CiphertextExt") -> CiphertextExt:
+    def mul_raw(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Raw tensor product without relinearisation.
 
-        ``ct × ct`` yields degree 2; ``ct × ext2`` (a BSGS giant-step
-        fold against a raw giant power) yields degree 3.
+        ``ct × ct`` yields degree 2; ``ct × raw degree-2`` (a BSGS
+        giant-step fold against a raw giant power) yields degree 3.  The
+        left operand must be degree 1.
         """
-        if isinstance(b, CiphertextExt):
+        require_degree1(a, "mul_raw (left operand)")
+        if b.degree > 1:
             return self._mul_ct_ext(a, b)
         a, b = self._align(a, b)
         ring = self.ring(a.level)
         d0 = ring.mul(a.c0, b.c0)
         d1 = ring.add(ring.mul(a.c0, b.c1), ring.mul(a.c1, b.c0))
         d2 = ring.mul(a.c1, b.c1)
-        return CiphertextExt(d0, d1, d2, a.level, a.scale * b.scale, self.n)
+        return Ciphertext(d0, d1, a.level, a.scale * b.scale, self.n, d2)
 
     @traced("ckks.square_raw")
-    def square_raw(self, a: Ciphertext) -> CiphertextExt:
+    def square_raw(self, a: Ciphertext) -> Ciphertext:
         """Raw squaring without relinearisation (degree-2 result)."""
+        require_degree1(a, "square_raw")
         ring = self.ring(a.level)
         d0 = ring.mul(a.c0, a.c0)
         c0c1 = ring.mul(a.c0, a.c1)
         d1 = ring.add(c0c1, c0c1)
         d2 = ring.mul(a.c1, a.c1)
-        return CiphertextExt(d0, d1, d2, a.level, a.scale**2, self.n)
+        return Ciphertext(d0, d1, a.level, a.scale**2, self.n, d2)
 
-    def _mul_ct_ext(self, a: Ciphertext, x: CiphertextExt) -> CiphertextExt:
+    def _mul_ct_ext(self, a: Ciphertext, x: Ciphertext) -> Ciphertext:
         """Degree-1 × degree-2 product: six ring products, degree-3 result."""
         if x.degree != 2:
             raise ValueError("ct × ext products require a degree-2 extended operand")
-        if a.level > x.level:
-            a = self.mod_switch_to(a, x.level)
-        elif x.level > a.level:
-            x = self.mod_switch_ext(x, a.level)
+        a, x = self._align(a, x)
         ring = self.ring(a.level)
         e0 = ring.mul(a.c0, x.c0)
         e1 = ring.add(ring.mul(a.c0, x.c1), ring.mul(a.c1, x.c0))
         e2 = ring.add(ring.mul(a.c0, x.c2), ring.mul(a.c1, x.c1))
         e3 = ring.mul(a.c1, x.c2)
-        return CiphertextExt(
-            e0, e1, e2, a.level, a.scale * x.scale, self.n, c3=e3, deferred=x.deferred
-        )
-
-    @traced("ckks.add_ext")
-    def add_ext(
-        self, x: "Ciphertext | CiphertextExt", y: "Ciphertext | CiphertextExt"
-    ) -> "Ciphertext | CiphertextExt":
-        """Add ciphertexts of possibly different degrees (levels aligned)."""
-        level = min(x.level, y.level)
-        x = self._any_mod_switch(x, level)
-        y = self._any_mod_switch(y, level)
-        if not np.isclose(x.scale, y.scale, rtol=1e-9):
-            raise ValueError(f"scale mismatch in add_ext: {x.scale} vs {y.scale}")
-        ring = self.ring(level)
-        xs = x.components() if isinstance(x, CiphertextExt) else [x.c0, x.c1]
-        ys = y.components() if isinstance(y, CiphertextExt) else [y.c0, y.c1]
-        out = []
-        for idx in range(max(len(xs), len(ys))):
-            if idx < len(xs) and idx < len(ys):
-                out.append(ring.add(xs[idx], ys[idx]))
-            else:
-                out.append((xs[idx] if idx < len(xs) else ys[idx]).copy())
-        if len(out) == 2:
-            return Ciphertext(out[0], out[1], level, x.scale, self.n)
-        deferred = getattr(x, "deferred", False) or getattr(y, "deferred", False)
-        return CiphertextExt(
-            out[0], out[1], out[2], level, x.scale, self.n,
-            c3=out[3] if len(out) > 3 else None, deferred=deferred,
-        )
-
-    def _any_mod_switch(self, c, level: int):
-        if isinstance(c, CiphertextExt):
-            return self.mod_switch_ext(c, level)
-        return self.mod_switch_to(c, level)
-
-    def mod_switch_ext(self, x: CiphertextExt, level: int) -> CiphertextExt:
-        """Drop an extended ciphertext to a lower level (scale kept)."""
-        if level > x.level:
-            raise ValueError("cannot mod-switch upwards")
-        if level == x.level:
-            return x
-        ring = self.ring(x.level)
-        new_q = self.moduli[level]
-        comps = [ring.mod_switch(c, new_q) for c in x.components()]
-        return CiphertextExt(
-            comps[0], comps[1], comps[2], level, x.scale, self.n,
-            c3=comps[3] if len(comps) > 3 else None, deferred=x.deferred,
-        )
-
-    @traced("ckks.rescale_ext")
-    def rescale_ext(self, x: CiphertextExt) -> CiphertextExt:
-        """Rescale an extended ciphertext component-wise (marks deferred)."""
-        if x.level == 0:
-            raise ValueError("cannot rescale below level 0")
-        ring = self.ring(x.level)
-        delta = 1 << self.params.scale_bits
-        new_q = self.moduli[x.level - 1]
-        comps = [ring.round_div(c, delta, new_q) for c in x.components()]
-        return CiphertextExt(
-            comps[0], comps[1], comps[2], x.level - 1, x.scale / delta, self.n,
-            c3=comps[3] if len(comps) > 3 else None, deferred=True,
-        )
-
-    @traced("ckks.mul_plain_scalar_ext")
-    def mul_plain_scalar_ext(
-        self, x: CiphertextExt, scalar: float, plain_scale: float | None = None
-    ) -> CiphertextExt:
-        """Scalar multiply of an extended ciphertext (every component)."""
-        ring = self.ring(x.level)
-        plain_scale = float(plain_scale or self.params.scale)
-        c = int(round(float(scalar) * plain_scale))
-        comps = [ring.scalar_mul(comp, c) for comp in x.components()]
-        return CiphertextExt(
-            comps[0], comps[1], comps[2], x.level, x.scale * plain_scale, self.n,
-            c3=comps[3] if len(comps) > 3 else None, deferred=x.deferred,
-        )
-
-    def add_plain_ext(self, x: CiphertextExt, values: np.ndarray | float) -> CiphertextExt:
-        """Plaintext addition on an extended ciphertext (only ``c0`` moves)."""
-        base = self.add_plain(Ciphertext(x.c0, x.c1, x.level, x.scale, self.n), values)
-        comps = [base.c0, base.c1] + [c.copy() for c in x.components()[2:]]
-        return CiphertextExt(
-            comps[0], comps[1], comps[2], x.level, x.scale, self.n,
-            c3=comps[3] if len(comps) > 3 else None, deferred=x.deferred,
+        return Ciphertext(
+            e0, e1, a.level, a.scale * x.scale, self.n, e2, e3, deferred=x.deferred
         )
 
     @traced("ckks.relinearize")
     def relinearize(
-        self, x: CiphertextExt, relin: RelinKey, relin3: RelinKey | None = None
+        self, x: Ciphertext, relin: RelinKey, relin3: RelinKey | None = None
     ) -> Ciphertext:
         """Switch the high components back to degree 1.
 
@@ -490,14 +418,26 @@ class CkksContext:
     @traced("ckks.rescale")
     def rescale(self, a: Ciphertext) -> Ciphertext:
         """``Resc(c)``: divide by Δ and drop one level."""
+        require_degree1(a, "rescale")
+        return self._rescale_comps(a)
+
+    @traced("ckks.rescale_ext")
+    def rescale_ext(self, x: Ciphertext) -> Ciphertext:
+        """Rescale an extended (degree ≥ 2) ciphertext component-wise (marks deferred)."""
+        if x.degree == 1:
+            raise ValueError("rescale_ext needs a degree >= 2 ciphertext (use rescale)")
+        out = self._rescale_comps(x)
+        out.deferred = True
+        return out
+
+    def _rescale_comps(self, a: Ciphertext) -> Ciphertext:
         if a.level == 0:
             raise ValueError("cannot rescale below level 0")
         ring = self.ring(a.level)
         delta = 1 << self.params.scale_bits
         new_q = self.moduli[a.level - 1]
-        c0 = ring.round_div(a.c0, delta, new_q)
-        c1 = ring.round_div(a.c1, delta, new_q)
-        return Ciphertext(c0, c1, a.level - 1, a.scale / delta, self.n)
+        comps = [ring.round_div(c, delta, new_q) for c in a.components()]
+        return with_components(a, comps, level=a.level - 1, scale=a.scale / delta)
 
     def mod_switch_to(self, a: Ciphertext, level: int) -> Ciphertext:
         """Drop to a lower level without dividing the plaintext (scale kept)."""
@@ -507,13 +447,13 @@ class CkksContext:
             return a
         ring = self.ring(a.level)
         new_q = self.moduli[level]
-        c0 = ring.mod_switch(a.c0, new_q)
-        c1 = ring.mod_switch(a.c1, new_q)
-        return Ciphertext(c0, c1, level, a.scale, self.n)
+        comps = [ring.mod_switch(c, new_q) for c in a.components()]
+        return with_components(a, comps, level=level)
 
     @traced("ckks.rotate")
     def rotate(self, a: Ciphertext, rotation: int, galois: dict[int, GaloisKey]) -> Ciphertext:
         """``Rot(c, r)``: left-rotate slots by *rotation* using a Galois key."""
+        require_degree1(a, "rotate")
         rotation = rotation % self.slots
         if rotation == 0:
             return a.copy()

@@ -13,7 +13,7 @@ domain), so
 """
 
 from repro.ckksrns.params import CkksRnsParams
-from repro.ckksrns.ciphertext import RnsCiphertext, RnsCiphertextExt
+from repro.ckksrns.ciphertext import RnsCiphertext
 from repro.ckksrns.keys import RnsGaloisKey, RnsKeyPair, RnsPublicKey, RnsRelinKey, RnsSecretKey
 from repro.ckksrns.context import CkksRnsContext
 
@@ -21,7 +21,6 @@ __all__ = [
     "CkksRnsParams",
     "CkksRnsContext",
     "RnsCiphertext",
-    "RnsCiphertextExt",
     "RnsKeyPair",
     "RnsSecretKey",
     "RnsPublicKey",

@@ -35,7 +35,8 @@ import numpy as np
 
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.sampling import DEFAULT_SIGMA, sample_gaussian, sample_hwt, sample_zo
-from repro.ckksrns.ciphertext import RnsCiphertext, RnsCiphertextExt
+from repro.ckks.ciphertext import require_degree1, with_components
+from repro.ckksrns.ciphertext import RnsCiphertext
 from repro.ckksrns.keys import (
     RnsGaloisKey,
     RnsKeyPair,
@@ -592,6 +593,7 @@ class CkksRnsContext:
         -------
         Complex slot values (use :meth:`decrypt_real` for the real parts).
         """
+        require_degree1(ct, "decrypt")
         moduli = self.moduli[: ct.k]
         m_eval = np.stack(
             [
@@ -625,17 +627,36 @@ class CkksRnsContext:
 
     @traced("ckksrns.add")
     def add(self, a: RnsCiphertext, b: RnsCiphertext) -> RnsCiphertext:
-        """Homomorphic addition (levels aligned, scales must agree)."""
+        """Homomorphic addition (levels aligned, scales must agree).
+
+        The operands may differ in degree: missing high components pass
+        through unchanged, so a degree-1 term sums into a degree-2/3
+        accumulator without ever materialising zero components.
+        """
         a, b = self._align(a, b)
         self._check_scales(a.scale, b.scale, "add")
+        if a.degree > 1 and b.degree > 1 and a.coeff_high != b.coeff_high:
+            raise ValueError(
+                "cannot add extended ciphertexts with mismatched high-component domains"
+            )
         moduli = self.moduli[: a.k]
-        c0 = np.stack([addmod(a.c0[i], b.c0[i], m) for i, m in enumerate(moduli)])
-        c1 = np.stack([addmod(a.c1[i], b.c1[i], m) for i, m in enumerate(moduli)])
-        return RnsCiphertext(c0, c1, a.level, a.scale)
+        xs, ys = a.components(), b.components()
+        if len(xs) < len(ys):
+            xs, ys = ys, xs
+        out = [
+            np.stack([addmod(x[i], y[i], m) for i, m in enumerate(moduli)])
+            for x, y in zip(xs, ys)
+        ] + [x.copy() for x in xs[len(ys):]]
+        return RnsCiphertext(
+            out[0], out[1], a.level, a.scale, *out[2:],
+            deferred=a.deferred or b.deferred, coeff_high=a.coeff_high or b.coeff_high,
+        )
 
     @traced("ckksrns.sub")
     def sub(self, a: RnsCiphertext, b: RnsCiphertext) -> RnsCiphertext:
         """Homomorphic subtraction (levels aligned, scales must agree)."""
+        require_degree1(a, "sub")
+        require_degree1(b, "sub")
         a, b = self._align(a, b)
         self._check_scales(a.scale, b.scale, "sub")
         moduli = self.moduli[: a.k]
@@ -644,6 +665,7 @@ class CkksRnsContext:
         return RnsCiphertext(c0, c1, a.level, a.scale)
 
     def negate(self, a: RnsCiphertext) -> RnsCiphertext:
+        require_degree1(a, "negate")
         moduli = self.moduli[: a.k]
         c0 = np.stack([negmod(a.c0[i], m) for i, m in enumerate(moduli)])
         c1 = np.stack([negmod(a.c1[i], m) for i, m in enumerate(moduli)])
@@ -656,7 +678,7 @@ class CkksRnsContext:
         Accepts a slot vector, a scalar (broadcast to all slots; encoded
         through :attr:`plain_cache` when the inference-plan layer has
         installed one) or an already-encoded :class:`RnsPlaintext` at
-        the ciphertext's level.
+        the ciphertext's level.  Only ``c0`` moves, whatever the degree.
         """
         if isinstance(values, RnsPlaintext):
             pt = values
@@ -669,7 +691,7 @@ class CkksRnsContext:
         moduli = self.moduli[: a.k]
         # pt.data rows are (n,); they broadcast over any batch axes of a.
         c0 = np.stack([addmod(a.c0[i], pt.data[i], m) for i, m in enumerate(moduli)])
-        return RnsCiphertext(c0, a.c1.copy(), a.level, a.scale)
+        return with_components(a, [c0] + [c.copy() for c in a.components()[1:]])
 
     def _scalar_plain(self, v: float, scale: float, level: int) -> RnsPlaintext:
         """Broadcast-scalar plaintext, via :attr:`plain_cache` when installed."""
@@ -705,20 +727,19 @@ class CkksRnsContext:
         if a.c0.ndim > 3:  # lane axes between position and coefficients
             sel = sel.reshape(sel.shape[:2] + (1,) * (a.c0.ndim - 3) + sel.shape[-1:])
         c0 = np.stack([addmod(a.c0[i], sel[i], m) for i, m in enumerate(moduli)])
-        return RnsCiphertext(c0, a.c1.copy(), a.level, a.scale)
+        return with_components(a, [c0] + [c.copy() for c in a.components()[1:]])
 
     @traced("ckksrns.mul_plain_scalar")
     def mul_plain_scalar(self, a: RnsCiphertext, scalar: float, plain_scale: float | None = None) -> RnsCiphertext:
-        """Multiply by one real scalar — a constant per channel, no NTT."""
+        """Multiply every component by one real scalar — a constant per channel, no NTT."""
         plain_scale = float(plain_scale or self.params.scale)
         c = int(round(float(scalar) * plain_scale))
         moduli = self.moduli[: a.k]
         # Residues once, then one broadcast multiply per component stack —
         # no per-modulus re-stacking.
         residues = np.array([c % m for m in moduli], dtype=np.int64)
-        c0 = scale_channels(a.c0, residues, moduli)
-        c1 = scale_channels(a.c1, residues, moduli)
-        return RnsCiphertext(c0, c1, a.level, a.scale * plain_scale)
+        comps = [scale_channels(comp, residues, moduli) for comp in a.components()]
+        return with_components(a, comps, scale=a.scale * plain_scale)
 
     @traced("ckksrns.mul_plain_scalar_many")
     def mul_plain_scalar_many(
@@ -734,7 +755,9 @@ class CkksRnsContext:
         feature map in one sweep.  Quantization
         (``round(s * plain_scale)``) and residue reduction match
         :meth:`mul_plain_scalar` exactly, so each position's result is
-        bit-identical to the one-at-a-time path.
+        bit-identical to the one-at-a-time path.  An extended ciphertext
+        is scaled in every component, which equals relinearising first
+        and scaling after (the scalar commutes with key switching).
         """
         plain_scale = float(plain_scale or self.params.scale)
         if a.c0.ndim < 3:
@@ -747,13 +770,13 @@ class CkksRnsContext:
         moduli = self.moduli[: a.k]
         mods = np.asarray(moduli, dtype=np.int64)
         residues = np.mod(consts[None, :], mods[:, None])  # (k, B)
-        c0 = scale_positions(a.c0, residues, moduli)
-        c1 = scale_positions(a.c1, residues, moduli)
-        return RnsCiphertext(c0, c1, a.level, a.scale * plain_scale)
+        comps = [scale_positions(comp, residues, moduli) for comp in a.components()]
+        return with_components(a, comps, scale=a.scale * plain_scale)
 
     @traced("ckksrns.mul_plain")
     def mul_plain(self, a: RnsCiphertext, plain: "RnsPlaintext | np.ndarray", plain_scale: float | None = None) -> RnsCiphertext:
         """Multiply by an encoded plaintext vector (dyadic per channel)."""
+        require_degree1(a, "mul_plain")
         if not isinstance(plain, RnsPlaintext):
             plain = self.encode(np.asarray(plain), plain_scale or self.params.scale, a.level)
         if plain.level < a.level:
@@ -803,6 +826,8 @@ class CkksRnsContext:
             consts = [int(round(float(w) * plain_scale)) for w in weights]
         if len(consts) != len(cts):
             raise ValueError(f"{len(consts)} weights for {len(cts)} ciphertexts")
+        for ct in cts:
+            require_degree1(ct, "weighted_sum")
         level = min(ct.level for ct in cts)
         cts = [self.mod_switch_to(ct, level) for ct in cts]
         keep = [t for t, c in enumerate(consts) if c != 0]
@@ -854,21 +879,20 @@ class CkksRnsContext:
         """Homomorphic squaring (one dyadic product fewer than mul)."""
         return self.relinearize(self.square_raw(a), relin)
 
-    # -- extended (degree >= 2) arithmetic: deferred relinearisation ------------------
+    # -- raw products: deferred relinearisation ---------------------------------------
 
     @traced("ckksrns.mul_raw")
-    def mul_raw(
-        self, a: RnsCiphertext, b: "RnsCiphertext | RnsCiphertextExt"
-    ) -> RnsCiphertextExt:
+    def mul_raw(self, a: RnsCiphertext, b: RnsCiphertext) -> RnsCiphertext:
         """Raw tensor product without relinearisation.
 
-        ``ct × ct`` yields a degree-2 extended ciphertext; ``ct × ext2``
+        ``ct × ct`` yields a degree-2 ciphertext; ``ct × raw degree-2``
         (a BSGS giant-step fold against a raw giant power) yields
         degree 3.  Call :meth:`relinearize` — possibly after further
-        :meth:`add_ext` / :meth:`rescale_ext` steps — to return to
-        degree 1.
+        :meth:`add` / :meth:`rescale_ext` steps — to return to
+        degree 1.  The left operand must be degree 1.
         """
-        if isinstance(b, RnsCiphertextExt):
+        require_degree1(a, "mul_raw (left operand)")
+        if b.degree > 1:
             return self._mul_ct_ext(a, b)
         a, b = self._align(a, b)
         moduli = self.moduli[: a.k]
@@ -882,11 +906,12 @@ class CkksRnsContext:
             ]
         )
         d2 = np.stack([mulmod(a.c1[i], b.c1[i], m) for i, m in enumerate(moduli)])
-        return RnsCiphertextExt(d0, d1, d2, a.level, a.scale * b.scale)
+        return RnsCiphertext(d0, d1, a.level, a.scale * b.scale, d2)
 
     @traced("ckksrns.square_raw")
-    def square_raw(self, a: RnsCiphertext) -> RnsCiphertextExt:
+    def square_raw(self, a: RnsCiphertext) -> RnsCiphertext:
         """Raw squaring without relinearisation (degree-2 result)."""
+        require_degree1(a, "square_raw")
         moduli = self.moduli[: a.k]
         d0 = np.stack([mulmod(a.c0[i], a.c0[i], m) for i, m in enumerate(moduli)])
         d1 = np.stack(
@@ -896,18 +921,15 @@ class CkksRnsContext:
             ]
         )
         d2 = np.stack([mulmod(a.c1[i], a.c1[i], m) for i, m in enumerate(moduli)])
-        return RnsCiphertextExt(d0, d1, d2, a.level, a.scale * a.scale)
+        return RnsCiphertext(d0, d1, a.level, a.scale * a.scale, d2)
 
-    def _mul_ct_ext(self, a: RnsCiphertext, x: RnsCiphertextExt) -> RnsCiphertextExt:
+    def _mul_ct_ext(self, a: RnsCiphertext, x: RnsCiphertext) -> RnsCiphertext:
         """Degree-1 × degree-2 product: six dyadic sweeps, degree-3 result."""
         if x.degree != 2:
             raise ValueError("ct × ext products require a degree-2 extended operand")
         if x.coeff_high:
             raise ValueError("ct × ext products need the ext's c2 in the NTT domain")
-        if a.level > x.level:
-            a = self.mod_switch_to(a, x.level)
-        elif x.level > a.level:
-            x = self.mod_switch_ext(x, a.level)
+        a, x = self._align(a, x)
         moduli = self.moduli[: a.k]
         e = [np.empty_like(x.c0) for _ in range(4)]
         for i, m in enumerate(moduli):
@@ -915,137 +937,12 @@ class CkksRnsContext:
             e[1][i] = addmod(mulmod(a.c0[i], x.c1[i], m), mulmod(a.c1[i], x.c0[i], m), m)
             e[2][i] = addmod(mulmod(a.c0[i], x.c2[i], m), mulmod(a.c1[i], x.c1[i], m), m)
             e[3][i] = mulmod(a.c1[i], x.c2[i], m)
-        return RnsCiphertextExt(
-            e[0], e[1], e[2], a.level, a.scale * x.scale, c3=e[3], deferred=x.deferred
-        )
-
-    @traced("ckksrns.add_ext")
-    def add_ext(
-        self,
-        x: "RnsCiphertext | RnsCiphertextExt",
-        y: "RnsCiphertext | RnsCiphertextExt",
-    ) -> "RnsCiphertext | RnsCiphertextExt":
-        """Add ciphertexts of possibly different degrees (levels aligned).
-
-        Missing high-degree components pass through unchanged, so a
-        degree-1 term sums into a degree-2/3 accumulator without ever
-        materialising zero components.
-        """
-        level = min(x.level, y.level)
-        x = self._any_mod_switch(x, level)
-        y = self._any_mod_switch(y, level)
-        self._check_scales(x.scale, y.scale, "add_ext")
-        x_high = getattr(x, "coeff_high", False)
-        y_high = getattr(y, "coeff_high", False)
-        if (
-            isinstance(x, RnsCiphertextExt)
-            and isinstance(y, RnsCiphertextExt)
-            and x_high != y_high
-        ):
-            raise ValueError(
-                "cannot add extended ciphertexts with mismatched high-component domains"
-            )
-        moduli = self.moduli[: level + 1]
-        xs = x.components() if isinstance(x, RnsCiphertextExt) else [x.c0, x.c1]
-        ys = y.components() if isinstance(y, RnsCiphertextExt) else [y.c0, y.c1]
-        out = []
-        for idx in range(max(len(xs), len(ys))):
-            if idx < len(xs) and idx < len(ys):
-                out.append(
-                    np.stack(
-                        [addmod(xs[idx][i], ys[idx][i], m) for i, m in enumerate(moduli)]
-                    )
-                )
-            else:
-                out.append((xs[idx] if idx < len(xs) else ys[idx]).copy())
-        if len(out) == 2:
-            return RnsCiphertext(out[0], out[1], level, x.scale)
-        deferred = getattr(x, "deferred", False) or getattr(y, "deferred", False)
-        return RnsCiphertextExt(
-            out[0], out[1], out[2], level, x.scale,
-            c3=out[3] if len(out) > 3 else None, deferred=deferred,
-            coeff_high=x_high or y_high,
-        )
-
-    def _any_mod_switch(self, c, level: int):
-        if isinstance(c, RnsCiphertextExt):
-            return self.mod_switch_ext(c, level)
-        return self.mod_switch_to(c, level)
-
-    def mod_switch_ext(self, x: RnsCiphertextExt, level: int) -> RnsCiphertextExt:
-        """Drop trailing residue channels of an extended ciphertext."""
-        if level > x.level:
-            raise ValueError("cannot mod-switch upwards")
-        if level == x.level:
-            return x
-        k = level + 1
-        comps = [c[:k].copy() for c in x.components()]
-        return self._ext_like(x, comps, level, x.scale)
-
-    @staticmethod
-    def _ext_like(
-        x: RnsCiphertextExt, comps: list, level: int, scale: float
-    ) -> RnsCiphertextExt:
-        return RnsCiphertextExt(
-            comps[0], comps[1], comps[2], level, scale,
-            c3=comps[3] if len(comps) > 3 else None, deferred=x.deferred,
-            coeff_high=x.coeff_high,
-        )
-
-    @traced("ckksrns.mul_plain_scalar_ext")
-    def mul_plain_scalar_ext(
-        self, x: RnsCiphertextExt, scalar: float, plain_scale: float | None = None
-    ) -> RnsCiphertextExt:
-        """Scalar multiply of an extended ciphertext (every component)."""
-        plain_scale = float(plain_scale or self.params.scale)
-        c = int(round(float(scalar) * plain_scale))
-        moduli = self.moduli[: x.k]
-        residues = np.array([c % m for m in moduli], dtype=np.int64)
-        comps = [scale_channels(comp, residues, moduli) for comp in x.components()]
-        return self._ext_like(x, comps, x.level, x.scale * plain_scale)
-
-    @traced("ckksrns.mul_plain_scalar_many_ext")
-    def mul_plain_scalar_many_ext(
-        self, x: RnsCiphertextExt, scalars: np.ndarray, plain_scale: float | None = None
-    ) -> RnsCiphertextExt:
-        """Position-wise scalar multiply of a batched extended ciphertext.
-
-        Quantization matches :meth:`mul_plain_scalar_many` exactly, so the
-        result equals relinearising first and scaling after (the scalar
-        commutes with key switching).
-        """
-        plain_scale = float(plain_scale or self.params.scale)
-        if x.c0.ndim < 3:
-            raise ValueError("mul_plain_scalar_many_ext needs a (k, B, ..., n) batch")
-        consts = np.array(
-            [int(round(float(s) * plain_scale)) for s in scalars], dtype=np.int64
-        )
-        if consts.shape[0] != x.c0.shape[1]:
-            raise ValueError("one scalar per batched position required")
-        moduli = self.moduli[: x.k]
-        mods = np.asarray(moduli, dtype=np.int64)
-        residues = np.mod(consts[None, :], mods[:, None])  # (k, B)
-        comps = [scale_positions(comp, residues, moduli) for comp in x.components()]
-        return self._ext_like(x, comps, x.level, x.scale * plain_scale)
-
-    def add_plain_ext(
-        self, x: RnsCiphertextExt, values: "np.ndarray | float | RnsPlaintext"
-    ) -> RnsCiphertextExt:
-        """Plaintext addition on an extended ciphertext (only ``c0`` moves)."""
-        base = self.add_plain(RnsCiphertext(x.c0, x.c1, x.level, x.scale), values)
-        comps = [base.c0, base.c1] + [c.copy() for c in x.components()[2:]]
-        return self._ext_like(x, comps, x.level, x.scale)
-
-    def add_plain_many_ext(self, x: RnsCiphertextExt, values: np.ndarray) -> RnsCiphertextExt:
-        """Position-wise scalar addition on a batched extended ciphertext."""
-        base = self.add_plain_many(RnsCiphertext(x.c0, x.c1, x.level, x.scale), values)
-        comps = [base.c0, base.c1] + [c.copy() for c in x.components()[2:]]
-        return self._ext_like(x, comps, x.level, x.scale)
+        return RnsCiphertext(*e[:2], a.level, a.scale * x.scale, *e[2:], deferred=x.deferred)
 
     @traced("ckksrns.relinearize")
     def relinearize(
         self,
-        x: RnsCiphertextExt,
+        x: RnsCiphertext,
         relin: RnsRelinKey,
         relin3: RnsRelinKey | None = None,
     ) -> RnsCiphertext:
@@ -1295,6 +1192,7 @@ class CkksRnsContext:
         Ciphertext one level lower with scale divided by the dropped
         prime ``q_last`` (≈ Δ for the 26-bit chain primes).
         """
+        require_degree1(a, "rescale")
         if a.level == 0:
             raise ValueError("cannot rescale below level 0")
         comps, q_last = self._rescale_comps([a.c0, a.c1], a.level)
@@ -1361,10 +1259,8 @@ class CkksRnsContext:
         return out
 
     @traced("ckksrns.rescale_ext")
-    def rescale_ext(
-        self, x: RnsCiphertextExt, defer_high: bool = False
-    ) -> RnsCiphertextExt:
-        """Rescale an extended ciphertext component-wise.
+    def rescale_ext(self, x: RnsCiphertext, defer_high: bool = False) -> RnsCiphertext:
+        """Rescale an extended (degree ≥ 2) ciphertext component-wise.
 
         Marks the result ``deferred``: the eventual relinearisation runs
         one level (and one rescale's worth of digit width) lower than the
@@ -1378,6 +1274,8 @@ class CkksRnsContext:
         will not be multiplied again.  A ``coeff_high`` input keeps its
         high components in coefficient form automatically.
         """
+        if x.degree == 1:
+            raise ValueError("rescale_ext needs a degree >= 2 ciphertext (use rescale)")
         if x.level == 0:
             raise ValueError("cannot rescale below level 0")
         comps = x.components()
@@ -1395,10 +1293,9 @@ class CkksRnsContext:
         else:
             comps, q_last = self._rescale_comps(comps, x.level)
             coeff_high = False
-        return RnsCiphertextExt(
-            comps[0], comps[1], comps[2], x.level - 1, x.scale / q_last,
-            c3=comps[3] if len(comps) > 3 else None, deferred=True,
-            coeff_high=coeff_high,
+        return RnsCiphertext(
+            comps[0], comps[1], x.level - 1, x.scale / q_last, *comps[2:],
+            deferred=True, coeff_high=coeff_high,
         )
 
     def mod_switch_to(self, a: RnsCiphertext, level: int) -> RnsCiphertext:
@@ -1408,7 +1305,7 @@ class CkksRnsContext:
         if level == a.level:
             return a
         k = level + 1
-        return RnsCiphertext(a.c0[:k].copy(), a.c1[:k].copy(), level, a.scale)
+        return with_components(a, [c[:k].copy() for c in a.components()], level=level)
 
     def rescale_to_match(self, a: RnsCiphertext, target_scale: float) -> RnsCiphertext:
         """Rescale until within 0.1% of *target_scale* (raises if impossible)."""
@@ -1439,6 +1336,7 @@ class CkksRnsContext:
         -------
         Ciphertext with slot *i* holding input slot ``i + rotation``.
         """
+        require_degree1(a, "rotate")
         rotation = rotation % self.slots
         if rotation == 0:
             return a.copy()

@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from repro.ckks.ciphertext import require_degree1
 from repro.ckksrns.ciphertext import RnsCiphertext
 
 __all__ = ["ciphertext_to_bytes", "ciphertext_from_bytes"]
@@ -24,7 +25,8 @@ _VERSION = 1
 
 
 def ciphertext_to_bytes(ct: RnsCiphertext) -> bytes:
-    """Serialise a ciphertext (header + raw int64 channel data)."""
+    """Serialise a degree-1 ciphertext (header + raw int64 channel data)."""
+    require_degree1(ct, "ciphertext_to_bytes")
     header = json.dumps(
         {"v": _VERSION, "level": ct.level, "scale": ct.scale, "k": ct.k, "n": ct.n}
     ).encode()

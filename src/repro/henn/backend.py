@@ -18,7 +18,6 @@ only, so the same compiled model runs under:
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -27,6 +26,7 @@ import numpy as np
 
 from repro import obs
 from repro.ckks import CkksContext, CkksParams
+from repro.ckks.ciphertext import Ciphertext, require_degree1
 from repro.ckksrns import CkksRnsContext, CkksRnsParams, RnsCiphertext
 from repro.nt.kernels import MAX_POLY_DEGREE, PolyProgram, compile_poly_program
 from repro.obs.metrics import get_registry
@@ -41,9 +41,11 @@ __all__ = ["HeBackend", "MockBackend", "CkksBackend", "CkksRnsBackend", "Encoded
 # primitive operations, either on a single handle with scalar constants
 # (`_SinglePolyOps`, any backend) or on a batched (k, B, n) RNS
 # ciphertext with per-position constant vectors (`_RnsBatchOps`).  The
-# adapter contract: square / mul / rescale / add as usual, plus
-# ``mul_plain_vec(h, consts, ps)`` and ``add_plain_vec(h, consts)``
-# where ``consts`` has one value per packed position.
+# adapter contract: square / mul / rescale / add and the raw products /
+# relinearize as on the backend — every op takes a handle of any degree
+# it is defined on — plus ``mul_plain_vec(h, consts, ps)`` and
+# ``add_plain_vec(h, consts)`` where ``consts`` has one value per packed
+# position.
 
 
 class _SinglePolyOps:
@@ -67,8 +69,8 @@ class _SinglePolyOps:
     def mul(self, a: Any, b: Any) -> Any:
         return self.b.mul(a, b)
 
-    def rescale(self, h: Any) -> Any:
-        return self.b.rescale(h)
+    def rescale(self, h: Any, defer_high: bool = False) -> Any:
+        return self.b.rescale(h, defer_high=defer_high)
 
     def add(self, a: Any, b: Any) -> Any:
         return self.b.add(a, b)
@@ -79,31 +81,14 @@ class _SinglePolyOps:
     def add_plain_vec(self, h: Any, consts: np.ndarray) -> Any:
         return self.b.add_plain(h, float(consts[0]))
 
-    # extended (degree >= 2) ops — lazy-relinearisation interpreter only
-
     def square_raw(self, h: Any) -> Any:
         return self.b.square_raw(h)
 
     def mul_raw(self, a: Any, b: Any) -> Any:
         return self.b.mul_raw(a, b)
 
-    def rescale_ext(self, e: Any, defer_high: bool = False) -> Any:
-        return self.b.rescale_ext(e, defer_high=defer_high)
-
-    def relinearize(self, e: Any) -> Any:
-        return self.b.relinearize_ext(e)
-
-    def add_ext(self, a: Any, b: Any) -> Any:
-        return self.b.add_ext(a, b)
-
-    def mul_plain_vec_ext(self, e: Any, consts: np.ndarray, ps: float) -> Any:
-        return self.b.mul_plain_scalar_ext(e, float(consts[0]), ps)
-
-    def add_plain_vec_ext(self, e: Any, consts: np.ndarray) -> Any:
-        return self.b.add_plain_ext(e, float(consts[0]))
-
-    def scale_of_ext(self, e: Any) -> float:
-        return self.b.scale_of_ext(e)
+    def relinearize(self, h: Any) -> Any:
+        return self.b.relinearize_ext(h)
 
 
 def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -> Any:
@@ -164,10 +149,13 @@ def _run_poly_program_lazy(
     * the giant power ``y = x^baby_m`` is kept raw (degree 2), saving
       its keyswitch entirely;
     * each Horner fold ``rescale(acc) * y`` produces a degree-3
-      extended accumulator; block terms (degree-1 plaintext products)
-      are added into it componentwise, and one *merged* keyswitch (s²
-      and s³ digits in a single sweep) relinearises the whole block sum
-      — post-rescale, i.e. one level lower than the eager keyswitch.
+      accumulator; block terms (degree-1 plaintext products) are added
+      into it componentwise, and one *merged* keyswitch (s² and s³
+      digits in a single sweep) relinearises the whole block sum —
+      post-rescale, i.e. one level lower than the eager keyswitch.
+      There is one accumulator: ``add`` / ``add_plain`` / ``rescale``
+      take a ciphertext of any degree and relinearising a degree-1 one
+      is the identity (no sweep, no counter).
 
     ``prog.relins`` counts the sweeps: ``~ceil(degree / baby_m)`` versus
     ``prog.ct_mults ~ 2*sqrt(degree)`` for the eager interpreter.  The
@@ -185,50 +173,38 @@ def _run_poly_program_lazy(
             # The giant power stays extended (no keyswitch) and must keep
             # its high component in the NTT domain: it feeds dyadic
             # ct x ext products in the Horner folds below.
-            y_raw = ops.rescale_ext(raw)
+            y_raw = ops.rescale(raw)
         else:
-            powers[j] = ops.relinearize(ops.rescale_ext(raw, defer_high=True))
+            powers[j] = ops.relinearize(ops.rescale(raw, defer_high=True))
     m = prog.baby_m
-    acc = None  # relinearised degree-1 accumulator
-    acc_ext = None  # extended degree-2/3 accumulator
+    acc = None  # block-sum accumulator, degree 1 until the first fold
     pending = None  # constants of a deferred degree-0 top block
     for g in range(prog.giants - 1, -1, -1):
         base = g * m
         bd = prog.block_degrees[g]
-        if acc is None and acc_ext is None and pending is None:
+        if acc is None and pending is None:
             if bd == 0:
                 pending = coeffs[:, base]
                 continue
             target = ops.scale_of(powers[bd]) * ops.delta
         elif pending is not None:
-            acc_ext = ops.mul_plain_vec_ext(y_raw, pending, ops.delta)
+            acc = ops.mul_plain_vec(y_raw, pending, ops.delta)
             pending = None
-            target = ops.scale_of_ext(acc_ext)
+            target = ops.scale_of(acc)
         else:
-            if acc_ext is not None:
-                # The accumulator must be degree 1 before folding with the
-                # raw giant power (degree 1 x 2 -> 3 is the ceiling the
-                # merged sweep handles): relinearise the block sum now.
-                acc = ops.relinearize(ops.rescale_ext(acc_ext, defer_high=True))
-            else:
-                acc = ops.rescale(acc)
-            acc_ext = ops.mul_raw(acc, y_raw)
-            acc = None
-            target = ops.scale_of_ext(acc_ext)
+            # The accumulator must be degree 1 before folding with the
+            # raw giant power (degree 1 x 2 -> 3 is the ceiling the
+            # merged sweep handles): relinearise the block sum now (the
+            # identity on the first, still degree-1, block sum).
+            acc = ops.relinearize(ops.rescale(acc, defer_high=True))
+            acc = ops.mul_raw(acc, y_raw)
+            target = ops.scale_of(acc)
         for j in range(bd, 0, -1):
             ps = target / ops.scale_of(powers[j])
             term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
-            if acc_ext is not None:
-                acc_ext = ops.add_ext(acc_ext, term)
-            else:
-                acc = term if acc is None else ops.add(acc, term)
-        if acc_ext is not None:
-            acc_ext = ops.add_plain_vec_ext(acc_ext, coeffs[:, base])
-        else:
-            acc = ops.add_plain_vec(acc, coeffs[:, base])
-    if acc_ext is not None:
-        return ops.relinearize(ops.rescale_ext(acc_ext, defer_high=True))
-    return ops.rescale(acc)
+            acc = term if acc is None else ops.add(acc, term)
+        acc = ops.add_plain_vec(acc, coeffs[:, base])
+    return ops.relinearize(ops.rescale(acc, defer_high=True))
 
 
 @dataclass
@@ -251,7 +227,36 @@ class EncodedTaps:
 
 
 class HeBackend(ABC):
-    """Minimal homomorphic-evaluation interface used by the HE layers."""
+    """Minimal homomorphic-evaluation interface used by the HE layers.
+
+    A handle is one ciphertext of *any* degree: ``square_raw`` /
+    ``mul_raw`` return handles that still carry their ``s²``/``s³``
+    components, the linear ops below accept them like any other handle,
+    and ``relinearize_ext`` brings them back to degree 1.  The 29 public
+    names, by role:
+
+    **Primitives** (each backend implements them; the serving wrapper
+    forwards them)
+
+    * parameters — ``scale``, ``max_batch``, ``relin_mode``;
+    * client side — ``encrypt``, ``encrypt_many``, ``decrypt`` (degree 1);
+    * linear, any degree — ``add``, ``add_plain``, ``mul_plain_scalar``,
+      ``rescale``, ``scale_of``, ``level_of``;
+    * ct × ct — ``mul``, ``square`` (relinearised) and ``square_raw``,
+      ``mul_raw``, ``relinearize_ext`` (deferred), left operand degree 1;
+    * single-image packing, degree 1 — ``mul_plain_vector``, ``rotate``;
+    * request packing, degree 1 — ``concat_slots``, ``slice_slots``;
+    * compile-once constants — ``encode_taps``.
+
+    **Derived composites** (defined here on top of the primitives;
+    backends override them only as fast paths): ``weighted_sum``,
+    ``weighted_sum_encoded``, ``poly_eval``, ``poly_eval_bsgs``,
+    ``poly_eval_many``, ``rescale_many``, ``add_plain_each``.
+
+    Degree-1-only entry points raise
+    :class:`~repro.ckks.ciphertext.CiphertextDegreeError` on an
+    unrelinearised handle instead of dropping its high components.
+    """
 
     name: str = "abstract"
 
@@ -267,28 +272,18 @@ class HeBackend(ABC):
     #: exact per lane) rather than into one slot range.
     native_slot_concat: bool = False
 
-    #: Whether the backend implements the raw/extended ciphertext ops
-    #: (``square_raw`` .. ``relinearize_ext``) that the lazy BSGS
-    #: interpreter needs.  Backends that do not are always evaluated
-    #: eagerly regardless of :attr:`relin_mode`.
-    supports_lazy_relin: bool = False
-
-    _relin_mode: str | None = None
+    _relin_mode: str = "lazy"
 
     @property
     def relin_mode(self) -> str:
         """BSGS relinearisation strategy: ``"lazy"`` (default) or ``"eager"``.
 
-        Resolution order: an explicit assignment on the instance wins,
-        then the ``REPRO_RELIN_MODE`` environment variable, then
-        ``"lazy"``.  The eager interpreter is kept as a flag-selectable
-        oracle — it relinearises after every product, which lazy must
-        match to within the scheme's approximation noise.
+        The eager interpreter is kept as an oracle — it relinearises
+        after every product, which lazy must match to within the
+        scheme's approximation noise; tests and ``bench_keyswitch.py``
+        select it by assigning this attribute.
         """
-        if self._relin_mode is not None:
-            return self._relin_mode
-        mode = os.environ.get("REPRO_RELIN_MODE", "lazy").strip().lower()
-        return mode if mode in ("lazy", "eager") else "lazy"
+        return self._relin_mode
 
     @relin_mode.setter
     def relin_mode(self, mode: str) -> None:
@@ -298,7 +293,7 @@ class HeBackend(ABC):
         self._relin_mode = mode
 
     def _use_lazy(self) -> bool:
-        return self.supports_lazy_relin and self.relin_mode == "lazy"
+        return self.relin_mode == "lazy"
 
     @property
     @abstractmethod
@@ -333,15 +328,15 @@ class HeBackend(ABC):
 
     @abstractmethod
     def add(self, a: Any, b: Any) -> Any:
-        """Ciphertext + ciphertext (scales must match)."""
+        """Ciphertext + ciphertext (scales must match; degrees may differ)."""
 
     @abstractmethod
     def add_plain(self, a: Any, value: float) -> Any:
-        """Ciphertext + plaintext scalar, broadcast over slots."""
+        """Ciphertext + plaintext scalar, broadcast over slots (any degree)."""
 
     @abstractmethod
     def mul_plain_scalar(self, a: Any, scalar: float, plain_scale: float | None = None) -> Any:
-        """Ciphertext × plaintext scalar encoded at *plain_scale* (default Δ)."""
+        """Ciphertext × plaintext scalar encoded at *plain_scale* (default Δ), any degree."""
 
     @abstractmethod
     def mul(self, a: Any, b: Any) -> Any:
@@ -352,8 +347,15 @@ class HeBackend(ABC):
         """Ciphertext squaring (cheaper than ``mul(a, a)`` where supported)."""
 
     @abstractmethod
-    def rescale(self, a: Any) -> Any:
-        """Drop one modulus level, dividing the scale back toward Δ."""
+    def rescale(self, a: Any, defer_high: bool = False) -> Any:
+        """Drop one modulus level, dividing the scale back toward Δ.
+
+        Works componentwise on a handle of any degree (an unrelinearised
+        one comes back marked deferred).  ``defer_high`` hints that its
+        high components will only ever be relinearised, letting RNS
+        backends hold them in coefficient domain; it means nothing for a
+        degree-1 handle or a backend without that optimisation.
+        """
 
     @abstractmethod
     def scale_of(self, a: Any) -> float:
@@ -371,57 +373,32 @@ class HeBackend(ABC):
         """Left-rotate slots by *r* (requires rotation keys where real)."""
         raise NotImplementedError(f"{self.name} backend has no rotations")
 
-    # -- raw / extended ciphertext ops (lazy relinearisation) -------------------
+    # -- raw products (lazy relinearisation) --------------------------------------
     #
-    # Backends advertising ``supports_lazy_relin`` implement these seven
-    # primitives; the extended handle type is backend-specific (it only
-    # needs a ``.scale`` attribute for the interpreter's bookkeeping).
+    # The lazy BSGS interpreter (the default ``relin_mode``) needs these
+    # three; a backend without them evaluates with ``relin_mode = "eager"``.
 
     def square_raw(self, a: Any) -> Any:
-        """``a * a`` without relinearisation: a degree-2 extended handle."""
+        """``a * a`` without relinearisation: a degree-2 handle."""
         raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
 
     def mul_raw(self, a: Any, b: Any) -> Any:
         """``a * b`` without relinearisation.
 
-        *b* may be a regular handle (result degree 2) or a raw degree-2
-        extended handle (result degree 3 — the Horner fold against the
-        raw giant power).
-        """
-        raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
-
-    def rescale_ext(self, e: Any, defer_high: bool = False) -> Any:
-        """Rescale an extended handle componentwise (marks it deferred).
-
-        ``defer_high`` hints that the high components will only ever be
-        relinearised, letting RNS backends hold them in coefficient
-        domain; backends without that optimisation ignore it.
+        *b* may be a degree-1 handle (result degree 2) or a raw degree-2
+        one (result degree 3 — the Horner fold against the raw giant
+        power).
         """
         raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
 
     def relinearize_ext(self, e: Any) -> Any:
-        """Key-switch an extended handle back to degree 1.
+        """Key-switch a handle back to degree 1.
 
         Degree 3 uses the s³ evaluation key merged with the s² key into
-        a single sweep.
+        a single sweep; a degree-1 handle is returned as is (no sweep,
+        no ``relin.count``).
         """
         raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
-
-    def add_ext(self, a: Any, b: Any) -> Any:
-        """Add handles of mixed degree (either side may be extended)."""
-        raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
-
-    def mul_plain_scalar_ext(self, e: Any, scalar: float, plain_scale: float | None = None) -> Any:
-        """Extended handle × plaintext scalar (componentwise)."""
-        raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
-
-    def add_plain_ext(self, e: Any, value: float) -> Any:
-        """Extended handle + plaintext scalar (touches c0 only where real)."""
-        raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
-
-    def scale_of_ext(self, e: Any) -> float:
-        """Current plaintext scale of an extended handle."""
-        return e.scale
 
     # -- slot packing (serving gateway) -----------------------------------------
 
@@ -432,7 +409,8 @@ class HeBackend(ABC):
         of the packed result, where ``offset_j = sum(counts[:j])`` — the
         batching gateway's assembly primitive.  Only backends that can
         do this exactly implement it (``native_slot_concat``); the base
-        class refuses so callers fall back to structural packing.
+        class refuses, and the real schemes are served through
+        :class:`repro.serving.packing.SlotPackedBackend` instead.
         """
         raise NotImplementedError(f"{self.name} backend has no native slot packing")
 
@@ -539,20 +517,6 @@ class HeBackend(ABC):
             raise ValueError(f"poly_eval supports degrees 1..{MAX_POLY_DEGREE}")
         return coeffs
 
-    def power_basis(self, x: Any, top: int) -> dict[int, Any]:
-        """Baby-step powers ``x^1 .. x^top``, one rescale per product.
-
-        ``x^2`` uses :meth:`square`; higher powers multiply by *x*.
-        Power ``j`` sits ``j - 1`` levels below *x*.  This is the basis
-        a BSGS program shares across all polynomial blocks (and, in the
-        batched RNS path, across every feature-map position at once).
-        """
-        powers = {1: x}
-        for j in range(2, top + 1):
-            prev = powers[j - 1]
-            powers[j] = self.rescale(self.square(prev) if j == 2 else self.mul(prev, x))
-        return powers
-
     def poly_eval_bsgs(
         self, x: Any, coeffs: np.ndarray, program: "PolyProgram | None" = None
     ) -> Any:
@@ -623,25 +587,18 @@ class HeBackend(ABC):
 
 @dataclass
 class _MockHandle:
-    values: np.ndarray
-    scale: float
-    level: int
-
-
-@dataclass
-class _MockExt:
-    """Mock extended (unrelinearised) handle.
+    """Plaintext slot vector with ciphertext bookkeeping.
 
     Relinearisation is the identity on tracked values, so the mock lazy
-    path is bit-identical to the eager one — the ext container only
-    mirrors the degree/deferred bookkeeping (and the relin counters) of
-    the real schemes.
+    path is bit-identical to the eager one — ``degree`` / ``deferred``
+    only mirror the bookkeeping (and the relin counters) of the real
+    schemes.
     """
 
     values: np.ndarray
     scale: float
     level: int
-    degree: int = 2
+    degree: int = 1
     deferred: bool = False
 
 
@@ -697,45 +654,47 @@ class MockBackend(HeBackend):
         return _MockHandle(np.array(self._q(values, self._scale)), scale, self.levels)
 
     def decrypt(self, handle: _MockHandle, count: int | None = None) -> np.ndarray:
+        require_degree1(handle, "decrypt")
         v = handle.values
         return v[:count] if count is not None else v
 
-    def _align(self, a: _MockHandle, b: _MockHandle) -> tuple[_MockHandle, _MockHandle]:
-        lvl = min(a.level, b.level)
-        return (
-            _MockHandle(a.values, a.scale, lvl),
-            _MockHandle(b.values, b.scale, lvl),
-        )
-
     def add(self, a: _MockHandle, b: _MockHandle) -> _MockHandle:
-        a, b = self._align(a, b)
         if not np.isclose(a.scale, b.scale, rtol=1e-3):
             raise ValueError(f"scale mismatch in add: {a.scale} vs {b.scale}")
-        return _MockHandle(a.values + b.values, a.scale, a.level)
+        return _MockHandle(
+            a.values + b.values,
+            a.scale,
+            min(a.level, b.level),
+            max(a.degree, b.degree),
+            a.deferred or b.deferred,
+        )
 
     def add_plain(self, a: _MockHandle, value: float) -> _MockHandle:
-        return _MockHandle(a.values + self._q(float(value), a.scale), a.scale, a.level)
+        return _MockHandle(
+            a.values + self._q(float(value), a.scale), a.scale, a.level, a.degree, a.deferred
+        )
 
     def mul_plain_scalar(self, a: _MockHandle, scalar: float, plain_scale: float | None = None) -> _MockHandle:
         ps = float(plain_scale or self._scale)
         w = round(float(scalar) * ps) / ps  # same quantisation as encode
-        return _MockHandle(a.values * w, a.scale * ps, a.level)
+        return _MockHandle(a.values * w, a.scale * ps, a.level, a.degree, a.deferred)
 
     def mul(self, a: _MockHandle, b: _MockHandle) -> _MockHandle:
-        a, b = self._align(a, b)
-        return _MockHandle(a.values * b.values, a.scale * b.scale, a.level)
+        require_degree1(a, "mul (left operand)")
+        return _MockHandle(a.values * b.values, a.scale * b.scale, min(a.level, b.level))
 
     def square(self, a: _MockHandle) -> _MockHandle:
+        require_degree1(a, "square")
         return _MockHandle(a.values * a.values, a.scale * a.scale, a.level)
 
-    def rescale(self, a: _MockHandle) -> _MockHandle:
+    def rescale(self, a: _MockHandle, defer_high: bool = False) -> _MockHandle:
         if a.level <= 0:
             raise ValueError("mock level budget exhausted (depth overflow)")
         divisor = float(self._primes[a.level - 1]) if self._primes else self._scale
         scale = a.scale / divisor
         if self.fault_injector is not None:
             scale = self.fault_injector.next_scale(scale)
-        return _MockHandle(a.values, scale, a.level - 1)
+        return _MockHandle(a.values, scale, a.level - 1, a.degree, a.degree > 1)
 
     def scale_of(self, a: _MockHandle) -> float:
         return a.scale
@@ -744,64 +703,34 @@ class MockBackend(HeBackend):
         return a.level
 
     def mul_plain_vector(self, a: _MockHandle, values: np.ndarray) -> _MockHandle:
+        require_degree1(a, "mul_plain_vector")
         v = np.asarray(self._q(values[: a.values.shape[0]], self._scale))
         return _MockHandle(a.values * v, a.scale * self._scale, a.level)
 
     def rotate(self, a: _MockHandle, r: int) -> _MockHandle:
+        require_degree1(a, "rotate")
         return _MockHandle(np.roll(a.values, -r), a.scale, a.level)
 
-    # -- raw / extended ops (lazy relinearisation) -------------------------------
+    # -- raw products (lazy relinearisation) --------------------------------------
 
-    supports_lazy_relin = True
+    def square_raw(self, a: _MockHandle) -> _MockHandle:
+        require_degree1(a, "square_raw")
+        return _MockHandle(a.values * a.values, a.scale * a.scale, a.level, 2)
 
-    def square_raw(self, a: _MockHandle) -> _MockExt:
-        return _MockExt(a.values * a.values, a.scale * a.scale, a.level)
-
-    def mul_raw(self, a: _MockHandle, b: "_MockHandle | _MockExt") -> _MockExt:
-        degree = 3 if isinstance(b, _MockExt) else 2
-        deferred = getattr(b, "deferred", False)
-        return _MockExt(
-            a.values * b.values, a.scale * b.scale, min(a.level, b.level), degree, deferred
+    def mul_raw(self, a: _MockHandle, b: _MockHandle) -> _MockHandle:
+        require_degree1(a, "mul_raw (left operand)")
+        return _MockHandle(
+            a.values * b.values, a.scale * b.scale, min(a.level, b.level), b.degree + 1, b.deferred
         )
 
-    def rescale_ext(self, e: _MockExt, defer_high: bool = False) -> _MockExt:
-        if e.level <= 0:
-            raise ValueError("mock level budget exhausted (depth overflow)")
-        divisor = float(self._primes[e.level - 1]) if self._primes else self._scale
-        scale = e.scale / divisor
-        if self.fault_injector is not None:
-            scale = self.fault_injector.next_scale(scale)
-        return _MockExt(e.values, scale, e.level - 1, e.degree, True)
-
-    def relinearize_ext(self, e: _MockExt) -> _MockHandle:
+    def relinearize_ext(self, e: _MockHandle) -> _MockHandle:
+        if e.degree == 1:
+            return e
         reg = get_registry()
         reg.counter("relin.count").inc()
         if e.deferred:
             reg.counter("relin.deferred").inc()
         return _MockHandle(e.values, e.scale, e.level)
-
-    def add_ext(self, a: "_MockHandle | _MockExt", b: "_MockHandle | _MockExt") -> _MockExt:
-        if not np.isclose(a.scale, b.scale, rtol=1e-3):
-            raise ValueError(f"scale mismatch in add_ext: {a.scale} vs {b.scale}")
-        return _MockExt(
-            a.values + b.values,
-            a.scale,
-            min(a.level, b.level),
-            max(getattr(a, "degree", 1), getattr(b, "degree", 1)),
-            getattr(a, "deferred", False) or getattr(b, "deferred", False),
-        )
-
-    def mul_plain_scalar_ext(
-        self, e: _MockExt, scalar: float, plain_scale: float | None = None
-    ) -> _MockExt:
-        ps = float(plain_scale or self._scale)
-        w = round(float(scalar) * ps) / ps  # same quantisation as encode
-        return _MockExt(e.values * w, e.scale * ps, e.level, e.degree, e.deferred)
-
-    def add_plain_ext(self, e: _MockExt, value: float) -> _MockExt:
-        return _MockExt(
-            e.values + self._q(float(value), e.scale), e.scale, e.level, e.degree, e.deferred
-        )
 
     # -- slot packing ------------------------------------------------------------
 
@@ -826,6 +755,7 @@ class MockBackend(HeBackend):
 
         head = handles[0]
         for h, c in zip(handles, counts):
+            require_degree1(h, "concat_slots")
             if h.values.shape[0] != c:
                 raise ValueError(f"handle holds {h.values.shape[0]} slots, declared {c}")
             if h.level != head.level or h.scale != head.scale:
@@ -838,6 +768,7 @@ class MockBackend(HeBackend):
         )
 
     def slice_slots(self, a: _MockHandle, start: int, count: int) -> _MockHandle:
+        require_degree1(a, "slice_slots")
         if start < 0 or count < 1 or start + count > a.values.shape[0]:
             raise ValueError(f"slot range [{start}, {start + count}) out of bounds")
         return _MockHandle(a.values[start : start + count].copy(), a.scale, a.level)
@@ -886,8 +817,8 @@ class CkksBackend(HeBackend):
     def square(self, a):
         return self.ctx.square(a, self.keys.relin)
 
-    def rescale(self, a):
-        return self.ctx.rescale(a)
+    def rescale(self, a, defer_high: bool = False):
+        return self.ctx.rescale_ext(a) if a.degree > 1 else self.ctx.rescale(a)
 
     def scale_of(self, a) -> float:
         return a.scale
@@ -895,9 +826,7 @@ class CkksBackend(HeBackend):
     def level_of(self, a) -> int:
         return a.level
 
-    # -- raw / extended ops (lazy relinearisation) -------------------------------
-
-    supports_lazy_relin = True
+    # -- raw products (lazy relinearisation) --------------------------------------
 
     def square_raw(self, a):
         return self.ctx.square_raw(a)
@@ -905,20 +834,10 @@ class CkksBackend(HeBackend):
     def mul_raw(self, a, b):
         return self.ctx.mul_raw(a, b)
 
-    def rescale_ext(self, e, defer_high: bool = False):
-        return self.ctx.rescale_ext(e)
-
     def relinearize_ext(self, e):
+        if e.degree == 1:
+            return e
         return self.ctx.relinearize(e, self.keys.relin, self.keys.relin3)
-
-    def add_ext(self, a, b):
-        return self.ctx.add_ext(a, b)
-
-    def mul_plain_scalar_ext(self, e, scalar: float, plain_scale: float | None = None):
-        return self.ctx.mul_plain_scalar_ext(e, scalar, plain_scale)
-
-    def add_plain_ext(self, e, value: float):
-        return self.ctx.add_plain_ext(e, float(value))
 
     def mul_plain_vector(self, a, values: np.ndarray):
         return self.ctx.mul_plain(a, np.asarray(values, dtype=np.float64))
@@ -948,6 +867,8 @@ class CkksBackend(HeBackend):
             return self._weighted_sum_consts(handles, enc.consts, enc.plain_scale)
 
     def _weighted_sum_consts(self, handles, consts: list[int], ps: float):
+        for h in handles:
+            require_degree1(h, "weighted_sum")
         level = min(h.level for h in handles)
         ring = self.ctx.ring(level)
         acc0 = np.zeros(self.ctx.n, dtype=object)
@@ -958,8 +879,6 @@ class CkksBackend(HeBackend):
             h = self.ctx.mod_switch_to(h, level)
             acc0 = acc0 + h.c0 * c
             acc1 = acc1 + h.c1 * c
-        from repro.ckks.ciphertext import Ciphertext
-
         return Ciphertext(
             np.mod(acc0, ring.q),
             np.mod(acc1, ring.q),
@@ -1044,8 +963,11 @@ class CkksRnsBackend(HeBackend):
     def square(self, a):
         return self.ctx.square(a, self.keys.relin)
 
-    def rescale(self, a):
-        out = self.ctx.rescale(a)
+    def rescale(self, a, defer_high: bool = False):
+        if a.degree > 1:
+            out = self.ctx.rescale_ext(a, defer_high=defer_high)
+        else:
+            out = self.ctx.rescale(a)
         if self.fault_injector is not None:
             out.scale = self.fault_injector.next_scale(out.scale)
         return out
@@ -1056,9 +978,7 @@ class CkksRnsBackend(HeBackend):
     def level_of(self, a) -> int:
         return a.level
 
-    # -- raw / extended ops (lazy relinearisation) -------------------------------
-
-    supports_lazy_relin = True
+    # -- raw products (lazy relinearisation) --------------------------------------
 
     def square_raw(self, a):
         return self.ctx.square_raw(a)
@@ -1066,23 +986,10 @@ class CkksRnsBackend(HeBackend):
     def mul_raw(self, a, b):
         return self.ctx.mul_raw(a, b)
 
-    def rescale_ext(self, e, defer_high: bool = False):
-        out = self.ctx.rescale_ext(e, defer_high=defer_high)
-        if self.fault_injector is not None:
-            out.scale = self.fault_injector.next_scale(out.scale)
-        return out
-
     def relinearize_ext(self, e):
+        if e.degree == 1:
+            return e
         return self.ctx.relinearize(e, self.keys.relin, self.keys.relin3)
-
-    def add_ext(self, a, b):
-        return self.ctx.add_ext(a, b)
-
-    def mul_plain_scalar_ext(self, e, scalar: float, plain_scale: float | None = None):
-        return self.ctx.mul_plain_scalar_ext(e, scalar, plain_scale)
-
-    def add_plain_ext(self, e, value: float):
-        return self.ctx.add_plain_ext(e, float(value))
 
     def mul_plain_vector(self, a, values: np.ndarray):
         return self.ctx.mul_plain(a, np.asarray(values, dtype=np.float64))
@@ -1222,7 +1129,7 @@ def _unpack_rns(res: RnsCiphertext, idxs: np.ndarray, out: "list[RnsCiphertext |
         )
 
 
-class _RnsBatchOps:
+class _RnsBatchOps(_SinglePolyOps):
     """Adapter: batched ``(k, B, n)`` RNS ciphertext, per-position constants.
 
     Every primitive delegates to the backend (hence the context), whose
@@ -1231,58 +1138,10 @@ class _RnsBatchOps:
     position-aware ``*_many`` variants.
     """
 
-    __slots__ = ("b",)
-
-    def __init__(self, backend: "CkksRnsBackend"):
-        self.b = backend
-
-    @property
-    def delta(self) -> float:
-        return self.b.scale
-
-    def scale_of(self, h: RnsCiphertext) -> float:
-        return h.scale
-
-    def square(self, h: RnsCiphertext) -> RnsCiphertext:
-        return self.b.square(h)
-
-    def mul(self, a: RnsCiphertext, b: RnsCiphertext) -> RnsCiphertext:
-        return self.b.mul(a, b)
-
-    def rescale(self, h: RnsCiphertext) -> RnsCiphertext:
-        return self.b.rescale(h)
-
-    def add(self, a: RnsCiphertext, b: RnsCiphertext) -> RnsCiphertext:
-        return self.b.add(a, b)
+    __slots__ = ()
 
     def mul_plain_vec(self, h: RnsCiphertext, consts: np.ndarray, ps: float) -> RnsCiphertext:
         return self.b.ctx.mul_plain_scalar_many(h, consts, ps)
 
     def add_plain_vec(self, h: RnsCiphertext, consts: np.ndarray) -> RnsCiphertext:
         return self.b.ctx.add_plain_many(h, consts)
-
-    # extended (degree >= 2) ops — lazy-relinearisation interpreter only
-
-    def square_raw(self, h: RnsCiphertext):
-        return self.b.ctx.square_raw(h)
-
-    def mul_raw(self, a: RnsCiphertext, b: Any):
-        return self.b.ctx.mul_raw(a, b)
-
-    def rescale_ext(self, e: Any, defer_high: bool = False):
-        return self.b.rescale_ext(e, defer_high=defer_high)
-
-    def relinearize(self, e: Any) -> RnsCiphertext:
-        return self.b.relinearize_ext(e)
-
-    def add_ext(self, a: Any, b: Any):
-        return self.b.ctx.add_ext(a, b)
-
-    def mul_plain_vec_ext(self, e: Any, consts: np.ndarray, ps: float):
-        return self.b.ctx.mul_plain_scalar_many_ext(e, consts, ps)
-
-    def add_plain_vec_ext(self, e: Any, consts: np.ndarray):
-        return self.b.ctx.add_plain_many_ext(e, consts)
-
-    def scale_of_ext(self, e: Any) -> float:
-        return e.scale

@@ -55,8 +55,8 @@ def _backend_sig(backend: HeBackend) -> tuple:
     Two backends with the same signature produce identical encodings, so
     cache entries may be shared between them; anything that changes the
     encoding (ring degree, modulus chain, scale) changes the signature.
-    Packing wrappers (``SlotPackedBackend`` / ``MemberwiseBackend``)
-    resolve to their inner backend's signature: a wrapper encodes
+    The packing wrapper (``SlotPackedBackend``) resolves to its inner
+    backend's signature: a wrapper encodes
     nothing itself, so packed and serial engines share cache entries —
     the warm packed path performs zero fresh encodes.
     """

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ckks.ciphertext import CiphertextDegreeError
 from repro.henn.backend import HeBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeLayer, LevelBudgetError
@@ -141,6 +142,10 @@ def _sanitize(exc: BaseException) -> ServiceError:
     if isinstance(exc, LevelBudgetError):
         return ServiceError(
             code, "state", False, "modulus chain too short for the model"
+        )
+    if isinstance(exc, CiphertextDegreeError):
+        return ServiceError(
+            code, "state", False, "unrelinearised ciphertext where degree 1 is required"
         )
     if isinstance(exc, DrainTimeoutError):
         return ServiceError(
@@ -430,8 +435,7 @@ class BatchedCloudService(CloudService):
     * **Exactness** — packing is exact: native slot concatenation where
       the backend supports it bit-identically (mock), lane-stacked SIMD
       packing on the real CKKS schemes (one evaluation per batch,
-      bit-identical per lane), structural memberwise dispatch as the
-      fallback for anything else; see :mod:`repro.serving.packing`.
+      bit-identical per lane); see :mod:`repro.serving.packing`.
     * **Telemetry** — ``serving.*`` gauges/histograms plus the same
       ``henn.request.*`` lifecycle events and counters as the serial
       service, all visible on ``/metrics`` and ``/healthz``.

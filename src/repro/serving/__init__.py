@@ -35,8 +35,6 @@ from repro.serving.scheduler import BatchingScheduler
 from repro.serving.shedding import SHED_TIERS, ShedPolicy
 from repro.serving.packing import (
     LaneHandle,
-    MemberwiseBackend,
-    PackedHandle,
     SlotPackedBackend,
     serving_backend_for,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "Dispatcher",
     "WorkerPool",
     "LaneHandle",
-    "MemberwiseBackend",
-    "PackedHandle",
     "SlotPackedBackend",
     "serving_backend_for",
     "PackingError",

@@ -102,9 +102,8 @@ class PackingError(ServingError):
 class PackingNestingError(PackingError, TypeError):
     """A packing wrapper was asked to wrap an already-wrapped backend.
 
-    Stacking :class:`~repro.serving.packing.SlotPackedBackend` or
-    :class:`~repro.serving.packing.MemberwiseBackend` would double-pack
-    lanes and silently corrupt slot accounting, so
+    Stacking :class:`~repro.serving.packing.SlotPackedBackend` on itself
+    would double-pack lanes and silently corrupt slot accounting, so
     :func:`~repro.serving.packing.serving_backend_for` refuses outright.
     Subclasses ``TypeError``: nesting is a programming error, not a
     runtime condition.

@@ -30,6 +30,25 @@ def test_checker_flags_broken_links(tmp_path):
     assert "b.md#nope" in proc.stderr
 
 
+def test_checker_flags_deleted_package_symbols(tmp_path):
+    """A backticked ``repro.…`` path must import or resolve to an attribute."""
+    (tmp_path / "a.md").write_text(
+        "kept: `repro.henn.backend.HeBackend`, `repro.serving`, "
+        "`repro.obs.metrics.get_registry()`, schema `repro.obs/1`\n"
+        "gone: `repro.serving.packing.MemberwiseBackend` and `repro.nosuch.module`\n"
+        "```\n`repro.fenced.blocks.are.skipped`\n```\n"
+    )
+    (tmp_path / "CHANGES.md").write_text("history may name `repro.gone.forever`\n")
+    proc = subprocess.run(
+        [sys.executable, str(CHECKER), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    flagged = [line.split("-> ")[1] for line in proc.stderr.splitlines() if "->" in line]
+    assert flagged == ["repro.nosuch.module", "repro.serving.packing.MemberwiseBackend"]
+
+
 def test_architecture_and_observability_docs_linked_from_readme():
     readme = (REPO / "README.md").read_text()
     assert "docs/ARCHITECTURE.md" in readme

@@ -20,7 +20,7 @@ from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.nt.ntt import NttPlan
 from repro.resilience.faults import FaultInjector
-from repro.serving.packing import MemberwiseBackend, SlotPackedBackend
+from repro.serving.packing import SlotPackedBackend
 
 SHAPE = (1, 3, 3)
 RNS_PARAMS = CkksRnsParams(
@@ -208,7 +208,7 @@ def test_empty_batch_and_malformed_rows_rejected():
     assert be.ctx.encrypt_many(be.keys.pk, []) == []
 
 
-@pytest.mark.parametrize("wrapper", [SlotPackedBackend, MemberwiseBackend])
+@pytest.mark.parametrize("wrapper", [SlotPackedBackend])
 def test_serving_wrappers_forward_the_fused_call(wrapper):
     """A gateway client on a serving backend gets one fused call too."""
     images = _images(2)

@@ -203,9 +203,9 @@ def test_defer_high_survives_multiple_rescales(rns, rng):
     ctx, keys = rns.ctx, rns.keys
     ct = rns.encrypt(rng.uniform(-1, 1, 8))
     raw = ctx.square_raw(ct)
-    a = ctx.rescale_ext(ctx.mul_plain_scalar_ext(ctx.rescale_ext(raw), 0.5))
+    a = ctx.rescale_ext(ctx.mul_plain_scalar(ctx.rescale_ext(raw), 0.5))
     b = ctx.rescale_ext(
-        ctx.mul_plain_scalar_ext(ctx.rescale_ext(raw, defer_high=True), 0.5)
+        ctx.mul_plain_scalar(ctx.rescale_ext(raw, defer_high=True), 0.5)
     )
     assert b.coeff_high and not a.coeff_high
     ra, rb = ctx.relinearize(a, keys.relin), ctx.relinearize(b, keys.relin)
@@ -218,7 +218,7 @@ def test_mixed_domain_add_ext_rejected(rns, rng):
     evald = ctx.rescale_ext(ctx.square_raw(ct))
     coeffd = ctx.rescale_ext(ctx.square_raw(ct), defer_high=True)
     with pytest.raises(ValueError, match="mismatched high-component domains"):
-        ctx.add_ext(evald, coeffd)
+        ctx.add(evald, coeffd)
 
 
 def test_coeff_high_ext_cannot_multiply(rns, rng):

@@ -1,0 +1,237 @@
+"""One ciphertext type, one op family: bit-identical to the parent commit.
+
+Merging the extended-ciphertext classes and the ``*_ext`` op family into
+the degree-generic ``add`` / ``add_plain`` / ``mul_plain_scalar`` /
+``rescale`` may not move a single residue: the generic bodies run the
+same ``addmod`` / ``scale_channels`` / ``_rescale_comps`` calls in the
+same order.  ``PARENT`` below was recorded under
+``PYTHONPATH=<clone of a364abd>/src`` (``python -m
+tests.henn.test_parent_identity`` prints the table) and holds, per
+evaluation, the SHA-256 of every output's ``(components, level, scale)``
+plus the deltas of the five counters the interpreters and the key switch
+meter:
+
+* ``poly_eval`` / ``poly_eval_many`` at degrees 1–8, eager and lazy, on
+  mock, CKKS, a CKKS-RNS single handle, a CKKS-RNS position batch and a
+  lane-packed batch of three requests on both real schemes (ragged —
+  3 + 2 + 1 slots — at odd degrees);
+* the score ciphertexts of the CNN1 / CNN2 smoke networks on the serial
+  and the thread executor.
+"""
+
+import hashlib
+
+import numpy as np
+
+from repro.ckksrns import CkksRnsParams
+from repro.henn.backend import CkksRnsBackend
+from repro.henn.compiler import model_depth
+from repro.henn.inference import HeInferenceEngine
+from repro.obs.metrics import get_registry
+from repro.serving.packing import SlotPackedBackend
+
+from ..ckksrns.test_hybrid_keyswitch import HW, N, smoke_models  # noqa: F401 - fixture
+from .test_poly_depth import DEGREES, DEPTHS, MODES, POSITIONS, X, _evaluate, _fresh, _rows
+
+KINDS = ("mock", "ckks", "rns", "rns-batch", "lanes-ckks", "lanes-rns")
+COUNTERS = (
+    "relin.count",
+    "relin.deferred",
+    "poly.bsgs.ct_mults",
+    "keyswitch.hoist.hit",
+    "keyswitch.hoist.miss",
+)
+
+
+def _counters() -> list[float]:
+    reg = get_registry()
+    return [reg.counter(name).value for name in COUNTERS]
+
+
+def _record(outs, before: list[float]) -> str:
+    """``digest:counter deltas`` of one evaluation's output handles."""
+    deltas = [int(after - b) for after, b in zip(_counters(), before)]
+    h = hashlib.sha256()
+    for out in outs:
+        out = getattr(out, "ct", out)  # lane handles wrap one stacked ciphertext
+        for comp in ("values", "c0", "c1"):
+            a = getattr(out, comp, None)
+            if a is None:
+                continue
+            if a.dtype == object:  # multiprecision coefficients
+                h.update(repr([int(v) for v in a.ravel()]).encode())
+            else:
+                h.update(np.ascontiguousarray(a).tobytes())
+        h.update(repr((int(out.level), float(out.scale))).encode())
+    return h.hexdigest()[:16] + ":" + ",".join(map(str, deltas))
+
+
+def _evaluate_lanes(inner, mode: str, degree: int):
+    """``poly_eval_many`` over POSITIONS lane handles of three requests each."""
+    backend = SlotPackedBackend(inner)
+    counts = (3, 2, 1) if degree % 2 else (4, 4, 4)
+    handles = [
+        backend.concat_slots([inner.encrypt(X[:c] * s) for c in counts], counts)
+        for s in (1.0, 0.5, -0.8)[:POSITIONS]
+    ]
+    inner.relin_mode = mode
+    try:
+        before = _counters()
+        return backend.poly_eval_many(handles, _rows(degree)), before
+    finally:
+        inner.relin_mode = "lazy"
+
+
+def poly_table() -> dict[str, str]:
+    table = {}
+    for kind in KINDS:
+        for mode in MODES:
+            for degree in DEGREES:
+                scheme = kind.split("-")[-1] if kind.startswith("lanes") else kind.split("-")[0]
+                backend = _fresh(scheme, DEPTHS[degree])
+                if kind.startswith("lanes"):
+                    outs, before = _evaluate_lanes(backend, mode, degree)
+                else:
+                    before = _counters()  # encryption moves none of COUNTERS
+                    _, outs, _ = _evaluate(backend, kind, mode, degree)
+                table[f"{kind}/{mode}/{degree}"] = _record(outs, before)
+    return table
+
+
+def smoke_table(models) -> dict[str, str]:
+    layers, images = models
+    table = {}
+    for arch in ("cnn1", "cnn2"):
+        for executor in ("serial", "thread"):
+            params = CkksRnsParams(
+                n=N, moduli_bits=(40,) + (26,) * model_depth(layers[arch]), scale_bits=26,
+                special_bits=(36, 36, 36), hw=HW,
+            )
+            with CkksRnsBackend(params, seed=0, executor=executor) as backend:
+                engine = HeInferenceEngine(backend, layers[arch], (1, 12, 12))
+                enc = engine.encrypt_images(images[:4])
+                before = _counters()
+                table[f"{arch}/{executor}"] = _record(engine.run_encrypted(enc), before)
+    return table
+
+
+#: ``poly_table()`` and ``smoke_table()`` under the parent commit's sources.
+PARENT: dict[str, str] = {
+ 'ckks/eager/1': '0f1992f24d5d8e05:0,0,0,0,0',
+ 'ckks/eager/2': '932504303e1bb11e:1,0,1,0,0',
+ 'ckks/eager/3': '0c0c2066cf0ed5b6:2,0,2,0,0',
+ 'ckks/eager/4': '7f59af8dceada6b6:3,0,3,0,0',
+ 'ckks/eager/5': '854380874417717c:3,0,3,0,0',
+ 'ckks/eager/6': '1a0b32af008dfd66:3,0,3,0,0',
+ 'ckks/eager/7': '9cef3be234d553f2:4,0,4,0,0',
+ 'ckks/eager/8': '16825eabee330b15:4,0,4,0,0',
+ 'ckks/lazy/1': '0f1992f24d5d8e05:0,0,0,0,0',
+ 'ckks/lazy/2': '02a57eda1c319d04:1,1,1,0,0',
+ 'ckks/lazy/3': 'f69fa28c3be4aa95:1,1,2,0,0',
+ 'ckks/lazy/4': '9dc560d9428f554b:2,2,3,0,0',
+ 'ckks/lazy/5': '81dccf3568d4a69d:2,2,3,0,0',
+ 'ckks/lazy/6': '93ebc653e4f13e05:3,3,3,0,0',
+ 'ckks/lazy/7': '37abc1843d0f04c0:3,3,4,0,0',
+ 'ckks/lazy/8': '640a34590fcddced:3,3,4,0,0',
+ 'cnn1/serial': 'e7a3abd67067cf33:2,2,4,0,2',
+ 'cnn1/thread': 'e7a3abd67067cf33:2,2,4,0,0',
+ 'cnn2/serial': '307b8d37696d9691:3,3,6,0,3',
+ 'cnn2/thread': '307b8d37696d9691:3,3,6,0,0',
+ 'lanes-ckks/eager/1': '26c4e6c10fb4dd95:0,0,0,0,0',
+ 'lanes-ckks/eager/2': 'de1210d8f61a5d5e:9,0,3,0,0',
+ 'lanes-ckks/eager/3': 'd3a1d5ce9b50083f:18,0,6,0,0',
+ 'lanes-ckks/eager/4': '501d8021adbc643e:27,0,9,0,0',
+ 'lanes-ckks/eager/5': 'b5bd69f23ba6fe3e:27,0,9,0,0',
+ 'lanes-ckks/eager/6': 'e9735adccf01fd31:27,0,9,0,0',
+ 'lanes-ckks/eager/7': '544cddd5a1c007eb:36,0,12,0,0',
+ 'lanes-ckks/eager/8': 'a91f6973c69a1e8e:36,0,12,0,0',
+ 'lanes-ckks/lazy/1': '26c4e6c10fb4dd95:0,0,0,0,0',
+ 'lanes-ckks/lazy/2': 'e2b5349666ebda76:9,9,3,0,0',
+ 'lanes-ckks/lazy/3': '2c234f5741b7f808:9,9,6,0,0',
+ 'lanes-ckks/lazy/4': 'b1eb5ec49317eeb8:18,18,9,0,0',
+ 'lanes-ckks/lazy/5': '645d788622e9cfa9:18,18,9,0,0',
+ 'lanes-ckks/lazy/6': '147dbe3e3c1ec2ba:27,27,9,0,0',
+ 'lanes-ckks/lazy/7': 'eb9491071a9be420:27,27,12,0,0',
+ 'lanes-ckks/lazy/8': '9b7e342a8329fc28:27,27,12,0,0',
+ 'lanes-rns/eager/1': '0511b4d8d78d0ff6:0,0,0,0,0',
+ 'lanes-rns/eager/2': 'ad3b4dabdcc46410:1,0,1,0,1',
+ 'lanes-rns/eager/3': 'e772d5e7362b19f4:2,0,2,0,2',
+ 'lanes-rns/eager/4': '820645b8195f855d:3,0,3,0,3',
+ 'lanes-rns/eager/5': '7ad7ebca73b8bd0d:3,0,3,0,3',
+ 'lanes-rns/eager/6': 'd1b1a959827b9851:3,0,3,0,3',
+ 'lanes-rns/eager/7': 'c34638f24f882825:4,0,4,0,4',
+ 'lanes-rns/eager/8': 'e8705ac2851c8984:4,0,4,0,4',
+ 'lanes-rns/lazy/1': '0511b4d8d78d0ff6:0,0,0,0,0',
+ 'lanes-rns/lazy/2': 'ad78ab68f237d442:1,1,1,0,1',
+ 'lanes-rns/lazy/3': 'd024ee5ef83846e3:1,1,2,0,1',
+ 'lanes-rns/lazy/4': '896cf4eab0a8797c:2,2,3,0,2',
+ 'lanes-rns/lazy/5': '96f8fc6ff0982284:2,2,3,0,2',
+ 'lanes-rns/lazy/6': '27dc0d42cf18d6ce:3,3,3,0,3',
+ 'lanes-rns/lazy/7': 'a6a6e0573aaf9446:3,3,4,0,3',
+ 'lanes-rns/lazy/8': '908f9170edee4dac:3,3,4,0,3',
+ 'mock/eager/1': 'a56bb0f2a54c5819:0,0,0,0,0',
+ 'mock/eager/2': '728c0f2544f72aca:0,0,1,0,0',
+ 'mock/eager/3': 'f4a5c966818ad194:0,0,2,0,0',
+ 'mock/eager/4': '6f71fd9372bb2ae3:0,0,3,0,0',
+ 'mock/eager/5': 'fbe6a7d727cc67e5:0,0,3,0,0',
+ 'mock/eager/6': 'bc798fe892fae631:0,0,3,0,0',
+ 'mock/eager/7': 'bbfc94960d7e1a49:0,0,4,0,0',
+ 'mock/eager/8': 'dd20e19475686bbc:0,0,4,0,0',
+ 'mock/lazy/1': 'a56bb0f2a54c5819:0,0,0,0,0',
+ 'mock/lazy/2': '728c0f2544f72aca:1,1,1,0,0',
+ 'mock/lazy/3': 'f4a5c966818ad194:1,1,2,0,0',
+ 'mock/lazy/4': '6f71fd9372bb2ae3:2,2,3,0,0',
+ 'mock/lazy/5': 'fbe6a7d727cc67e5:2,2,3,0,0',
+ 'mock/lazy/6': 'bc798fe892fae631:3,3,3,0,0',
+ 'mock/lazy/7': 'bbfc94960d7e1a49:3,3,4,0,0',
+ 'mock/lazy/8': 'dd20e19475686bbc:3,3,4,0,0',
+ 'rns-batch/eager/1': '2ba3cbf639da7f6c:0,0,0,0,0',
+ 'rns-batch/eager/2': 'dd962ffe13122a54:1,0,1,0,1',
+ 'rns-batch/eager/3': '717b5b23ee409d48:2,0,2,0,2',
+ 'rns-batch/eager/4': '2078b714286a113c:3,0,3,0,3',
+ 'rns-batch/eager/5': '192430337933fe6c:3,0,3,0,3',
+ 'rns-batch/eager/6': 'a4684324b84890d0:3,0,3,0,3',
+ 'rns-batch/eager/7': '7baedd33bb28b411:4,0,4,0,4',
+ 'rns-batch/eager/8': 'e63bdcca25ce592e:4,0,4,0,4',
+ 'rns-batch/lazy/1': '2ba3cbf639da7f6c:0,0,0,0,0',
+ 'rns-batch/lazy/2': 'dac3f152e25b1f47:1,1,1,0,1',
+ 'rns-batch/lazy/3': '73aebf4ef5f8d841:1,1,2,0,1',
+ 'rns-batch/lazy/4': 'b1d73d95a9350efa:2,2,3,0,2',
+ 'rns-batch/lazy/5': '37bf2a04a75c1dab:2,2,3,0,2',
+ 'rns-batch/lazy/6': 'aa6cbfb587b98620:3,3,3,0,3',
+ 'rns-batch/lazy/7': '39b12b44b0f65d02:3,3,4,0,3',
+ 'rns-batch/lazy/8': 'c0b45f05196577ff:3,3,4,0,3',
+ 'rns/eager/1': 'db94fdaa4c827f48:0,0,0,0,0',
+ 'rns/eager/2': '323788ae48209dd2:1,0,1,0,1',
+ 'rns/eager/3': '6247800bcd28b414:2,0,2,0,2',
+ 'rns/eager/4': '6cd945b11dd1377c:3,0,3,0,3',
+ 'rns/eager/5': '3eb2f28ed447af33:3,0,3,0,3',
+ 'rns/eager/6': '75b9be3807124444:3,0,3,0,3',
+ 'rns/eager/7': 'defdd3e94242606f:4,0,4,0,4',
+ 'rns/eager/8': 'f57b20cf705e8923:4,0,4,0,4',
+ 'rns/lazy/1': 'db94fdaa4c827f48:0,0,0,0,0',
+ 'rns/lazy/2': 'c8df5087f79a2b8e:1,1,1,0,1',
+ 'rns/lazy/3': '883c9779d89b1bfe:1,1,2,0,1',
+ 'rns/lazy/4': 'ea72f126781b8f96:2,2,3,0,2',
+ 'rns/lazy/5': 'bc0fd1432893a681:2,2,3,0,2',
+ 'rns/lazy/6': '6d3f534114c8ad5b:3,3,3,0,3',
+ 'rns/lazy/7': 'e6998f215b4dd0d9:3,3,4,0,3',
+ 'rns/lazy/8': '4ddc86a9e0110c04:3,3,4,0,3'}
+
+
+def test_poly_eval_bit_identical_to_parent():
+    got = poly_table()
+    assert got == {k: v for k, v in PARENT.items() if k in got}
+    assert len(got) == len(KINDS) * len(MODES) * len(DEGREES)
+
+
+def test_smoke_scores_bit_identical_to_parent(smoke_models):  # noqa: F811
+    got = smoke_table(smoke_models)
+    assert got == {k: v for k, v in PARENT.items() if k in got}
+    assert len(got) == 4
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({**poly_table(), **smoke_table(smoke_models.__wrapped__())}, width=100)

@@ -235,17 +235,18 @@ def test_degrees_one_and_two_bit_identical_to_parent():
 
 
 def _parent_fold_lazy(ops, prog, x, coeffs):
-    """Frozen copy of the parent's lazy interpreter: ``rescale_ext(acc * y)``
-    after each fold (Δ²·Δ → two rescales), one level more per fold."""
+    """Frozen copy of PR 13's lazy interpreter: ``rescale(acc * y)`` after
+    each fold (Δ²·Δ → two rescales), one level more per fold.  Schedule as
+    recorded; only the op names follow the one-family backend interface."""
     powers = {1: x}
     y_raw = None
     for j in range(2, prog.baby_top + 1):
         prev = powers[j - 1]
         raw = ops.square_raw(prev) if j == 2 else ops.mul_raw(prev, x)
         if j == prog.baby_m and prog.giants > 1:
-            y_raw = ops.rescale_ext(raw)
+            y_raw = ops.rescale(raw)
         else:
-            powers[j] = ops.relinearize(ops.rescale_ext(raw, defer_high=True))
+            powers[j] = ops.relinearize(ops.rescale(raw, defer_high=True))
     m = prog.baby_m
     acc = acc_ext = pending = None
     for g in range(prog.giants - 1, -1, -1):
@@ -257,29 +258,29 @@ def _parent_fold_lazy(ops, prog, x, coeffs):
                 continue
             target = ops.scale_of(powers[bd]) * ops.delta
         elif pending is not None:
-            acc_ext = ops.mul_plain_vec_ext(y_raw, pending, ops.delta)
+            acc_ext = ops.mul_plain_vec(y_raw, pending, ops.delta)
             pending = None
-            target = ops.scale_of_ext(acc_ext)
+            target = ops.scale_of(acc_ext)
         else:
             if acc_ext is not None:
                 acc = ops.relinearize(acc_ext)
                 acc_ext = None
-            acc_ext = ops.rescale_ext(ops.mul_raw(acc, y_raw), defer_high=True)
+            acc_ext = ops.rescale(ops.mul_raw(acc, y_raw), defer_high=True)
             acc = None
-            target = ops.scale_of_ext(acc_ext)
+            target = ops.scale_of(acc_ext)
         for j in range(bd, 0, -1):
             ps = target / ops.scale_of(powers[j])
             term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
             if acc_ext is not None:
-                acc_ext = ops.add_ext(acc_ext, term)
+                acc_ext = ops.add(acc_ext, term)
             else:
                 acc = term if acc is None else ops.add(acc, term)
         if acc_ext is not None:
-            acc_ext = ops.add_plain_vec_ext(acc_ext, coeffs[:, base])
+            acc_ext = ops.add_plain_vec(acc_ext, coeffs[:, base])
         else:
             acc = ops.add_plain_vec(acc, coeffs[:, base])
     if acc_ext is not None:
-        return ops.relinearize(ops.rescale_ext(acc_ext, defer_high=True))
+        return ops.relinearize(ops.rescale(acc_ext, defer_high=True))
     return ops.rescale(acc)
 
 

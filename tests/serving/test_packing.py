@@ -1,4 +1,4 @@
-"""Slot packing: native mock, lane-stacked SIMD, and memberwise packing."""
+"""Slot packing: native mock concatenation and lane-stacked SIMD packing."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ from repro.obs.metrics import get_registry
 from repro.serving import (
     LaneHandle,
     LaneSliceError,
-    MemberwiseBackend,
-    PackedHandle,
     PackingError,
     PackingNestingError,
     ServingError,
@@ -100,16 +98,13 @@ def test_serving_backend_for_picks_strategy():
     assert serving_backend_for(mock) is mock
     rns = _rns_backend()
     wrapped = serving_backend_for(rns)
-    # the real schemes get genuine lane packing, not memberwise fan-out
+    # the real schemes get lane packing
     assert isinstance(wrapped, SlotPackedBackend)
     assert wrapped.inner is rns
-    ckks = CkksBackend(CkksParams(n=128, levels=5, scale_bits=24), seed=0)
-    assert isinstance(serving_backend_for(ckks), SlotPackedBackend)
+    assert isinstance(serving_backend_for(_ckks_backend()), SlotPackedBackend)
     # packed backends are terminal: re-wrapping is a typed serving error
     with pytest.raises(PackingNestingError):
         serving_backend_for(wrapped)
-    with pytest.raises(PackingNestingError):
-        MemberwiseBackend(wrapped)
     with pytest.raises(PackingNestingError):
         SlotPackedBackend(wrapped)
     # the old TypeError contract survives through dual inheritance
@@ -117,6 +112,12 @@ def test_serving_backend_for_picks_strategy():
     # no lane adapter for value-vector handles: mock is already native
     with pytest.raises(PackingError):
         SlotPackedBackend(MockBackend(batch=4, levels=3))
+    # a backend with neither exact concatenation nor a lane adapter has no
+    # packing at all: refused, not quietly served request by request
+    inexact = MockBackend(batch=4, levels=3)
+    inexact.native_slot_concat = False
+    with pytest.raises(PackingError):
+        serving_backend_for(inexact)
 
 
 def test_batch_layout_pad_accounting():
@@ -144,95 +145,6 @@ def test_batch_layout_pad_accounting():
     assert np.array_equal(layout.pad_values(np.array([1.0, 2.0, 3.0])), [1, 2, 3, 0])
 
 
-# -- structural packing --------------------------------------------------------------
-
-
-def test_memberwise_ops_are_bit_identical_to_serial():
-    inner = _rns_backend()
-    packed_backend = MemberwiseBackend(inner)
-    xs = [np.array([0.5, -0.25]), np.array([0.125])]
-    handles = [inner.encrypt(x) for x in xs]
-    packed = packed_backend.concat_slots(handles, [2, 1])
-    assert isinstance(packed, PackedHandle)
-
-    # identical instruction streams: square -> rescale -> scalar mul
-    def program(b, h):
-        return b.mul_plain_scalar(b.rescale(b.square(h)), 0.5)
-
-    serial = [program(inner, h) for h in handles]
-    batched = program(packed_backend, packed)
-    got = packed_backend.decrypt(batched, count=3)
-    want = np.concatenate(
-        [inner.decrypt(s, count=c) for s, c in zip(serial, [2, 1])]
-    )
-    assert np.array_equal(got, want)
-
-
-def test_memberwise_weighted_sum_matches_serial():
-    inner = _rns_backend()
-    backend = MemberwiseBackend(inner)
-    weights = np.array([0.25, -0.5, 1.0])
-    members = [[inner.encrypt(np.array([float(i + j)])) for j in range(3)] for i in range(2)]
-    packs = [
-        backend.concat_slots([members[0][j], members[1][j]], [1, 1]) for j in range(3)
-    ]
-    serial = [inner.weighted_sum(members[i], weights) for i in range(2)]
-    batched = backend.weighted_sum(packs, weights)
-    assert np.array_equal(
-        backend.decrypt(batched, count=2),
-        np.concatenate([inner.decrypt(s, count=1) for s in serial]),
-    )
-
-
-def test_memberwise_mul_plain_vector_routes_slot_ranges():
-    backend = MemberwiseBackend(MockBackend(batch=8, levels=4))
-    inner = backend.inner
-    a = inner.encrypt(np.array([1.0, 1.0]))
-    b = inner.encrypt(np.array([1.0]))
-    packed = backend.concat_slots([a, b], [2, 1])
-    out = backend.mul_plain_vector(packed, np.array([2.0, 3.0, 4.0]))
-    got = backend.decrypt(backend.rescale(out), count=3)
-    assert np.allclose(got, [2.0, 3.0, 4.0], atol=1e-6)
-
-
-def test_memberwise_slice_only_at_member_boundaries():
-    backend = MemberwiseBackend(MockBackend(batch=8, levels=4))
-    inner = backend.inner
-    packed = backend.concat_slots(
-        [inner.encrypt(np.array([1.0, 2.0])), inner.encrypt(np.array([3.0]))], [2, 1]
-    )
-    member = backend.slice_slots(packed, 2, 1)
-    assert np.array_equal(inner.decrypt(member, count=1), [3.0])
-    with pytest.raises(ValueError):
-        backend.slice_slots(packed, 1, 2)
-
-
-def test_memberwise_guards():
-    backend = MemberwiseBackend(MockBackend(batch=4, levels=3))
-    raw = backend.inner.encrypt(np.array([1.0]))
-    with pytest.raises(TypeError):
-        backend.square(raw)
-    packed = backend.concat_slots([raw], [1])
-    with pytest.raises(NotImplementedError):
-        backend.rotate(packed, 1)
-    # attribute fallthrough keeps introspection working
-    assert backend.levels == backend.inner.levels
-    assert backend.name.startswith("packed+")
-
-
-def test_memberwise_ckks_end_to_end_matches_serial():
-    inner = CkksBackend(CkksParams(n=128, levels=5, scale_bits=24), seed=0)
-    backend = MemberwiseBackend(inner)
-    handles = [inner.encrypt(np.array([0.3])), inner.encrypt(np.array([-0.7]))]
-    packed = backend.concat_slots(handles, [1, 1])
-    serial = [inner.add_plain(inner.rescale(inner.square(h)), 0.25) for h in handles]
-    batched = backend.add_plain(backend.rescale(backend.square(packed)), 0.25)
-    assert np.array_equal(
-        backend.decrypt(batched, count=2),
-        np.concatenate([inner.decrypt(s, count=1) for s in serial]),
-    )
-
-
 # -- lane-stacked SIMD packing (SlotPackedBackend) ------------------------------------
 
 
@@ -258,7 +170,7 @@ def test_slotpacked_rns_ops_bit_identical_to_serial():
 
 
 def test_slotpacked_ckks_ops_bit_identical_to_serial():
-    inner = CkksBackend(CkksParams(n=128, levels=5, scale_bits=24), seed=0)
+    inner = _ckks_backend()
     backend = SlotPackedBackend(inner)
     handles = [inner.encrypt(np.array([0.3])), inner.encrypt(np.array([-0.7]))]
     packed = backend.concat_slots(handles, [1, 1])
@@ -284,6 +196,54 @@ def test_slotpacked_weighted_sum_matches_serial():
         backend.decrypt(batched, count=2),
         np.concatenate([inner.decrypt(s, count=1) for s in serial]),
     )
+
+
+def _ckks_backend():
+    return CkksBackend(CkksParams(n=128, levels=5, scale_bits=24), seed=0)
+
+
+def test_slotpacked_ckks_weighted_sum_matches_serial():
+    inner = _ckks_backend()
+    backend = SlotPackedBackend(inner)
+    weights = np.array([0.25, -0.5, 1.0])
+    members = [[inner.encrypt(np.array([float(i + j)])) for j in range(3)] for i in range(2)]
+    packs = [
+        backend.concat_slots([members[0][j], members[1][j]], [1, 1]) for j in range(3)
+    ]
+    serial = [inner.weighted_sum(members[i], weights) for i in range(2)]
+    batched = backend.weighted_sum(packs, weights)
+    assert np.array_equal(
+        backend.decrypt(batched, count=2),
+        np.concatenate([inner.decrypt(s, count=1) for s in serial]),
+    )
+
+
+def test_slotpacked_ckks_slice_only_at_member_boundaries():
+    inner = _ckks_backend()
+    backend = SlotPackedBackend(inner)
+    packed = backend.concat_slots(
+        [inner.encrypt(np.array([1.0, 2.0])), inner.encrypt(np.array([3.0]))], [2, 1]
+    )
+    member = backend.slice_slots(packed, 2, 1)
+    assert np.allclose(inner.decrypt(member, count=1), [3.0], atol=1e-3)
+    with pytest.raises(ValueError):
+        backend.slice_slots(packed, 1, 2)
+
+
+def test_slotpacked_ckks_guards():
+    inner = _ckks_backend()
+    backend = SlotPackedBackend(inner)
+    raw = inner.encrypt(np.array([1.0]))
+    with pytest.raises(TypeError):
+        backend.square(raw)
+    packed = backend.concat_slots([raw], [1])
+    with pytest.raises(NotImplementedError):
+        backend.rotate(packed, 1)
+    with pytest.raises(NotImplementedError):
+        backend.mul_plain_vector(packed, np.array([2.0]))  # a slot vector spans lanes
+    # attribute fallthrough keeps introspection working
+    assert backend.ctx is inner.ctx
+    assert backend.name.startswith("slotpack+")
 
 
 def test_slotpacked_slice_is_typed_serving_error():
@@ -325,6 +285,43 @@ def test_slotpacked_guards():
     # attribute fallthrough keeps introspection working
     assert backend.ctx is inner.ctx
     assert backend.name.startswith("slotpack+")
+
+
+#: Public ``HeBackend`` names ``SlotPackedBackend`` leaves to the base
+#: class, each for a stated reason.  Anything else must be overridden.
+DERIVED_FROM_WRAPPED_PRIMITIVES = {
+    # composites that call this wrapper's own (lane-stacked) primitives
+    "poly_eval",
+    "poly_eval_bsgs",
+    # the base class's refusal is the packing decision (see the CKKS guards test)
+    "mul_plain_vector",
+}
+
+
+def _public_names(cls) -> set[str]:
+    return {
+        name
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and (callable(member) or isinstance(member, property))
+    }
+
+
+def test_wrapper_makes_a_packing_decision_for_every_backend_method():
+    """A method added to ``HeBackend`` must be overridden by the wrapper or
+    listed above; otherwise its base-class body would run on ``LaneHandle``s
+    (what ``encrypt_many`` did until it was forwarded by hand)."""
+    interface = _public_names(HeBackend)
+    assert len(interface) == 29, sorted(interface)
+    overridden = _public_names(SlotPackedBackend)
+    assert overridden & DERIVED_FROM_WRAPPED_PRIMITIVES == set()
+    assert DERIVED_FROM_WRAPPED_PRIMITIVES <= interface
+    undecided = interface - overridden - DERIVED_FROM_WRAPPED_PRIMITIVES
+    assert undecided == set(), f"no packing decision for {sorted(undecided)}"
+    # the wrapper adds nothing of its own to the interface
+    assert all(hasattr(HeBackend, name) for name in overridden)
+    # ...and the other implementations do not quietly lack a primitive
+    for cls in (MockBackend, CkksBackend, CkksRnsBackend):
+        assert not getattr(cls, "__abstractmethods__", None), cls
 
 
 # -- packed engine vs serial engine: bit-identity per image ---------------------------

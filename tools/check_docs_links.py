@@ -11,10 +11,18 @@ directories), extracts inline links ``[text](target)``, and verifies:
 
 External links (``http(s)://``, ``mailto:``) are not fetched — this is
 an offline structural check. Exits non-zero listing every broken link.
+
+It also resolves every inline code span that is a dotted ``repro.…``
+path (``repro.henn.backend.HeBackend``, optionally with ``()``) to an
+importable module or an attribute chain below one, so a name deleted
+from the package cannot linger in the documentation.  The PR-process
+files that describe past or planned states (:data:`HISTORY_FILES`) are
+exempt from that check.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -26,6 +34,11 @@ SKIP_DIRS = {".git", ".venv", "node_modules", "bench_artifacts", "__pycache__", 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+#: A whole inline code span that is a dotted path into the package.
+SYMBOL_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+#: Change log, roadmap and the issue being worked on name symbols that
+#: no longer (or do not yet) exist; their links are still checked.
+HISTORY_FILES = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
 
 
 def github_slug(heading: str, seen: dict[str, int]) -> str:
@@ -56,7 +69,8 @@ def anchors_of(md_path: Path) -> set[str]:
     return out
 
 
-def links_of(md_path: Path) -> list[str]:
+def _prose_matches(md_path: Path, pattern: re.Pattern) -> list[str]:
+    """Matches of *pattern* outside fenced code blocks."""
     out: list[str] = []
     in_fence = False
     for line in md_path.read_text(encoding="utf-8").splitlines():
@@ -65,8 +79,28 @@ def links_of(md_path: Path) -> list[str]:
             continue
         if in_fence:
             continue
-        out.extend(LINK_RE.findall(line))
+        out.extend(pattern.findall(line))
     return out
+
+
+def links_of(md_path: Path) -> list[str]:
+    return _prose_matches(md_path, LINK_RE)
+
+
+def resolves(dotted: str) -> bool:
+    """Whether *dotted* names an importable module or an attribute under one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
 
 def iter_markdown(root: Path):
@@ -94,16 +128,22 @@ def check(root: Path) -> list[str]:
                     anchor_cache[dest] = anchors_of(dest)
                 if fragment not in anchor_cache[dest]:
                     errors.append(f"{md.relative_to(root)}: missing anchor -> {target}")
+        if md.name not in HISTORY_FILES:
+            for dotted in sorted(set(_prose_matches(md, SYMBOL_RE))):
+                if not resolves(dotted):
+                    errors.append(f"{md.relative_to(root)}: unresolved symbol -> {dotted}")
     return errors
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parent.parent
+    repo = Path(__file__).resolve().parent.parent
+    root = Path(argv[1]).resolve() if len(argv) > 1 else repo
+    sys.path.insert(0, str(repo / "src"))  # symbols resolve against this checkout
     errors = check(root)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
-        print(f"{len(errors)} broken link(s)", file=sys.stderr)
+        print(f"{len(errors)} broken link(s) / symbol(s)", file=sys.stderr)
         return 1
     n = sum(1 for _ in iter_markdown(root))
     print(f"docs link check OK ({n} markdown files)")
