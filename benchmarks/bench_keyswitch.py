@@ -1,33 +1,28 @@
-"""Keyswitch strategies on the SLAF tail: eager vs lazy vs hoisted, swept over α.
+"""Keyswitch strategies on the SLAF tail: eager vs lazy, swept over α.
 
 One SLAF evaluation per degree 2..8 on both real schemes — CKKS-RNS
 over ``RNS_POSITIONS`` ciphertexts batched through one program
 (``poly_eval_many``, the ``(k, B, n)`` stack the encrypted tail runs),
-multiprecision CKKS over one — with three relinearisation strategies:
+multiprecision CKKS over one — with two relinearisation strategies:
 
 * **eager** — every ciphertext product keyswitches immediately
   (``program.ct_mults ~ 2*sqrt(d)`` sweeps);
 * **lazy** — products stay in degree-2/3 extended space and each block
   sum relinearises once, post-rescale (``program.relins ~ sqrt(d)``
-  sweeps), with the hoisted-digit cache disabled;
-* **lazy+hoist** (CKKS-RNS only) — lazy plus the level-keyed hoisted
-  digit-decomposition cache (``keyswitch.hoist.*``); hoisting is an RNS
-  digit-domain concept so the multiprecision scheme has no such mode.
+  sweeps).
 
-CKKS-RNS runs every strategy at α = 1 (one 49-bit special prime, the
-one-prime-per-digit gadget) and the default strategy, lazy+hoist, at
+CKKS-RNS runs both strategies at α = 1 (one 49-bit special prime, the
+one-prime-per-digit gadget) and the default strategy, lazy, at
 α ∈ {2, 3, 4} 36-bit special primes (hybrid key switching,
 ``docs/KERNELS.md``): ``⌈k/α⌉·(k+α)`` lifted-digit transforms per sweep
 instead of ``k·(k+1)``.
 
-Every round encrypts a **fresh** ciphertext outside the timed region —
-the hoist cache is content-addressed, so re-evaluating one ciphertext
-would time a cache warmed by the previous round, which a new request
-never sees.  Counters (``relin.count``, ``keyswitch.hoist.{hit,miss}``)
-are metered per round, must agree across rounds, and are recorded
-alongside the timings, so the sweep-count claim (lazy =
-``program.relins``) is checked structurally, not by wall-clock.  See
-``docs/KERNELS.md`` for the per-degree relin table.
+Every round encrypts a **fresh** ciphertext outside the timed region,
+as every request does.  ``relin.count`` is metered per round, must
+agree across rounds, and is recorded alongside the timings, so the
+sweep-count claim (lazy = ``program.relins``) is checked structurally,
+not by wall-clock.  See ``docs/KERNELS.md`` for the per-degree relin
+table.
 """
 
 import time
@@ -75,98 +70,66 @@ def ckks_backend():
 
 
 def _meter_eval(backend, rng, positions, coeffs):
-    """(seconds, (relins, hoist hits, hoist misses)) for one evaluation of
-    freshly encrypted ciphertexts (encryption is outside the timed region)."""
+    """(seconds, relins) for one evaluation of freshly encrypted
+    ciphertexts (encryption is outside the timed region)."""
     cts = backend.encrypt_many(
         [rng.uniform(-1, 1, min(backend.max_batch, 64)) for _ in range(positions)]
     )
     reg = get_registry()
     relin0 = reg.counter("relin.count").value
-    hit0 = reg.counter("keyswitch.hoist.hit").value
-    miss0 = reg.counter("keyswitch.hoist.miss").value
     t0 = time.perf_counter()
     backend.poly_eval_many(cts, coeffs)
     secs = time.perf_counter() - t0
-    return secs, (
-        reg.counter("relin.count").value - relin0,
-        reg.counter("keyswitch.hoist.hit").value - hit0,
-        reg.counter("keyswitch.hoist.miss").value - miss0,
-    )
+    return secs, reg.counter("relin.count").value - relin0
 
 
 def _run_modes(backend, alpha, positions, modes):
     """Benchmark every (mode, degree) cell on one backend.
 
     Each cell keeps the best-of-ROUNDS wall time over fresh ciphertexts
-    and the per-round counter deltas, which every round must reproduce.
+    and the per-round sweep count, which every round must reproduce.
     """
-    ctx = getattr(backend, "ctx", None)
-    default_hoist = getattr(ctx, "hoist_cache_bytes", 0)
     rows = []
     rng = np.random.default_rng(7)
-    for mode, relin_mode, hoisted in modes:
-        backend.relin_mode = relin_mode
-        if ctx is not None and hasattr(ctx, "hoist_cache_bytes"):
-            ctx.hoist_cache_bytes = default_hoist if hoisted else 0
-            ctx.clear_hoist_cache()
+    for mode in modes:
+        backend.relin_mode = mode
         for degree in DEGREES:
             coeffs = _coeffs(degree)
             rounds = [_meter_eval(backend, rng, positions, coeffs) for _ in range(ROUNDS)]
             best = min(secs for secs, _ in rounds)
-            counters = {c for _, c in rounds}
-            assert len(counters) == 1, (
+            counts = {c for _, c in rounds}
+            assert len(counts) == 1, (
                 f"{backend.name}/{mode} degree {degree}: rounds disagree on "
-                f"(relins, hoist hits, hoist misses): {sorted(counters)}"
+                f"relins: {sorted(counts)}"
             )
-            ((relins, hits, misses),) = counters
+            (relins,) = counts
             prog = compile_poly_program(degree)
-            expected = prog.relins if relin_mode == "lazy" else prog.ct_mults
+            expected = prog.relins if mode == "lazy" else prog.ct_mults
             assert relins == expected, (
                 f"{backend.name}/{mode} degree {degree}: {relins} relins, "
                 f"expected {expected}"
             )
-            rows.append(
-                [backend.name, alpha, mode, degree, positions, best, relins, hits, misses]
-            )
+            rows.append([backend.name, alpha, mode, degree, positions, best, relins])
     backend.relin_mode = "lazy"
-    if ctx is not None and hasattr(ctx, "hoist_cache_bytes"):
-        ctx.hoist_cache_bytes = default_hoist
-        ctx.clear_hoist_cache()
     return rows
 
 
 def test_keyswitch_strategies(benchmark, ckks_backend):
-    rows = _run_modes(
-        _rns_backend(1),
-        1,
-        RNS_POSITIONS,
-        [
-            ("eager", "eager", False),
-            ("lazy", "lazy", False),
-            ("lazy+hoist", "lazy", True),
-        ],
-    )
+    rows = _run_modes(_rns_backend(1), 1, RNS_POSITIONS, ["eager", "lazy"])
     for alpha in (2, 3, 4):
-        rows += _run_modes(
-            _rns_backend(alpha), alpha, RNS_POSITIONS, [("lazy+hoist", "lazy", True)]
-        )
-    rows += _run_modes(
-        ckks_backend, "-", 1, [("eager", "eager", False), ("lazy", "lazy", False)]
-    )
+        rows += _run_modes(_rns_backend(alpha), alpha, RNS_POSITIONS, ["lazy"])
+    rows += _run_modes(ckks_backend, "-", 1, ["eager", "lazy"])
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     results = {
         f"{scheme}.a{alpha}.{mode}.d{degree}.seconds": secs
-        for scheme, alpha, mode, degree, _, secs, *_ in rows
+        for scheme, alpha, mode, degree, _, secs, _ in rows
     }
     save_record(
         "keyswitch",
-        [
-            "scheme", "alpha", "mode", "degree", "positions", "seconds",
-            "relins", "hoist hits", "hoist misses",
-        ],
+        ["scheme", "alpha", "mode", "degree", "positions", "seconds", "relins"],
         rows,
-        f"KEYSWITCH — eager vs lazy vs hoisted SLAF evaluation, alpha special primes "
+        f"KEYSWITCH — eager vs lazy SLAF evaluation, alpha special primes "
         f"(RNS n={RNS_N}, CKKS n={CKKS_N}, depth={DEPTH}, best of {ROUNDS} "
         f"fresh ciphertexts)",
         results=results,

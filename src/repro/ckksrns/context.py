@@ -27,9 +27,7 @@ is the parallelism Tables IV/VI sweep.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 
 import numpy as np
 
@@ -69,23 +67,10 @@ __all__ = ["CkksRnsContext", "RnsPlaintext"]
 #: ``(k+α, D, B_chunk, ..., n)`` lifted-digit tensor (int64).  1 << 21
 #: elements = 16 MB keeps the decomposition temporaries cache-friendly;
 #: lane-packed serving batches otherwise scale super-linearly (measured
-#: ~2x worse than linear at 16 lanes unchunked).  Default only — override
-#: per context via the ``keyswitch_chunk_elems`` kwarg or the
-#: ``REPRO_KEYSWITCH_CHUNK_ELEMS`` environment variable.
+#: ~2x worse than linear at 16 lanes unchunked).  Latency is flat from
+#: 2^18 to 2^22 (docs/PERFORMANCE.md), so this is a constant, not a knob;
+#: chunking never changes a result bit.
 KEYSWITCH_CHUNK_ELEMS = 1 << 21
-
-#: Default byte budget for the hoisted digit-decomposition cache
-#: (``keyswitch.hoist.*``).  Override via the ``hoist_cache_bytes``
-#: kwarg or ``REPRO_HOIST_CACHE_BYTES``; 0 disables hoisting.
-HOIST_CACHE_BYTES = 64 << 20
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
 
 
 class _NttChannel:
@@ -191,22 +176,12 @@ class CkksRnsContext:
         executors realise the paper's per-residue parallelism.  A kind
         string (``"thread"`` …) builds an executor the context owns and
         releases in :meth:`close` (the context is a context manager).
-    keyswitch_chunk_elems:
-        Batch-axis chunk budget for digit key switching (elements of the
-        lifted-digit tensor).  Defaults to ``REPRO_KEYSWITCH_CHUNK_ELEMS``
-        or :data:`KEYSWITCH_CHUNK_ELEMS`.
-    hoist_cache_bytes:
-        Byte budget for the hoisted digit-decomposition cache (0
-        disables).  Defaults to ``REPRO_HOIST_CACHE_BYTES`` or
-        :data:`HOIST_CACHE_BYTES`.
     """
 
     def __init__(
         self,
         params: CkksRnsParams,
         executor: Executor | str | None = None,
-        keyswitch_chunk_elems: int | None = None,
-        hoist_cache_bytes: int | None = None,
     ):
         self.params = params
         self.n = params.n
@@ -214,23 +189,9 @@ class CkksRnsContext:
         if isinstance(executor, str):
             executor = self._owned_executor = make_executor(executor)
         self.executor = executor or SerialExecutor()
-        self.keyswitch_chunk_elems = (
-            int(keyswitch_chunk_elems)
-            if keyswitch_chunk_elems is not None
-            else _env_int("REPRO_KEYSWITCH_CHUNK_ELEMS", KEYSWITCH_CHUNK_ELEMS)
-        )
-        self.hoist_cache_bytes = (
-            int(hoist_cache_bytes)
-            if hoist_cache_bytes is not None
-            else _env_int("REPRO_HOIST_CACHE_BYTES", HOIST_CACHE_BYTES)
-        )
-        #: Content-addressed lifted-digit cache: (level, shape, digest) ->
-        #: NTT'd digit tensor.  Rescale or a level drop changes both the
-        #: content digest and the level key, so stale entries can never
-        #: hit; they age out of the byte budget FIFO-style (see
-        #: :meth:`clear_hoist_cache` for explicit invalidation).
-        self._hoist_cache: dict[tuple, np.ndarray] = {}
-        self._hoist_bytes = 0
+        #: Batch-axis chunk budget of the digit key switch (elements of
+        #: the raised-digit tensor); the chunk-invariance tests shrink it.
+        self.keyswitch_chunk_elems = KEYSWITCH_CHUNK_ELEMS
         self.encoder = CkksEncoder(params.n)
         # Ciphertext moduli then the special primes, all distinct NTT primes.
         special_bits = params.special_moduli_bits
@@ -290,12 +251,6 @@ class CkksRnsContext:
         ex, self._owned_executor = self._owned_executor, None
         if ex is not None:
             ex.close()
-        self.clear_hoist_cache()
-
-    def clear_hoist_cache(self) -> None:
-        """Drop every hoisted digit decomposition (frees the byte budget)."""
-        self._hoist_cache.clear()
-        self._hoist_bytes = 0
 
     def __enter__(self) -> "CkksRnsContext":
         return self
@@ -1010,9 +965,7 @@ class CkksRnsContext:
         in the lane count).  Chunking only splits the batch axis —
         per-position arithmetic and ordering are untouched, so results
         stay bit-identical.  The chunk budget is
-        :attr:`keyswitch_chunk_elems` (kwarg / env override) and also
-        bounds the hoisted-digit cache path, whose entries are cached
-        per chunk.
+        :attr:`keyswitch_chunk_elems`.
         """
         k = level + 1
         d_rows = kb.shape[0]
@@ -1039,10 +992,10 @@ class CkksRnsContext:
 
         if isinstance(self.executor, SerialExecutor):
             # All digits raised into every target modulus at once: a
-            # (k+α, D, ..., n) tensor through one batched stage loop —
-            # served from the hoist cache when this exact input was
-            # decomposed before.
-            lifted_eval = self._lifted_digits(x_coeff, level)
+            # (k+α, D, ..., n) tensor through one batched stage loop.
+            lifted_eval = BatchedNttPlan.get(self.n, tuple(ext)).forward(
+                self._raise_digits(x_coeff, level)
+            )
             contribs = []
             for i, m in enumerate(ext):
                 key_idx = i if i < k else self.k_top + i - k
@@ -1107,48 +1060,6 @@ class CkksRnsContext:
                 out=[lifted[t, :, g] for t in dst],
             )
         return lifted.reshape((len(ext), -1) + batch)
-
-    def _lifted_digits(self, x_coeff: np.ndarray, level: int) -> np.ndarray:
-        """NTT'd raised digit tensor, hoisted through a content cache.
-
-        The decomposition of a ciphertext polynomial is independent of
-        the key it is later inner-multiplied with, so the raised/NTT'd
-        tensor can be computed once and reused for every switch the same
-        polynomial feeds (relin or Galois).  Entries are addressed by
-        ``(level, shape, blake2b(source polynomial))`` — rescale or a
-        level drop changes both content and level, so stale entries can
-        never hit.  A byte budget (:attr:`hoist_cache_bytes`) bounds the
-        cache; tensors above the budget bypass it — their size is known
-        from the shape, so they are counted as misses without being
-        hashed.
-        """
-        k = level + 1
-        ext = self.moduli[:k] + self.special_moduli
-        key = None
-        if self.hoist_cache_bytes > 0:
-            reg = get_registry()
-            # (k+α) rows per digit, ⌈k/α⌉ digits per k source rows, int64
-            nbytes = x_coeff.size // k * len(self._digit_groups[k]) * len(ext) * 8
-            if nbytes <= self.hoist_cache_bytes:
-                digest = hashlib.blake2b(x_coeff.tobytes(), digest_size=16).digest()
-                key = (level, x_coeff.shape, digest)
-                hit = self._hoist_cache.get(key)
-                if hit is not None:
-                    reg.counter("keyswitch.hoist.hit").inc()
-                    # Refresh recency so hot entries survive eviction.
-                    self._hoist_cache[key] = self._hoist_cache.pop(key)
-                    return hit
-            reg.counter("keyswitch.hoist.miss").inc()
-        lifted_eval = BatchedNttPlan.get(self.n, tuple(ext)).forward(
-            self._raise_digits(x_coeff, level)
-        )
-        if key is not None:
-            self._hoist_cache[key] = lifted_eval
-            self._hoist_bytes += lifted_eval.nbytes
-            while self._hoist_bytes > self.hoist_cache_bytes:
-                old_key = next(iter(self._hoist_cache))
-                self._hoist_bytes -= self._hoist_cache.pop(old_key).nbytes
-        return lifted_eval
 
     def _div_special(self, acc_ext: np.ndarray, level: int) -> np.ndarray:
         """ModDown, exact division by P: (acc - lift([acc]_P)) * P^{-1}, eval domain.

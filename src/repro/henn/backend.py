@@ -18,6 +18,7 @@ only, so the same compiled model runs under:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -605,10 +606,10 @@ class _MockHandle:
 class MockBackend(HeBackend):
     """Plaintext simulation with CKKS bookkeeping.
 
-    Tracks scale and level exactly like the RNS scheme (including the
-    slightly-off-Δ rescale primes when ``rescale_primes`` is given) and
-    quantises plaintext multipliers to the encoding grid, so results
-    match real-HE evaluation to within the scheme's approximation noise.
+    Tracks scale and level like the RNS scheme (every rescale divides by
+    exactly Δ) and quantises plaintext multipliers to the encoding grid,
+    so results match real-HE evaluation to within the scheme's
+    approximation noise.
     """
 
     name = "mock"
@@ -618,7 +619,6 @@ class MockBackend(HeBackend):
         batch: int = 64,
         scale_bits: int = 26,
         levels: int = 16,
-        rescale_primes: Sequence[int] | None = None,
         quantize: bool = True,
         fault_injector: "Any | None" = None,
     ):
@@ -626,8 +626,6 @@ class MockBackend(HeBackend):
         self._batch = batch
         self.levels = levels
         self.quantize = quantize
-        # Per-level divisors used by rescale (default: exactly Δ).
-        self._primes = list(rescale_primes) if rescale_primes else None
         #: Resilience-harness hook; perturbs tracked scales when armed.
         self.fault_injector = fault_injector
 
@@ -659,7 +657,9 @@ class MockBackend(HeBackend):
         return v[:count] if count is not None else v
 
     def add(self, a: _MockHandle, b: _MockHandle) -> _MockHandle:
-        if not np.isclose(a.scale, b.scale, rtol=1e-3):
+        # math.isclose, not numpy's: on two Python floats the array
+        # machinery of np.isclose was ~60 % of a mock batch evaluation.
+        if not math.isclose(a.scale, b.scale, rel_tol=1e-3):
             raise ValueError(f"scale mismatch in add: {a.scale} vs {b.scale}")
         return _MockHandle(
             a.values + b.values,
@@ -690,8 +690,7 @@ class MockBackend(HeBackend):
     def rescale(self, a: _MockHandle, defer_high: bool = False) -> _MockHandle:
         if a.level <= 0:
             raise ValueError("mock level budget exhausted (depth overflow)")
-        divisor = float(self._primes[a.level - 1]) if self._primes else self._scale
-        scale = a.scale / divisor
+        scale = a.scale / self._scale
         if self.fault_injector is not None:
             scale = self.fault_injector.next_scale(scale)
         return _MockHandle(a.values, scale, a.level - 1, a.degree, a.degree > 1)

@@ -66,7 +66,6 @@ class HybridRnsEngine:
         executor: Executor | str | None = None,
         redundancy: int = 0,
         fault_injector: "object | None" = None,
-        plan: bool = True,
     ):
         """Split the compiled graph at the first convolution.
 
@@ -82,9 +81,8 @@ class HybridRnsEngine:
         builds an executor the engine owns and releases in
         :meth:`close` (the engine is also a context manager).
 
-        ``plan`` compiles the encrypted tail's inference plan up front
-        (see :class:`~repro.henn.plan.InferencePlan`); pass ``False``
-        for the original encode-per-call evaluation.
+        The encrypted tail's inference plan is compiled up front (see
+        :class:`~repro.henn.plan.InferencePlan`).
         """
         if not he_layers or not isinstance(he_layers[0], HeConv2d):
             raise ValueError("hybrid engine expects the graph to start with HeConv2d")
@@ -110,7 +108,7 @@ class HybridRnsEngine:
             fault_injector=fault_injector,
         )
         self.conv_bias = conv.bias
-        self.tail = HeInferenceEngine(backend, he_layers[1:], input_shape, plan=plan)
+        self.tail = HeInferenceEngine(backend, he_layers[1:], input_shape)
         self.input_shape = input_shape
         self.backend = backend
         self.latency = LatencyStats()

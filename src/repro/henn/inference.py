@@ -19,8 +19,9 @@ primitive-level instrumentation stays a no-op.
 from __future__ import annotations
 
 import time
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracer import Span, Tracer
 from repro.utils.timing import LatencyStats
 
-__all__ = ["HeInferenceEngine", "LayerTrace"]
+__all__ = ["HeInferenceEngine", "LayerTrace", "evaluate_batch"]
 
 
 @dataclass
@@ -320,3 +321,34 @@ class HeInferenceEngine:
             logits = self.classify(xb)
             correct += int((np.argmax(logits, axis=1) == yb).sum())
         return correct / images.shape[0]
+
+
+def evaluate_batch(
+    engine: Any,
+    requests: "Sequence[np.ndarray]",
+    counts: "Sequence[int]",
+    stage: "Callable[[str], AbstractContextManager] | None" = None,
+) -> "list[np.ndarray]":
+    """One coalesced evaluation: assemble -> run once -> split.
+
+    The single spelling of the serving triple — the batching gateway,
+    the cluster's serial fallback and the cluster worker process all
+    evaluate a fired batch through here.  *engine* is duck-typed
+    (anything with :meth:`~HeInferenceEngine.assemble_batch`,
+    :meth:`~HeInferenceEngine.run_encrypted` and
+    :meth:`~HeInferenceEngine.split_scores`).
+
+    *stage* is the caller's per-phase attribution: it is called with
+    ``"pack"``, ``"evaluate"`` and ``"split"`` and returns the context
+    manager that phase runs under (request-trace stages on the gateway,
+    ``rtrace.worker.*`` spans in a worker); ``None`` runs bare.
+
+    Returns one ``(classes,)`` score-handle array per request.
+    """
+    stage = stage or (lambda phase: nullcontext())
+    with stage("pack"):
+        assembled = engine.assemble_batch(requests, counts)
+    with stage("evaluate"):
+        scores = engine.run_encrypted(assembled)
+    with stage("split"):
+        return engine.split_scores(scores, counts)

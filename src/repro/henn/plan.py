@@ -291,8 +291,11 @@ def compile_plan(
     backend, layers, input_shape:
         As on :class:`~repro.henn.inference.HeInferenceEngine`.
     cache:
-        Cache to (re)use; by default a fresh one per plan.  Sharing one
-        cache between plans is safe — keys carry the backend signature.
+        Cache to (re)use.  By default the plan adopts the cache an
+        earlier plan installed on this backend's context (replacing it
+        would leave that plan's runtime scalars memoised on an object it
+        does not hold), or creates a fresh one.  Sharing one cache
+        between plans is safe — keys carry the backend signature.
 
     Raises
     ------
@@ -300,8 +303,11 @@ def compile_plan(
         When the graph consumes more levels than the backend's chain has.
     """
     check_level_budget(backend, layers)
-    cache = cache or PlaintextCache()
     ctx = getattr(backend, "ctx", None)
+    if cache is None:
+        cache = getattr(ctx, "plain_cache", None)
+    if cache is None:
+        cache = PlaintextCache()
     if ctx is not None and hasattr(ctx, "plain_cache"):
         ctx.plain_cache = cache
     enc = _TapEncoder(backend, cache)

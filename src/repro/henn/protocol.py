@@ -38,20 +38,24 @@ retained traces appear on ``/debug/traces`` (see
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.ckks.ciphertext import CiphertextDegreeError
 from repro.henn.backend import HeBackend
-from repro.henn.inference import HeInferenceEngine
+from repro.henn.inference import HeInferenceEngine, evaluate_batch
 from repro.henn.layers import HeLayer, LevelBudgetError
+from repro.henn.plan import compile_plan
 from repro.obs import health as _obs_health
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
@@ -63,6 +67,7 @@ from repro.resilience.errors import (
     ItemTimeoutError,
     ProtocolError,
 )
+from repro.serving.cluster import SPAWN_TIMEOUT_S, Dispatcher, WorkerPool, share_plan_cache
 from repro.serving.errors import (
     ClusterUnavailableError,
     DrainTimeoutError,
@@ -83,6 +88,11 @@ __all__ = [
     "ServiceError",
     "CloudResponse",
 ]
+
+
+#: Longest a blocking :meth:`BatchedCloudService.try_classify` waits on
+#: its future before answering with a ``compute`` error.
+REQUEST_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -120,52 +130,37 @@ class CloudResponse:
     error: ServiceError | None = None
 
 
+#: The fixed error vocabulary, ``(exception types, category, retryable,
+#: canned detail)``; the first matching row wins, so subclasses come
+#: before their bases.
+_VOCABULARY: tuple[tuple[type | tuple[type, ...], str, bool, str], ...] = (
+    (ChannelIntegrityError, "integrity", True, "residue channel check failed beyond recovery"),
+    ((ExecutorExhaustedError, ItemTimeoutError), "compute", True, "evaluation resources exhausted"),
+    (ServiceShedError, "overload", False, "service saturated, route elsewhere"),
+    (ServiceOverloadedError, "overload", True, "service at capacity, retry with backoff"),
+    (RequestValidationError, "state", False, "request rejected at admission"),
+    (LevelBudgetError, "state", False, "modulus chain too short for the model"),
+    (CiphertextDegreeError, "state", False, "unrelinearised ciphertext where degree 1 is required"),
+    (DrainTimeoutError, "unavailable", True, "service drained out before evaluation"),
+    (WorkerLostError, "compute", True, "evaluation worker lost mid-batch"),
+    (ClusterUnavailableError, "unavailable", True, "worker pool unavailable"),
+    (SchedulerClosedError, "unavailable", False, "service is shutting down"),
+    (ValueError, "state", True, "ciphertext bookkeeping rejected the request"),
+)
+
+
 def _sanitize(exc: BaseException) -> ServiceError:
     """Map an internal exception onto the fixed error vocabulary."""
     code = type(exc).__name__
-    if isinstance(exc, ChannelIntegrityError):
-        return ServiceError(
-            code, "integrity", True, "residue channel check failed beyond recovery"
-        )
-    if isinstance(exc, (ExecutorExhaustedError, ItemTimeoutError)):
-        return ServiceError(code, "compute", True, "evaluation resources exhausted")
-    if isinstance(exc, ServiceShedError):
-        return ServiceError(
-            code, "overload", False, "service saturated, route elsewhere"
-        )
-    if isinstance(exc, ServiceOverloadedError):
-        return ServiceError(
-            code, "overload", True, "service at capacity, retry with backoff"
-        )
-    if isinstance(exc, RequestValidationError):
-        return ServiceError(code, "state", False, "request rejected at admission")
-    if isinstance(exc, LevelBudgetError):
-        return ServiceError(
-            code, "state", False, "modulus chain too short for the model"
-        )
-    if isinstance(exc, CiphertextDegreeError):
-        return ServiceError(
-            code, "state", False, "unrelinearised ciphertext where degree 1 is required"
-        )
-    if isinstance(exc, DrainTimeoutError):
-        return ServiceError(
-            code, "unavailable", True, "service drained out before evaluation"
-        )
-    if isinstance(exc, WorkerLostError):
-        return ServiceError(
-            code, "compute", True, "evaluation worker lost mid-batch"
-        )
-    if isinstance(exc, ClusterUnavailableError):
-        return ServiceError(
-            code, "unavailable", True, "worker pool unavailable"
-        )
-    if isinstance(exc, SchedulerClosedError):
-        return ServiceError(code, "unavailable", False, "service is shutting down")
-    if isinstance(exc, ValueError):
-        return ServiceError(
-            code, "state", True, "ciphertext bookkeeping rejected the request"
-        )
+    for types, category, retryable, detail in _VOCABULARY:
+        if isinstance(exc, types):
+            return ServiceError(code, category, retryable, detail)
     return ServiceError(code, "internal", False, "internal evaluation failure")
+
+
+def _tags(error: ServiceError) -> dict:
+    """Log-event fields of a sanitised error (the canned detail stays out)."""
+    return {"code": error.code, "category": error.category, "retryable": error.retryable}
 
 
 class Client:
@@ -174,8 +169,10 @@ class Client:
     def __init__(self, backend: HeBackend, input_shape: tuple[int, int, int]):
         self.backend = backend
         self.input_shape = input_shape
-        # Engine used only for its packing logic; layers stay on the cloud.
-        self._packer = HeInferenceEngine(backend, [], input_shape)
+        # Engine used only for its packing logic; layers stay on the
+        # cloud, and nothing is compiled: a plan here would install the
+        # data owner's plaintext cache on the context the cloud shares.
+        self._packer = HeInferenceEngine(backend, [], input_shape, plan=False)
 
     def encrypt_request(self, images: np.ndarray) -> np.ndarray:
         """Package a batch of images as ciphertext handles."""
@@ -304,51 +301,74 @@ class CloudService:
         ``henn.request.ok`` / ``henn.request.error`` JSON log events
         (with handle counts, latency and the sanitised error code —
         never exception arguments), plus ``henn.requests`` counters
-        labelled by outcome.
+        labelled by outcome (see :meth:`_settle`).
         """
-        log = get_logger()
-        reg = get_registry()
         rid = next(self._request_ids)
         ctx = self.rtrace.mint(rid)
         handles = int(np.asarray(encrypted_images).size)
-        log.event("henn.request.start", request=rid, handles=handles)
+        get_logger().event("henn.request.start", request=rid, handles=handles)
         t0 = time.perf_counter()
         try:
-            scores = self.classify_encrypted(encrypted_images)
+            outcome = [self.classify_encrypted(encrypted_images)]
         except Exception as exc:
-            seconds = time.perf_counter() - t0
-            reg.counter("resilience.service_errors").inc()
-            error = _sanitize(exc)
-            reg.counter("henn.requests", {"outcome": "error"}).inc()
-            with self._state_lock:
-                self._requests_served += 1
-            if ctx is not None:
-                ctx.add_stage("compute", t0, t0 + seconds, outcome="error")
-            self.rtrace.finish(ctx, "error", error_code=error.code)
-            log.event(
-                "henn.request.error",
-                request=rid,
-                seconds=seconds,
-                code=error.code,
-                category=error.category,
-                retryable=error.retryable,
-            )
-            return CloudResponse(ok=False, error=error)
+            outcome = exc
         seconds = time.perf_counter() - t0
-        reg.counter("henn.requests", {"outcome": "ok"}).inc()
-        reg.histogram("henn.request.seconds").observe(seconds)
+        (response,) = self._settle([rid], seconds, outcome)
         if ctx is not None:
-            ctx.add_stage("compute", t0, t0 + seconds, outcome="ok")
-        self.rtrace.finish(ctx, "ok")
-        # Snapshot per request under the lock: reading the engine's
+            ctx.add_stage(
+                "compute", t0, t0 + seconds, outcome="ok" if response.ok else "error"
+            )
+            self._close_trace(ctx, response)
+        return response
+
+    def _settle(
+        self,
+        rids: Sequence[int],
+        seconds: float,
+        outcome: "Sequence[np.ndarray] | BaseException",
+    ) -> list[CloudResponse]:
+        """Account one evaluation's outcome; returns its requests' responses.
+
+        The one place the lifecycle's second half lives, whichever
+        service evaluated.  *outcome* is one score array per request
+        id, or the exception that failed the whole evaluation (a
+        cancelled dispatch included): ``henn.requests{outcome}`` and the
+        ``henn.request.ok|error`` events count per request,
+        ``resilience.service_errors`` once per failed evaluation.
+        """
+        log = get_logger()
+        reg = get_registry()
+        failed = isinstance(outcome, BaseException)
+        reg.counter("henn.requests", {"outcome": "error" if failed else "ok"}).inc(len(rids))
+        if failed:
+            reg.counter("resilience.service_errors").inc()
+            error = _sanitize(outcome)
+            for rid in rids:
+                log.event("henn.request.error", request=rid, seconds=seconds, **_tags(error))
+            responses = [CloudResponse(ok=False, error=error)] * len(rids)
+        else:
+            latency = reg.histogram("henn.request.seconds")
+            responses = []
+            for rid, scores in zip(rids, outcome):
+                latency.observe(seconds)
+                log.event(
+                    "henn.request.ok", request=rid, seconds=seconds, scores=int(len(scores))
+                )
+                responses.append(CloudResponse(ok=True, scores=scores))
+        # Snapshot per evaluation under the lock: reading the engine's
         # mutable trace here would race concurrent classifications.
         with self._state_lock:
-            self._requests_served += 1
-            self._last_latency = seconds
-        log.event(
-            "henn.request.ok", request=rid, seconds=seconds, scores=int(len(scores))
-        )
-        return CloudResponse(ok=True, scores=scores)
+            self._requests_served += len(rids)
+            if not failed:
+                self._last_latency = seconds
+        return responses
+
+    def _close_trace(self, ctx: TraceContext, response: CloudResponse) -> None:
+        """Finish one request's trace with its response's outcome."""
+        if response.ok:
+            self.rtrace.finish(ctx, "ok")
+        else:
+            self.rtrace.finish(ctx, "error", error_code=response.error.code)
 
     # -- scrape endpoints --------------------------------------------------------
 
@@ -452,16 +472,18 @@ class BatchedCloudService(CloudService):
         Most latency a partial batch may add waiting for batchmates.
     max_queue_depth:
         Admission bound (requests) before overload rejections start.
-    request_timeout_s:
-        Upper bound a blocking :meth:`try_classify` waits on its
-        future before answering with a ``compute`` error.
     shed_policy:
         Optional :class:`~repro.serving.shedding.ShedPolicy` replacing
         the single hard queue bound with the tiered
         accept/defer/reject/shed ladder (see
-        :mod:`repro.serving.shedding`); saturation input comes from
-        :meth:`_pool_saturation` (0 here; the cluster gateway overrides
-        it with the worker pool's busy fraction).
+        :mod:`repro.serving.shedding`); queue fill alone drives it here
+        (the cluster gateway adds the worker pool's busy fraction).
+
+    One lifecycle serves every gateway: ``submit`` admits, the
+    scheduler fires :meth:`_run_batch`, which runs :meth:`_execute`
+    (here: evaluate on this process's engine) and hands the outcome to
+    :meth:`CloudService._settle`.  A subclass that evaluates elsewhere
+    overrides :meth:`_execute` only.
     """
 
     def __init__(
@@ -473,7 +495,6 @@ class BatchedCloudService(CloudService):
         max_batch_slots: int | None = None,
         max_wait_ms: float = 5.0,
         max_queue_depth: int = 64,
-        request_timeout_s: float = 120.0,
         shed_policy: ShedPolicy | None = None,
         trace_policy: SamplingPolicy | None = None,
     ):
@@ -486,7 +507,6 @@ class BatchedCloudService(CloudService):
         super().__init__(
             serving_backend_for(backend), layers, input_shape, trace_policy=trace_policy
         )
-        self.request_timeout_s = float(request_timeout_s)
         self._expected_level = _obs_health._top_level(backend)
         self._expected_scale = float(backend.scale)
         self.scheduler = BatchingScheduler(
@@ -495,13 +515,8 @@ class BatchedCloudService(CloudService):
             max_wait_ms=max_wait_ms,
             max_queue_depth=max_queue_depth,
             shed_policy=shed_policy,
-            saturation_fn=self._pool_saturation,
             name="henn-serving",
         )
-
-    def _pool_saturation(self) -> float:
-        """Worker-pool busy fraction feeding the shed ladder (0 = none)."""
-        return 0.0
 
     # -- admission ----------------------------------------------------------------
 
@@ -579,25 +594,15 @@ class BatchedCloudService(CloudService):
             validated = self._validate_request(enc, slots)
             if ctx is not None:
                 ctx.add_stage("gateway", t_adm, time.perf_counter())
-            future = self.scheduler.submit(
-                (rid, validated, time.perf_counter(), ctx), slots, trace=ctx
-            )
+            future = self.scheduler.submit((rid, validated, ctx), slots, trace=ctx)
             if ctx is not None:
-                future.add_done_callback(
-                    lambda fut, c=ctx: self._finish_trace(c, fut)
-                )
+                future.add_done_callback(lambda fut: self._finish_trace(ctx, fut))
             return future
         except Exception as exc:
             error = _sanitize(exc)
             reg.counter("henn.requests", {"outcome": "rejected"}).inc()
             self.rtrace.finish(ctx, "rejected", error_code=error.code)
-            log.event(
-                "henn.request.rejected",
-                request=rid,
-                code=error.code,
-                category=error.category,
-                retryable=error.retryable,
-            )
+            log.event("henn.request.rejected", request=rid, **_tags(error))
             future = Future()
             future.set_result(CloudResponse(ok=False, error=error))
             return future
@@ -610,23 +615,18 @@ class BatchedCloudService(CloudService):
         (success, batch failure, drain timeout, shutdown).
         """
         try:
-            if fut.cancelled():
-                self.rtrace.finish(ctx, "error", error_code="CancelledError")
-                return
-            exc = fut.exception()
-            if exc is not None:
-                self.rtrace.finish(ctx, "error", error_code=_sanitize(exc).code)
-                return
-            response = fut.result()
-            if getattr(response, "ok", False):
-                self.rtrace.finish(ctx, "ok")
-            else:
-                error = getattr(response, "error", None)
-                self.rtrace.finish(
-                    ctx, "error", error_code=error.code if error else None
-                )
+            self._close_trace(ctx, self._response(fut, timeout=0))
         except Exception:  # telemetry must never fail a served request
             get_registry().counter("rtrace.finish_errors").inc()
+
+    @staticmethod
+    def _response(future: Future, timeout: float) -> CloudResponse:
+        """A request future's answer; scheduler faults, cancellation and
+        timeouts come back sanitised like any other failure."""
+        try:
+            return future.result(timeout=timeout)
+        except Exception as exc:
+            return CloudResponse(ok=False, error=_sanitize(exc))
 
     # -- request path --------------------------------------------------------------
 
@@ -637,11 +637,7 @@ class BatchedCloudService(CloudService):
         coalescing is invisible apart from the throughput — plus the
         ``overload`` rejection when the queue is full.
         """
-        future = self.submit(encrypted_images, count)
-        try:
-            return future.result(timeout=self.request_timeout_s)
-        except Exception as exc:  # scheduler fault or timeout: still sanitised
-            return CloudResponse(ok=False, error=_sanitize(exc))
+        return self._response(self.submit(encrypted_images, count), REQUEST_TIMEOUT_S)
 
     def classify_encrypted(self, encrypted_images: np.ndarray) -> np.ndarray:
         """Single-request evaluation, routed through the batch path.
@@ -656,54 +652,53 @@ class BatchedCloudService(CloudService):
             raise ProtocolError(response.error, attempts=1)
         return response.scores
 
-    def _run_batch(self, payloads: list, slots: list[int]) -> list[CloudResponse]:
-        """Scheduler callback: assemble -> run once -> split.
+    def _run_batch(
+        self, payloads: list, slots: list[int]
+    ) -> "list[CloudResponse] | Future":
+        """Scheduler callback: :meth:`_execute` the batch, settle its outcome.
 
-        Runs on the single scheduler worker thread, so the engine never
-        sees concurrent evaluations.
+        Runs on the single scheduler worker thread.  When
+        :meth:`_execute` answers with a future, the responses settle
+        from its completion and this returns a future of them — the
+        scheduler's pipelined mode, which fires the next batch at once.
         """
-        log = get_logger()
-        reg = get_registry()
-        rids = [rid for rid, _, _, _ in payloads]
-        requests = [enc for _, enc, _, _ in payloads]
-        ctxs = [ctx for _, _, _, ctx in payloads]
+        rids, requests, ctxs = (list(column) for column in zip(*payloads))
         t0 = time.perf_counter()
         try:
-            with batch_stage(ctxs, "pack"):
-                assembled = self.engine.assemble_batch(requests, slots)
-            score_handles = self.engine.run_encrypted(assembled)
-            with batch_stage(ctxs, "split"):
-                per_request = self.engine.split_scores(score_handles, slots)
+            outcome = self._execute(requests, slots, ctxs)
         except Exception as exc:
-            seconds = time.perf_counter() - t0
-            reg.counter("resilience.service_errors").inc()
-            error = _sanitize(exc)
-            for rid in rids:
-                reg.counter("henn.requests", {"outcome": "error"}).inc()
-                log.event(
-                    "henn.request.error",
-                    request=rid,
-                    seconds=seconds,
-                    code=error.code,
-                    category=error.category,
-                    retryable=error.retryable,
-                )
-            with self._state_lock:
-                self._requests_served += len(rids)
-            return [CloudResponse(ok=False, error=error)] * len(rids)
-        seconds = time.perf_counter() - t0
-        responses = []
-        for rid, scores in zip(rids, per_request):
-            reg.counter("henn.requests", {"outcome": "ok"}).inc()
-            reg.histogram("henn.request.seconds").observe(seconds)
-            log.event(
-                "henn.request.ok", request=rid, seconds=seconds, scores=int(len(scores))
-            )
-            responses.append(CloudResponse(ok=True, scores=scores))
-        with self._state_lock:
-            self._requests_served += len(rids)
-            self._last_latency = seconds
-        return responses
+            outcome = exc
+        if not isinstance(outcome, Future):
+            return self._settle(rids, time.perf_counter() - t0, outcome)
+        settled: Future = Future()
+
+        def settle(fut: Future) -> None:
+            if fut.cancelled():
+                result = SchedulerClosedError("dispatch cancelled during shutdown")
+            elif fut.exception() is not None:
+                result = fut.exception()
+            else:
+                result = fut.result()
+            settled.set_result(self._settle(rids, time.perf_counter() - t0, result))
+
+        outcome.add_done_callback(settle)
+        return settled
+
+    def _execute(
+        self, requests: list, counts: list[int], ctxs: list
+    ) -> "list[np.ndarray] | Future":
+        """Evaluate one fired batch: per-request scores, or a future of them.
+
+        Here on this process's engine (never concurrently — one
+        scheduler thread), pack and split attributed to every member's
+        trace; the scheduler clocks ``compute`` around the whole call.
+        """
+        return evaluate_batch(
+            self.engine,
+            requests,
+            counts,
+            lambda phase: nullcontext() if phase == "evaluate" else batch_stage(ctxs, phase),
+        )
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -741,7 +736,12 @@ class BatchedCloudService(CloudService):
         return status
 
 
-class _ClusterEngineFactory:
+def _worker_engine(
+    backend: HeBackend,
+    layers: list[HeLayer],
+    input_shape: tuple[int, int, int],
+    cache: object | None = None,
+) -> HeInferenceEngine:
     """Rebuilds the gateway's engine inside a cluster worker child.
 
     Fork inheritance carries the backend (same key material the clients
@@ -751,21 +751,8 @@ class _ClusterEngineFactory:
     is a cache hit onto a zero-copy view of the parent's arena, so the
     whole pool shares one physical copy of the encoded model.
     """
-
-    __slots__ = ("backend", "layers", "input_shape")
-
-    def __init__(
-        self, backend: HeBackend, layers: list[HeLayer], input_shape: tuple[int, int, int]
-    ):
-        self.backend = backend
-        self.layers = layers
-        self.input_shape = input_shape
-
-    def __call__(self, cache: object | None = None) -> HeInferenceEngine:
-        from repro.henn.plan import compile_plan
-
-        plan = compile_plan(self.backend, self.layers, self.input_shape, cache=cache)
-        return HeInferenceEngine(self.backend, self.layers, self.input_shape, plan=plan)
+    plan = compile_plan(backend, layers, input_shape, cache=cache)
+    return HeInferenceEngine(backend, layers, input_shape, plan=plan)
 
 
 class ClusteredCloudService(BatchedCloudService):
@@ -774,11 +761,14 @@ class ClusteredCloudService(BatchedCloudService):
     Same trust boundary, admission checks and sanitised error vocabulary
     as :class:`BatchedCloudService`; the difference is what happens
     after a batch fires.  Instead of evaluating on the scheduler thread,
-    :meth:`_run_batch` hands the batch to a
+    :meth:`_execute` hands the batch to a
     :class:`~repro.serving.cluster.Dispatcher` over a
     :class:`~repro.serving.cluster.WorkerPool` of process-backed
-    engines and returns a future — the scheduler's pipelined mode — so
-    one gateway keeps all N workers busy at once.
+    engines and returns its future — the scheduler's pipelined mode —
+    so one gateway keeps all N workers busy at once.  The compiled
+    plan's encoded taps are packed into shared memory, so workers warm
+    up against zero-copy views (silently skipped when shm is
+    unavailable), and construction blocks until every worker is ready.
 
     Robustness contract (the point of the cluster):
 
@@ -799,29 +789,14 @@ class ClusteredCloudService(BatchedCloudService):
     ------------------------------------------------
     workers:
         Pool size (process-backed engine workers).
-    max_inflight:
-        Batches one worker may hold at once (>1 hides pipe latency
-        behind the current evaluation).
     respawn:
         Background-respawn dead workers (the whole-pool-loss tests
         disable this).
     serial_fallback:
         Degrade to in-process serial evaluation when the pool is lost.
-    share_cache:
-        Pack the compiled plan's encoded taps into shared memory so
-        workers warm up against zero-copy views (falls back silently
-        when shm is unavailable).
     fault_injector:
         Seeded :class:`~repro.resilience.FaultInjector` armed with
         ``kill_cluster_worker`` for failover tests.
-    failover_policy:
-        :class:`~repro.resilience.ResiliencePolicy` bounding the
-        per-batch failover budget (``max_retries``) and its backoff.
-    wait_ready:
-        Block construction until all workers report ready (bounded by
-        ``spawn_timeout_s``); with ``False`` traffic may arrive while
-        workers warm — the dispatcher simply waits for the first ready
-        worker.
     """
 
     def __init__(
@@ -831,22 +806,12 @@ class ClusteredCloudService(BatchedCloudService):
         input_shape: tuple[int, int, int],
         *,
         workers: int = 3,
-        max_inflight: int = 1,
         respawn: bool = True,
         serial_fallback: bool = True,
-        share_cache: bool = True,
         fault_injector: object | None = None,
-        failover_policy: object | None = None,
-        wait_ready: bool = True,
-        spawn_timeout_s: float = 120.0,
-        heartbeat_interval_s: float = 0.25,
         shed_policy: ShedPolicy | None = None,
         **batched_kwargs: object,
     ):
-        # Deferred import: repro.serving.cluster pulls in multiprocessing
-        # machinery the serial protocol never needs.
-        from repro.serving.cluster import Dispatcher, WorkerPool, share_plan_cache
-
         super().__init__(
             backend,
             layers,
@@ -854,36 +819,23 @@ class ClusteredCloudService(BatchedCloudService):
             shed_policy=shed_policy or ShedPolicy(),
             **batched_kwargs,  # type: ignore[arg-type]
         )
-        arena = refs = None
-        if share_cache and self.engine.plan is not None:
-            arena, refs = share_plan_cache(self.engine.plan.cache)
-        self._cache_arena = arena
+        self._cache_arena, refs = share_plan_cache(self.engine.plan.cache)
         self._serial_lock = threading.Lock()
         self.pool = WorkerPool(
-            _ClusterEngineFactory(self.engine.backend, layers, input_shape),
+            functools.partial(_worker_engine, self.engine.backend, layers, input_shape),
             workers,
-            max_inflight=max_inflight,
             respawn=respawn,
             fault_injector=fault_injector,
             shared_cache_refs=refs,
-            spawn_timeout_s=spawn_timeout_s,
-            heartbeat_interval_s=heartbeat_interval_s,
             name="henn-cluster",
         ).start()
         self.dispatcher = Dispatcher(
-            self.pool,
-            policy=failover_policy,
-            fallback=self._serial_fallback if serial_fallback else None,
+            self.pool, fallback=self._serial_fallback if serial_fallback else None
         )
-        if wait_ready:
-            self.pool.wait_ready(timeout=spawn_timeout_s)
-
-    def _pool_saturation(self) -> float:
-        # During __init__ the base class builds the scheduler before the
-        # pool exists; admission starts only after __init__ returns, but
-        # guard anyway.
-        pool = getattr(self, "pool", None)
-        return pool.saturation() if pool is not None else 0.0
+        # The shed ladder sees the pool's busy fraction from here on
+        # (admission only starts once the constructor returns).
+        self.scheduler.saturation_fn = self.pool.saturation
+        self.pool.wait_ready(timeout=SPAWN_TIMEOUT_S)
 
     def _serial_fallback(self, requests: list, slots: list[int]) -> list:
         """Whole-pool-loss degradation: evaluate on the gateway's engine.
@@ -893,72 +845,13 @@ class ClusteredCloudService(BatchedCloudService):
         single-engine behaviour the cluster normally improves on.
         """
         with self._serial_lock:
-            assembled = self.engine.assemble_batch(requests, slots)
-            scores = self.engine.run_encrypted(assembled)
-            return self.engine.split_scores(scores, slots)
+            return evaluate_batch(self.engine, requests, slots)
 
-    # -- request path --------------------------------------------------------------
-
-    def _run_batch(self, payloads: list, slots: list[int]) -> Future:
-        """Scheduler callback, pipelined: dispatch and return the future.
-
-        The scheduler registers a completion callback on the returned
-        future and immediately fires the next batch — this is what
-        spreads consecutive batches across the pool.
-        """
-        rids = [rid for rid, _, _, _ in payloads]
-        requests = [enc for _, enc, _, _ in payloads]
-        ctxs = [ctx for _, _, _, ctx in payloads]
-        t0 = time.perf_counter()
-        out: Future = Future()
-        inner = self.dispatcher.dispatch(requests, slots, traces=ctxs)
-        inner.add_done_callback(
-            lambda fut: self._finish_cluster_batch(fut, rids, t0, out)
-        )
-        return out
-
-    def _finish_cluster_batch(
-        self, fut: Future, rids: list[int], t0: float, out: Future
-    ) -> None:
-        """Turn one dispatched batch's outcome into per-request responses."""
-        log = get_logger()
-        reg = get_registry()
-        seconds = time.perf_counter() - t0
-        error: ServiceError | None = None
-        if fut.cancelled():
-            error = _sanitize(SchedulerClosedError("dispatch cancelled during shutdown"))
-        elif fut.exception() is not None:
-            reg.counter("resilience.service_errors").inc()
-            error = _sanitize(fut.exception())
-        if error is not None:
-            for rid in rids:
-                reg.counter("henn.requests", {"outcome": "error"}).inc()
-                log.event(
-                    "henn.request.error",
-                    request=rid,
-                    seconds=seconds,
-                    code=error.code,
-                    category=error.category,
-                    retryable=error.retryable,
-                )
-            responses = [CloudResponse(ok=False, error=error)] * len(rids)
-        else:
-            responses = []
-            for rid, scores in zip(rids, fut.result()):
-                reg.counter("henn.requests", {"outcome": "ok"}).inc()
-                reg.histogram("henn.request.seconds").observe(seconds)
-                log.event(
-                    "henn.request.ok", request=rid, seconds=seconds, scores=int(len(scores))
-                )
-                responses.append(CloudResponse(ok=True, scores=scores))
-        with self._state_lock:
-            self._requests_served += len(rids)
-            if error is None:
-                self._last_latency = seconds
-        try:
-            out.set_result(responses)
-        except InvalidStateError:
-            pass  # the drain timeout already failed this batch's futures
+    def _execute(self, requests: list, counts: list[int], ctxs: list) -> Future:
+        """Dispatch to the pool; the future pipelines the scheduler, which
+        fires the next batch once this one is assigned — that is what
+        spreads consecutive batches across the workers."""
+        return self.dispatcher.dispatch(requests, counts, traces=ctxs)
 
     # -- lifecycle / health ----------------------------------------------------------
 

@@ -86,6 +86,21 @@ __all__ = [
 #: Worker lifecycle states, in the order the failover machine walks them.
 WORKER_STATES = ("warming", "ready", "dead", "respawning")
 
+#: Liveness cadence: every interval the monitor checks ``Process.is_alive``
+#: and pings *idle* workers; an idle worker whose pong is overdue by the
+#: timeout is SIGKILLed and treated as dead (a hung worker is as lost as
+#: a crashed one).
+HEARTBEAT_INTERVAL_S = 0.25
+HEARTBEAT_TIMEOUT_S = 10.0
+#: Budget for one worker to report ready before its spawn counts as failed.
+SPAWN_TIMEOUT_S = 120.0
+#: Spawn attempts per death before that slot is abandoned; when every
+#: slot is abandoned the pool reports itself lost.
+RESPAWN_MAX_ATTEMPTS = 3
+#: Longest one batch may wait for a free worker before the dispatcher
+#: answers with retryable overload backpressure.
+DISPATCH_TIMEOUT_S = 60.0
+
 
 def _count(event: str, n: int = 1) -> None:
     get_registry().counter(f"cluster.{event}").inc(n)
@@ -197,6 +212,7 @@ def _worker_main(index: int, conn: Any, engine_factory: Callable[[], Any],
     ``rtrace.worker.*`` phase spans — and ships the finished spans back
     with the result for the gateway to merge into the request traces.
     """
+    from repro.henn.inference import evaluate_batch
     from repro.obs import metrics as _metrics
     from repro.obs import tracer as _tracer
 
@@ -242,22 +258,16 @@ def _worker_main(index: int, conn: Any, engine_factory: Callable[[], Any],
         requests, slots, sampled = payload
         tracer: Any = None
         prev_tracer: Any = None
+        stage = None
         if sampled:
             tracer = _tracer.Tracer()
             prev_tracer = _tracer.set_tracer(tracer)
+            stage = lambda phase: tracer.span(  # noqa: E731 - this batch's phases only
+                f"rtrace.worker.{phase}", batch=len(requests)
+            )
         t0 = time.perf_counter()
         try:
-            if tracer is not None:
-                with tracer.span("rtrace.worker.pack", batch=len(requests)):
-                    assembled = engine.assemble_batch(requests, slots)
-                with tracer.span("rtrace.worker.evaluate"):
-                    scores = engine.run_encrypted(assembled)
-                with tracer.span("rtrace.worker.split"):
-                    per_request = engine.split_scores(scores, slots)
-            else:
-                assembled = engine.assemble_batch(requests, slots)
-                scores = engine.run_encrypted(assembled)
-                per_request = engine.split_scores(scores, slots)
+            per_request = evaluate_batch(engine, requests, slots, stage)
             seconds = time.perf_counter() - t0
             span_dicts = (
                 [s.to_dict() for s in tracer.finished()] if tracer is not None else []
@@ -384,17 +394,6 @@ class WorkerPool:
         Respawn dead workers in the background (bounded attempts); with
         ``False`` a dead worker stays dead — the whole-pool-loss
         degradation tests rely on this.
-    heartbeat_interval_s / heartbeat_timeout_s:
-        Liveness cadence: every interval the monitor checks
-        ``Process.is_alive`` and pings *idle* workers; an idle worker
-        whose pong is overdue by the timeout is SIGKILLed and treated
-        as dead (a hung worker is as lost as a crashed one).
-    spawn_timeout_s:
-        Budget for one worker to report ready before spawn counts as
-        failed.
-    respawn_max_attempts:
-        Spawn attempts per death before that slot is abandoned; when
-        every slot is abandoned the pool reports itself lost.
     fault_injector:
         Optional seeded :class:`~repro.resilience.FaultInjector` (armed
         via ``kill_cluster_worker``); consulted parent-side at every
@@ -409,10 +408,6 @@ class WorkerPool:
         *,
         max_inflight: int = 1,
         respawn: bool = True,
-        heartbeat_interval_s: float = 0.25,
-        heartbeat_timeout_s: float = 10.0,
-        spawn_timeout_s: float = 120.0,
-        respawn_max_attempts: int = 3,
         fault_injector: Any | None = None,
         shared_cache_refs: dict | None = None,
         name: str = "cluster",
@@ -425,10 +420,6 @@ class WorkerPool:
         self.size = int(size)
         self.max_inflight = int(max_inflight)
         self.respawn = respawn
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.heartbeat_timeout_s = float(heartbeat_timeout_s)
-        self.spawn_timeout_s = float(spawn_timeout_s)
-        self.respawn_max_attempts = int(respawn_max_attempts)
         self.fault_injector = fault_injector
         self.shared_cache_refs = shared_cache_refs
         self.name = name
@@ -692,7 +683,7 @@ class WorkerPool:
 
     def _respawn_loop(self, worker: ClusterWorker) -> None:
         backoff = 0.05
-        for attempt in range(1, self.respawn_max_attempts + 1):
+        for attempt in range(1, RESPAWN_MAX_ATTEMPTS + 1):
             with self.cond:
                 if self._closed:
                     return
@@ -706,7 +697,7 @@ class WorkerPool:
                 continue
             self._respawns += 1
             _count("respawns")
-            if self._await_ready(worker, self.spawn_timeout_s):
+            if self._await_ready(worker, SPAWN_TIMEOUT_S):
                 return
             # spawned but never became ready: kill and try again
             with self.cond:
@@ -737,7 +728,7 @@ class WorkerPool:
             with self.cond:
                 if self._closed:
                     return
-            time.sleep(self.heartbeat_interval_s)
+            time.sleep(HEARTBEAT_INTERVAL_S)
             now = time.monotonic()
             for worker in self.workers:
                 with self.cond:
@@ -753,7 +744,7 @@ class WorkerPool:
                     idle = not worker.inflight
                     overdue = (
                         worker.ping_sent is not None
-                        and now - worker.ping_sent > self.heartbeat_timeout_s
+                        and now - worker.ping_sent > HEARTBEAT_TIMEOUT_S
                     )
                 if overdue and idle:
                     # Idle but unresponsive: as lost as crashed.
@@ -877,34 +868,28 @@ class Dispatcher:
     ----------
     pool:
         The started :class:`WorkerPool`.
-    policy:
-        Failover budget: ``max_retries`` extra dispatch attempts per
-        batch after a worker loss, with the policy's seeded backoff
-        between attempts (reusing
-        :class:`~repro.resilience.ResiliencePolicy` exactly as the
-        channel-level executor does).
     fallback:
         ``(requests, slots) -> per_request_results`` evaluated
         in-process when the whole pool is lost — the serial
         degradation tier.  ``None`` fails such batches with the
         retryable :class:`~repro.serving.errors.ClusterUnavailableError`.
-    dispatch_timeout_s:
-        Longest one batch may wait for a free worker before the
-        dispatcher answers with retryable overload backpressure.
+
+    The failover budget is :attr:`policy`: ``max_retries`` extra
+    dispatch attempts per batch after a worker loss, with the policy's
+    seeded backoff between attempts (reusing
+    :class:`~repro.resilience.ResiliencePolicy` exactly as the
+    channel-level executor does).
     """
 
     def __init__(
         self,
         pool: WorkerPool,
         *,
-        policy: ResiliencePolicy | None = None,
         fallback: Callable[[Sequence[Any], Sequence[int]], Sequence[Any]] | None = None,
-        dispatch_timeout_s: float = 60.0,
     ):
         self.pool = pool
-        self.policy = policy or ResiliencePolicy(max_retries=2)
+        self.policy = ResiliencePolicy(max_retries=2)
         self.fallback = fallback
-        self.dispatch_timeout_s = float(dispatch_timeout_s)
         self._job_ids = itertools.count(1)
         self._rng = random.Random(self.policy.seed)
         self._degraded = False
@@ -938,7 +923,7 @@ class Dispatcher:
 
     def _assign(self, job: _Job, first: bool) -> None:
         """Place *job* on a worker / the fallback, or fail its future."""
-        deadline = time.monotonic() + self.dispatch_timeout_s
+        deadline = time.monotonic() + DISPATCH_TIMEOUT_S
         while True:
             if self.pool.closed:
                 job.future.set_exception(SchedulerClosedError("cluster pool is closed"))

@@ -10,11 +10,8 @@
   ciphertext decrypts, in exact big-integer arithmetic, to the degree-2
   plaintext plus a noise inside the bound derived in docs/KERNELS.md
   "Hybrid key switching".
-* The hoist cache is keyed on the source polynomial, skips the hash when
-  an entry could never be admitted, and a corrupted entry is contained.
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -30,7 +27,6 @@ from repro.henn.compiler import model_depth
 from repro.henn.inference import HeInferenceEngine
 from repro.nt.modarith import addmod, mulmod, negmod, submod
 from repro.nt.ntt import NttPlan
-from repro.obs.metrics import get_registry
 
 from ..henn.test_lazy_relin import LAZY_EAGER_ATOL
 
@@ -337,70 +333,3 @@ def test_smoke_logits_within_lazy_eager_atol_of_alpha1(smoke_models, arch):
         )
         logits[alpha] = HeInferenceEngine(backend, layers, (1, 12, 12)).classify(images[:4])
     assert np.allclose(logits[3], logits[1], atol=LAZY_EAGER_ATOL)
-
-
-# -- hoist cache ------------------------------------------------------------------
-
-
-def test_hoist_key_is_the_source_polynomial_and_oversize_is_not_hashed(rng, monkeypatch):
-    ctx = _context(3)
-    kp = ctx.keygen(3)
-    ct = ctx.encrypt(kp.pk, rng.uniform(-1, 1, ctx.slots), 5)
-    x = ctx.square_raw(ct)
-    reg = get_registry()
-    hit, miss = reg.counter("keyswitch.hoist.hit"), reg.counter("keyswitch.hoist.miss")
-    h0, m0 = hit.value, miss.value
-    first = ctx.relinearize(x, kp.relin)
-    again = ctx.relinearize(x, kp.relin)
-    assert (hit.value - h0, miss.value - m0) == (1, 1)
-    assert np.array_equal(first.c0, again.c0)
-    x_coeff = _coeff(ctx, x.c2)
-    digest = hashlib.blake2b(x_coeff.tobytes(), digest_size=16).digest()
-    (key,) = ctx._hoist_cache
-    assert key == (x.level, x_coeff.shape, digest)
-    assert ctx._hoist_cache[key].shape == (ctx.k_top + 3, kp.relin.b.shape[0], N)
-
-    # One byte short of the entry: it can never be admitted, so it is a
-    # miss that costs no digest.
-    ctx.clear_hoist_cache()
-    ctx.hoist_cache_bytes = (ctx.k_top + 3) * kp.relin.b.shape[0] * N * 8 - 1
-    calls = []
-    real = hashlib.blake2b
-    monkeypatch.setattr(
-        "repro.ckksrns.context.hashlib.blake2b",
-        lambda *a, **k: calls.append(1) or real(*a, **k),
-    )
-    h1, m1 = hit.value, miss.value
-    bypass = ctx.relinearize(x, kp.relin)
-    assert (hit.value - h1, miss.value - m1) == (0, 1)
-    assert not calls and not ctx._hoist_cache
-    assert np.array_equal(bypass.c0, first.c0) and np.array_equal(bypass.c1, first.c1)
-
-
-@pytest.mark.faults
-def test_corrupted_hoist_entry_is_contained_to_its_polynomial(rng):
-    """One flipped word in a hoisted α = 3 entry: the switch that reuses it
-    decrypts to garbage, every other polynomial is untouched, and
-    clearing the cache restores the exact result."""
-    ctx = _context(3)
-    kp = ctx.keygen(3)
-    z = rng.uniform(-1, 1, ctx.slots)
-    ct = ctx.encrypt(kp.pk, z, 5)
-    other = ctx.encrypt(kp.pk, z[::-1].copy(), 6)
-    x, y = ctx.square_raw(ct), ctx.square_raw(other)
-    clean_x = ctx.relinearize(x, kp.relin)
-    clean_y = ctx.relinearize(y, kp.relin)
-    assert len(ctx._hoist_cache) == 2
-    x_key = next(iter(ctx._hoist_cache))  # oldest entry = x's digits
-    ctx._hoist_cache[x_key][0, 0, 3] ^= 1 << 20
-
-    bad = ctx.relinearize(x, kp.relin)
-    assert not np.array_equal(bad.c0, clean_x.c0)
-    err = np.abs(ctx.decrypt_real(kp.sk, ctx.rescale(bad)) - z * z).max()
-    assert err > 1.0  # a corrupted digit is multiplied by a uniform key row
-    still = ctx.relinearize(y, kp.relin)
-    assert np.array_equal(still.c0, clean_y.c0) and np.array_equal(still.c1, clean_y.c1)
-
-    ctx.clear_hoist_cache()
-    healed = ctx.relinearize(x, kp.relin)
-    assert np.array_equal(healed.c0, clean_x.c0) and np.array_equal(healed.c1, clean_x.c1)

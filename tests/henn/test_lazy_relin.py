@@ -1,4 +1,4 @@
-"""Lazy relinearisation: precision bounds, sweep counts, hoisting.
+"""Lazy relinearisation: precision bounds and sweep counts.
 
 The lazy BSGS interpreter keeps products in degree-2/3 extended space
 and relinearises each block sum once (``docs/KERNELS.md``).  Contract:
@@ -14,8 +14,6 @@ and relinearises each block sum once (``docs/KERNELS.md``).  Contract:
   keyswitch sweeps lazily (``~ceil(d / giant_step)``) versus
   ``program.ct_mults`` eagerly (``~2*sqrt(d)``), metered through
   ``relin.count`` / ``relin.deferred``;
-* **hoisting** — re-evaluating the same ciphertext serves every digit
-  decomposition from the hoist cache: hits == reuse count;
 * **packed** — the SlotPackedBackend lane path inherits the lazy win
   with every lane still inside the precision bound.
 """
@@ -130,43 +128,6 @@ def test_relin_count_table_documented():
         prog = compile_poly_program(degree)
         assert prog.relins == relins, degree
         assert prog.relins <= prog.ct_mults
-
-
-def test_hoist_cache_hits_equal_reuse_count(rng):
-    """Re-evaluating one ciphertext serves all its digit lifts from cache."""
-    backend = _rns()
-    assert backend.ctx.hoist_cache_bytes > 0
-    reg = get_registry()
-    coeffs = _coeffs(rng, 5)
-    ct = backend.encrypt(rng.uniform(-1, 1, 8))
-    backend.ctx.clear_hoist_cache()
-
-    hit0 = reg.counter("keyswitch.hoist.hit").value
-    miss0 = reg.counter("keyswitch.hoist.miss").value
-    backend.poly_eval(ct, coeffs)
-    first_miss = reg.counter("keyswitch.hoist.miss").value - miss0
-    assert reg.counter("keyswitch.hoist.hit").value == hit0  # cold: all misses
-    assert first_miss > 0
-
-    reuse = 3
-    hit1 = reg.counter("keyswitch.hoist.hit").value
-    miss1 = reg.counter("keyswitch.hoist.miss").value
-    for _ in range(reuse):
-        backend.poly_eval(ct, coeffs)
-    assert reg.counter("keyswitch.hoist.miss").value == miss1  # warm: no misses
-    assert reg.counter("keyswitch.hoist.hit").value - hit1 == reuse * first_miss
-
-
-def test_hoisting_disabled_never_hits(rng):
-    backend = _rns()
-    backend.ctx.hoist_cache_bytes = 0
-    backend.ctx.clear_hoist_cache()
-    reg = get_registry()
-    hit0 = reg.counter("keyswitch.hoist.hit").value
-    ct = backend.encrypt(rng.uniform(-1, 1, 8))
-    backend.poly_eval(ct, _coeffs(rng, 4))
-    backend.poly_eval(ct, _coeffs(rng, 4))
-    assert reg.counter("keyswitch.hoist.hit").value == hit0
 
 
 def test_defer_high_relin_bitidentical(rns, rng):

@@ -38,8 +38,6 @@ COUNTERS = (
     "relin.count",
     "relin.deferred",
     "poly.bsgs.ct_mults",
-    "keyswitch.hoist.hit",
-    "keyswitch.hoist.miss",
 )
 
 
@@ -117,106 +115,106 @@ def smoke_table(models) -> dict[str, str]:
 
 #: ``poly_table()`` and ``smoke_table()`` under the parent commit's sources.
 PARENT: dict[str, str] = {
- 'ckks/eager/1': '0f1992f24d5d8e05:0,0,0,0,0',
- 'ckks/eager/2': '932504303e1bb11e:1,0,1,0,0',
- 'ckks/eager/3': '0c0c2066cf0ed5b6:2,0,2,0,0',
- 'ckks/eager/4': '7f59af8dceada6b6:3,0,3,0,0',
- 'ckks/eager/5': '854380874417717c:3,0,3,0,0',
- 'ckks/eager/6': '1a0b32af008dfd66:3,0,3,0,0',
- 'ckks/eager/7': '9cef3be234d553f2:4,0,4,0,0',
- 'ckks/eager/8': '16825eabee330b15:4,0,4,0,0',
- 'ckks/lazy/1': '0f1992f24d5d8e05:0,0,0,0,0',
- 'ckks/lazy/2': '02a57eda1c319d04:1,1,1,0,0',
- 'ckks/lazy/3': 'f69fa28c3be4aa95:1,1,2,0,0',
- 'ckks/lazy/4': '9dc560d9428f554b:2,2,3,0,0',
- 'ckks/lazy/5': '81dccf3568d4a69d:2,2,3,0,0',
- 'ckks/lazy/6': '93ebc653e4f13e05:3,3,3,0,0',
- 'ckks/lazy/7': '37abc1843d0f04c0:3,3,4,0,0',
- 'ckks/lazy/8': '640a34590fcddced:3,3,4,0,0',
- 'cnn1/serial': 'e7a3abd67067cf33:2,2,4,0,2',
- 'cnn1/thread': 'e7a3abd67067cf33:2,2,4,0,0',
- 'cnn2/serial': '307b8d37696d9691:3,3,6,0,3',
- 'cnn2/thread': '307b8d37696d9691:3,3,6,0,0',
- 'lanes-ckks/eager/1': '26c4e6c10fb4dd95:0,0,0,0,0',
- 'lanes-ckks/eager/2': 'de1210d8f61a5d5e:9,0,3,0,0',
- 'lanes-ckks/eager/3': 'd3a1d5ce9b50083f:18,0,6,0,0',
- 'lanes-ckks/eager/4': '501d8021adbc643e:27,0,9,0,0',
- 'lanes-ckks/eager/5': 'b5bd69f23ba6fe3e:27,0,9,0,0',
- 'lanes-ckks/eager/6': 'e9735adccf01fd31:27,0,9,0,0',
- 'lanes-ckks/eager/7': '544cddd5a1c007eb:36,0,12,0,0',
- 'lanes-ckks/eager/8': 'a91f6973c69a1e8e:36,0,12,0,0',
- 'lanes-ckks/lazy/1': '26c4e6c10fb4dd95:0,0,0,0,0',
- 'lanes-ckks/lazy/2': 'e2b5349666ebda76:9,9,3,0,0',
- 'lanes-ckks/lazy/3': '2c234f5741b7f808:9,9,6,0,0',
- 'lanes-ckks/lazy/4': 'b1eb5ec49317eeb8:18,18,9,0,0',
- 'lanes-ckks/lazy/5': '645d788622e9cfa9:18,18,9,0,0',
- 'lanes-ckks/lazy/6': '147dbe3e3c1ec2ba:27,27,9,0,0',
- 'lanes-ckks/lazy/7': 'eb9491071a9be420:27,27,12,0,0',
- 'lanes-ckks/lazy/8': '9b7e342a8329fc28:27,27,12,0,0',
- 'lanes-rns/eager/1': '0511b4d8d78d0ff6:0,0,0,0,0',
- 'lanes-rns/eager/2': 'ad3b4dabdcc46410:1,0,1,0,1',
- 'lanes-rns/eager/3': 'e772d5e7362b19f4:2,0,2,0,2',
- 'lanes-rns/eager/4': '820645b8195f855d:3,0,3,0,3',
- 'lanes-rns/eager/5': '7ad7ebca73b8bd0d:3,0,3,0,3',
- 'lanes-rns/eager/6': 'd1b1a959827b9851:3,0,3,0,3',
- 'lanes-rns/eager/7': 'c34638f24f882825:4,0,4,0,4',
- 'lanes-rns/eager/8': 'e8705ac2851c8984:4,0,4,0,4',
- 'lanes-rns/lazy/1': '0511b4d8d78d0ff6:0,0,0,0,0',
- 'lanes-rns/lazy/2': 'ad78ab68f237d442:1,1,1,0,1',
- 'lanes-rns/lazy/3': 'd024ee5ef83846e3:1,1,2,0,1',
- 'lanes-rns/lazy/4': '896cf4eab0a8797c:2,2,3,0,2',
- 'lanes-rns/lazy/5': '96f8fc6ff0982284:2,2,3,0,2',
- 'lanes-rns/lazy/6': '27dc0d42cf18d6ce:3,3,3,0,3',
- 'lanes-rns/lazy/7': 'a6a6e0573aaf9446:3,3,4,0,3',
- 'lanes-rns/lazy/8': '908f9170edee4dac:3,3,4,0,3',
- 'mock/eager/1': 'a56bb0f2a54c5819:0,0,0,0,0',
- 'mock/eager/2': '728c0f2544f72aca:0,0,1,0,0',
- 'mock/eager/3': 'f4a5c966818ad194:0,0,2,0,0',
- 'mock/eager/4': '6f71fd9372bb2ae3:0,0,3,0,0',
- 'mock/eager/5': 'fbe6a7d727cc67e5:0,0,3,0,0',
- 'mock/eager/6': 'bc798fe892fae631:0,0,3,0,0',
- 'mock/eager/7': 'bbfc94960d7e1a49:0,0,4,0,0',
- 'mock/eager/8': 'dd20e19475686bbc:0,0,4,0,0',
- 'mock/lazy/1': 'a56bb0f2a54c5819:0,0,0,0,0',
- 'mock/lazy/2': '728c0f2544f72aca:1,1,1,0,0',
- 'mock/lazy/3': 'f4a5c966818ad194:1,1,2,0,0',
- 'mock/lazy/4': '6f71fd9372bb2ae3:2,2,3,0,0',
- 'mock/lazy/5': 'fbe6a7d727cc67e5:2,2,3,0,0',
- 'mock/lazy/6': 'bc798fe892fae631:3,3,3,0,0',
- 'mock/lazy/7': 'bbfc94960d7e1a49:3,3,4,0,0',
- 'mock/lazy/8': 'dd20e19475686bbc:3,3,4,0,0',
- 'rns-batch/eager/1': '2ba3cbf639da7f6c:0,0,0,0,0',
- 'rns-batch/eager/2': 'dd962ffe13122a54:1,0,1,0,1',
- 'rns-batch/eager/3': '717b5b23ee409d48:2,0,2,0,2',
- 'rns-batch/eager/4': '2078b714286a113c:3,0,3,0,3',
- 'rns-batch/eager/5': '192430337933fe6c:3,0,3,0,3',
- 'rns-batch/eager/6': 'a4684324b84890d0:3,0,3,0,3',
- 'rns-batch/eager/7': '7baedd33bb28b411:4,0,4,0,4',
- 'rns-batch/eager/8': 'e63bdcca25ce592e:4,0,4,0,4',
- 'rns-batch/lazy/1': '2ba3cbf639da7f6c:0,0,0,0,0',
- 'rns-batch/lazy/2': 'dac3f152e25b1f47:1,1,1,0,1',
- 'rns-batch/lazy/3': '73aebf4ef5f8d841:1,1,2,0,1',
- 'rns-batch/lazy/4': 'b1d73d95a9350efa:2,2,3,0,2',
- 'rns-batch/lazy/5': '37bf2a04a75c1dab:2,2,3,0,2',
- 'rns-batch/lazy/6': 'aa6cbfb587b98620:3,3,3,0,3',
- 'rns-batch/lazy/7': '39b12b44b0f65d02:3,3,4,0,3',
- 'rns-batch/lazy/8': 'c0b45f05196577ff:3,3,4,0,3',
- 'rns/eager/1': 'db94fdaa4c827f48:0,0,0,0,0',
- 'rns/eager/2': '323788ae48209dd2:1,0,1,0,1',
- 'rns/eager/3': '6247800bcd28b414:2,0,2,0,2',
- 'rns/eager/4': '6cd945b11dd1377c:3,0,3,0,3',
- 'rns/eager/5': '3eb2f28ed447af33:3,0,3,0,3',
- 'rns/eager/6': '75b9be3807124444:3,0,3,0,3',
- 'rns/eager/7': 'defdd3e94242606f:4,0,4,0,4',
- 'rns/eager/8': 'f57b20cf705e8923:4,0,4,0,4',
- 'rns/lazy/1': 'db94fdaa4c827f48:0,0,0,0,0',
- 'rns/lazy/2': 'c8df5087f79a2b8e:1,1,1,0,1',
- 'rns/lazy/3': '883c9779d89b1bfe:1,1,2,0,1',
- 'rns/lazy/4': 'ea72f126781b8f96:2,2,3,0,2',
- 'rns/lazy/5': 'bc0fd1432893a681:2,2,3,0,2',
- 'rns/lazy/6': '6d3f534114c8ad5b:3,3,3,0,3',
- 'rns/lazy/7': 'e6998f215b4dd0d9:3,3,4,0,3',
- 'rns/lazy/8': '4ddc86a9e0110c04:3,3,4,0,3'}
+ 'ckks/eager/1': '0f1992f24d5d8e05:0,0,0',
+ 'ckks/eager/2': '932504303e1bb11e:1,0,1',
+ 'ckks/eager/3': '0c0c2066cf0ed5b6:2,0,2',
+ 'ckks/eager/4': '7f59af8dceada6b6:3,0,3',
+ 'ckks/eager/5': '854380874417717c:3,0,3',
+ 'ckks/eager/6': '1a0b32af008dfd66:3,0,3',
+ 'ckks/eager/7': '9cef3be234d553f2:4,0,4',
+ 'ckks/eager/8': '16825eabee330b15:4,0,4',
+ 'ckks/lazy/1': '0f1992f24d5d8e05:0,0,0',
+ 'ckks/lazy/2': '02a57eda1c319d04:1,1,1',
+ 'ckks/lazy/3': 'f69fa28c3be4aa95:1,1,2',
+ 'ckks/lazy/4': '9dc560d9428f554b:2,2,3',
+ 'ckks/lazy/5': '81dccf3568d4a69d:2,2,3',
+ 'ckks/lazy/6': '93ebc653e4f13e05:3,3,3',
+ 'ckks/lazy/7': '37abc1843d0f04c0:3,3,4',
+ 'ckks/lazy/8': '640a34590fcddced:3,3,4',
+ 'cnn1/serial': 'e7a3abd67067cf33:2,2,4',
+ 'cnn1/thread': 'e7a3abd67067cf33:2,2,4',
+ 'cnn2/serial': '307b8d37696d9691:3,3,6',
+ 'cnn2/thread': '307b8d37696d9691:3,3,6',
+ 'lanes-ckks/eager/1': '26c4e6c10fb4dd95:0,0,0',
+ 'lanes-ckks/eager/2': 'de1210d8f61a5d5e:9,0,3',
+ 'lanes-ckks/eager/3': 'd3a1d5ce9b50083f:18,0,6',
+ 'lanes-ckks/eager/4': '501d8021adbc643e:27,0,9',
+ 'lanes-ckks/eager/5': 'b5bd69f23ba6fe3e:27,0,9',
+ 'lanes-ckks/eager/6': 'e9735adccf01fd31:27,0,9',
+ 'lanes-ckks/eager/7': '544cddd5a1c007eb:36,0,12',
+ 'lanes-ckks/eager/8': 'a91f6973c69a1e8e:36,0,12',
+ 'lanes-ckks/lazy/1': '26c4e6c10fb4dd95:0,0,0',
+ 'lanes-ckks/lazy/2': 'e2b5349666ebda76:9,9,3',
+ 'lanes-ckks/lazy/3': '2c234f5741b7f808:9,9,6',
+ 'lanes-ckks/lazy/4': 'b1eb5ec49317eeb8:18,18,9',
+ 'lanes-ckks/lazy/5': '645d788622e9cfa9:18,18,9',
+ 'lanes-ckks/lazy/6': '147dbe3e3c1ec2ba:27,27,9',
+ 'lanes-ckks/lazy/7': 'eb9491071a9be420:27,27,12',
+ 'lanes-ckks/lazy/8': '9b7e342a8329fc28:27,27,12',
+ 'lanes-rns/eager/1': '0511b4d8d78d0ff6:0,0,0',
+ 'lanes-rns/eager/2': 'ad3b4dabdcc46410:1,0,1',
+ 'lanes-rns/eager/3': 'e772d5e7362b19f4:2,0,2',
+ 'lanes-rns/eager/4': '820645b8195f855d:3,0,3',
+ 'lanes-rns/eager/5': '7ad7ebca73b8bd0d:3,0,3',
+ 'lanes-rns/eager/6': 'd1b1a959827b9851:3,0,3',
+ 'lanes-rns/eager/7': 'c34638f24f882825:4,0,4',
+ 'lanes-rns/eager/8': 'e8705ac2851c8984:4,0,4',
+ 'lanes-rns/lazy/1': '0511b4d8d78d0ff6:0,0,0',
+ 'lanes-rns/lazy/2': 'ad78ab68f237d442:1,1,1',
+ 'lanes-rns/lazy/3': 'd024ee5ef83846e3:1,1,2',
+ 'lanes-rns/lazy/4': '896cf4eab0a8797c:2,2,3',
+ 'lanes-rns/lazy/5': '96f8fc6ff0982284:2,2,3',
+ 'lanes-rns/lazy/6': '27dc0d42cf18d6ce:3,3,3',
+ 'lanes-rns/lazy/7': 'a6a6e0573aaf9446:3,3,4',
+ 'lanes-rns/lazy/8': '908f9170edee4dac:3,3,4',
+ 'mock/eager/1': 'a56bb0f2a54c5819:0,0,0',
+ 'mock/eager/2': '728c0f2544f72aca:0,0,1',
+ 'mock/eager/3': 'f4a5c966818ad194:0,0,2',
+ 'mock/eager/4': '6f71fd9372bb2ae3:0,0,3',
+ 'mock/eager/5': 'fbe6a7d727cc67e5:0,0,3',
+ 'mock/eager/6': 'bc798fe892fae631:0,0,3',
+ 'mock/eager/7': 'bbfc94960d7e1a49:0,0,4',
+ 'mock/eager/8': 'dd20e19475686bbc:0,0,4',
+ 'mock/lazy/1': 'a56bb0f2a54c5819:0,0,0',
+ 'mock/lazy/2': '728c0f2544f72aca:1,1,1',
+ 'mock/lazy/3': 'f4a5c966818ad194:1,1,2',
+ 'mock/lazy/4': '6f71fd9372bb2ae3:2,2,3',
+ 'mock/lazy/5': 'fbe6a7d727cc67e5:2,2,3',
+ 'mock/lazy/6': 'bc798fe892fae631:3,3,3',
+ 'mock/lazy/7': 'bbfc94960d7e1a49:3,3,4',
+ 'mock/lazy/8': 'dd20e19475686bbc:3,3,4',
+ 'rns-batch/eager/1': '2ba3cbf639da7f6c:0,0,0',
+ 'rns-batch/eager/2': 'dd962ffe13122a54:1,0,1',
+ 'rns-batch/eager/3': '717b5b23ee409d48:2,0,2',
+ 'rns-batch/eager/4': '2078b714286a113c:3,0,3',
+ 'rns-batch/eager/5': '192430337933fe6c:3,0,3',
+ 'rns-batch/eager/6': 'a4684324b84890d0:3,0,3',
+ 'rns-batch/eager/7': '7baedd33bb28b411:4,0,4',
+ 'rns-batch/eager/8': 'e63bdcca25ce592e:4,0,4',
+ 'rns-batch/lazy/1': '2ba3cbf639da7f6c:0,0,0',
+ 'rns-batch/lazy/2': 'dac3f152e25b1f47:1,1,1',
+ 'rns-batch/lazy/3': '73aebf4ef5f8d841:1,1,2',
+ 'rns-batch/lazy/4': 'b1d73d95a9350efa:2,2,3',
+ 'rns-batch/lazy/5': '37bf2a04a75c1dab:2,2,3',
+ 'rns-batch/lazy/6': 'aa6cbfb587b98620:3,3,3',
+ 'rns-batch/lazy/7': '39b12b44b0f65d02:3,3,4',
+ 'rns-batch/lazy/8': 'c0b45f05196577ff:3,3,4',
+ 'rns/eager/1': 'db94fdaa4c827f48:0,0,0',
+ 'rns/eager/2': '323788ae48209dd2:1,0,1',
+ 'rns/eager/3': '6247800bcd28b414:2,0,2',
+ 'rns/eager/4': '6cd945b11dd1377c:3,0,3',
+ 'rns/eager/5': '3eb2f28ed447af33:3,0,3',
+ 'rns/eager/6': '75b9be3807124444:3,0,3',
+ 'rns/eager/7': 'defdd3e94242606f:4,0,4',
+ 'rns/eager/8': 'f57b20cf705e8923:4,0,4',
+ 'rns/lazy/1': 'db94fdaa4c827f48:0,0,0',
+ 'rns/lazy/2': 'c8df5087f79a2b8e:1,1,1',
+ 'rns/lazy/3': '883c9779d89b1bfe:1,1,2',
+ 'rns/lazy/4': 'ea72f126781b8f96:2,2,3',
+ 'rns/lazy/5': 'bc0fd1432893a681:2,2,3',
+ 'rns/lazy/6': '6d3f534114c8ad5b:3,3,3',
+ 'rns/lazy/7': 'e6998f215b4dd0d9:3,3,4',
+ 'rns/lazy/8': '4ddc86a9e0110c04:3,3,4'}
 
 
 def test_poly_eval_bit_identical_to_parent():

@@ -201,6 +201,50 @@ def test_warm_classify_zero_fresh_encodes():
     assert reg.counter("plan.cache.miss").value == miss0
 
 
+@pytest.mark.parametrize("order", ["service-first", "client-first", "two-services"])
+def test_service_keeps_its_plan_cache_whoever_is_built_after_it(order):
+    """Regression: ``Client`` compiled an empty plan whose fresh cache
+    replaced the service's on the shared context (last writer won), so
+    the cloud's biases and SLAF constants were memoised on the data
+    owner's object and ``plan.cache`` described the wrong cache.  The
+    client compiles nothing, and a second plan adopts the installed cache."""
+    from repro.henn.protocol import Client, CloudService
+
+    backend = CkksRnsBackend(
+        CkksRnsParams(
+            n=128, moduli_bits=(36, 26, 26, 26, 26, 26), scale_bits=26,
+            special_bits=45, hw=16,
+        ),
+        seed=0,
+    )
+    layers = _tiny_layers()
+    if order == "client-first":
+        client = Client(backend, IN_SHAPE)
+        service = CloudService(backend, layers, IN_SHAPE)
+    else:
+        service = CloudService(backend, layers, IN_SHAPE)
+        client = Client(backend, IN_SHAPE)
+    services = [service]
+    if order == "two-services":
+        services.append(CloudService(backend, layers, IN_SHAPE))
+    for svc in services:
+        assert backend.ctx.plain_cache is svc.engine.plan.cache
+    assert client._packer.plan is None  # the client holds no cache at all
+
+    x = _images(4)
+    entries = len(service.engine.plan.cache)
+    assert service.try_classify(client.encrypt_request(x)).ok  # cold: scalars land
+    assert len(service.engine.plan.cache) > entries
+    reg = get_registry()
+    fresh0 = reg.counter("plan.encode.fresh").value
+    warm = len(service.engine.plan.cache)
+    for _ in range(3):
+        for svc in services:
+            assert svc.try_classify(client.encrypt_request(x)).ok
+    assert reg.counter("plan.encode.fresh").value == fresh0
+    assert len(service.engine.plan.cache) == warm
+
+
 def test_plan_reused_across_engines():
     """An adopted plan object skips recompilation and still evaluates."""
     backend = MockBackend(batch=4, scale_bits=26, levels=5)

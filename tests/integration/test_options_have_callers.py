@@ -1,0 +1,178 @@
+"""No option without a caller (structural, AST-only — imports nothing).
+
+Every optional constructor parameter of the serving / backend / engine
+classes doubles the configurations the tests and benchmarks must cover,
+so each one has to be *set* somewhere: passed at ≥ 1 call site under
+``src/ tools/ benchmarks/ examples/ tests/``.  A parameter a wrapper
+merely forwards from its own parameter (``super().__init__(x=x)``,
+``WorkerPool(..., spawn_timeout_s=spawn_timeout_s)``) only counts when
+the wrapper's parameter is itself set by someone.  Likewise the only
+environment variables ``src/`` may read are the two deployment settings
+(cache directory, benchmark preset).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+CALL_SITE_DIRS = ("src", "tools", "benchmarks", "examples", "tests")
+
+CLASSES = (
+    "CloudService",
+    "BatchedCloudService",
+    "ClusteredCloudService",
+    "WorkerPool",
+    "Dispatcher",
+    "BatchingScheduler",
+    "CkksRnsContext",
+    "CkksRnsBackend",
+    "CkksBackend",
+    "MockBackend",
+    "HeInferenceEngine",
+    "HybridRnsEngine",
+)
+
+ALLOWED_ENV = {"REPRO_CACHE", "REPRO_BENCH_PRESET"}
+
+
+def _trees(*dirs: str):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _constructors() -> dict[str, tuple[ast.ClassDef, ast.FunctionDef]]:
+    found = {}
+    for _, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in CLASSES:
+                init = next(
+                    n
+                    for n in node.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "__init__"
+                )
+                assert node.name not in found, f"two classes named {node.name}"
+                found[node.name] = (node, init)
+    assert set(found) == set(CLASSES), set(CLASSES) - set(found)
+    return found
+
+
+def _signature(init: ast.FunctionDef) -> tuple[list[str], set[str]]:
+    """``(positional names after self, optional names)`` of a constructor."""
+    a = init.args
+    positional = [p.arg for p in a.posonlyargs + a.args][1:]
+    with_default = positional[len(positional) - len(a.defaults) :] if a.defaults else []
+    return positional, set(with_default) | {p.arg for p in a.kwonlyargs}
+
+
+def _callee(call: ast.Call, enclosing_class: ast.ClassDef | None) -> str | None:
+    """Target class a call constructs, resolving ``super().__init__``."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute):
+        if (
+            f.attr == "__init__"
+            and isinstance(f.value, ast.Call)
+            and isinstance(f.value.func, ast.Name)
+            and f.value.func.id == "super"
+            and enclosing_class is not None
+            and enclosing_class.bases
+        ):
+            base = enclosing_class.bases[0]
+            return base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+        return f.attr
+    return None
+
+
+def _unset_options() -> list[str]:
+    ctors = _constructors()
+    sigs = {name: _signature(init) for name, (_, init) in ctors.items()}
+    # Keywords a subclass swallows in ``**kwargs`` reach its base class.
+    passthrough = {
+        name: cls.bases[0].id
+        for name, (cls, init) in ctors.items()
+        if init.args.kwarg is not None and cls.bases and cls.bases[0].id in ctors
+    }
+    fed: set[tuple[str, str]] = set()
+    forwards: list[tuple[tuple[str, str], tuple[str, str]]] = []
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None, fn: ast.FunctionDef | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls, fn = node, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node
+        elif isinstance(node, ast.Call):
+            target = _callee(node, cls)
+            if target in ctors:
+                in_ctor = cls is not None and fn is not None and fn.name == "__init__"
+                wrapper = cls.name if in_ctor and cls.name in ctors else None
+                positional, _ = sigs[target]
+                args = [(positional[i], a) for i, a in enumerate(node.args) if i < len(positional)]
+                args += [(k.arg, k.value) for k in node.keywords if k.arg is not None]
+                for name, value in args:
+                    owner = target
+                    while name not in sigs[owner][1] and owner in passthrough:
+                        owner = passthrough[owner]
+                    if name not in sigs[owner][1]:
+                        continue
+                    if (
+                        wrapper is not None
+                        and isinstance(value, ast.Name)
+                        and value.id in sigs[wrapper][1]
+                    ):
+                        forwards.append(((wrapper, value.id), (owner, name)))
+                    else:
+                        fed.add((owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    for _, tree in _trees(*CALL_SITE_DIRS):
+        visit(tree, None, None)
+    grew = True
+    while grew:
+        grew = False
+        for src, dst in forwards:
+            if src in fed and dst not in fed:
+                fed.add(dst)
+                grew = True
+    return sorted(
+        f"{cls}({opt})" for cls, (_, options) in sigs.items() for opt in options if (cls, opt) not in fed
+    )
+
+
+def _env_reads() -> set[str]:
+    """Names ``src/`` reads from the environment; ``<dynamic>`` for a
+    computed name or any other use of ``os.environ`` (iteration, copy)."""
+    names = set()
+    for _, tree in _trees("src"):
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ):
+                continue
+            use = parent[node]
+            if node.attr == "environ" and isinstance(use, ast.Attribute) and use.attr == "get":
+                use = parent[use]
+            key = None
+            if isinstance(use, ast.Call) and use.args:
+                key = use.args[0]
+            elif isinstance(use, ast.Subscript):
+                key = use.slice
+            literal = isinstance(key, ast.Constant) and isinstance(key.value, str)
+            names.add(key.value if literal else "<dynamic>")
+    return names
+
+
+def test_every_constructor_option_is_set_by_some_caller():
+    assert _unset_options() == []
+
+
+def test_src_reads_only_the_two_deployment_env_vars():
+    assert _env_reads() == ALLOWED_ENV

@@ -10,13 +10,21 @@ respawns, resolved futures), never timing-based.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from repro.henn.backend import MockBackend
-from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
-from repro.henn.protocol import Client, ClusteredCloudService, CloudService
+from repro.henn.layers import HeConv2d, HeFlatten, HeLayer, HeLinear, HePoly
+from repro.henn.protocol import (
+    BatchedCloudService,
+    Client,
+    ClusteredCloudService,
+    CloudService,
+)
+from repro.obs.logs import capture_logs
+from repro.obs.metrics import get_registry
 from repro.resilience import FaultInjector
 from repro.serving.cluster import WorkerPool, _Job
 from repro.serving.shedding import ShedPolicy
@@ -73,6 +81,88 @@ def test_cluster_scores_bit_identical_to_serial(layers, images):
         assert response.ok, response.error
         got = client.decrypt_response(response.scores, batch=1)
         assert np.array_equal(got, expected)
+
+
+class _RaisesOnMarkedInput(HeLayer):
+    """Fails the evaluation — inside the engine, worker process included —
+    when the request's first pixel is the marker (mock handles are legible)."""
+
+    def forward(self, backend, x):
+        if x.reshape(-1)[0].values[0] > 50.0:
+            raise RuntimeError("marked input: 51.0")
+        return x
+
+
+def _lifecycle_of(make_service, layers, images) -> dict:
+    """Counter / health / event footprint of one ok request, one failed
+    evaluation and (pipelined services) one cancelled dispatch."""
+    backend = _mock()
+    client = Client(backend, SHAPE)
+    marked = images[:1].copy()
+    marked[0, 0, 0, 0] = 51.0
+    reg = get_registry()
+    probes = {
+        "ok": reg.counter("henn.requests", {"outcome": "ok"}),
+        "error": reg.counter("henn.requests", {"outcome": "error"}),
+        "service_errors": reg.counter("resilience.service_errors"),
+    }
+    latency = reg.histogram("henn.request.seconds")
+    service = make_service(backend, [_RaisesOnMarkedInput()] + layers)
+    try:
+        before = {name: c.value for name, c in probes.items()}
+        observed = latency.count
+        with capture_logs() as buf:
+            assert service.try_classify(client.encrypt_request(images[:1])).ok
+            failed = service.try_classify(client.encrypt_request(marked))
+            assert failed.error.code == "RuntimeError" and "51" not in failed.error.detail
+            cancelled = None
+            if hasattr(service, "dispatcher"):
+                dead = Future()
+                dead.cancel()
+                service.dispatcher.dispatch = lambda *a, **k: dead
+                cancelled = service.try_classify(client.encrypt_request(images[:1]))
+                assert cancelled.error.code == "SchedulerClosedError"
+        events = [(r["event"], tuple(sorted(r))) for r in buf.records()]
+        return {
+            **{name: c.value - before[name] for name, c in probes.items()},
+            "observed": latency.count - observed,
+            "served": service._health()["requests"],
+            "events": events,
+        }
+    finally:
+        if hasattr(service, "close"):
+            service.close()
+
+
+def test_request_lifecycle_is_identical_across_the_three_services(layers, images):
+    """Same requests, same footprint: ``henn.requests{ok,error}``,
+    ``resilience.service_errors`` (one per failed evaluation — a cancelled
+    dispatch is one), ``henn.request.seconds`` observations, the served
+    count and the start -> ok|error event keys, whichever service ran."""
+    serial = _lifecycle_of(lambda b, l: CloudService(b, l, SHAPE), layers, images)
+    assert {k: v for k, v in serial.items() if k != "events"} == {
+        "ok": 1, "error": 1, "service_errors": 1, "observed": 1, "served": 2,
+    }
+    assert [name for name, _ in serial["events"]] == [
+        "henn.request.start", "henn.request.ok", "henn.request.start", "henn.request.error",
+    ]
+    batched = _lifecycle_of(
+        lambda b, l: BatchedCloudService(b, l, SHAPE, max_wait_ms=1.0), layers, images
+    )
+    assert batched == serial
+    clustered = _lifecycle_of(
+        lambda b, l: ClusteredCloudService(b, l, SHAPE, workers=2, max_wait_ms=1.0),
+        layers,
+        images,
+    )
+    # ... plus the cancelled dispatch: one more failed evaluation, same keys.
+    assert clustered == {
+        **serial,
+        "error": 2,
+        "service_errors": 2,
+        "served": 3,
+        "events": serial["events"] + serial["events"][2:],
+    }
 
 
 def test_healthz_reports_pool_and_shed_tier(layers, images):
