@@ -34,7 +34,6 @@ import time
 from conftest import save_record
 
 from repro.bench.workloads import make_engine
-from repro.henn.inference import HeInferenceEngine
 from repro.henn.protocol import (
     BatchedCloudService,
     Client,
@@ -42,7 +41,7 @@ from repro.henn.protocol import (
     ClusteredCloudService,
 )
 from repro.obs.metrics import get_registry
-from repro.serving import ShedPolicy, SlotPackedBackend
+from repro.serving import ShedPolicy
 
 #: Requests each closed-loop client issues per measured run.
 REQUESTS_PER_CLIENT = 8
@@ -55,13 +54,6 @@ CLUSTER_CLIENTS = 64
 CLUSTER_REQUESTS_PER_CLIENT = 4
 CLUSTER_WORKERS = (1, 3)
 CLUSTER_BATCH_SLOTS = 16
-
-#: Lane-packed sweep (PR 8): batch sizes for the CKKS-RNS amortization run.
-PACKED_BATCHES = (1, 4, 16)
-#: Serial-engine per-image time over the packed one must stay above this.
-#: 1.0 would be parity; measured 0.90 (B = 1), 0.93 (B = 4), 0.84 (B = 16)
-#: on one core, and the box's run-to-run spread is ~10 %.
-PACKED_SERIAL_FLOOR = 0.75
 
 
 def _latencies_to_row(mode, concurrency, latencies, elapsed, batch_mean):
@@ -166,91 +158,6 @@ def test_serving_throughput(benchmark, cnn1_models, preset):
         ["mode", "clients", "requests", "images/sec", "p50 ms", "p99 ms", "mean batch"],
         rows,
         f"SERVING — dynamic batching throughput, mock backend (preset={preset.name})",
-        results=results,
-    )
-
-
-def test_serving_packed_amortized(benchmark, cnn1_models, preset):
-    """Lane packing on the real CKKS-RNS scheme (PR 8): amortized
-    per-image latency vs. batch size, against the plain serial engine.
-
-    The baseline is what a gateway-less service does: one
-    :class:`HeInferenceEngine` on the raw backend evaluating one request
-    (no assemble / split).  :class:`SlotPackedBackend` stacks B requests
-    along a lane axis and issues one inner call per operation, so per-op
-    Python/NumPy overhead amortizes across the batch — but the
-    arithmetic is *exact* per lane and therefore linear in B: there is
-    no SIMD win to collect on one core, and past the cache-friendly
-    batch sizes the larger temporaries cost more than the overhead
-    saved (B = 16 reads slower per image than B = 4).  Against this
-    baseline lane packing is *not* a single-core speed-up — the old
-    "1.15-1.5x" compared with a memberwise fan-out that also lost the
-    position-packed BSGS — so the floor asserted is a cost bound: at
-    B = 1 (the wrapper alone) and at the best batch size the packed
-    per-image time must stay within ``1 / PACKED_SERIAL_FLOOR`` of the
-    serial engine's.  See docs/PERFORMANCE.md for why the
-    >= 4x SIMD win requires native slot concatenation, demonstrated on
-    the mock backend above, or multi-core residue executors.  Timings
-    cover the server side, warm plan caches.
-    """
-    backend = make_engine(cnn1_models, "ckks-rns").backend
-    layers = cnn1_models.he_layers
-    shape = cnn1_models.input_shape
-    image = cnn1_models.x_test[:1]
-    repeats = max(2, preset.latency_repeats)
-
-    serial = HeInferenceEngine(backend, layers, shape)
-    packed = HeInferenceEngine(SlotPackedBackend(backend), layers, shape)
-
-    def run_serial():
-        request = serial.encrypt_images(image)
-        t0 = time.perf_counter()
-        serial.run_encrypted(request)
-        return time.perf_counter() - t0
-
-    def run_once(engine, b):
-        requests = [engine.encrypt_images(image) for _ in range(b)]
-        counts = [1] * b
-        t0 = time.perf_counter()
-        batch = engine.assemble_batch(requests, counts)
-        scores = engine.run_encrypted(batch)
-        engine.split_scores(scores, counts)
-        return time.perf_counter() - t0
-
-    rows, results = [], {}
-
-    def measure():
-        run_serial()  # warm: compiles plans, memoizes encodes
-        run_once(packed, 1)
-
-        serial_s = min(run_serial() for _ in range(repeats))
-        rows.append(["serial", 1, serial_s * 1e3, serial_s * 1e3])
-        results["serial_b1_per_image_seconds"] = serial_s
-
-        amortized = {}
-        for b in PACKED_BATCHES:
-            total = min(run_once(packed, b) for _ in range(repeats))
-            amortized[b] = total / b
-            rows.append(["packed", b, total * 1e3, amortized[b] * 1e3])
-            results[f"packed_b{b}_per_image_seconds"] = amortized[b]
-        best = min(amortized, key=amortized.get)
-        rows.append([f"serial / packed at B={best} (best)", "", "", serial_s / amortized[best]])
-        for b in (1, best):
-            ratio = serial_s / amortized[b]
-            assert ratio >= PACKED_SERIAL_FLOOR, (
-                f"packed B={b} runs at {ratio:.2f}x the serial engine's per-image "
-                f"rate (floor {PACKED_SERIAL_FLOOR}: exact lane packing is linear "
-                "in B, it may amortize overhead but must not cost throughput)"
-            )
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-    get_registry().reset()  # serving counters from this bench stay local
-    save_record(
-        "serving_packed",
-        ["mode", "B", "batch ms", "per-image ms"],
-        rows,
-        "SERVING PACKED — lane-packed amortization, CKKS-RNS backend "
-        f"(preset={preset.name})",
         results=results,
     )
 

@@ -66,10 +66,10 @@ __all__ = ["CkksRnsContext", "RnsPlaintext"]
 #: Batch-axis chunk budget for the digit key switch, in elements of the
 #: ``(k+α, D, B_chunk, ..., n)`` lifted-digit tensor (int64).  1 << 21
 #: elements = 16 MB keeps the decomposition temporaries cache-friendly;
-#: lane-packed serving batches otherwise scale super-linearly (measured
-#: ~2x worse than linear at 16 lanes unchunked).  Latency is flat from
-#: 2^18 to 2^22 (docs/PERFORMANCE.md), so this is a constant, not a knob;
-#: chunking never changes a result bit.
+#: large position batches otherwise scale super-linearly (measured ~2x
+#: worse than linear at 16x the positions unchunked).  Latency is flat
+#: from 2^18 to 2^22 (docs/PERFORMANCE.md), so this is a constant, not a
+#: knob; chunking never changes a result bit.
 KEYSWITCH_CHUNK_ELEMS = 1 << 21
 
 
@@ -661,26 +661,22 @@ class CkksRnsContext:
     def add_plain_many(self, a: RnsCiphertext, values: np.ndarray) -> RnsCiphertext:
         """Position-wise scalar addition over a batched ciphertext.
 
-        ``a`` holds ``B`` ciphertexts as ``(k, B, ..., n)`` component
-        stacks (extra trailing axes — e.g. a slot-packed lane axis —
-        broadcast position *b*'s value over every lane); ``values[b]``
-        is broadcast over the slots of position *b*.  Each *distinct*
-        value is encoded once (through :attr:`plain_cache` when
-        installed) and the encoded rows are gathered per position — the
-        "encode coefficients once per layer" path of the SLAF
+        ``a`` holds ``B`` ciphertexts as ``(k, B, n)`` component stacks;
+        ``values[b]`` is broadcast over the slots of position *b*.  Each
+        *distinct* value is encoded once (through :attr:`plain_cache`
+        when installed) and the encoded rows are gathered per position —
+        the "encode coefficients once per layer" path of the SLAF
         activations.  Bit-identical per position to :meth:`add_plain`.
         """
         vals = np.asarray(values, dtype=np.float64)
-        if a.c0.ndim < 3 or vals.shape != (a.c0.shape[1],):
-            raise ValueError("add_plain_many needs a (k, B, ..., n) batch and B values")
+        if a.c0.ndim != 3 or vals.shape != (a.c0.shape[1],):
+            raise ValueError("add_plain_many needs a (k, B, n) batch and B values")
         moduli = self.moduli[: a.k]
         uniq, inverse = np.unique(vals, return_inverse=True)
         pts = np.stack(
             [self._scalar_plain(float(v), a.scale, a.level).data for v in uniq]
         )  # (U, k, n)
         sel = np.ascontiguousarray(pts[inverse].transpose(1, 0, 2))  # (k, B, n)
-        if a.c0.ndim > 3:  # lane axes between position and coefficients
-            sel = sel.reshape(sel.shape[:2] + (1,) * (a.c0.ndim - 3) + sel.shape[-1:])
         c0 = np.stack([addmod(a.c0[i], sel[i], m) for i, m in enumerate(moduli)])
         return with_components(a, [c0] + [c.copy() for c in a.components()[1:]])
 
@@ -702,12 +698,10 @@ class CkksRnsContext:
     ) -> RnsCiphertext:
         """Position-wise scalar multiply over a batched ciphertext.
 
-        ``a`` holds ``B`` ciphertexts as ``(k, B, ..., n)`` component
-        stacks (extra trailing axes — e.g. a slot-packed lane axis —
-        broadcast position *b*'s scalar over every lane); position *b*
-        is multiplied by ``scalars[b]`` quantized at *plain_scale* — the
-        kernel that applies per-channel SLAF coefficients to a whole
-        feature map in one sweep.  Quantization
+        ``a`` holds ``B`` ciphertexts as ``(k, B, n)`` component stacks;
+        position *b* is multiplied by ``scalars[b]`` quantized at
+        *plain_scale* — the kernel that applies per-channel SLAF
+        coefficients to a whole feature map in one sweep.  Quantization
         (``round(s * plain_scale)``) and residue reduction match
         :meth:`mul_plain_scalar` exactly, so each position's result is
         bit-identical to the one-at-a-time path.  An extended ciphertext
@@ -715,8 +709,8 @@ class CkksRnsContext:
         and scaling after (the scalar commutes with key switching).
         """
         plain_scale = float(plain_scale or self.params.scale)
-        if a.c0.ndim < 3:
-            raise ValueError("mul_plain_scalar_many needs a (k, B, ..., n) batch")
+        if a.c0.ndim != 3:
+            raise ValueError("mul_plain_scalar_many needs a (k, B, n) batch")
         consts = np.array(
             [int(round(float(s) * plain_scale)) for s in scalars], dtype=np.int64
         )
@@ -960,9 +954,9 @@ class CkksRnsContext:
 
         Large batches are processed in batch-axis chunks: the raised
         digit tensor is ``(k+α) * D`` times the position size, so an
-        unchunked lane-packed batch would allocate hundreds of MB of
-        temporaries and fall out of cache (measured super-linear scaling
-        in the lane count).  Chunking only splits the batch axis —
+        unchunked batch of many positions would allocate hundreds of MB
+        of temporaries and fall out of cache (measured super-linear
+        scaling in the batch size).  Chunking only splits the batch axis —
         per-position arithmetic and ordering are untouched, so results
         stay bit-identical.  The chunk budget is
         :attr:`keyswitch_chunk_elems`.

@@ -267,10 +267,8 @@ class HeBackend(ABC):
     #: bit-identically.  The raw CKKS schemes keep this False — moving a
     #: payload to a different slot range would need a Galois rotation,
     #: whose keyswitch noise breaks bit-identity with the serial run —
-    #: and are instead served through
-    #: :class:`repro.serving.packing.SlotPackedBackend`, which stacks
-    #: member ciphertexts along a lane axis (one backend call per op,
-    #: exact per lane) rather than into one slot range.
+    #: so :func:`repro.henn.inference.evaluate_batch` runs their batches
+    #: member by member.
     native_slot_concat: bool = False
 
     _relin_mode: str = "lazy"
@@ -410,8 +408,8 @@ class HeBackend(ABC):
         of the packed result, where ``offset_j = sum(counts[:j])`` — the
         batching gateway's assembly primitive.  Only backends that can
         do this exactly implement it (``native_slot_concat``); the base
-        class refuses, and the real schemes are served through
-        :class:`repro.serving.packing.SlotPackedBackend` instead.
+        class refuses, and batches on the real schemes are evaluated
+        member by member instead.
         """
         raise NotImplementedError(f"{self.name} backend has no native slot packing")
 

@@ -329,23 +329,34 @@ def evaluate_batch(
     counts: "Sequence[int]",
     stage: "Callable[[str], AbstractContextManager] | None" = None,
 ) -> "list[np.ndarray]":
-    """One coalesced evaluation: assemble -> run once -> split.
+    """One fired batch: assemble -> run once -> split, or member by member.
 
-    The single spelling of the serving triple — the batching gateway,
-    the cluster's serial fallback and the cluster worker process all
-    evaluate a fired batch through here.  *engine* is duck-typed
-    (anything with :meth:`~HeInferenceEngine.assemble_batch`,
+    The single spelling of the serving evaluation — the batching
+    gateway, the cluster's serial fallback and the cluster worker
+    process all evaluate a fired batch through here.  *engine* is
+    duck-typed (anything with a ``backend``,
+    :meth:`~HeInferenceEngine.assemble_batch`,
     :meth:`~HeInferenceEngine.run_encrypted` and
     :meth:`~HeInferenceEngine.split_scores`).
 
+    A backend that shares slots exactly (``native_slot_concat``) is
+    assembled, evaluated once and split.  Any other backend has each
+    member run through :meth:`~HeInferenceEngine.run_encrypted` in turn
+    — the very handles the serial service would return, and what
+    measures faster on the real schemes (docs/PERFORMANCE.md).
+
     *stage* is the caller's per-phase attribution: it is called with
-    ``"pack"``, ``"evaluate"`` and ``"split"`` and returns the context
-    manager that phase runs under (request-trace stages on the gateway,
-    ``rtrace.worker.*`` spans in a worker); ``None`` runs bare.
+    ``"pack"``, ``"evaluate"`` and ``"split"`` (``"evaluate"`` only for
+    the member loop) and returns the context manager that phase runs
+    under (request-trace stages on the gateway, ``rtrace.worker.*``
+    spans in a worker); ``None`` runs bare.
 
     Returns one ``(classes,)`` score-handle array per request.
     """
     stage = stage or (lambda phase: nullcontext())
+    if not engine.backend.native_slot_concat:
+        with stage("evaluate"):
+            return [engine.run_encrypted(r) for r in requests]
     with stage("pack"):
         assembled = engine.assemble_batch(requests, counts)
     with stage("evaluate"):

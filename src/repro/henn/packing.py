@@ -43,19 +43,19 @@ def _next_pow2(n: int) -> int:
 
 @dataclass(frozen=True)
 class BatchLayout:
-    """Slot layout of a batch-packed ciphertext: image *b* -> lane *b*.
+    """Slot layout of a batch-packed ciphertext: request *b* -> slot range *b*.
 
     A packed batch concatenates its members' slot ranges back to back —
-    member *b* owns the half-open lane ``[offsets[b], offsets[b] +
+    member *b* owns the half-open range ``[offsets[b], offsets[b] +
     counts[b])`` — and pads the tail up to the next power of two (capped
     at the backend's slot capacity) so downstream fold trees and SIMD
-    kernels see an aligned width.  The pad lanes are *waste*: they carry
+    kernels see an aligned width.  The pad slots are *waste*: they carry
     zeros, burn slots, and are reported through :meth:`record` as the
     ``serving.pack.pad_slots`` counter so the overhead stays visible in
     ``/healthz`` and ``obs.render_report``.
 
-    The layout is pure bookkeeping — backends consult it to stack, mask
-    and slice; it never touches ciphertext data itself.
+    The layout is pure bookkeeping — a slot-sharing backend consults it
+    to pad; it never touches ciphertext data itself.
     """
 
     counts: tuple[int, ...]
@@ -84,41 +84,14 @@ class BatchLayout:
         )
 
     @property
-    def lanes(self) -> int:
-        """Number of members packed into the ciphertext."""
+    def members(self) -> int:
+        """Number of requests packed into the ciphertext."""
         return len(self.counts)
 
     @property
     def pad_slots(self) -> int:
         """Slots wasted on tail padding (zero when the batch is aligned)."""
         return self.padded_total - self.total
-
-    def lane_for_range(self, start: int, count: int) -> int:
-        """Member index owning exactly ``[start, start + count)``.
-
-        Raises ``ValueError`` when the range does not land on a member
-        boundary — slicing through the middle of a lane is a layout bug,
-        never a legitimate request.
-        """
-        for b, (off, c) in enumerate(zip(self.offsets, self.counts)):
-            if off == start and c == count:
-                return b
-        raise ValueError(
-            f"slice [{start}, {start + count}) does not match a packed member "
-            f"boundary of layout {self.counts}"
-        )
-
-    def lane_slice(self, lane: int) -> slice:
-        """Slot range of member *lane* (``IndexError`` out of range)."""
-        if not 0 <= lane < self.lanes:
-            raise IndexError(f"lane {lane} out of range for {self.lanes}-member layout")
-        return slice(self.offsets[lane], self.offsets[lane] + self.counts[lane])
-
-    def lane_mask(self, lane: int) -> np.ndarray:
-        """Boolean slot mask (length ``padded_total``) selecting one lane."""
-        mask = np.zeros(self.padded_total, dtype=bool)
-        mask[self.lane_slice(lane)] = True
-        return mask
 
     def pad_values(self, values: np.ndarray) -> np.ndarray:
         """Zero-pad a ``total``-length slot vector out to ``padded_total``."""
@@ -132,13 +105,15 @@ class BatchLayout:
     def record(self, registry) -> None:
         """Publish this layout's packing stats to a metrics registry.
 
-        Counters: ``serving.pack.batches`` / ``serving.pack.images`` /
-        ``serving.pack.slots`` / ``serving.pack.pad_slots`` — the last
-        one is the padding-waste satellite: cumulative slots burned on
-        alignment, visible in ``/healthz`` and ``obs.render_report``.
+        Counters: ``serving.pack.batches`` (assemblies) /
+        ``serving.pack.requests`` (members, however many images each
+        carries) / ``serving.pack.slots`` (images) /
+        ``serving.pack.pad_slots`` — the last one is the padding-waste
+        satellite: cumulative slots burned on alignment, visible in
+        ``/healthz`` and ``obs.render_report``.
         """
         registry.counter("serving.pack.batches").inc()
-        registry.counter("serving.pack.images").inc(self.lanes)
+        registry.counter("serving.pack.requests").inc(self.members)
         registry.counter("serving.pack.slots").inc(self.total)
         registry.counter("serving.pack.pad_slots").inc(self.pad_slots)
 

@@ -55,14 +55,7 @@ def _backend_sig(backend: HeBackend) -> tuple:
     Two backends with the same signature produce identical encodings, so
     cache entries may be shared between them; anything that changes the
     encoding (ring degree, modulus chain, scale) changes the signature.
-    The packing wrapper (``SlotPackedBackend``) resolves to its inner
-    backend's signature: a wrapper encodes
-    nothing itself, so packed and serial engines share cache entries —
-    the warm packed path performs zero fresh encodes.
     """
-    inner = getattr(backend, "inner", None)
-    if isinstance(inner, HeBackend):
-        return _backend_sig(inner)
     ctx = getattr(backend, "ctx", None)
     sig: tuple = (backend.name, float(backend.scale))
     if ctx is not None:

@@ -452,10 +452,12 @@ class BatchedCloudService(CloudService):
       admission answers the retryable ``overload``
       :class:`ServiceError`, which
       :meth:`Client.classify_with_retry` backs off on.
-    * **Exactness** — packing is exact: native slot concatenation where
-      the backend supports it bit-identically (mock), lane-stacked SIMD
-      packing on the real CKKS schemes (one evaluation per batch,
-      bit-identical per lane); see :mod:`repro.serving.packing`.
+    * **Exactness** — a batch never approximates: requests share slots
+      only where the backend concatenates them bit-identically
+      (``native_slot_concat`` — the mock), and a fired batch on the real
+      CKKS schemes is evaluated member by member, returning the very
+      handles the serial service would (see
+      :func:`~repro.henn.inference.evaluate_batch`).
     * **Telemetry** — ``serving.*`` gauges/histograms plus the same
       ``henn.request.*`` lifecycle events and counters as the serial
       service, all visible on ``/metrics`` and ``/healthz``.
@@ -464,7 +466,7 @@ class BatchedCloudService(CloudService):
     ----------
     backend, layers, input_shape:
         As for :class:`CloudService`; *backend* is what the clients
-        share (the gateway wraps it for packing as needed).
+        share.
     max_batch_slots:
         Slot capacity of one coalesced batch (default: the backend's
         ``max_batch``).
@@ -498,15 +500,7 @@ class BatchedCloudService(CloudService):
         shed_policy: ShedPolicy | None = None,
         trace_policy: SamplingPolicy | None = None,
     ):
-        # Deferred: repro.serving.packing subclasses HeBackend, so a
-        # module-level import would close an import cycle through the
-        # repro.henn package init.
-        from repro.serving.packing import serving_backend_for
-
-        self.client_backend = backend
-        super().__init__(
-            serving_backend_for(backend), layers, input_shape, trace_policy=trace_policy
-        )
+        super().__init__(backend, layers, input_shape, trace_policy=trace_policy)
         self._expected_level = _obs_health._top_level(backend)
         self._expected_scale = float(backend.scale)
         self.scheduler = BatchingScheduler(
@@ -548,7 +542,7 @@ class BatchedCloudService(CloudService):
             raise RequestValidationError(
                 f"request claims {count} slots, capacity {self.scheduler.max_batch_slots}"
             )
-        backend = self.client_backend
+        backend = self.engine.backend
         for i, cell in enumerate(enc.reshape(-1)):
             try:
                 level = int(backend.level_of(cell))
@@ -642,8 +636,8 @@ class BatchedCloudService(CloudService):
     def classify_encrypted(self, encrypted_images: np.ndarray) -> np.ndarray:
         """Single-request evaluation, routed through the batch path.
 
-        The gateway's engine only understands assembled batches, so the
-        inherited direct call is re-pointed at the queue; a failure
+        The scheduler thread owns the engine (it is not re-entrant), so
+        the inherited direct call is re-pointed at the queue; a failure
         raises :class:`~repro.resilience.errors.ProtocolError` carrying
         the sanitised error.
         """
@@ -690,8 +684,9 @@ class BatchedCloudService(CloudService):
         """Evaluate one fired batch: per-request scores, or a future of them.
 
         Here on this process's engine (never concurrently — one
-        scheduler thread), pack and split attributed to every member's
-        trace; the scheduler clocks ``compute`` around the whole call.
+        scheduler thread), pack and split (where slots are shared)
+        attributed to every member's trace; the scheduler clocks
+        ``compute`` around the whole call.
         """
         return evaluate_batch(
             self.engine,
@@ -722,16 +717,16 @@ class BatchedCloudService(CloudService):
     def _health(self) -> dict:
         status = super()._health()
         status["serving"] = self.scheduler.stats()
-        reg = get_registry()
         # Padding-waste visibility: cumulative slot accounting of every
-        # batch this process assembled (see BatchLayout.record).
-        snap = reg.snapshot()
+        # batch this process assembled into shared slots (see
+        # BatchLayout.record; all zero under the per-request strategy).
+        snap = get_registry().snapshot()
         status["packing"] = {
-            "strategy": self.engine.backend.name,
-            "batches": int(snap.get("serving.pack.batches", {}).get("value", 0)),
-            "images": int(snap.get("serving.pack.images", {}).get("value", 0)),
-            "slots": int(snap.get("serving.pack.slots", {}).get("value", 0)),
-            "pad_slots": int(snap.get("serving.pack.pad_slots", {}).get("value", 0)),
+            "strategy": "slots" if self.engine.backend.native_slot_concat else "per-request",
+            **{
+                key: int(snap.get(f"serving.pack.{key}", {}).get("value", 0))
+                for key in ("batches", "requests", "slots", "pad_slots")
+            },
         }
         return status
 

@@ -76,7 +76,7 @@ def fused_weighted_sum(stack: np.ndarray, w_res: np.ndarray, moduli: list[int]) 
     stack:
         ``(taps, k, ..., n)`` int64 ciphertext-component residues,
         channel ``i`` reduced mod ``moduli[i]``.  Extra axes between the
-        channel and coefficient axes (e.g. a slot-packed lane axis) ride
+        channel and coefficient axes (e.g. a position batch) ride
         through untouched.
     w_res:
         ``(taps, k)`` int64 weight residues, column ``i`` reduced mod
@@ -103,7 +103,7 @@ def fused_weighted_sum(stack: np.ndarray, w_res: np.ndarray, moduli: list[int]) 
     out = np.empty(stack.shape[1:], dtype=np.int64)
     mods = np.asarray(moduli, dtype=np.int64)
     narrow = mods < (1 << NARROW_MODULUS_BITS)
-    tail = (1,) * (stack.ndim - 2)  # broadcast over lane/coefficient axes
+    tail = (1,) * (stack.ndim - 2)  # broadcast over batch/coefficient axes
     if narrow.any():
         for m in mods[narrow]:
             _check_tap_budget(taps, int(m))
@@ -154,8 +154,7 @@ def scale_positions(stack: np.ndarray, residues: np.ndarray, moduli: list[int]) 
     stack:
         ``(k, B, ..., n)`` int64 component stack, channel *i* reduced
         mod ``moduli[i]``.  Extra axes between the position and
-        coefficient axes (e.g. a slot-packed lane axis) broadcast the
-        position's scalar across every lane.
+        coefficient axes broadcast the position's scalar across them.
     residues:
         ``(k, B)`` int64 scalar residues: column *b* holds the residues
         of position *b*'s scalar across the chain.
@@ -173,7 +172,7 @@ def scale_positions(stack: np.ndarray, residues: np.ndarray, moduli: list[int]) 
     out = np.empty_like(stack)
     mods = np.asarray(moduli, dtype=np.int64)
     narrow = mods < (1 << NARROW_MODULUS_BITS)
-    tail = (1,) * (stack.ndim - 2)  # broadcast over lane/coefficient axes
+    tail = (1,) * (stack.ndim - 2)  # broadcast over batch/coefficient axes
     if narrow.any():
         mb = mods[narrow].reshape((-1, 1) + tail)
         rb = residues[narrow].reshape(residues[narrow].shape + tail)

@@ -36,8 +36,7 @@ class PolyRing:
     ring object carries the parameters and the packed-multiplication
     plan.  The coefficientwise operations (add/sub/neg, scalar multiply,
     centered lift, rounded division, modulus switch) accept stacks of
-    polynomials — leading axes, e.g. a slot-packed lane axis, broadcast
-    through — while Kronecker multiplication and automorphisms remain
+    polynomials — leading axes broadcast through — while Kronecker multiplication and automorphisms remain
     single-polynomial.
     """
 
@@ -154,7 +153,7 @@ class PolyRing:
         d = int(divisor)
         # Object-array floordiv keeps exact big-int semantics; the two
         # branches are the same round-half-away-from-zero formula as the
-        # per-coefficient loop this replaced, evaluated lane-generically.
+        # per-coefficient loop this replaced, evaluated over any leading axes.
         rounded = np.where(c >= 0, (2 * c + d) // (2 * d), -((-2 * c + d) // (2 * d)))
         return np.mod(rounded, int(new_q))
 

@@ -2,8 +2,9 @@
 
 ``repro.serving`` turns the one-request-per-call
 :class:`~repro.henn.protocol.CloudService` into a throughput-oriented
-gateway: independent client requests are coalesced into slot-packed
-batches (:mod:`repro.serving.packing`), fired by a fill-or-deadline
+gateway: independent client requests are coalesced into batches
+(:func:`repro.henn.inference.evaluate_batch` shares slots where the
+backend can do so exactly), fired by a fill-or-deadline
 scheduler with bounded-queue backpressure and tiered overload shedding
 (:mod:`repro.serving.scheduler`, :mod:`repro.serving.shedding`), routed
 across a fault-tolerant pool of process-backed engine workers with
@@ -21,9 +22,6 @@ from repro.serving.cluster import ClusterWorker, Dispatcher, WorkerPool
 from repro.serving.errors import (
     ClusterUnavailableError,
     DrainTimeoutError,
-    LaneSliceError,
-    PackingError,
-    PackingNestingError,
     RequestValidationError,
     SchedulerClosedError,
     ServiceOverloadedError,
@@ -33,23 +31,12 @@ from repro.serving.errors import (
 )
 from repro.serving.scheduler import BatchingScheduler
 from repro.serving.shedding import SHED_TIERS, ShedPolicy
-from repro.serving.packing import (
-    LaneHandle,
-    SlotPackedBackend,
-    serving_backend_for,
-)
 
 __all__ = [
     "BatchingScheduler",
     "ClusterWorker",
     "Dispatcher",
     "WorkerPool",
-    "LaneHandle",
-    "SlotPackedBackend",
-    "serving_backend_for",
-    "PackingError",
-    "PackingNestingError",
-    "LaneSliceError",
     "ShedPolicy",
     "SHED_TIERS",
     "ServingError",

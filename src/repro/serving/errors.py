@@ -17,9 +17,6 @@ __all__ = [
     "RequestValidationError",
     "WorkerLostError",
     "ClusterUnavailableError",
-    "PackingError",
-    "PackingNestingError",
-    "LaneSliceError",
 ]
 
 
@@ -92,30 +89,4 @@ class ClusterUnavailableError(ServingError):
     The whole-pool-loss terminal state: every worker is dead, respawn
     is not succeeding, and the dispatcher has no in-process fallback to
     degrade to.  Retryable — a supervisor may yet restore the pool.
-    """
-
-
-class PackingError(ServingError):
-    """Base class of slot-packing failures (layout / wrapping misuse)."""
-
-
-class PackingNestingError(PackingError, TypeError):
-    """A packing wrapper was asked to wrap an already-wrapped backend.
-
-    Stacking :class:`~repro.serving.packing.SlotPackedBackend` on itself
-    would double-pack lanes and silently corrupt slot accounting, so
-    :func:`~repro.serving.packing.serving_backend_for` refuses outright.
-    Subclasses ``TypeError``: nesting is a programming error, not a
-    runtime condition.
-    """
-
-
-class LaneSliceError(PackingError, ValueError):
-    """``slice_slots`` asked for a lane the packed layout does not hold.
-
-    Raised instead of a bare ``IndexError`` when a slice request is out
-    of range or does not land on a packed-member boundary, so gateway
-    code can map it onto the serving error vocabulary.  Subclasses
-    ``ValueError`` to stay compatible with boundary checks that predate
-    the typed hierarchy.
     """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ckksrns import CkksRnsParams
-from repro.henn.backend import CkksRnsBackend, MockBackend
+from repro.henn.backend import CkksBackend, CkksRnsBackend, HeBackend, MockBackend
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +124,16 @@ def test_real_backend_square_mul(real, rng):
     assert np.allclose(sq, x * x, atol=2e-3)
     mu = real.decrypt(real.rescale(real.mul(h, h)), count=8)
     assert np.allclose(mu, x * x, atol=2e-3)
+
+
+def test_interface_stays_small_and_no_scheme_lacks_a_primitive():
+    """``HeBackend`` is implemented three times, so every public name on
+    it is paid for three times: the count may shrink, not grow."""
+    interface = {
+        name
+        for name, member in vars(HeBackend).items()
+        if not name.startswith("_") and (callable(member) or isinstance(member, property))
+    }
+    assert len(interface) <= 29, sorted(interface)
+    for cls in (MockBackend, CkksBackend, CkksRnsBackend):
+        assert not getattr(cls, "__abstractmethods__", None), cls

@@ -19,7 +19,6 @@ from repro.ckksrns import CkksRnsParams
 from repro.ckksrns.serialize import ciphertext_from_bytes, ciphertext_to_bytes
 from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
 from repro.henn.protocol import _sanitize
-from repro.serving.packing import SlotPackedBackend
 
 X = np.array([0.5, -0.25, 0.125, 0.75])
 
@@ -127,28 +126,6 @@ def test_rns_weighted_sum_and_wire_format_refuse_extended():
         ciphertext_from_bytes(blob[:-8])
     with pytest.raises(ValueError, match="not a serialised"):
         ciphertext_from_bytes(b"XXXX" + blob[4:])
-
-
-@pytest.mark.parametrize("kind", ["ckks", "rns"])
-def test_lane_packing_refuses_extended_members(kind):
-    inner = _backend(kind)
-    backend = SlotPackedBackend(inner)
-    ct, raw2, _ = _extended(inner)
-    with pytest.raises(CiphertextDegreeError):
-        backend.concat_slots([ct, raw2], [4, 4])
-    packed = backend.concat_slots([ct, inner.encrypt(-X)], [4, 4])
-    raw = backend.square_raw(packed)
-    assert raw.ct.degree == 2
-    with pytest.raises(CiphertextDegreeError):
-        backend.slice_slots(raw, 0, 4)
-    with pytest.raises(CiphertextDegreeError):
-        backend.decrypt(raw)
-    # any-degree lane handles stack and extract component for component
-    lane = backend._lanes.extract(raw.ct, 1)
-    want = inner.square_raw(inner.encrypt(-X))
-    assert lane.degree == 2 and lane.c2.shape == want.c2.shape
-    out = backend.rescale(backend.relinearize_ext(raw))
-    assert np.allclose(backend.decrypt(out, count=8), np.concatenate([X, -X]) ** 2, atol=1e-3)
 
 
 def test_mock_packing_refuses_extended_handles():

@@ -12,7 +12,6 @@ that the fused path shares.  Same seed, same ciphertexts, bit for bit.
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.ckks import CkksParams
 from repro.ckks.sampling import sample_gaussian, sample_zo
 from repro.ckksrns import CkksRnsParams, RnsCiphertext
@@ -20,7 +19,6 @@ from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.nt.ntt import NttPlan
 from repro.resilience.faults import FaultInjector
-from repro.serving.packing import SlotPackedBackend
 
 SHAPE = (1, 3, 3)
 RNS_PARAMS = CkksRnsParams(
@@ -206,20 +204,3 @@ def test_empty_batch_and_malformed_rows_rejected():
     with pytest.raises(ValueError, match="1-D vector"):
         be.encrypt(np.zeros(MAX_BATCH + 1))
     assert be.ctx.encrypt_many(be.keys.pk, []) == []
-
-
-@pytest.mark.parametrize("wrapper", [SlotPackedBackend])
-def test_serving_wrappers_forward_the_fused_call(wrapper):
-    """A gateway client on a serving backend gets one fused call too."""
-    images = _images(2)
-    want = _rns().encrypt_many(_rows(images))
-    engine = HeInferenceEngine(wrapper(_rns()), [], SHAPE)
-    with obs.tracing() as tracer:
-        got = engine.encrypt_images(images)
-    names = [s.name for s in tracer.finished()]
-    assert names.count("ckksrns.encrypt_many") == 1
-    assert names.count("ckksrns.encrypt") == 0
-    assert names.count("nt.ntt.batched.forward") == 1
-    (stage,) = [s for s in tracer.finished() if s.name == "henn.stage.encrypt"]
-    assert stage.tags == {"pixels": 9, "batch": 2, "transform_rows": 27}
-    assert all(_same(g, w) for g, w in zip(got.ravel(), want))

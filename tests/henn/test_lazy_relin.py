@@ -13,9 +13,7 @@ and relinearises each block sum once (``docs/KERNELS.md``).  Contract:
 * **counts** — a degree-*d* SLAF performs exactly ``program.relins``
   keyswitch sweeps lazily (``~ceil(d / giant_step)``) versus
   ``program.ct_mults`` eagerly (``~2*sqrt(d)``), metered through
-  ``relin.count`` / ``relin.deferred``;
-* **packed** — the SlotPackedBackend lane path inherits the lazy win
-  with every lane still inside the precision bound.
+  ``relin.count`` / ``relin.deferred``.
 """
 
 import numpy as np
@@ -26,7 +24,6 @@ from repro.ckksrns import CkksRnsParams
 from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
 from repro.nt.kernels import MAX_POLY_DEGREE, compile_poly_program
 from repro.obs.metrics import get_registry
-from repro.serving.packing import SlotPackedBackend
 
 from .test_poly_bsgs import REAL_ATOL
 
@@ -189,25 +186,3 @@ def test_coeff_high_ext_cannot_multiply(rns, rng):
     coeffd = ctx.rescale_ext(ctx.square_raw(ct), defer_high=True)
     with pytest.raises(ValueError, match="NTT domain"):
         ctx.mul_raw(acc, coeffd)
-
-
-@pytest.mark.parametrize("degree", [3, 5, 8])
-def test_packed_lanes_inherit_lazy_within_bound(degree, rng):
-    """SlotPackedBackend runs the lazy interpreter; every lane stays in bound."""
-    inner = _rns()
-    backend = SlotPackedBackend(inner)
-    assert backend._use_lazy()
-    coeffs = _coeffs(rng, degree)
-    xs = [rng.uniform(-1, 1, 4) for _ in range(2)]
-    packed = backend.concat_slots([inner.encrypt(x) for x in xs], [4, 4])
-
-    reg = get_registry()
-    before = reg.counter("relin.count").value
-    out = backend.poly_eval(packed, coeffs)
-    assert (
-        reg.counter("relin.count").value - before
-        == compile_poly_program(degree).relins
-    )
-    got = backend.decrypt(out, count=8)
-    want = np.polyval(coeffs[::-1], np.concatenate(xs))
-    assert np.allclose(got, want, atol=REAL_ATOL[degree])

@@ -12,9 +12,9 @@ plus the deltas of the five counters the interpreters and the key switch
 meter:
 
 * ``poly_eval`` / ``poly_eval_many`` at degrees 1–8, eager and lazy, on
-  mock, CKKS, a CKKS-RNS single handle, a CKKS-RNS position batch and a
-  lane-packed batch of three requests on both real schemes (ragged —
-  3 + 2 + 1 slots — at odd degrees);
+  mock, CKKS, a CKKS-RNS single handle and a CKKS-RNS position batch
+  (the 32 ``lanes-ckks/*`` / ``lanes-rns/*`` records went with the
+  lane-packing backend they described; the other 68 are untouched);
 * the score ciphertexts of the CNN1 / CNN2 smoke networks on the serial
   and the thread executor.
 """
@@ -28,12 +28,11 @@ from repro.henn.backend import CkksRnsBackend
 from repro.henn.compiler import model_depth
 from repro.henn.inference import HeInferenceEngine
 from repro.obs.metrics import get_registry
-from repro.serving.packing import SlotPackedBackend
 
 from ..ckksrns.test_hybrid_keyswitch import HW, N, smoke_models  # noqa: F401 - fixture
-from .test_poly_depth import DEGREES, DEPTHS, MODES, POSITIONS, X, _evaluate, _fresh, _rows
+from .test_poly_depth import DEGREES, DEPTHS, MODES, _evaluate, _fresh
 
-KINDS = ("mock", "ckks", "rns", "rns-batch", "lanes-ckks", "lanes-rns")
+KINDS = ("mock", "ckks", "rns", "rns-batch")
 COUNTERS = (
     "relin.count",
     "relin.deferred",
@@ -51,7 +50,6 @@ def _record(outs, before: list[float]) -> str:
     deltas = [int(after - b) for after, b in zip(_counters(), before)]
     h = hashlib.sha256()
     for out in outs:
-        out = getattr(out, "ct", out)  # lane handles wrap one stacked ciphertext
         for comp in ("values", "c0", "c1"):
             a = getattr(out, comp, None)
             if a is None:
@@ -64,34 +62,14 @@ def _record(outs, before: list[float]) -> str:
     return h.hexdigest()[:16] + ":" + ",".join(map(str, deltas))
 
 
-def _evaluate_lanes(inner, mode: str, degree: int):
-    """``poly_eval_many`` over POSITIONS lane handles of three requests each."""
-    backend = SlotPackedBackend(inner)
-    counts = (3, 2, 1) if degree % 2 else (4, 4, 4)
-    handles = [
-        backend.concat_slots([inner.encrypt(X[:c] * s) for c in counts], counts)
-        for s in (1.0, 0.5, -0.8)[:POSITIONS]
-    ]
-    inner.relin_mode = mode
-    try:
-        before = _counters()
-        return backend.poly_eval_many(handles, _rows(degree)), before
-    finally:
-        inner.relin_mode = "lazy"
-
-
 def poly_table() -> dict[str, str]:
     table = {}
     for kind in KINDS:
         for mode in MODES:
             for degree in DEGREES:
-                scheme = kind.split("-")[-1] if kind.startswith("lanes") else kind.split("-")[0]
-                backend = _fresh(scheme, DEPTHS[degree])
-                if kind.startswith("lanes"):
-                    outs, before = _evaluate_lanes(backend, mode, degree)
-                else:
-                    before = _counters()  # encryption moves none of COUNTERS
-                    _, outs, _ = _evaluate(backend, kind, mode, degree)
+                backend = _fresh(kind.split("-")[0], DEPTHS[degree])
+                before = _counters()  # encryption moves none of COUNTERS
+                _, outs, _ = _evaluate(backend, kind, mode, degree)
                 table[f"{kind}/{mode}/{degree}"] = _record(outs, before)
     return table
 
@@ -135,38 +113,6 @@ PARENT: dict[str, str] = {
  'cnn1/thread': 'e7a3abd67067cf33:2,2,4',
  'cnn2/serial': '307b8d37696d9691:3,3,6',
  'cnn2/thread': '307b8d37696d9691:3,3,6',
- 'lanes-ckks/eager/1': '26c4e6c10fb4dd95:0,0,0',
- 'lanes-ckks/eager/2': 'de1210d8f61a5d5e:9,0,3',
- 'lanes-ckks/eager/3': 'd3a1d5ce9b50083f:18,0,6',
- 'lanes-ckks/eager/4': '501d8021adbc643e:27,0,9',
- 'lanes-ckks/eager/5': 'b5bd69f23ba6fe3e:27,0,9',
- 'lanes-ckks/eager/6': 'e9735adccf01fd31:27,0,9',
- 'lanes-ckks/eager/7': '544cddd5a1c007eb:36,0,12',
- 'lanes-ckks/eager/8': 'a91f6973c69a1e8e:36,0,12',
- 'lanes-ckks/lazy/1': '26c4e6c10fb4dd95:0,0,0',
- 'lanes-ckks/lazy/2': 'e2b5349666ebda76:9,9,3',
- 'lanes-ckks/lazy/3': '2c234f5741b7f808:9,9,6',
- 'lanes-ckks/lazy/4': 'b1eb5ec49317eeb8:18,18,9',
- 'lanes-ckks/lazy/5': '645d788622e9cfa9:18,18,9',
- 'lanes-ckks/lazy/6': '147dbe3e3c1ec2ba:27,27,9',
- 'lanes-ckks/lazy/7': 'eb9491071a9be420:27,27,12',
- 'lanes-ckks/lazy/8': '9b7e342a8329fc28:27,27,12',
- 'lanes-rns/eager/1': '0511b4d8d78d0ff6:0,0,0',
- 'lanes-rns/eager/2': 'ad3b4dabdcc46410:1,0,1',
- 'lanes-rns/eager/3': 'e772d5e7362b19f4:2,0,2',
- 'lanes-rns/eager/4': '820645b8195f855d:3,0,3',
- 'lanes-rns/eager/5': '7ad7ebca73b8bd0d:3,0,3',
- 'lanes-rns/eager/6': 'd1b1a959827b9851:3,0,3',
- 'lanes-rns/eager/7': 'c34638f24f882825:4,0,4',
- 'lanes-rns/eager/8': 'e8705ac2851c8984:4,0,4',
- 'lanes-rns/lazy/1': '0511b4d8d78d0ff6:0,0,0',
- 'lanes-rns/lazy/2': 'ad78ab68f237d442:1,1,1',
- 'lanes-rns/lazy/3': 'd024ee5ef83846e3:1,1,2',
- 'lanes-rns/lazy/4': '896cf4eab0a8797c:2,2,3',
- 'lanes-rns/lazy/5': '96f8fc6ff0982284:2,2,3',
- 'lanes-rns/lazy/6': '27dc0d42cf18d6ce:3,3,3',
- 'lanes-rns/lazy/7': 'a6a6e0573aaf9446:3,3,4',
- 'lanes-rns/lazy/8': '908f9170edee4dac:3,3,4',
  'mock/eager/1': 'a56bb0f2a54c5819:0,0,0',
  'mock/eager/2': '728c0f2544f72aca:0,0,1',
  'mock/eager/3': 'f4a5c966818ad194:0,0,2',

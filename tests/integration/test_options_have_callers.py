@@ -8,7 +8,10 @@ merely forwards from its own parameter (``super().__init__(x=x)``,
 ``WorkerPool(..., spawn_timeout_s=spawn_timeout_s)``) only counts when
 the wrapper's parameter is itself set by someone.  Likewise the only
 environment variables ``src/`` may read are the two deployment settings
-(cache directory, benchmark preset).
+(cache directory, benchmark preset).  The same rule one level up: the
+``HeBackend`` interface is implemented by the three schemes and nothing
+else (a serving wrapper would be a fourth copy of every method), and
+every name ``repro.serving`` exports is used by code outside ``tests/``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ CLASSES = (
 )
 
 ALLOWED_ENV = {"REPRO_CACHE", "REPRO_BENCH_PRESET"}
+
+BACKENDS = {"MockBackend", "CkksBackend", "CkksRnsBackend"}
 
 
 def _trees(*dirs: str):
@@ -176,3 +181,39 @@ def test_every_constructor_option_is_set_by_some_caller():
 
 def test_src_reads_only_the_two_deployment_env_vars():
     assert _env_reads() == ALLOWED_ENV
+
+
+def _base_names(cls: ast.ClassDef) -> set[str]:
+    return {b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in cls.bases}
+
+
+def test_hebackend_is_implemented_by_the_three_schemes_only():
+    classes = [
+        node for _, tree in _trees("src") for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    family = {"HeBackend"}
+    while True:  # transitive: a subclass of a backend is a backend
+        grown = family | {c.name for c in classes if _base_names(c) & family}
+        if grown == family:
+            break
+        family = grown
+    assert family - {"HeBackend"} == BACKENDS
+
+
+def test_every_serving_export_is_referenced_outside_tests():
+    package = ROOT / "src" / "repro" / "serving" / "__init__.py"
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(package.read_text()).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+    ]
+    used: set[str] = set()
+    for path, tree in _trees("src", "tools", "benchmarks", "examples"):
+        if path == package:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(exported) - used) == []

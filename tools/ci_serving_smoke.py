@@ -11,11 +11,14 @@ timing, so CI machine noise cannot flake it — that
 * the bookkeeping balances: completed == submitted, empty queue,
   and the ``serving.requests`` / batch-size counters agree.
 
-A second check targets the lane-packed CKKS-RNS path: a warm packed
-batch of B images must perform exactly the B=1 number of conv / SLAF /
-dense evaluations (one inner-backend call per layer operation, not B),
-zero fresh plaintext encodes (``plan.encode.fresh``), and advance the
-``serving.pack.pad_slots`` counter on ragged batches.
+A second check targets the gateway on CKKS-RNS, where a batch is
+evaluated member by member: a ragged (2, 1) batch and a B = 4 batch must
+be bit-identical to the serial service on the same ciphertexts, perform
+zero fresh plaintext encodes when warm (``plan.encode.fresh``) and cost
+exactly B x the single-request number of ``weighted_sum_encoded`` calls.
+A third puts a ragged batch through the mock gateway, where slots *are*
+shared, and asserts the ``serving.pack.*`` accounting (pad waste,
+requests vs images).
 
 Exits non-zero with the offending numbers.
 """
@@ -32,11 +35,9 @@ import numpy as np
 
 from repro.ckksrns import CkksRnsParams
 from repro.henn.backend import CkksRnsBackend, MockBackend
-from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
 from repro.henn.protocol import BatchedCloudService, Client, CloudService
 from repro.obs.metrics import get_registry
-from repro.serving import serving_backend_for
 
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 6
@@ -53,15 +54,22 @@ def build_layers():
     ]
 
 
-def packed_opcount_check() -> int:
-    """Lane packing on CKKS-RNS: per-layer op counts flat in batch size.
+def _fire_one_batch(gateway: BatchedCloudService, requests: list, counts: list[int]) -> list:
+    """Submit *requests* to a gateway sized to fire exactly when they are all in."""
+    assert sum(counts) == gateway.scheduler.max_batch_slots
+    futures = [gateway.submit(enc, count=c) for enc, c in zip(requests, counts)]
+    return [f.result(timeout=300) for f in futures]
 
-    Counts actual inner-backend calls (``weighted_sum_encoded`` for
-    conv/dense taps, ``poly_eval_many`` for the SLAF) through a warm
-    packed engine and asserts a B=4 batch issues exactly as many as a
-    B=1 batch — the whole point of slot packing.  Also count-asserts
-    the warm path performs zero fresh plaintext encodes and that ragged
-    batches advance ``serving.pack.pad_slots``.
+
+def real_scheme_gateway_check() -> int:
+    """The gateway on CKKS-RNS: exact, warm, and linear in the batch size.
+
+    A real-scheme batch is evaluated member by member, so the check is
+    the honest one: a ragged (2, 1) batch and a B = 4 batch each fire as
+    one batch, every member's scores are bit-identical to
+    :class:`CloudService` on the same ciphertexts, the warm path
+    performs zero fresh plaintext encodes, and the backend sees exactly
+    B x the single-request number of ``weighted_sum_encoded`` calls.
     """
     layers = build_layers()
     backend = CkksRnsBackend(
@@ -74,63 +82,114 @@ def packed_opcount_check() -> int:
         ),
         seed=0,
     )
-    engine = HeInferenceEngine(serving_backend_for(backend), layers, SHAPE)
+    calls = 0
+    original = backend.weighted_sum_encoded
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    backend.weighted_sum_encoded = counted
+
+    client = Client(backend, SHAPE)
+    serial = CloudService(backend, layers, SHAPE)
     images = np.random.default_rng(2).uniform(0, 1, (4, 1, 6, 6))
-
-    calls = {"weighted_sum_encoded": 0, "poly_eval_many": 0}
-    for name in calls:
-        original = getattr(backend, name)
-
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        setattr(backend, name, counted)
+    serial.classify_encrypted(client.encrypt_request(images[:1]))  # warm-up: scalar encodes
+    calls = 0
+    serial.classify_encrypted(client.encrypt_request(images[:1]))
+    per_request = calls
 
     reg = get_registry()
-
-    def run_batch(n_requests: int) -> dict[str, int]:
-        requests = [engine.encrypt_images(images[i : i + 1]) for i in range(n_requests)]
-        for name in calls:
-            calls[name] = 0
-        batch = engine.assemble_batch(requests, [1] * n_requests)
-        scores = engine.run_encrypted(batch)
-        engine.split_scores(scores, [1] * n_requests)
-        return dict(calls)
-
-    run_batch(1)  # warm-up: memoizes the runtime scalar encodes
-    fresh_before = reg.counter("plan.encode.fresh").value
-    pad_before = reg.counter("serving.pack.pad_slots").value
-    serial_ops = run_batch(1)
-    packed_ops = run_batch(4)
-    ragged_ops = run_batch(3)  # 3 slots pad to 4: ragged final batch
-    fresh_delta = reg.counter("plan.encode.fresh").value - fresh_before
-    pad_delta = reg.counter("serving.pack.pad_slots").value - pad_before
-
-    print(
-        f"packed opcounts: B=1 {serial_ops} B=4 {packed_ops} B=3 {ragged_ops} "
-        f"fresh_encodes={fresh_delta} pad_slots={pad_delta}"
-    )
-
-    ok = True
-    if any(v == 0 for v in serial_ops.values()):
-        print(f"FAIL: op counters never fired: {serial_ops}")
-        ok = False
-    if packed_ops != serial_ops or ragged_ops != serial_ops:
+    ok = per_request > 0
+    if not ok:
+        print("FAIL: weighted_sum_encoded counter never fired")
+    for counts in ([2, 1], [1, 1, 1, 1]):
+        offsets = np.cumsum([0] + counts)
+        requests = [
+            client.encrypt_request(images[lo:hi]) for lo, hi in zip(offsets, offsets[1:])
+        ]
+        want = [
+            client.decrypt_response(serial.classify_encrypted(enc), batch=c)
+            for enc, c in zip(requests, counts)
+        ]
+        with BatchedCloudService(
+            backend, layers, SHAPE, max_batch_slots=sum(counts), max_wait_ms=60_000.0
+        ) as gateway:
+            fresh_before = reg.counter("plan.encode.fresh").value
+            calls = 0
+            responses = _fire_one_batch(gateway, requests, counts)
+            ws_calls = calls
+            fresh_delta = reg.counter("plan.encode.fresh").value - fresh_before
+            batches = gateway.scheduler.stats()["batches"]
+            strategy = gateway._health()["packing"]["strategy"]
         print(
-            f"FAIL: packed batch op counts scale with B — B=1 {serial_ops}, "
-            f"B=4 {packed_ops}, B=3 {ragged_ops}; lane packing must evaluate "
-            "each layer operation once per batch"
+            f"ckks-rns gateway counts={counts}: batches={batches} "
+            f"weighted_sum_encoded={ws_calls} (single request {per_request}) "
+            f"fresh_encodes={fresh_delta} strategy={strategy}"
         )
+        if batches != 1:
+            print(f"FAIL: counts={counts} fired as {batches} batches, expected 1")
+            ok = False
+        for i, (response, w, c) in enumerate(zip(responses, want, counts)):
+            if not response.ok:
+                print(f"FAIL: counts={counts} member {i}: {response.error}")
+                ok = False
+            elif not np.array_equal(client.decrypt_response(response.scores, batch=c), w):
+                print(f"FAIL: counts={counts} member {i}: gateway scores != serial scores")
+                ok = False
+        if ws_calls != len(counts) * per_request:
+            print(
+                f"FAIL: {ws_calls} weighted_sum_encoded calls for {len(counts)} members, "
+                f"expected {len(counts)} x {per_request}: a real-scheme batch costs "
+                "exactly its members, no more and no less"
+            )
+            ok = False
+        if fresh_delta != 0:
+            print(f"FAIL: warm gateway batch performed {fresh_delta} fresh encodes")
+            ok = False
+        if strategy != "per-request":
+            print(f"FAIL: /healthz packing.strategy = {strategy!r} on CKKS-RNS")
+            ok = False
+    if ok:
+        print("OK: ckks-rns gateway bit-identical to serial, zero warm encodes, cost linear in B")
+    return 0 if ok else 1
+
+
+def mock_pad_waste_check() -> int:
+    """Slot sharing on the mock gateway meters its padding waste.
+
+    A ragged (2, 1) batch shares slots — 3 used, padded to 4 — so
+    ``serving.pack.pad_slots`` advances by exactly 1, and ``/healthz``
+    counts two requests carrying three images.
+    """
+    layers = build_layers()
+    backend = MockBackend(batch=64, levels=6)
+    client = Client(backend, SHAPE)
+    images = np.random.default_rng(3).uniform(0, 1, (3, 1, 6, 6))
+    requests = [client.encrypt_request(images[:2]), client.encrypt_request(images[2:])]
+    reg = get_registry()
+    names = ("batches", "requests", "slots", "pad_slots")
+    before = [reg.counter(f"serving.pack.{n}").value for n in names]
+    with BatchedCloudService(
+        backend, layers, SHAPE, max_batch_slots=3, max_wait_ms=60_000.0
+    ) as gateway:
+        responses = _fire_one_batch(gateway, requests, [2, 1])
+        packing = gateway._health()["packing"]
+    delta = [int(reg.counter(f"serving.pack.{n}").value - b) for n, b in zip(names, before)]
+    print(f"mock ragged batch: serving.pack deltas {dict(zip(names, delta))} healthz {packing}")
+    ok = True
+    if not all(r.ok for r in responses):
+        print("FAIL: ragged mock batch did not resolve")
         ok = False
-    if fresh_delta != 0:
-        print(f"FAIL: warm packed inference performed {fresh_delta} fresh encodes")
+    if delta != [1, 2, 3, 1]:
+        print(f"FAIL: serving.pack.* advanced by {delta}, expected [1, 2, 3, 1]")
         ok = False
-    if pad_delta != 1:
-        print(f"FAIL: serving.pack.pad_slots advanced by {pad_delta}, expected 1")
+    if packing["strategy"] != "slots" or packing["requests"] < 2 or "images" in packing:
+        print(f"FAIL: /healthz packing block {packing}")
         ok = False
     if ok:
-        print("OK: packed op counts flat in B, zero warm encodes, pad waste metered")
+        print("OK: pad waste metered, requests and images counted apart")
     return 0 if ok else 1
 
 
@@ -220,7 +279,7 @@ def main() -> int:
     if ok:
         print("OK: all futures resolved, batching active, scores bit-identical to serial")
     if ok:
-        return packed_opcount_check()
+        return real_scheme_gateway_check() or mock_pad_waste_check()
     return 1
 
 

@@ -60,7 +60,7 @@ def build_layers():
 
 
 def drive(gateway: ClusteredCloudService) -> None:
-    backend = gateway.client_backend
+    backend = gateway.engine.backend
     client = Client(backend, SHAPE)
     images = np.random.default_rng(1).uniform(0, 1, (REQUESTS, *SHAPE))
     for i in range(REQUESTS):
