@@ -13,9 +13,8 @@ from conftest import save_record, save_trace_artifact
 from repro.bench.workloads import make_engine
 from repro.henn.hybrid import HybridRnsEngine
 
-#: Warm rounds per record; the kept trace is the fastest round's, the
-#: same min-of-N convention as ``bench_plan_cache.py`` (single-shot
-#: warm numbers swing ±20% on shared runners).
+#: Warm rounds per record; the kept trace is the fastest round's
+#: (single-shot warm numbers swing ±20% on shared runners).
 WARM_ROUNDS = 3
 
 

@@ -11,9 +11,9 @@ only, so the same compiled model runs under:
   backend-agreement tests).
 * :class:`CkksBackend` — multiprecision CKKS (the paper's CNN-HE).
 * :class:`CkksRnsBackend` — full-RNS CKKS (CNN-HE-RNS), with a
-  vectorised ``weighted_sum`` that batches all taps of a neuron into a
-  few channelwise NumPy kernels and dispatches residue channels through
-  the context executor.
+  vectorised ``weighted_sum_encoded`` that batches all taps of a neuron
+  into a few channelwise NumPy kernels and dispatches residue channels
+  through the context executor.
 """
 
 from __future__ import annotations
@@ -236,8 +236,7 @@ class HeBackend(ABC):
     and ``relinearize_ext`` brings them back to degree 1.  The 29 public
     names, by role:
 
-    **Primitives** (each backend implements them; the serving wrapper
-    forwards them)
+    **Primitives** (22; what a scheme implements)
 
     * parameters — ``scale``, ``max_batch``, ``relin_mode``;
     * client side — ``encrypt``, ``encrypt_many``, ``decrypt`` (degree 1);
@@ -249,10 +248,12 @@ class HeBackend(ABC):
     * request packing, degree 1 — ``concat_slots``, ``slice_slots``;
     * compile-once constants — ``encode_taps``.
 
-    **Derived composites** (defined here on top of the primitives;
-    backends override them only as fast paths): ``weighted_sum``,
-    ``weighted_sum_encoded``, ``poly_eval``, ``poly_eval_bsgs``,
-    ``poly_eval_many``, ``rescale_many``, ``add_plain_each``.
+    **Derived composites** (7; defined here on top of the primitives):
+    ``weighted_sum_encoded``, ``poly_eval_many``, ``rescale_many`` and
+    ``add_plain_each`` are what the engine's plan calls, and the real
+    schemes override them with fused kernels; ``weighted_sum``,
+    ``poly_eval`` and ``poly_eval_bsgs`` are spelled once and no scheme
+    overrides them.
 
     Degree-1-only entry points raise
     :class:`~repro.ckks.ciphertext.CiphertextDegreeError` on an
@@ -424,9 +425,9 @@ class HeBackend(ABC):
     ) -> Any:
         """``sum_i weights[i] * handles[i]`` at a common plain scale.
 
-        The generic implementation multiplies and adds pairwise; RNS
-        overrides it with a batched channelwise kernel (this is where
-        convolutions spend their time).
+        The reference spelling: encodes *weights* on every call and
+        replays them through :meth:`weighted_sum_encoded`, where each
+        backend's kernel lives.
 
         Parameters
         ----------
@@ -445,19 +446,7 @@ class HeBackend(ABC):
             raise ValueError("handles/weights length mismatch")
         if len(handles) == 0:
             raise ValueError("weighted_sum needs at least one term")
-        ps = float(plain_scale or self.scale)
-        # Taps whose weight quantizes to zero contribute exactly nothing
-        # (their encoded multiplier is the zero plaintext): skip them.
-        keep = [t for t in range(len(handles)) if int(round(float(weights[t]) * ps)) != 0]
-        if not keep:
-            keep = [0]
-        with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
-            acc = self.mul_plain_scalar(handles[keep[0]], float(weights[keep[0]]), ps)
-            for t in keep[1:]:
-                acc = self.add(acc, self.mul_plain_scalar(handles[t], float(weights[t]), ps))
-            return acc
-
-    # -- compile-once taps (overridable fast paths) -----------------------------
+        return self.weighted_sum_encoded(handles, self.encode_taps(weights, plain_scale))
 
     def encode_taps(self, weights: np.ndarray, plain_scale: float | None = None) -> EncodedTaps:
         """Precompute the backend-native constants of one weighted sum.
@@ -470,17 +459,28 @@ class HeBackend(ABC):
         ps = float(plain_scale or self.scale)
         weights = np.asarray(weights, dtype=np.float64)
         consts = [int(round(float(w) * ps)) for w in weights]
+        # Taps whose weight quantizes to zero contribute exactly nothing
+        # (their encoded multiplier is the zero plaintext): skipped.
         keep = [t for t, c in enumerate(consts) if c != 0] or [0]
         return EncodedTaps(plain_scale=ps, weights=weights, consts=consts, keep=keep)
 
     def weighted_sum_encoded(self, handles: Sequence[Any], enc: EncodedTaps) -> Any:
         """Replay a precompiled weighted sum over fresh tap handles.
 
-        Bit-identical to ``weighted_sum(handles, enc.weights,
-        enc.plain_scale)`` — backends override this to reuse the
-        precomputed constants instead of re-deriving them.
+        The generic implementation multiplies and adds pairwise; the
+        real schemes override it with fused kernels over the
+        precomputed constants (this is where convolutions spend their
+        time).
         """
-        return self.weighted_sum(handles, enc.weights, enc.plain_scale)
+        if len(handles) != len(enc.consts) or not len(handles):
+            raise ValueError("bad weighted_sum arguments")
+        ws, ps = enc.weights, enc.plain_scale
+        with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
+            first, *rest = enc.keep
+            acc = self.mul_plain_scalar(handles[first], float(ws[first]), ps)
+            for t in rest:
+                acc = self.add(acc, self.mul_plain_scalar(handles[t], float(ws[t]), ps))
+            return acc
 
     def poly_eval(self, x: Any, coeffs: np.ndarray) -> Any:
         """Evaluate ``sum_k coeffs[k] x^k`` homomorphically.
@@ -537,12 +537,7 @@ class HeBackend(ABC):
         run = _run_poly_program_lazy if self._use_lazy() else _run_poly_program
         return run(_SinglePolyOps(self), program, x, coeffs[None, :])
 
-    def poly_eval_many(
-        self,
-        handles: Sequence[Any],
-        rows: np.ndarray,
-        program: "PolyProgram | None" = None,
-    ) -> list[Any]:
+    def poly_eval_many(self, handles: Sequence[Any], rows: np.ndarray) -> list[Any]:
         """Evaluate one polynomial per handle (``rows[i]`` on ``handles[i]``).
 
         The generic implementation loops :meth:`poly_eval_bsgs`; the RNS
@@ -553,8 +548,7 @@ class HeBackend(ABC):
         handles = list(handles)
         rows = self._check_poly_rows(rows, len(handles))
         degree = rows.shape[1] - 1
-        if program is None:
-            program = compile_poly_program(degree)
+        program = compile_poly_program(degree)
         with obs.span(
             "henn.poly_eval_many", backend=self.name, positions=len(handles), degree=degree
         ):
@@ -844,45 +838,30 @@ class CkksBackend(HeBackend):
             self.ctx.add_galois_key(self.keys, r, self._rng)
         return self.ctx.rotate(a, r, self.keys.galois)
 
-    def weighted_sum(self, handles, weights, plain_scale: float | None = None):
-        """Accumulate big-int components lazily, reducing mod q once.
-
-        See :meth:`HeBackend.weighted_sum` for the argument contract.
-        """
-        if len(handles) != len(weights) or not len(handles):
-            raise ValueError("bad weighted_sum arguments")
-        ps = float(plain_scale or self.scale)
-        consts = [int(round(float(w) * ps)) for w in weights]
-        with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
-            return self._weighted_sum_consts(handles, consts, ps)
-
     def weighted_sum_encoded(self, handles, enc: EncodedTaps):
-        """Replay precompiled integer weights (no per-call quantization)."""
-        if len(handles) != len(enc.consts):
+        """Accumulate big-int components lazily, reducing mod q once."""
+        if len(handles) != len(enc.consts) or not len(handles):
             raise ValueError("bad weighted_sum arguments")
-        with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
-            return self._weighted_sum_consts(handles, enc.consts, enc.plain_scale)
-
-    def _weighted_sum_consts(self, handles, consts: list[int], ps: float):
         for h in handles:
             require_degree1(h, "weighted_sum")
-        level = min(h.level for h in handles)
-        ring = self.ctx.ring(level)
-        acc0 = np.zeros(self.ctx.n, dtype=object)
-        acc1 = np.zeros(self.ctx.n, dtype=object)
-        for h, c in zip(handles, consts):
-            if c == 0:
-                continue
-            h = self.ctx.mod_switch_to(h, level)
-            acc0 = acc0 + h.c0 * c
-            acc1 = acc1 + h.c1 * c
-        return Ciphertext(
-            np.mod(acc0, ring.q),
-            np.mod(acc1, ring.q),
-            level,
-            handles[0].scale * ps,
-            self.ctx.n,
-        )
+        with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
+            level = min(h.level for h in handles)
+            ring = self.ctx.ring(level)
+            acc0 = np.zeros(self.ctx.n, dtype=object)
+            acc1 = np.zeros(self.ctx.n, dtype=object)
+            for h, c in zip(handles, enc.consts):
+                if c == 0:
+                    continue
+                h = self.ctx.mod_switch_to(h, level)
+                acc0 = acc0 + h.c0 * c
+                acc1 = acc1 + h.c1 * c
+            return Ciphertext(
+                np.mod(acc0, ring.q),
+                np.mod(acc1, ring.q),
+                level,
+                handles[0].scale * enc.plain_scale,
+                self.ctx.n,
+            )
 
 
 # --------------------------------------------------------------------------- full-RNS CKKS
@@ -996,22 +975,6 @@ class CkksRnsBackend(HeBackend):
             self.ctx.add_galois_key(self.keys, r, self._rng)
         return self.ctx.rotate(a, r, self.keys.galois)
 
-    def weighted_sum(self, handles, weights, plain_scale: float | None = None):
-        """Batched channelwise kernel: all taps of a neuron in one sweep.
-
-        For each residue channel *i* the accumulation
-        ``sum_t (c_t * [w_t Δ]_{q_i}) mod q_i`` is two NumPy calls over a
-        ``(taps, n)`` block; channels fan out through the executor.
-        Exactness: per-tap products are reduced, partial sums of up to
-        ``2^13`` terms stay below ``2^63``.
-
-        See :meth:`HeBackend.weighted_sum` for the argument contract.
-        """
-        if len(handles) != len(weights) or not len(handles):
-            raise ValueError("bad weighted_sum arguments")
-        with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
-            return self.ctx.weighted_sum(list(handles), weights, plain_scale)
-
     def encode_taps(self, weights: np.ndarray, plain_scale: float | None = None) -> EncodedTaps:
         """Quantize once and pre-reduce residues across the full chain."""
         enc = super().encode_taps(weights, plain_scale)
@@ -1021,7 +984,15 @@ class CkksRnsBackend(HeBackend):
         return enc
 
     def weighted_sum_encoded(self, handles, enc: EncodedTaps) -> RnsCiphertext:
-        """Replay precompiled weights: residue table sliced, never rebuilt."""
+        """Batched channelwise kernel: all taps of a neuron in one sweep.
+
+        For each residue channel *i* the accumulation
+        ``sum_t (c_t * [w_t Δ]_{q_i}) mod q_i`` is two NumPy calls over a
+        ``(taps, n)`` block; channels fan out through the executor.
+        Exactness: per-tap products are reduced, partial sums of up to
+        ``2^13`` terms stay below ``2^63``.  The precompiled residue
+        table is sliced to the active level, never rebuilt.
+        """
         if len(handles) != len(enc.consts) or not len(handles):
             raise ValueError("bad weighted_sum arguments")
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
@@ -1033,12 +1004,7 @@ class CkksRnsBackend(HeBackend):
                 residues=enc.residues,
             )
 
-    def poly_eval_many(
-        self,
-        handles: Sequence[Any],
-        rows: np.ndarray,
-        program: "PolyProgram | None" = None,
-    ) -> list[RnsCiphertext]:
+    def poly_eval_many(self, handles: Sequence[Any], rows: np.ndarray) -> list[RnsCiphertext]:
         """Batched BSGS: pack positions into one ciphertext per level group.
 
         Handles sharing (level, scale) stack into a single
@@ -1054,8 +1020,7 @@ class CkksRnsBackend(HeBackend):
         handles = list(handles)
         rows = self._check_poly_rows(rows, len(handles))
         degree = rows.shape[1] - 1
-        if program is None:
-            program = compile_poly_program(degree)
+        program = compile_poly_program(degree)
         groups = _rns_groups(handles)
         reg = get_registry()
         reg.counter("poly.bsgs.evals").inc(len(handles))

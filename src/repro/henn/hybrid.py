@@ -108,7 +108,8 @@ class HybridRnsEngine:
             fault_injector=fault_injector,
         )
         self.conv_bias = conv.bias
-        self.tail = HeInferenceEngine(backend, he_layers[1:], input_shape)
+        # The tail's plan is compiled for the feature maps the conv emits.
+        self.tail = HeInferenceEngine(backend, he_layers[1:], conv.taps(input_shape).out_shape)
         self.input_shape = input_shape
         self.backend = backend
         self.latency = LatencyStats()

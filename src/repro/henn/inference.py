@@ -7,6 +7,11 @@ operation run in parallel — this *is* the CNN-HE-RNS configuration; the
 same engine with :class:`~repro.henn.backend.CkksBackend` is the
 non-RNS CNN-HE baseline of Tables III/V.
 
+The engine always evaluates its :class:`~repro.henn.plan.InferencePlan`
+(compiled at construction or adopted): one
+:class:`~repro.henn.plan.PlannedTaps` per linear map, every other layer
+as it is.
+
 Timing is span-based (:mod:`repro.obs`): every layer forward is a
 ``henn.layer`` span and the classify stages are ``henn.stage.*`` spans,
 so the Fig. 5 per-stage breakdown falls out of the tracer.  When global
@@ -81,14 +86,12 @@ class HeInferenceEngine:
     input_shape:
         Expected ``(C, H, W)`` of one input image.
     plan:
-        Compile an :class:`~repro.henn.plan.InferencePlan` at
-        construction (default): tap programs and weight encodings are
-        precomputed once, and scalar plaintexts are memoized as the
-        first image flows through, so warm ``classify()`` calls perform
-        zero plaintext encodes.  ``False`` keeps the original
-        encode-per-call path (bit-identical results, used by the
-        plan-equivalence tests); an existing plan object is adopted
-        as-is.
+        An :class:`~repro.henn.plan.InferencePlan` already compiled for
+        this backend and graph, adopted as-is (a cluster worker compiles
+        its own against the shared-memory cache).  By default the engine
+        compiles one: every linear map's weights are encoded once, and
+        scalar plaintexts are memoized as the first image flows through,
+        so warm ``classify()`` calls perform zero plaintext encodes.
 
     Raises
     ------
@@ -102,7 +105,7 @@ class HeInferenceEngine:
         backend: HeBackend,
         layers: list[HeLayer],
         input_shape: tuple[int, int, int],
-        plan: "bool | InferencePlan" = True,
+        plan: "InferencePlan | None" = None,
     ):
         check_level_budget(backend, layers)
         self.backend = backend
@@ -110,12 +113,7 @@ class HeInferenceEngine:
         self.input_shape = input_shape
         self.latency = LatencyStats()
         self._layer_spans: list[Span] = []
-        if plan is True:
-            self.plan: InferencePlan | None = compile_plan(backend, layers, input_shape)
-        elif plan is False or plan is None:
-            self.plan = None
-        else:
-            self.plan = plan
+        self.plan = plan if plan is not None else compile_plan(backend, layers, input_shape)
 
     @property
     def trace(self) -> LayerTrace:
@@ -258,11 +256,9 @@ class HeInferenceEngine:
             tracer = Tracer()
         spans: list[Span] = []
         x = enc
-        # Planned engines evaluate the precompiled layers but keep the
-        # source layers' names on the spans, so traces stay comparable.
-        exec_layers = self.plan.layers if self.plan is not None else self.layers
+        # The plan's layers do the work; spans carry the source layers' names.
         with tracer.span("henn.stage.evaluate", layers=len(self.layers)):
-            for i, (layer, ex) in enumerate(zip(self.layers, exec_layers)):
+            for i, (layer, ex) in enumerate(zip(self.layers, self.plan.layers)):
                 with tracer.span("henn.layer", layer=type(layer).__name__, index=i) as h:
                     x = ex.forward(self.backend, x)
                 spans.append(h.record)

@@ -6,15 +6,21 @@ flattening.  Each handle packs the whole image batch in its SIMD slots,
 so a layer is evaluated once per scalar position regardless of batch
 size (CryptoNets packing).
 
-Linear layers (conv/dense) consume exactly one rescaling level; a
-polynomial activation consumes the depth of its BSGS program (2 for a
-cubic, see ``HeBackend.poly_eval``).  :func:`model_depth` sums them and
+The linear maps (conv, dense, pooling) each describe themselves as one
+:class:`TapProgram`; :meth:`HeLinearMap.forward` is the one reference
+evaluation of it — the oracle the tests compare the engine's
+precompiled :class:`repro.henn.plan.PlannedTaps` with.
+
+A linear map consumes exactly one rescaling level; a polynomial
+activation consumes the depth of its BSGS program (2 for a cubic, see
+``HeBackend.poly_eval``).  :func:`model_depth` sums them and
 :func:`check_level_budget` holds a backend's modulus chain against it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,71 +34,14 @@ __all__ = [
     "model_depth",
     "check_level_budget",
     "HeLayer",
+    "TapProgram",
+    "HeLinearMap",
     "HeConv2d",
     "HeLinear",
     "HePoly",
     "HeFlatten",
     "HeAvgPool",
-    "conv_tap_program",
 ]
-
-
-def conv_tap_program(
-    wmat: np.ndarray,
-    h: int,
-    w: int,
-    stride: int,
-    padding: int,
-    prune_below: float,
-) -> tuple[int, int, list[tuple[int, int, list[int], np.ndarray]]]:
-    """Tap geometry of one conv output channel as an explicit program.
-
-    For every output position the program records which flattened input
-    positions (indices into ``x.reshape(-1)`` of the ``(C, H, W)``
-    handle array) are gathered and with which weights — the exact
-    ``(ci, di, dj)`` iteration order, bounds checks, pruning rule and
-    fully-pruned fallback of :meth:`HeConv2d.forward`, so evaluating a
-    program is bit-identical to the inline loop.  The inference-plan
-    layer compiles these programs once per engine and replays them every
-    image.
-
-    Parameters
-    ----------
-    wmat:
-        ``(IC, KH, KW)`` weights of one output channel.
-    h, w:
-        Input feature-map height and width.
-    stride, padding, prune_below:
-        As on :class:`HeConv2d`.
-
-    Returns
-    -------
-    ``(oh, ow, program)`` where program entries are ``(i, j,
-    flat_indices, weights)`` in row-major output order.
-    """
-    ic, kh, kw = wmat.shape
-    s, p = stride, padding
-    oh, ow = conv_output_shape(h, w, kh, kw, s, p)
-    program: list[tuple[int, int, list[int], np.ndarray]] = []
-    for i in range(oh):
-        for j in range(ow):
-            idxs: list[int] = []
-            ws: list[float] = []
-            for ci in range(ic):
-                for di in range(kh):
-                    for dj in range(kw):
-                        yy = i * s - p + di
-                        xx = j * s - p + dj
-                        if 0 <= yy < h and 0 <= xx < w:
-                            wv = wmat[ci, di, dj]
-                            if abs(wv) > prune_below:
-                                idxs.append((ci * h + yy) * w + xx)
-                                ws.append(float(wv))
-            if not idxs:  # fully pruned window: keep a zero term
-                idxs = [max(0, min(i * s, h - 1)) * w + max(0, min(j * s, w - 1))]
-                ws = [0.0]
-            program.append((i, j, idxs, np.asarray(ws, dtype=np.float64)))
-    return oh, ow, program
 
 
 class HeLayer(ABC):
@@ -144,16 +93,54 @@ def check_level_budget(backend: HeBackend, he_layers: "list[HeLayer]") -> None:
         raise LevelBudgetError(needed, available)
 
 
-class HeConv2d(HeLayer):
-    """Convolution with plaintext weights over encrypted feature maps.
+class TapProgram(NamedTuple):
+    """One linear map over a flat handle array, position by position."""
 
-    Each output position is one :meth:`~HeBackend.weighted_sum` over its
-    receptive-field handles, followed by a single rescale and a
-    plaintext bias addition.  Weights with ``|w| < prune_below`` are
-    dropped (Faster-CryptoNets-style sparsity, §IV).
+    out_shape: tuple[int, ...]
+    #: Per flat output position (C-order over ``out_shape``): the flat
+    #: input indices gathered (``None``: every input, in order) and their
+    #: float weights.
+    entries: list[tuple[list[int] | None, np.ndarray]]
+    #: Plaintext added after the rescale, one per output position.
+    bias: np.ndarray | None
+
+
+class HeLinearMap(HeLayer):
+    """A plaintext-weighted sum per output position: conv, dense, pooling.
+
+    A subclass describes itself once, as the :class:`TapProgram` of
+    :meth:`taps`; this class holds the reference evaluation of it (one
+    :meth:`~HeBackend.weighted_sum`, one rescale and one plaintext bias
+    add per position) and :class:`repro.henn.plan.PlannedTaps` the
+    precompiled one the engine runs.  Consumes one level.
     """
 
     depth = 1
+
+    @abstractmethod
+    def taps(self, in_shape: tuple[int, ...]) -> TapProgram:
+        """The tap program for one input shape; ``ValueError`` if it does not fit."""
+
+    def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
+        out_shape, entries, bias = self.taps(x.shape)
+        flat = list(x.reshape(-1))
+        out = np.empty(len(entries), dtype=object)
+        for pos, (idxs, ws) in enumerate(entries):
+            handles = flat if idxs is None else [flat[t] for t in idxs]
+            acc = backend.rescale(backend.weighted_sum(handles, ws))
+            if bias is not None:
+                acc = backend.add_plain(acc, float(bias[pos]))
+            out[pos] = acc
+        return out.reshape(out_shape)
+
+
+class HeConv2d(HeLinearMap):
+    """Convolution with plaintext weights over encrypted feature maps.
+
+    Each output position sums its receptive-field handles.  Weights with
+    ``|w| <= prune_below`` are dropped (Faster-CryptoNets-style sparsity,
+    §IV).
+    """
 
     def __init__(
         self,
@@ -171,39 +158,45 @@ class HeConv2d(HeLayer):
         self.padding = padding
         self.prune_below = prune_below
 
-    def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3:
-            raise ValueError(f"expected (C, H, W) handle array, got shape {x.shape}")
+    def taps(self, in_shape: tuple[int, ...]) -> TapProgram:
+        if len(in_shape) != 3:
+            raise ValueError(f"expected (C, H, W) handle array, got shape {in_shape}")
         oc, ic, kh, kw = self.weight.shape
-        c, h, w = x.shape
+        c, h, w = in_shape
         if c != ic:
             raise ValueError(f"conv expects {ic} input channels, got {c}")
-        flat = x.reshape(-1)
-        out = None
-        for o in range(oc):
-            oh, ow, program = conv_tap_program(
-                self.weight[o], h, w, self.stride, self.padding, self.prune_below
-            )
-            if out is None:
-                out = np.empty((oc, oh, ow), dtype=object)
-            for i, j, idxs, ws in program:
-                taps = [flat[t] for t in idxs]
-                acc = backend.weighted_sum(taps, ws)
-                acc = backend.rescale(acc)
-                if self.bias is not None:
-                    acc = backend.add_plain(acc, float(self.bias[o]))
-                out[o, i, j] = acc
-        return out
+        s, p = self.stride, self.padding
+        oh, ow = conv_output_shape(h, w, kh, kw, s, p)
+        entries: list[tuple[list[int] | None, np.ndarray]] = []
+        for wmat in self.weight:
+            for i in range(oh):
+                for j in range(ow):
+                    idxs: list[int] = []
+                    ws: list[float] = []
+                    for ci in range(ic):
+                        for di in range(kh):
+                            for dj in range(kw):
+                                yy = i * s - p + di
+                                xx = j * s - p + dj
+                                if 0 <= yy < h and 0 <= xx < w:
+                                    wv = wmat[ci, di, dj]
+                                    if abs(wv) > self.prune_below:
+                                        idxs.append((ci * h + yy) * w + xx)
+                                        ws.append(float(wv))
+                    if not idxs:  # fully pruned window: keep a zero term
+                        idxs = [max(0, min(i * s, h - 1)) * w + max(0, min(j * s, w - 1))]
+                        ws = [0.0]
+                    entries.append((idxs, np.asarray(ws, dtype=np.float64)))
+        bias = None if self.bias is None else np.repeat(self.bias, oh * ow)
+        return TapProgram((oc, oh, ow), entries, bias)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         oc, ic, kh, _ = self.weight.shape
         return f"HeConv2d({ic}->{oc}, k={kh}, s={self.stride}, p={self.padding})"
 
 
-class HeLinear(HeLayer):
+class HeLinear(HeLinearMap):
     """Dense layer: one weighted sum per output neuron."""
-
-    depth = 1
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None, prune_below: float = 0.0):
         self.weight = np.asarray(weight, dtype=np.float64)
@@ -212,29 +205,23 @@ class HeLinear(HeLayer):
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
         self.prune_below = prune_below
 
-    def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 1:
+    def taps(self, in_shape: tuple[int, ...]) -> TapProgram:
+        if len(in_shape) != 1:
             raise ValueError("HeLinear expects a flat handle vector (use HeFlatten)")
         out_f, in_f = self.weight.shape
-        if x.shape[0] != in_f:
-            raise ValueError(f"linear expects {in_f} inputs, got {x.shape[0]}")
-        out = np.empty(out_f, dtype=object)
-        handles = list(x)
-        for o in range(out_f):
-            row = self.weight[o]
+        if in_shape[0] != in_f:
+            raise ValueError(f"linear expects {in_f} inputs, got {in_shape[0]}")
+        entries: list[tuple[list[int] | None, np.ndarray]] = []
+        for row in self.weight:
             if self.prune_below > 0:
-                keep = np.abs(row) > self.prune_below
-                taps = [h for h, k in zip(handles, keep) if k]
-                ws = row[keep]
-                if not taps:
-                    taps, ws = [handles[0]], np.array([0.0])
+                kept = np.nonzero(np.abs(row) > self.prune_below)[0]
+                if len(kept) == 0:  # fully pruned row: keep a zero term
+                    entries.append(([0], np.array([0.0])))
+                else:
+                    entries.append((list(map(int, kept)), row[kept]))
             else:
-                taps, ws = handles, row
-            acc = backend.rescale(backend.weighted_sum(taps, np.asarray(ws)))
-            if self.bias is not None:
-                acc = backend.add_plain(acc, float(self.bias[o]))
-            out[o] = acc
-        return out
+                entries.append((None, row))
+        return TapProgram((out_f,), entries, self.bias)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HeLinear({self.weight.shape[1]}->{self.weight.shape[0]})"
@@ -311,31 +298,27 @@ class HeFlatten(HeLayer):
         return "HeFlatten()"
 
 
-class HeAvgPool(HeLayer):
-    """Mean pooling (a plaintext-weighted sum; consumes one level)."""
-
-    depth = 1
+class HeAvgPool(HeLinearMap):
+    """Mean pooling: every window is the same ``1 / k²``-weighted sum."""
 
     def __init__(self, kernel_size: int, stride: int | None = None):
         self.kernel_size = kernel_size
         self.stride = stride or kernel_size
 
-    def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3:
+    def taps(self, in_shape: tuple[int, ...]) -> TapProgram:
+        if len(in_shape) != 3:
             raise ValueError("HeAvgPool expects (C, H, W)")
-        c, h, w = x.shape
+        c, h, w = in_shape
         k, s = self.kernel_size, self.stride
         oh, ow = conv_output_shape(h, w, k, k, s, 0)
-        inv = 1.0 / (k * k)
-        out = np.empty((c, oh, ow), dtype=object)
-        for ci in range(c):
-            for i in range(oh):
-                for j in range(ow):
-                    taps = [x[ci, i * s + di, j * s + dj] for di in range(k) for dj in range(k)]
-                    out[ci, i, j] = backend.rescale(
-                        backend.weighted_sum(taps, np.full(len(taps), inv))
-                    )
-        return out
+        ws = np.full(k * k, 1.0 / (k * k))
+        entries = [
+            ([(ci * h + i * s + di) * w + j * s + dj for di in range(k) for dj in range(k)], ws)
+            for ci in range(c)
+            for i in range(oh)
+            for j in range(ow)
+        ]
+        return TapProgram((c, oh, ow), entries, None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HeAvgPool(k={self.kernel_size}, s={self.stride})"

@@ -170,9 +170,9 @@ class Client:
         self.backend = backend
         self.input_shape = input_shape
         # Engine used only for its packing logic; layers stay on the
-        # cloud, and nothing is compiled: a plan here would install the
-        # data owner's plaintext cache on the context the cloud shares.
-        self._packer = HeInferenceEngine(backend, [], input_shape, plan=False)
+        # cloud.  Its empty plan adopts the cache the cloud installed on
+        # the shared context (or installs the one the cloud will adopt).
+        self._packer = HeInferenceEngine(backend, [], input_shape)
 
     def encrypt_request(self, images: np.ndarray) -> np.ndarray:
         """Package a batch of images as ciphertext handles."""

@@ -56,13 +56,13 @@ def test_mock_scale_mismatch_add(mock, rng):
 
 
 def test_weighted_sum_default_vs_override(real, mock, rng):
-    """The RNS fast-path weighted_sum matches the generic pairwise one."""
+    """The RNS fast-path weighted sum matches the generic pairwise one."""
     vs = [rng.uniform(-1, 1, 8) for _ in range(6)]
     ws = rng.uniform(-1, 1, 6)
     hs_real = [real.encrypt(v) for v in vs]
     fast = real.decrypt(real.weighted_sum(hs_real, ws), count=8)
     generic = real.decrypt(
-        super(CkksRnsBackend, real).weighted_sum(hs_real, ws), count=8
+        HeBackend.weighted_sum_encoded(real, hs_real, real.encode_taps(ws)), count=8
     )
     want = sum(w * v for w, v in zip(ws, vs))
     assert np.allclose(fast, want, atol=1e-3)

@@ -87,3 +87,31 @@ def test_cross_context_ciphertext_rejected_or_garbage(setup):
     except (ValueError, IndexError, KeyError):
         return  # rejection is fine
     assert np.max(np.abs(out - z)) > 0.5  # garbage is fine too; silence is not
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8), (2, 6, 6)], ids=["1x8x8", "2x6x6"])
+def test_misshaped_request_is_an_error_response_not_scores(shape):
+    """The serial Fig. 1 service has no admission check of its own: the
+    engine must refuse a handle array of another shape than the model's
+    (it used to answer ``ok=True`` with garbage)."""
+    from repro.henn.backend import MockBackend
+    from repro.henn.layers import HeConv2d, HeFlatten, HeLinear
+    from repro.henn.protocol import Client, CloudService
+    from repro.obs.metrics import get_registry
+
+    rng = np.random.default_rng(0)
+    backend = MockBackend(batch=4, scale_bits=26, levels=3)
+    layers = [
+        HeConv2d(rng.uniform(-0.5, 0.5, (2, 1, 3, 3)), None),
+        HeFlatten(),
+        HeLinear(rng.uniform(-0.3, 0.3, (10, 32)), None),
+    ]
+    service = CloudService(backend, layers, (1, 6, 6))
+    request = Client(backend, shape).encrypt_request(rng.uniform(0, 1, (2,) + shape))
+    errors = get_registry().counter("henn.requests", {"outcome": "error"})
+    before = errors.value
+    response = service.try_classify(request)
+    assert not response.ok and response.scores is None
+    assert (response.error.code, response.error.category) == ("ValueError", "state")
+    assert response.error.detail == "ciphertext bookkeeping rejected the request"
+    assert errors.value == before + 1

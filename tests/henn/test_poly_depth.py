@@ -141,7 +141,6 @@ def test_one_prime_short_is_refused_at_construction(kind, degree):
     short = _cached(kind, depth - 1)
     for build in (
         lambda: HeInferenceEngine(short, layers, (1, 1, 1)),
-        lambda: HeInferenceEngine(short, layers, (1, 1, 1), plan=False),
         lambda: compile_plan(short, layers, (1, 1, 1)),
     ):
         with pytest.raises(LevelBudgetError) as err:

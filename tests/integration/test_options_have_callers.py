@@ -217,3 +217,48 @@ def test_every_serving_export_is_referenced_outside_tests():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(exported) - used) == []
+
+
+# -- one linear-map executor, no plan switch ------------------------------------
+
+
+def test_engine_always_plans_there_is_no_switch():
+    (_, init) = _constructors()["HeInferenceEngine"]
+    (plan,) = [a for a in init.args.args if a.arg == "plan"]
+    assert "bool" not in ast.unparse(plan.annotation)
+    switched = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _trees(*CALL_SITE_DIRS)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for k in node.keywords
+        if k.arg == "plan" and isinstance(k.value, ast.Constant) and isinstance(k.value.value, bool)
+    ]
+    assert switched == []
+
+
+def test_linear_maps_have_one_reference_and_one_planned_spelling():
+    henn = ROOT / "src" / "repro" / "henn"
+    plan = ast.parse((henn / "plan.py").read_text())
+    executors = [
+        cls.name
+        for cls in ast.walk(plan)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(n, ast.FunctionDef) and n.name == "forward" for n in cls.body)
+    ]
+    assert executors == ["PlannedTaps"]
+    (compile_plan,) = [
+        n for n in plan.body if isinstance(n, ast.FunctionDef) and n.name == "compile_plan"
+    ]
+    named = {n.id for n in ast.walk(compile_plan) if isinstance(n, ast.Name)}
+    assert not named & {"HeConv2d", "HeLinear", "HeAvgPool"}
+    calls: dict[str, list[str]] = {}
+    for path in sorted(henn.rglob("*.py")):
+        if path.name == "backend.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                calls.setdefault(node.func.attr, []).append(path.name)
+    assert calls["weighted_sum"] == ["layers.py"]  # the reference forward
+    for composite in ("weighted_sum_encoded", "rescale_many", "add_plain_each"):
+        assert calls[composite] == ["plan.py"], composite

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke check: a warm ``classify()`` performs zero plaintext encodes.
 
-Builds a small CNN-HE-RNS engine with planning enabled, classifies one
+Builds a small CNN-HE-RNS engine, classifies one
 batch cold (the scalar plaintext cache fills), then classifies again and
 asserts — from the ``repro.obs`` counters, not from timing — that the
 second call performed
@@ -28,6 +28,8 @@ engine, with a cubic SLAF on a chain of **exactly**
 from the tracer's spans: per ``HePoly`` one ``ckksrns.rescale`` (the
 block sum, before the Horner fold) + two ``ckksrns.rescale_ext``,
 ``PolyProgram.relins`` sweeps, and scores on level 0 — no unused prime.
+Last, the first engine must refuse a handle array of another shape
+than the one its plan was compiled for.
 Exits non-zero with the offending counter deltas.
 """
 
@@ -77,7 +79,7 @@ def build_engine(
         ),
         seed=0,
     )
-    return HeInferenceEngine(backend, layers, (1, 6, 6), plan=True)
+    return HeInferenceEngine(backend, layers, (1, 6, 6))
 
 
 def hybrid_sweep_shapes(images: np.ndarray) -> tuple[list[dict], int, int]:
@@ -198,7 +200,21 @@ def main() -> int:
         f"HePoly performed {cubic}, score levels {sorted(final_levels)}"
     )
 
+    # An (1, 8, 8) handle array into the (1, 6, 6) plan: refused, as the
+    # layers' own ``forward`` refuses it, never evaluated into scores.
+    wide = np.empty(64, dtype=object)
+    wide[:] = engine.backend.encrypt_many(np.zeros((64, len(images))))
+    try:
+        engine.run_encrypted(wide.reshape(1, 8, 8))
+        rejected = False
+    except ValueError:
+        rejected = True
+    print(f"misshaped (1, 8, 8) request rejected: {rejected}")
+
     ok = True
+    if not rejected:
+        print("FAIL: the engine evaluated a handle array its plan was not compiled for")
+        ok = False
     want_cubic = {"rescale": 1, "rescale_ext": 2, "relinearize": cubic_relins}
     if cubic != want_cubic:
         print(
