@@ -78,7 +78,9 @@ def _meter_eval(backend, rng, positions, coeffs):
     reg = get_registry()
     relin0 = reg.counter("relin.count").value
     t0 = time.perf_counter()
-    backend.poly_eval_many(cts, coeffs)
+    # The activation's last sweep belongs to its consumer: relinearise
+    # here, as the linear map behind it would, so each cell is one SLAF.
+    backend.relinearize_many(backend.poly_eval_many(cts, coeffs))
     secs = time.perf_counter() - t0
     return secs, reg.counter("relin.count").value - relin0
 

@@ -43,12 +43,7 @@ from repro.ckksrns.keys import (
     RnsSecretKey,
 )
 from repro.ckksrns.params import CkksRnsParams
-from repro.nt.kernels import (
-    fused_weighted_sum,
-    scale_channels,
-    scale_positions,
-    weighted_accumulate,
-)
+from repro.nt.kernels import LimbMatrix, limb_gemm, scale_channels
 from repro.nt.modarith import addmod, mulmod, negmod, submod
 from repro.nt.ntt import BatchedNttPlan, NttPlan
 from repro.nt.primes import gen_ntt_primes
@@ -94,21 +89,20 @@ class _NttChannel:
         return plan.forward(row) if self.forward else plan.inverse(row)
 
 
-class _WeightedSumChannel:
-    """Picklable per-channel fused weighted sum (both components)."""
+class _MapChannel:
+    """Picklable per-channel limb GEMM of a linear map; the (small) weight
+    limbs travel with it, the ``(k, taps, components, ..., n)`` tap stack
+    is the shared array."""
 
-    __slots__ = ("moduli",)
+    __slots__ = ("moduli", "weights")
 
-    def __init__(self, moduli: list[int]):
+    def __init__(self, moduli: list[int], weights: LimbMatrix):
         self.moduli = moduli
+        self.weights = weights
 
-    def __call__(self, arrays, i: int) -> tuple[np.ndarray, np.ndarray]:
-        m = self.moduli[i]
-        w = arrays["w"][:, i]
-        return (
-            weighted_accumulate(arrays["c0"][:, i, :], w, m),
-            weighted_accumulate(arrays["c1"][:, i, :], w, m),
-        )
+    def __call__(self, arrays, i: int) -> np.ndarray:
+        x = arrays["x"][i]
+        return limb_gemm(x.reshape(x.shape[0], -1), self.weights, self.moduli[i])
 
 
 class _KeySwitchChannel:
@@ -719,7 +713,7 @@ class CkksRnsContext:
         moduli = self.moduli[: a.k]
         mods = np.asarray(moduli, dtype=np.int64)
         residues = np.mod(consts[None, :], mods[:, None])  # (k, B)
-        comps = [scale_positions(comp, residues, moduli) for comp in a.components()]
+        comps = [scale_channels(comp, residues, moduli) for comp in a.components()]
         return with_components(a, comps, scale=a.scale * plain_scale)
 
     @traced("ckksrns.mul_plain")
@@ -739,71 +733,64 @@ class CkksRnsContext:
     def weighted_sum(
         self,
         cts: list[RnsCiphertext],
-        weights: "list[float] | np.ndarray | None",
+        weights: LimbMatrix,
         plain_scale: float | None = None,
-        consts: list[int] | None = None,
-        residues: np.ndarray | None = None,
-    ) -> RnsCiphertext:
-        """Fused ``sum_t w_t * ct_t`` — one kernel pass, not a mul/add chain.
+    ) -> list[RnsCiphertext]:
+        """Every row of ``weights @ cts`` — one exact GEMM per residue channel.
 
-        All tap ciphertexts are stacked into ``(taps, k, n)`` blocks and
-        reduced along the tap axis per residue channel
-        (:mod:`repro.nt.kernels`), skipping taps whose quantized weight
-        is exactly zero.  The result is bit-identical to the
-        ``mul_plain_scalar``/``add`` chain over the same taps because
-        both reduce each product before the (exact int64) summation.
+        Channel *i* stacks the taps into a ``(taps, components·n)`` block
+        and takes its integer-weighted row sums mod ``q_i``
+        (:func:`repro.nt.kernels.limb_gemm`): the canonical residues of
+        the exact sums, bit-identical to a ``mul_plain_scalar`` / ``add``
+        chain.  Every component is weighted — scalars commute with the
+        NTT, so coefficient-domain ``c2``/``c3`` sum as exactly as
+        ``c0``/``c1`` — and a lower-degree tap adds zero high components.
 
         Parameters
         ----------
         cts:
-            Tap ciphertexts, all at the same level and scale.
+            Tap ciphertexts of one scale (levels align to the lowest).
         weights:
-            One real weight per tap.
+            The compiled :class:`~repro.nt.kernels.LimbMatrix` of the
+            ``(rows, taps)`` weights quantised at *plain_scale*.
         plain_scale:
-            Weight quantization scale Δ (defaults to the parameter set's).
-        consts:
-            Pre-quantized integer weights from an inference plan; when
-            given, ``weights`` is ignored and no per-call ``round()`` is
-            paid.
-        residues:
-            Pre-reduced ``(taps, k_top)`` int64 residue table of
-            ``consts`` (columns follow :attr:`moduli`); sliced to the
-            active level instead of recomputing ``c % m`` per call.
+            Weight quantisation scale Δ (defaults to the parameter set's).
+
+        Returns
+        -------
+        One ciphertext per row, at scale ``cts[0].scale * plain_scale``.
         """
         plain_scale = float(plain_scale or self.params.scale)
-        if consts is None:
-            consts = [int(round(float(w) * plain_scale)) for w in weights]
-        if len(consts) != len(cts):
-            raise ValueError(f"{len(consts)} weights for {len(cts)} ciphertexts")
-        for ct in cts:
-            require_degree1(ct, "weighted_sum")
+        rows, taps = weights.limbs.shape[1:]
+        if taps != len(cts) or not cts:
+            raise ValueError(f"{taps} weights per row for {len(cts)} ciphertexts")
+        scales = {ct.scale for ct in cts}
+        if len(scales) > 1:
+            self._check_scales(min(scales), max(scales), "weighted_sum")
+        high = {ct.coeff_high for ct in cts if ct.degree > 1}
+        if len(high) > 1:
+            raise ValueError("cannot sum extended taps with mismatched high-component domains")
         level = min(ct.level for ct in cts)
-        cts = [self.mod_switch_to(ct, level) for ct in cts]
-        keep = [t for t, c in enumerate(consts) if c != 0]
-        if not keep:  # all-zero weights still produce a valid ciphertext
-            keep = [0]
-        moduli = self.moduli[: level + 1]
-        c0 = np.stack([cts[t].c0 for t in keep])
-        c1 = np.stack([cts[t].c1 for t in keep])
-        if residues is not None:
-            w_res = np.ascontiguousarray(residues[keep][:, : level + 1])
-        else:
-            w_res = np.array(
-                [[consts[t] % m for m in moduli] for t in keep], dtype=np.int64
-            )
+        k = level + 1
+        degrees = {ct.degree for ct in cts}
+        comps, tail = max(degrees) + 1, cts[0].c0.shape[1:]
+        stack = (np.empty if len(degrees) == 1 else np.zeros)((k, taps, comps) + tail, np.int64)
+        for t, ct in enumerate(cts):
+            for c, comp in enumerate(ct.components()):
+                stack[:, t, c] = comp[:k]
+        worker, arrays = _MapChannel(self.moduli[:k], weights), {"x": stack}
         if isinstance(self.executor, SerialExecutor):
-            out0 = fused_weighted_sum(c0, w_res, moduli)
-            out1 = fused_weighted_sum(c1, w_res, moduli)
+            sums = [worker(arrays, i) for i in range(k)]
         else:
-            rows = dispatch_channels(
-                self.executor,
-                _WeightedSumChannel(moduli),
-                {"c0": c0, "c1": c1, "w": w_res},
-                list(range(len(moduli))),
-            )
-            out0 = np.stack([r[0] for r in rows])
-            out1 = np.stack([r[1] for r in rows])
-        return RnsCiphertext(out0, out1, level, cts[0].scale * plain_scale)
+            sums = dispatch_channels(self.executor, worker, arrays, list(range(k)))
+        out = np.empty((rows, comps, k) + tail, dtype=np.int64)
+        for i, r in enumerate(sums):
+            out[:, :, i] = r.reshape((rows, comps) + tail)
+        scale, deferred = cts[0].scale * plain_scale, any(ct.deferred for ct in cts)
+        return [
+            RnsCiphertext(o[0], o[1], level, scale, *o[2:], deferred=deferred, coeff_high=any(high))
+            for o in out
+        ]
 
     @traced("ckksrns.mul")
     def mul(self, a: RnsCiphertext, b: RnsCiphertext, relin: RnsRelinKey) -> RnsCiphertext:

@@ -10,10 +10,14 @@ only, so the same compiled model runs under:
   full-test-set accuracy (verified against real HE by the
   backend-agreement tests).
 * :class:`CkksBackend` — multiprecision CKKS (the paper's CNN-HE).
-* :class:`CkksRnsBackend` — full-RNS CKKS (CNN-HE-RNS), with a
-  vectorised ``weighted_sum_encoded`` that batches all taps of a neuron
-  into a few channelwise NumPy kernels and dispatches residue channels
-  through the context executor.
+* :class:`CkksRnsBackend` — full-RNS CKKS (CNN-HE-RNS), whose
+  ``weighted_sum_encoded`` evaluates a whole linear map as one exact
+  limb GEMM per residue channel, dispatched through the context
+  executor.
+
+An activation leaves its outputs unrelinearised; the linear map behind
+it weights every component and relinearises its own, fewer, outputs
+(``docs/KERNELS.md``, "Where the sweep runs").
 """
 
 from __future__ import annotations
@@ -27,13 +31,20 @@ import numpy as np
 
 from repro import obs
 from repro.ckks import CkksContext, CkksParams
-from repro.ckks.ciphertext import Ciphertext, require_degree1
+from repro.ckks.ciphertext import Ciphertext, require_degree1, with_components
 from repro.ckksrns import CkksRnsContext, CkksRnsParams, RnsCiphertext
-from repro.nt.kernels import MAX_POLY_DEGREE, PolyProgram, compile_poly_program
+from repro.nt.kernels import (
+    MAX_POLY_DEGREE,
+    PolyProgram,
+    compile_limb_matrix,
+    compile_poly_program,
+)
 from repro.obs.metrics import get_registry
 from repro.utils.rng import derive_rng
 
-__all__ = ["HeBackend", "MockBackend", "CkksBackend", "CkksRnsBackend", "EncodedTaps"]
+__all__ = [
+    "HeBackend", "MockBackend", "CkksBackend", "CkksRnsBackend", "EncodedTaps", "EncodedMap",
+]
 
 
 # ----------------------------------------------------------------- BSGS interpreter
@@ -157,13 +168,17 @@ def _run_poly_program_lazy(
       There is one accumulator: ``add`` / ``add_plain`` / ``rescale``
       take a ciphertext of any degree and relinearising a degree-1 one
       is the identity (no sweep, no counter).
+    * the *last* block sum is only rescaled (high components to the
+      coefficient domain): its merged sweep belongs to whoever consumes
+      the result — the next linear map relinearises its outputs after
+      weighting all components, over far fewer positions.
 
-    ``prog.relins`` counts the sweeps: ``~ceil(degree / baby_m)`` versus
-    ``prog.ct_mults ~ 2*sqrt(degree)`` for the eager interpreter.  The
-    result is *not* bit-identical to eager — deferring keyswitch noise
-    past rescales changes rounding at the last few bits — but agrees to
-    within the scheme's approximation error (bounded by the
-    lazy-vs-eager tests).
+    ``prog.relins`` counts the sweeps, the consumer's included:
+    ``~ceil(degree / baby_m)`` versus ``prog.ct_mults ~ 2*sqrt(degree)``
+    for the eager interpreter.  The result is *not* bit-identical to
+    eager — deferring keyswitch noise past rescales changes rounding at
+    the last few bits — but agrees to within the scheme's approximation
+    error (bounded by the lazy-vs-eager tests).
     """
     powers = {1: x}
     y_raw = None
@@ -205,26 +220,56 @@ def _run_poly_program_lazy(
             term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
             acc = term if acc is None else ops.add(acc, term)
         acc = ops.add_plain_vec(acc, coeffs[:, base])
-    return ops.relinearize(ops.rescale(acc, defer_high=True))
+    return ops.rescale(acc, defer_high=True)
 
 
 @dataclass
 class EncodedTaps:
     """Compile-once constants for one weighted sum (a conv/linear neuron).
 
-    Produced by :meth:`HeBackend.encode_taps` and replayed by
-    :meth:`HeBackend.weighted_sum_encoded`; what is precomputed depends
-    on the backend — quantized integer weights everywhere, plus the
-    ``(taps, k_top)`` residue table for CKKS-RNS.  The encoded form is
-    bit-identical to encoding the float weights on every call because
-    quantization (``round(w * Δp)``) is deterministic.
+    Produced by :meth:`HeBackend.encode_taps`; the rows of an
+    :class:`EncodedMap`.  The encoded form is bit-identical to encoding
+    the float weights on every call because quantization
+    (``round(w * Δp)``) is deterministic.
     """
 
     plain_scale: float
     weights: np.ndarray  #: original float weights (generic fallback path)
     consts: list[int]  #: quantized integers ``round(w * plain_scale)``
     keep: list[int]  #: indices of taps with nonzero quantized weight
-    residues: np.ndarray | None = None  #: (taps, k_top) int64, RNS only
+
+
+class EncodedMap:
+    """Every output row of one linear map, encoded once (a lone weighted sum is one row).
+
+    ``rows[r]`` is output *r*'s ``(flat input indices or None for all,
+    EncodedTaps)``; ``matrix`` the same map as a dense ``(rows, inputs)``
+    :class:`~repro.nt.kernels.LimbMatrix` for the exact limb GEMM — a
+    weight too wide for it raises :class:`~repro.nt.kernels.MapBoundError`
+    here, at compile time, never at evaluation.
+    """
+
+    def __init__(self, rows: "list[tuple[list[int] | None, EncodedTaps]]", inputs: int):
+        if not rows:
+            raise ValueError("a linear map needs at least one row")
+        self.rows = rows
+        self.inputs = inputs
+        self.plain_scale = rows[0][1].plain_scale
+        dense = np.zeros((len(rows), inputs), dtype=object)
+        for r, (idxs, enc) in enumerate(rows):
+            for t, c in zip(range(inputs) if idxs is None else idxs, enc.consts, strict=True):
+                dense[r, t] += c
+        self.matrix = compile_limb_matrix(dense)
+
+    def gather(self, handles: Sequence[Any]) -> "list[tuple[list[Any], EncodedTaps]]":
+        """Per row: its tap handles out of *handles* (one per input) and taps."""
+        if len(handles) != self.inputs:
+            raise ValueError(f"map over {self.inputs} inputs given {len(handles)} handles")
+        handles = list(handles)
+        return [
+            (handles if idxs is None else [handles[t] for t in idxs], enc)
+            for idxs, enc in self.rows
+        ]
 
 
 class HeBackend(ABC):
@@ -249,10 +294,10 @@ class HeBackend(ABC):
     * compile-once constants — ``encode_taps``.
 
     **Derived composites** (7; defined here on top of the primitives):
-    ``weighted_sum_encoded``, ``poly_eval_many``, ``rescale_many`` and
-    ``add_plain_each`` are what the engine's plan calls, and the real
-    schemes override them with fused kernels; ``weighted_sum``,
-    ``poly_eval`` and ``poly_eval_bsgs`` are spelled once and no scheme
+    ``weighted_sum_encoded``, ``poly_eval_many``, ``rescale_many``,
+    ``add_plain_each`` and ``relinearize_many`` are what the engine's
+    plan calls, and the real schemes override them with fused kernels;
+    ``weighted_sum`` and ``poly_eval`` are spelled once and no scheme
     overrides them.
 
     Degree-1-only entry points raise
@@ -426,13 +471,13 @@ class HeBackend(ABC):
         """``sum_i weights[i] * handles[i]`` at a common plain scale.
 
         The reference spelling: encodes *weights* on every call and
-        replays them through :meth:`weighted_sum_encoded`, where each
-        backend's kernel lives.
+        replays them as a one-row map through
+        :meth:`weighted_sum_encoded`, where each backend's kernel lives.
 
         Parameters
         ----------
         handles:
-            Ciphertext handles of the summands.
+            Ciphertext handles of the summands (any degree).
         weights:
             Matching plaintext weights (same length as *handles*).
         plain_scale:
@@ -446,15 +491,15 @@ class HeBackend(ABC):
             raise ValueError("handles/weights length mismatch")
         if len(handles) == 0:
             raise ValueError("weighted_sum needs at least one term")
-        return self.weighted_sum_encoded(handles, self.encode_taps(weights, plain_scale))
+        row = self.encode_taps(weights, plain_scale)
+        return self.weighted_sum_encoded(handles, EncodedMap([(None, row)], len(handles)))[0]
 
     def encode_taps(self, weights: np.ndarray, plain_scale: float | None = None) -> EncodedTaps:
-        """Precompute the backend-native constants of one weighted sum.
+        """Quantize the weights of one weighted sum once.
 
-        The returned :class:`EncodedTaps` can be replayed against any
-        tap handles via :meth:`weighted_sum_encoded`, skipping the
-        per-call quantization (and, on RNS, the residue reduction) that
-        :meth:`weighted_sum` performs.
+        The returned :class:`EncodedTaps` is one row of an
+        :class:`EncodedMap`, replayed against fresh tap handles by
+        :meth:`weighted_sum_encoded` without re-quantizing.
         """
         ps = float(plain_scale or self.scale)
         weights = np.asarray(weights, dtype=np.float64)
@@ -464,38 +509,46 @@ class HeBackend(ABC):
         keep = [t for t, c in enumerate(consts) if c != 0] or [0]
         return EncodedTaps(plain_scale=ps, weights=weights, consts=consts, keep=keep)
 
-    def weighted_sum_encoded(self, handles: Sequence[Any], enc: EncodedTaps) -> Any:
-        """Replay a precompiled weighted sum over fresh tap handles.
+    def weighted_sum_encoded(self, handles: Sequence[Any], emap: EncodedMap) -> list[Any]:
+        """Every output row of a precompiled linear map over fresh handles.
 
-        The generic implementation multiplies and adds pairwise; the
-        real schemes override it with fused kernels over the
-        precomputed constants (this is where convolutions spend their
-        time).
+        *handles* holds one handle per map input; the result one per
+        row.  Every component of an unrelinearised handle is weighted.
+        The generic implementation multiplies and adds pairwise, row by
+        row; the real schemes override it (this is where convolutions
+        spend their time).
         """
-        if len(handles) != len(enc.consts) or not len(handles):
-            raise ValueError("bad weighted_sum arguments")
-        ws, ps = enc.weights, enc.plain_scale
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
-            first, *rest = enc.keep
-            acc = self.mul_plain_scalar(handles[first], float(ws[first]), ps)
-            for t in rest:
-                acc = self.add(acc, self.mul_plain_scalar(handles[t], float(ws[t]), ps))
-            return acc
+            out = []
+            for row, enc in emap.gather(handles):
+                ws, ps = enc.weights, enc.plain_scale
+                first, *rest = enc.keep
+                acc = self.mul_plain_scalar(row[first], float(ws[first]), ps)
+                for t in rest:
+                    acc = self.add(acc, self.mul_plain_scalar(row[t], float(ws[t]), ps))
+                out.append(acc)
+            return out
 
     def poly_eval(self, x: Any, coeffs: np.ndarray) -> Any:
         """Evaluate ``sum_k coeffs[k] x^k`` homomorphically.
 
-        Routed through the baby-step/giant-step program of
-        :func:`repro.nt.kernels.compile_poly_program`: ``~2*sqrt(d)``
-        ciphertext multiplies and ``program.depth`` levels for degree
-        *d* — 2 for a cubic, 4 for degree 8; the paper's §V.B accounting
-        charges *d* (per-degree table in ``docs/KERNELS.md``).  One
-        final rescale returns the result to ~Δ.
+        Interprets the baby-step/giant-step
+        :class:`~repro.nt.kernels.PolyProgram` of
+        :func:`repro.nt.kernels.compile_poly_program`: baby powers once,
+        plaintext-weighted blocks, Horner fold over the giant step, all
+        terms aligned to a common scale by per-term plain-scale
+        compensation — ``program.ct_mults ~ 2*sqrt(d)`` ciphertext
+        multiplies and ``program.depth`` levels for degree *d* (2 for a
+        cubic, 4 for degree 8; the paper's §V.B accounting charges *d*,
+        per-degree table in ``docs/KERNELS.md``).  One final rescale
+        returns the result to ~Δ — unrelinearised under the default lazy
+        ``relin_mode``: :meth:`relinearize_ext`, or the next linear map,
+        brings it to degree 1.
 
         Parameters
         ----------
         x:
-            Input ciphertext handle.
+            Input ciphertext handle (degree 1).
         coeffs:
             Polynomial coefficients, constant term first (length
             ``2 .. MAX_POLY_DEGREE + 1``).
@@ -504,43 +557,19 @@ class HeBackend(ABC):
         -------
         Handle for ``p(x)`` rescaled back to ~Δ.
         """
-        coeffs = self._check_poly_coeffs(coeffs)
-        with obs.span("henn.poly_eval", backend=self.name, degree=len(coeffs) - 1):
-            return self.poly_eval_bsgs(x, coeffs)
-
-    @staticmethod
-    def _check_poly_coeffs(coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        degree = len(coeffs) - 1
-        if degree < 1 or degree > MAX_POLY_DEGREE:
-            raise ValueError(f"poly_eval supports degrees 1..{MAX_POLY_DEGREE}")
-        return coeffs
-
-    def poly_eval_bsgs(
-        self, x: Any, coeffs: np.ndarray, program: "PolyProgram | None" = None
-    ) -> Any:
-        """Baby-step/giant-step evaluation of one polynomial on one handle.
-
-        Interprets a compiled :class:`~repro.nt.kernels.PolyProgram`
-        (compiled on the fly when *program* is None): baby powers once,
-        plaintext-weighted blocks, Horner fold over the giant step, all
-        terms aligned to a common scale by per-term plain-scale
-        compensation.  Consumes exactly ``program.depth`` levels and
-        ``program.ct_mults`` ciphertext multiplies.
-        """
-        coeffs = self._check_poly_coeffs(coeffs)
-        if program is None:
-            program = compile_poly_program(len(coeffs) - 1)
-        reg = get_registry()
-        reg.counter("poly.bsgs.evals").inc()
-        reg.counter("poly.bsgs.ct_mults").inc(program.ct_mults)
-        run = _run_poly_program_lazy if self._use_lazy() else _run_poly_program
-        return run(_SinglePolyOps(self), program, x, coeffs[None, :])
+        coeffs = self._check_poly_rows(coeffs, 1)
+        program = compile_poly_program(coeffs.shape[1] - 1)
+        with obs.span("henn.poly_eval", backend=self.name, degree=program.degree):
+            reg = get_registry()
+            reg.counter("poly.bsgs.evals").inc()
+            reg.counter("poly.bsgs.ct_mults").inc(program.ct_mults)
+            run = _run_poly_program_lazy if self._use_lazy() else _run_poly_program
+            return run(_SinglePolyOps(self), program, x, coeffs)
 
     def poly_eval_many(self, handles: Sequence[Any], rows: np.ndarray) -> list[Any]:
         """Evaluate one polynomial per handle (``rows[i]`` on ``handles[i]``).
 
-        The generic implementation loops :meth:`poly_eval_bsgs`; the RNS
+        The generic implementation loops :meth:`poly_eval`; the RNS
         backend overrides it to evaluate all positions through shared
         batched kernels.  ``rows`` may be a single row (broadcast to all
         handles) or one row per handle.
@@ -548,11 +577,10 @@ class HeBackend(ABC):
         handles = list(handles)
         rows = self._check_poly_rows(rows, len(handles))
         degree = rows.shape[1] - 1
-        program = compile_poly_program(degree)
         with obs.span(
             "henn.poly_eval_many", backend=self.name, positions=len(handles), degree=degree
         ):
-            return [self.poly_eval_bsgs(h, rows[i], program) for i, h in enumerate(handles)]
+            return [self.poly_eval(h, row) for h, row in zip(handles, rows)]
 
     def rescale_many(self, handles: Sequence[Any]) -> list[Any]:
         """Rescale each handle (overridden with a packed batch on RNS)."""
@@ -561,6 +589,14 @@ class HeBackend(ABC):
     def add_plain_each(self, handles: Sequence[Any], values: np.ndarray) -> list[Any]:
         """``handles[i] + values[i]`` per handle (batched on RNS)."""
         return [self.add_plain(h, float(v)) for h, v in zip(handles, values)]
+
+    def relinearize_many(self, handles: Sequence[Any]) -> list[Any]:
+        """:meth:`relinearize_ext` of each handle (degree 1 passes through).
+
+        The RNS backend runs one merged sweep per packed group instead —
+        the sweep a linear map pays for its outputs.
+        """
+        return [self.relinearize_ext(h) for h in handles]
 
     @staticmethod
     def _check_poly_rows(rows: np.ndarray, count: int) -> np.ndarray:
@@ -838,30 +874,27 @@ class CkksBackend(HeBackend):
             self.ctx.add_galois_key(self.keys, r, self._rng)
         return self.ctx.rotate(a, r, self.keys.galois)
 
-    def weighted_sum_encoded(self, handles, enc: EncodedTaps):
-        """Accumulate big-int components lazily, reducing mod q once."""
-        if len(handles) != len(enc.consts) or not len(handles):
-            raise ValueError("bad weighted_sum arguments")
-        for h in handles:
-            require_degree1(h, "weighted_sum")
+    def weighted_sum_encoded(self, handles, emap: EncodedMap):
+        """Per row, accumulate every big-int component lazily, reducing mod q once."""
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
-            level = min(h.level for h in handles)
-            ring = self.ctx.ring(level)
-            acc0 = np.zeros(self.ctx.n, dtype=object)
-            acc1 = np.zeros(self.ctx.n, dtype=object)
-            for h, c in zip(handles, enc.consts):
-                if c == 0:
-                    continue
-                h = self.ctx.mod_switch_to(h, level)
-                acc0 = acc0 + h.c0 * c
-                acc1 = acc1 + h.c1 * c
-            return Ciphertext(
-                np.mod(acc0, ring.q),
-                np.mod(acc1, ring.q),
-                level,
-                handles[0].scale * enc.plain_scale,
-                self.ctx.n,
-            )
+            out = []
+            for row, enc in emap.gather(handles):
+                level = min(h.level for h in row)
+                q = self.ctx.ring(level).q
+                accs = [np.zeros(self.ctx.n, dtype=object)] * (max(h.degree for h in row) + 1)
+                for h, c in zip(row, enc.consts):
+                    if c == 0:
+                        continue
+                    comps = self.ctx.mod_switch_to(h, level).components()
+                    accs = [a + comp * c for a, comp in zip(accs, comps)] + accs[len(comps):]
+                c0, c1, *high = (np.mod(a, q) for a in accs)
+                out.append(
+                    Ciphertext(
+                        c0, c1, level, row[0].scale * enc.plain_scale, self.ctx.n, *high,
+                        deferred=any(h.deferred for h in row),
+                    )
+                )
+            return out
 
 
 # --------------------------------------------------------------------------- full-RNS CKKS
@@ -975,34 +1008,18 @@ class CkksRnsBackend(HeBackend):
             self.ctx.add_galois_key(self.keys, r, self._rng)
         return self.ctx.rotate(a, r, self.keys.galois)
 
-    def encode_taps(self, weights: np.ndarray, plain_scale: float | None = None) -> EncodedTaps:
-        """Quantize once and pre-reduce residues across the full chain."""
-        enc = super().encode_taps(weights, plain_scale)
-        enc.residues = np.array(
-            [[c % m for m in self.ctx.moduli] for c in enc.consts], dtype=np.int64
-        )
-        return enc
+    def weighted_sum_encoded(self, handles, emap: EncodedMap) -> list[RnsCiphertext]:
+        """The whole map at once: one exact limb GEMM per residue channel.
 
-    def weighted_sum_encoded(self, handles, enc: EncodedTaps) -> RnsCiphertext:
-        """Batched channelwise kernel: all taps of a neuron in one sweep.
-
-        For each residue channel *i* the accumulation
-        ``sum_t (c_t * [w_t Δ]_{q_i}) mod q_i`` is two NumPy calls over a
-        ``(taps, n)`` block; channels fan out through the executor.
-        Exactness: per-tap products are reduced, partial sums of up to
-        ``2^13`` terms stay below ``2^63``.  The precompiled residue
-        table is sliced to the active level, never rebuilt.
+        Channel *i* computes ``(rows x taps) @ (taps x components·n)``
+        over the dense integer weight matrix compiled with the map
+        (:meth:`CkksRnsContext.weighted_sum`); channels fan out through
+        the executor.  Bit-identical to the per-row ``mul_plain_scalar``
+        / ``add`` chain: both produce the canonical residue of the exact
+        integer sum.
         """
-        if len(handles) != len(enc.consts) or not len(handles):
-            raise ValueError("bad weighted_sum arguments")
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
-            return self.ctx.weighted_sum(
-                list(handles),
-                None,
-                enc.plain_scale,
-                consts=enc.consts,
-                residues=enc.residues,
-            )
+            return self.ctx.weighted_sum(list(handles), emap.matrix, emap.plain_scale)
 
     def poly_eval_many(self, handles: Sequence[Any], rows: np.ndarray) -> list[RnsCiphertext]:
         """Batched BSGS: pack positions into one ciphertext per level group.
@@ -1014,8 +1031,8 @@ class CkksRnsBackend(HeBackend):
         Per-position SLAF coefficients apply through
         :meth:`CkksRnsContext.mul_plain_scalar_many` /
         :meth:`~CkksRnsContext.add_plain_many`.  Bit-identical per
-        position to :meth:`poly_eval_bsgs` on the lone handle, because
-        every context primitive is slot-parallel over the packed axis.
+        position to :meth:`poly_eval` on the lone handle, because every
+        context primitive is slot-parallel over the packed axis.
         """
         handles = list(handles)
         rows = self._check_poly_rows(rows, len(handles))
@@ -1038,10 +1055,11 @@ class CkksRnsBackend(HeBackend):
         return out  # type: ignore[return-value]
 
     def rescale_many(self, handles: Sequence[RnsCiphertext]) -> list[RnsCiphertext]:
-        """Batched rescale: one transform pair per (level, scale) group.
+        """Batched rescale: one transform pair per packed group.
 
-        Bit-identical per handle to :meth:`rescale` — the context's
-        rescale is slot-parallel over the packed position axis.
+        Bit-identical per handle to :meth:`rescale`, every component
+        included — the context's rescale is slot-parallel over the
+        packed position axis.
         """
         handles = list(handles)
         out: list[RnsCiphertext | None] = [None] * len(handles)
@@ -1060,34 +1078,46 @@ class CkksRnsBackend(HeBackend):
             _unpack_rns(res, idxs, out)
         return out  # type: ignore[return-value]
 
+    def relinearize_many(self, handles: Sequence[RnsCiphertext]) -> list[RnsCiphertext]:
+        """One merged key-switch sweep per packed group of extended handles.
+
+        Degree-1 handles pass through; each group of extended ones is
+        stacked along the position axis and relinearised once
+        (``relin.count`` + 1 per group), bit-identical per handle to
+        :meth:`relinearize_ext`.
+        """
+        handles = list(handles)
+        out = list(handles)
+        for idxs in _rns_groups(handles):
+            if handles[int(idxs[0])].degree > 1:
+                _unpack_rns(self.relinearize_ext(_pack_rns(handles, idxs)), idxs, out)
+        return out
+
 
 def _rns_groups(handles: Sequence[RnsCiphertext]) -> "list[np.ndarray]":
-    """Indices of *handles* grouped by (level, scale) for exact packing."""
-    groups: dict[tuple[int, float], list[int]] = {}
+    """Indices of *handles* grouped for exact packing.
+
+    A group shares level, scale, degree and the domain of its high
+    components, so stacking them loses nothing.
+    """
+    groups: dict[tuple, list[int]] = {}
     for i, h in enumerate(handles):
-        groups.setdefault((h.level, float(h.scale)), []).append(i)
+        groups.setdefault((h.level, float(h.scale), h.degree, h.coeff_high), []).append(i)
     return [np.asarray(idxs, dtype=np.int64) for idxs in groups.values()]
 
 
 def _pack_rns(handles: Sequence[RnsCiphertext], idxs: np.ndarray) -> RnsCiphertext:
-    """Stack same-(level, scale) handles into one (k, B, n) ciphertext."""
-    first = handles[int(idxs[0])]
-    return RnsCiphertext(
-        np.stack([handles[int(i)].c0 for i in idxs], axis=1),
-        np.stack([handles[int(i)].c1 for i in idxs], axis=1),
-        first.level,
-        first.scale,
-    )
+    """Stack one group's handles into a ciphertext with ``(k, B, n)`` components."""
+    members = [handles[int(i)].components() for i in idxs]
+    comps = [np.stack(column, axis=1) for column in zip(*members)]
+    return with_components(handles[int(idxs[0])], comps)
 
 
 def _unpack_rns(res: RnsCiphertext, idxs: np.ndarray, out: "list[RnsCiphertext | None]") -> None:
     """Slice a packed result back into per-position ciphertexts."""
     for b, i in enumerate(idxs):
-        out[int(i)] = RnsCiphertext(
-            np.ascontiguousarray(res.c0[:, b]),
-            np.ascontiguousarray(res.c1[:, b]),
-            res.level,
-            res.scale,
+        out[int(i)] = with_components(
+            res, [np.ascontiguousarray(c[:, b]) for c in res.components()]
         )
 
 

@@ -10,7 +10,7 @@ non-RNS CNN-HE baseline of Tables III/V.
 The engine always evaluates its :class:`~repro.henn.plan.InferencePlan`
 (compiled at construction or adopted): one
 :class:`~repro.henn.plan.PlannedTaps` per linear map, every other layer
-as it is.
+as it is; scores always leave relinearised.
 
 Timing is span-based (:mod:`repro.obs`): every layer forward is a
 ``henn.layer`` span and the classify stages are ``henn.stage.*`` spans,
@@ -265,6 +265,10 @@ class HeInferenceEngine:
                 # Scale/level/noise gauges for the ciphertexts crossing
                 # this layer boundary; no-op unless tracing is enabled.
                 _health.observe_layer(self.backend, x, type(layer).__name__, i)
+            # A graph ending in an activation: its sweep has no map to ride.
+            out = np.empty(x.size, dtype=object)
+            out[:] = self.backend.relinearize_many(list(x.reshape(-1)))
+            x = out.reshape(x.shape)
         self._layer_spans = spans
         return x
 

@@ -15,6 +15,8 @@ A linear map consumes exactly one rescaling level; a polynomial
 activation consumes the depth of its BSGS program (2 for a cubic, see
 ``HeBackend.poly_eval``).  :func:`model_depth` sums them and
 :func:`check_level_budget` holds a backend's modulus chain against it.
+An activation's outputs leave unrelinearised; the linear map behind it
+relinearises its own (key switching commutes with its linear steps).
 """
 
 from __future__ import annotations
@@ -111,8 +113,9 @@ class HeLinearMap(HeLayer):
     A subclass describes itself once, as the :class:`TapProgram` of
     :meth:`taps`; this class holds the reference evaluation of it (one
     :meth:`~HeBackend.weighted_sum`, one rescale and one plaintext bias
-    add per position) and :class:`repro.henn.plan.PlannedTaps` the
-    precompiled one the engine runs.  Consumes one level.
+    add per position, then one batched relinearisation of the outputs)
+    and :class:`repro.henn.plan.PlannedTaps` the precompiled one the
+    engine runs.  Consumes one level.
     """
 
     depth = 1
@@ -131,6 +134,7 @@ class HeLinearMap(HeLayer):
             if bias is not None:
                 acc = backend.add_plain(acc, float(bias[pos]))
             out[pos] = acc
+        out[:] = backend.relinearize_many(list(out))
         return out.reshape(out_shape)
 
 
@@ -235,9 +239,10 @@ class HePoly(HeLayer):
     the whole position grid goes through :meth:`HeBackend.poly_eval_many`
     in one call, so backends with a batched path (CKKS-RNS) share the
     baby-step power basis — and its NTT/keyswitch sweeps — across all
-    ``C * H * W`` positions.  ``self.depth`` is the number of levels the
-    evaluation consumes, ``compile_poly_program(degree).depth`` — 2 for
-    the paper's cubic, not the ``degree`` of the §V.B accounting.
+    ``C * H * W`` positions; an unrelinearised input (an activation
+    behind another) is relinearised first.  ``self.depth`` is the number
+    of levels the evaluation consumes, ``compile_poly_program(degree).depth``
+    — 2 for the paper's cubic, not the ``degree`` of the §V.B accounting.
 
     Args (constructor):
         coeffs: ``(degree + 1,)`` layer-wide or ``(C, degree + 1)``
@@ -276,8 +281,8 @@ class HePoly(HeLayer):
 
     def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
         rows = self._rows_for(x)
-        flat = x.reshape(-1)
-        results = backend.poly_eval_many(list(flat), rows)
+        flat = backend.relinearize_many(list(x.reshape(-1)))
+        results = backend.poly_eval_many(flat, rows)
         out = np.empty(len(results), dtype=object)
         out[:] = results
         return out.reshape(x.shape)

@@ -6,13 +6,13 @@ evaluation that does not depend on the ciphertexts:
 
 * one :class:`PlannedTaps` per linear map (conv, dense, pooling): the
   layer's :class:`~repro.henn.layers.TapProgram` — which handles each
-  output position gathers and with which weights — with the
-  backend-native **encoded taps** of every weighted sum
-  (:meth:`repro.henn.backend.HeBackend.encode_taps`): quantized integer
-  weights everywhere, plus the ``(taps, k_top)`` residue tables on
-  CKKS-RNS — deduplicated through a keyed :class:`PlaintextCache`, so
-  the thousands of interior conv positions that share one kernel encode
-  it exactly once;
+  output position gathers and with which weights — encoded once as an
+  :class:`~repro.henn.backend.EncodedMap`: the quantized weights of
+  every row (:meth:`repro.henn.backend.HeBackend.encode_taps`,
+  deduplicated through a keyed :class:`PlaintextCache`, so the
+  thousands of interior conv positions that share one kernel encode it
+  exactly once) and the dense integer matrix split for the exact limb
+  GEMM the CKKS-RNS kernel runs;
 * a :class:`~repro.utils.cache.PlaintextCache` installed on the
   backend's context, which memoizes the scalar plaintexts (biases,
   polynomial constant terms) the first image encodes — every later
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.henn.backend import EncodedTaps, HeBackend
+from repro.henn.backend import EncodedMap, EncodedTaps, HeBackend
 from repro.henn.layers import HeFlatten, HeLayer, HeLinearMap, check_level_budget
 from repro.obs.metrics import get_registry
 from repro.utils.cache import PlaintextCache
@@ -83,7 +83,12 @@ class _TapEncoder:
 
 
 class PlannedTaps(HeLayer):
-    """A linear map's tap program with every weight vector pre-encoded."""
+    """A linear map's tap program, encoded once as an :class:`EncodedMap`.
+
+    ``forward``: one map-wide weighted sum, then batched rescale, bias
+    add and relinearisation — the sweep of an activation in front, paid
+    over this map's outputs.
+    """
 
     depth = 1
 
@@ -91,25 +96,17 @@ class PlannedTaps(HeLayer):
         self.src = src
         self.in_shape = tuple(in_shape)
         self.out_shape, entries, self.bias = src.taps(self.in_shape)
-        #: per flat output position: (flat input indices or None for all, EncodedTaps)
-        self.entries: list[tuple[list[int] | None, EncodedTaps]] = [
-            (idxs, enc(ws)) for idxs, ws in entries
-        ]
+        self.map = EncodedMap(
+            [(idxs, enc(ws)) for idxs, ws in entries], int(np.prod(self.in_shape))
+        )
 
     def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
         if x.shape != self.in_shape:
             raise ValueError(f"{self.src!r} was planned for {self.in_shape}, got {x.shape}")
-        flat = list(x.reshape(-1))
-        accs = backend.rescale_many(
-            [
-                backend.weighted_sum_encoded(
-                    flat if idxs is None else [flat[t] for t in idxs], etaps
-                )
-                for idxs, etaps in self.entries
-            ]
-        )
+        accs = backend.rescale_many(backend.weighted_sum_encoded(list(x.reshape(-1)), self.map))
         if self.bias is not None:
             accs = backend.add_plain_each(accs, self.bias)
+        accs = backend.relinearize_many(accs)
         out = np.empty(len(accs), dtype=object)
         out[:] = accs
         return out.reshape(self.out_shape)

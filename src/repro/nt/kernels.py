@@ -1,24 +1,16 @@
-"""Fused residue-channel kernels shared by the HE weighted sums.
+"""Residue-channel kernels of the HE linear maps and activations.
 
-These are the hot inner loops of encrypted convolution: a neuron is a
-plaintext-weighted sum of tap ciphertexts, which in RNS form is
-
-    ``out[i, :] = (sum_t stack[t, i, :] * w[t, i]) mod m_i``
-
-for residue channels ``i`` with pairwise moduli ``m_i``.  The kernels
-here evaluate that whole expression in a handful of NumPy calls over the
-stacked ``(taps, k, n)`` block instead of a per-tap ``mul_plain`` +
-``add`` chain — the fusion the inference-plan layer
-(:mod:`repro.henn.plan`) relies on, also routed through by
-:class:`repro.henn.rnscnn.RnsIntegerConv` for its word-sized channels.
-
-Exactness contract (same as :func:`repro.nt.modarith.mulmod`): inputs
-reduced to ``[0, m)``, per-tap products reduced before summation, and
-``taps * m < 2**62`` so int64 partial sums cannot overflow.  Channels
-with narrow moduli (< 2**31) additionally fuse *across channels*: one
-``(taps, k, n)`` multiply + one modulo, with the modulus broadcast per
-channel — numerically identical to the per-channel path because both
-reduce to ``(a * b) % m`` in int64.
+A linear map (conv, dense, pooling) is, per residue channel ``i``, one
+integer matrix product ``out = (W @ x_i) mod m_i``.  :func:`limb_gemm`
+computes it *exactly* with float64 BLAS: the signed weights are split
+into limbs (:func:`compile_limb_matrix`, once per map) and the residues
+into limbs of at most ``RESIDUE_LIMB_BITS`` bits, sized so that every
+partial sum is an integer below ``2**53`` — exact in float64 whatever
+order or fused multiply-adds the BLAS uses — and the limb products
+recombine mod ``m_i`` in int64 (``docs/KERNELS.md``, "Linear maps as
+exact limb GEMMs").  :class:`repro.henn.rnscnn.RnsIntegerConv` computes
+the paper's conv stage with its own limb matmul.  The scalar kernel
+:func:`scale_channels` and the BSGS polynomial programs live here too.
 """
 
 from __future__ import annotations
@@ -32,10 +24,11 @@ import numpy as np
 from repro.nt.modarith import NARROW_MODULUS_BITS, mulmod
 
 __all__ = [
-    "weighted_accumulate",
-    "fused_weighted_sum",
+    "MapBoundError",
+    "LimbMatrix",
+    "compile_limb_matrix",
+    "limb_gemm",
     "scale_channels",
-    "scale_positions",
     "PolyProgram",
     "compile_poly_program",
     "MAX_POLY_DEGREE",
@@ -44,141 +37,171 @@ __all__ = [
 #: Highest polynomial degree the BSGS evaluator compiles programs for.
 MAX_POLY_DEGREE = 8
 
+#: float64 holds every integer below ``2**EXACT_BITS`` exactly.
+EXACT_BITS = 53
+#: Widest residue limb (the 26-bit chain primes fit one).
+RESIDUE_LIMB_BITS = 26
+#: Widest quantised weight a limb matrix takes (int64 with headroom).
+MAX_WEIGHT_BITS = 62
 
-def _check_tap_budget(taps: int, m: int) -> None:
-    if taps * m > 2**62:  # pragma: no cover - parameter guard
-        raise ValueError("too many taps for exact int64 accumulation")
+
+class MapBoundError(ValueError):
+    """A weight matrix whose limb GEMM cannot be exact, found at compile time:
+    a weight wider than ``MAX_WEIGHT_BITS``, or a row too long for even
+    one-bit limbs to keep its partial sums below ``2**53``."""
 
 
-def weighted_accumulate(stack: np.ndarray, w_mod: np.ndarray, m: int) -> np.ndarray:
-    """``(sum_t stack[t] * w_mod[t]) mod m`` along the leading tap axis.
+@dataclass(frozen=True)
+class LimbMatrix:
+    """Signed integer weights ``W = sum_a limbs[a] * 2**(a * width)``.
 
-    Parameters
-    ----------
-    stack:
-        ``(taps, ...)`` int64 residues reduced mod *m*.
-    w_mod:
-        ``(taps,)`` weight residues reduced mod *m* (broadcast over the
-        trailing axes).
-    m:
-        The channel modulus.
+    Every limb carries the sign of its weight and ``width`` bits of its
+    magnitude; ``residue_bits`` is the residue limb width for which
+    every row of every limb keeps ``sum |limb| * (2**residue_bits - 1)``
+    below ``2**53``.  ``l1`` is the largest row sum of ``|W|``: while
+    ``l1 * (m - 1) < 2**63`` every partial recombination of the limb
+    products fits int64 too, and one reduction mod ``m`` suffices.
     """
-    _check_tap_budget(stack.shape[0], m)
-    w = np.asarray(w_mod, dtype=np.int64).reshape((-1,) + (1,) * (stack.ndim - 1))
-    return mulmod(stack, w, m).sum(axis=0) % m
+
+    limbs: np.ndarray  #: ``(L, out, in)`` float64, exact small integers
+    width: int
+    residue_bits: int
+    l1: int
 
 
-def fused_weighted_sum(stack: np.ndarray, w_res: np.ndarray, moduli: list[int]) -> np.ndarray:
-    """All residue channels of a weighted sum in one sweep.
+def _max_row_l1(a: np.ndarray, bits: int) -> int:
+    """Largest row sum of ``|a|`` (entries below ``2**bits``), exactly."""
+    if bits + a.shape[-1].bit_length() >= 63:  # an int64 sum could wrap
+        a = a.astype(object)
+    return int(np.abs(a).sum(axis=-1).max(initial=0))
+
+
+def compile_limb_matrix(weights: np.ndarray) -> LimbMatrix:
+    """Size the limb split of an ``(out, in)`` signed integer matrix.
+
+    Each count of weight limbs fixes the widest residue limb that keeps
+    the partial sums below ``2**53``; the fewest GEMMs per 26-bit channel
+    win, ties to fewer residue limbs (the input is the wider operand),
+    then to fewer weight limbs.
+    """
+    w = np.asarray(weights, dtype=object)
+    if w.ndim != 2:
+        raise ValueError(f"weight matrix must be (out, in), got shape {w.shape}")
+    top = max((abs(int(v)) for v in w.flat), default=0).bit_length()
+    if top > MAX_WEIGHT_BITS:
+        raise MapBoundError(
+            f"a quantised weight needs {top} bits; the limb GEMM takes at most "
+            f"{MAX_WEIGHT_BITS}"
+        )
+    w = w.astype(np.int64)
+    sign, mag = np.sign(w), np.abs(w)
+    l1 = _max_row_l1(mag, top)
+    wbits = max(top, 1)
+    best: tuple[tuple[int, int], LimbMatrix] | None = None
+    for count in range(1, wbits + 1):
+        if best is not None and count > best[0][0]:
+            break  # a GEMM per limb at the least: no larger count can win
+        width = -(-wbits // count)
+        limbs = np.stack(
+            [sign * ((mag >> (a * width)) & ((1 << width) - 1)) for a in range(count)]
+        )
+        limb_l1 = _max_row_l1(limbs, width)
+        rbits = RESIDUE_LIMB_BITS
+        if limb_l1:
+            rbits = min(rbits, ((2**EXACT_BITS - 1) // limb_l1 + 1).bit_length() - 1)
+        if rbits < 1:
+            continue
+        residue_limbs = -(-RESIDUE_LIMB_BITS // rbits)
+        cost = count * residue_limbs, residue_limbs
+        if best is None or cost < best[0]:
+            best = cost, LimbMatrix(limbs.astype(np.float64), width, rbits, l1)
+    if best is None:
+        raise MapBoundError(
+            f"a row of {w.shape[1]} weights cannot keep its partial sums below "
+            f"2**{EXACT_BITS}"
+        )
+    return best[1]
+
+
+def _shift_mod(r: np.ndarray, shift: int, m: int) -> np.ndarray:
+    """``(r * 2**shift) mod m`` for ``r`` in ``[0, m)``, in int64 steps."""
+    step = 63 - m.bit_length()  # r << step stays below 2**63
+    while shift:
+        t = min(shift, step)
+        r = (r << t) % m
+        shift -= t
+    return r
+
+
+def limb_gemm(x: np.ndarray, weights: LimbMatrix, m: int) -> np.ndarray:
+    """``(W @ x) mod m`` exactly, for one residue channel.
 
     Parameters
     ----------
-    stack:
-        ``(taps, k, ..., n)`` int64 ciphertext-component residues,
-        channel ``i`` reduced mod ``moduli[i]``.  Extra axes between the
-        channel and coefficient axes (e.g. a position batch) ride
-        through untouched.
-    w_res:
-        ``(taps, k)`` int64 weight residues, column ``i`` reduced mod
-        ``moduli[i]`` (broadcast over any trailing batch axes).
-    moduli:
-        The ``k`` channel moduli.
+    x:
+        ``(in, cols)`` int64 residues in ``[0, m)``.
+    weights:
+        The compiled ``(out, in)`` :class:`LimbMatrix`.
+    m:
+        The channel modulus, below ``2**62``.
 
     Returns
     -------
-    ``(k, ..., n)`` int64 stack of the accumulated channels.
-
-    Notes
-    -----
-    Narrow channels (moduli below ``2**31``) are evaluated together with
-    the modulus broadcast along the channel axis; wide channels fall
-    back to the float-Barrett path one at a time.  Both produce the
-    exact ints of :func:`weighted_accumulate` per channel.
+    ``(out, cols)`` int64 canonical residues.  Each limb product is one
+    float64 GEMM whose partial sums are integers below ``2**53``, hence
+    exact.  The products recombine in int64: shifted and summed as they
+    are when ``l1 * (m - 1) < 2**63`` (every partial sum is bounded by
+    the full one), else each reduced mod *m* first.
     """
-    taps, k = stack.shape[:2]
-    if w_res.shape != (taps, k):
-        raise ValueError(f"weight residues must be ({taps}, {k}), got {w_res.shape}")
-    if len(moduli) != k:
-        raise ValueError(f"expected {k} moduli, got {len(moduli)}")
-    out = np.empty(stack.shape[1:], dtype=np.int64)
-    mods = np.asarray(moduli, dtype=np.int64)
-    narrow = mods < (1 << NARROW_MODULUS_BITS)
-    tail = (1,) * (stack.ndim - 2)  # broadcast over batch/coefficient axes
-    if narrow.any():
-        for m in mods[narrow]:
-            _check_tap_budget(taps, int(m))
-        sub = stack[:, narrow]
-        w = w_res[:, narrow].reshape(w_res[:, narrow].shape + tail)
-        mb = mods[narrow].reshape((1, -1) + tail)
-        prod = np.multiply(sub, w, dtype=np.int64) % mb
-        out[narrow] = prod.sum(axis=0) % mb[0]
-    for i in np.nonzero(~narrow)[0]:
-        out[i] = weighted_accumulate(stack[:, i], w_res[:, i], int(mods[i]))
-    return out
+    rb = weights.residue_bits
+    wide = weights.l1 * (m - 1) >= 2**63
+    acc = prod = None
+    for b in range(-(-(m - 1).bit_length() // rb)):
+        xb = x >> (b * rb) if b else x
+        if (m - 1) >> ((b + 1) * rb):  # not the top limb
+            xb = xb & ((1 << rb) - 1)
+        xf = xb.astype(np.float64)
+        for a, w in enumerate(weights.limbs):
+            prod = np.matmul(w, xf, out=prod)
+            term = prod.astype(np.int64)
+            shift = a * weights.width + b * rb
+            if wide:
+                term = _shift_mod(np.remainder(term, m, out=term), shift, m)
+            elif shift:
+                term <<= shift
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+                if wide:
+                    np.subtract(acc, m, out=acc, where=acc >= m)
+    return acc if wide else np.remainder(acc, m, out=acc)
 
 
 def scale_channels(stack: np.ndarray, residues: np.ndarray, moduli: list[int]) -> np.ndarray:
-    """Per-channel scalar multiply: ``out[i] = (stack[i] * residues[i]) mod m_i``.
+    """Scalar multiply per channel, or per channel and position.
 
-    The broadcast form of :meth:`CkksRnsContext.mul_plain_scalar`: the
-    scalar's residues are computed once by the caller and applied to all
-    channels here — narrow channels in one fused multiply, wide ones via
-    float-Barrett.
+    ``out[i] = (stack[i] * residues[i]) mod m_i`` with ``residues`` of
+    shape ``(k,)`` — :meth:`CkksRnsContext.mul_plain_scalar`, the
+    scalar's residues computed once by the caller — or ``(k, B)`` for a
+    ``(k, B, ..., n)`` stack whose position *b* takes its own scalar (the
+    per-channel SLAF coefficients of a whole feature map in one sweep,
+    bit-identical per position to the ``(k,)`` form).  Narrow channels
+    run in one fused multiply, wide ones via float-Barrett.
     """
     k = stack.shape[0]
-    if residues.shape[0] != k or len(moduli) != k:
-        raise ValueError("stack/residues/moduli channel counts differ")
-    out = np.empty_like(stack)
-    mods = np.asarray(moduli, dtype=np.int64)
-    narrow = mods < (1 << NARROW_MODULUS_BITS)
-    if narrow.any():
-        shape = (-1,) + (1,) * (stack.ndim - 1)
-        mb = mods[narrow].reshape(shape)
-        rb = residues[narrow].reshape(shape)
-        out[narrow] = np.multiply(stack[narrow], rb, dtype=np.int64) % mb
-    for i in np.nonzero(~narrow)[0]:
-        out[i] = mulmod(stack[i], np.int64(residues[i]), int(mods[i]))
-    return out
-
-
-def scale_positions(stack: np.ndarray, residues: np.ndarray, moduli: list[int]) -> np.ndarray:
-    """Position-wise scalar multiply over a batched component stack.
-
-    The batched sibling of :func:`scale_channels`: position *b* of the
-    stack is multiplied by *its own* scalar's residues — the kernel the
-    BSGS activation path uses to apply per-channel SLAF coefficients to
-    every feature-map position in one sweep.
-
-    Parameters
-    ----------
-    stack:
-        ``(k, B, ..., n)`` int64 component stack, channel *i* reduced
-        mod ``moduli[i]``.  Extra axes between the position and
-        coefficient axes broadcast the position's scalar across them.
-    residues:
-        ``(k, B)`` int64 scalar residues: column *b* holds the residues
-        of position *b*'s scalar across the chain.
-    moduli:
-        The ``k`` channel moduli.
-
-    Returns
-    -------
-    ``(k, B, ..., n)`` int64 stack, bit-identical per position to
-    :func:`scale_channels` with that position's scalar.
-    """
-    k = stack.shape[0]
-    if residues.shape[:2] != stack.shape[:2] or len(moduli) != k:
+    if residues.shape != stack.shape[: residues.ndim] or len(moduli) != k:
         raise ValueError("stack/residues/moduli shapes differ")
     out = np.empty_like(stack)
     mods = np.asarray(moduli, dtype=np.int64)
     narrow = mods < (1 << NARROW_MODULUS_BITS)
-    tail = (1,) * (stack.ndim - 2)  # broadcast over batch/coefficient axes
+    tail = (1,) * (stack.ndim - residues.ndim)  # broadcast over the remaining axes
     if narrow.any():
-        mb = mods[narrow].reshape((-1, 1) + tail)
+        mb = mods[narrow].reshape((-1,) + (1,) * (stack.ndim - 1))
         rb = residues[narrow].reshape(residues[narrow].shape + tail)
         out[narrow] = np.multiply(stack[narrow], rb, dtype=np.int64) % mb
     for i in np.nonzero(~narrow)[0]:
-        out[i] = mulmod(stack[i], residues[i].reshape((-1,) + tail), int(mods[i]))
+        out[i] = mulmod(stack[i], residues[i].reshape(residues[i].shape + tail), int(mods[i]))
     return out
 
 
@@ -195,7 +218,7 @@ class PolyProgram:
     once (ciphertext–ciphertext multiplications) and every block is then
     a *plaintext*-weighted combination of them; the giant dimension
     folds by Horner in ``y``.  Backends interpret the program via
-    ``HeBackend.poly_eval_bsgs`` — see ``docs/KERNELS.md`` for the
+    ``HeBackend.poly_eval`` — see ``docs/KERNELS.md`` for the
     mult/depth accounting table.
 
     Attributes
@@ -225,7 +248,8 @@ class PolyProgram:
         relinearises after every product, i.e. exactly ``ct_mults``
         times.  Lazy keeps the giant power ``y = x^m`` raw (degree 2),
         folds blocks in extended space and relinearises each accumulator
-        once, post-rescale, with a single merged degree-3 sweep.
+        once, post-rescale, with a single merged degree-3 sweep — the
+        last one run by the consumer (the next linear map).
     """
 
     degree: int

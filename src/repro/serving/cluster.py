@@ -113,10 +113,9 @@ def share_plan_cache(cache: Any) -> tuple[Any, dict | None]:
     """Pack a plan's :class:`~repro.henn.backend.EncodedTaps` arrays into shm.
 
     Walks *cache* (a :class:`~repro.utils.cache.PlaintextCache`) and
-    copies the NumPy payload of every encoded-taps entry — the float
-    weights and, on CKKS-RNS, the big ``(taps, k_top)`` residue tables —
-    into **one** :class:`~repro.parallel.shm.ShmArena` segment.  Returns
-    ``(arena, refs)`` where *refs* is a picklable description each
+    copies the NumPy payload of every encoded-taps entry — its float
+    weights — into **one** :class:`~repro.parallel.shm.ShmArena`
+    segment.  Returns ``(arena, refs)`` where *refs* is a picklable description each
     worker rebuilds into a warm cache of zero-copy views via
     :func:`rebuild_plan_cache` — the whole pool then shares a single
     physical copy of the encoded model instead of N.
@@ -142,12 +141,8 @@ def share_plan_cache(cache: Any) -> tuple[Any, dict | None]:
             "consts": list(value.consts),
             "keep": list(value.keep),
             "weights": f"w{i}",
-            "residues": None,
         }
         arrays[f"w{i}"] = np.asarray(value.weights)
-        if value.residues is not None:
-            meta["residues"] = f"r{i}"
-            arrays[f"r{i}"] = np.asarray(value.residues)
         entries.append((key, meta))
     if not entries:
         return None, None
@@ -157,9 +152,7 @@ def share_plan_cache(cache: Any) -> tuple[Any, dict | None]:
         return None, None
     refs = {
         "entries": [
-            (key, {**meta,
-                   "weights": arena.refs[meta["weights"]],
-                   "residues": arena.refs[meta["residues"]] if meta["residues"] else None})
+            (key, {**meta, "weights": arena.refs[meta["weights"]]})
             for key, meta in entries
         ]
     }
@@ -183,7 +176,6 @@ def rebuild_plan_cache(refs: dict | None) -> Any:
             weights=resolve(meta["weights"]),
             consts=list(meta["consts"]),
             keep=list(meta["keep"]),
-            residues=resolve(meta["residues"]) if meta["residues"] else None,
         )
         cache.get_or_encode(key, lambda e=enc: e)
     return cache

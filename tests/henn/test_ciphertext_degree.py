@@ -2,11 +2,12 @@
 
 An unrelinearised ciphertext is an ordinary handle for the linear ops
 (``add`` / ``add_plain`` / ``mul_plain_scalar`` / ``rescale`` /
-``mod_switch_to``), but everything that reads ``(c0, c1)`` only —
-decryption, rotation, plaintext-vector products, weighted sums, the
-left operand of a product, serialisation, request packing — must raise
-:class:`CiphertextDegreeError` instead of dropping ``c2``/``c3``.  On
-the parent commit each of these returned a wrong plaintext (or a
+``mod_switch_to``, weighted sums and their batched ``rescale_many`` /
+``add_plain_each``, which carry every component), but everything that
+reads ``(c0, c1)`` only — decryption, rotation, plaintext-vector
+products, the left operand of a product, serialisation, request packing
+— must raise :class:`CiphertextDegreeError` instead of dropping
+``c2``/``c3``.  Before each fix these returned a wrong plaintext (or a
 truncated frame) with no error.
 """
 
@@ -59,13 +60,6 @@ def test_backend_entry_points_refuse_extended_handles(backend):
             lambda: backend.mul_raw(ext, ct),
             lambda: backend.square_raw(ext),
         ]
-        if backend.name != "mock":  # the mock's weighted sum is the generic mul/add chain
-            refused += [
-                lambda: backend.weighted_sum([ct, ext], np.array([0.5, 0.25])),
-                lambda: backend.weighted_sum_encoded(
-                    [ext, ct], backend.encode_taps(np.array([0.5, 0.25]))
-                ),
-            ]
         for call in refused:
             with pytest.raises(CiphertextDegreeError):
                 call()
@@ -84,6 +78,56 @@ def test_linear_ops_carry_every_component(backend):
     assert out.degree == 1
     assert backend.relinearize_ext(out) is out  # identity on degree 1
     assert np.allclose(backend.decrypt(out, count=4), 0.75 * X**2 + 0.125, atol=1e-3)
+
+
+def test_weighted_sum_weights_every_component(backend):
+    """A weighted sum over degree 1, 2 and 3 taps (a lower-degree tap has
+    zero high components) relinearises to the weighted plaintexts."""
+    ct, raw2, raw3 = _extended(backend)
+    taps = [backend.mul_plain_scalar(ct, 1.0), raw2, backend.rescale(raw3)]  # all at ~Δ²
+    acc = backend.weighted_sum(taps, np.array([0.5, 0.25, -0.5]))
+    assert acc.degree == 3 and acc.deferred
+    out = backend.relinearize_ext(backend.rescale(acc))
+    want = 0.5 * X + 0.25 * X**2 - 0.5 * X**3
+    assert np.allclose(backend.decrypt(out, count=4), want, atol=1e-3)
+
+
+def _same(a, b, backend):
+    if backend.name == "mock":
+        assert np.array_equal(a.values, b.values)
+    else:
+        assert len(a.components()) == len(b.components())
+        for x, y in zip(a.components(), b.components()):
+            assert np.array_equal(x, y)
+    assert (a.degree, a.level, a.scale, a.deferred) == (b.degree, b.level, b.scale, b.deferred)
+    assert getattr(a, "coeff_high", False) == getattr(b, "coeff_high", False)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_batched_linear_ops_keep_every_component(backend, degree):
+    """``rescale_many`` / ``add_plain_each`` of extended handles equal the
+    per-handle ``rescale`` / ``add_plain``, component for component.  The
+    RNS batch used to stack c0/c1 only: a degree-2 handle came back
+    degree 1 and decrypted to garbage."""
+    ct = backend.encrypt(X)
+    raw = backend.square_raw(ct)
+    if degree == 3:
+        raw = backend.mul_raw(ct, backend.rescale(raw))
+        ct = backend.rescale(backend.mul_plain_scalar(ct, 1.0))
+    hs = [backend.mul_plain_scalar(raw, w) for w in (0.5, -0.25, 0.75)]
+    hs.append(backend.rescale(backend.mul_plain_scalar(backend.square_raw(ct), 0.5), True))
+    if degree == 3:  # a coefficient-domain group beside the evaluation-domain one
+        hs[-1] = backend.mul_plain_scalar(backend.rescale(raw, defer_high=True), 2.0)
+    rescaled = backend.rescale_many(hs)
+    for got, h in zip(rescaled, hs):
+        _same(got, backend.rescale(h), backend)
+        assert got.degree == degree
+    values = np.array([0.125, -0.5, 0.25, 1.0])
+    for got, h, v in zip(backend.add_plain_each(rescaled, values), rescaled, values):
+        _same(got, backend.add_plain(h, float(v)), backend)
+    out = backend.relinearize_ext(rescaled[0])
+    want = 0.5 * X**2 if degree == 2 else 0.5 * X**3
+    assert np.allclose(backend.decrypt(out, count=4), want, atol=1e-3)
 
 
 @pytest.mark.parametrize("kind", ["ckks", "rns"])
@@ -111,10 +155,14 @@ def test_context_entry_points_refuse_extended_ciphertexts(kind):
 
 
 def test_rns_weighted_sum_and_wire_format_refuse_extended():
+    """The weighted sum accepts an extended tap (it weights every
+    component); the wire format still refuses one."""
     backend = _backend("rns")
     ct, raw2, _ = _extended(backend)
-    with pytest.raises(CiphertextDegreeError):
-        backend.ctx.weighted_sum([ct, raw2], [0.5, 0.25])
+    acc = backend.weighted_sum([backend.mul_plain_scalar(ct, 1.0), raw2], np.array([0.5, 0.25]))
+    assert acc.degree == 2 and np.array_equal(acc.c2, backend.ctx.mul_plain_scalar(raw2, 0.25).c2)
+    got = backend.decrypt(backend.relinearize_ext(acc), count=4)
+    assert np.allclose(got, 0.5 * X + 0.25 * X**2, atol=1e-3)
     with pytest.raises(CiphertextDegreeError):
         ciphertext_to_bytes(raw2)  # was: a frame holding c0/c1 only
     # the degree-1 envelope is validated exactly as before

@@ -66,9 +66,10 @@ def _coeffs(rng, degree):
 
 
 def _eval_mode(backend, ct, coeffs, mode):
+    """``poly_eval`` in *mode*, relinearised (lazy leaves that sweep to the consumer)."""
     backend.relin_mode = mode
     try:
-        return backend.poly_eval(ct, coeffs)
+        return backend.relinearize_ext(backend.poly_eval(ct, coeffs))
     finally:
         backend.relin_mode = "lazy"
 

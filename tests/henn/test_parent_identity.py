@@ -14,9 +14,20 @@ meter:
 * ``poly_eval`` / ``poly_eval_many`` at degrees 1–8, eager and lazy, on
   mock, CKKS, a CKKS-RNS single handle and a CKKS-RNS position batch
   (the 32 ``lanes-ckks/*`` / ``lanes-rns/*`` records went with the
-  lane-packing backend they described; the other 68 are untouched);
+  lane-packing backend they described; the other 64 are untouched).  A
+  lazy evaluation now ends at its last rescale and leaves the merged
+  sweep to its consumer; ``_evaluate`` relinearises the outputs
+  (``relinearize_many``, one sweep per packed group), which is exactly
+  the parent's last step, so these digests and counter deltas stand;
 * the score ciphertexts of the CNN1 / CNN2 smoke networks on the serial
-  and the thread executor.
+  and the thread executor.  These four were re-recorded when each
+  linear map took over the key-switch sweep of the activation in front
+  of it (relinearise after weighted sum, rescale and bias): the sweep
+  runs one level lower over the map's outputs and the ``s²``/``s³``
+  components take one more rescale, so the bits move while the counter
+  deltas (2, 2, 4 / 3, 3, 6) do not.  With the parent's schedule
+  restored, the new map kernel reproduces the old digests exactly
+  (``tests/henn/test_sweep_placement.py``).
 """
 
 import hashlib
@@ -109,10 +120,10 @@ PARENT: dict[str, str] = {
  'ckks/lazy/6': '93ebc653e4f13e05:3,3,3',
  'ckks/lazy/7': '37abc1843d0f04c0:3,3,4',
  'ckks/lazy/8': '640a34590fcddced:3,3,4',
- 'cnn1/serial': 'e7a3abd67067cf33:2,2,4',
- 'cnn1/thread': 'e7a3abd67067cf33:2,2,4',
- 'cnn2/serial': '307b8d37696d9691:3,3,6',
- 'cnn2/thread': '307b8d37696d9691:3,3,6',
+ 'cnn1/serial': '3793eadd193a74e4:2,2,4',
+ 'cnn1/thread': '3793eadd193a74e4:2,2,4',
+ 'cnn2/serial': '873c2700ffa4132c:3,3,6',
+ 'cnn2/thread': '873c2700ffa4132c:3,3,6',
  'mock/eager/1': 'a56bb0f2a54c5819:0,0,0',
  'mock/eager/2': '728c0f2544f72aca:0,0,1',
  'mock/eager/3': 'f4a5c966818ad194:0,0,2',

@@ -244,7 +244,7 @@ def test_tap_encodings_deduplicated():
     backend = MockBackend(batch=4, scale_bits=26, levels=5)
     layers = _tiny_layers()
     plan = compile_plan(backend, layers, IN_SHAPE)
-    positions = len(plan.layers[0].entries)
+    positions = len(plan.layers[0].map.rows)
     assert positions == 2 * 4 * 4
     # 2 conv kernels + 10 linear rows = 12 distinct encodings.
     assert len(plan.cache) == 12

@@ -78,7 +78,11 @@ def _rows(degree: int) -> np.ndarray:
 
 
 def _evaluate(backend, kind: str, mode: str, degree: int):
-    """``(inputs, outputs, plaintext references)`` of one evaluation."""
+    """``(inputs, outputs, plaintext references)`` of one evaluation.
+
+    The outputs are relinearised — the sweep a lazy evaluation leaves to
+    its consumer, run here the way the linear map behind it would.
+    """
     rows = _rows(degree)
     backend.relin_mode = mode
     try:
@@ -92,6 +96,7 @@ def _evaluate(backend, kind: str, mode: str, degree: int):
             outs = [backend.poly_eval(ins[0], rows[0])]
     finally:
         backend.relin_mode = "lazy"
+    outs = backend.relinearize_many(outs)
     return ins, outs, [np.polyval(r[::-1], x) for r, x in zip(rows, xs)]
 
 

@@ -26,8 +26,11 @@ forward, one α-channel inverse and one ``(k, 2, B, n)`` forward
 engine, with a cubic SLAF on a chain of **exactly**
 ``model_depth(layers) + 1`` primes, pins the depth-optimal BSGS schedule
 from the tracer's spans: per ``HePoly`` one ``ckksrns.rescale`` (the
-block sum, before the Horner fold) + two ``ckksrns.rescale_ext``,
-``PolyProgram.relins`` sweeps, and scores on level 0 — no unused prime.
+block sum, before the Horner fold) + two ``ckksrns.rescale_ext`` and no
+sweep, the linear map behind it one ``ckksrns.rescale_ext`` +
+``PolyProgram.relins`` sweeps, each raising digits over exactly that
+map's outputs (the position axis of the real raised-digit forward), and
+scores on level 0 — no unused prime.
 Last, the first engine must refuse a handle array of another shape
 than the one its plan was compiled for.
 Exits non-zero with the offending counter deltas.
@@ -82,12 +85,8 @@ def build_engine(
     return HeInferenceEngine(backend, layers, (1, 6, 6))
 
 
-def hybrid_sweep_shapes(images: np.ndarray) -> tuple[list[dict], int, int]:
-    """Transform shapes of every key-switch sweep of a warm α = 3 classify."""
-    # A degree-5 SLAF on a longer chain: two sweeps, the first a merged
-    # s²/s³ one (p = 2) over two digit groups, the second cut by its level.
-    engine = build_engine((36, 36, 36), slaf=(0.1, 0.5, 0.25, 0.1, 0.05, 0.02), levels=8)
-    engine.classify(images)  # cold
+def record_sweeps(run) -> list[dict]:
+    """Call *run* and return the transform shapes of every key-switch sweep in it."""
     sweeps: list[dict] = []
     inside = [False]
     real_switch = CkksRnsContext._keyswitch_coeff
@@ -113,25 +112,50 @@ def hybrid_sweep_shapes(images: np.ndarray) -> tuple[list[dict], int, int]:
     with mock.patch.object(CkksRnsContext, "_keyswitch_coeff", switch), mock.patch.object(
         BatchedNttPlan, "forward", record("fwd", BatchedNttPlan.forward)
     ), mock.patch.object(BatchedNttPlan, "inverse", record("inv", BatchedNttPlan.inverse)):
-        engine.classify(images)
+        run()
+    return sweeps
+
+
+def hybrid_sweep_shapes(images: np.ndarray) -> tuple[list[dict], int, int]:
+    """Transform shapes of every key-switch sweep of a warm α = 3 classify."""
+    # A degree-5 SLAF on a longer chain: two sweeps, the first a merged
+    # s²/s³ one (p = 2) over two digit groups, the second cut by its level.
+    engine = build_engine((36, 36, 36), slaf=(0.1, 0.5, 0.25, 0.1, 0.05, 0.02), levels=8)
+    engine.classify(images)  # cold
+    sweeps = record_sweeps(lambda: engine.classify(images))
     (slaf,) = [layer for layer in engine.layers if isinstance(layer, HePoly)]
     relins = compile_poly_program(slaf.coeffs.shape[1] - 1).relins
     return sweeps, engine.backend.ctx.alpha, relins
 
 
-def cubic_schedule(images: np.ndarray) -> tuple[Counter, set[int], int, int]:
-    """Spans inside the ``HePoly`` of a warm classify on a chain of depth + 1 primes."""
+def cubic_schedule(images: np.ndarray) -> tuple[Counter, Counter, list[dict], int, set[int], int, int]:
+    """Spans inside the ``HePoly`` and the linear map behind it, and the
+    key-switch sweeps, of a warm classify on a chain of depth + 1 primes."""
     engine = build_engine(slaf=(0.1, 0.5, 0.25, 0.1), levels=None)
     engine.classify(images)  # cold
+    enc = engine.encrypt_images(images)
+    out: list = []
     with obs.tracing() as tracer:
-        scores = engine.run_encrypted(engine.encrypt_images(images))
+        sweeps = record_sweeps(lambda: out.append(engine.run_encrypted(enc)))
     spans = tracer.finished()
-    (poly,) = [s for s in spans if s.name == "henn.layer" and s.tags["layer"] == "HePoly"]
-    # Serial executor: everything the layer ran lies inside its interval.
-    inside = Counter(s.name for s in spans if poly.start <= s.start and s.end <= poly.end)
+
+    def inside(layer: str) -> Counter:
+        (span,) = [s for s in spans if s.name == "henn.layer" and s.tags["layer"] == layer]
+        # Serial executor: everything the layer ran lies inside its interval.
+        return Counter(s.name for s in spans if span.start <= s.start and s.end <= span.end)
+
     (slaf,) = [layer for layer in engine.layers if isinstance(layer, HePoly)]
-    levels = {engine.backend.level_of(h) for h in scores}
-    return inside, levels, engine.backend.ctx.k_top, compile_poly_program(slaf.degree).relins
+    (dense,) = [layer for layer in engine.layers if isinstance(layer, HeLinear)]
+    levels = {engine.backend.level_of(h) for h in out[0]}
+    return (
+        inside("HePoly"),
+        inside("HeLinear"),
+        sweeps,
+        dense.weight.shape[0],
+        levels,
+        engine.backend.ctx.k_top,
+        compile_poly_program(slaf.degree).relins,
+    )
 
 
 def main() -> int:
@@ -191,13 +215,19 @@ def main() -> int:
     sweeps, alpha, hybrid_relins = hybrid_sweep_shapes(images)
     print(f"warm: alpha={alpha} key-switch sweeps={sweeps}")
 
-    inside_poly, final_levels, primes, cubic_relins = cubic_schedule(images)
+    inside_poly, inside_map, cubic_sweeps, map_outputs, final_levels, primes, cubic_relins = (
+        cubic_schedule(images)
+    )
     cubic = {
         name: inside_poly[f"ckksrns.{name}"] for name in ("rescale", "rescale_ext", "relinearize")
     }
+    next_map = {name: inside_map[f"ckksrns.{name}"] for name in ("rescale_ext", "relinearize")}
+    # (k+α, D, B, n): B is the number of positions the sweep switches.
+    raised_positions = [sw["fwd"][0][2] for sw in cubic_sweeps]
     print(
         f"warm: cubic SLAF on {primes} primes (graph depth {primes - 1}): "
-        f"HePoly performed {cubic}, score levels {sorted(final_levels)}"
+        f"HePoly performed {cubic}, the map behind it {next_map} with raised digits over "
+        f"{raised_positions} positions ({map_outputs} outputs), score levels {sorted(final_levels)}"
     )
 
     # An (1, 8, 8) handle array into the (1, 6, 6) plan: refused, as the
@@ -215,11 +245,21 @@ def main() -> int:
     if not rejected:
         print("FAIL: the engine evaluated a handle array its plan was not compiled for")
         ok = False
-    want_cubic = {"rescale": 1, "rescale_ext": 2, "relinearize": cubic_relins}
+    want_cubic = {"rescale": 1, "rescale_ext": 2, "relinearize": 0}
     if cubic != want_cubic:
         print(
             f"FAIL: cubic HePoly performed {cubic}, expected {want_cubic} "
-            "(block sum rescaled before the Horner fold)"
+            "(block sum rescaled before the Horner fold, sweep left to the next map)"
+        )
+        ok = False
+    want_map = {"rescale_ext": 1, "relinearize": cubic_relins}
+    if next_map != want_map:
+        print(f"FAIL: the map behind the cubic HePoly performed {next_map}, expected {want_map}")
+        ok = False
+    if raised_positions != [map_outputs] * cubic_relins:
+        print(
+            f"FAIL: raised-digit forwards over {raised_positions} positions, expected "
+            f"{cubic_relins} over the next map's {map_outputs} outputs"
         )
         ok = False
     if final_levels != {0}:

@@ -15,7 +15,8 @@ A second check targets the gateway on CKKS-RNS, where a batch is
 evaluated member by member: a ragged (2, 1) batch and a B = 4 batch must
 be bit-identical to the serial service on the same ciphertexts, perform
 zero fresh plaintext encodes when warm (``plan.encode.fresh``) and cost
-exactly B x the single-request number of ``weighted_sum_encoded`` calls.
+exactly B x (linear maps) ``weighted_sum_encoded`` calls — one per map
+per request.
 A third puts a ragged batch through the mock gateway, where slots *are*
 shared, and asserts the ``serving.pack.*`` accounting (pad waste,
 requests vs images).
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro.ckksrns import CkksRnsParams
 from repro.henn.backend import CkksRnsBackend, MockBackend
-from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
+from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HeLinearMap, HePoly
 from repro.henn.protocol import BatchedCloudService, Client, CloudService
 from repro.obs.metrics import get_registry
 
@@ -69,7 +70,8 @@ def real_scheme_gateway_check() -> int:
     one batch, every member's scores are bit-identical to
     :class:`CloudService` on the same ciphertexts, the warm path
     performs zero fresh plaintext encodes, and the backend sees exactly
-    B x the single-request number of ``weighted_sum_encoded`` calls.
+    B x (linear maps) ``weighted_sum_encoded`` calls: one per map, every
+    output row at once.
     """
     layers = build_layers()
     backend = CkksRnsBackend(
@@ -101,9 +103,10 @@ def real_scheme_gateway_check() -> int:
     per_request = calls
 
     reg = get_registry()
-    ok = per_request > 0
+    maps = sum(isinstance(layer, HeLinearMap) for layer in layers)
+    ok = per_request == maps
     if not ok:
-        print("FAIL: weighted_sum_encoded counter never fired")
+        print(f"FAIL: {per_request} weighted_sum_encoded calls per request, expected {maps} (maps)")
     for counts in ([2, 1], [1, 1, 1, 1]):
         offsets = np.cumsum([0] + counts)
         requests = [
