@@ -161,6 +161,7 @@ class CkksContext:
             big.scalar_mul(sg, self.p_special),
         )
         kp.galois[g] = GaloisKey(g=g, b=b, a=a, p_special=self.p_special)
+        get_registry().counter("keys.galois.generated").inc()
 
     def galois_element(self, rotation: int) -> int:
         """Galois group element for a left-rotation by *rotation* slots."""
@@ -266,34 +267,58 @@ class CkksContext:
     def add_plain(self, a: Ciphertext, values: np.ndarray | float) -> Ciphertext:
         """Add a plaintext vector/scalar encoded at the ciphertext's scale (only ``c0`` moves)."""
         ring = self.ring(a.level)
+        pt = self._cached_encode(values, a.scale, a.level)
+        return with_components(a, [ring.add(a.c0, pt)] + [c.copy() for c in a.components()[1:]])
+
+    def encode(self, values: np.ndarray | float, scale: float) -> np.ndarray:
+        """Slot vector (or broadcast scalar) -> integer coefficient polynomial.
+
+        The encoding is level-independent (an object array of signed
+        integers); each level reduces it into its own ring.
+        """
+        get_registry().counter("plan.encode.fresh").inc()
+        vec = np.full(self.slots, float(values)) if np.isscalar(values) else values
+        return self.encoder.encode(vec, scale)
+
+    def _cached_encode(
+        self, values: np.ndarray | float, scale: float, level: int | None = None
+    ) -> np.ndarray:
+        """:meth:`encode` through :attr:`plain_cache` when installed.
+
+        With a *level*, the polynomial reduced into that level's ring is
+        what is cached, so a warm ``add_plain`` does no reduction either.
+        """
 
         def encode_now() -> np.ndarray:
-            get_registry().counter("plan.encode.fresh").inc()
-            vec = np.full(self.slots, float(values)) if np.isscalar(values) else values
-            return ring.from_coeffs(self.encoder.encode(vec, a.scale))
+            poly = self.encode(values, scale)
+            return poly if level is None else self.ring(level).from_coeffs(poly)
 
-        if np.isscalar(values) and self.plain_cache is not None:
-            key = ("ckks.scalar", self.n, a.level, float(a.scale), float(values))
-            pt = self.plain_cache.get_or_encode(key, encode_now)
+        if self.plain_cache is None:
+            return encode_now()
+        if np.isscalar(values):
+            key: tuple = ("ckks.scalar", self.n, level, float(scale), float(values))
         else:
-            pt = encode_now()
-        return with_components(a, [ring.add(a.c0, pt)] + [c.copy() for c in a.components()[1:]])
+            values = np.asarray(values, dtype=np.float64)
+            key = ("ckks.vector", self.n, level, float(scale), values.tobytes())
+        return self.plain_cache.get_or_encode(key, encode_now)
 
     @traced("ckks.mul_plain")
     def mul_plain(
         self, a: Ciphertext, values: np.ndarray | float, plain_scale: float | None = None
     ) -> Ciphertext:
-        """Multiply by a plaintext vector/scalar; output scale multiplies."""
-        require_degree1(a, "mul_plain")
+        """Multiply every component by a plaintext; output scale multiplies.
+
+        *values* is a slot vector or scalar encoded at *plain_scale*
+        (default Δ) through :attr:`plain_cache`, or an integer polynomial
+        :meth:`encode` returned at that scale (an ``object`` array of
+        ``n`` coefficients).  Any degree.
+        """
         ring = self.ring(a.level)
         plain_scale = float(plain_scale or self.params.scale)
-        if np.isscalar(values):
-            values = np.full(self.slots, float(values))
-        get_registry().counter("plan.encode.fresh").inc()
-        m = ring.from_coeffs(self.encoder.encode(values, plain_scale))
-        return Ciphertext(
-            ring.mul(a.c0, m), ring.mul(a.c1, m), a.level, a.scale * plain_scale, self.n
-        )
+        encoded = isinstance(values, np.ndarray) and values.dtype == object
+        m = ring.from_coeffs(values if encoded else self._cached_encode(values, plain_scale))
+        comps = [ring.mul(c, m) for c in a.components()]
+        return with_components(a, comps, scale=a.scale * plain_scale)
 
     @traced("ckks.mul_plain_scalar")
     def mul_plain_scalar(
@@ -451,8 +476,19 @@ class CkksContext:
         return with_components(a, comps, level=level)
 
     @traced("ckks.rotate")
-    def rotate(self, a: Ciphertext, rotation: int, galois: dict[int, GaloisKey]) -> Ciphertext:
-        """``Rot(c, r)``: left-rotate slots by *rotation* using a Galois key."""
+    def rotate(
+        self,
+        a: Ciphertext,
+        rotation: "int | Sequence[int]",
+        galois: dict[int, GaloisKey],
+    ) -> "Ciphertext | list[Ciphertext]":
+        """``Rot(c, r)``: left-rotate slots by *rotation* using a Galois key.
+
+        A sequence of steps returns one ciphertext per step; a missing
+        key raises :class:`KeyError`.
+        """
+        if not isinstance(rotation, (int, np.integer)):
+            return [self.rotate(a, r, galois) for r in rotation]
         require_degree1(a, "rotate")
         rotation = rotation % self.slots
         if rotation == 0:

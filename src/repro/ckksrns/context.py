@@ -45,7 +45,7 @@ from repro.ckksrns.keys import (
 from repro.ckksrns.params import CkksRnsParams
 from repro.nt.kernels import LimbMatrix, limb_gemm, scale_channels
 from repro.nt.modarith import addmod, mulmod, negmod, submod
-from repro.nt.ntt import BatchedNttPlan, NttPlan
+from repro.nt.ntt import BatchedNttPlan, NttPlan, bit_reverse_permutation
 from repro.nt.primes import gen_ntt_primes
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import traced
@@ -147,17 +147,6 @@ class RnsPlaintext:
         self.level = level
 
 
-def _galois_permute(a: np.ndarray, g: int, n: int, q: int) -> np.ndarray:
-    """Coefficient-domain Galois map ``m(X) -> m(X^g)`` on one channel."""
-    idx = (g * np.arange(n, dtype=np.int64)) % (2 * n)
-    pos = idx % n
-    sign_flip = idx >= n
-    out = np.zeros(n, dtype=np.int64)
-    vals = np.where(sign_flip, negmod(a, q), a)
-    out[pos] = vals
-    return out
-
-
 class CkksRnsContext:
     """All CKKS-RNS primitives bound to one parameter set.
 
@@ -202,6 +191,7 @@ class CkksRnsContext:
         #: ``add_plain`` constants are encoded once per (value, scale,
         #: level) instead of per call.
         self.plain_cache: PlaintextCache | None = None
+        self._galois_perms: dict[int, np.ndarray] = {}
         self._bases = {k: RnsBase(self.moduli[:k], n=params.n) for k in range(1, self.k_top + 1)}
         self._special_base = RnsBase(self.special_moduli, n=params.n)
         # Digit groups: α chain primes each (last one partial), Q_g their
@@ -401,6 +391,7 @@ class CkksRnsContext:
         sg_ext = self._ntt(self._decompose_small(sg_coeff, self.ext_moduli), self.ext_moduli)
         b, a = self._gen_switch_key(kp.sk.s, sg_ext, rng)
         kp.galois[g] = RnsGaloisKey(g=g, b=b, a=a)
+        get_registry().counter("keys.galois.generated").inc()
 
     def galois_element(self, rotation: int) -> int:
         return pow(5, rotation % self.slots, 2 * self.n)
@@ -624,32 +615,34 @@ class CkksRnsContext:
     def add_plain(self, a: RnsCiphertext, values: "np.ndarray | float | RnsPlaintext") -> RnsCiphertext:
         """Add a plaintext encoded at the ciphertext's scale.
 
-        Accepts a slot vector, a scalar (broadcast to all slots; encoded
-        through :attr:`plain_cache` when the inference-plan layer has
-        installed one) or an already-encoded :class:`RnsPlaintext` at
+        Accepts a slot vector or a scalar (broadcast to all slots), both
+        encoded through :attr:`plain_cache` when the inference-plan layer
+        has installed one, or an already-encoded :class:`RnsPlaintext` at
         the ciphertext's level.  Only ``c0`` moves, whatever the degree.
         """
         if isinstance(values, RnsPlaintext):
             pt = values
             if pt.level != a.level:
                 raise ValueError(f"plaintext level {pt.level} != ciphertext level {a.level}")
-        elif np.isscalar(values):
-            pt = self._scalar_plain(float(values), a.scale, a.level)
         else:
-            pt = self.encode(values, a.scale, a.level)
+            pt = self._cached_plain(values, a.scale, a.level)
         moduli = self.moduli[: a.k]
         # pt.data rows are (n,); they broadcast over any batch axes of a.
         c0 = np.stack([addmod(a.c0[i], pt.data[i], m) for i, m in enumerate(moduli)])
         return with_components(a, [c0] + [c.copy() for c in a.components()[1:]])
 
-    def _scalar_plain(self, v: float, scale: float, level: int) -> RnsPlaintext:
-        """Broadcast-scalar plaintext, via :attr:`plain_cache` when installed."""
-        if self.plain_cache is not None:
-            key = ("rns.scalar", self.n, level, float(scale), v)
-            return self.plain_cache.get_or_encode(
-                key, lambda: self.encode(np.full(self.slots, v), scale, level)
-            )
-        return self.encode(np.full(self.slots, v), scale, level)
+    def _cached_plain(self, values: "np.ndarray | float", scale: float, level: int) -> RnsPlaintext:
+        """A scalar (broadcast) or slot vector, via :attr:`plain_cache` when installed."""
+        if np.isscalar(values):
+            v = float(values)
+            key: tuple = ("rns.scalar", self.n, level, float(scale), v)
+            vec = np.full(self.slots, v)
+        else:
+            vec = np.asarray(values, dtype=np.float64)
+            key = ("rns.vector", self.n, level, float(scale), vec.tobytes())
+        if self.plain_cache is None:
+            return self.encode(vec, scale, level)
+        return self.plain_cache.get_or_encode(key, lambda: self.encode(vec, scale, level))
 
     @traced("ckksrns.add_plain_many")
     def add_plain_many(self, a: RnsCiphertext, values: np.ndarray) -> RnsCiphertext:
@@ -668,7 +661,7 @@ class CkksRnsContext:
         moduli = self.moduli[: a.k]
         uniq, inverse = np.unique(vals, return_inverse=True)
         pts = np.stack(
-            [self._scalar_plain(float(v), a.scale, a.level).data for v in uniq]
+            [self._cached_plain(float(v), a.scale, a.level).data for v in uniq]
         )  # (U, k, n)
         sel = np.ascontiguousarray(pts[inverse].transpose(1, 0, 2))  # (k, B, n)
         c0 = np.stack([addmod(a.c0[i], sel[i], m) for i, m in enumerate(moduli)])
@@ -717,17 +710,81 @@ class CkksRnsContext:
         return with_components(a, comps, scale=a.scale * plain_scale)
 
     @traced("ckksrns.mul_plain")
-    def mul_plain(self, a: RnsCiphertext, plain: "RnsPlaintext | np.ndarray", plain_scale: float | None = None) -> RnsCiphertext:
-        """Multiply by an encoded plaintext vector (dyadic per channel)."""
-        require_degree1(a, "mul_plain")
+    def mul_plain(
+        self,
+        a: RnsCiphertext,
+        plain: "RnsPlaintext | np.ndarray",
+        plain_scale: float | None = None,
+    ) -> RnsCiphertext:
+        """Multiply every component by a plaintext slot vector (dyadic per channel).
+
+        *plain* is an encoded :class:`RnsPlaintext` at or above the
+        ciphertext's level, or a slot vector encoded at *plain_scale*
+        (default Δ) through :attr:`plain_cache`.  Any degree: an
+        extended ciphertext is multiplied componentwise, which equals
+        relinearising first and multiplying after — except that high
+        components held in the coefficient domain cannot be multiplied
+        dyadically, which raises.
+        """
+        if a.coeff_high:
+            raise ValueError("mul_plain needs every component in the NTT domain")
         if not isinstance(plain, RnsPlaintext):
-            plain = self.encode(np.asarray(plain), plain_scale or self.params.scale, a.level)
+            plain = self._cached_plain(plain, plain_scale or self.params.scale, a.level)
         if plain.level < a.level:
             a = self.mod_switch_to(a, plain.level)
         moduli = self.moduli[: a.k]
-        c0 = np.stack([mulmod(a.c0[i], plain.data[i], m) for i, m in enumerate(moduli)])
-        c1 = np.stack([mulmod(a.c1[i], plain.data[i], m) for i, m in enumerate(moduli)])
-        return RnsCiphertext(c0, c1, a.level, a.scale * plain.scale)
+        data = plain.data[: a.k]
+        comps = [scale_channels(comp, data, moduli) for comp in a.components()]
+        return with_components(a, comps, scale=a.scale * plain.scale)
+
+    @traced("ckksrns.weighted_sum_plain")
+    def weighted_sum_plain(
+        self,
+        cts: list[RnsCiphertext],
+        rows: "list[tuple[list[int], list[RnsPlaintext]]]",
+    ) -> list[RnsCiphertext]:
+        """Every row's ``Σ_t plain_t ⊙ cts[idx_t]`` — slot-vector weights.
+
+        The packed layout's diagonal products: row *r* weighs its taps
+        ``idx_t`` by plaintexts at or above the taps' common level.  Per
+        channel, the dyadic products sum unreduced while
+        ``taps · q_i² < 2^63`` and fold one modulo at the end; a wider
+        channel reduces every product first.  Either way the canonical
+        residue of the exact sum: bit-identical to a :meth:`mul_plain` /
+        :meth:`add` chain, in one pass per row instead of two calls per
+        tap — which on the packed CNN1 request is 0.170 s against 0.216 s
+        (docs/PERFORMANCE.md, "Packed single-image layout").
+        """
+        if any(ct.coeff_high for ct in cts):
+            raise ValueError("weighted_sum_plain needs every component in the NTT domain")
+        scales = {ct.scale for ct in cts}
+        if len(scales) > 1:
+            self._check_scales(min(scales), max(scales), "weighted_sum_plain")
+        level = min(ct.level for ct in cts)
+        k = level + 1
+        comps = max(ct.degree for ct in cts) + 1
+        stack = np.zeros((k, len(cts), comps) + cts[0].c0.shape[1:], dtype=np.int64)
+        for t, ct in enumerate(cts):
+            for c, comp in enumerate(ct.components()):
+                stack[:, t, c] = comp[:k]
+        mods = np.asarray(self.moduli[:k], dtype=np.int64)
+        out = []
+        for idxs, plains in rows:
+            x = stack[:, idxs]  # (k, taps, comps, ..., n)
+            p = np.stack([pt.data[:k] for pt in plains], axis=1)
+            p = p.reshape(p.shape[:2] + (1,) * (x.ndim - 3) + p.shape[2:])
+            acc = np.empty((k,) + x.shape[2:], dtype=np.int64)
+            lazy = len(idxs) * mods.astype(np.float64) ** 2 < 2.0**63
+            if lazy.any():
+                m = mods[lazy].reshape((-1,) + (1,) * (x.ndim - 2))
+                acc[lazy] = np.multiply(x[lazy], p[lazy], dtype=np.int64).sum(axis=1) % m
+            for i in np.nonzero(~lazy)[0]:
+                acc[i] = mulmod(x[i], p[i], int(mods[i])).sum(axis=0) % int(mods[i])
+            c0, c1, *high = np.ascontiguousarray(acc.swapaxes(0, 1))
+            scale = cts[idxs[0]].scale * plains[0].scale
+            deferred = any(cts[t].deferred for t in idxs)
+            out.append(RnsCiphertext(c0, c1, level, scale, *high, deferred=deferred))
+        return out
 
     @traced("ckksrns.weighted_sum")
     def weighted_sum(
@@ -966,43 +1023,63 @@ class CkksRnsContext:
                     np.concatenate([p[0] for p in parts], axis=1),
                     np.concatenate([p[1] for p in parts], axis=1),
                 )
-        moduli = self.moduli[:k]
-        ext = moduli + self.special_moduli
-        # Key rows broadcast over any batch axes between digit and coeff.
-        kshape = (d_rows,) + (1,) * (x_coeff.ndim - 2) + (x_coeff.shape[-1],)
-
+        ext = self.moduli[:k] + self.special_moduli
         if isinstance(self.executor, SerialExecutor):
             # All digits raised into every target modulus at once: a
             # (k+α, D, ..., n) tensor through one batched stage loop.
             lifted_eval = BatchedNttPlan.get(self.n, tuple(ext)).forward(
                 self._raise_digits(x_coeff, level)
             )
-            contribs = []
-            for i, m in enumerate(ext):
-                key_idx = i if i < k else self.k_top + i - k
-                krow_b = kb[:, key_idx].reshape(kshape)
-                krow_a = ka[:, key_idx].reshape(kshape)
-                if d_rows * m * m < 2**63:
-                    # Narrow modulus: raw products fit int64 even summed
-                    # over all D digits, so skip the per-product
-                    # reduction and fold one modulo at the end — exact,
-                    # same ints as the reduced path.
-                    le = lifted_eval[i]
-                    p0 = np.multiply(le, krow_b, dtype=np.int64).sum(axis=0)
-                    p1 = np.multiply(le, krow_a, dtype=np.int64).sum(axis=0)
-                    contribs.append((p0 % m, p1 % m))
-                else:
-                    p0 = mulmod(lifted_eval[i], krow_b, m)
-                    p1 = mulmod(lifted_eval[i], krow_a, m)
-                    contribs.append((p0.sum(axis=0) % m, p1.sum(axis=0) % m))
-        else:
-            worker = _KeySwitchChannel(self.n, ext, k, self.k_top)
-            contribs = dispatch_channels(
-                self.executor,
-                worker,
-                {"lifted": self._raise_digits(x_coeff, level), "kb": kb, "ka": ka},
-                list(range(len(ext))),
-            )
+            return self._switch_raised(lifted_eval, kb, ka, level)
+        worker = _KeySwitchChannel(self.n, ext, k, self.k_top)
+        contribs = dispatch_channels(
+            self.executor,
+            worker,
+            {"lifted": self._raise_digits(x_coeff, level), "kb": kb, "ka": ka},
+            list(range(len(ext))),
+        )
+        return self._mod_down_pair(contribs, level)
+
+    def _switch_raised(
+        self, lifted_eval: np.ndarray, kb: np.ndarray, ka: np.ndarray, level: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Key inner product and ModDown of an evaluation-domain raised stack.
+
+        ``lifted_eval`` is the ``(k+α, D, ..., n)`` forward transform of
+        :meth:`_raise_digits`.  The keys are ``(D, k_top+α, ..., n)``; their
+        axes between channel and coefficient align with the trailing batch
+        axes of ``lifted_eval`` (a hoisted :meth:`rotate` stacks one key
+        per step against the permuted copies of one raised stack).
+        """
+        k = level + 1
+        ext = self.moduli[:k] + self.special_moduli
+        d_rows = kb.shape[0]
+        # Key rows broadcast over the leading batch axes they lack.
+        pad = (1,) * (lifted_eval.ndim - kb.ndim)
+        contribs = []
+        for i, m in enumerate(ext):
+            key_idx = i if i < k else self.k_top + i - k
+            krow_b = kb[:, key_idx].reshape((d_rows,) + pad + kb.shape[2:])
+            krow_a = ka[:, key_idx].reshape((d_rows,) + pad + ka.shape[2:])
+            if d_rows * m * m < 2**63:
+                # Narrow modulus: raw products fit int64 even summed
+                # over all D digits, so skip the per-product
+                # reduction and fold one modulo at the end — exact,
+                # same ints as the reduced path.
+                le = lifted_eval[i]
+                p0 = np.multiply(le, krow_b, dtype=np.int64).sum(axis=0)
+                p1 = np.multiply(le, krow_a, dtype=np.int64).sum(axis=0)
+                contribs.append((p0 % m, p1 % m))
+            else:
+                p0 = mulmod(lifted_eval[i], krow_b, m)
+                p1 = mulmod(lifted_eval[i], krow_a, m)
+                contribs.append((p0.sum(axis=0) % m, p1.sum(axis=0) % m))
+        return self._mod_down_pair(contribs, level)
+
+    def _mod_down_pair(
+        self, contribs: "list[tuple[np.ndarray, np.ndarray]]", level: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both accumulator components divided by P (:meth:`_div_special`)."""
         # Both accumulator components divide by P through one fused
         # (k+α, 2, n) transform pair instead of two separate passes.
         acc = np.stack(
@@ -1210,46 +1287,97 @@ class CkksRnsContext:
 
     # -- rotation -------------------------------------------------------------------------
 
+    def galois_permutation(self, g: int) -> np.ndarray:
+        """Evaluation-domain index map of the Galois automorphism ``X -> X^g``.
+
+        Slot *j* of a forward transform holds ``a(ψ^{e_j})`` with
+        ``e_j = 2·bitrev(j) + 1`` for every prime's own ψ, so
+        ``NTT(a(X^g))[j] = a(ψ^{g·e_j}) = NTT(a)[perm[j]]`` with
+        ``e_{perm[j]} = g·e_j mod 2n``: one gather of the whole
+        ``(k, …, n)`` stack replaces the inverse transform, the signed
+        coefficient permutation per channel and the forward transform
+        (bit-identical: both compute the same residues).
+        """
+        perm = self._galois_perms.get(g)
+        if perm is None:
+            exps = 2 * bit_reverse_permutation(self.n) + 1
+            index_of = np.empty(2 * self.n, dtype=np.int64)
+            index_of[exps] = np.arange(self.n, dtype=np.int64)
+            perm = self._galois_perms[g] = index_of[(g * exps) % (2 * self.n)]
+        return perm
+
     @traced("ckksrns.rotate")
-    def rotate(self, a: RnsCiphertext, rotation: int, galois: dict[int, RnsGaloisKey]) -> RnsCiphertext:
+    def rotate(
+        self,
+        a: RnsCiphertext,
+        rotation: "int | Sequence[int]",
+        galois: dict[int, RnsGaloisKey],
+    ) -> "RnsCiphertext | list[RnsCiphertext]":
         """``Rot(c, r)``: left-rotate slots using the matching Galois key.
+
+        A sequence of steps is **hoisted**: ``c1`` is inverse-transformed,
+        raised (ModUp) and forward-transformed once, and each step then
+        costs an evaluation-domain gather of the raised digits and a key
+        inner product instead of a whole key switch — the steps ride one
+        batch axis, so they share one ModDown transform pair as well.  The gather commutes with ModUp
+        because the Galois map permutes coefficients up to sign and the
+        centered base conversion is odd (``conv(−x) = −conv(x)``), so a
+        hoisted step reproduces the one-step rotation bit for bit.  The
+        one exception is the float estimate of the conversion's overflow
+        count: a digit coefficient whose centered representative lies
+        within ``k·2^-52·Q_g`` of ``±Q_g/2`` may round the other way, which
+        moves that raised coefficient by one ``Q_g`` and the rotated
+        ciphertext by at most ``Q_g·‖key‖/P`` in that coefficient — the
+        noise of one key switch, at a probability of ``~k·2^-51`` per
+        coefficient.
 
         Parameters
         ----------
         a:
-            Ciphertext whose slots to rotate.
+            Degree-1 ciphertext whose slots to rotate.
         rotation:
-            Left-rotation amount (slots), reduced mod ``n/2``.
+            Left-rotation amount (slots, reduced mod ``n/2``), or a
+            sequence of them.
         galois:
             Galois key table (``kp.galois``); must contain the element
-            for *rotation*, else :class:`KeyError` is raised.
+            of every nonzero step, else :class:`KeyError` is raised.
 
         Returns
         -------
-        Ciphertext with slot *i* holding input slot ``i + rotation``.
+        Ciphertext with slot *i* holding input slot ``i + rotation`` —
+        a list, one per step, for a sequence.
         """
         require_degree1(a, "rotate")
-        rotation = rotation % self.slots
-        if rotation == 0:
-            return a.copy()
-        g = self.galois_element(rotation)
-        if g not in galois:
-            raise KeyError(f"no Galois key for rotation {rotation} (element {g})")
-        key = galois[g]
-        moduli = self.moduli[: a.k]
-        c0_coeff = self._intt(a.c0, moduli)
-        c1_coeff = self._intt(a.c1, moduli)
-        c0g = np.stack(
-            [_galois_permute(c0_coeff[i], g, self.n, m) for i, m in enumerate(moduli)]
-        )
-        c1g = np.stack(
-            [_galois_permute(c1_coeff[i], g, self.n, m) for i, m in enumerate(moduli)]
-        )
-        g_act = len(self._digit_groups[a.k])
-        r0, r1 = self._keyswitch_coeff(c1g, key.b[:g_act], key.a[:g_act], a.level)
-        c0_eval = self._ntt(c0g, moduli)
-        c0 = np.stack([addmod(c0_eval[i], r0[i], m) for i, m in enumerate(moduli)])
-        return RnsCiphertext(c0, r1, a.level, a.scale)
+        steps = [rotation] if isinstance(rotation, (int, np.integer)) else list(rotation)
+        elements = [self.galois_element(r) if r % self.slots else None for r in steps]
+        for r, g in zip(steps, elements):
+            if g is not None and g not in galois:
+                raise KeyError(f"no Galois key for rotation {r % self.slots} (element {g})")
+        out = [a.copy() if g is None else None for g in elements]
+        live = [t for t, g in enumerate(elements) if g is not None]
+        if live:
+            moduli = self.moduli[: a.k]
+            ext = moduli + self.special_moduli
+            lifted = self._ntt(self._raise_digits(self._intt(a.c1, moduli), a.level), ext)
+            g_act = len(self._digit_groups[a.k])
+            perms = [self.galois_permutation(elements[t]) for t in live]
+            keys = [galois[elements[t]] for t in live]
+            r0, r1 = self._switch_raised(
+                np.stack([lifted[..., p] for p in perms], axis=-2),
+                np.stack([key.b[:g_act] for key in keys], axis=-2),
+                np.stack([key.a[:g_act] for key in keys], axis=-2),
+                a.level,
+            )  # (k, ..., steps, n)
+            c0 = np.stack([a.c0[..., p] for p in perms], axis=-2)
+            c0 = np.stack([addmod(c0[i], r0[i], m) for i, m in enumerate(moduli)])
+            for s, t in enumerate(live):
+                out[t] = RnsCiphertext(
+                    np.ascontiguousarray(c0[..., s, :]),
+                    np.ascontiguousarray(r1[..., s, :]),
+                    a.level,
+                    a.scale,
+                )
+        return out[0] if isinstance(rotation, (int, np.integer)) else out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         p = self.params

@@ -16,7 +16,9 @@ Pipeline (paper §III, §V, Figs. 3-5):
 
 Packing is CryptoNets-style SIMD: slot *i* of every ciphertext belongs
 to image *i*, one ciphertext per scalar position, so a whole batch is
-classified in one network evaluation.
+classified in one network evaluation.  A single image travels packed
+instead — its whole feature vector in one ciphertext, linear maps as
+rotation-based diagonal products (:mod:`repro.henn.packing`).
 """
 
 from repro.henn.backend import CkksBackend, CkksRnsBackend, EncodedTaps, HeBackend, MockBackend
@@ -27,7 +29,6 @@ from repro.henn.architectures import build_cnn1, build_cnn2, ascii_diagram
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.security import he_standard_max_logq, validate_security
 from repro.henn.rnscnn import RnsIntegerConv, rns_conv_pipeline
-from repro.henn.packing import dense_single, encrypt_features, rotations_needed
 from repro.henn.hybrid import HybridRnsEngine
 from repro.henn.protocol import (
     BatchedCloudService,
@@ -60,9 +61,6 @@ __all__ = [
     "validate_security",
     "RnsIntegerConv",
     "rns_conv_pipeline",
-    "encrypt_features",
-    "dense_single",
-    "rotations_needed",
     "HybridRnsEngine",
     "Client",
     "CloudService",

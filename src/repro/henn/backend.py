@@ -61,7 +61,11 @@ __all__ = [
 
 
 class _SinglePolyOps:
-    """Adapter: one handle, position batch of size 1."""
+    """Adapter: one handle, position batch of size 1.
+
+    A constant column of one value is a scalar; a column of one value
+    per slot (per-slot coefficient rows) is a plaintext slot vector.
+    """
 
     __slots__ = ("b",)
 
@@ -88,10 +92,12 @@ class _SinglePolyOps:
         return self.b.add(a, b)
 
     def mul_plain_vec(self, h: Any, consts: np.ndarray, ps: float) -> Any:
-        return self.b.mul_plain_scalar(h, float(consts[0]), ps)
+        if len(consts) == 1:
+            return self.b.mul_plain_scalar(h, float(consts[0]), ps)
+        return self.b.mul_plain_vector(h, consts, ps)
 
     def add_plain_vec(self, h: Any, consts: np.ndarray) -> Any:
-        return self.b.add_plain(h, float(consts[0]))
+        return self.b.add_plain(h, float(consts[0]) if len(consts) == 1 else consts)
 
     def square_raw(self, h: Any) -> Any:
         return self.b.square_raw(h)
@@ -235,8 +241,11 @@ class EncodedTaps:
 
     plain_scale: float
     weights: np.ndarray  #: original float weights (generic fallback path)
-    consts: list[int]  #: quantized integers ``round(w * plain_scale)``
+    consts: list[int]  #: quantized integers ``round(w * plain_scale)`` (scalar taps)
     keep: list[int]  #: indices of taps with nonzero quantized weight
+    #: Slot-vector taps (``encode_taps(..., level=)``, ``weights`` of shape
+    #: ``(taps, slots)``): each tap's scheme plaintext at that level.
+    plain: list | None = None
 
 
 class EncodedMap:
@@ -246,7 +255,8 @@ class EncodedMap:
     EncodedTaps)``; ``matrix`` the same map as a dense ``(rows, inputs)``
     :class:`~repro.nt.kernels.LimbMatrix` for the exact limb GEMM — a
     weight too wide for it raises :class:`~repro.nt.kernels.MapBoundError`
-    here, at compile time, never at evaluation.
+    here, at compile time, never at evaluation.  A map of slot-vector
+    taps (the packed layout's diagonal products) has no ``matrix``.
     """
 
     def __init__(self, rows: "list[tuple[list[int] | None, EncodedTaps]]", inputs: int):
@@ -255,6 +265,9 @@ class EncodedMap:
         self.rows = rows
         self.inputs = inputs
         self.plain_scale = rows[0][1].plain_scale
+        self.matrix = None
+        if rows[0][1].plain is not None:
+            return
         dense = np.zeros((len(rows), inputs), dtype=object)
         for r, (idxs, enc) in enumerate(rows):
             for t, c in zip(range(inputs) if idxs is None else idxs, enc.consts, strict=True):
@@ -289,7 +302,8 @@ class HeBackend(ABC):
       ``rescale``, ``scale_of``, ``level_of``;
     * ct × ct — ``mul``, ``square`` (relinearised) and ``square_raw``,
       ``mul_raw``, ``relinearize_ext`` (deferred), left operand degree 1;
-    * single-image packing, degree 1 — ``mul_plain_vector``, ``rotate``;
+    * single-image packing — ``mul_plain_vector`` (any degree) and
+      ``rotate`` (degree 1, one step or a hoisted sequence);
     * request packing, degree 1 — ``concat_slots``, ``slice_slots``;
     * compile-once constants — ``encode_taps``.
 
@@ -376,8 +390,8 @@ class HeBackend(ABC):
         """Ciphertext + ciphertext (scales must match; degrees may differ)."""
 
     @abstractmethod
-    def add_plain(self, a: Any, value: float) -> Any:
-        """Ciphertext + plaintext scalar, broadcast over slots (any degree)."""
+    def add_plain(self, a: Any, value: "float | np.ndarray") -> Any:
+        """Ciphertext + plaintext scalar (broadcast over slots) or slot vector, any degree."""
 
     @abstractmethod
     def mul_plain_scalar(self, a: Any, scalar: float, plain_scale: float | None = None) -> Any:
@@ -410,12 +424,20 @@ class HeBackend(ABC):
     def level_of(self, a: Any) -> int:
         """Remaining multiplicative levels of *a*."""
 
-    def mul_plain_vector(self, a: Any, values: "np.ndarray") -> Any:
-        """Slotwise multiply by a plaintext vector (single-image packing)."""
-        raise NotImplementedError(f"{self.name} backend has no vector plain-multiply")
+    def mul_plain_vector(self, a: Any, values: np.ndarray, plain_scale: float | None = None) -> Any:
+        """Slotwise multiply by a plaintext vector encoded at *plain_scale* (default Δ), any degree."""
+        ps = float(plain_scale or self.scale)
+        plain = self._encode_vector(np.asarray(values, dtype=np.float64), ps, self.level_of(a))
+        return self._mul_encoded(a, plain, ps)
 
-    def rotate(self, a: Any, r: int) -> Any:
-        """Left-rotate slots by *r* (requires rotation keys where real)."""
+    def rotate(self, a: Any, steps: "int | Sequence[int]") -> Any:
+        """Left-rotate slots by *steps*; a sequence returns one handle per step.
+
+        A real scheme needs the Galois key of every nonzero step, generated
+        ahead of time (the packed plan does it when it compiles); a
+        missing one raises :class:`KeyError`.  A sequence shares one
+        hoisted digit decomposition where the scheme has it (CKKS-RNS).
+        """
         raise NotImplementedError(f"{self.name} backend has no rotations")
 
     # -- raw products (lazy relinearisation) --------------------------------------
@@ -494,20 +516,37 @@ class HeBackend(ABC):
         row = self.encode_taps(weights, plain_scale)
         return self.weighted_sum_encoded(handles, EncodedMap([(None, row)], len(handles)))[0]
 
-    def encode_taps(self, weights: np.ndarray, plain_scale: float | None = None) -> EncodedTaps:
+    def encode_taps(
+        self, weights: np.ndarray, plain_scale: float | None = None, level: int | None = None
+    ) -> EncodedTaps:
         """Quantize the weights of one weighted sum once.
 
         The returned :class:`EncodedTaps` is one row of an
         :class:`EncodedMap`, replayed against fresh tap handles by
-        :meth:`weighted_sum_encoded` without re-quantizing.
+        :meth:`weighted_sum_encoded` without re-quantizing.  With a
+        *level*, *weights* is ``(taps, slots)``: every tap weighs its
+        handle by a slot vector (a diagonal of the packed layout's matrix
+        product), encoded once as a plaintext at that level (``plain``).
         """
         ps = float(plain_scale or self.scale)
         weights = np.asarray(weights, dtype=np.float64)
+        if level is not None:
+            plain = [self._encode_vector(w, ps, level) for w in weights]
+            keep = [t for t, w in enumerate(weights) if np.any(np.round(w * ps))] or [0]
+            return EncodedTaps(plain_scale=ps, weights=weights, consts=[], keep=keep, plain=plain)
         consts = [int(round(float(w) * ps)) for w in weights]
         # Taps whose weight quantizes to zero contribute exactly nothing
         # (their encoded multiplier is the zero plaintext): skipped.
         keep = [t for t, c in enumerate(consts) if c != 0] or [0]
         return EncodedTaps(plain_scale=ps, weights=weights, consts=consts, keep=keep)
+
+    def _encode_vector(self, values: np.ndarray, plain_scale: float, level: int) -> Any:
+        """The scheme's plaintext of a slot vector at *level*."""
+        raise NotImplementedError(f"{self.name} backend has no vector plaintexts")
+
+    def _mul_encoded(self, a: Any, plain: Any, plain_scale: float) -> Any:
+        """*a* times a plaintext of :meth:`_encode_vector`, every component."""
+        raise NotImplementedError(f"{self.name} backend has no vector plain-multiply")
 
     def weighted_sum_encoded(self, handles: Sequence[Any], emap: EncodedMap) -> list[Any]:
         """Every output row of a precompiled linear map over fresh handles.
@@ -522,10 +561,13 @@ class HeBackend(ABC):
             out = []
             for row, enc in emap.gather(handles):
                 ws, ps = enc.weights, enc.plain_scale
-                first, *rest = enc.keep
-                acc = self.mul_plain_scalar(row[first], float(ws[first]), ps)
-                for t in rest:
-                    acc = self.add(acc, self.mul_plain_scalar(row[t], float(ws[t]), ps))
+                if enc.plain is None:
+                    terms = [self.mul_plain_scalar(row[t], float(ws[t]), ps) for t in enc.keep]
+                else:
+                    terms = [self._mul_encoded(row[t], enc.plain[t], ps) for t in enc.keep]
+                acc = terms[0]
+                for term in terms[1:]:
+                    acc = self.add(acc, term)
                 out.append(acc)
             return out
 
@@ -551,13 +593,17 @@ class HeBackend(ABC):
             Input ciphertext handle (degree 1).
         coeffs:
             Polynomial coefficients, constant term first (length
-            ``2 .. MAX_POLY_DEGREE + 1``).
+            ``2 .. MAX_POLY_DEGREE + 1``) — or one such row per slot
+            (``(max_batch, degree + 1)``), slot *s* evaluating row *s*:
+            the packed layout's per-channel activation, applied as
+            plaintext slot vectors.
 
         Returns
         -------
         Handle for ``p(x)`` rescaled back to ~Δ.
         """
-        coeffs = self._check_poly_rows(coeffs, 1)
+        per_slot = np.ndim(coeffs) == 2 and len(coeffs) == self.max_batch
+        coeffs = self._check_poly_rows(coeffs, self.max_batch if per_slot else 1)
         program = compile_poly_program(coeffs.shape[1] - 1)
         with obs.span("henn.poly_eval", backend=self.name, degree=program.degree):
             reg = get_registry()
@@ -697,10 +743,9 @@ class MockBackend(HeBackend):
             a.deferred or b.deferred,
         )
 
-    def add_plain(self, a: _MockHandle, value: float) -> _MockHandle:
-        return _MockHandle(
-            a.values + self._q(float(value), a.scale), a.scale, a.level, a.degree, a.deferred
-        )
+    def add_plain(self, a: _MockHandle, value: "float | np.ndarray") -> _MockHandle:
+        plain = self._q(value if isinstance(value, np.ndarray) else float(value), a.scale)
+        return _MockHandle(a.values + plain, a.scale, a.level, a.degree, a.deferred)
 
     def mul_plain_scalar(self, a: _MockHandle, scalar: float, plain_scale: float | None = None) -> _MockHandle:
         ps = float(plain_scale or self._scale)
@@ -729,14 +774,18 @@ class MockBackend(HeBackend):
     def level_of(self, a: _MockHandle) -> int:
         return a.level
 
-    def mul_plain_vector(self, a: _MockHandle, values: np.ndarray) -> _MockHandle:
-        require_degree1(a, "mul_plain_vector")
-        v = np.asarray(self._q(values[: a.values.shape[0]], self._scale))
-        return _MockHandle(a.values * v, a.scale * self._scale, a.level)
+    def _encode_vector(self, values: np.ndarray, plain_scale: float, level: int) -> np.ndarray:
+        return np.asarray(self._q(values, plain_scale))
 
-    def rotate(self, a: _MockHandle, r: int) -> _MockHandle:
+    def _mul_encoded(self, a: _MockHandle, plain: np.ndarray, plain_scale: float) -> _MockHandle:
+        v = plain[: a.values.shape[0]]
+        return _MockHandle(a.values * v, a.scale * plain_scale, a.level, a.degree, a.deferred)
+
+    def rotate(self, a: _MockHandle, steps: "int | Sequence[int]") -> "_MockHandle | list[_MockHandle]":
         require_degree1(a, "rotate")
-        return _MockHandle(np.roll(a.values, -r), a.scale, a.level)
+        if not isinstance(steps, (int, np.integer)):
+            return [self.rotate(a, r) for r in steps]
+        return _MockHandle(np.roll(a.values, -steps), a.scale, a.level)
 
     # -- raw products (lazy relinearisation) --------------------------------------
 
@@ -814,6 +863,7 @@ class CkksBackend(HeBackend):
         rng = derive_rng(seed)
         self.keys = self.ctx.keygen(rng)
         self._rng = rng
+        self._key_rng = rng.spawn(1)[0]
 
     @property
     def scale(self) -> float:
@@ -832,8 +882,8 @@ class CkksBackend(HeBackend):
     def add(self, a, b):
         return self.ctx.add(a, b)
 
-    def add_plain(self, a, value: float):
-        return self.ctx.add_plain(a, float(value))
+    def add_plain(self, a, value):
+        return self.ctx.add_plain(a, value if isinstance(value, np.ndarray) else float(value))
 
     def mul_plain_scalar(self, a, scalar: float, plain_scale: float | None = None):
         return self.ctx.mul_plain_scalar(a, scalar, plain_scale)
@@ -866,16 +916,28 @@ class CkksBackend(HeBackend):
             return e
         return self.ctx.relinearize(e, self.keys.relin, self.keys.relin3)
 
-    def mul_plain_vector(self, a, values: np.ndarray):
-        return self.ctx.mul_plain(a, np.asarray(values, dtype=np.float64))
+    def _encode_vector(self, values: np.ndarray, plain_scale: float, level: int) -> np.ndarray:
+        return self.ctx._cached_encode(values, plain_scale)  # one integer polynomial for every level
 
-    def rotate(self, a, r: int):
-        if self.ctx.galois_element(r) not in self.keys.galois:
-            self.ctx.add_galois_key(self.keys, r, self._rng)
-        return self.ctx.rotate(a, r, self.keys.galois)
+    def _mul_encoded(self, a, plain: np.ndarray, plain_scale: float):
+        return self.ctx.mul_plain(a, plain, plain_scale)
+
+    def rotate(self, a, steps):
+        return self.ctx.rotate(a, steps, self.keys.galois)
+
+    def add_rotation_keys(self, steps: Sequence[int]) -> None:
+        """Generate the Galois keys of *steps* (existing ones are kept).
+
+        Draws from a key stream of its own, so provisioning rotations
+        never moves the encryption randomness.
+        """
+        for r in steps:
+            self.ctx.add_galois_key(self.keys, int(r), self._key_rng)
 
     def weighted_sum_encoded(self, handles, emap: EncodedMap):
         """Per row, accumulate every big-int component lazily, reducing mod q once."""
+        if emap.matrix is None:
+            return super().weighted_sum_encoded(handles, emap)
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
             out = []
             for row, enc in emap.gather(handles):
@@ -916,6 +978,7 @@ class CkksRnsBackend(HeBackend):
         rng = derive_rng(seed)
         self.keys = self.ctx.keygen(rng)
         self._rng = rng
+        self._key_rng = rng.spawn(1)[0]
         #: Resilience-harness hook; corrupts limbs / scales when armed.
         self.fault_injector = fault_injector
 
@@ -960,8 +1023,8 @@ class CkksRnsBackend(HeBackend):
     def add(self, a, b):
         return self.ctx.add(a, b)
 
-    def add_plain(self, a, value: float):
-        return self.ctx.add_plain(a, float(value))
+    def add_plain(self, a, value):
+        return self.ctx.add_plain(a, value if isinstance(value, np.ndarray) else float(value))
 
     def mul_plain_scalar(self, a, scalar: float, plain_scale: float | None = None):
         return self.ctx.mul_plain_scalar(a, scalar, plain_scale)
@@ -1000,13 +1063,17 @@ class CkksRnsBackend(HeBackend):
             return e
         return self.ctx.relinearize(e, self.keys.relin, self.keys.relin3)
 
-    def mul_plain_vector(self, a, values: np.ndarray):
-        return self.ctx.mul_plain(a, np.asarray(values, dtype=np.float64))
+    def _encode_vector(self, values: np.ndarray, plain_scale: float, level: int):
+        return self.ctx._cached_plain(values, plain_scale, level)
 
-    def rotate(self, a, r: int):
-        if self.ctx.galois_element(r) not in self.keys.galois:
-            self.ctx.add_galois_key(self.keys, r, self._rng)
-        return self.ctx.rotate(a, r, self.keys.galois)
+    def _mul_encoded(self, a, plain, plain_scale: float):
+        return self.ctx.mul_plain(a, plain)
+
+    def rotate(self, a, steps):
+        """One step, or a sequence sharing one hoisted ModUp (:meth:`CkksRnsContext.rotate`)."""
+        return self.ctx.rotate(a, steps, self.keys.galois)
+
+    add_rotation_keys = CkksBackend.add_rotation_keys
 
     def weighted_sum_encoded(self, handles, emap: EncodedMap) -> list[RnsCiphertext]:
         """The whole map at once: one exact limb GEMM per residue channel.
@@ -1016,9 +1083,18 @@ class CkksRnsBackend(HeBackend):
         (:meth:`CkksRnsContext.weighted_sum`); channels fan out through
         the executor.  Bit-identical to the per-row ``mul_plain_scalar``
         / ``add`` chain: both produce the canonical residue of the exact
-        integer sum.
+        integer sum.  A map of slot-vector taps (no ``matrix``) sums its
+        dyadic products per row instead
+        (:meth:`CkksRnsContext.weighted_sum_plain`), bit-identical to
+        the generic ``mul_plain_vector`` / ``add`` chain.
         """
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
+            if emap.matrix is None:
+                rows = []
+                for idxs, enc in emap.rows:
+                    taps = range(len(handles)) if idxs is None else idxs
+                    rows.append(([taps[t] for t in enc.keep], [enc.plain[t] for t in enc.keep]))
+                return self.ctx.weighted_sum_plain(list(handles), rows)
             return self.ctx.weighted_sum(list(handles), emap.matrix, emap.plain_scale)
 
     def poly_eval_many(self, handles: Sequence[Any], rows: np.ndarray) -> list[RnsCiphertext]:

@@ -116,6 +116,15 @@ class HeInferenceEngine:
         self.plan = plan if plan is not None else compile_plan(backend, layers, input_shape)
 
     @property
+    def packed_width(self) -> "int | None":
+        """Score width of the packed single-image layout, ``None`` if not offered.
+
+        The plan decides (:attr:`InferencePlan.packed_width`); the layout
+        of one request follows from it and the request's batch size.
+        """
+        return self.plan.packed_width
+
+    @property
     def trace(self) -> LayerTrace:
         """Per-layer timings of the last :meth:`run_encrypted` call."""
         return LayerTrace.from_spans(self._layer_spans)
@@ -128,7 +137,9 @@ class HeInferenceEngine:
         Slot *i* of the handle at position (c, h, w) holds pixel
         ``images[i, c, h, w]`` — the batch rides along for free.  All
         ``C·H·W`` slot rows go to the backend in one
-        :meth:`~repro.henn.backend.HeBackend.encrypt_many` call.
+        :meth:`~repro.henn.backend.HeBackend.encrypt_many` call.  A
+        single image, when :attr:`packed_width` offers the packed layout,
+        becomes one ciphertext instead — slot *p* is pixel *p* — in a ``(1,)`` array.
 
         Parameters
         ----------
@@ -138,7 +149,7 @@ class HeInferenceEngine:
 
         Returns
         -------
-        ``(C, H, W)`` object array of ciphertext handles.
+        ``(C, H, W)`` (or packed ``(1,)``) object array of ciphertext handles.
         """
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[1:] != self.input_shape:
@@ -154,18 +165,36 @@ class HeInferenceEngine:
                 f"batch {batch} exceeds backend capacity {self.backend.max_batch}"
             )
         pixels = int(np.prod(self.input_shape))
-        enc = np.empty(pixels, dtype=object)
+        packed = batch == 1 and self.packed_width is not None
+        if packed:
+            # One ciphertext: slot p is pixel p, the slots after are zero.
+            rows = np.zeros((1, self.backend.max_batch))
+            rows[0, :pixels] = images.reshape(-1)
+        else:
+            # Row p is pixel position p (C-order over c, h, w) across the batch.
+            rows = images.reshape(batch, pixels).T
+        enc = np.empty(len(rows), dtype=object)
         with obs.span(
             "henn.stage.encrypt",
             pixels=pixels,
             batch=batch,
-            transform_rows=pixels * self.backend.encrypt_transform_rows,
+            transform_rows=len(rows) * self.backend.encrypt_transform_rows,
         ):
-            # Row p is pixel position p (C-order over c, h, w) across the batch.
-            rows = images.reshape(batch, pixels).T
             for p, handle in enumerate(self.backend.encrypt_many(rows)):
                 enc[p] = handle
-        return enc.reshape(self.input_shape)
+        return enc if packed else enc.reshape(self.input_shape)
+
+    def decrypt_scores(self, scores: np.ndarray, batch: int) -> np.ndarray:
+        """``(batch, classes)`` logits from the score handles of :meth:`run_encrypted`.
+
+        Per-position scores hold one class per handle, the batch in the
+        slots; packed scores (one image) are one handle, the classes in
+        its slots.
+        """
+        width = self.packed_width
+        if batch == 1 and width is not None and scores.shape == (1,):
+            return self.backend.decrypt(scores[0], count=width)[None, :]
+        return np.stack([self.backend.decrypt(h, count=batch) for h in scores], axis=1)
 
     # -- batch assembly (serving gateway) ----------------------------------------
 
@@ -243,11 +272,14 @@ class HeInferenceEngine:
         Parameters
         ----------
         enc:
-            Encrypted feature handles from :meth:`encrypt_images`.
+            Encrypted feature handles from :meth:`encrypt_images`: the
+            ``(C, H, W)`` per-position array, or a packed ``(1,)`` one,
+            which runs the plan's packed executors.
 
         Returns
         -------
-        Flat object array of output ciphertext handles (one per class).
+        Flat object array of output ciphertext handles (one per class;
+        one holding every class for a packed request).
         """
         tracer = obs.get_tracer()
         if not tracer.enabled:
@@ -256,15 +288,19 @@ class HeInferenceEngine:
             tracer = Tracer()
         spans: list[Span] = []
         x = enc
+        executors, widths = self.plan.layers, [None] * len(self.layers)
+        # A (1,)-shaped input is per-position whatever its batch: packed is the same layout.
+        if enc.shape == (1,) != tuple(self.input_shape) and self.packed_width is not None:
+            executors, widths = self.plan.packed.layers, self.plan.packed.widths
         # The plan's layers do the work; spans carry the source layers' names.
         with tracer.span("henn.stage.evaluate", layers=len(self.layers)):
-            for i, (layer, ex) in enumerate(zip(self.layers, self.plan.layers)):
+            for i, (layer, ex, width) in enumerate(zip(self.layers, executors, widths)):
                 with tracer.span("henn.layer", layer=type(layer).__name__, index=i) as h:
                     x = ex.forward(self.backend, x)
                 spans.append(h.record)
-                # Scale/level/noise gauges for the ciphertexts crossing
+                # Scale/level/noise/slot gauges for the ciphertexts crossing
                 # this layer boundary; no-op unless tracing is enabled.
-                _health.observe_layer(self.backend, x, type(layer).__name__, i)
+                _health.observe_layer(self.backend, x, type(layer).__name__, i, used_slots=width)
             # A graph ending in an activation: its sweep has no map to ride.
             out = np.empty(x.size, dtype=object)
             out[:] = self.backend.relinearize_many(list(x.reshape(-1)))
@@ -296,10 +332,7 @@ class HeInferenceEngine:
         out = self.run_encrypted(enc)
         self.latency.add(time.perf_counter() - t0)
         with obs.span("henn.stage.decrypt", handles=len(out)):
-            logits = np.stack(
-                [self.backend.decrypt(h, count=batch) for h in out], axis=1
-            )
-        return logits
+            return self.decrypt_scores(out, batch)
 
     def accuracy(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Encrypted-classification accuracy over (possibly many) batches.

@@ -1,36 +1,53 @@
-"""Single-image (Lo-La-style) packing.
+"""Slot layouts: batch packing for the gateway, the packed single-image layout.
 
-The default engine packs a *batch* per ciphertext (slot i = image i),
-which optimises throughput.  Lo-La [31] instead packs one image's whole
-feature vector into a single ciphertext and evaluates dense layers with
-rotations, optimising single-query latency and ciphertext count.  This
-module provides that packing for the dense stages:
+The default (per-position) layout gives every scalar position of a
+feature map its own ciphertext and puts the image *batch* in the slots —
+throughput-optimal, but one image uses 1 of ``n/2`` slots.  The
+**packed** layout (Lo-La / GAZELLE style) puts one image's whole feature
+vector into one ciphertext instead: slot *p* holds flat feature *p*
+(C-order over ``(C, H, W)``, so flattening is the identity) and the
+slots past the feature width are zero.
 
-* :func:`encrypt_features` — one ciphertext holding ``F`` features
-  (padded to a power of two so log-rotations fold cleanly);
-* :func:`dense_single` — ``y_o = <w_o, x>`` per output neuron via
-  plaintext masking + a rotate-and-add tree (log2 F rotations);
-* :func:`rotations_needed` — the power-of-two rotation set whose Galois
-  keys the evaluator must hold.
+* a linear map is a matrix–vector product over the slots, evaluated as
+  a **BSGS diagonal product** (:class:`PackedTaps`): only the nonzero
+  generalised diagonals ``d = (c − r) mod slots`` of its tap program are
+  kept, pre-rotated and encoded once at the level the map runs; the
+  baby-step rotations of the input share one hoisted ModUp and each
+  giant step rotates its group sum once;
+* an activation evaluates its per-channel coefficients as per-slot
+  plaintext vectors (:class:`PackedPoly`) — one BSGS program on one
+  ciphertext instead of one per position;
+* scores come back as one ciphertext, logits in slots ``0 … classes−1``.
 
-Backends gain a ``rotate`` operation for this mode; the mock backend
-models it as a slot roll.
+:class:`PackedPlan` compiles those executors for a graph and generates
+the Galois keys of their rotation set, once.  Whether a plan offers the
+layout is decided by :func:`packed_score_width` and held by the plan
+(``InferencePlan.packed_width``); plans also publish it through
+:func:`publish_layout`, for the layer-less client to read.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.henn.backend import HeBackend
+from repro import obs
+from repro.henn.backend import EncodedMap, HeBackend
+from repro.henn.layers import HeFlatten, HeLayer, HeLinearMap, HePoly, TapProgram
+from repro.henn.plan import PlannedTaps
+from repro.obs.health import _top_level
 
 __all__ = [
     "BatchLayout",
-    "rotations_needed",
-    "encrypt_features",
-    "dense_single",
-    "decrypt_scores",
+    "PackedPlan",
+    "PackedPoly",
+    "PackedTaps",
+    "packed_score_width",
+    "publish_layout",
+    "published_layout",
 ]
 
 
@@ -118,55 +135,278 @@ class BatchLayout:
         registry.counter("serving.pack.pad_slots").inc(self.pad_slots)
 
 
-def rotations_needed(n_features: int) -> tuple[int, ...]:
-    """Left-rotations required by the fold tree for *n_features* inputs."""
-    width = _next_pow2(n_features)
-    out = []
-    r = width // 2
-    while r >= 1:
-        out.append(r)
-        r //= 2
-    return tuple(out)
+# --------------------------------------------------------------------------- packed layout
 
 
-def encrypt_features(backend: HeBackend, features: np.ndarray):
-    """Encrypt one feature vector into a single ciphertext (zero-padded)."""
-    features = np.asarray(features, dtype=np.float64).ravel()
-    width = _next_pow2(len(features))
-    if width > backend.max_batch:
-        raise ValueError(
-            f"{len(features)} features need {width} slots; backend has {backend.max_batch}"
-        )
-    padded = np.zeros(backend.max_batch)
-    padded[: len(features)] = features
-    return backend.encrypt(padded), len(features)
+def _one(handle) -> np.ndarray:
+    out = np.empty(1, dtype=object)
+    out[0] = handle
+    return out
 
 
-def dense_single(backend: HeBackend, x_handle, n_features: int, weight: np.ndarray, bias: np.ndarray | None = None):
-    """Dense layer on a single-image ciphertext.
+def _diagonals(program: TapProgram, in_width: int, slots: int) -> dict[int, np.ndarray]:
+    """The nonzero generalised diagonals of a tap program's matrix.
 
-    For each output neuron: mask with the weight row (one plaintext
-    multiply), then fold slots with ``log2`` rotations so slot 0 carries
-    the inner product.  Returns one handle per output; consumes one
-    rescaling level.
+    ``diag[d][r] = M[r, (r + d) mod slots]`` for the ``(out, in)`` matrix
+    *M* zero-padded to ``slots × slots``, so ``y = Σ_d diag[d] ⊙ rot_d(x)``.
     """
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.ndim != 2 or weight.shape[1] != n_features:
-        raise ValueError(f"weight must be (out, {n_features})")
-    width = _next_pow2(n_features)
-    outs = []
-    for o in range(weight.shape[0]):
-        row = np.zeros(backend.max_batch)
-        row[:n_features] = weight[o]
-        t = backend.rescale(backend.mul_plain_vector(x_handle, row))
-        for r in rotations_needed(n_features):
-            t = backend.add(t, backend.rotate(t, r))
-        if bias is not None:
-            t = backend.add_plain(t, float(bias[o]))
-        outs.append(t)
-    return outs
+    rows, cols, weights = [], [], []
+    for r, (idxs, ws) in enumerate(program.entries):
+        c = np.arange(in_width) if idxs is None else np.asarray(idxs, dtype=np.int64)
+        rows.append(np.full(len(c), r))
+        cols.append(c)
+        weights.append(np.asarray(ws, dtype=np.float64))
+    r, c, w = (np.concatenate(v) for v in (rows, cols, weights))
+    keep = w != 0
+    r, c, w = r[keep], c[keep], w[keep]
+    d = (c - r) % slots
+    uniq, which = np.unique(d, return_inverse=True)
+    table = np.zeros((len(uniq), slots))
+    np.add.at(table, (which, r), w)
+    return {int(dd): table[i] for i, dd in enumerate(uniq)}
 
 
-def decrypt_scores(backend: HeBackend, handles) -> np.ndarray:
-    """Slot-0 values of the output handles — the class scores."""
-    return np.array([float(backend.decrypt(h, count=1)[0]) for h in handles])
+def _baby_step(diagonals: "list[int]", slots: int) -> int:
+    """Baby-step width minimising the rotation cost of a diagonal set.
+
+    Diagonal ``d`` splits as giant ``d − d mod b`` plus baby ``d mod b``.
+    A hoisted baby costs one key inner product and its share of one
+    batched ModDown; a giant is a whole rotation with its own ModUp
+    (CKKS-RNS, n = 512, top level: 2.75 ms against 7.4 ms).  The cost is
+    the distinct nonzero babies plus twice the giants, ties going to
+    fewer giants — weights 2 and 3 pick the same CNN1 split.
+    """
+    d = np.asarray(diagonals, dtype=np.int64)
+    best, best_cost = 1, None
+    for b in range(1, slots + 1):
+        babies = np.count_nonzero(np.unique(d % b))
+        giants = np.count_nonzero(np.unique(d - d % b))
+        cost = (babies + 2 * giants, giants)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = b, cost
+    return best
+
+
+class PackedTaps(HeLayer):
+    """A linear map's :class:`TapProgram` as a BSGS diagonal product on one ciphertext.
+
+    ``y = Σ_g rot_g(Σ_j u_{g,j} ⊙ rot_j(x))`` with ``u_{g,j} =
+    rot_{-g}(diag_{g+j})``: the baby rotations ``rot_j(x)`` come from one
+    hoisted :meth:`~repro.henn.backend.HeBackend.rotate` call, the group
+    sums are one :class:`~repro.henn.plan.PlannedTaps` over them with
+    slot-vector taps (one row per giant step, weighted sum then batched
+    rescale), each rescaled group sum is rotated once by its giant step —
+    one level down, on one limb fewer — then one packed bias add.  An
+    unrelinearised input (an activation in front) is relinearised first
+    — rotations need degree 1 — which is the one sweep the per-position
+    map pays after its weighted sum.  Consumes one level.
+
+    Attributes
+    ----------
+    babies, giants:
+        Nonzero baby and giant rotation steps; ``len(babies)`` rotations
+        share one ModUp, every giant pays its own.
+    steps:
+        Giant step of each group sum (0: no giant rotation).
+    groups:
+        The group sums' :class:`~repro.henn.plan.PlannedTaps`.
+    level:
+        The level the diagonals are encoded at — the map's input level.
+    """
+
+    depth = 1
+
+    def __init__(
+        self,
+        src: HeLinearMap,
+        backend: HeBackend,
+        in_shape: tuple[int, ...],
+        level: int,
+    ):
+        slots = backend.max_batch
+        self.src = src
+        self.level = level
+        program = src.taps(tuple(in_shape))
+        self.out_shape = program.out_shape
+        self.out_width = int(np.prod(program.out_shape))
+        in_width = int(np.prod(in_shape))
+        if max(in_width, self.out_width) > slots:
+            raise ValueError(
+                f"map {in_width} -> {self.out_width} does not fit {slots} slots"
+            )
+        diags = _diagonals(program, in_width, slots)
+        b = _baby_step(list(diags), slots)
+        self.babies = sorted({d % b for d in diags} - {0})
+        tap_of = {j: t for t, j in enumerate([0] + self.babies)}
+        groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for d, vec in diags.items():
+            groups.setdefault(d - d % b, []).append((tap_of[d % b], np.roll(vec, d - d % b)))
+        self.steps = sorted(groups)
+        rows = []
+        for g in self.steps:
+            taps, vecs = zip(*groups[g])
+            rows.append((list(taps), backend.encode_taps(np.stack(vecs), backend.scale, level=level)))
+        self.groups = PlannedTaps(
+            src, EncodedMap(rows, len(tap_of)), (len(tap_of),), (len(self.steps),)
+        )
+        self.bias = None
+        if program.bias is not None:
+            self.bias = np.zeros(slots)
+            self.bias[: self.out_width] = program.bias
+
+    @property
+    def giants(self) -> list[int]:
+        """Nonzero giant steps."""
+        return [g for g in self.steps if g]
+
+    @property
+    def diagonals(self) -> int:
+        """Nonzero generalised diagonals of the map's matrix."""
+        return sum(len(idxs) for idxs, _ in self.groups.map.rows)
+
+    @property
+    def rotations(self) -> int:
+        """Rotation steps one evaluation performs."""
+        return len(self.babies) + len(self.giants)
+
+    @property
+    def modups(self) -> int:
+        """Digit raises (ModUp) those rotations cost: one shared by the babies, one per giant."""
+        return int(bool(self.babies)) + len(self.giants)
+
+    def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
+        (ct,) = x
+        ct = backend.relinearize_ext(ct)
+        babies = np.empty(1 + len(self.babies), dtype=object)
+        babies[:] = [ct] + (backend.rotate(ct, self.babies) if self.babies else [])
+        acc = None
+        for g, part in zip(self.steps, self.groups.forward(backend, babies)):
+            part = backend.rotate(part, g) if g else part
+            acc = part if acc is None else backend.add(acc, part)
+        if self.bias is not None:
+            acc = backend.add_plain(acc, self.bias)
+        return _one(acc)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"PackedTaps({self.src!r}, diagonals={self.diagonals}, rotations={self.rotations})"
+
+
+class PackedPoly(HeLayer):
+    """An :class:`HePoly` on the packed layout: per-slot coefficient rows.
+
+    Slot *p* evaluates the row of feature *p*'s channel; the slots past
+    the feature width get all-zero rows, so they stay (noise-)zero.
+    """
+
+    def __init__(self, src: HePoly, shape: tuple[int, ...], slots: int):
+        self.src = src
+        self.depth = src.depth
+        width = int(np.prod(shape))
+        rows = src._rows_for(np.empty(shape, dtype=object))
+        self.rows = np.zeros((slots, rows.shape[1]))
+        self.rows[:width] = np.broadcast_to(rows, (width, rows.shape[1]))
+
+    def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
+        (ct,) = x
+        return _one(backend.poly_eval(backend.relinearize_ext(ct), self.rows))
+
+
+def packed_score_width(
+    backend: HeBackend, layers: "list[HeLayer]", input_shape: tuple
+) -> "int | None":
+    """The score width of a graph in the packed layout on *backend*, or None if it has none.
+
+    A backend that shares slots between requests (``native_slot_concat``)
+    keeps the per-position layout; otherwise every feature map the graph
+    produces must fit in the slots, and every layer must be a linear
+    map, an activation or a flatten.
+    """
+    if backend.native_slot_concat or not any(isinstance(l, HeLinearMap) for l in layers):
+        return None
+    slots = backend.max_batch
+    shape = tuple(input_shape)
+    if int(np.prod(shape)) > slots:
+        return None
+    for layer in layers:
+        if isinstance(layer, HeLinearMap):
+            try:
+                shape = layer.taps(shape).out_shape
+            except ValueError:
+                return None
+        elif isinstance(layer, HeFlatten):
+            shape = (int(np.prod(shape)),)
+        elif not isinstance(layer, HePoly):
+            return None
+        if int(np.prod(shape)) > slots:
+            return None
+    return int(np.prod(shape))
+
+
+class PackedPlan:
+    """The packed layout's executors for one graph, compiled once.
+
+    Walks the graph with its level schedule: a :class:`PackedTaps` per
+    linear map (diagonals encoded at the level the map runs), a
+    :class:`PackedPoly` per activation, flatten as it is (the identity on
+    one ciphertext).  Then generates the Galois keys of every rotation
+    step (a backend without keys — the mock — needs none), so a request
+    never generates a key: a missing one is a :class:`KeyError` at
+    ``rotate``.
+    """
+
+    def __init__(self, backend: HeBackend, layers: "list[HeLayer]", input_shape: tuple):
+        slots = backend.max_batch
+        level = _top_level(backend)
+        shape = tuple(input_shape)
+        self.layers: list[HeLayer] = []
+        #: Used slots of the ciphertext leaving each layer (the feature width).
+        self.widths: list[int] = []
+        with obs.span("henn.plan.compile_packed", layers=len(layers)):
+            for layer in layers:
+                if isinstance(layer, HeLinearMap):
+                    ex = PackedTaps(layer, backend, shape, level)
+                    shape = ex.out_shape
+                elif isinstance(layer, HePoly):
+                    ex = PackedPoly(layer, shape, slots)
+                else:
+                    ex, shape = layer, (int(np.prod(shape)),)
+                self.layers.append(ex)
+                self.widths.append(int(np.prod(shape)))
+                level -= layer.depth
+            maps = [ex for ex in self.layers if isinstance(ex, PackedTaps)]
+            self.rotations = sorted({r for m in maps for r in (*m.babies, *m.giants)})
+            add_keys = getattr(backend, "add_rotation_keys", None)
+            if add_keys is not None:
+                add_keys(self.rotations)
+
+
+# What the cloud plans on a backend offer a client, per input shape: the
+# packed score width, or None.  The engines never read this — each one
+# follows its own plan (``InferencePlan.packed_width``).  It exists so a
+# ``Client(backend, input_shape)``, which holds no layers, learns whether
+# a single-image request may travel as one ciphertext.  Only a client
+# sharing the cloud's backend object in one process can learn it; a
+# client in another process (or built on its own backend) stays
+# per-position, the layout every engine accepts.
+_PUBLISHED: "weakref.WeakKeyDictionary[HeBackend, dict[tuple, int | None]]" = weakref.WeakKeyDictionary()
+_PUBLISH_LOCK = threading.Lock()
+
+
+def publish_layout(backend: HeBackend, input_shape: tuple, out_width: "int | None") -> None:
+    """Record the packed score width a plan on *backend* offers for *input_shape*.
+
+    ``None`` records a plan that does not offer the layout.  Plans that
+    disagree (two graphs on one backend and input shape) leave the entry
+    ``None`` for good: a client then sends per-position requests, which
+    every plan serves.
+    """
+    key = tuple(input_shape)
+    with _PUBLISH_LOCK:
+        widths = _PUBLISHED.setdefault(backend, {})
+        widths[key] = out_width if widths.get(key, out_width) == out_width else None
+
+
+def published_layout(backend: HeBackend, input_shape: tuple) -> "int | None":
+    """The packed score width every plan on *backend* offers for *input_shape*, if any."""
+    with _PUBLISH_LOCK:
+        return _PUBLISHED.get(backend, {}).get(tuple(input_shape))

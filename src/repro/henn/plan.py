@@ -21,14 +21,30 @@ evaluation that does not depend on the ciphertexts:
   by timing.
 
 Every other layer (activation, flatten) sits in the plan as it is.
-:class:`PlannedTaps` is the only executor an engine runs a linear map
-through; it is bit-identical to the layer's reference ``forward``: both
-read the same tap program in the same order, weight quantization is
-deterministic, and cached plaintexts are the very objects a fresh
-encode would produce (see ``docs/PERFORMANCE.md``).
+:class:`PlannedTaps` is the executor of the per-position layout; it is
+bit-identical to the layer's reference ``forward``: both read the same
+tap program in the same order, weight quantization is deterministic,
+and cached plaintexts are the very objects a fresh encode would produce
+(see ``docs/PERFORMANCE.md``).
+
+Where the graph fits the slots of a backend that does not share them
+between requests (:func:`repro.henn.packing.packed_score_width`), the
+plan also offers the **packed** single-image layout: one ciphertext per
+request, each linear map a BSGS diagonal product compiled from the same
+tap program (:class:`repro.henn.packing.PackedPlan`).  The layout of a
+request follows from its batch size — one image travels packed.  The
+plan's ``packed_width`` is the one record of that decision the engine
+and admission read; it is also published for the layer-less client
+(:func:`repro.henn.packing.publish_layout`).  The packed executors (and
+their Galois keys) compile on first use: a backend that only ever sees
+full batches never pays for them.
 """
 
 from __future__ import annotations
+
+import functools
+import threading
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -37,6 +53,9 @@ from repro.henn.backend import EncodedMap, EncodedTaps, HeBackend
 from repro.henn.layers import HeFlatten, HeLayer, HeLinearMap, check_level_budget
 from repro.obs.metrics import get_registry
 from repro.utils.cache import PlaintextCache
+
+if TYPE_CHECKING:
+    from repro.henn.packing import PackedPlan
 
 __all__ = ["InferencePlan", "PlannedTaps", "compile_plan", "plan_cache_key"]
 
@@ -83,22 +102,38 @@ class _TapEncoder:
 
 
 class PlannedTaps(HeLayer):
-    """A linear map's tap program, encoded once as an :class:`EncodedMap`.
+    """A linear map encoded once as an :class:`EncodedMap`.
 
     ``forward``: one map-wide weighted sum, then batched rescale, bias
     add and relinearisation — the sweep of an activation in front, paid
-    over this map's outputs.
+    over this map's outputs.  :meth:`compile` plans a layer's tap
+    program (the per-position layout); the packed layout runs the group
+    sums of its diagonal products through one as well
+    (:class:`repro.henn.packing.PackedTaps`).
     """
 
     depth = 1
 
-    def __init__(self, src: HeLinearMap, enc: _TapEncoder, in_shape: tuple[int, ...]):
+    def __init__(
+        self,
+        src: HeLinearMap,
+        emap: EncodedMap,
+        in_shape: tuple[int, ...],
+        out_shape: tuple[int, ...],
+        bias: np.ndarray | None = None,
+    ):
         self.src = src
+        self.map = emap
         self.in_shape = tuple(in_shape)
-        self.out_shape, entries, self.bias = src.taps(self.in_shape)
-        self.map = EncodedMap(
-            [(idxs, enc(ws)) for idxs, ws in entries], int(np.prod(self.in_shape))
-        )
+        self.out_shape = tuple(out_shape)
+        self.bias = bias
+
+    @classmethod
+    def compile(cls, src: HeLinearMap, enc: _TapEncoder, in_shape: tuple[int, ...]) -> "PlannedTaps":
+        """Plan *src*'s tap program over *in_shape*, every row encoded through *enc*."""
+        out_shape, entries, bias = src.taps(tuple(in_shape))
+        emap = EncodedMap([(idxs, enc(ws)) for idxs, ws in entries], int(np.prod(in_shape)))
+        return cls(src, emap, in_shape, out_shape, bias)
 
     def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
         if x.shape != self.in_shape:
@@ -125,17 +160,40 @@ class InferencePlan:
         The :class:`PlaintextCache` holding deduplicated tap encodings
         and (after the first image) every scalar plaintext; also
         installed as the backend context's ``plain_cache``.
+    packed_width:
+        Score width of the packed single-image layout, or ``None`` when
+        the plan does not offer it.
     """
 
-    def __init__(self, layers: list[HeLayer], cache: PlaintextCache):
+    def __init__(
+        self,
+        layers: list[HeLayer],
+        cache: PlaintextCache,
+        packed_width: int | None = None,
+        compile_packed: "Callable[[], PackedPlan] | None" = None,
+    ):
         self.layers = layers
         self.cache = cache
+        self.packed_width = packed_width
+        self._compile_packed = compile_packed
+        self._packed: PackedPlan | None = None
+        self._packed_lock = threading.Lock()
+
+    @property
+    def packed(self) -> PackedPlan | None:
+        """The packed layout's executors, compiled on first use (``None``: not offered)."""
+        if self._compile_packed is None:
+            return None
+        with self._packed_lock:
+            if self._packed is None:
+                self._packed = self._compile_packed()
+            return self._packed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         planned = sum(isinstance(layer, PlannedTaps) for layer in self.layers)
         return (
             f"InferencePlan(layers={len(self.layers)}, planned={planned}, "
-            f"cache_entries={len(self.cache)})"
+            f"packed={self.packed_width is not None}, cache_entries={len(self.cache)})"
         )
 
 
@@ -184,14 +242,24 @@ def compile_plan(
     with obs.span("henn.plan.compile", layers=len(layers)):
         for layer in layers:
             if isinstance(layer, HeLinearMap):
-                layer = PlannedTaps(layer, enc, shape)
+                layer = PlannedTaps.compile(layer, enc, shape)
                 shape = layer.out_shape
             elif isinstance(layer, HeFlatten):
                 shape = (int(np.prod(shape)),)
             planned.append(layer)
+    # The packed executors build on PlannedTaps, so the module loads late.
+    from repro.henn.packing import PackedPlan, packed_score_width, publish_layout
+
+    shape = tuple(input_shape)
+    width = packed_score_width(backend, layers, shape)
+    compile_packed = None
+    if width is not None:
+        compile_packed = functools.partial(PackedPlan, backend, layers, shape)
+    if layers:  # a layer-less plan (the client's) serves nothing, so says nothing
+        publish_layout(backend, shape, width)
     reg = get_registry()
     reg.counter("plan.compiled").inc()
     # Cache-size gauge next to the hit/miss counters: together they say
     # whether a serving process is still warming or fully steady-state.
     reg.gauge("plan.cache.entries", {"backend": backend.name}).set(len(cache))
-    return InferencePlan(planned, cache)
+    return InferencePlan(planned, cache, width, compile_packed)

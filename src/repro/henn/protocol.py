@@ -55,6 +55,7 @@ from repro.ckks.ciphertext import CiphertextDegreeError
 from repro.henn.backend import HeBackend
 from repro.henn.inference import HeInferenceEngine, evaluate_batch
 from repro.henn.layers import HeLayer, LevelBudgetError
+from repro.henn.packing import published_layout
 from repro.henn.plan import compile_plan
 from repro.obs import health as _obs_health
 from repro.obs.logs import get_logger
@@ -163,16 +164,33 @@ def _tags(error: ServiceError) -> dict:
     return {"code": error.code, "category": error.category, "retryable": error.retryable}
 
 
+class _ClientPacker(HeInferenceEngine):
+    """A layer-less engine for its packing logic; the layers stay on the cloud.
+
+    With no graph of its own it cannot decide the packed layout, so it
+    reads what the cloud plans on its backend published
+    (:func:`repro.henn.packing.published_layout`) at each request.
+    """
+
+    @property
+    def packed_width(self) -> "int | None":
+        return published_layout(self.backend, self.input_shape)
+
+
 class Client:
-    """Data owner: encrypts queries and decrypts responses."""
+    """Data owner: encrypts queries and decrypts responses.
+
+    A single image travels in the packed layout when the cloud plans on
+    the same backend object offer it; a client on a backend of its own
+    (another process) always sends the per-position layout.
+    """
 
     def __init__(self, backend: HeBackend, input_shape: tuple[int, int, int]):
         self.backend = backend
         self.input_shape = input_shape
-        # Engine used only for its packing logic; layers stay on the
-        # cloud.  Its empty plan adopts the cache the cloud installed on
-        # the shared context (or installs the one the cloud will adopt).
-        self._packer = HeInferenceEngine(backend, [], input_shape)
+        # Its empty plan adopts the cache the cloud installed on the
+        # shared context (or installs the one the cloud will adopt).
+        self._packer = _ClientPacker(backend, [], input_shape)
 
     def encrypt_request(self, images: np.ndarray) -> np.ndarray:
         """Package a batch of images as ciphertext handles."""
@@ -180,9 +198,7 @@ class Client:
 
     def decrypt_response(self, encrypted_scores: np.ndarray, batch: int) -> np.ndarray:
         """Recover ``(batch, classes)`` logits from encrypted scores."""
-        return np.stack(
-            [self.backend.decrypt(h, count=batch) for h in encrypted_scores], axis=1
-        )
+        return self._packer.decrypt_scores(np.asarray(encrypted_scores, dtype=object), batch)
 
     def classify_with_retry(
         self,
@@ -531,13 +547,21 @@ class BatchedCloudService(CloudService):
 
         Raises :class:`~repro.serving.errors.RequestValidationError`
         (index-only messages — never slot values) so one malformed or
-        drifted request cannot poison its batchmates mid-batch.
+        drifted request cannot poison its batchmates mid-batch.  A
+        packed single-image request (one handle) is admitted where the
+        plan offers that layout.
         """
         enc = np.asarray(encrypted_images, dtype=object)
-        if enc.shape != self.engine.input_shape:
+        packed = (
+            enc.shape == (1,) != tuple(self.engine.input_shape)
+            and self.engine.plan.packed_width is not None
+        )
+        if enc.shape != self.engine.input_shape and not packed:
             raise RequestValidationError(
                 f"request shape {enc.shape} != expected {self.engine.input_shape}"
             )
+        if packed and count != 1:
+            raise RequestValidationError(f"a packed request carries one image, not {count}")
         if not 1 <= count <= self.scheduler.max_batch_slots:
             raise RequestValidationError(
                 f"request claims {count} slots, capacity {self.scheduler.max_batch_slots}"

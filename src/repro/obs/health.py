@@ -113,7 +113,11 @@ def _flat_handles(handles: Any) -> list[Any]:
 
 
 def observe_layer(
-    backend: Any, handles: Any, layer: str, index: int | None = None
+    backend: Any,
+    handles: Any,
+    layer: str,
+    index: int | None = None,
+    used_slots: int | None = None,
 ) -> dict[str, float | int | None] | None:
     """Sample health gauges for the ciphertexts leaving one layer.
 
@@ -124,6 +128,13 @@ def observe_layer(
     labelled ``{layer, index, backend}``, plus unlabelled floor gauges
     whose ``min`` envelope gives the run-wide worst case.  No-op (and
     returns ``None``) unless tracing is enabled.
+
+    ``henn.ct.slot_utilization`` (same labels) is the fraction of each
+    ciphertext's slots that carry data: *used_slots* / slots, where the
+    caller knows the occupancy (the packed layout: the feature width),
+    else the slot count a mock handle holds.  A real ciphertext of the
+    per-position layout hides how many images ride in it, so there the
+    gauge is not set.
     """
     if not health_enabled():
         return None
@@ -136,6 +147,11 @@ def observe_layer(
     if index is not None:
         labels["index"] = index
     reg = get_registry()
+    if used_slots is None and getattr(worst, "values", None) is not None:
+        used_slots = len(worst.values)
+    if used_slots is not None:
+        health["slot_utilization"] = used_slots / backend.max_batch
+        reg.gauge("henn.ct.slot_utilization", labels).set(health["slot_utilization"])
     for field in ("scale_bits", "level", "depth_consumed", "noise_margin_bits"):
         value = health[field]
         if value is None:

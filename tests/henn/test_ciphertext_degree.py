@@ -1,11 +1,11 @@
 """One ciphertext type: degree-1-only entry points refuse extended input.
 
 An unrelinearised ciphertext is an ordinary handle for the linear ops
-(``add`` / ``add_plain`` / ``mul_plain_scalar`` / ``rescale`` /
-``mod_switch_to``, weighted sums and their batched ``rescale_many`` /
-``add_plain_each``, which carry every component), but everything that
-reads ``(c0, c1)`` only — decryption, rotation, plaintext-vector
-products, the left operand of a product, serialisation, request packing
+(``add`` / ``add_plain`` / ``mul_plain_scalar`` / plaintext-vector
+products / ``rescale`` / ``mod_switch_to``, weighted sums and their
+batched ``rescale_many`` / ``add_plain_each``, which carry every
+component), but everything that reads ``(c0, c1)`` only — decryption,
+rotation, the left operand of a product, serialisation, request packing
 — must raise :class:`CiphertextDegreeError` instead of dropping
 ``c2``/``c3``.  Before each fix these returned a wrong plaintext (or a
 truncated frame) with no error.
@@ -54,7 +54,6 @@ def test_backend_entry_points_refuse_extended_handles(backend):
         refused = [
             lambda: backend.decrypt(ext),
             lambda: backend.rotate(ext, 1),
-            lambda: backend.mul_plain_vector(ext, X),
             lambda: backend.mul(ext, ct),
             lambda: backend.square(ext),
             lambda: backend.mul_raw(ext, ct),
@@ -78,6 +77,12 @@ def test_linear_ops_carry_every_component(backend):
     assert out.degree == 1
     assert backend.relinearize_ext(out) is out  # identity on degree 1
     assert np.allclose(backend.decrypt(out, count=4), 0.75 * X**2 + 0.125, atol=1e-3)
+    v = np.zeros(backend.max_batch)
+    v[:4] = [2.0, -1.0, 0.5, 0.25]
+    prod = backend.mul_plain_vector(raw2, v)  # every component times the slot vector
+    assert prod.degree == 2
+    out = backend.rescale(backend.relinearize_ext(prod))
+    assert np.allclose(backend.decrypt(out, count=4), v[:4] * X**2, atol=1e-3)
 
 
 def test_weighted_sum_weights_every_component(backend):
@@ -139,7 +144,6 @@ def test_context_entry_points_refuse_extended_ciphertexts(kind):
         for call in (
             lambda: ctx.decrypt(keys.sk, ext),
             lambda: ctx.rotate(ext, 1, keys.galois),
-            lambda: ctx.mul_plain(ext, X),
             lambda: ctx.mul(ext, ct, keys.relin),
             lambda: ctx.square(ext, keys.relin),
             lambda: ctx.mul_raw(ext, ct),

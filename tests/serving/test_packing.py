@@ -181,7 +181,8 @@ def test_poisoned_member_rejected_at_admission_on_rns(pk_layers, pk_images):
     good = [client.encrypt_request(pk_images[i : i + 1]) for i in range(2)]
     want = [client.decrypt_response(serial.classify_encrypted(e), batch=1) for e in good]
     drifted = client.encrypt_request(pk_images[2:3]).copy()
-    drifted[0, 0, 0] = backend.rescale(backend.square(drifted[0, 0, 0]))
+    first = (0,) * drifted.ndim  # a pixel cell, or the one packed handle
+    drifted[first] = backend.rescale(backend.square(drifted[first]))
 
     futures = [gateway.submit(e, count=1) for e in good]
     poisoned = gateway.try_classify(drifted, count=1)

@@ -31,8 +31,15 @@ sweep, the linear map behind it one ``ckksrns.rescale_ext`` +
 ``PolyProgram.relins`` sweeps, each raising digits over exactly that
 map's outputs (the position axis of the real raised-digit forward), and
 scores on level 0 — no unused prime.
-Last, the first engine must refuse a handle array of another shape
-than the one its plan was compiled for.
+The first engine must refuse a handle array of another shape than the
+one its plan was compiled for.  Last, the packed single-image layout
+(``docs/ARCHITECTURE.md`` "Packed layout"): warm one-image requests
+through ``Client`` / ``CloudService`` on the first engine's graph must
+encrypt one ciphertext and decrypt one, perform per linear map exactly
+the rotation steps and hoisted ModUps its ``PackedTaps`` plan lists,
+the same ``relin.count`` as the per-position path, no Galois key
+generation and no fresh encode — every diagonal was encoded when the
+packed plan compiled, at the level its map runs.
 Exits non-zero with the offending counter deltas.
 """
 
@@ -52,6 +59,8 @@ from repro.ckksrns import CkksRnsContext, CkksRnsParams
 from repro.henn.backend import CkksRnsBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly, model_depth
+from repro.henn.packing import PackedTaps
+from repro.henn.protocol import Client, CloudService
 from repro.nt.kernels import compile_poly_program
 from repro.nt.ntt import BatchedNttPlan
 from repro.obs.metrics import get_registry
@@ -158,6 +167,86 @@ def cubic_schedule(images: np.ndarray) -> tuple[Counter, Counter, list[dict], in
     )
 
 
+def packed_census(engine: HeInferenceEngine, images: np.ndarray) -> tuple[list[dict], dict]:
+    """Per-map rotation census and request counters of warm packed requests.
+
+    Returns one entry per :class:`PackedTaps` of the plan (its planned
+    rotations / ModUps / diagonal levels beside what one warm request
+    performed) and the request-level counts.
+    """
+    backend = engine.backend
+    client = Client(backend, engine.input_shape)
+    service = CloudService(backend, engine.layers, engine.input_shape)
+    reg = get_registry()
+
+    def request(i: int) -> np.ndarray:
+        response = service.try_classify(client.encrypt_request(images[i : i + 1]))
+        return client.decrypt_response(response.scores, 1)
+
+    request(0)  # cold: the packed plan compiles, its Galois keys are generated
+    request(1)  # the scalar / bias plaintexts are cached
+    maps = [ex for ex in service.engine.plan.packed.layers if isinstance(ex, PackedTaps)]
+    seen: dict[int, dict] = {id(ex): {"rotations": 0, "modups": 0, "in_level": None} for ex in maps}
+    active: list = [None]
+    in_rotate = [False]
+    real_forward, real_rotate = PackedTaps.forward, CkksRnsContext.rotate
+    real_raise = CkksRnsContext._raise_digits
+
+    def forward(self, be, x):
+        active[0] = seen[id(self)]
+        active[0]["in_level"] = be.level_of(x[0])
+        try:
+            return real_forward(self, be, x)
+        finally:
+            active[0] = None
+
+    def rotate(self, a, rotation, galois):
+        steps = [rotation] if isinstance(rotation, (int, np.integer)) else list(rotation)
+        active[0]["rotations"] += sum(1 for r in steps if r % self.slots)
+        in_rotate[0] = True
+        try:
+            return real_rotate(self, a, rotation, galois)
+        finally:
+            in_rotate[0] = False
+
+    def raise_digits(self, *args, **kwargs):
+        if in_rotate[0]:
+            active[0]["modups"] += 1
+        return real_raise(self, *args, **kwargs)
+
+    counters = ("relin.count", "plan.encode.fresh", "keys.galois.generated")
+    before = {name: reg.counter(name).value for name in counters}
+    with obs.tracing() as tracer, mock.patch.object(
+        PackedTaps, "forward", forward
+    ), mock.patch.object(CkksRnsContext, "rotate", rotate), mock.patch.object(
+        CkksRnsContext, "_raise_digits", raise_digits
+    ):
+        enc = client.encrypt_request(images[2:3])
+        response = service.try_classify(enc)
+        client.decrypt_response(response.scores, 1)
+    spans = Counter(s.name for s in tracer.finished())
+    (stage,) = [s for s in tracer.finished() if s.name == "henn.stage.encrypt"]
+    totals = {name: reg.counter(name).value - before[name] for name in counters}
+    census = [
+        {
+            "planned_rotations": ex.rotations,
+            "planned_modups": ex.modups,
+            "diagonal_levels": sorted({pt.level for _, enc in ex.groups.map.rows for pt in enc.plain}),
+            "level": ex.level,
+            **seen[id(ex)],
+        }
+        for ex in maps
+    ]
+    return census, {
+        "request_handles": enc.shape,
+        "score_handles": len(response.scores),
+        "encrypt_many": spans["ckksrns.encrypt_many"],
+        "encrypt_rows": stage.tags["transform_rows"],
+        "decrypt": spans["ckksrns.decrypt"],
+        **totals,
+    }
+
+
 def main() -> int:
     engine = build_engine()
     images = np.random.default_rng(1).uniform(0, 1, (4, 1, 6, 6))
@@ -241,7 +330,42 @@ def main() -> int:
         rejected = True
     print(f"misshaped (1, 8, 8) request rejected: {rejected}")
 
+    census, packed = packed_census(build_engine(), images)
+    print(f"warm packed request: {packed}")
+    for i, entry in enumerate(census):
+        print(f"warm packed map {i}: {entry}")
+
     ok = True
+    for i, entry in enumerate(census):
+        if (entry["rotations"], entry["modups"]) != (
+            entry["planned_rotations"],
+            entry["planned_modups"],
+        ):
+            print(
+                f"FAIL: packed map {i} performed {entry['rotations']} rotations / "
+                f"{entry['modups']} ModUps, its plan lists {entry['planned_rotations']} / "
+                f"{entry['planned_modups']}"
+            )
+            ok = False
+        if entry["diagonal_levels"] != [entry["level"]] or entry["in_level"] != entry["level"]:
+            print(
+                f"FAIL: packed map {i} runs at level {entry['in_level']}, its diagonals are "
+                f"encoded at {entry['diagonal_levels']} (plan level {entry['level']})"
+            )
+            ok = False
+    want_packed = {
+        "request_handles": (1,),
+        "score_handles": 1,
+        "encrypt_many": 1,
+        "encrypt_rows": engine.backend.encrypt_transform_rows,
+        "decrypt": 1,
+        "relin.count": expected_relins,
+        "plan.encode.fresh": 0,
+        "keys.galois.generated": 0,
+    }
+    if packed != want_packed:
+        print(f"FAIL: warm packed request counted {packed}, expected {want_packed}")
+        ok = False
     if not rejected:
         print("FAIL: the engine evaluated a handle array its plan was not compiled for")
         ok = False
@@ -321,7 +445,9 @@ def main() -> int:
             "OK: warm classify performed zero plaintext encodes, "
             f"{warm_relin} deferred relinearisation sweeps and one fused "
             f"encryption of {3 * pixels} transform rows; alpha={alpha} sweeps are "
-            f"one raised-digit forward + one {alpha}-channel inverse + one ModDown forward"
+            f"one raised-digit forward + one {alpha}-channel inverse + one ModDown forward; "
+            f"a warm packed request is one ciphertext each way through "
+            f"{sum(e['rotations'] for e in census)} planned rotations"
         )
     return 0 if ok else 1
 
