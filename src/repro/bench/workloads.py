@@ -117,7 +117,7 @@ def prepare_models(arch: str, preset: BenchPreset, cache: bool = True) -> Traine
     )
 
 
-def make_engine(models: TrainedModels, backend_kind: str, executor=None) -> HeInferenceEngine:
+def make_engine(models: TrainedModels, backend_kind: str) -> HeInferenceEngine:
     """Engine factory: ``mock`` | ``ckks`` (CNN-HE) | ``ckks-rns`` (CNN-HE-RNS)."""
     preset = models.preset
     if backend_kind == "mock":
@@ -125,7 +125,7 @@ def make_engine(models: TrainedModels, backend_kind: str, executor=None) -> HeIn
     elif backend_kind == "ckks":
         backend = CkksBackend(preset.mp_params(models.depth), seed=0)
     elif backend_kind == "ckks-rns":
-        backend = CkksRnsBackend(preset.rns_params(models.depth), seed=0, executor=executor)
+        backend = CkksRnsBackend(preset.rns_params(models.depth), seed=0)
     else:
         raise ValueError(f"unknown backend kind {backend_kind!r}")
     return HeInferenceEngine(backend, models.he_layers, models.input_shape)

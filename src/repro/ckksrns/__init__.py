@@ -6,10 +6,11 @@ domain), so
 
 * addition / multiplication are componentwise single-word operations,
 * rescaling is the exact RNS division by the dropped prime,
-* key switching uses the RNS-digit gadget (one digit per channel), and
-* channels can be dispatched to :mod:`repro.parallel` executors — the
-  "decomposed into several parts and propagated homomorphically and
-  independently in parallel" of the paper's abstract.
+* key switching uses the hybrid RNS-digit gadget, and
+* every primitive is slot-parallel over packed positions, which the
+  backend shards over the cores — the "decomposed into several parts
+  and propagated homomorphically and independently in parallel" of the
+  paper's abstract.
 """
 
 from repro.ckksrns.params import CkksRnsParams

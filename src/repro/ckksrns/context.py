@@ -20,9 +20,12 @@ Representation invariants
   ``≈ ⌈k/α⌉ * Q_g * e / P``.  α = 1 is the classic one-digit-per-prime
   gadget.  See docs/KERNELS.md "Hybrid key switching".
 
-Channel independence is exposed through an :class:`repro.parallel`
-executor: NTT batches and key-switch digits fan out per channel — this
-is the parallelism Tables IV/VI sweep.
+Every primitive is shape-generic over batch axes between channel and
+coefficient: a ``(k, B, n)`` stack is *B* ciphertexts, each computed
+exactly as alone.  That is the independence
+:class:`~repro.henn.backend.CkksRnsBackend` parallelises, splitting the
+packed position axis over the cores (``docs/KERNELS.md``, "Position
+shards").
 """
 
 from __future__ import annotations
@@ -51,8 +54,6 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracer import traced
 from repro.rns.base import RnsBase
 from repro.rns.convert import approx_base_convert
-from repro.parallel import Executor, SerialExecutor, make_executor
-from repro.parallel.shm import dispatch_channels
 from repro.utils.cache import PlaintextCache
 from repro.utils.rng import derive_rng
 
@@ -66,74 +67,18 @@ __all__ = ["CkksRnsContext", "RnsPlaintext"]
 #: from 2^18 to 2^22 (docs/PERFORMANCE.md), so this is a constant, not a
 #: knob; chunking never changes a result bit.
 KEYSWITCH_CHUNK_ELEMS = 1 << 21
-
-
-class _NttChannel:
-    """Picklable per-channel NTT worker for zero-copy dispatch.
-
-    Workers re-resolve their :class:`~repro.nt.ntt.NttPlan` through the
-    shared registry, so fork-started processes reuse the parent's
-    twiddle tables and spawn-started ones build each table once.
-    """
-
-    __slots__ = ("n", "moduli", "forward")
-
-    def __init__(self, n: int, moduli: list[int], forward: bool):
-        self.n = n
-        self.moduli = moduli
-        self.forward = forward
-
-    def __call__(self, arrays, i: int) -> np.ndarray:
-        plan = NttPlan.get(self.n, self.moduli[i])
-        row = arrays["stack"][i]
-        return plan.forward(row) if self.forward else plan.inverse(row)
-
-
-class _MapChannel:
-    """Picklable per-channel limb GEMM of a linear map; the (small) weight
-    limbs travel with it, the ``(k, taps, components, ..., n)`` tap stack
-    is the shared array."""
-
-    __slots__ = ("moduli", "weights")
-
-    def __init__(self, moduli: list[int], weights: LimbMatrix):
-        self.moduli = moduli
-        self.weights = weights
-
-    def __call__(self, arrays, i: int) -> np.ndarray:
-        x = arrays["x"][i]
-        return limb_gemm(x.reshape(x.shape[0], -1), self.weights, self.moduli[i])
-
-
-class _KeySwitchChannel:
-    """Picklable per-target-modulus digit inner product.
-
-    Target channel ``ext[i]``'s row of the raised digit tensor is
-    transformed, then inner-multiplied with the digit keys.  Sums of
-    *D* products < 2**50 stay exact in int64 for D <= 8192.
-    """
-
-    __slots__ = ("n", "ext", "k", "k_top")
-
-    def __init__(self, n: int, ext: list[int], k: int, k_top: int):
-        self.n = n
-        self.ext = ext
-        self.k = k
-        self.k_top = k_top
-
-    def __call__(self, arrays, i: int) -> tuple[np.ndarray, np.ndarray]:
-        m = self.ext[i]
-        k = self.k
-        row = arrays["lifted"][i]  # (D, ..., n)
-        lifted_eval = NttPlan.get(self.n, m).forward(row)
-        key_idx = i if i < k else self.k_top + i - k  # specials follow the chain
-        # Key rows (pre-sliced to the active digit rows — possibly p*G of
-        # them for a merged multi-key switch) broadcast over any batch
-        # axes between digit and coeff.
-        kshape = (row.shape[0],) + (1,) * (row.ndim - 2) + (row.shape[-1],)
-        p0 = mulmod(lifted_eval, arrays["kb"][:, key_idx].reshape(kshape), m)
-        p1 = mulmod(lifted_eval, arrays["ka"][:, key_idx].reshape(kshape), m)
-        return p0.sum(axis=0) % m, p1.sum(axis=0) % m
+#: Smallest position shard :class:`~repro.henn.backend.CkksRnsBackend`
+#: splits a packed group into, in elements of its ``(k, B_shard, n)``
+#: ``c0`` stack.  Two shards of a BSGS program or a rescale break even
+#: at ~64 k elements in all, at n = 128 and n = 512 alike
+#: (docs/KERNELS.md, "Position shards").  Sharding never changes a
+#: result bit.
+SHARD_MIN_ELEMS = 1 << 15
+#: Row block of :meth:`CkksRnsContext.encrypt_many`, in elements of the
+#: ``(k, 3, rows, n)`` residue stack a block transforms: the temporaries
+#: of a whole request were ~8x its ciphertexts.  Blocking never changes
+#: a result bit.
+ENCRYPT_BLOCK_ELEMS = 1 << 19
 
 
 class RnsPlaintext:
@@ -154,27 +99,17 @@ class CkksRnsContext:
     ----------
     params:
         The scheme parameters.
-    executor:
-        Channel-dispatch executor (default serial).  Thread or process
-        executors realise the paper's per-residue parallelism.  A kind
-        string (``"thread"`` …) builds an executor the context owns and
-        releases in :meth:`close` (the context is a context manager).
     """
 
-    def __init__(
-        self,
-        params: CkksRnsParams,
-        executor: Executor | str | None = None,
-    ):
+    def __init__(self, params: CkksRnsParams):
         self.params = params
         self.n = params.n
-        self._owned_executor: Executor | None = None
-        if isinstance(executor, str):
-            executor = self._owned_executor = make_executor(executor)
-        self.executor = executor or SerialExecutor()
         #: Batch-axis chunk budget of the digit key switch (elements of
         #: the raised-digit tensor); the chunk-invariance tests shrink it.
         self.keyswitch_chunk_elems = KEYSWITCH_CHUNK_ELEMS
+        #: Position-shard floor of the backend's batch entry points; the
+        #: shard-invariance tests shrink it.
+        self.shard_min_elems = SHARD_MIN_ELEMS
         self.encoder = CkksEncoder(params.n)
         # Ciphertext moduli then the special primes, all distinct NTT primes.
         special_bits = params.special_moduli_bits
@@ -230,18 +165,6 @@ class CkksRnsContext:
 
     # -- small helpers --------------------------------------------------------
 
-    def close(self) -> None:
-        """Release the context-owned executor, if any (idempotent)."""
-        ex, self._owned_executor = self._owned_executor, None
-        if ex is not None:
-            ex.close()
-
-    def __enter__(self) -> "CkksRnsContext":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
     @property
     def top_level(self) -> int:
         return self.k_top - 1
@@ -254,34 +177,14 @@ class CkksRnsContext:
         return self._bases[level + 1]
 
     def _ntt(self, stack: np.ndarray, moduli: list[int]) -> np.ndarray:
-        """Forward NTT of a channel stack.
-
-        Serial execution batches every narrow channel through one
+        """Forward NTT of a channel stack: every channel through one
         :class:`~repro.nt.ntt.BatchedNttPlan` stage loop (bit-identical
-        to per-channel transforms); parallel executors fan the channels
-        out instead — that *is* the paper's per-residue parallelism.
-        """
-        if isinstance(self.executor, SerialExecutor):
-            return BatchedNttPlan.get(self.n, tuple(moduli)).forward(stack)
-        rows = dispatch_channels(
-            self.executor,
-            _NttChannel(self.n, moduli, forward=True),
-            {"stack": stack},
-            list(range(len(moduli))),
-        )
-        return np.stack(rows)
+        to per-channel transforms)."""
+        return BatchedNttPlan.get(self.n, tuple(moduli)).forward(stack)
 
     def _intt(self, stack: np.ndarray, moduli: list[int]) -> np.ndarray:
-        """Inverse NTT of a channel stack (see :meth:`_ntt` on dispatch)."""
-        if isinstance(self.executor, SerialExecutor):
-            return BatchedNttPlan.get(self.n, tuple(moduli)).inverse(stack)
-        rows = dispatch_channels(
-            self.executor,
-            _NttChannel(self.n, moduli, forward=False),
-            {"stack": stack},
-            list(range(len(moduli))),
-        )
-        return np.stack(rows)
+        """Inverse NTT of a channel stack (see :meth:`_ntt`)."""
+        return BatchedNttPlan.get(self.n, tuple(moduli)).inverse(stack)
 
     def _decompose_small(self, coeffs: np.ndarray, moduli: list[int]) -> np.ndarray:
         """Residues of small signed int64 coefficients (keys, noise)."""
@@ -472,10 +375,13 @@ class CkksRnsContext:
         """Encrypt ``B`` slot vectors through one batched transform.
 
         The only encryption path.  Per row the randomness is drawn in
-        the order zo, e0, e1; the message is added to ``e0`` in the
-        coefficient domain — ``NTT(m + e0) ≡ NTT(m) + NTT(e0) (mod q)``,
-        see docs/KERNELS.md "Transform the sum" — so a ciphertext costs
-        three transform rows and the batch one ``(k, 3B, n)`` sweep.
+        the order zo, e0, e1, every row's before any transform; the
+        message is added to ``e0`` in the coefficient domain —
+        ``NTT(m + e0) ≡ NTT(m) + NTT(e0) (mod q)``, see docs/KERNELS.md
+        "Transform the sum" — so a ciphertext costs three transform rows
+        and a block of rows one ``(k, 3·rows, n)`` sweep.  Blocks hold
+        :data:`ENCRYPT_BLOCK_ELEMS` residues, which bounds the
+        temporaries; the ciphertexts do not depend on the block size.
 
         Parameters
         ----------
@@ -500,20 +406,25 @@ class CkksRnsContext:
             small[0, i] = sample_zo(self.n, rng)
             small[1, i] = sample_gaussian(self.n, rng, self.params.sigma)
             small[2, i] = sample_gaussian(self.n, rng, self.params.sigma)
-        if m.dtype == object:  # a coefficient reached 2**62: exact big-int residues
-            coeffs = small.astype(object)
-            coeffs[1] += m
-            res = self._decompose_big(coeffs, self.moduli)
-        else:
+        big = m.dtype == object  # a coefficient reached 2**62: exact big-int residues
+        if not big:
             small[1] += m
-            res = self._decompose_small(small, self.moduli)
-        ev = self._ntt(res.reshape(self.k_top, 3 * b, self.n), self.moduli)
-        v, me0, e1 = ev.reshape(self.k_top, 3, b, self.n).swapaxes(0, 1)
         c0 = np.empty((b, self.k_top, self.n), dtype=np.int64)
         c1 = np.empty_like(c0)
-        for i, q in enumerate(self.moduli):
-            c0[:, i] = addmod(mulmod(v[i], pk.b[i], q), me0[i], q)
-            c1[:, i] = addmod(mulmod(v[i], pk.a[i], q), e1[i], q)
+        step = max(1, ENCRYPT_BLOCK_ELEMS // (3 * self.k_top * self.n))
+        for s in range(0, b, step):
+            rows = slice(s, s + step)
+            if big:
+                coeffs = small[:, rows].astype(object)
+                coeffs[1] += m[rows]
+                res = self._decompose_big(coeffs, self.moduli)
+            else:
+                res = self._decompose_small(small[:, rows], self.moduli)
+            ev = self._ntt(res.reshape(self.k_top, -1, self.n), self.moduli)
+            v, me0, e1 = ev.reshape(self.k_top, 3, -1, self.n).swapaxes(0, 1)
+            for i, q in enumerate(self.moduli):
+                c0[rows, i] = addmod(mulmod(v[i], pk.b[i], q), me0[i], q)
+                c1[rows, i] = addmod(mulmod(v[i], pk.a[i], q), e1[i], q)
         return [RnsCiphertext(c0[j], c1[j], self.top_level, scale) for j in range(b)]
 
     @traced("ckksrns.decrypt")
@@ -835,14 +746,10 @@ class CkksRnsContext:
         for t, ct in enumerate(cts):
             for c, comp in enumerate(ct.components()):
                 stack[:, t, c] = comp[:k]
-        worker, arrays = _MapChannel(self.moduli[:k], weights), {"x": stack}
-        if isinstance(self.executor, SerialExecutor):
-            sums = [worker(arrays, i) for i in range(k)]
-        else:
-            sums = dispatch_channels(self.executor, worker, arrays, list(range(k)))
         out = np.empty((rows, comps, k) + tail, dtype=np.int64)
-        for i, r in enumerate(sums):
-            out[:, :, i] = r.reshape((rows, comps) + tail)
+        for i, m in enumerate(self.moduli[:k]):
+            sums = limb_gemm(stack[i].reshape(taps, -1), weights, m)
+            out[:, :, i] = sums.reshape((rows, comps) + tail)
         scale, deferred = cts[0].scale * plain_scale, any(ct.deferred for ct in cts)
         return [
             RnsCiphertext(o[0], o[1], level, scale, *o[2:], deferred=deferred, coeff_high=any(high))
@@ -1023,22 +930,11 @@ class CkksRnsContext:
                     np.concatenate([p[0] for p in parts], axis=1),
                     np.concatenate([p[1] for p in parts], axis=1),
                 )
+        # All digits raised into every target modulus at once: a
+        # (k+α, D, ..., n) tensor through one batched stage loop.
         ext = self.moduli[:k] + self.special_moduli
-        if isinstance(self.executor, SerialExecutor):
-            # All digits raised into every target modulus at once: a
-            # (k+α, D, ..., n) tensor through one batched stage loop.
-            lifted_eval = BatchedNttPlan.get(self.n, tuple(ext)).forward(
-                self._raise_digits(x_coeff, level)
-            )
-            return self._switch_raised(lifted_eval, kb, ka, level)
-        worker = _KeySwitchChannel(self.n, ext, k, self.k_top)
-        contribs = dispatch_channels(
-            self.executor,
-            worker,
-            {"lifted": self._raise_digits(x_coeff, level), "kb": kb, "ka": ka},
-            list(range(len(ext))),
-        )
-        return self._mod_down_pair(contribs, level)
+        lifted_eval = self._ntt(self._raise_digits(x_coeff, level), ext)
+        return self._switch_raised(lifted_eval, kb, ka, level)
 
     def _switch_raised(
         self, lifted_eval: np.ndarray, kb: np.ndarray, ka: np.ndarray, level: int
@@ -1383,5 +1279,5 @@ class CkksRnsContext:
         p = self.params
         return (
             f"CkksRnsContext(n={p.n}, chain={list(p.moduli_bits)}, "
-            f"Δ=2^{p.scale_bits}, executor={self.executor.name})"
+            f"Δ=2^{p.scale_bits}, α={self.alpha})"
         )

@@ -12,8 +12,8 @@ only, so the same compiled model runs under:
 * :class:`CkksBackend` — multiprecision CKKS (the paper's CNN-HE).
 * :class:`CkksRnsBackend` — full-RNS CKKS (CNN-HE-RNS), whose
   ``weighted_sum_encoded`` evaluates a whole linear map as one exact
-  limb GEMM per residue channel, dispatched through the context
-  executor.
+  limb GEMM per residue channel, and whose batch entry points split the
+  packed position axis over the cores.
 
 An activation leaves its outputs unrelinearised; the linear map behind
 it weights every component and relinearises its own, fewer, outputs
@@ -23,9 +23,11 @@ it weights every component and relinearises its own, fewer, outputs
 from __future__ import annotations
 
 import math
+import os
 from abc import ABC, abstractmethod
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from repro.nt.kernels import (
     compile_limb_matrix,
     compile_poly_program,
 )
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, isolate_thread
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -963,7 +965,16 @@ class CkksBackend(HeBackend):
 
 
 class CkksRnsBackend(HeBackend):
-    """The paper's CNN-HE-RNS backend: residue channels, parallel dispatch."""
+    """The paper's CNN-HE-RNS backend: residue channels, position shards over the cores.
+
+    ``poly_eval_many``, ``rescale_many``, ``add_plain_each`` and
+    ``relinearize_many`` pack each group of like handles into one
+    ``(k, B, n)`` ciphertext and split its positions into contiguous
+    shards, one per usable core while each keeps
+    ``ctx.shard_min_elems`` elements (:meth:`_shard_plan`).  Every
+    context primitive is slot-parallel over the packed axis, so a shard
+    computes exactly what the whole group computes on its positions.
+    """
 
     name = "ckks-rns"
 
@@ -971,26 +982,15 @@ class CkksRnsBackend(HeBackend):
         self,
         params: CkksRnsParams,
         seed: int | np.random.Generator | None = 0,
-        executor=None,
         fault_injector: "Any | None" = None,
     ):
-        self.ctx = CkksRnsContext(params, executor=executor)
+        self.ctx = CkksRnsContext(params)
         rng = derive_rng(seed)
         self.keys = self.ctx.keygen(rng)
         self._rng = rng
         self._key_rng = rng.spawn(1)[0]
         #: Resilience-harness hook; corrupts limbs / scales when armed.
         self.fault_injector = fault_injector
-
-    def close(self) -> None:
-        """Release the context-owned executor, if any (idempotent)."""
-        self.ctx.close()
-
-    def __enter__(self) -> "CkksRnsBackend":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     @property
     def scale(self) -> float:
@@ -1080,10 +1080,10 @@ class CkksRnsBackend(HeBackend):
 
         Channel *i* computes ``(rows x taps) @ (taps x components·n)``
         over the dense integer weight matrix compiled with the map
-        (:meth:`CkksRnsContext.weighted_sum`); channels fan out through
-        the executor.  Bit-identical to the per-row ``mul_plain_scalar``
-        / ``add`` chain: both produce the canonical residue of the exact
-        integer sum.  A map of slot-vector taps (no ``matrix``) sums its
+        (:meth:`CkksRnsContext.weighted_sum`).  Bit-identical to the
+        per-row ``mul_plain_scalar`` / ``add`` chain: both produce the
+        canonical residue of the exact integer sum.  A map of
+        slot-vector taps (no ``matrix``) sums its
         dyadic products per row instead
         (:meth:`CkksRnsContext.weighted_sum_plain`), bit-identical to
         the generic ``mul_plain_vector`` / ``add`` chain.
@@ -1108,66 +1108,121 @@ class CkksRnsBackend(HeBackend):
         :meth:`CkksRnsContext.mul_plain_scalar_many` /
         :meth:`~CkksRnsContext.add_plain_many`.  Bit-identical per
         position to :meth:`poly_eval` on the lone handle, because every
-        context primitive is slot-parallel over the packed axis.
+        context primitive is slot-parallel over the packed axis — which
+        is also why each group may run as position shards (the span's
+        ``shards`` tag counts them).
         """
         handles = list(handles)
         rows = self._check_poly_rows(rows, len(handles))
         degree = rows.shape[1] - 1
         program = compile_poly_program(degree)
-        groups = _rns_groups(handles)
+        plan = self._shard_plan(handles)
         reg = get_registry()
         reg.counter("poly.bsgs.evals").inc(len(handles))
-        reg.counter("poly.bsgs.batches").inc(len(groups))
-        reg.counter("poly.bsgs.ct_mults").inc(program.ct_mults * len(groups))
-        out: list[RnsCiphertext | None] = [None] * len(handles)
+        reg.counter("poly.bsgs.batches").inc(len(plan))
+        reg.counter("poly.bsgs.ct_mults").inc(program.ct_mults * len(plan))
+        run = _run_poly_program_lazy if self._use_lazy() else _run_poly_program
         with obs.span(
-            "henn.poly_eval_many", backend=self.name, positions=len(handles), degree=degree
+            "henn.poly_eval_many", backend=self.name, positions=len(handles), degree=degree,
+            shards=sum(map(len, plan)),
         ):
-            run = _run_poly_program_lazy if self._use_lazy() else _run_poly_program
-            for idxs in groups:
-                packed = _pack_rns(handles, idxs)
-                res = run(_RnsBatchOps(self), program, packed, rows[idxs])
-                _unpack_rns(res, idxs, out)
-        return out  # type: ignore[return-value]
+            return self._run_shards(
+                handles, plan, lambda x, part: run(_RnsBatchOps(self), program, x, rows[part])
+            )
 
     def rescale_many(self, handles: Sequence[RnsCiphertext]) -> list[RnsCiphertext]:
-        """Batched rescale: one transform pair per packed group.
+        """Batched rescale: one transform pair per packed group (shard).
 
         Bit-identical per handle to :meth:`rescale`, every component
         included — the context's rescale is slot-parallel over the
         packed position axis.
         """
         handles = list(handles)
-        out: list[RnsCiphertext | None] = [None] * len(handles)
-        for idxs in _rns_groups(handles):
-            res = self.rescale(_pack_rns(handles, idxs))
-            _unpack_rns(res, idxs, out)
-        return out  # type: ignore[return-value]
+        return self._run_shards(handles, self._shard_plan(handles), lambda x, _: self.rescale(x))
 
     def add_plain_each(self, handles: Sequence[RnsCiphertext], values: np.ndarray) -> list[RnsCiphertext]:
         """Batched per-handle plaintext adds (``values[i]`` onto ``handles[i]``)."""
         handles = list(handles)
         values = np.asarray(values, dtype=np.float64)
-        out: list[RnsCiphertext | None] = [None] * len(handles)
-        for idxs in _rns_groups(handles):
-            res = self.ctx.add_plain_many(_pack_rns(handles, idxs), values[idxs])
-            _unpack_rns(res, idxs, out)
-        return out  # type: ignore[return-value]
+        return self._run_shards(
+            handles, self._shard_plan(handles),
+            lambda x, part: self.ctx.add_plain_many(x, values[part]),
+        )
 
     def relinearize_many(self, handles: Sequence[RnsCiphertext]) -> list[RnsCiphertext]:
         """One merged key-switch sweep per packed group of extended handles.
 
         Degree-1 handles pass through; each group of extended ones is
         stacked along the position axis and relinearised once
-        (``relin.count`` + 1 per group), bit-identical per handle to
-        :meth:`relinearize_ext`.
+        (``relin.count`` + 1 per group, however many shards run it),
+        bit-identical per handle to :meth:`relinearize_ext`.
         """
         handles = list(handles)
-        out = list(handles)
+        plan = [s for s in self._shard_plan(handles) if handles[int(s[0][0])].degree > 1]
+        return self._run_shards(handles, plan, lambda x, _: self.relinearize_ext(x))
+
+    def _shard_plan(self, handles: list[RnsCiphertext]) -> "list[list[np.ndarray]]":
+        """Per packed group (:func:`_rns_groups`), its contiguous position shards.
+
+        One shard per usable core, while each keeps
+        ``ctx.shard_min_elems`` elements of its ``c0`` stack.  An armed
+        fault injector keeps every group whole: its hooks draw from one
+        stateful sequence, and a shard drawing its own would compute
+        something else.
+        """
+        cores = 1 if self.fault_injector is not None else len(os.sched_getaffinity(0))
+        plan = []
         for idxs in _rns_groups(handles):
-            if handles[int(idxs[0])].degree > 1:
-                _unpack_rns(self.relinearize_ext(_pack_rns(handles, idxs)), idxs, out)
+            elems = len(idxs) * handles[int(idxs[0])].c0.size
+            count = min(cores, len(idxs), elems // self.ctx.shard_min_elems)
+            plan.append(np.array_split(idxs, max(1, count)))
+        return plan
+
+    def _run_shards(
+        self,
+        handles: list[RnsCiphertext],
+        plan: "list[list[np.ndarray]]",
+        fn: "Callable[[RnsCiphertext, np.ndarray], RnsCiphertext]",
+    ) -> list[RnsCiphertext]:
+        """``fn(packed shard, its indices)`` for every shard of *plan*, one
+        fork-join per group (:func:`_fork_join`); handles of no group pass
+        through."""
+        out = list(handles)
+        for shards in plan:
+            _fork_join(lambda part: _unpack_rns(fn(_pack_rns(handles, part), part), part, out), shards)
         return out
+
+
+#: The position-shard pools by process id: a pool inherited across
+#: ``fork()`` has no threads, and ``submit`` on it would wait forever.
+_SHARD_POOLS: dict[int, ThreadPoolExecutor] = {}
+
+
+def _fork_join(fn: Callable[[np.ndarray], None], shards: "list[np.ndarray]") -> None:
+    """``fn`` of every shard: the calling thread runs the first, the pool the rest.
+
+    One shard starts no thread.  The pool is created on first use with
+    a thread per usable core but the caller's; its threads keep their
+    metrics to themselves (:func:`~repro.obs.metrics.isolate_thread`),
+    so counters see each logical operation once, from the caller.
+    """
+    if len(shards) == 1:
+        return fn(shards[0])
+    pool = _SHARD_POOLS.get(os.getpid())
+    if pool is None:
+        # Two racing callers both build one; setdefault keeps the first,
+        # and the other, never submitted to, never starts a thread.
+        workers = max(1, len(os.sched_getaffinity(0)) - 1)
+        pool = _SHARD_POOLS.setdefault(
+            os.getpid(), ThreadPoolExecutor(workers, "he-shard", initializer=isolate_thread)
+        )
+    futures = [pool.submit(fn, part) for part in shards[1:]]
+    try:
+        fn(shards[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _rns_groups(handles: Sequence[RnsCiphertext]) -> "list[np.ndarray]":

@@ -1,11 +1,11 @@
 """HE inference engines: encrypt -> propagate -> decrypt.
 
 :class:`HeInferenceEngine` evaluates a compiled HE graph under any
-backend.  With a :class:`~repro.henn.backend.CkksRnsBackend` whose
-context carries a thread/process executor, residue channels of every
-operation run in parallel — this *is* the CNN-HE-RNS configuration; the
-same engine with :class:`~repro.henn.backend.CkksBackend` is the
-non-RNS CNN-HE baseline of Tables III/V.
+backend.  With a :class:`~repro.henn.backend.CkksRnsBackend`, whose
+activations run their packed positions as shards over the cores, this
+*is* the CNN-HE-RNS configuration; the same engine with
+:class:`~repro.henn.backend.CkksBackend` is the non-RNS CNN-HE baseline
+of Tables III/V.
 
 The engine always evaluates its :class:`~repro.henn.plan.InferencePlan`
 (compiled at construction or adopted): one

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro import obs
 from repro.obs.metrics import get_registry
+from repro.obs.tracer import traced
 from repro.nt.crt import CrtBasis
 from repro.rns.limb import (
     LIMB_BITS,
@@ -102,7 +103,9 @@ class _ConvChannelWorker:
 
     Receives the shared limb tensor and the per-channel weight limbs as
     shared-memory views (``limbs`` / ``w<i>`` keys); only the moduli and
-    geometry scalars travel through pickle.
+    geometry scalars travel through pickle.  Each call is a
+    ``rnscnn.channel`` span, shipped home from process workers by the
+    metered map.
     """
 
     __slots__ = ("moduli", "value_bits", "img_shape", "kh", "kw", "stride", "padding")
@@ -116,6 +119,7 @@ class _ConvChannelWorker:
         self.stride = stride
         self.padding = padding
 
+    @traced("rnscnn.channel")
     def __call__(self, arrays, i: int) -> np.ndarray:
         m = self.moduli[i]
         limbs_full = arrays["limbs"]

@@ -45,6 +45,7 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "set_registry",
+    "isolate_thread",
     "metric_key",
 ]
 
@@ -521,9 +522,28 @@ class MetricsRegistry:
 _REGISTRY = MetricsRegistry()
 
 
+class _ThreadRegistry(threading.local):
+    registry: "MetricsRegistry | None" = None  # a class default: no AttributeError to catch
+
+
+_THREAD = _ThreadRegistry()
+
+
 def get_registry() -> MetricsRegistry:
-    """The process-global registry (what :func:`repro.obs.enable` feeds)."""
-    return _REGISTRY
+    """The process-global registry (what :func:`repro.obs.enable` feeds),
+    or the calling thread's own after :func:`isolate_thread`."""
+    own = _THREAD.registry
+    return _REGISTRY if own is None else own
+
+
+def isolate_thread() -> None:
+    """Give the calling thread a registry of its own that nothing reads.
+
+    The initializer of the CKKS-RNS backend's position-shard threads: a
+    shard repeats the calling thread's logical operation on other
+    positions, so its counts would only multiply the caller's.
+    """
+    _THREAD.registry = MetricsRegistry()
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:

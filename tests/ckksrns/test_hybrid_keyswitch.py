@@ -4,7 +4,9 @@
   one-prime-per-digit sweep lives in this file (:func:`gadget_keyswitch`,
   written against per-channel plans and plain ``np.mod`` lifts, sharing
   nothing with the grouped code) and every switch an int
-  ``special_bits`` context performs must be ``array_equal`` to it.
+  ``special_bits`` context performs must be ``array_equal`` to it —
+  one handle at a time, or packed and split into 2 and 3 position
+  shards by the backend's ``relinearize_many``.
 * **α > 1 is correct at every level.**  For α ∈ {2, 3, 4} on a 7-prime
   chain — partial last group, groups cut by the level — the switched
   ciphertext decrypts, in exact big-integer arithmetic, to the degree-2
@@ -29,6 +31,7 @@ from repro.nt.modarith import addmod, mulmod, negmod, submod
 from repro.nt.ntt import NttPlan
 
 from ..henn.test_lazy_relin import LAZY_EAGER_ATOL
+from ..henn.test_shards import shards
 
 N = 128
 CHAIN = (36,) + (26,) * 6
@@ -39,14 +42,25 @@ SPECIALS = {1: 45, 2: (36, 36), 3: (36, 36, 36), 4: (36, 36, 36, 36)}
 TIGHT_SPECIALS = [(31, 31), (30, 30, 30)]
 
 
-def _context(alpha: "int | tuple[int, ...]", **kwargs) -> CkksRnsContext:
-    return CkksRnsContext(
-        CkksRnsParams(
-            n=N, moduli_bits=CHAIN, scale_bits=26,
-            special_bits=SPECIALS.get(alpha, alpha), hw=HW,
-        ),
-        **kwargs,
+def _params(alpha: "int | tuple[int, ...]") -> CkksRnsParams:
+    return CkksRnsParams(
+        n=N, moduli_bits=CHAIN, scale_bits=26, special_bits=SPECIALS.get(alpha, alpha), hw=HW
     )
+
+
+def relinearize_all(backend: CkksRnsBackend, mode: str, xs: list) -> list:
+    """Relinearise every handle of *xs*: each alone (``serial``), or packed
+    and run as 2 and as 3 position shards (``sharded``), which must agree
+    bit for bit."""
+    if mode == "serial":
+        return [backend.relinearize_ext(x) for x in xs]
+    runs = []
+    for count in (2, 3):
+        with shards(backend, count):
+            runs.append(backend.relinearize_many(xs))
+    for a, b in zip(*runs):
+        assert np.array_equal(a.c0, b.c0) and np.array_equal(a.c1, b.c1)
+    return runs[0]
 
 
 # -- the frozen one-prime-per-digit sweep (PR 12's _keyswitch_coeff) ----------
@@ -130,10 +144,11 @@ def gadget_rotate(ctx, a, rotation, galois):
     return _add_rows(ctx, c0_eval, r0), r1
 
 
-@pytest.fixture(scope="module", params=["serial", "thread"])
-def gadget_ctx(request):
-    with _context(1, executor=request.param) as ctx:
-        yield ctx, ctx.keygen(3, rotations=(1, 5))
+@pytest.fixture(scope="module")
+def gadget_backend():
+    backend = CkksRnsBackend(_params(1), seed=3)
+    backend.add_rotation_keys((1, 5))
+    return backend
 
 
 def _degree3(ctx, ct, defer_high):
@@ -142,23 +157,24 @@ def _degree3(ctx, ct, defer_high):
     return ctx.rescale_ext(ctx.mul_raw(acc, y), defer_high=defer_high)
 
 
-def test_alpha1_relinearize_is_the_gadget(gadget_ctx, rng):
-    """Degree 2 at every level and the merged s²/s³ sweep, serial and threaded."""
-    ctx, kp = gadget_ctx
-    ct = ctx.encrypt(kp.pk, rng.uniform(-1, 1, ctx.slots), 5)
+@pytest.mark.parametrize("mode", ["serial", "sharded"])
+def test_alpha1_relinearize_is_the_gadget(gadget_backend, mode, rng):
+    """Degree 2 at every level and the merged s²/s³ sweep, serial and in position shards."""
+    ctx, kp = gadget_backend.ctx, gadget_backend.keys
+    cts = ctx.encrypt_many(kp.pk, [rng.uniform(-1, 1, ctx.slots) for _ in range(3)], 5)
     for level in range(ctx.top_level, -1, -1):
-        x = ctx.square_raw(ctx.mod_switch_to(ct, level))
-        got = ctx.relinearize(x, kp.relin)
-        want = gadget_relinearize(ctx, x, kp.relin)
-        assert np.array_equal(got.c0, want[0]) and np.array_equal(got.c1, want[1]), level
-    x3 = _degree3(ctx, ct, defer_high=False)
-    got = ctx.relinearize(x3, kp.relin, kp.relin3)
-    want = gadget_relinearize(ctx, x3, kp.relin, kp.relin3)
-    assert np.array_equal(got.c0, want[0]) and np.array_equal(got.c1, want[1])
+        xs = [ctx.square_raw(ctx.mod_switch_to(ct, level)) for ct in cts]
+        for x, got in zip(xs, relinearize_all(gadget_backend, mode, xs)):
+            want = gadget_relinearize(ctx, x, kp.relin)
+            assert np.array_equal(got.c0, want[0]) and np.array_equal(got.c1, want[1]), level
+    x3s = [_degree3(ctx, ct, defer_high=False) for ct in cts]
+    for x3, got in zip(x3s, relinearize_all(gadget_backend, mode, x3s)):
+        want = gadget_relinearize(ctx, x3, kp.relin, kp.relin3)
+        assert np.array_equal(got.c0, want[0]) and np.array_equal(got.c1, want[1])
 
 
-def test_alpha1_rotate_is_the_gadget(gadget_ctx, rng):
-    ctx, kp = gadget_ctx
+def test_alpha1_rotate_is_the_gadget(gadget_backend, rng):
+    ctx, kp = gadget_backend.ctx, gadget_backend.keys
     ct = ctx.encrypt(kp.pk, rng.uniform(-1, 1, ctx.slots), 6)
     for src in (ct, ctx.mod_switch_to(ct, 2)):
         for r in (1, 5):
@@ -167,23 +183,27 @@ def test_alpha1_rotate_is_the_gadget(gadget_ctx, rng):
             assert np.array_equal(got.c0, want[0]) and np.array_equal(got.c1, want[1])
 
 
-def test_alpha1_batched_switch_across_a_chunk_boundary(gadget_ctx, rng):
-    """A ``(k, B, n)`` batch split 2 + 2 + 1 equals the unchunked gadget."""
-    ctx, kp = gadget_ctx
+@pytest.mark.parametrize("mode", ["serial", "sharded"])
+def test_alpha1_batched_switch_across_a_chunk_boundary(gadget_backend, mode, rng):
+    """Five positions in chunks of 2 + 2 + 1 — or in shards of 3 + 2 and
+    2 + 2 + 1, each chunked again — equal the unchunked gadget."""
+    ctx, kp = gadget_backend.ctx, gadget_backend.keys
     cts = ctx.encrypt_many(kp.pk, [rng.uniform(-1, 1, ctx.slots) for _ in range(5)], 9)
     batch = RnsCiphertext(
         np.stack([c.c0 for c in cts], axis=1), np.stack([c.c1 for c in cts], axis=1),
         ctx.top_level, cts[0].scale,
     )
-    x = ctx.square_raw(batch)
-    want = gadget_relinearize(ctx, x, kp.relin)
+    want = gadget_relinearize(ctx, ctx.square_raw(batch), kp.relin)
+    xs = [ctx.square_raw(ct) for ct in cts] if mode == "sharded" else [ctx.square_raw(batch)]
     before = ctx.keyswitch_chunk_elems
     ctx.keyswitch_chunk_elems = 2 * (ctx.k_top + 1) * ctx.k_top * ctx.n  # two positions
     try:
-        got = ctx.relinearize(x, kp.relin)
+        got = relinearize_all(gadget_backend, mode, xs)
     finally:
         ctx.keyswitch_chunk_elems = before
-    assert np.array_equal(got.c0, want[0]) and np.array_equal(got.c1, want[1])
+    c0 = np.stack([g.c0 for g in got], axis=1).reshape(want[0].shape)
+    c1 = np.stack([g.c1 for g in got], axis=1).reshape(want[1].shape)
+    assert np.array_equal(c0, want[0]) and np.array_equal(c1, want[1])
 
 
 # -- α > 1: exact big-integer decryption against the derived bound -------------
@@ -228,7 +248,7 @@ def keyswitch_noise_rms(ctx, level):
 
 @pytest.mark.parametrize("alpha", [2, 3, 4] + TIGHT_SPECIALS, ids=str)
 def test_grouped_switch_decrypts_to_the_bigint_product_at_every_level(alpha, rng):
-    ctx = _context(alpha)
+    ctx = CkksRnsContext(_params(alpha))
     alpha = ctx.alpha
     kp = ctx.keygen(3, rotations=(1,))
     digits = -(-ctx.k_top // alpha)
@@ -260,33 +280,34 @@ def test_grouped_switch_decrypts_to_the_bigint_product_at_every_level(alpha, rng
 
 @pytest.mark.parametrize("alpha", [2, 3, 4])
 def test_grouped_merged_degree3_and_executors_agree(alpha, rng):
-    """s²/s³ merged sweep: exact phase within the two-key bound; thread == serial."""
+    """s²/s³ merged sweep: exact phase within the two-key bound; sharded == serial."""
+    backend = CkksRnsBackend(_params(alpha), seed=3)
+    ctx, kp = backend.ctx, backend.keys
+    values = np.random.default_rng(4).uniform(-1, 1, (3, ctx.slots))
+    cts = ctx.encrypt_many(kp.pk, list(values), 5)
     outs = []
-    for executor in ("serial", "thread"):
-        with _context(alpha, executor=executor) as ctx:
-            kp = ctx.keygen(3)
-            ct = ctx.encrypt(kp.pk, np.random.default_rng(4).uniform(-1, 1, ctx.slots), 5)
-            for defer_high in (False, True):
-                x3 = _degree3(ctx, ct, defer_high)
-                out = ctx.relinearize(x3, kp.relin, kp.relin3)
-                outs.append((out.c0, out.c1))
-                if x3.coeff_high:
-                    continue  # the phase helper wants eval-domain components
-                want = _phase(ctx, kp.sk, x3.components(), x3.level)
-                got = _phase(ctx, kp.sk, [out.c0, out.c1], x3.level)
-                noise = _center(got - want, ctx.base(x3.level).modulus)
-                # two switched polynomials share the ModDown rounding
-                bound = 2 * keyswitch_noise_bound(ctx, x3.level)
-                assert max(abs(int(e)) for e in noise) <= bound
+    for defer_high in (False, True):
+        x3s = [_degree3(ctx, ct, defer_high) for ct in cts]
+        serial = relinearize_all(backend, "serial", x3s)
+        for x3, one, packed in zip(x3s, serial, relinearize_all(backend, "sharded", x3s)):
+            assert np.array_equal(one.c0, packed.c0) and np.array_equal(one.c1, packed.c1)
+            outs.append((one.c0, one.c1))
+            if x3.coeff_high:
+                continue  # the phase helper wants eval-domain components
+            want = _phase(ctx, kp.sk, x3.components(), x3.level)
+            got = _phase(ctx, kp.sk, [one.c0, one.c1], x3.level)
+            noise = _center(got - want, ctx.base(x3.level).modulus)
+            # two switched polynomials share the ModDown rounding
+            bound = 2 * keyswitch_noise_bound(ctx, x3.level)
+            assert max(abs(int(e)) for e in noise) <= bound
+    # coefficient-domain high components change nothing (ring isomorphism)
     half = len(outs) // 2
     for (a0, a1), (b0, b1) in zip(outs[:half], outs[half:]):
         assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
-    # coefficient-domain high components change nothing (ring isomorphism)
-    assert np.array_equal(outs[0][0], outs[1][0]) and np.array_equal(outs[0][1], outs[1][1])
 
 
 def test_grouped_batch_is_bit_identical_per_position_and_chunk_invariant(rng):
-    ctx = _context(3)
+    ctx = CkksRnsContext(_params(3))
     kp = ctx.keygen(3)
     cts = ctx.encrypt_many(kp.pk, [rng.uniform(-1, 1, ctx.slots) for _ in range(5)], 9)
     batch = RnsCiphertext(

@@ -2,7 +2,8 @@
 
 ``CkksRnsContext.encrypt_many`` is the only CKKS-RNS encryption path:
 it encodes all rows with one batched FFT, adds the message to ``e0``
-*before* transforming and runs one ``(k, 3B, n)`` sweep.  The oracle is
+*before* transforming and runs one ``(k, 3B, n)`` sweep per row block
+(the block size moves no bit either).  The oracle is
 :func:`reference_encrypt` — a frozen copy of the formula it replaced
 (four separate per-channel transforms per ciphertext, big-int encode and
 big-int ciphertext assembly), kept here and built on no ``src`` helper
@@ -12,6 +13,7 @@ that the fused path shares.  Same seed, same ciphertexts, bit for bit.
 import numpy as np
 import pytest
 
+import repro.ckksrns.context as context_mod
 from repro.ckks import CkksParams
 from repro.ckks.sampling import sample_gaussian, sample_zo
 from repro.ckksrns import CkksRnsParams, RnsCiphertext
@@ -180,6 +182,25 @@ def test_bigint_fallback_matches_reference_and_round_trips():
     for ct, row, atol in zip(got, rows, (0.0, 1e-4)):
         assert _same(ct, reference_encrypt(ref_be.ctx, ref_be.keys.pk, row, ref_be._rng))
         assert np.allclose(be.decrypt(ct, count=len(row)), row, rtol=1e-9, atol=atol)
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+def test_row_blocks_do_not_change_a_ciphertext(monkeypatch, big):
+    """Every row's randomness is drawn before any block transforms, so
+    blocks of 1, 2 or 3 rows replay the one-block ciphertexts bit for bit."""
+    rows = [np.full(4, 0.125 * i) for i in range(7)]
+    if big:  # one wide row sends the whole request down the object path
+        rows[3] = np.array([2.0**45, -3.0 * 2.0**44])
+    runs = []
+    for block_rows in (7, 1, 2, 3):
+        be = _rns()
+        per_row = 3 * be.ctx.k_top * be.ctx.n
+        monkeypatch.setattr(context_mod, "ENCRYPT_BLOCK_ELEMS", block_rows * per_row)
+        runs.append((be.ctx.encrypt_many(be.keys.pk, rows, be._rng), be._rng.integers(1 << 30)))
+    (whole, state), *blocked = runs
+    for cts, after in blocked:
+        assert after == state
+        assert all(_same(got, want) for got, want in zip(cts, whole))
 
 
 def test_complex_slots_keep_their_imaginary_part():

@@ -19,8 +19,11 @@ meter:
   sweep to its consumer; ``_evaluate`` relinearises the outputs
   (``relinearize_many``, one sweep per packed group), which is exactly
   the parent's last step, so these digests and counter deltas stand;
-* the score ciphertexts of the CNN1 / CNN2 smoke networks on the serial
-  and the thread executor.  These four were re-recorded when each
+* the score ciphertexts of the CNN1 / CNN2 smoke networks, serial and
+  with every packed group split into two position shards (the
+  ``*/sharded`` rows replaced the thread-executor rows unchanged: the
+  digests and counter deltas are the serial ones).  These four were
+  re-recorded when each
   linear map took over the key-switch sweep of the activation in front
   of it (relinearise after weighted sum, rescale and bias): the sweep
   runs one level lower over the map's outputs and the ``s²``/``s³``
@@ -42,6 +45,7 @@ from repro.obs.metrics import get_registry
 
 from ..ckksrns.test_hybrid_keyswitch import HW, N, smoke_models  # noqa: F401 - fixture
 from .test_poly_depth import DEGREES, DEPTHS, MODES, _evaluate, _fresh
+from .test_shards import shards
 
 KINDS = ("mock", "ckks", "rns", "rns-batch")
 COUNTERS = (
@@ -89,16 +93,16 @@ def smoke_table(models) -> dict[str, str]:
     layers, images = models
     table = {}
     for arch in ("cnn1", "cnn2"):
-        for executor in ("serial", "thread"):
+        for mode, count in (("serial", 1), ("sharded", 2)):
             params = CkksRnsParams(
                 n=N, moduli_bits=(40,) + (26,) * model_depth(layers[arch]), scale_bits=26,
                 special_bits=(36, 36, 36), hw=HW,
             )
-            with CkksRnsBackend(params, seed=0, executor=executor) as backend:
+            with shards(CkksRnsBackend(params, seed=0), count) as backend:
                 engine = HeInferenceEngine(backend, layers[arch], (1, 12, 12))
                 enc = engine.encrypt_images(images[:4])
                 before = _counters()
-                table[f"{arch}/{executor}"] = _record(engine.run_encrypted(enc), before)
+                table[f"{arch}/{mode}"] = _record(engine.run_encrypted(enc), before)
     return table
 
 
@@ -121,9 +125,9 @@ PARENT: dict[str, str] = {
  'ckks/lazy/7': '37abc1843d0f04c0:3,3,4',
  'ckks/lazy/8': '640a34590fcddced:3,3,4',
  'cnn1/serial': '3793eadd193a74e4:2,2,4',
- 'cnn1/thread': '3793eadd193a74e4:2,2,4',
+ 'cnn1/sharded': '3793eadd193a74e4:2,2,4',
  'cnn2/serial': '873c2700ffa4132c:3,3,6',
- 'cnn2/thread': '873c2700ffa4132c:3,3,6',
+ 'cnn2/sharded': '873c2700ffa4132c:3,3,6',
  'mock/eager/1': 'a56bb0f2a54c5819:0,0,0',
  'mock/eager/2': '728c0f2544f72aca:0,0,1',
  'mock/eager/3': 'f4a5c966818ad194:0,0,2',

@@ -7,7 +7,7 @@ linear, so it commutes with all three.  Contract, against a frozen copy
 of the parent schedule (the sweep inside the activation):
 
 * CNN1 / CNN2 smoke logits within ``LAZY_EAGER_ATOL`` on CKKS and
-  CKKS-RNS, the latter on the serial and the thread executor;
+  CKKS-RNS, the latter serial and in two position shards;
 * the mock — whose relinearisation is the identity on values — is
   bit-identical;
 * with the parent schedule restored, the map kernel alone reproduces
@@ -34,13 +34,14 @@ from repro.obs.metrics import get_registry
 from ..ckksrns.test_hybrid_keyswitch import HW, N, smoke_models  # noqa: F401 - fixture
 from .test_lazy_relin import LAZY_EAGER_ATOL
 from .test_parent_identity import smoke_table
+from .test_shards import shards
 
 #: ``smoke_table()`` of the parent commit (sweep inside the activation).
 PARENT_SCHEDULE_DIGESTS = {
     "cnn1/serial": "e7a3abd67067cf33:2,2,4",
-    "cnn1/thread": "e7a3abd67067cf33:2,2,4",
+    "cnn1/sharded": "e7a3abd67067cf33:2,2,4",
     "cnn2/serial": "307b8d37696d9691:3,3,6",
-    "cnn2/thread": "307b8d37696d9691:3,3,6",
+    "cnn2/sharded": "307b8d37696d9691:3,3,6",
 }
 
 
@@ -83,7 +84,7 @@ def parent_lazy(ops, prog, x, coeffs):
     return ops.relinearize(ops.rescale(acc, defer_high=True))
 
 
-def _backend(kind: str, depth: int, executor: str = "serial"):
+def _backend(kind: str, depth: int):
     if kind == "mock":
         return MockBackend(batch=8, levels=depth)
     if kind == "ckks":
@@ -96,30 +97,30 @@ def _backend(kind: str, depth: int, executor: str = "serial"):
             special_bits=(36, 36, 36), hw=HW,
         ),
         seed=0,
-        executor=executor,
     )
 
 
-def _logits(layers, images, kind, executor="serial"):
-    backend = _backend(kind, model_depth(layers), executor)
-    try:
-        return HeInferenceEngine(backend, layers, (1, 12, 12)).classify(images[:4])
-    finally:
-        getattr(backend, "close", lambda: None)()
+def _logits(layers, images, kind, mode="serial"):
+    backend = _backend(kind, model_depth(layers))
+    engine = HeInferenceEngine(backend, layers, (1, 12, 12))
+    if mode == "serial":
+        return engine.classify(images[:4])
+    with shards(backend, 2):
+        return engine.classify(images[:4])
 
 
-CASES = [("ckks", "serial"), ("rns", "serial"), ("rns", "thread")]
+CASES = [("ckks", "serial"), ("rns", "serial"), ("rns", "sharded")]
 
 
 @pytest.mark.parametrize("arch", ["cnn1", "cnn2"])
-@pytest.mark.parametrize("kind, executor", CASES, ids=[f"{k}-{e}" for k, e in CASES])
+@pytest.mark.parametrize("kind, mode", CASES, ids=[f"{k}-{m}" for k, m in CASES])
 def test_smoke_logits_within_atol_of_the_parent_schedule(
-    smoke_models, monkeypatch, arch, kind, executor  # noqa: F811
+    smoke_models, monkeypatch, arch, kind, mode  # noqa: F811
 ):
     layers, images = smoke_models
-    here = _logits(layers[arch], images, kind, executor)
+    here = _logits(layers[arch], images, kind, mode)
     monkeypatch.setattr(backend_mod, "_run_poly_program_lazy", parent_lazy)
-    parent = _logits(layers[arch], images, kind, executor)
+    parent = _logits(layers[arch], images, kind, mode)
     assert np.allclose(here, parent, atol=LAZY_EAGER_ATOL)
 
 

@@ -179,6 +179,15 @@ def test_every_constructor_option_is_set_by_some_caller():
     assert _unset_options() == []
 
 
+def test_the_ckks_rns_context_and_backend_take_no_executor():
+    """Position shards replaced the context's channel fan-outs; their
+    count comes from the CPU affinity, not from an option."""
+    ctors = _constructors()
+    for name in ("CkksRnsContext", "CkksRnsBackend"):
+        positional, options = _signature(ctors[name][1])
+        assert "executor" not in positional + sorted(options), name
+
+
 def test_src_reads_only_the_two_deployment_env_vars():
     assert _env_reads() == ALLOWED_ENV
 

@@ -1,10 +1,11 @@
 """Acceptance: traced encrypted classification over a process pool.
 
-The serving-telemetry contract end to end — one CNN1-HE-RNS classify
-with a process-pool executor must leave behind a merged metrics report
-carrying worker-side counters (NTT span counts shipped home through the
-metered map), the shm dispatch counters, and per-layer ciphertext
-health gauges.
+The serving-telemetry contract end to end — one CNN1 hybrid classify
+(:class:`~repro.henn.hybrid.HybridRnsEngine`: the conv stage's residue
+channels on a process-pool executor, the tail on CKKS-RNS) must leave
+behind a merged metrics report carrying worker-side counters (channel
+span counts shipped home through the metered map), the shm dispatch
+counters, and per-layer ciphertext health gauges.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from repro import obs
 from repro.ckksrns import CkksRnsParams
 from repro.henn.backend import CkksRnsBackend
-from repro.henn.inference import HeInferenceEngine
+from repro.henn.hybrid import HybridRnsEngine
 from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.report import render_report
@@ -46,10 +47,9 @@ def _pool_engine(executor):
             special_bits=45,
             hw=16,
         ),
-        executor=executor,
         seed=0,
     )
-    return HeInferenceEngine(backend, layers, (1, 6, 6))
+    return HybridRnsEngine(backend, layers, (1, 6, 6), executor=executor)
 
 
 def test_traced_pool_classify_yields_merged_telemetry(fresh_registry):
@@ -66,18 +66,18 @@ def test_traced_pool_classify_yields_merged_telemetry(fresh_registry):
     assert fresh_registry.counter("parallel.shm.dispatches").value > 0
     assert fresh_registry.counter("parallel.shm.items").value > 0
 
-    # worker-side NTT counts came home through the metered map
+    # worker-side channel span counts came home through the metered map
     ledgers = fresh_registry.per_worker()
     assert ledgers, "process-pool workers shipped no metric deltas"
     shipped = set()
     for ledger in ledgers.values():
         shipped.update(ledger)
-    assert any(k.startswith("span.nt.ntt") for k in shipped), sorted(shipped)
+    assert any(k.startswith("span.rnscnn.channel") for k in shipped), sorted(shipped)
     # and the merged totals include those same counters
-    assert any(n.startswith("span.nt.ntt") for n in names)
+    assert any(n.startswith("span.rnscnn.channel") for n in names)
 
     # per-layer ciphertext health gauges, labelled by layer + backend
-    for layer in ("HeConv2d", "HePoly", "HeLinear"):
+    for layer in ("HePoly", "HeLinear"):
         assert any(
             n.startswith("henn.ct.level{") and f'layer="{layer}"' in n for n in names
         ), layer

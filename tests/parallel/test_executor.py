@@ -99,27 +99,6 @@ def test_interleave_inverse_of_sharding():
         interleave([[1, 2]], [[0]], 2)
 
 
-def test_rns_context_with_thread_executor(rng):
-    """The CKKS-RNS context computes identical results under any executor."""
-    from repro.ckksrns import CkksRnsContext, CkksRnsParams
-    from repro.parallel import ThreadExecutor
-
-    params = CkksRnsParams(n=64, moduli_bits=(36, 26, 26), scale_bits=26, special_bits=45, hw=8)
-    serial_ctx = CkksRnsContext(params)
-    thread_ctx = CkksRnsContext(params, executor=ThreadExecutor(workers=3))
-    ks = serial_ctx.keygen(5)
-    kt = thread_ctx.keygen(5)
-    assert np.array_equal(ks.pk.b, kt.pk.b)
-    z = rng.uniform(-1, 1, serial_ctx.slots)
-    cs = serial_ctx.encrypt(ks.pk, z, 9)
-    ct = thread_ctx.encrypt(kt.pk, z, 9)
-    assert np.array_equal(cs.c0, ct.c0)
-    ms = serial_ctx.rescale(serial_ctx.mul(cs, cs, ks.relin))
-    mt = thread_ctx.rescale(thread_ctx.mul(ct, ct, kt.relin))
-    assert np.array_equal(ms.c0, mt.c0)
-    thread_ctx.executor.close()
-
-
 # -- pool lifecycle regressions (resilience satellites) ----------------------
 
 

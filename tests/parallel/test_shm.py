@@ -210,29 +210,3 @@ def test_shm_dispatch_survives_worker_kill(rng):
 
 def _channel_only_a(arrays, i):
     return float(arrays["a"][i].sum())
-
-
-@pytest.mark.faults
-@needs_shm
-def test_rns_context_shm_process_matches_serial(rng):
-    """End to end: the CKKS-RNS context under a process executor (shm
-    dispatch) computes bit-identical ciphertexts to the serial context."""
-    from repro.ckksrns import CkksRnsContext, CkksRnsParams
-
-    params = CkksRnsParams(n=64, moduli_bits=(36, 26, 26), scale_bits=26, special_bits=45, hw=8)
-    serial_ctx = CkksRnsContext(params)
-    with ProcessExecutor(workers=2) as ex:
-        proc_ctx = CkksRnsContext(params, executor=ex)
-        ks = serial_ctx.keygen(5)
-        kp = proc_ctx.keygen(5)
-        assert np.array_equal(ks.pk.b, kp.pk.b)
-        z = rng.uniform(-1, 1, serial_ctx.slots)
-        cs = serial_ctx.encrypt(ks.pk, z, 9)
-        cp = proc_ctx.encrypt(kp.pk, z, 9)
-        assert np.array_equal(cs.c0, cp.c0)
-        ms = serial_ctx.rescale(serial_ctx.mul(cs, cs, ks.relin))
-        mp = proc_ctx.rescale(proc_ctx.mul(cp, cp, kp.relin))
-        assert np.array_equal(ms.c0, mp.c0)
-        assert np.allclose(
-            serial_ctx.decrypt(ks.sk, ms), proc_ctx.decrypt(kp.sk, mp)
-        )

@@ -39,13 +39,21 @@ encrypt one ciphertext and decrypt one, perform per linear map exactly
 the rotation steps and hoisted ModUps its ``PackedTaps`` plan lists,
 the same ``relin.count`` as the per-position path, no Galois key
 generation and no fresh encode — every diagonal was encoded when the
-packed plan compiled, at the level its map runs.
+packed plan compiled, at the level its map runs.  These engines stay
+below the position-shard floor, so each packed group is one sweep.
+Forced into two shards per group (floor lowered, two cores), the first
+engine's warm classify must count the same ``relin.count``, run the
+same number of key-switch sweeps on the calling thread over the same
+positions in all, and return the same score bits as serially
+(``docs/KERNELS.md`` "Position shards").
 Exits non-zero with the offending counter deltas.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -247,6 +255,40 @@ def packed_census(engine: HeInferenceEngine, images: np.ndarray) -> tuple[list[d
     }
 
 
+def sharded_census(images: np.ndarray, cores: int) -> tuple[dict, int]:
+    """One warm classify of the first engine with every packed group cut
+    into *cores* position shards (1: serial): ``relin.count``, sweeps
+    on the calling thread, positions swept on any thread and the score
+    digest — then the number of threads that swept."""
+    engine = build_engine()
+    engine.classify(images)  # cold
+    if cores > 1:
+        engine.backend.ctx.shard_min_elems = 1
+    enc = engine.encrypt_images(images)
+    calls: list[tuple[int, int]] = []
+    real_switch = CkksRnsContext._keyswitch_coeff
+
+    def switch(self, x_coeff, kb, ka, level):
+        calls.append((threading.get_ident(), x_coeff.shape[1] if x_coeff.ndim == 3 else 1))
+        return real_switch(self, x_coeff, kb, ka, level)
+
+    reg = get_registry()
+    before = reg.counter("relin.count").value
+    with mock.patch.object(CkksRnsContext, "_keyswitch_coeff", switch), mock.patch(
+        "os.sched_getaffinity", return_value=set(range(cores))
+    ):
+        scores = engine.run_encrypted(enc)
+    digest = hashlib.sha256()
+    for ct in scores:
+        digest.update(ct.c0.tobytes() + ct.c1.tobytes())
+    return {
+        "relin.count": reg.counter("relin.count").value - before,
+        "caller_sweeps": sum(1 for t, _ in calls if t == threading.get_ident()),
+        "positions": sum(b for _, b in calls),
+        "digest": digest.hexdigest()[:16],
+    }, len({t for t, _ in calls})
+
+
 def main() -> int:
     engine = build_engine()
     images = np.random.default_rng(1).uniform(0, 1, (4, 1, 6, 6))
@@ -335,7 +377,16 @@ def main() -> int:
     for i, entry in enumerate(census):
         print(f"warm packed map {i}: {entry}")
 
+    (serial, _), (sharded, sweep_threads) = sharded_census(images, 1), sharded_census(images, 2)
+    print(f"warm classify serial: {serial}; in two position shards: {sharded}")
+
     ok = True
+    if sharded != serial or sweep_threads != 2:
+        print(
+            f"FAIL: two position shards per group gave {sharded} on {sweep_threads} "
+            f"threads, serially {serial}"
+        )
+        ok = False
     for i, entry in enumerate(census):
         if (entry["rotations"], entry["modups"]) != (
             entry["planned_rotations"],
