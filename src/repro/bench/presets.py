@@ -38,8 +38,8 @@ class BenchPreset:
         """CKKS-RNS chain long enough for *depth* rescales.
 
         Hybrid key switching with α = 3 special primes of 36 bits: a
-        third of the digits of α = 1, and every special channel on the
-        lazy-reduction NTT path (a 49-bit prime takes the eager one at
+        third of the digits of α = 1, and every special channel's NTT
+        three limb GEMMs per pass (a 49-bit prime takes six, at about
         twice the cost per row).  Where the ring degree makes a
         security claim (the chain fits the HE-standard budget), α is the
         largest value ≤ 3 whose ``log QP`` still fits it; α = 1 is the

@@ -177,9 +177,9 @@ class CkksRnsContext:
         return self._bases[level + 1]
 
     def _ntt(self, stack: np.ndarray, moduli: list[int]) -> np.ndarray:
-        """Forward NTT of a channel stack: every channel through one
-        :class:`~repro.nt.ntt.BatchedNttPlan` stage loop (bit-identical
-        to per-channel transforms)."""
+        """Forward NTT of a channel stack: every channel through its
+        prime's two-GEMM plan, via the shared
+        :class:`~repro.nt.ntt.BatchedNttPlan` of the moduli tuple."""
         return BatchedNttPlan.get(self.n, tuple(moduli)).forward(stack)
 
     def _intt(self, stack: np.ndarray, moduli: list[int]) -> np.ndarray:
@@ -931,7 +931,7 @@ class CkksRnsContext:
                     np.concatenate([p[1] for p in parts], axis=1),
                 )
         # All digits raised into every target modulus at once: a
-        # (k+α, D, ..., n) tensor through one batched stage loop.
+        # (k+α, D, ..., n) tensor through one batched transform.
         ext = self.moduli[:k] + self.special_moduli
         lifted_eval = self._ntt(self._raise_digits(x_coeff, level), ext)
         return self._switch_raised(lifted_eval, kb, ka, level)

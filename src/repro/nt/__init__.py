@@ -9,7 +9,8 @@ Everything the CKKS / CKKS-RNS schemes need and nothing more:
 * :mod:`repro.nt.primes` — Miller-Rabin primality and generation of
   NTT-friendly primes ``p ≡ 1 (mod 2N)`` (the "co-prime generation tool"
   of §VI.A).
-* :mod:`repro.nt.ntt` — iterative negacyclic Number Theoretic Transform.
+* :mod:`repro.nt.ntt` — negacyclic Number Theoretic Transform, two
+  exact GEMM passes per transform (:mod:`repro.nt.kernels`).
 * :mod:`repro.nt.crt` — Chinese Remainder Theorem compose/decompose.
 * :mod:`repro.nt.polynomial` — multiprecision negacyclic polynomial ring
   used by the non-RNS CKKS baseline (Kronecker-substitution multiply).

@@ -1,15 +1,18 @@
-"""Residue-channel kernels of the HE linear maps and activations.
+"""Residue-channel kernels of the HE linear maps, transforms and activations.
 
 A linear map (conv, dense, pooling) is, per residue channel ``i``, one
-integer matrix product ``out = (W @ x_i) mod m_i``.  :func:`limb_gemm`
+integer matrix product ``out = (W @ x_i) mod m_i``; so are the two passes
+of every negacyclic NTT (:mod:`repro.nt.ntt`).  :func:`limb_gemm`
 computes it *exactly* with float64 BLAS: the signed weights are split
-into limbs (:func:`compile_limb_matrix`, once per map) and the residues
-into limbs of at most ``RESIDUE_LIMB_BITS`` bits, sized so that every
-partial sum is an integer below ``2**53`` — exact in float64 whatever
-order or fused multiply-adds the BLAS uses — and the limb products
-recombine mod ``m_i`` in int64 (``docs/KERNELS.md``, "Linear maps as
-exact limb GEMMs").  :class:`repro.henn.rnscnn.RnsIntegerConv` computes
-the paper's conv stage with its own limb matmul.  The scalar kernel
+into limbs (:func:`compile_limb_matrix`, once per map or per transform
+table) and the residues into limbs, sized so that every partial sum is
+an integer below ``2**53`` — exact in float64 whatever order or fused
+multiply-adds the BLAS uses — and the limb products recombine mod
+``m_i`` in int64 (``docs/KERNELS.md``, "Linear maps as exact limb
+GEMMs").  Every BLAS call stays below ``GEMM_MAX_MACS`` multiply-adds,
+so OpenBLAS runs it on the calling thread.
+:class:`repro.henn.rnscnn.RnsIntegerConv` computes the paper's conv
+stage with its own limb matmul.  The scalar kernel
 :func:`scale_channels` and the BSGS polynomial programs live here too.
 """
 
@@ -43,6 +46,17 @@ EXACT_BITS = 53
 RESIDUE_LIMB_BITS = 26
 #: Widest quantised weight a limb matrix takes (int64 with headroom).
 MAX_WEIGHT_BITS = 62
+#: Multiply-adds per BLAS call.  OpenBLAS hands a GEMM above roughly
+#: 2**20 of them to its worker thread, which then spins on the core the
+#: position shards need (``docs/KERNELS.md``, "Four-step transforms as
+#: exact GEMMs"); :func:`limb_gemm` splits larger products into column
+#: blocks below this cap.  Blocking never changes a result bit.
+GEMM_MAX_MACS = 1 << 18
+#: Row block of every NTT, in residues per channel: it bounds the
+#: transform's temporaries (a float copy, the limb products, the int64
+#: terms).  Speed measured flat from 2**13 to 2**20; blocking never
+#: changes a result bit.
+NTT_BLOCK_ELEMS = 1 << 16
 
 
 class MapBoundError(ValueError):
@@ -53,7 +67,7 @@ class MapBoundError(ValueError):
 
 @dataclass(frozen=True)
 class LimbMatrix:
-    """Signed integer weights ``W = sum_a limbs[a] * 2**(a * width)``.
+    """Signed integer weights ``W = sum_a limbs[..., a, :, :] * 2**(a * width)``.
 
     Every limb carries the sign of its weight and ``width`` bits of its
     magnitude; ``residue_bits`` is the residue limb width for which
@@ -61,9 +75,11 @@ class LimbMatrix:
     below ``2**53``.  ``l1`` is the largest row sum of ``|W|``: while
     ``l1 * (m - 1) < 2**63`` every partial recombination of the limb
     products fits int64 too, and one reduction mod ``m`` suffices.
+    Leading axes stack independent matrices (the slices of a transform
+    pass), applied to the matching leading axes of the residues.
     """
 
-    limbs: np.ndarray  #: ``(L, out, in)`` float64, exact small integers
+    limbs: np.ndarray  #: ``(..., L, out, in)`` float64, exact small integers
     width: int
     residue_bits: int
     l1: int
@@ -76,18 +92,25 @@ def _max_row_l1(a: np.ndarray, bits: int) -> int:
     return int(np.abs(a).sum(axis=-1).max(initial=0))
 
 
-def compile_limb_matrix(weights: np.ndarray) -> LimbMatrix:
-    """Size the limb split of an ``(out, in)`` signed integer matrix.
+def compile_limb_matrix(
+    weights: np.ndarray, residue_bits: int = RESIDUE_LIMB_BITS
+) -> LimbMatrix:
+    """Size the limb split of an ``(..., out, in)`` signed integer matrix.
 
     Each count of weight limbs fixes the widest residue limb that keeps
-    the partial sums below ``2**53``; the fewest GEMMs per 26-bit channel
-    win, ties to fewer residue limbs (the input is the wider operand),
-    then to fewer weight limbs.
+    the partial sums below ``2**53``; the fewest GEMMs per channel of
+    *residue_bits*-bit residues win, ties to fewer residue limbs (the
+    input is the wider operand), then to fewer weight limbs.  An integer
+    array compiles in vectorised int64; an object array of Python ints
+    (the quantised maps) is range-checked entry by entry first.
     """
-    w = np.asarray(weights, dtype=object)
-    if w.ndim != 2:
-        raise ValueError(f"weight matrix must be (out, in), got shape {w.shape}")
-    top = max((abs(int(v)) for v in w.flat), default=0).bit_length()
+    w = np.asarray(weights)
+    if w.ndim < 2:
+        raise ValueError(f"weight matrix must be (..., out, in), got shape {w.shape}")
+    if w.dtype.kind in "iu" and w.size:
+        top = max(abs(int(w.min())), abs(int(w.max()))).bit_length()
+    else:
+        top = max((abs(int(v)) for v in w.flat), default=0).bit_length()
     if top > MAX_WEIGHT_BITS:
         raise MapBoundError(
             f"a quantised weight needs {top} bits; the limb GEMM takes at most "
@@ -103,34 +126,60 @@ def compile_limb_matrix(weights: np.ndarray) -> LimbMatrix:
             break  # a GEMM per limb at the least: no larger count can win
         width = -(-wbits // count)
         limbs = np.stack(
-            [sign * ((mag >> (a * width)) & ((1 << width) - 1)) for a in range(count)]
+            [sign * ((mag >> (a * width)) & ((1 << width) - 1)) for a in range(count)],
+            axis=-3,
         )
         limb_l1 = _max_row_l1(limbs, width)
-        rbits = RESIDUE_LIMB_BITS
+        rbits = residue_bits
         if limb_l1:
             rbits = min(rbits, ((2**EXACT_BITS - 1) // limb_l1 + 1).bit_length() - 1)
         if rbits < 1:
             continue
-        residue_limbs = -(-RESIDUE_LIMB_BITS // rbits)
+        residue_limbs = -(-residue_bits // rbits)
         cost = count * residue_limbs, residue_limbs
         if best is None or cost < best[0]:
             best = cost, LimbMatrix(limbs.astype(np.float64), width, rbits, l1)
     if best is None:
         raise MapBoundError(
-            f"a row of {w.shape[1]} weights cannot keep its partial sums below "
+            f"a row of {w.shape[-1]} weights cannot keep its partial sums below "
             f"2**{EXACT_BITS}"
         )
     return best[1]
 
 
-def _shift_mod(r: np.ndarray, shift: int, m: int) -> np.ndarray:
-    """``(r * 2**shift) mod m`` for ``r`` in ``[0, m)``, in int64 steps."""
-    step = 63 - m.bit_length()  # r << step stays below 2**63
-    while shift:
-        t = min(shift, step)
-        r = (r << t) % m
-        shift -= t
-    return r
+def _reduce(acc: np.ndarray, m: int) -> np.ndarray:
+    """``acc mod m`` in place, as ``acc - (acc // m) * m``.
+
+    NumPy divides by a scalar with libdivide's multiply-and-shift but
+    takes a hardware division per element for ``%``: 1.3 against 3.4
+    ns per element.  Products wrap modulo 2**64 like the exact result.
+    """
+    q = np.floor_divide(acc, m)
+    q *= m
+    acc -= q
+    return acc
+
+
+def _gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x`` in float64, no BLAS call above :data:`GEMM_MAX_MACS`.
+
+    A larger product runs as row-and-column blocks written into one
+    result, each block a separate (stacked) ``matmul``.
+    """
+    rows, inner = w.shape[-2:]
+    cols = x.shape[-1]
+    if rows * inner * cols <= GEMM_MAX_MACS:
+        return np.matmul(w, x)
+    out = np.empty(np.broadcast_shapes(w.shape[:-2], x.shape[:-2]) + (rows, cols))
+    r_step = min(rows, max(1, GEMM_MAX_MACS // inner))
+    c_step = max(1, GEMM_MAX_MACS // (r_step * inner))
+    for r in range(0, rows, r_step):
+        for c in range(0, cols, c_step):
+            np.matmul(
+                w[..., r : r + r_step, :], x[..., c : c + c_step],
+                out=out[..., r : r + r_step, c : c + c_step],
+            )
+    return out
 
 
 def limb_gemm(x: np.ndarray, weights: LimbMatrix, m: int) -> np.ndarray:
@@ -139,43 +188,60 @@ def limb_gemm(x: np.ndarray, weights: LimbMatrix, m: int) -> np.ndarray:
     Parameters
     ----------
     x:
-        ``(in, cols)`` int64 residues in ``[0, m)``.
+        ``(..., in, cols)`` int64 residues in ``[0, m)``, any strides;
+        leading axes pair with the stacked matrices of *weights*.
     weights:
-        The compiled ``(out, in)`` :class:`LimbMatrix`.
+        The compiled ``(..., out, in)`` :class:`LimbMatrix`.
     m:
         The channel modulus, below ``2**62``.
 
     Returns
     -------
-    ``(out, cols)`` int64 canonical residues.  Each limb product is one
-    float64 GEMM whose partial sums are integers below ``2**53``, hence
-    exact.  The products recombine in int64: shifted and summed as they
-    are when ``l1 * (m - 1) < 2**63`` (every partial sum is bounded by
-    the full one), else each reduced mod *m* first.
+    ``(..., out, cols)`` int64 canonical residues.  All weight limbs of
+    one residue limb run as one float64 GEMM (below
+    :data:`GEMM_MAX_MACS` multiply-adds per BLAS call), whose partial
+    sums are integers below ``2**53``, hence exact.  The products
+    recombine in int64 by Horner's rule over their bit offsets, highest
+    first: shifted and summed as they are when ``l1 * (m - 1) < 2**63``
+    (every partial sum is bounded by the full one), else reduced mod *m*
+    wherever the next shift could leave int64.
     """
+    *stack, count, rows, inner = weights.limbs.shape
+    w = weights.limbs.reshape(*stack, count * rows, inner)
     rb = weights.residue_bits
-    wide = weights.l1 * (m - 1) >= 2**63
-    acc = prod = None
+    terms: dict[int, list[np.ndarray]] = {}
     for b in range(-(-(m - 1).bit_length() // rb)):
         xb = x >> (b * rb) if b else x
         if (m - 1) >> ((b + 1) * rb):  # not the top limb
             xb = xb & ((1 << rb) - 1)
-        xf = xb.astype(np.float64)
-        for a, w in enumerate(weights.limbs):
-            prod = np.matmul(w, xf, out=prod)
-            term = prod.astype(np.int64)
+        prod = _gemm(w, np.asarray(xb, dtype=np.float64, order="C"))
+        for a in range(count):
             shift = a * weights.width + b * rb
-            if wide:
-                term = _shift_mod(np.remainder(term, m, out=term), shift, m)
-            elif shift:
-                term <<= shift
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-                if wide:
-                    np.subtract(acc, m, out=acc, where=acc >= m)
-    return acc if wide else np.remainder(acc, m, out=acc)
+            terms.setdefault(shift, []).append(prod[..., a * rows : (a + 1) * rows, :])
+    wide = weights.l1 * (m - 1) >= 2**63
+    step = 63 - m.bit_length()  # (m - 1) << step stays below 2**63
+    acc = None
+    for shift in sorted(terms, reverse=True):
+        group = [t.astype(np.int64) for t in terms[shift]]
+        t_bound = len(group) << EXACT_BITS
+        if acc is None:
+            acc, bound = group[0], t_bound
+        else:
+            d = prev - shift
+            if wide and (bound << d) + t_bound >= 2**63:
+                _reduce(acc, m)
+                bound = m - 1
+                while (bound << d) + t_bound >= 2**63:
+                    acc <<= step
+                    _reduce(acc, m)
+                    d -= step
+            acc <<= d
+            acc += group[0]
+            bound = (bound << d) + t_bound
+        for t in group[1:]:
+            acc += t
+        prev = shift
+    return _reduce(acc, m)
 
 
 def scale_channels(stack: np.ndarray, residues: np.ndarray, moduli: list[int]) -> np.ndarray:

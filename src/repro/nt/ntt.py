@@ -1,29 +1,33 @@
-"""Negacyclic Number Theoretic Transform (NTT).
+"""Negacyclic Number Theoretic Transform (NTT) as two exact GEMM passes.
 
-Implements the merged-twiddle iterative transforms of Longa & Naehrig:
-the forward transform is decimation-in-time Cooley-Tukey (natural input,
-bit-reversed output) and the inverse is decimation-in-frequency
-Gentleman-Sande (bit-reversed input, natural output).  Multiplication in
-the transformed domain is elementwise, which — together with ``p ≡ 1
-(mod 2N)`` primes — gives O(N log N) negacyclic polynomial products per
-RNS channel.
+The forward transform of a length-``n`` coefficient vector evaluates it
+at the odd powers of a primitive ``2n``-th root of unity ``psi``, in
+bit-reversed order::
 
-Each stage is fully vectorised over NumPy views (see the hpc guide on
-vectorising loops): a length-``n`` transform is ``log2 n`` reshaped
-butterfly sweeps, with optional leading batch axes transformed together.
+    out[j] = sum_i a[i] * psi^(i * (2 rev(j) + 1))  mod p
 
-Narrow channels run the stage loops with *lazy reduction*: twiddle
-products are reduced by a direct int64 ``%``, but the butterfly add/sub
-reductions are deferred (magnitudes grow by at most ``+m`` per stage,
-within an int64 budget checked at plan build), replacing two
-compare-and-select sweeps per stage with one final modulo.  Wide
-channels use *Shoup multiplication*: every multiplier in a transform
-(twiddles, ``n^-1``) is a plan constant, so the quotient
-``q = floor(a*w/m)`` is recovered from a precomputed float64 ratio
-``w/m`` with one multiply instead of a float division per element —
-``r = a*w - q*m`` is exact in wrap-around uint64 and needs at most two
-conditional ``±m`` corrections.  Both paths produce the exact integers
-of plain ``(a*w) % m`` arithmetic, so outputs are bit-identical.
+— the output order of the merged-twiddle radix-2 loop of Longa &
+Naehrig, which :mod:`repro.ckksrns` calls the evaluation domain.  Dyadic
+products there are negacyclic convolutions of the coefficients; the
+inverse undoes the transform.
+
+Bailey's four-step split ``n = n1 * n2`` factors that ``n x n`` matrix.
+With ``i = n2 i1 + i2`` and ``rev(j) = k1 + n1 k2``::
+
+    out = sum_i2 psi^(2 n1 i2 k2) * sum_i1 psi^((n2 i1 + i2)(2 k1 + 1)) * a[n2 i1 + i2]
+
+The inner sum is one ``n1 x n1`` matrix per ``i2`` — the negacyclic
+twist and the inter-pass twiddles are folded into its entries — and the
+outer sum one ``n2 x n2`` matrix shared by every ``k1``.  Bit reversal
+is folded into the row order of both, so the only data movement is one
+transposing load and one transposing store per row block.  Both passes
+are integer matrix products mod ``p``, run by
+:func:`repro.nt.kernels.limb_gemm` as exact float64 GEMMs.  The inverse
+is the mirror image (``rev(j) = n2 k1 + k2``, ``i = i1 + n1 i2``) with
+``n^-1`` folded into its first pass.  Each pass returns the canonical
+residues of an exact linear map, so any exact NTT of the same ``psi``
+produces the same bits (``docs/KERNELS.md``, "Four-step transforms as
+exact GEMMs").
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import threading
 
 import numpy as np
 
-from repro.nt.modarith import NARROW_MODULUS_BITS, mulmod
+from repro.nt.kernels import NTT_BLOCK_ELEMS, LimbMatrix, compile_limb_matrix, limb_gemm
+from repro.nt.modarith import mulmod
 from repro.nt.primes import is_prime
 from repro.obs.tracer import traced
 
@@ -43,8 +48,9 @@ __all__ = [
     "plan_registry_stats",
 ]
 
-_I64 = np.int64
-_U64 = np.uint64
+#: Widest first pass: its weights are ``n * n1`` entries, so ``n1`` stays
+#: at 32 (a few MB per prime even at ``n = 2**14``).
+_MAX_N1_BITS = 5
 
 
 def bit_reverse_permutation(n: int) -> np.ndarray:
@@ -90,7 +96,10 @@ class NttPlan:
     The "evaluation domain" used throughout :mod:`repro.ckksrns` is the
     bit-reversed output order of :meth:`forward`; :meth:`inverse` undoes
     it.  ``forward(inverse(x)) == x`` and dyadic products in that domain
-    equal negacyclic convolution in the coefficient domain.
+    equal negacyclic convolution in the coefficient domain.  The plan
+    holds the four compiled pass matrices (forward and inverse, first
+    and second pass), built by index arithmetic on one table of ``psi``
+    powers; every transform of this ``(n, p)`` shares them.
     """
 
     def __init__(self, n: int, p: int):
@@ -100,43 +109,17 @@ class NttPlan:
             raise ValueError(f"{p} is not prime")
         self.n = int(n)
         self.p = int(p)
-        psi = _find_primitive_2n_root(self.p, self.n)
-        self.psi = psi
-        psi_inv = pow(psi, -1, self.p)
-        rev = bit_reverse_permutation(self.n)
-        pow_psi = self._power_table(psi)
-        pow_psi_inv = self._power_table(psi_inv)
-        # Twiddles indexed as table[m + i] at stage with m groups.
-        self._tw = pow_psi[rev]
-        self._tw_inv = pow_psi_inv[rev]
-        self.n_inv = pow(self.n, -1, self.p)
-        # Shoup ratio tables: w/p in float64 recovers q = floor(a*w/p)
-        # to within ±1 with a single multiply (see module docstring).
-        self._tw_f = self._tw / self.p
-        self._tw_inv_f = self._tw_inv / self.p
-        self._n_inv_f = self.n_inv / self.p
-        stages = self.n.bit_length() - 1
-        self._narrow = self.p.bit_length() < NARROW_MODULUS_BITS
-        # Lazy forward reduction defers the butterfly reductions.
-        # Narrow: twiddle products are fully reduced, magnitudes grow by
-        # at most +p per stage, so the stage-s product is bounded by
-        # (s+2) * p**2 — eligible when that fits int64.  Wide: Shoup
-        # products are reduced only to [0, 2p), growing +2p per stage;
-        # the quotient estimate stays within ±1 as long as the largest
-        # ratio value (2*stages+1) * p keeps the 3-ulp float error
-        # below 1 — conservatively, below 2**51.
-        if self._narrow:
-            self._lazy = (stages + 2) * self.p * self.p < 2**63
-        else:
-            self._lazy = (2 * stages + 1) * self.p < 2**51
+        self.psi = _find_primitive_2n_root(self.p, self.n)
+        self.n1 = 1 << min((self.n.bit_length() - 1) // 2, _MAX_N1_BITS)
+        self.n2 = self.n // self.n1
+        self._passes = self._compile_passes()
 
     def _power_table(self, base: int) -> np.ndarray:
         """``[base^0, base^1, ..., base^(n-1)] mod p`` by vectorised doubling.
 
         ``log2 n`` array multiplications instead of an O(n) Python loop:
         given the first ``m`` powers, the next ``m`` are those times
-        ``base^m``.  Noticeable at ``n = 4096`` with 10+ moduli, where
-        the scalar loop dominated context construction.
+        ``base^m``.
         """
         out = np.empty(self.n, dtype=np.int64)
         out[0] = 1
@@ -147,106 +130,87 @@ class NttPlan:
             m *= 2
         return out
 
+    def _compile_passes(self) -> dict[bool, tuple[LimbMatrix, LimbMatrix]]:
+        """Forward and inverse pass matrices, ``psi`` exponents by index arithmetic.
+
+        A first pass is ``(n2, n1, n1)``: slice ``s``, output row ``r``,
+        input column ``c``.  A second pass is ``(n2, n2)``.
+        """
+        n, n1, n2, p = self.n, self.n1, self.n2, self.p
+        powers = self._power_table(self.psi)
+        psi_pow = np.concatenate([powers, p - powers])  # psi^e, e < 2n: psi^n = -1
+        rev1, rev2 = bit_reverse_permutation(n1), bit_reverse_permutation(n2)
+        s = np.arange(n2).reshape(-1, 1, 1)
+        r = np.arange(n1).reshape(1, -1, 1)
+        c = np.arange(n1).reshape(1, 1, -1)
+        rows2 = np.arange(n2).reshape(-1, 1)
+        cols2 = np.arange(n2).reshape(1, -1)
+        exponents = {
+            # s = i2, r = rev(k1), c = i1; then row rev(k2), column i2
+            True: (
+                (n2 * c + s) * (2 * rev1[r] + 1),
+                2 * n1 * cols2 * rev2[rows2],
+            ),
+            # s = rev(k2), r = i1, c = rev(k1); then row i2, column rev(k2)
+            False: (
+                -r * (2 * (n2 * rev1[c] + rev2[s]) + 1),
+                -n1 * rows2 * (2 * rev2[cols2] + 1),
+            ),
+        }
+        passes = {}
+        for forward, (e1, e2) in exponents.items():
+            first = psi_pow[e1 & (2 * n - 1)]
+            if not forward:
+                first = mulmod(first, np.int64(pow(n, -1, p)), p)
+            second = psi_pow[e2 & (2 * n - 1)]
+            passes[forward] = tuple(
+                compile_limb_matrix(t, residue_bits=p.bit_length()) for t in (first, second)
+            )
+        return passes
+
     # -- transforms ------------------------------------------------------
 
-    def _mul_const(
-        self, a: np.ndarray, w: np.ndarray, wf: np.ndarray, full: bool = True
-    ) -> np.ndarray:
-        """``(a * w) mod p`` with *w* a plan constant (Shoup ratio *wf*).
+    def _transform(self, rows: np.ndarray, out: np.ndarray, forward: bool) -> None:
+        """Transform the ``(R, n)`` *rows* into the C-contiguous ``(R, n)`` *out*.
 
-        Narrow moduli take a direct int64 multiply-and-remainder (always
-        fully reduced).  Wide moduli recover ``q = floor(a*w/p)`` from
-        the float64 ratio (off by at most 1), compute the remainder
-        exactly in wrap-around uint64, and correct into ``[0, 2p)`` with
-        one conditional ``+p``; ``full`` adds the ``-p`` step to
-        ``[0, p)``.  Inputs may exceed ``p`` (lazy butterflies); the
-        eligibility bounds keep both the int64 products and the float
-        quotient estimate exact.
+        Row blocks of ``NTT_BLOCK_ELEMS`` residues: a transposing load
+        into ``(n2, n1, rows)``, the per-slice first pass, the shared
+        second pass over ``(n2, n1 * rows)``, a transposing store.
+        Stateless on purpose: registry plans are shared across contexts
+        and shard threads.
         """
-        p = self.p
-        if self._narrow:
-            return (a * w) % p
-        q = (a * wf).astype(_U64)
-        with np.errstate(over="ignore"):
-            r = (
-                a.astype(_U64) * np.asarray(w, dtype=_I64).astype(_U64)
-                - q * _U64(p)
-            ).astype(_I64)
-        r = np.where(r < 0, r + p, r)
-        if full:
-            r = np.where(r >= p, r - p, r)
-        return r
+        n1, n2, p = self.n1, self.n2, self.p
+        first, second = self._passes[forward]
+        # forward rows read as (i1, i2) and are written as (rev k1, rev k2);
+        # inverse rows read as (rev k2, rev k1) and are written as (i2, i1)
+        view, axes = ((n1, n2), (2, 1, 0)) if forward else ((n2, n1), (1, 2, 0))
+        step = max(1, NTT_BLOCK_ELEMS // self.n)
+        for start in range(0, rows.shape[0], step):
+            block = rows[start : start + step]
+            count = block.shape[0]
+            mid = limb_gemm(block.reshape(count, *view).transpose(axes), first, p)
+            res = limb_gemm(mid.reshape(n2, n1 * count), second, p)
+            out[start : start + count].reshape(count, *view).transpose(axes)[...] = res.reshape(
+                n2, n1, count
+            )
+
+    def _apply(self, a: np.ndarray, forward: bool) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        if a.shape[-1] != self.n:
+            raise ValueError(f"last axis must have length {self.n}, got {a.shape[-1]}")
+        out = np.empty(a.shape, dtype=np.int64)
+        self._transform(a.reshape(-1, self.n), out.reshape(-1, self.n), forward)
+        return out
 
     @traced("nt.ntt.forward")
     def forward(self, a: np.ndarray) -> np.ndarray:
         """Negacyclic forward NTT along the last axis (returns a new array)."""
-        a, out_shape = self._prepare(a)
-        p = self.p
-        batch = a.shape[0]
-        t = self.n
-        m = 1
-        while m < self.n:
-            t //= 2
-            view = a.reshape(batch, m, 2 * t)
-            left = view[:, :, :t]
-            right = view[:, :, t:]
-            w = self._tw[m : 2 * m].reshape(1, m, 1)
-            wf = self._tw_f[m : 2 * m].reshape(1, m, 1)
-            if self._lazy:
-                # Partially-reduced v (< p narrow, < 2p wide) keeps
-                # (left + v) and (left - v + bound) non-negative with
-                # +bound growth per stage — within the budgets checked
-                # at plan build.  Right half is written first so the
-                # in-place add still reads the original left half.
-                v = self._mul_const(right, w, wf, full=False)
-                view[:, :, t:] = left - v + (p if self._narrow else 2 * p)
-                left += v
-            else:
-                v = self._mul_const(right, w, wf)
-                s = left + v
-                d = left - v
-                view[:, :, :t] = np.where(s >= p, s - p, s)
-                view[:, :, t:] = np.where(d < 0, d + p, d)
-            m *= 2
-        if self._lazy:
-            a %= p
-        return a.reshape(out_shape)
+        return self._apply(a, True)
 
     @traced("nt.ntt.inverse")
     def inverse(self, a: np.ndarray) -> np.ndarray:
         """Negacyclic inverse NTT along the last axis (returns a new array)."""
-        a, out_shape = self._prepare(a)
-        p = self.p
-        batch = a.shape[0]
-        t = 1
-        m = self.n // 2
-        while m >= 1:
-            view = a.reshape(batch, m, 2 * t)
-            left = view[:, :, :t]
-            right = view[:, :, t:]
-            w = self._tw_inv[m : 2 * m].reshape(1, m, 1)
-            wf = self._tw_inv_f[m : 2 * m].reshape(1, m, 1)
-            s = left + right
-            # d = left - right + p stays in [0, 2p): the twiddle product
-            # 2p**2 fits int64 for every narrow modulus and wraps
-            # exactly in uint64 for wide ones — one unconditional add
-            # instead of a compare-and-select sweep.
-            d = left - right + p
-            v = self._mul_const(d, w, wf)
-            view[:, :, :t] = np.where(s >= p, s - p, s)
-            view[:, :, t:] = v
-            t *= 2
-            m //= 2
-        a = self._mul_const(a, np.int64(self.n_inv), self._n_inv_f)
-        return a.reshape(out_shape)
-
-    def _prepare(self, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        # Stateless on purpose: registry plans are shared across contexts
-        # and executor threads, so per-call state must stay on the stack.
-        a = np.asarray(a, dtype=np.int64)
-        if a.shape[-1] != self.n:
-            raise ValueError(f"last axis must have length {self.n}, got {a.shape[-1]}")
-        return a.reshape(-1, self.n).copy(), a.shape
+        return self._apply(a, False)
 
     # -- convenience -----------------------------------------------------
 
@@ -265,12 +229,13 @@ class NttPlan:
     def get(cls, n: int, p: int) -> "NttPlan":
         """The process-shared plan for ``(n, p)``, built at most once.
 
-        Contexts, engines and resilience executors all transform under
-        the same ``(n, prime)`` pairs; the registry means the twiddle
-        tables are computed once per process instead of once per
-        consumer.  Fork-started worker processes inherit the registry
-        populated so far for free.  Thread-safe; a rare duplicate build
-        under contention is discarded, never observed.
+        Contexts, engines, batched plans and resilience executors all
+        transform under the same ``(n, prime)`` pairs; the registry means
+        the pass matrices are computed and held once per process instead
+        of once per consumer or moduli tuple.  Fork-started worker
+        processes inherit the registry populated so far for free.
+        Thread-safe; a rare duplicate build under contention is
+        discarded, never observed.
         """
         key = (int(n), int(p))
         plan = _PLAN_REGISTRY.get(key)
@@ -291,103 +256,16 @@ def plan_registry_stats() -> dict[str, int]:
     return {"plans": len(_PLAN_REGISTRY), "batched_plans": len(_BATCHED_REGISTRY)}
 
 
-class _ChannelGroup:
-    """Channels of one width class batched through a shared stage loop."""
-
-    __slots__ = (
-        "idx", "wide", "mi", "mu", "mf",
-        "tw", "tw_inv", "n_inv", "tw_f", "tw_inv_f", "n_inv_f", "lazy",
-    )
-
-    def __init__(self, idx: list[int], plans: list[NttPlan], moduli: tuple[int, ...]):
-        self.idx = idx
-        self.wide = any(moduli[i].bit_length() >= NARROW_MODULUS_BITS for i in idx)
-        m = np.array([moduli[i] for i in idx], dtype=np.int64)
-        self.mi = m
-        self.mu = m.astype(np.uint64)
-        self.mf = m.astype(np.float64)
-        self.tw = np.stack([plans[i]._tw for i in idx])
-        self.tw_inv = np.stack([plans[i]._tw_inv for i in idx])
-        self.n_inv = np.array([plans[i].n_inv for i in idx], dtype=np.int64)
-        # Per-channel Shoup ratio tables (w / m in float64) — same
-        # quotient-recovery trick as NttPlan._shoup, broadcast over the
-        # channel axis.
-        self.tw_f = self.tw / self.mf.reshape(-1, 1)
-        self.tw_inv_f = self.tw_inv / self.mf.reshape(-1, 1)
-        self.n_inv_f = self.n_inv / self.mf
-        # Lazy-reduction eligibility for the forward stage loop (same
-        # bounds as NttPlan: +m growth with fully-reduced narrow
-        # products, +2m growth with partially-reduced wide Shoup
-        # products and a ±1 float quotient estimate).
-        n = plans[idx[0]].n
-        stages = n.bit_length() - 1
-        if self.wide:
-            self.lazy = all(
-                (2 * stages + 1) * int(mm) < 2**51 for mm in m.tolist()
-            )
-        else:
-            self.lazy = all(
-                (stages + 2) * int(mm) * int(mm) < 2**63 for mm in m.tolist()
-            )
-
-    def mul(
-        self,
-        a: np.ndarray,
-        w: np.ndarray,
-        wf: np.ndarray,
-        shape: tuple,
-        full: bool = True,
-    ) -> np.ndarray:
-        """``(a * w) mod m_i`` per channel, *w* a plan constant.
-
-        Narrow groups use a direct int64 multiply-and-remainder with the
-        modulus broadcast per channel (always fully reduced).  Wide
-        groups recover the quotient from the precomputed float64 Shoup
-        ratio *wf* (off by at most 1), take the remainder exactly in
-        wrap-around uint64, and correct into ``[0, 2m)`` with one
-        conditional ``+m``; ``full`` adds the ``-m`` step to ``[0, m)``
-        — elementwise identical to ``modarith.mulmod`` with each
-        channel's scalar modulus.
-        """
-        mi = self.mi.reshape(shape)
-        if not self.wide:
-            return np.multiply(a, w, dtype=np.int64) % mi
-        q = (a * wf).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            r = (
-                a.astype(np.uint64) * w.astype(np.uint64)
-                - q * self.mu.reshape(shape)
-            ).astype(np.int64)
-        r = np.where(r < 0, r + mi, r)
-        if full:
-            r = np.where(r >= mi, r - mi, r)
-        return r
-
-
 class BatchedNttPlan:
-    """Cross-channel NTT: one stage loop over a whole residue stack.
+    """NTT of a whole residue stack: every channel through its prime's plan.
 
-    A CKKS-RNS polynomial is a ``(k, n)`` stack of channels whose
-    transforms share every index computation — only the twiddles and the
-    modulus differ per channel.  Running the ``log2 n`` butterfly sweeps
-    once per channel *group* (modulus vector broadcast along the channel
-    axis) instead of once per channel removes ``k``-fold Python and
-    NumPy call overhead, which dominates at the small-to-medium ring
-    degrees of the sweep experiments.
+    A CKKS-RNS polynomial is a ``(k, n)`` stack of channels.  Channel
+    *i* runs the shared :class:`NttPlan` of ``(n, moduli[i])`` — one
+    transform path for every modulus width — and a batched plan holds
+    nothing but references to those, so moduli tuples that share primes
+    (every level's prefix of the chain) share their pass matrices.
 
-    Channels batch in three groups: narrow moduli (< 2**31, direct int64
-    products, lazy butterflies), lazy-eligible wide moduli (Shoup
-    ratio-multiply, deferred butterfly reductions — e.g. a 40-bit
-    ``q_0``), and heavy wide moduli whose magnitude forces per-stage
-    reduction (the 49-bit special prime).  Splitting wide channels this
-    way keeps one heavy prime from dragging a whole stack onto the eager
-    path.  Per channel the arithmetic is **identical** to
-    :class:`NttPlan`'s scalar-modulus path — same Shoup quotient
-    recovery, same conditional ``±m`` corrections — so results are
-    bit-identical.  A group of one falls back to its plain per-channel
-    plan (batching it would only add reshapes).
-
-    Accepts stacks of shape ``(k, n)`` or ``(k, B, n)`` (extra batch
+    Accepts stacks of shape ``(k, n)`` or ``(k, ..., n)`` (extra batch
     axes between channel and coefficient axes transform together).
     """
 
@@ -395,110 +273,27 @@ class BatchedNttPlan:
         self.n = int(n)
         self.moduli = tuple(int(m) for m in moduli)
         self.plans = [NttPlan.get(self.n, m) for m in self.moduli]
-        narrow = [
-            i for i, m in enumerate(self.moduli) if m.bit_length() < NARROW_MODULUS_BITS
-        ]
-        wide = [i for i in range(len(self.moduli)) if i not in set(narrow)]
-        # Wide channels split by lazy-reduction eligibility so a
-        # moderate modulus (e.g. a 40-bit q0) is not forced onto the
-        # eager path by a heavy one (e.g. a 49-bit special prime).
-        wide_lazy = [i for i in wide if self.plans[i]._lazy]
-        wide_heavy = [i for i in wide if not self.plans[i]._lazy]
-        self.groups: list[_ChannelGroup] = []
-        self.single: list[int] = []
-        for idx in (narrow, wide_lazy, wide_heavy):
-            if len(idx) > 1:
-                self.groups.append(_ChannelGroup(idx, self.plans, self.moduli))
-            else:
-                self.single.extend(idx)
 
-    def _check(self, stack: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    def _apply(self, stack: np.ndarray, forward: bool) -> np.ndarray:
         stack = np.asarray(stack, dtype=np.int64)
-        if stack.shape[0] != len(self.moduli) or stack.shape[-1] != self.n:
-            raise ValueError(
-                f"expected ({len(self.moduli)}, ..., {self.n}) stack, got {stack.shape}"
-            )
-        return stack, stack.shape
+        k = len(self.moduli)
+        if stack.shape[0] != k or stack.shape[-1] != self.n:
+            raise ValueError(f"expected ({k}, ..., {self.n}) stack, got {stack.shape}")
+        out = np.empty(stack.shape, dtype=np.int64)
+        rows, dest = stack.reshape(k, -1, self.n), out.reshape(k, -1, self.n)
+        for plan, x, o in zip(self.plans, rows, dest):
+            plan._transform(x, o, forward)
+        return out
 
     @traced("nt.ntt.batched.forward")
     def forward(self, stack: np.ndarray) -> np.ndarray:
         """Forward NTT of every channel (new array, input untouched)."""
-        stack, shape = self._check(stack)
-        out = np.empty(shape, dtype=np.int64)
-        for i in self.single:
-            out[i] = self.plans[i].forward(stack[i])
-        for grp in self.groups:
-            g = len(grp.idx)
-            a = stack[grp.idx].reshape(g, -1, self.n).copy()
-            b = a.shape[1]
-            mvec = grp.mi.reshape(g, 1, 1, 1)
-            t = self.n
-            m = 1
-            while m < self.n:
-                t //= 2
-                view = a.reshape(g, b, m, 2 * t)
-                left = view[:, :, :, :t]
-                right = view[:, :, :, t:]
-                w = grp.tw[:, m : 2 * m].reshape(g, 1, m, 1)
-                wf = grp.tw_f[:, m : 2 * m].reshape(g, 1, m, 1)
-                if grp.lazy:
-                    # Deferred reduction: v is partially reduced (< m
-                    # narrow, < 2m wide), so (left + v) and
-                    # (left - v + bound) stay non-negative and grow the
-                    # magnitude by +bound per stage — within the
-                    # budgets checked at plan build.  The right half is
-                    # written first so the in-place add still reads the
-                    # original left half.
-                    v = grp.mul(right, w, wf, (g, 1, 1, 1), full=False)
-                    view[:, :, :, t:] = left - v + (2 * mvec if grp.wide else mvec)
-                    left += v
-                else:
-                    v = grp.mul(right, w, wf, (g, 1, 1, 1))
-                    s = left + v
-                    d = left - v
-                    view[:, :, :, :t] = np.where(s >= mvec, s - mvec, s)
-                    view[:, :, :, t:] = np.where(d < 0, d + mvec, d)
-                m *= 2
-            if grp.lazy:
-                a %= mvec.reshape(g, 1, 1)
-            out[grp.idx] = a.reshape((g,) + shape[1:])
-        return out
+        return self._apply(stack, True)
 
     @traced("nt.ntt.batched.inverse")
     def inverse(self, stack: np.ndarray) -> np.ndarray:
         """Inverse NTT of every channel (new array, input untouched)."""
-        stack, shape = self._check(stack)
-        out = np.empty(shape, dtype=np.int64)
-        for i in self.single:
-            out[i] = self.plans[i].inverse(stack[i])
-        for grp in self.groups:
-            g = len(grp.idx)
-            a = stack[grp.idx].reshape(g, -1, self.n).copy()
-            b = a.shape[1]
-            mvec = grp.mi.reshape(g, 1, 1, 1)
-            t = 1
-            m = self.n // 2
-            while m >= 1:
-                view = a.reshape(g, b, m, 2 * t)
-                left = view[:, :, :, :t]
-                right = view[:, :, :, t:]
-                w = grp.tw_inv[:, m : 2 * m].reshape(g, 1, m, 1)
-                wf = grp.tw_inv_f[:, m : 2 * m].reshape(g, 1, m, 1)
-                s = left + right
-                # d = left - right + m stays in [0, 2m); the twiddle
-                # product 2m^2 fits int64 for every narrow modulus and
-                # wraps exactly in uint64 for wide ones — one
-                # unconditional add instead of a compare-and-select
-                # sweep.
-                d = left - right + mvec
-                view[:, :, :, :t] = np.where(s >= mvec, s - mvec, s)
-                view[:, :, :, t:] = grp.mul(d, w, wf, (g, 1, 1, 1))
-                t *= 2
-                m //= 2
-            ninv = grp.n_inv.reshape(g, 1, 1)
-            a = grp.mul(a, ninv, grp.n_inv_f.reshape(g, 1, 1), (g, 1, 1))
-            out[grp.idx] = a.reshape((g,) + shape[1:])
-        return out
+        return self._apply(stack, False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BatchedNttPlan(n={self.n}, k={len(self.moduli)})"

@@ -53,6 +53,14 @@ def rng():
 
 
 @pytest.fixture(scope="session")
+def fuzz_examples(request):
+    """``pick(tier1, fuzz)``: a ``fuzz``-marked test's hypothesis example
+    count — small in the default run, large when ``-m fuzz`` selects it."""
+    fuzzing = "fuzz" in (request.config.getoption("markexpr") or "")
+    return lambda tier1, fuzz: fuzz if fuzzing else tier1
+
+
+@pytest.fixture(scope="session")
 def ckks_ctx():
     """Small multiprecision CKKS context shared by the ckks suites."""
     return CkksContext(CkksParams(n=128, scale_bits=24, q0_bits=36, levels=4, hw=16))
