@@ -2,9 +2,8 @@
 
 The gateway from ``batched_serving.py`` grown into a
 :class:`~repro.henn.protocol.ClusteredCloudService`: coalesced batches
-are dispatched across three process-backed engine workers (each warmed
-against the shared-memory plan cache), picked by health-weighted load
-balancing.  Mid-run a seeded
+are dispatched across three forked engine workers (each warms up by
+compiling its plan on spawn), picked by health-weighted load balancing.  Mid-run a seeded
 :class:`~repro.resilience.FaultInjector` SIGKILLs one worker exactly
 as it starts a batch — the orphaned batch fails over to a survivor,
 the dead worker respawns and re-warms in the background, and **every
@@ -27,7 +26,9 @@ from repro.resilience import FaultInjector
 WORKERS = 3
 CLIENTS = 8
 REQUESTS_EACH = 5
-KILL_WORKER = 1
+# Worker 0 wins every dispatch tie, so it is certain to be handed a batch;
+# another worker only sees one when two batches overlap.
+KILL_WORKER = 0
 SHAPE = (1, 12, 12)
 
 
@@ -68,8 +69,7 @@ def main() -> None:
     health = gateway._health()["cluster"]
     print(
         f"   {health['ready']}/{health['size']} workers ready "
-        f"in {time.perf_counter() - t0:.2f} s "
-        f"(plan shared via shm: {health['shared_cache']})"
+        f"in {time.perf_counter() - t0:.2f} s"
     )
 
     print(f"== 4. {CLIENTS} concurrent clients x {REQUESTS_EACH} requests, SIGKILL mid-run ==")

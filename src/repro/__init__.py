@@ -17,7 +17,11 @@ The package is organised bottom-up:
     Full-RNS CKKS variant of Cheon-Han-Kim-Kim-Song 2019 — the scheme the
     paper's CNN-HE-RNS models run on.
 ``repro.parallel``
-    Executors used to dispatch independent RNS residue channels.
+    Serial and thread executors that run the hybrid conv stage's
+    independent RNS residue channels.
+``repro.resilience``
+    RRNS recovery of a corrupted or dropped conv-stage residue channel,
+    the seeded fault injector and the typed errors.
 ``repro.obs``
     Observability: nested-span tracer, metrics registry, Chrome-trace/
     JSON export and the per-primitive report (see docs/OBSERVABILITY.md).

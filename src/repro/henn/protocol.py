@@ -56,19 +56,13 @@ from repro.henn.backend import HeBackend
 from repro.henn.inference import HeInferenceEngine, evaluate_batch
 from repro.henn.layers import HeLayer, LevelBudgetError
 from repro.henn.packing import published_layout
-from repro.henn.plan import compile_plan
 from repro.obs import health as _obs_health
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.rtrace import RequestTracer, SamplingPolicy, TraceContext, batch_stage
 from repro.obs.server import ObservabilityServer
-from repro.resilience.errors import (
-    ChannelIntegrityError,
-    ExecutorExhaustedError,
-    ItemTimeoutError,
-    ProtocolError,
-)
-from repro.serving.cluster import SPAWN_TIMEOUT_S, Dispatcher, WorkerPool, share_plan_cache
+from repro.resilience.errors import ChannelIntegrityError, ProtocolError
+from repro.serving.cluster import SPAWN_TIMEOUT_S, Dispatcher, WorkerPool
 from repro.serving.errors import (
     ClusterUnavailableError,
     DrainTimeoutError,
@@ -136,7 +130,6 @@ class CloudResponse:
 #: before their bases.
 _VOCABULARY: tuple[tuple[type | tuple[type, ...], str, bool, str], ...] = (
     (ChannelIntegrityError, "integrity", True, "residue channel check failed beyond recovery"),
-    ((ExecutorExhaustedError, ItemTimeoutError), "compute", True, "evaluation resources exhausted"),
     (ServiceShedError, "overload", False, "service saturated, route elsewhere"),
     (ServiceOverloadedError, "overload", True, "service at capacity, retry with backoff"),
     (RequestValidationError, "state", False, "request rejected at admission"),
@@ -759,19 +752,18 @@ def _worker_engine(
     backend: HeBackend,
     layers: list[HeLayer],
     input_shape: tuple[int, int, int],
-    cache: object | None = None,
 ) -> HeInferenceEngine:
     """Rebuilds the gateway's engine inside a cluster worker child.
 
     Fork inheritance carries the backend (same key material the clients
     encrypted against); the plan is recompiled per worker — that compile
-    *is* the warm-up the pool's ``warming`` state covers — and with a
-    shared cache (rebuilt from shm refs by the pool) every tap encoding
-    is a cache hit onto a zero-copy view of the parent's arena, so the
-    whole pool shares one physical copy of the encoded model.
+    *is* the warm-up the pool's ``warming`` state covers.  On CKKS /
+    CKKS-RNS the fork also carries the parent plan's cache as the
+    context's ``plain_cache``, which :func:`~repro.henn.plan.compile_plan`
+    adopts, so every tap encoding is a hit on pages shared copy-on-write
+    with the gateway.
     """
-    plan = compile_plan(backend, layers, input_shape, cache=cache)
-    return HeInferenceEngine(backend, layers, input_shape, plan=plan)
+    return HeInferenceEngine(backend, layers, input_shape)
 
 
 class ClusteredCloudService(BatchedCloudService):
@@ -784,10 +776,9 @@ class ClusteredCloudService(BatchedCloudService):
     :class:`~repro.serving.cluster.Dispatcher` over a
     :class:`~repro.serving.cluster.WorkerPool` of process-backed
     engines and returns its future — the scheduler's pipelined mode —
-    so one gateway keeps all N workers busy at once.  The compiled
-    plan's encoded taps are packed into shared memory, so workers warm
-    up against zero-copy views (silently skipped when shm is
-    unavailable), and construction blocks until every worker is ready.
+    so one gateway keeps all N workers busy at once.  Workers are
+    forked after the gateway's plan is compiled and warm up from the
+    cache they inherit; construction blocks until every worker is ready.
 
     Robustness contract (the point of the cluster):
 
@@ -838,14 +829,12 @@ class ClusteredCloudService(BatchedCloudService):
             shed_policy=shed_policy or ShedPolicy(),
             **batched_kwargs,  # type: ignore[arg-type]
         )
-        self._cache_arena, refs = share_plan_cache(self.engine.plan.cache)
         self._serial_lock = threading.Lock()
         self.pool = WorkerPool(
             functools.partial(_worker_engine, self.engine.backend, layers, input_shape),
             workers,
             respawn=respawn,
             fault_injector=fault_injector,
-            shared_cache_refs=refs,
             name="henn-cluster",
         ).start()
         self.dispatcher = Dispatcher(
@@ -878,8 +867,6 @@ class ClusteredCloudService(BatchedCloudService):
         """Drain the queue through the pool, then tear the pool down."""
         super().close(drain=drain, timeout=timeout)
         self.pool.close()
-        if self._cache_arena is not None:
-            self._cache_arena.close()
 
     def _health(self) -> dict:
         status = super()._health()

@@ -28,6 +28,7 @@ property of Tables III/V.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,6 @@ from repro.rns.limb import (
 from repro.nt.primes import gen_primes
 from repro.nn.layers.conv import conv_output_shape, im2col
 from repro.parallel import Executor, SerialExecutor
-from repro.parallel.shm import dispatch_channels
 from repro.resilience.errors import ChannelIntegrityError
 from repro.resilience.rrns import RedundantBasis
 
@@ -70,12 +70,7 @@ def _conv_channel_kernel(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Multi-limb residue convolution of one channel (see `_conv_channel`).
-
-    Module-level so process workers can run it on shared-memory limb
-    views; the inputs are plain int64 arrays plus scalars, nothing that
-    drags a context or executor across the pickle boundary.
-    """
+    """Multi-limb residue convolution of one channel (see `_conv_channel`)."""
     dw = wl.shape[0]
     d = xl.shape[0]
     n, c, h, w = img_shape
@@ -99,13 +94,12 @@ def _conv_channel_kernel(
 
 
 class _ConvChannelWorker:
-    """Picklable per-residue-channel conv task for zero-copy dispatch.
+    """Per-residue-channel conv task.
 
-    Receives the shared limb tensor and the per-channel weight limbs as
-    shared-memory views (``limbs`` / ``w<i>`` keys); only the moduli and
-    geometry scalars travel through pickle.  Each call is a
-    ``rnscnn.channel`` span, shipped home from process workers by the
-    metered map.
+    Reads the shared limb tensor and the per-channel weight limbs from
+    ``arrays`` (``limbs`` / ``w<i>`` keys); every channel reads the same
+    arrays and writes only its own result.  Each call is a
+    ``rnscnn.channel`` span.
     """
 
     __slots__ = ("moduli", "value_bits", "img_shape", "kh", "kw", "stride", "padding")
@@ -311,8 +305,8 @@ class RnsIntegerConv:
         for i, wl in enumerate(self._w_limbs):
             arrays[f"w{i}"] = wl
         with obs.span("rnscnn.conv_channels", k=self._work.k):
-            outs = dispatch_channels(
-                self.executor, worker, arrays, list(range(self._work.k))
+            outs = self.executor.map(
+                functools.partial(worker, arrays), list(range(self._work.k))
             )
         if self.fault_injector is not None:
             outs = self.fault_injector.apply_channel_faults(outs, self._work.moduli)

@@ -26,8 +26,8 @@ registry, serialises it with :meth:`MetricsRegistry.to_delta`, and the
 parent folds it back in with :meth:`MetricsRegistry.merge_delta` —
 optionally tagged with a worker id, in which case the registry also
 keeps a per-worker ledger (:meth:`MetricsRegistry.per_worker`) next to
-the merged view.  :class:`~repro.parallel.ProcessExecutor` does this
-automatically for every traced ``map``.
+the merged view.  Cluster workers do this with every batch reply
+(:mod:`repro.serving.cluster`).
 """
 
 from __future__ import annotations

@@ -255,8 +255,8 @@ def render_report(
 
     workers = metrics.per_worker() if metrics is not None else {}
     if workers:
-        # Merged totals above; this is each pool worker's contribution,
-        # as shipped back by the metered ProcessExecutor maps.
+        # Merged totals above; this is each cluster worker's
+        # contribution, as shipped back with its batch replies.
         wrows = []
         for worker in sorted(workers):
             for name, m in sorted(workers[worker].items()):

@@ -19,11 +19,11 @@ pieces mirror a Dapper-style pipeline scaled down to this repo:
 * **Cross-process span shipping** — a cluster worker evaluating a
   sampled batch activates a fresh worker-local tracer, and its finished
   spans travel back with the batch result.  The gateway absorbs them
-  with :meth:`TraceContext.absorb_worker_spans`, re-iding in the same
-  two-pass remap :class:`~repro.parallel.ProcessExecutor` uses (fork
-  copies the span-id counter, so worker ids can collide with gateway
-  ids): all new ids are allocated first, then parent links rewritten,
-  and orphaned roots are re-parented under the request's root span.
+  with :meth:`TraceContext.absorb_worker_spans`, re-iding in a
+  two-pass remap (fork copies the span-id counter, so worker ids can
+  collide with gateway ids): all new ids are allocated first, then
+  parent links rewritten, and orphaned roots are re-parented under the
+  request's root span.
   Every span carries a ``pid`` tag, so the merged trace spans processes
   and the Chrome export renders one track group per process.
 * :class:`SamplingPolicy` — serving-grade sampling: probabilistic head
@@ -219,8 +219,7 @@ class TraceContext:
     ) -> None:
         """Merge spans shipped back from a worker process into this trace.
 
-        Two passes, exactly like the :class:`~repro.parallel.ProcessExecutor`
-        merge: children can complete before their parents, so every new
+        Two passes: children can complete before their parents, so every new
         id is allocated before any parent link is rewritten.  Worker
         roots (parent absent from the shipment) are re-parented under
         the request's root span; every span gains ``worker`` and

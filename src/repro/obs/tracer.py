@@ -16,14 +16,12 @@ manager) and read the results from :meth:`Tracer.finished`.
 
 Spans opened inside :class:`~repro.parallel.ThreadExecutor` workers are
 recorded with that worker's ``thread_id`` and no parent (each thread has
-its own nesting stack).  :class:`~repro.parallel.ProcessExecutor`
-workers run in child processes: for a traced ``map`` the executor
-meters each item — worker-side spans and metric deltas are serialised
-and merged back into the parent tracer/registry (tagged with the worker
-pid).  On unmetered paths (``submit``, tracing enabled only inside the
-worker) a fork-inherited tracer cannot propagate spans back; those are
-counted in the worker-local ``obs.spans.dropped`` counter instead of
-being recorded into memory the parent will never read.
+its own nesting stack).  Cluster workers are forked processes: a
+fork-inherited tracer cannot propagate spans back, so spans recorded
+into it are counted in the worker-local ``obs.spans.dropped`` counter
+(which ships home with the worker's metric delta) instead of being
+recorded into memory the parent will never read.  Spans a worker means
+to ship travel explicitly (:mod:`repro.obs.rtrace`).
 """
 
 from __future__ import annotations
@@ -205,9 +203,8 @@ class Tracer:
         if os.getpid() != self._pid:
             # This tracer is a fork-inherited copy inside a pool worker:
             # whatever it stores, the parent process will never read it.
-            # ProcessExecutor ships spans home for metered maps; on any
-            # other path, at least leave a trace of the loss in the
-            # worker-local registry (which a later metered map merges).
+            # Leave a trace of the loss in the worker-local registry,
+            # whose delta the worker ships home with its next reply.
             from repro.obs.metrics import get_registry
 
             get_registry().counter("obs.spans.dropped").inc()

@@ -1,45 +1,27 @@
 """Executors for dispatching independent RNS residue channels.
 
 The paper's speed-up source ("RNS representation enables parallel
-processing") is channel independence.  Three interchangeable executors
-realise it:
+processing") is channel independence.  Two interchangeable executors
+realise it for the hybrid conv stage:
 
 * :class:`SerialExecutor` — baseline, runs channels in order.
 * :class:`ThreadExecutor` — ``concurrent.futures`` threads; NumPy
-  elementwise kernels release the GIL, so residue NTTs overlap.
-* :class:`ProcessExecutor` — process pool for fully GIL-free dispatch.
+  kernels release the GIL, so residue channels overlap.
 
-All share one API: :meth:`~Executor.map` over a list of per-channel work
-items.
+Both share one API: :meth:`~Executor.map` over a list of per-channel
+work items.
 """
 
 from repro.parallel.executor import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     make_executor,
-)
-from repro.parallel.sharding import shard_indices, interleave
-from repro.parallel.shm import (
-    ShmArena,
-    ShmArrayRef,
-    dispatch_channels,
-    shm_available,
-    uses_processes,
 )
 
 __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "make_executor",
-    "shard_indices",
-    "interleave",
-    "ShmArena",
-    "ShmArrayRef",
-    "dispatch_channels",
-    "shm_available",
-    "uses_processes",
 ]

@@ -1,4 +1,4 @@
-"""Executor abstraction: one ``map`` API, three concurrency backends.
+"""Executor abstraction: one ``map`` API, serial or on threads.
 
 Dispatch is observable: when :mod:`repro.obs` tracing is enabled, every
 ``map`` call records a ``parallel.map`` span tagged with the executor
@@ -7,19 +7,10 @@ kind and item count, and bumps the ``parallel.<kind>.map.calls`` /
 recombination overhead behind the Table IV/VI moduli sweeps is the gap
 between that span and the per-channel work inside it.
 
-Pool lifecycle (the robustness contract):
-
-* A pool that breaks mid-``map`` (a killed process worker, a failed
-  thread initializer) is **discarded immediately**; the next ``map``
-  lazily creates a fresh pool instead of re-raising the stale
-  ``BrokenExecutor`` forever.
-* :meth:`Executor.close` is idempotent, and every pool-backed executor
-  is registered with an ``atexit`` closer, so executors created deep
-  inside an engine or context cannot leak worker threads/processes past
-  interpreter shutdown.
-* :meth:`~_PoolExecutor.reset` force-discards the pool without waiting
-  for in-flight work — the recovery primitive
-  :class:`repro.resilience.ResilientExecutor` uses after timeouts.
+Pool lifecycle: :meth:`Executor.close` is idempotent, and every
+:class:`ThreadExecutor` is registered with an ``atexit`` closer, so
+executors created deep inside an engine cannot leak worker threads past
+interpreter shutdown.
 """
 
 from __future__ import annotations
@@ -28,117 +19,12 @@ import atexit
 import os
 import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Sequence
 
 from repro.obs import tracer as _obs
 
-__all__ = ["Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor", "make_executor"]
-
-
-class _MeteredResult:
-    """Envelope a metered pool worker returns: result + telemetry delta."""
-
-    __slots__ = ("result", "delta", "spans", "pid")
-
-    def __init__(self, result: Any, delta: dict, spans: list[dict], pid: int):
-        self.result = result
-        self.delta = delta
-        self.spans = spans
-        self.pid = pid
-
-
-class _MeteredTask:
-    """Picklable wrapper that captures a worker item's metrics and spans.
-
-    Inside the worker it installs a fresh process-global registry and a
-    fresh collecting tracer for the duration of one item, so everything
-    the item records — ``span.*`` counters, NTT call counts,
-    ``parallel.shm.*`` bumps, health gauges — lands in an isolated
-    delta that travels back through the normal result pickle.  The
-    previous registry/tracer are restored afterwards, so un-metered
-    items in the same long-lived worker are unaffected.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[..., Any]):
-        self.fn = fn
-
-    def __call__(self, item: Any) -> "_MeteredResult":
-        from repro.obs import metrics as _metrics
-        from repro.obs import tracer as _tracer
-
-        registry = _metrics.MetricsRegistry()
-        prev_registry = _metrics.get_registry()
-        _metrics.set_registry(registry)
-        tracer = _tracer.Tracer(metrics=registry)
-        prev_tracer = _tracer.get_tracer()
-        _tracer.set_tracer(tracer)
-        try:
-            result = self.fn(item)
-        finally:
-            _tracer.set_tracer(prev_tracer)
-            _metrics.set_registry(prev_registry)
-        return _MeteredResult(
-            result,
-            registry.to_delta(),
-            [s.to_dict() for s in tracer.finished()],
-            os.getpid(),
-        )
-
-
-def _merge_metered(envelopes: Sequence[Any], tracer: Any) -> list[Any]:
-    """Unwrap metered results, folding worker telemetry into the parent.
-
-    Metric deltas merge into the tracer's registry (or the global one)
-    twice over: into the plain metrics for the merged view, and into the
-    per-worker ledger keyed ``worker-<pid>``.  Worker spans are re-ided
-    from the parent's counter (fork copies the id counter, so worker ids
-    can collide with parent ids), tagged with their worker, and absorbed
-    into the parent tracer.
-    """
-    from repro.obs.metrics import get_registry
-    from repro.obs.tracer import _IDS, Span
-
-    registry = getattr(tracer, "metrics", None) or get_registry()
-    results: list[Any] = []
-    for env in envelopes:
-        if not isinstance(env, _MeteredResult):  # worker predates metering
-            results.append(env)
-            continue
-        results.append(env.result)
-        worker = f"worker-{env.pid}"
-        if env.delta:
-            registry.merge_delta(env.delta, worker=worker)
-        if env.spans and tracer.enabled:
-            spans = [Span.from_dict(d) for d in env.spans]
-            # Two passes: children complete before their parents, so all
-            # new ids must exist before parent links are rewritten.
-            remap = {sp.span_id: next(_IDS) for sp in spans}
-            for sp in spans:
-                sp.span_id = remap[sp.span_id]
-                if sp.parent_id is not None:
-                    sp.parent_id = remap.get(sp.parent_id)
-                sp.tags.setdefault("worker", worker)
-            tracer.absorb(spans)
-    return results
-
-
-class _StarCall:
-    """Picklable ``fn(*args)`` adapter used by :meth:`Executor.starmap`.
-
-    A ``lambda args: fn(*args)`` cannot cross a process boundary; this
-    module-level class can, whenever ``fn`` itself is picklable.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[..., Any]):
-        self.fn = fn
-
-    def __call__(self, args: tuple) -> Any:
-        return self.fn(*args)
+__all__ = ["Executor", "SerialExecutor", "ThreadExecutor", "make_executor"]
 
 
 class Executor(ABC):
@@ -152,7 +38,7 @@ class Executor(ABC):
         Parameters
         ----------
         fn:
-            Per-item callable (must be picklable for process dispatch).
+            Per-item callable.
         items:
             Work items; one ``fn(item)`` call each.
 
@@ -174,10 +60,6 @@ class Executor(ABC):
     def _map(self, fn: Callable[..., Any], items: Sequence[Any]) -> list[Any]:
         """Backend-specific dispatch (see :meth:`map` for the contract)."""
 
-    def starmap(self, fn: Callable[..., Any], items: Iterable[tuple]) -> list[Any]:
-        """Like :meth:`map` but unpacks each item as positional arguments."""
-        return self.map(_StarCall(fn), list(items))
-
     def close(self) -> None:
         """Release worker resources (idempotent)."""
 
@@ -197,10 +79,10 @@ class SerialExecutor(Executor):
         return [fn(it) for it in items]
 
 
-#: Every live pool-backed executor; drained by the ``atexit`` hook so
-#: internally-created executors (engines, contexts, factories) cannot
-#: leak worker threads/processes past interpreter shutdown.
-_LIVE_POOLS: "weakref.WeakSet[_PoolExecutor]" = weakref.WeakSet()
+#: Every live thread executor; drained by the ``atexit`` hook so
+#: internally-created executors (engines, factories) cannot leak worker
+#: threads past interpreter shutdown.
+_LIVE_POOLS: "weakref.WeakSet[ThreadExecutor]" = weakref.WeakSet()
 
 
 def _close_live_pools() -> None:  # pragma: no cover - interpreter shutdown
@@ -214,68 +96,28 @@ def _close_live_pools() -> None:  # pragma: no cover - interpreter shutdown
 atexit.register(_close_live_pools)
 
 
-class _PoolExecutor(Executor):
-    """Shared lifecycle for the thread- and process-pool executors.
+class ThreadExecutor(Executor):
+    """Thread-pool dispatch; effective because NumPy kernels drop the GIL.
 
-    The pool is created lazily by :meth:`_ensure` and **discarded on
-    breakage**: if a ``map`` fails and the underlying
-    ``concurrent.futures`` pool reports itself broken, the dead pool is
-    dropped so the next call starts from a healthy one (the exception
-    still propagates — recovery policy lives in
-    :class:`repro.resilience.ResilientExecutor`).
+    The pool is created lazily on the first ``map`` of two or more
+    items.  The default size is the number of CPUs this process may run
+    on (its affinity mask, capped at 32), so a ``taskset``-pinned run
+    does not oversubscribe its cores.
     """
 
+    name = "thread"
+
     def __init__(self, workers: int | None = None):
-        self.workers = workers or self._default_workers()
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self.workers = workers or min(32, len(os.sched_getaffinity(0)))
+        self._pool: ThreadPoolExecutor | None = None
         _LIVE_POOLS.add(self)
-
-    def _default_workers(self) -> int:
-        return os.cpu_count() or 1
-
-    @abstractmethod
-    def _make_pool(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
-        """Construct a fresh underlying pool."""
-
-    def _ensure(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
-
-    def submit(self, fn: Callable[..., Any], item: Any) -> Future:
-        """Submit one ``fn(item)`` call, returning its future.
-
-        Future-based dispatch is what per-item timeout/retry policies
-        build on; plain :meth:`map` remains the all-or-nothing fast path.
-        """
-        return self._ensure().submit(fn, item)
 
     def _map(self, fn: Callable[..., Any], items: Sequence[Any]) -> list[Any]:
         if len(items) <= 1:
             return [fn(it) for it in items]
-        pool = self._ensure()
-        try:
-            return list(pool.map(fn, items))
-        except BaseException:
-            # A broken pool would poison every later map with the same
-            # stale error; discard it so the next call gets a fresh one.
-            if getattr(pool, "_broken", False):
-                self.reset()
-            raise
-
-    def reset(self) -> None:
-        """Discard the pool without waiting for in-flight work (idempotent).
-
-        Unlike :meth:`close` this never blocks on stuck workers — it is
-        the right call after a timeout or pool breakage.  The next
-        :meth:`map`/:meth:`submit` lazily creates a fresh pool.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - defensive
-                pass
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        return list(self._pool.map(fn, items))
 
     def close(self) -> None:
         pool, self._pool = self._pool, None
@@ -283,56 +125,16 @@ class _PoolExecutor(Executor):
             pool.shutdown(wait=True)
 
 
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool dispatch; effective because NumPy kernels drop the GIL."""
-
-    name = "thread"
-
-    def _default_workers(self) -> int:
-        return min(32, os.cpu_count() or 1)
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool dispatch (fork-based); items and results are pickled.
-
-    When :mod:`repro.obs` tracing is enabled, ``map`` items are metered:
-    each worker captures the metrics and spans its item produced and
-    ships them back inside the result envelope, which the parent merges
-    into the active registry/tracer (per-worker ledgers included).
-    Worker telemetry therefore stops vanishing at the process boundary
-    — at the cost of one registry/tracer swap per item, which is why
-    metering stays off for untraced maps.  ``submit`` (the
-    resilience-executor path) is not metered; spans recorded there are
-    counted by ``obs.spans.dropped``.
-    """
-
-    name = "process"
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _map(self, fn: Callable[..., Any], items: Sequence[Any]) -> list[Any]:
-        tracer = _obs.get_tracer()
-        if len(items) <= 1 or not tracer.enabled:
-            return super()._map(fn, items)
-        return _merge_metered(super()._map(_MeteredTask(fn), items), tracer)
-
-
 def make_executor(kind: str, workers: int | None = None) -> Executor:
-    """Factory keyed by name: ``"serial" | "thread" | "process"``.
+    """Factory keyed by name: ``"serial" | "thread"``.
 
-    Pool-backed executors returned here (and constructed directly) are
+    Thread executors returned here (and constructed directly) are
     tracked in a weak set and closed by an ``atexit`` hook, so callers
-    that cannot easily reach ``close()`` — contexts or engines that
-    build an executor from a kind string — do not leak workers.
+    that cannot easily reach ``close()`` — engines that build an
+    executor from a kind string — do not leak workers.
     """
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
         return ThreadExecutor(workers)
-    if kind == "process":
-        return ProcessExecutor(workers)
-    raise ValueError(f"unknown executor kind {kind!r} (serial|thread|process)")
+    raise ValueError(f"unknown executor kind {kind!r} (serial|thread)")

@@ -1,38 +1,29 @@
-"""Fault tolerance for parallel RNS inference.
+"""Fault tolerance for RNS inference.
 
-Three cooperating pieces (see ``docs/RESILIENCE.md``):
+Two cooperating pieces (see ``docs/RESILIENCE.md``):
 
 * :class:`RedundantBasis` — RRNS channel recovery: ``r`` redundant
-  moduli detect and correct a corrupted or dropped residue channel.
-* :class:`ResilientExecutor` + :class:`ResiliencePolicy` — hardened
-  dispatch: per-item timeouts, bounded retry with backoff, pool
-  recreation on breakage, and a process → thread → serial degradation
-  chain.
+  moduli detect and correct a corrupted or dropped residue channel of
+  the hybrid conv stage's integer pipeline.
 * :class:`FaultInjector` — seeded, deterministic fault source threaded
   through the stack's hooks so recovery can be proven end-to-end.
+
+The typed errors (:class:`ChannelIntegrityError`, :class:`ProtocolError`)
+let the protocol layer classify failures without parsing messages.
 """
 
 from repro.resilience.errors import (
     ChannelIntegrityError,
-    ExecutorExhaustedError,
-    ItemTimeoutError,
     ProtocolError,
     ResilienceError,
 )
-from repro.resilience.executor import ResilientExecutor
-from repro.resilience.faults import FaultInjector, InjectedFault
-from repro.resilience.policy import ResiliencePolicy
+from repro.resilience.faults import FaultInjector
 from repro.resilience.rrns import RedundantBasis
 
 __all__ = [
     "ResilienceError",
     "ChannelIntegrityError",
-    "ItemTimeoutError",
-    "ExecutorExhaustedError",
     "ProtocolError",
-    "ResilientExecutor",
-    "ResiliencePolicy",
     "FaultInjector",
-    "InjectedFault",
     "RedundantBasis",
 ]

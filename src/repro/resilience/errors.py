@@ -10,8 +10,6 @@ from __future__ import annotations
 __all__ = [
     "ResilienceError",
     "ChannelIntegrityError",
-    "ItemTimeoutError",
-    "ExecutorExhaustedError",
     "ProtocolError",
 ]
 
@@ -36,34 +34,6 @@ class ChannelIntegrityError(ResilienceError):
     def __init__(self, message: str, suspects: tuple[int, ...] = ()):
         super().__init__(message)
         self.suspects = tuple(suspects)
-
-
-class ItemTimeoutError(ResilienceError):
-    """One work item exceeded the policy's per-item timeout."""
-
-
-class ExecutorExhaustedError(ResilienceError):
-    """Every retry and every fallback executor failed for some items.
-
-    Parameters
-    ----------
-    message:
-        Summary of the exhausted chain.
-    failed_items:
-        Indices (into the original ``map`` item list) still failing.
-    last_error:
-        The most recent underlying exception, for diagnosis.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        failed_items: tuple[int, ...] = (),
-        last_error: BaseException | None = None,
-    ):
-        super().__init__(message)
-        self.failed_items = tuple(failed_items)
-        self.last_error = last_error
 
 
 class ProtocolError(ResilienceError):

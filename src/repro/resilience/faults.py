@@ -7,11 +7,10 @@ stack exposes:
 * ``apply_channel_faults`` — corrupt one residue channel (or drop it to
   ``None``) after the parallel per-channel map, exercising RRNS
   detection/recovery in :class:`repro.resilience.RedundantBasis`.
-* ``wrap_worker`` — wrap the per-item callable dispatched by
-  :class:`repro.resilience.ResilientExecutor` so a chosen item raises,
-  sleeps, or SIGKILLs its process worker.  The fault count is consumed
-  at *wrap* time, in the parent, so a retry of the same item runs clean
-  — which is exactly what makes recovery observable.
+* ``take_cluster_kills`` — hand a cluster worker an explicit schedule
+  of batches at which it SIGKILLs itself.  The fault count is consumed
+  at spawn time, in the parent, so a respawned worker runs clean —
+  which is exactly what makes recovery observable.
 * ``next_scale`` / ``apply_ciphertext_faults`` — perturb a ciphertext's
   tracked scale or flip residue limbs inside backend ``encrypt`` /
   ``rescale``, exercising the bookkeeping checks and the protocol
@@ -23,67 +22,13 @@ the same way produce bitwise-identical corruption.
 
 from __future__ import annotations
 
-import os
-import signal
-import time
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.obs.metrics import get_registry
 
-__all__ = ["InjectedFault", "FaultInjector"]
-
-
-class InjectedFault(RuntimeError):
-    """Raised by a worker that was deliberately failed by the harness."""
-
-
-class _RaisingCall:
-    """Picklable wrapper that raises :class:`InjectedFault` instead of running."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def __call__(self, item: Any) -> Any:
-        raise InjectedFault("injected worker exception")
-
-
-class _KillCall:
-    """Picklable wrapper that SIGKILLs its own process before running.
-
-    In a thread pool (same PID as the parent) this degenerates to an
-    :class:`InjectedFault` so the harness never kills the test process.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def __call__(self, item: Any) -> Any:
-        if os.getpid() != _KillCall.parent_pid:
-            os.kill(os.getpid(), signal.SIGKILL)
-        raise InjectedFault("injected worker kill (thread/serial fallback)")
-
-
-_KillCall.parent_pid = os.getpid()
-
-
-class _DelayCall:
-    """Picklable wrapper that sleeps before running (for timeout tests)."""
-
-    __slots__ = ("fn", "seconds")
-
-    def __init__(self, fn: Callable[[Any], Any], seconds: float):
-        self.fn = fn
-        self.seconds = seconds
-
-    def __call__(self, item: Any) -> Any:
-        time.sleep(self.seconds)
-        return self.fn(item)
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -99,7 +44,6 @@ class FaultInjector:
         self.rng = np.random.default_rng(seed)
         self.events: list[tuple[str, Any]] = []
         self._channel_faults: list[dict] = []
-        self._worker_faults: list[dict] = []
         self._scale_faults: list[dict] = []
         self._ct_faults: list[dict] = []
         self._cluster_faults: list[dict] = []
@@ -114,26 +58,6 @@ class FaultInjector:
         ``channel=None`` picks a seeded-random channel each firing.
         """
         self._channel_faults.append({"channel": channel, "times": times, "drop": drop})
-        return self
-
-    def fail_worker(
-        self,
-        item: int,
-        mode: str = "exception",
-        times: int = 1,
-        delay: float = 0.5,
-    ) -> "FaultInjector":
-        """Fail work item *item* on its next ``times`` dispatches.
-
-        ``mode`` is ``"exception"`` (raise :class:`InjectedFault`),
-        ``"kill"`` (SIGKILL the process worker → ``BrokenProcessPool``),
-        or ``"delay"`` (sleep ``delay`` seconds → per-item timeout).
-        """
-        if mode not in ("exception", "kill", "delay"):
-            raise ValueError(f"unknown worker fault mode {mode!r}")
-        self._worker_faults.append(
-            {"item": item, "mode": mode, "times": times, "delay": delay}
-        )
         return self
 
     def perturb_scale(self, factor: float = 1.5, times: int = 1) -> "FaultInjector":
@@ -152,8 +76,7 @@ class FaultInjector:
         """SIGKILL cluster worker *worker* as it starts its ``on_batch``-th batch.
 
         ``worker=None`` matches any worker (the first one spawned claims
-        the kill).  Following the :meth:`wrap_worker` idiom, the budget
-        is consumed **parent-side** — the pool calls
+        the kill).  The budget is consumed **parent-side** — the pool calls
         :meth:`take_cluster_kills` at spawn time and ships the child an
         explicit batch-number schedule — so a *respawned* worker comes
         back clean instead of re-inheriting the armed fault and dying
@@ -202,26 +125,6 @@ class FaultInjector:
             outs[ch] = (np.asarray(outs[ch]) + offset) % m
             self._fire("channel.corrupt", (ch, offset))
         return outs
-
-    def wrap_worker(
-        self, fn: Callable[[Any], Any], item_index: int, attempt: int
-    ) -> Callable[[Any], Any]:
-        """Dispatch hook: maybe replace ``fn`` for one (item, attempt).
-
-        The fault budget is consumed here, parent-side, so the wrapper
-        itself stays trivially picklable and retries run clean.
-        """
-        for fault in self._worker_faults:
-            if fault["times"] <= 0 or fault["item"] != item_index:
-                continue
-            fault["times"] -= 1
-            self._fire(f"worker.{fault['mode']}", (item_index, attempt))
-            if fault["mode"] == "exception":
-                return _RaisingCall(fn)
-            if fault["mode"] == "kill":
-                return _KillCall(fn)
-            return _DelayCall(fn, fault["delay"])
-        return fn
 
     def next_scale(self, scale: float) -> float:
         """Backend hook: perturb a freshly tracked ciphertext scale."""

@@ -3,8 +3,9 @@
 All functions take a residue stack of shape ``(k, ...)`` (as produced by
 :func:`repro.rns.decompose.rns_decompose`) and apply the ring operation
 channel by channel.  Channels are independent — exactly the property the
-paper exploits for parallelism — so each loop iteration below can also be
-dispatched through :mod:`repro.parallel` executors.
+paper exploits for parallelism.  The place that runs channels concurrently
+is the hybrid conv stage (:mod:`repro.henn.rnscnn`), through a
+:mod:`repro.parallel` executor; these helpers loop serially.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ workers** behind the :class:`~repro.serving.scheduler.BatchingScheduler`:
 
 * :class:`WorkerPool` owns N engine workers.  Each worker is a forked
   process that builds its engine on spawn (plan compile = warm-up,
-  optionally against a shared-memory plaintext cache packed once by the
-  parent via :mod:`repro.parallel.shm`), answers batches over a duplex
-  pipe, and reports liveness through heartbeat pings.  The pool watches
+  against whatever plaintext cache the fork inherited from the
+  parent's backend), answers batches over a duplex pipe, and reports
+  liveness through heartbeat pings.  The pool watches
   every worker two ways — a receiver thread per pipe (broken pipe /
   EOF = death) and a heartbeat thread (``is_alive`` + idle pings) — and
   respawns dead workers in the background.
@@ -20,8 +20,8 @@ workers** behind the :class:`~repro.serving.scheduler.BatchingScheduler`:
   successful batches (exported as ``cluster.worker.health`` gauges).
   Robustness is the contract: a worker killed mid-batch never drops a
   future — the in-flight batch is requeued onto a survivor with a
-  bounded retry budget (:class:`~repro.resilience.ResiliencePolicy`
-  semantics: seeded backoff, bounded attempts), and if the *whole* pool
+  bounded retry budget (:data:`FAILOVER_MAX_RETRIES` attempts with
+  seeded exponential backoff), and if the *whole* pool
   is lost the dispatcher degrades to serial in-process evaluation
   through the owner's fallback callable.
 
@@ -64,10 +64,7 @@ try:  # pragma: no cover - platform guard
 except ImportError:  # pragma: no cover
     _mp = None  # type: ignore[assignment]
 
-import numpy as np
-
 from repro.obs.metrics import get_registry
-from repro.resilience.policy import ResiliencePolicy
 from repro.serving.errors import (
     ClusterUnavailableError,
     SchedulerClosedError,
@@ -79,7 +76,6 @@ __all__ = [
     "WorkerPool",
     "Dispatcher",
     "ClusterWorker",
-    "share_plan_cache",
     "WORKER_STATES",
 ]
 
@@ -100,85 +96,24 @@ RESPAWN_MAX_ATTEMPTS = 3
 #: Longest one batch may wait for a free worker before the dispatcher
 #: answers with retryable overload backpressure.
 DISPATCH_TIMEOUT_S = 60.0
+#: Failover budget: extra dispatch attempts per batch after worker losses.
+FAILOVER_MAX_RETRIES = 2
+#: Backoff before failover attempt ``a``:
+#: ``min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2**(a-1))``, scaled by a jitter
+#: of ``1 ± BACKOFF_JITTER`` drawn from an RNG seeded with 0.
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+BACKOFF_JITTER = 0.1
 
 
 def _count(event: str, n: int = 1) -> None:
     get_registry().counter(f"cluster.{event}").inc(n)
 
 
-# ------------------------------------------------------------------ shared cache
-
-
-def share_plan_cache(cache: Any) -> tuple[Any, dict | None]:
-    """Pack a plan's :class:`~repro.henn.backend.EncodedTaps` arrays into shm.
-
-    Walks *cache* (a :class:`~repro.utils.cache.PlaintextCache`) and
-    copies the NumPy payload of every encoded-taps entry — its float
-    weights — into **one** :class:`~repro.parallel.shm.ShmArena`
-    segment.  Returns ``(arena, refs)`` where *refs* is a picklable description each
-    worker rebuilds into a warm cache of zero-copy views via
-    :func:`rebuild_plan_cache` — the whole pool then shares a single
-    physical copy of the encoded model instead of N.
-
-    Returns ``(None, None)`` when shared memory is unavailable or the
-    cache holds nothing shareable; workers then simply recompile their
-    own encodings (correct, just not shared).
-    """
-    from repro.henn.backend import EncodedTaps
-    from repro.parallel import shm as _shm
-
-    if cache is None or not _shm.shm_available():
-        return None, None
-    arrays: dict[str, np.ndarray] = {}
-    entries: list[tuple[Any, dict]] = []
-    with cache._lock:
-        items = list(cache._store.items())
-    for i, (key, value) in enumerate(items):
-        if not isinstance(value, EncodedTaps):
-            continue
-        meta: dict[str, Any] = {
-            "plain_scale": float(value.plain_scale),
-            "consts": list(value.consts),
-            "keep": list(value.keep),
-            "weights": f"w{i}",
-        }
-        arrays[f"w{i}"] = np.asarray(value.weights)
-        entries.append((key, meta))
-    if not entries:
-        return None, None
-    try:
-        arena = _shm.ShmArena(arrays)
-    except Exception:
-        return None, None
-    refs = {
-        "entries": [
-            (key, {**meta, "weights": arena.refs[meta["weights"]]})
-            for key, meta in entries
-        ]
-    }
-    _count("shared_cache.entries", len(entries))
-    _count("shared_cache.bytes", arena.nbytes)
-    return arena, refs
-
-
-def rebuild_plan_cache(refs: dict | None) -> Any:
-    """Worker side of :func:`share_plan_cache`: refs -> warm cache of views."""
-    from repro.henn.backend import EncodedTaps
-    from repro.parallel.shm import resolve
-    from repro.utils.cache import PlaintextCache
-
-    cache = PlaintextCache()
-    if not refs:
-        return cache
-    for key, meta in refs["entries"]:
-        enc = EncodedTaps(
-            plain_scale=meta["plain_scale"],
-            weights=resolve(meta["weights"]),
-            consts=list(meta["consts"]),
-            keep=list(meta["keep"]),
-        )
-        cache.get_or_encode(key, lambda e=enc: e)
-    return cache
+def _backoff_delay(attempt: int, rng: random.Random) -> float:
+    """Sleep before failover *attempt* (1-based), jittered deterministically."""
+    base = min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2.0 ** (attempt - 1))
+    return base * (1.0 + BACKOFF_JITTER * rng.uniform(-1.0, 1.0))
 
 
 # ------------------------------------------------------------------ worker child
@@ -190,7 +125,7 @@ def _worker_main(index: int, conn: Any, engine_factory: Callable[[], Any],
 
     First act: install a *fresh* metrics registry and RNG-free state so
     a lock the parent held at fork time can never deadlock the child.
-    The engine build (plan compile against the shared cache) is the
+    The engine build (plan compile against the inherited cache) is the
     per-worker warm-up; ``("ready", ...)`` is only sent once it is done,
     so the pool's ``warming`` state covers the whole expensive part.
 
@@ -401,7 +336,6 @@ class WorkerPool:
         max_inflight: int = 1,
         respawn: bool = True,
         fault_injector: Any | None = None,
-        shared_cache_refs: dict | None = None,
         name: str = "cluster",
     ):
         if size < 1:
@@ -413,7 +347,6 @@ class WorkerPool:
         self.max_inflight = int(max_inflight)
         self.respawn = respawn
         self.fault_injector = fault_injector
-        self.shared_cache_refs = shared_cache_refs
         self.name = name
         self.cond = threading.Condition()
         self.workers = [ClusterWorker(i) for i in range(self.size)]
@@ -449,15 +382,12 @@ class WorkerPool:
         if self._ctx is None:
             raise ClusterUnavailableError("multiprocessing unavailable")
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        factory = self.engine_factory
-        if self.shared_cache_refs is not None:
-            factory = _SharedCacheFactory(factory, self.shared_cache_refs)
         kill_batches: list[int] = []
         if self.fault_injector is not None:
             kill_batches = self.fault_injector.take_cluster_kills(worker.index)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker.index, child_conn, factory, kill_batches),
+            args=(worker.index, child_conn, self.engine_factory, kill_batches),
             name=f"{self.name}-worker-{worker.index}",
             daemon=True,
         )
@@ -829,7 +759,6 @@ class WorkerPool:
                 and all(w.state == "dead" for w in self.workers)
                 or len(self._abandoned) >= self.size,
                 "max_inflight": self.max_inflight,
-                "shared_cache": self.shared_cache_refs is not None,
                 "workers": [w.describe() for w in self.workers],
             }
 
@@ -837,20 +766,6 @@ class WorkerPool:
     def closed(self) -> bool:
         with self.cond:
             return self._closed
-
-
-class _SharedCacheFactory:
-    """Engine factory wrapper resolving the shm plan cache in the child."""
-
-    __slots__ = ("factory", "refs")
-
-    def __init__(self, factory: Callable[[], Any], refs: dict):
-        self.factory = factory
-        self.refs = refs
-
-    def __call__(self) -> Any:
-        cache = rebuild_plan_cache(self.refs)
-        return self.factory(cache)
 
 
 class Dispatcher:
@@ -866,11 +781,9 @@ class Dispatcher:
         degradation tier.  ``None`` fails such batches with the
         retryable :class:`~repro.serving.errors.ClusterUnavailableError`.
 
-    The failover budget is :attr:`policy`: ``max_retries`` extra
-    dispatch attempts per batch after a worker loss, with the policy's
-    seeded backoff between attempts (reusing
-    :class:`~repro.resilience.ResiliencePolicy` exactly as the
-    channel-level executor does).
+    The failover budget is :data:`FAILOVER_MAX_RETRIES` extra dispatch
+    attempts per batch after a worker loss, with seeded exponential
+    backoff (:func:`_backoff_delay`) between attempts.
     """
 
     def __init__(
@@ -880,10 +793,9 @@ class Dispatcher:
         fallback: Callable[[Sequence[Any], Sequence[int]], Sequence[Any]] | None = None,
     ):
         self.pool = pool
-        self.policy = ResiliencePolicy(max_retries=2)
         self.fallback = fallback
         self._job_ids = itertools.count(1)
-        self._rng = random.Random(self.policy.seed)
+        self._rng = random.Random(0)
         self._degraded = False
         pool.on_job_orphaned = self._on_orphaned
 
@@ -964,7 +876,7 @@ class Dispatcher:
         capacity.
         """
         job.attempts += 1
-        if job.attempts > self.policy.max_retries:
+        if job.attempts > FAILOVER_MAX_RETRIES:
             _count("failovers.exhausted")
             job.future.set_exception(
                 WorkerLostError(
@@ -979,7 +891,7 @@ class Dispatcher:
 
     def _redispatch(self, job: _Job) -> None:
         t0 = time.perf_counter()
-        time.sleep(self.policy.backoff_delay(job.attempts, self._rng))
+        time.sleep(_backoff_delay(job.attempts, self._rng))
         self._assign(job, first=False)
         # The failover stage covers backoff + reassignment — the extra
         # latency the worker loss added before evaluation restarted.

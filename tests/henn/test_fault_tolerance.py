@@ -18,13 +18,7 @@ from repro.henn.hybrid import HybridRnsEngine
 from repro.henn.protocol import Client, CloudService, ServiceError
 from repro.nn import TrainConfig, Trainer
 from repro.obs.metrics import get_registry
-from repro.resilience import (
-    ChannelIntegrityError,
-    FaultInjector,
-    ProtocolError,
-    ResiliencePolicy,
-    ResilientExecutor,
-)
+from repro.resilience import ChannelIntegrityError, FaultInjector, ProtocolError
 
 pytestmark = pytest.mark.faults
 
@@ -95,46 +89,6 @@ def test_unrecoverable_corruption_is_typed(setup):
     )
     with pytest.raises(ChannelIntegrityError):
         engine.classify(x[:8])
-
-
-def test_killed_worker_with_resilient_executor(setup, clean_logits):
-    """A killed conv-stage worker degrades process -> thread and the
-    classification completes with identical logits.
-
-    (The conv closure cannot cross a process boundary anyway, which is
-    itself a dispatch fault the chain must absorb — both failure modes
-    end at the same recovered result.)
-    """
-    _, layers, x, _ = setup
-    reg = get_registry()
-    faults0 = reg.counter("resilience.faults_detected").value
-    inj = FaultInjector(seed=7).fail_worker(item=1, mode="exception", times=1)
-    policy = ResiliencePolicy(max_retries=1, backoff_base=0.001, degrade=("thread", "serial"))
-    with ResilientExecutor(primary="process", workers=2, policy=policy, injector=inj) as ex:
-        engine = HybridRnsEngine(
-            _mock(layers), layers, (1, 12, 12), k_moduli=3, redundancy=2, executor=ex
-        )
-        logits = engine.classify(x[:8])
-    assert np.allclose(logits, clean_logits, atol=1e-9)
-    assert reg.counter("resilience.faults_detected").value > faults0
-
-
-def test_worker_loss_as_erasure_feeds_rrns(setup, clean_logits):
-    """An exhausted item surfaces as None (erasure) and RRNS reconstructs
-    the conv output from the surviving channels."""
-    _, layers, x, _ = setup
-    inj = FaultInjector(seed=8).fail_worker(item=4, mode="exception", times=99)
-    policy = ResiliencePolicy(
-        max_retries=1, backoff_base=0.001, degrade=(), on_exhausted="none"
-    )
-    with ResilientExecutor(primary="serial", policy=policy, injector=inj) as ex:
-        engine = HybridRnsEngine(
-            _mock(layers), layers, (1, 12, 12), k_moduli=3, redundancy=2,
-            executor=ex, fault_injector=inj,
-        )
-        logits = engine.classify(x[:8])
-    assert engine.last_faults == [4]
-    assert np.allclose(logits, clean_logits, atol=1e-9)
 
 
 def test_protocol_retry_after_scale_fault(setup):
@@ -229,13 +183,10 @@ def test_error_responses_leak_no_plaintext(setup):
 
 def test_sanitizer_vocabulary():
     from repro.henn.protocol import _sanitize
-    from repro.resilience import ExecutorExhaustedError, ItemTimeoutError
 
     secret = "secret-value-3.14159"
     cases = [
         (ChannelIntegrityError(secret), "integrity", True),
-        (ExecutorExhaustedError(secret), "compute", True),
-        (ItemTimeoutError(secret), "compute", True),
         (ValueError(secret), "state", True),
         (RuntimeError(secret), "internal", False),
     ]

@@ -11,13 +11,16 @@ environment variables ``src/`` may read are the two deployment settings
 (cache directory, benchmark preset).  The same rule one level up: the
 ``HeBackend`` interface is implemented by the three schemes and nothing
 else (a serving wrapper would be a fourth copy of every method), and
-every name ``repro.serving`` exports is used by code outside ``tests/``.
+every name ``repro.serving``, ``repro.parallel`` or ``repro.resilience``
+exports is used by code outside ``tests/``.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 CALL_SITE_DIRS = ("src", "tools", "benchmarks", "examples", "tests")
@@ -209,8 +212,9 @@ def test_hebackend_is_implemented_by_the_three_schemes_only():
     assert family - {"HeBackend"} == BACKENDS
 
 
-def test_every_serving_export_is_referenced_outside_tests():
-    package = ROOT / "src" / "repro" / "serving" / "__init__.py"
+def _unreferenced_exports(package_name: str) -> list[str]:
+    """Names in ``repro.<package_name>.__all__`` no code outside tests uses."""
+    package = ROOT / "src" / "repro" / package_name / "__init__.py"
     (exported,) = [
         ast.literal_eval(node.value)
         for node in ast.parse(package.read_text()).body
@@ -225,7 +229,16 @@ def test_every_serving_export_is_referenced_outside_tests():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert sorted(set(exported) - used) == []
+    return sorted(set(exported) - used)
+
+
+def test_every_serving_export_is_referenced_outside_tests():
+    assert _unreferenced_exports("serving") == []
+
+
+@pytest.mark.parametrize("package_name", ["parallel", "resilience"])
+def test_every_export_is_referenced_outside_tests(package_name):
+    assert _unreferenced_exports(package_name) == []
 
 
 # -- one linear-map executor, no plan switch ------------------------------------
@@ -271,3 +284,27 @@ def test_linear_maps_have_one_reference_and_one_planned_spelling():
     assert calls["weighted_sum"] == ["layers.py"]  # the reference forward
     for composite in ("weighted_sum_encoded", "rescale_many", "add_plain_each"):
         assert calls[composite] == ["plan.py"], composite
+
+
+# -- one way to run residue channels ----------------------------------------------
+
+
+def test_residue_channels_run_serial_or_on_threads_only():
+    """The executors are the serial reference and a thread pool; no
+    process pool or shared-memory segment comes back under ``src/``."""
+    imported: set[str] = set()
+    executors: set[str] = set()
+    for _, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(f"{node.module}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.ClassDef) and "Executor" in _base_names(node):
+                executors.add(node.name)
+    assert executors == {"SerialExecutor", "ThreadExecutor"}
+    assert not {
+        name
+        for name in imported
+        if "shared_memory" in name or name.endswith("ProcessPoolExecutor")
+    }

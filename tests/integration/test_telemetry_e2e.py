@@ -1,11 +1,11 @@
-"""Acceptance: traced encrypted classification over a process pool.
+"""Acceptance: traced encrypted classification over a thread pool.
 
-The serving-telemetry contract end to end — one CNN1 hybrid classify
+The telemetry contract end to end — one CNN1 hybrid classify
 (:class:`~repro.henn.hybrid.HybridRnsEngine`: the conv stage's residue
-channels on a process-pool executor, the tail on CKKS-RNS) must leave
-behind a merged metrics report carrying worker-side counters (channel
-span counts shipped home through the metered map), the shm dispatch
-counters, and per-layer ciphertext health gauges.
+channels on a :class:`~repro.parallel.ThreadExecutor`, the tail on
+CKKS-RNS) must leave behind one ``rnscnn.channel`` span per residue
+channel, one ``parallel.thread.map`` dispatch carrying all of them, and
+per-layer ciphertext health gauges in the rendered report.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.henn.hybrid import HybridRnsEngine
 from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.report import render_report
-from repro.parallel import ProcessExecutor
+from repro.parallel import ThreadExecutor
 
 
 @pytest.fixture()
@@ -54,27 +54,22 @@ def _pool_engine(executor):
 
 def test_traced_pool_classify_yields_merged_telemetry(fresh_registry):
     images = np.random.default_rng(1).uniform(0, 1, (2, 1, 6, 6))
-    with ProcessExecutor(workers=2) as ex:
+    with ThreadExecutor(workers=2) as ex:
         engine = _pool_engine(ex)
+        k = engine.k_moduli
         with obs.tracing(metrics=fresh_registry) as tracer:
             logits = engine.classify(images)
     assert logits.shape == (2, 10)
 
     names = fresh_registry.names()
 
-    # shm dispatch path was exercised and counted
-    assert fresh_registry.counter("parallel.shm.dispatches").value > 0
-    assert fresh_registry.counter("parallel.shm.items").value > 0
-
-    # worker-side channel span counts came home through the metered map
-    ledgers = fresh_registry.per_worker()
-    assert ledgers, "process-pool workers shipped no metric deltas"
-    shipped = set()
-    for ledger in ledgers.values():
-        shipped.update(ledger)
-    assert any(k.startswith("span.rnscnn.channel") for k in shipped), sorted(shipped)
-    # and the merged totals include those same counters
-    assert any(n.startswith("span.rnscnn.channel") for n in names)
+    # one thread dispatch per forward, carrying every residue channel
+    assert fresh_registry.counter("parallel.thread.map.calls").value == 1
+    assert fresh_registry.counter("parallel.thread.map.items").value == k
+    # each channel ran as its own span, recorded from the worker threads
+    channels = [sp for sp in tracer.finished() if sp.name == "rnscnn.channel"]
+    assert len(channels) == k
+    assert fresh_registry.counter("span.rnscnn.channel.calls").value == k
 
     # per-layer ciphertext health gauges, labelled by layer + backend
     for layer in ("HePoly", "HeLinear"):
@@ -85,8 +80,7 @@ def test_traced_pool_classify_yields_merged_telemetry(fresh_registry):
     assert fresh_registry.gauge("henn.ct.noise_margin_bits").value > 0
     assert fresh_registry.counter("henn.ct.sampled").value > 0
 
-    # the rendered report shows both the merged and the per-worker view
+    # the rendered report shows the channel spans and the health gauges
     report = render_report(tracer, metrics=fresh_registry)
-    assert "per-worker metrics" in report
+    assert "rnscnn.channel" in report
     assert "henn.ct.level" in report
-    assert any(w in report for w in ledgers)

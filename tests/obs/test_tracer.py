@@ -148,3 +148,21 @@ def test_absorb_merges_foreign_spans():
     assert [s.name for s in b.finished()] == ["from_a"]
     b.clear()
     assert b.finished() == []
+
+
+def test_dropped_span_counted_in_process():
+    """A tracer inherited by a forked worker refuses to record, and
+    counts the loss in the worker's registry (whose delta ships home)."""
+    from repro.obs.metrics import get_registry, set_registry
+
+    prev = get_registry()
+    reg = set_registry(MetricsRegistry())
+    try:
+        tracer = Tracer()
+        tracer._pid = -1  # as if this tracer had been copied by fork()
+        with tracer.span("lost.span"):
+            pass
+        assert tracer.finished() == []
+        assert reg.counter("obs.spans.dropped").value == 1
+    finally:
+        set_registry(prev)

@@ -3,22 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    interleave,
-    make_executor,
-    shard_indices,
-)
+from repro.parallel import SerialExecutor, ThreadExecutor, make_executor
 
 
 def _square(x):
     return x * x
-
-
-def _add(a, b):
-    return a + b
 
 
 @pytest.mark.parametrize("kind", ["serial", "thread"])
@@ -28,29 +17,11 @@ def test_map_order_preserved(kind):
     assert out == [i * i for i in range(20)]
 
 
-def test_process_executor():
-    with ProcessExecutor(workers=2) as ex:
-        out = ex.map(_square, [1, 2, 3, 4])
-    assert out == [1, 4, 9, 16]
-
-
 def test_single_item_short_circuit():
     ex = ThreadExecutor(workers=2)
     assert ex.map(_square, [7]) == [49]
     assert ex._pool is None  # no pool spun up for one item
     ex.close()
-
-
-def test_starmap():
-    with SerialExecutor() as ex:
-        assert ex.starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
-
-
-def test_process_executor_starmap():
-    """Regression: starmap must not wrap fn in a lambda — process pools
-    pickle the callable, so the adapter has to be a module-level class."""
-    with ProcessExecutor(workers=2) as ex:
-        assert ex.starmap(_add, [(1, 2), (3, 4), (5, 6)]) == [3, 7, 11]
 
 
 def test_executors_agree_on_numpy_work(rng):
@@ -69,6 +40,8 @@ def test_executors_agree_on_numpy_work(rng):
 def test_make_executor_unknown():
     with pytest.raises(ValueError):
         make_executor("gpu")
+    with pytest.raises(ValueError):
+        make_executor("process")
 
 
 def test_close_idempotent():
@@ -78,28 +51,19 @@ def test_close_idempotent():
     ex.close()
 
 
-def test_shard_indices_balanced():
-    shards = shard_indices(10, 3)
-    assert [len(s) for s in shards] == [4, 3, 3]
-    assert sorted(i for s in shards for i in s) == list(range(10))
-    assert shard_indices(2, 5) == [[0], [1]]
-    assert shard_indices(0, 3) == [[]]
-    with pytest.raises(ValueError):
-        shard_indices(-1, 2)
-    with pytest.raises(ValueError):
-        shard_indices(5, 0)
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    """A ``taskset``-pinned process gets one thread per allowed core,
+    not one per core of the machine."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert ThreadExecutor().workers == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert ThreadExecutor().workers == 32  # capped
 
 
-def test_interleave_inverse_of_sharding():
-    shards = shard_indices(11, 4)
-    results = [[i * 10 for i in s] for s in shards]
-    flat = interleave(results, shards, 11)
-    assert flat == [i * 10 for i in range(11)]
-    with pytest.raises(ValueError):
-        interleave([[1, 2]], [[0]], 2)
-
-
-# -- pool lifecycle regressions (resilience satellites) ----------------------
+# -- pool lifecycle regressions ----------------------------------------------
 
 
 def _raise_on_three(x):
@@ -108,14 +72,7 @@ def _raise_on_three(x):
     return x * x
 
 
-def _kill_self(x):
-    import os
-    import signal
-
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-@pytest.mark.parametrize("kind", ["thread", "process"])
+@pytest.mark.parametrize("kind", ["thread"])
 def test_map_after_raising_map_still_works(kind):
     """Regression: a worker exception must not leave a dead pool cached —
     the next map has to run, not re-raise a stale error."""
@@ -123,43 +80,6 @@ def test_map_after_raising_map_still_works(kind):
         with pytest.raises(ValueError):
             ex.map(_raise_on_three, [1, 2, 3, 4])
         assert ex.map(_square, [5, 6, 7]) == [25, 36, 49]
-
-
-@pytest.mark.faults
-def test_map_after_broken_process_pool_recovers():
-    """A SIGKILLed worker breaks the pool; the executor must discard it
-    and serve the next map from a fresh one."""
-    from concurrent.futures import BrokenExecutor
-
-    with ProcessExecutor(workers=2) as ex:
-        with pytest.raises(BrokenExecutor):
-            ex.map(_kill_self, [1, 2, 3])
-        assert ex._pool is None  # broken pool was discarded
-        assert ex.map(_square, [2, 3]) == [4, 9]
-
-
-def test_reset_is_idempotent_and_nonblocking():
-    ex = ThreadExecutor(workers=2)
-    assert ex.map(_square, [1, 2]) == [1, 4]
-    ex.reset()
-    ex.reset()
-    assert ex._pool is None
-    assert ex.map(_square, [3, 4]) == [9, 16]  # lazily recreated
-    ex.close()
-
-
-def test_close_after_reset_idempotent():
-    ex = ProcessExecutor(workers=1)
-    assert ex.map(_square, [1, 2]) == [1, 4]
-    ex.reset()
-    ex.close()
-    ex.close()
-
-
-def test_submit_single_item():
-    with ThreadExecutor(workers=2) as ex:
-        fut = ex.submit(_square, 9)
-        assert fut.result(timeout=30) == 81
 
 
 def test_pool_executors_registered_for_atexit():

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.henn.backend import MockBackend
-from repro.resilience import FaultInjector, InjectedFault
-
-
-def _noop(x):
-    return x
+from repro.resilience import FaultInjector
 
 
 def test_seeded_determinism():
@@ -43,22 +39,6 @@ def test_channel_drop_marks_erasure():
     faulted = inj.apply_channel_faults(outs, [97, 101])
     assert faulted[0] is None
     assert inj.summary() == {"channel.drop": 1}
-
-
-def test_wrap_worker_consumes_budget_parent_side():
-    inj = FaultInjector(seed=0).fail_worker(item=2, mode="exception", times=1)
-    wrapped = inj.wrap_worker(_noop, item_index=2, attempt=1)
-    with pytest.raises(InjectedFault):
-        wrapped("payload")
-    # Budget was consumed at wrap time: the retry dispatch runs clean.
-    clean = inj.wrap_worker(_noop, item_index=2, attempt=2)
-    assert clean is _noop
-    assert inj.wrap_worker(_noop, item_index=0, attempt=1) is _noop
-
-
-def test_invalid_worker_mode_rejected():
-    with pytest.raises(ValueError):
-        FaultInjector().fail_worker(item=0, mode="meteor")
 
 
 def test_scale_perturbation_trips_mock_bookkeeping():

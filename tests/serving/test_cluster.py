@@ -297,6 +297,19 @@ def test_pool_rejects_bad_sizes():
         WorkerPool(_trivial_engine_factory, size=1, max_inflight=0)
 
 
+def test_failover_backoff_is_seeded_and_capped():
+    import random
+
+    from repro.serving.cluster import BACKOFF_JITTER, BACKOFF_MAX_S, _backoff_delay
+
+    a = [_backoff_delay(i, random.Random(3)) for i in range(1, 12)]
+    b = [_backoff_delay(i, random.Random(3)) for i in range(1, 12)]
+    assert a == b
+    assert a[1] > a[0]  # exponential before the cap
+    assert all(d <= BACKOFF_MAX_S * (1 + BACKOFF_JITTER) for d in a)
+    assert a[-1] >= BACKOFF_MAX_S * (1 - BACKOFF_JITTER)
+
+
 def test_shed_policy_reaches_cluster_gateway(layers, images):
     """The cluster gateway's admission walks the tiered ladder: with a
     zero-capacity-style policy every submit sheds hard."""
