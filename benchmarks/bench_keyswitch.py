@@ -1,28 +1,23 @@
-"""Keyswitch strategies on the SLAF tail: eager vs lazy, swept over α.
+"""Key switching on the SLAF tail, swept over α.
 
 One SLAF evaluation per degree 2..8 on both real schemes — CKKS-RNS
 over ``RNS_POSITIONS`` ciphertexts batched through one program
 (``poly_eval_many``, the ``(k, B, n)`` stack the encrypted tail runs),
-multiprecision CKKS over one — with two relinearisation strategies:
+multiprecision CKKS over one.  The interpreter is lazy: products stay
+in degree-2/3 extended space and each block sum relinearises once,
+post-rescale (``program.relins ~ sqrt(d)`` sweeps, against the
+``program.ct_mults ~ 2*sqrt(d)`` of relinearising every product).
 
-* **eager** — every ciphertext product keyswitches immediately
-  (``program.ct_mults ~ 2*sqrt(d)`` sweeps);
-* **lazy** — products stay in degree-2/3 extended space and each block
-  sum relinearises once, post-rescale (``program.relins ~ sqrt(d)``
-  sweeps).
-
-CKKS-RNS runs both strategies at α = 1 (one 49-bit special prime, the
-one-prime-per-digit gadget) and the default strategy, lazy, at
-α ∈ {2, 3, 4} 36-bit special primes (hybrid key switching,
-``docs/KERNELS.md``): ``⌈k/α⌉·(k+α)`` lifted-digit transforms per sweep
-instead of ``k·(k+1)``.
+CKKS-RNS runs at α = 1 (one 49-bit special prime, the
+one-prime-per-digit gadget) and at α ∈ {2, 3, 4} 36-bit special primes
+(hybrid key switching, ``docs/KERNELS.md``): ``⌈k/α⌉·(k+α)``
+lifted-digit transforms per sweep instead of ``k·(k+1)``.
 
 Every round encrypts a **fresh** ciphertext outside the timed region,
 as every request does.  ``relin.count`` is metered per round, must
 agree across rounds, and is recorded alongside the timings, so the
-sweep-count claim (lazy = ``program.relins``) is checked structurally,
-not by wall-clock.  See ``docs/KERNELS.md`` for the per-degree relin
-table.
+sweep-count claim (``program.relins``) is checked structurally, not by
+wall-clock.  See ``docs/KERNELS.md`` for the per-degree relin table.
 """
 
 import time
@@ -85,60 +80,50 @@ def _meter_eval(backend, rng, positions, coeffs):
     return secs, reg.counter("relin.count").value - relin0
 
 
-def _run_modes(backend, alpha, positions, modes):
-    """Benchmark every (mode, degree) cell on one backend.
+def _run_degrees(backend, alpha, positions):
+    """Benchmark every degree on one backend.
 
     Each cell keeps the best-of-ROUNDS wall time over fresh ciphertexts
     and the per-round sweep count, which every round must reproduce.
     """
     rows = []
     rng = np.random.default_rng(7)
-    for mode in modes:
-        backend.relin_mode = mode
-        for degree in DEGREES:
-            coeffs = _coeffs(degree)
-            rounds = [_meter_eval(backend, rng, positions, coeffs) for _ in range(ROUNDS)]
-            best = min(secs for secs, _ in rounds)
-            counts = {c for _, c in rounds}
-            assert len(counts) == 1, (
-                f"{backend.name}/{mode} degree {degree}: rounds disagree on "
-                f"relins: {sorted(counts)}"
-            )
-            (relins,) = counts
-            prog = compile_poly_program(degree)
-            expected = prog.relins if mode == "lazy" else prog.ct_mults
-            assert relins == expected, (
-                f"{backend.name}/{mode} degree {degree}: {relins} relins, "
-                f"expected {expected}"
-            )
-            rows.append([backend.name, alpha, mode, degree, positions, best, relins])
-    backend.relin_mode = "lazy"
+    for degree in DEGREES:
+        coeffs = _coeffs(degree)
+        rounds = [_meter_eval(backend, rng, positions, coeffs) for _ in range(ROUNDS)]
+        best = min(secs for secs, _ in rounds)
+        counts = {c for _, c in rounds}
+        assert len(counts) == 1, (
+            f"{backend.name} degree {degree}: rounds disagree on relins: {sorted(counts)}"
+        )
+        (relins,) = counts
+        prog = compile_poly_program(degree)
+        assert relins == prog.relins, (
+            f"{backend.name} degree {degree}: {relins} relins, expected {prog.relins}"
+        )
+        # The headline: never more sweeps than relinearising every product.
+        assert relins <= prog.ct_mults, (backend.name, degree)
+        rows.append([backend.name, alpha, degree, positions, best, relins])
     return rows
 
 
 def test_keyswitch_strategies(benchmark, ckks_backend):
-    rows = _run_modes(_rns_backend(1), 1, RNS_POSITIONS, ["eager", "lazy"])
-    for alpha in (2, 3, 4):
-        rows += _run_modes(_rns_backend(alpha), alpha, RNS_POSITIONS, ["lazy"])
-    rows += _run_modes(ckks_backend, "-", 1, ["eager", "lazy"])
+    rows = []
+    for alpha in ALPHAS:
+        rows += _run_degrees(_rns_backend(alpha), alpha, RNS_POSITIONS)
+    rows += _run_degrees(ckks_backend, "-", 1)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     results = {
-        f"{scheme}.a{alpha}.{mode}.d{degree}.seconds": secs
-        for scheme, alpha, mode, degree, _, secs, _ in rows
+        f"{scheme}.a{alpha}.lazy.d{degree}.seconds": secs
+        for scheme, alpha, degree, _, secs, _ in rows
     }
     save_record(
         "keyswitch",
-        ["scheme", "alpha", "mode", "degree", "positions", "seconds", "relins"],
+        ["scheme", "alpha", "degree", "positions", "seconds", "relins"],
         rows,
-        f"KEYSWITCH — eager vs lazy SLAF evaluation, alpha special primes "
+        f"KEYSWITCH — lazy SLAF evaluation, alpha special primes "
         f"(RNS n={RNS_N}, CKKS n={CKKS_N}, depth={DEPTH}, best of {ROUNDS} "
         f"fresh ciphertexts)",
         results=results,
     )
-
-    # The headline: lazy must never sweep more than eager.
-    by_cell = {(r[0], r[2], r[3]): r[6] for r in rows if r[1] in (1, "-")}
-    for degree in DEGREES:
-        for scheme in ("ckks-rns", "ckks"):
-            assert by_cell[(scheme, "lazy", degree)] <= by_cell[(scheme, "eager", degree)]

@@ -37,12 +37,12 @@ def rns():
 
 def test_rns_mul(benchmark, rns):
     ctx, keys, ct = rns
-    benchmark(lambda: ctx.mul(ct, ct, keys.relin))
+    benchmark(lambda: ctx.relinearize(ctx.mul_raw(ct, ct), keys.relin))
 
 
 def test_mp_mul(benchmark, mp):
     ctx, keys, ct = mp
-    benchmark.pedantic(lambda: ctx.mul(ct, ct, keys.relin), rounds=3, iterations=1)
+    benchmark.pedantic(lambda: ctx.relinearize(ctx.mul_raw(ct, ct), keys.relin), rounds=3, iterations=1)
 
 
 def test_rns_add(benchmark, rns):
@@ -67,13 +67,13 @@ def test_mp_mul_plain_scalar(benchmark, mp):
 
 def test_rns_rescale(benchmark, rns):
     ctx, keys, ct = rns
-    prod = ctx.mul(ct, ct, keys.relin)
+    prod = ctx.relinearize(ctx.mul_raw(ct, ct), keys.relin)
     benchmark(lambda: ctx.rescale(prod))
 
 
 def test_mp_rescale(benchmark, mp):
     ctx, keys, ct = mp
-    prod = ctx.mul(ct, ct, keys.relin)
+    prod = ctx.relinearize(ctx.mul_raw(ct, ct), keys.relin)
     benchmark(lambda: ctx.rescale(prod))
 
 
@@ -82,7 +82,7 @@ def test_primitive_summary(benchmark, mp, rns):
     rows = []
     for name, (ctx, keys, ct) in [("CKKS (multiprecision)", mp), ("CKKS-RNS", rns)]:
         with Timer() as t_mul:
-            ctx.mul(ct, ct, keys.relin)
+            ctx.relinearize(ctx.mul_raw(ct, ct), keys.relin)
         with Timer() as t_add:
             ctx.add(ct, ct)
         with Timer() as t_pl:

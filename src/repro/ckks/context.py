@@ -247,22 +247,6 @@ class CkksContext:
             deferred=a.deferred or b.deferred,
         )
 
-    @traced("ckks.sub")
-    def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        """Homomorphic subtraction (scales must match)."""
-        require_degree1(a, "sub")
-        require_degree1(b, "sub")
-        a, b = self._align(a, b)
-        if not np.isclose(a.scale, b.scale, rtol=1e-9):
-            raise ValueError(f"scale mismatch in sub: {a.scale} vs {b.scale}")
-        ring = self.ring(a.level)
-        return Ciphertext(ring.sub(a.c0, b.c0), ring.sub(a.c1, b.c1), a.level, a.scale, self.n)
-
-    def negate(self, a: Ciphertext) -> Ciphertext:
-        require_degree1(a, "negate")
-        ring = self.ring(a.level)
-        return Ciphertext(ring.neg(a.c0), ring.neg(a.c1), a.level, a.scale, self.n)
-
     @traced("ckks.add_plain")
     def add_plain(self, a: Ciphertext, values: np.ndarray | float) -> Ciphertext:
         """Add a plaintext vector/scalar encoded at the ciphertext's scale (only ``c0`` moves)."""
@@ -331,16 +315,6 @@ class CkksContext:
         comps = [ring.scalar_mul(comp, c) for comp in a.components()]
         return with_components(a, comps, scale=a.scale * plain_scale)
 
-    @traced("ckks.mul")
-    def mul(self, a: Ciphertext, b: Ciphertext, relin: RelinKey) -> Ciphertext:
-        """``Mult(c1, c2, ek)`` with immediate relinearisation."""
-        return self.relinearize(self.mul_raw(a, b), relin)
-
-    @traced("ckks.square")
-    def square(self, a: Ciphertext, relin: RelinKey) -> Ciphertext:
-        """Homomorphic squaring (saves one ring product vs. :meth:`mul`)."""
-        return self.relinearize(self.square_raw(a), relin)
-
     # -- raw products: deferred relinearisation ---------------------------------------
 
     @traced("ckks.mul_raw")
@@ -396,6 +370,8 @@ class CkksContext:
         share one lifted accumulator so the exact rounded P-division is
         paid once per output component instead of once per key.
         """
+        if x.degree == 1:
+            raise ValueError("relinearize needs a degree >= 2 ciphertext")
         reg = get_registry()
         reg.counter("relin.count").inc()
         if x.deferred:
@@ -502,15 +478,6 @@ class CkksContext:
         c1g = ring.automorphism(a.c1, g)
         r0, r1 = self._keyswitch(c1g, key.b, key.a, a.level)
         return Ciphertext(ring.add(c0g, r0), r1, a.level, a.scale, self.n)
-
-    def rescale_to_match(self, a: Ciphertext, target_scale: float) -> Ciphertext:
-        """Rescale repeatedly until the scale matches *target_scale*."""
-        out = a
-        while out.scale > target_scale * 1.5 and out.level > 0:
-            out = self.rescale(out)
-        if not np.isclose(out.scale, target_scale, rtol=1e-6):
-            raise ValueError(f"cannot reach scale {target_scale} from {a.scale}")
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         p = self.params

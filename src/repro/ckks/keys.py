@@ -57,13 +57,3 @@ class KeyPair:
     relin: RelinKey
     galois: dict[int, GaloisKey] = field(default_factory=dict)
     relin3: RelinKey | None = None
-
-    def public_part(self) -> "KeyPair":
-        """Evaluator view: same keys without the secret."""
-        return KeyPair(
-            sk=None,  # type: ignore[arg-type]
-            pk=self.pk,
-            relin=self.relin,
-            galois=self.galois,
-            relin3=self.relin3,
-        )

@@ -47,7 +47,7 @@ from repro.ckksrns.keys import (
 )
 from repro.ckksrns.params import CkksRnsParams
 from repro.nt.kernels import LimbMatrix, limb_gemm, scale_channels
-from repro.nt.modarith import addmod, mulmod, negmod, submod
+from repro.nt.modarith import addmod, mulmod, submod
 from repro.nt.ntt import BatchedNttPlan, NttPlan, bit_reverse_permutation
 from repro.nt.primes import gen_ntt_primes
 from repro.obs.metrics import get_registry
@@ -503,25 +503,6 @@ class CkksRnsContext:
             deferred=a.deferred or b.deferred, coeff_high=a.coeff_high or b.coeff_high,
         )
 
-    @traced("ckksrns.sub")
-    def sub(self, a: RnsCiphertext, b: RnsCiphertext) -> RnsCiphertext:
-        """Homomorphic subtraction (levels aligned, scales must agree)."""
-        require_degree1(a, "sub")
-        require_degree1(b, "sub")
-        a, b = self._align(a, b)
-        self._check_scales(a.scale, b.scale, "sub")
-        moduli = self.moduli[: a.k]
-        c0 = np.stack([submod(a.c0[i], b.c0[i], m) for i, m in enumerate(moduli)])
-        c1 = np.stack([submod(a.c1[i], b.c1[i], m) for i, m in enumerate(moduli)])
-        return RnsCiphertext(c0, c1, a.level, a.scale)
-
-    def negate(self, a: RnsCiphertext) -> RnsCiphertext:
-        require_degree1(a, "negate")
-        moduli = self.moduli[: a.k]
-        c0 = np.stack([negmod(a.c0[i], m) for i, m in enumerate(moduli)])
-        c1 = np.stack([negmod(a.c1[i], m) for i, m in enumerate(moduli)])
-        return RnsCiphertext(c0, c1, a.level, a.scale)
-
     @traced("ckksrns.add_plain")
     def add_plain(self, a: RnsCiphertext, values: "np.ndarray | float | RnsPlaintext") -> RnsCiphertext:
         """Add a plaintext encoded at the ciphertext's scale.
@@ -756,29 +737,6 @@ class CkksRnsContext:
             for o in out
         ]
 
-    @traced("ckksrns.mul")
-    def mul(self, a: RnsCiphertext, b: RnsCiphertext, relin: RnsRelinKey) -> RnsCiphertext:
-        """``Mult(c1, c2, ek)`` with immediate relinearisation.
-
-        Parameters
-        ----------
-        a, b:
-            Operand ciphertexts (levels are aligned automatically).
-        relin:
-            Relinearisation (evaluation) key from :meth:`keygen`.
-
-        Returns
-        -------
-        Degree-1 ciphertext at the common level with scale
-        ``a.scale * b.scale`` (call :meth:`rescale` to return to ~Δ).
-        """
-        return self.relinearize(self.mul_raw(a, b), relin)
-
-    @traced("ckksrns.square")
-    def square(self, a: RnsCiphertext, relin: RnsRelinKey) -> RnsCiphertext:
-        """Homomorphic squaring (one dyadic product fewer than mul)."""
-        return self.relinearize(self.square_raw(a), relin)
-
     # -- raw products: deferred relinearisation ---------------------------------------
 
     @traced("ckksrns.mul_raw")
@@ -854,6 +812,8 @@ class CkksRnsContext:
         one inner-product pass and one exact P-division serve both keys
         (~1.8× one sweep instead of 2×).
         """
+        if x.degree == 1:
+            raise ValueError("relinearize needs a degree >= 2 ciphertext")
         reg = get_registry()
         reg.counter("relin.count").inc()
         if x.deferred:
@@ -1128,8 +1088,8 @@ class CkksRnsContext:
         """Rescale an extended (degree ≥ 2) ciphertext component-wise.
 
         Marks the result ``deferred``: the eventual relinearisation runs
-        one level (and one rescale's worth of digit width) lower than the
-        eager order — the lazy-relin win.
+        one level (and one rescale's worth of digit width) lower than a
+        sweep before the rescale would — the lazy-relin win.
 
         With ``defer_high`` the high components (``c2``/``c3``) move to
         the coefficient domain: they are inverse-transformed once here
@@ -1171,15 +1131,6 @@ class CkksRnsContext:
             return a
         k = level + 1
         return with_components(a, [c[:k].copy() for c in a.components()], level=level)
-
-    def rescale_to_match(self, a: RnsCiphertext, target_scale: float) -> RnsCiphertext:
-        """Rescale until within 0.1% of *target_scale* (raises if impossible)."""
-        out = a
-        while out.scale > target_scale * 1.5 and out.level > 0:
-            out = self.rescale(out)
-        if not np.isclose(out.scale, target_scale, rtol=1e-3):
-            raise ValueError(f"cannot reach scale {target_scale} from {a.scale}")
-        return out
 
     # -- rotation -------------------------------------------------------------------------
 

@@ -70,13 +70,3 @@ class RnsKeyPair:
     relin: RnsRelinKey
     galois: dict[int, RnsGaloisKey] = field(default_factory=dict)
     relin3: RnsRelinKey | None = None
-
-    def public_part(self) -> "RnsKeyPair":
-        """Evaluator view without the secret key."""
-        return RnsKeyPair(
-            sk=None,  # type: ignore[arg-type]
-            pk=self.pk,
-            relin=self.relin,
-            galois=self.galois,
-            relin3=self.relin3,
-        )

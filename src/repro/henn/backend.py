@@ -55,9 +55,9 @@ __all__ = [
 # primitive operations, either on a single handle with scalar constants
 # (`_SinglePolyOps`, any backend) or on a batched (k, B, n) RNS
 # ciphertext with per-position constant vectors (`_RnsBatchOps`).  The
-# adapter contract: square / mul / rescale / add and the raw products /
-# relinearize as on the backend — every op takes a handle of any degree
-# it is defined on — plus ``mul_plain_vec(h, consts, ps)`` and
+# adapter contract: rescale / add, the raw products and relinearize as
+# on the backend — every op takes a handle of any degree it is defined
+# on — plus ``mul_plain_vec(h, consts, ps)`` and
 # ``add_plain_vec(h, consts)`` where ``consts`` has one value per packed
 # position.
 
@@ -80,12 +80,6 @@ class _SinglePolyOps:
 
     def scale_of(self, h: Any) -> float:
         return self.b.scale_of(h)
-
-    def square(self, h: Any) -> Any:
-        return self.b.square(h)
-
-    def mul(self, a: Any, b: Any) -> Any:
-        return self.b.mul(a, b)
 
     def rescale(self, h: Any, defer_high: bool = False) -> Any:
         return self.b.rescale(h, defer_high=defer_high)
@@ -115,78 +109,35 @@ def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -
     """Interpret a compiled BSGS program over one (possibly batched) handle.
 
     ``coeffs`` is ``(B, degree + 1)`` with one coefficient row per packed
-    position (``B == 1`` for the single-handle path).  Blocks are folded
-    from the top giant down (Horner in ``y = x^baby_m``); inside each
-    block, terms align to a common scale via per-term plain-scale
-    compensation exactly like the legacy power-basis evaluator, so
-    degrees 1–2 reproduce it bit-identically.  A constant-only top block
-    is deferred and folded into the first giant step as a plaintext
-    multiply (no ciphertext mult).  Each Horner fold rescales the block
-    sum *before* the product (Δ·Δ, one rescale) rather than after it
-    (Δ²·Δ, two), which is what makes ``prog.depth`` the level count.
-    Ends with one rescale back to ~Δ.
-    """
-    powers = {1: x}
-    for j in range(2, prog.baby_top + 1):
-        prev = powers[j - 1]
-        powers[j] = ops.rescale(ops.square(prev) if j == 2 else ops.mul(prev, x))
-    y = powers[prog.baby_m] if prog.giants > 1 else None
-    m = prog.baby_m
-    acc = None
-    pending = None  # constants of a deferred degree-0 top block
-    for g in range(prog.giants - 1, -1, -1):
-        base = g * m
-        bd = prog.block_degrees[g]
-        if acc is None and pending is None:
-            if bd == 0:
-                pending = coeffs[:, base]
-                continue
-            target = ops.scale_of(powers[bd]) * ops.delta
-        elif pending is not None:
-            acc = ops.mul_plain_vec(y, pending, ops.delta)
-            pending = None
-            target = ops.scale_of(acc)
-        else:
-            acc = ops.mul(ops.rescale(acc), y)
-            target = ops.scale_of(acc)
-        for j in range(bd, 0, -1):
-            ps = target / ops.scale_of(powers[j])
-            term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
-            acc = term if acc is None else ops.add(acc, term)
-        acc = ops.add_plain_vec(acc, coeffs[:, base])
-    return ops.rescale(acc)
+    position (``B == 1`` for the single-handle path).  Baby powers are
+    computed once; blocks are folded from the top giant down (Horner in
+    ``y = x^baby_m``), their terms aligned to a common scale by per-term
+    plain-scale compensation.  A constant-only top block is deferred and
+    folded into the first giant step as a plaintext multiply.  Each fold
+    rescales the block sum *before* the product (Δ·Δ, one rescale), which
+    is what makes ``prog.depth`` the level count.  Products stay in
+    extended degree-2/3 space and relinearise *after* summing:
 
-
-def _run_poly_program_lazy(
-    ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray
-) -> Any:
-    """Lazy-relinearisation variant of :func:`_run_poly_program`.
-
-    Same block/scale schedule (same rescale count, same plain-scale
-    compensation, hence the same final level and scale), but products
-    stay in extended degree-2/3 space and relinearise *after* summing:
-
-    * the giant power ``y = x^baby_m`` is kept raw (degree 2), saving
-      its keyswitch entirely;
+    * the giant power ``y`` is kept raw (degree 2), saving its keyswitch
+      entirely;
     * each Horner fold ``rescale(acc) * y`` produces a degree-3
       accumulator; block terms (degree-1 plaintext products) are added
       into it componentwise, and one *merged* keyswitch (s² and s³
-      digits in a single sweep) relinearises the whole block sum —
-      post-rescale, i.e. one level lower than the eager keyswitch.
-      There is one accumulator: ``add`` / ``add_plain`` / ``rescale``
-      take a ciphertext of any degree and relinearising a degree-1 one
-      is the identity (no sweep, no counter).
+      digits in a single sweep) relinearises the whole block sum,
+      post-rescale.  There is one accumulator: ``add`` / ``add_plain`` /
+      ``rescale`` take a ciphertext of any degree and relinearising a
+      degree-1 one is the identity (no sweep, no counter);
     * the *last* block sum is only rescaled (high components to the
       coefficient domain): its merged sweep belongs to whoever consumes
       the result — the next linear map relinearises its outputs after
       weighting all components, over far fewer positions.
 
     ``prog.relins`` counts the sweeps, the consumer's included:
-    ``~ceil(degree / baby_m)`` versus ``prog.ct_mults ~ 2*sqrt(degree)``
-    for the eager interpreter.  The result is *not* bit-identical to
-    eager — deferring keyswitch noise past rescales changes rounding at
-    the last few bits — but agrees to within the scheme's approximation
-    error (bounded by the lazy-vs-eager tests).
+    ``~ceil(degree / baby_m)`` against ``prog.ct_mults ~ 2*sqrt(degree)``
+    for a fold that relinearises every product.  That fold is frozen in
+    ``tests/henn/eager_oracle.py``; it lands on the same level and scale
+    and agrees to within the scheme's approximation error (deferring the
+    keyswitch noise past rescales moves the last few bits).
     """
     powers = {1: x}
     y_raw = None
@@ -293,17 +244,18 @@ class HeBackend(ABC):
     A handle is one ciphertext of *any* degree: ``square_raw`` /
     ``mul_raw`` return handles that still carry their ``s²``/``s³``
     components, the linear ops below accept them like any other handle,
-    and ``relinearize_ext`` brings them back to degree 1.  The 29 public
+    and ``relinearize_ext`` brings them back to degree 1 — a relinearised
+    product is spelled ``relinearize_ext(mul_raw(a, b))``.  The 26 public
     names, by role:
 
-    **Primitives** (22; what a scheme implements)
+    **Primitives** (19; what a scheme implements)
 
-    * parameters — ``scale``, ``max_batch``, ``relin_mode``;
+    * parameters — ``scale``, ``max_batch``;
     * client side — ``encrypt``, ``encrypt_many``, ``decrypt`` (degree 1);
     * linear, any degree — ``add``, ``add_plain``, ``mul_plain_scalar``,
       ``rescale``, ``scale_of``, ``level_of``;
-    * ct × ct — ``mul``, ``square`` (relinearised) and ``square_raw``,
-      ``mul_raw``, ``relinearize_ext`` (deferred), left operand degree 1;
+    * ct × ct — ``square_raw``, ``mul_raw`` (left operand degree 1) and
+      ``relinearize_ext``;
     * single-image packing — ``mul_plain_vector`` (any degree) and
       ``rotate`` (degree 1, one step or a hoisted sequence);
     * request packing, degree 1 — ``concat_slots``, ``slice_slots``;
@@ -332,29 +284,6 @@ class HeBackend(ABC):
     #: so :func:`repro.henn.inference.evaluate_batch` runs their batches
     #: member by member.
     native_slot_concat: bool = False
-
-    _relin_mode: str = "lazy"
-
-    @property
-    def relin_mode(self) -> str:
-        """BSGS relinearisation strategy: ``"lazy"`` (default) or ``"eager"``.
-
-        The eager interpreter is kept as an oracle — it relinearises
-        after every product, which lazy must match to within the
-        scheme's approximation noise; tests and ``bench_keyswitch.py``
-        select it by assigning this attribute.
-        """
-        return self._relin_mode
-
-    @relin_mode.setter
-    def relin_mode(self, mode: str) -> None:
-        mode = str(mode).strip().lower()
-        if mode not in ("lazy", "eager"):
-            raise ValueError(f"relin_mode must be 'lazy' or 'eager', got {mode!r}")
-        self._relin_mode = mode
-
-    def _use_lazy(self) -> bool:
-        return self.relin_mode == "lazy"
 
     @property
     @abstractmethod
@@ -400,14 +329,6 @@ class HeBackend(ABC):
         """Ciphertext × plaintext scalar encoded at *plain_scale* (default Δ), any degree."""
 
     @abstractmethod
-    def mul(self, a: Any, b: Any) -> Any:
-        """Ciphertext × ciphertext with relinearisation; scale multiplies."""
-
-    @abstractmethod
-    def square(self, a: Any) -> Any:
-        """Ciphertext squaring (cheaper than ``mul(a, a)`` where supported)."""
-
-    @abstractmethod
     def rescale(self, a: Any, defer_high: bool = False) -> Any:
         """Drop one modulus level, dividing the scale back toward Δ.
 
@@ -442,24 +363,22 @@ class HeBackend(ABC):
         """
         raise NotImplementedError(f"{self.name} backend has no rotations")
 
-    # -- raw products (lazy relinearisation) --------------------------------------
-    #
-    # The lazy BSGS interpreter (the default ``relin_mode``) needs these
-    # three; a backend without them evaluates with ``relin_mode = "eager"``.
+    # -- ct x ct products (relinearisation deferred) ------------------------------
 
+    @abstractmethod
     def square_raw(self, a: Any) -> Any:
         """``a * a`` without relinearisation: a degree-2 handle."""
-        raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
 
+    @abstractmethod
     def mul_raw(self, a: Any, b: Any) -> Any:
-        """``a * b`` without relinearisation.
+        """``a * b`` without relinearisation; scale multiplies.
 
         *b* may be a degree-1 handle (result degree 2) or a raw degree-2
         one (result degree 3 — the Horner fold against the raw giant
         power).
         """
-        raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
 
+    @abstractmethod
     def relinearize_ext(self, e: Any) -> Any:
         """Key-switch a handle back to degree 1.
 
@@ -467,7 +386,6 @@ class HeBackend(ABC):
         a single sweep; a degree-1 handle is returned as is (no sweep,
         no ``relin.count``).
         """
-        raise NotImplementedError(f"{self.name} backend has no lazy relinearisation")
 
     # -- slot packing (serving gateway) -----------------------------------------
 
@@ -585,9 +503,8 @@ class HeBackend(ABC):
         multiplies and ``program.depth`` levels for degree *d* (2 for a
         cubic, 4 for degree 8; the paper's §V.B accounting charges *d*,
         per-degree table in ``docs/KERNELS.md``).  One final rescale
-        returns the result to ~Δ — unrelinearised under the default lazy
-        ``relin_mode``: :meth:`relinearize_ext`, or the next linear map,
-        brings it to degree 1.
+        returns the result to ~Δ, unrelinearised: :meth:`relinearize_ext`,
+        or the next linear map, brings it to degree 1.
 
         Parameters
         ----------
@@ -611,8 +528,7 @@ class HeBackend(ABC):
             reg = get_registry()
             reg.counter("poly.bsgs.evals").inc()
             reg.counter("poly.bsgs.ct_mults").inc(program.ct_mults)
-            run = _run_poly_program_lazy if self._use_lazy() else _run_poly_program
-            return run(_SinglePolyOps(self), program, x, coeffs)
+            return _run_poly_program(_SinglePolyOps(self), program, x, coeffs)
 
     def poly_eval_many(self, handles: Sequence[Any], rows: np.ndarray) -> list[Any]:
         """Evaluate one polynomial per handle (``rows[i]`` on ``handles[i]``).
@@ -666,10 +582,9 @@ class HeBackend(ABC):
 class _MockHandle:
     """Plaintext slot vector with ciphertext bookkeeping.
 
-    Relinearisation is the identity on tracked values, so the mock lazy
-    path is bit-identical to the eager one — ``degree`` / ``deferred``
-    only mirror the bookkeeping (and the relin counters) of the real
-    schemes.
+    Relinearisation is the identity on tracked values, so where a sweep
+    runs moves no bit — ``degree`` / ``deferred`` only mirror the
+    bookkeeping (and the relin counters) of the real schemes.
     """
 
     values: np.ndarray
@@ -754,14 +669,6 @@ class MockBackend(HeBackend):
         w = round(float(scalar) * ps) / ps  # same quantisation as encode
         return _MockHandle(a.values * w, a.scale * ps, a.level, a.degree, a.deferred)
 
-    def mul(self, a: _MockHandle, b: _MockHandle) -> _MockHandle:
-        require_degree1(a, "mul (left operand)")
-        return _MockHandle(a.values * b.values, a.scale * b.scale, min(a.level, b.level))
-
-    def square(self, a: _MockHandle) -> _MockHandle:
-        require_degree1(a, "square")
-        return _MockHandle(a.values * a.values, a.scale * a.scale, a.level)
-
     def rescale(self, a: _MockHandle, defer_high: bool = False) -> _MockHandle:
         if a.level <= 0:
             raise ValueError("mock level budget exhausted (depth overflow)")
@@ -789,7 +696,7 @@ class MockBackend(HeBackend):
             return [self.rotate(a, r) for r in steps]
         return _MockHandle(np.roll(a.values, -steps), a.scale, a.level)
 
-    # -- raw products (lazy relinearisation) --------------------------------------
+    # -- ct x ct products (relinearisation deferred) ------------------------------
 
     def square_raw(self, a: _MockHandle) -> _MockHandle:
         require_degree1(a, "square_raw")
@@ -890,12 +797,6 @@ class CkksBackend(HeBackend):
     def mul_plain_scalar(self, a, scalar: float, plain_scale: float | None = None):
         return self.ctx.mul_plain_scalar(a, scalar, plain_scale)
 
-    def mul(self, a, b):
-        return self.ctx.mul(a, b, self.keys.relin)
-
-    def square(self, a):
-        return self.ctx.square(a, self.keys.relin)
-
     def rescale(self, a, defer_high: bool = False):
         return self.ctx.rescale_ext(a) if a.degree > 1 else self.ctx.rescale(a)
 
@@ -905,7 +806,7 @@ class CkksBackend(HeBackend):
     def level_of(self, a) -> int:
         return a.level
 
-    # -- raw products (lazy relinearisation) --------------------------------------
+    # -- ct x ct products (relinearisation deferred) ------------------------------
 
     def square_raw(self, a):
         return self.ctx.square_raw(a)
@@ -1029,12 +930,6 @@ class CkksRnsBackend(HeBackend):
     def mul_plain_scalar(self, a, scalar: float, plain_scale: float | None = None):
         return self.ctx.mul_plain_scalar(a, scalar, plain_scale)
 
-    def mul(self, a, b):
-        return self.ctx.mul(a, b, self.keys.relin)
-
-    def square(self, a):
-        return self.ctx.square(a, self.keys.relin)
-
     def rescale(self, a, defer_high: bool = False):
         if a.degree > 1:
             out = self.ctx.rescale_ext(a, defer_high=defer_high)
@@ -1050,7 +945,7 @@ class CkksRnsBackend(HeBackend):
     def level_of(self, a) -> int:
         return a.level
 
-    # -- raw products (lazy relinearisation) --------------------------------------
+    # -- ct x ct products (relinearisation deferred) ------------------------------
 
     def square_raw(self, a):
         return self.ctx.square_raw(a)
@@ -1121,13 +1016,13 @@ class CkksRnsBackend(HeBackend):
         reg.counter("poly.bsgs.evals").inc(len(handles))
         reg.counter("poly.bsgs.batches").inc(len(plan))
         reg.counter("poly.bsgs.ct_mults").inc(program.ct_mults * len(plan))
-        run = _run_poly_program_lazy if self._use_lazy() else _run_poly_program
         with obs.span(
             "henn.poly_eval_many", backend=self.name, positions=len(handles), degree=degree,
             shards=sum(map(len, plan)),
         ):
             return self._run_shards(
-                handles, plan, lambda x, part: run(_RnsBatchOps(self), program, x, rows[part])
+                handles, plan,
+                lambda x, part: _run_poly_program(_RnsBatchOps(self), program, x, rows[part]),
             )
 
     def rescale_many(self, handles: Sequence[RnsCiphertext]) -> list[RnsCiphertext]:

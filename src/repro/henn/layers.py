@@ -261,11 +261,6 @@ class HePoly(HeLayer):
         """Polynomial degree (coefficient count minus one)."""
         return self.coeffs.shape[1] - 1
 
-    def _row(self, channel: int) -> np.ndarray:
-        if self.per_channel:
-            return self.coeffs[channel]
-        return self.coeffs[0]
-
     def _rows_for(self, x: np.ndarray) -> np.ndarray:
         """Coefficient rows aligned with ``x.reshape(-1)``, one per position."""
         if x.ndim == 3:

@@ -239,6 +239,8 @@ class Client:
             Seeds the jitter RNG (reproducible tests); ``None`` draws
             from the process RNG.
         """
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
         if not 0.0 <= jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
         if max_elapsed is not None and max_elapsed <= 0:

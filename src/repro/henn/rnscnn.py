@@ -70,7 +70,14 @@ def _conv_channel_kernel(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Multi-limb residue convolution of one channel (see `_conv_channel`)."""
+    """Convolution of one residue channel, modulo its prime.
+
+    ``xl`` holds the channel's (possibly partially-reduced) input as
+    ``(d, N, C, H, W)`` limbs.  Channels wider than one limb run the
+    schoolbook multi-limb kernel — ``d * d_w`` int64 matmuls, the
+    genuine multiprecision cost a non-RNS implementation pays on
+    full-width integers.
+    """
     dw = wl.shape[0]
     d = xl.shape[0]
     n, c, h, w = img_shape
@@ -246,26 +253,6 @@ class RnsIntegerConv:
             self._w_limbs.append(
                 split_limbs(wm.reshape(self.w_int.shape[0], -1), dw)
             )  # (dw, OC, taps)
-
-    def _conv_channel(self, xl: np.ndarray, img_shape: tuple[int, ...], chan_idx: int) -> np.ndarray:
-        """Convolution of one residue channel, modulo its prime.
-
-        ``xl`` holds the channel's (possibly partially-reduced) input as
-        ``(d, N, C, H, W)`` limbs.  Channels wider than one limb run the
-        schoolbook multi-limb kernel — ``d * d_w`` int64 matmuls, the
-        genuine multiprecision cost a non-RNS implementation pays on
-        full-width integers.
-        """
-        return _conv_channel_kernel(
-            xl,
-            self._w_limbs[chan_idx],
-            self._work.moduli[chan_idx],
-            img_shape,
-            self.w_int.shape[2],
-            self.w_int.shape[3],
-            self.stride,
-            self.padding,
-        )
 
     def forward_quantized(self, x_int: np.ndarray) -> np.ndarray:
         """split once -> per-channel residue limbs -> conv -> CRT recompose.

@@ -146,11 +146,6 @@ class SLAF(Module):
             dfdx = dfdx + k * cview[..., k] * powers[..., k - 1]
         return grad * dfdx
 
-    def coefficients_for_channel(self, c: int = 0) -> np.ndarray:
-        """The learned polynomial for channel *c* (row 0 when layer-wide)."""
-        row = 0 if self.channels is None else c
-        return self.coeffs.data[row].copy()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = f"channels={self.channels}" if self.channels else "layerwise"
         return f"SLAF(degree={self.degree}, {mode})"

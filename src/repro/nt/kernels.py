@@ -309,13 +309,13 @@ class PolyProgram:
         so a fold costs one level on top of ``max(accumulator, y)`` and
         a cubic meets the ``ceil(log2(degree + 1)) = 2`` lower bound.
     relins:
-        Relinearisations (key-switch sweeps) performed by the *lazy*
-        interpreter, ``~ ceil(degree / baby_m)``.  The eager interpreter
-        relinearises after every product, i.e. exactly ``ct_mults``
-        times.  Lazy keeps the giant power ``y = x^m`` raw (degree 2),
-        folds blocks in extended space and relinearises each accumulator
-        once, post-rescale, with a single merged degree-3 sweep — the
-        last one run by the consumer (the next linear map).
+        Relinearisations (key-switch sweeps) performed by the
+        interpreter, ``~ ceil(degree / baby_m)`` where relinearising
+        every product would take ``ct_mults``.  It keeps the giant power
+        ``y = x^m`` raw (degree 2), folds blocks in extended space and
+        relinearises each accumulator once, post-rescale, with a single
+        merged degree-3 sweep — the last one run by the consumer (the
+        next linear map).
     """
 
     degree: int

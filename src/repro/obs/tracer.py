@@ -1,7 +1,7 @@
 """Nested-span tracer with a zero-overhead disabled mode.
 
 A *span* is one timed region of the pipeline — a primitive op
-(``ckksrns.mul``), a kernel (``nt.ntt.forward``), an executor dispatch
+(``ckksrns.mul_raw``), a kernel (``nt.ntt.forward``), an executor dispatch
 (``parallel.map``) or a network layer (``henn.layer``).  Spans nest:
 each carries its parent's id (tracked per thread), so a full encrypted
 classification unfolds into the Fig. 5 stage tree with per-primitive
@@ -60,7 +60,7 @@ class Span:
     Parameters
     ----------
     name:
-        Dotted identifier of the instrumented region (``"ckksrns.mul"``).
+        Dotted identifier of the instrumented region (``"ckksrns.mul_raw"``).
     start, end:
         ``time.perf_counter()`` readings bracketing the region.
     span_id:
@@ -190,7 +190,7 @@ class Tracer:
     # -- recording ---------------------------------------------------------
 
     def span(self, name: str, **tags: Any) -> _SpanHandle:
-        """Open a nested span: ``with tracer.span("ckksrns.mul"): ...``."""
+        """Open a nested span: ``with tracer.span("ckksrns.mul_raw"): ...``."""
         return _SpanHandle(self, name, tags)
 
     def _stack(self) -> list[int]:

@@ -711,10 +711,6 @@ class WorkerPool:
             self._publish(worker)
             self.cond.notify_all()
 
-    def live_count(self) -> int:
-        with self.cond:
-            return sum(1 for w in self.workers if w.state in ("ready", "warming", "respawning"))
-
     def is_lost(self) -> bool:
         """True when no worker is alive and none will come back."""
         with self.cond:

@@ -34,7 +34,7 @@ def test_error_grows_with_depth(ckks_ctx, ckks_keys, rng):
     want = z.copy()
     errs = [measure_error(ckks_ctx.decrypt_real(ckks_keys.sk, ct), want)["max_abs"]]
     for _ in range(3):
-        ct = ckks_ctx.rescale(ckks_ctx.square(ct, ckks_keys.relin))
+        ct = ckks_ctx.rescale(ckks_ctx.relinearize(ckks_ctx.square_raw(ct), ckks_keys.relin))
         want = want * want
         errs.append(measure_error(ckks_ctx.decrypt_real(ckks_keys.sk, ct), want)["max_abs"])
     assert errs[-1] > errs[0]

@@ -25,15 +25,15 @@ def test_same_polynomial_evaluation(pair, rng):
 
     def run_mp():
         c = mp.encrypt(mpk.pk, z, 1)
-        x2 = mp.rescale(mp.square(c, mpk.relin))
+        x2 = mp.rescale(mp.relinearize(mp.square_raw(c), mpk.relin))
         t = mp.add_plain(mp.mod_switch_to(c, x2.level), 0.5)
-        return mp.decrypt_real(mpk.sk, mp.rescale(mp.mul(x2, t, mpk.relin)))
+        return mp.decrypt_real(mpk.sk, mp.rescale(mp.relinearize(mp.mul_raw(x2, t), mpk.relin)))
 
     def run_rns():
         c = rns.encrypt(rnsk.pk, z, 1)
-        x2 = rns.rescale(rns.square(c, rnsk.relin))
+        x2 = rns.rescale(rns.relinearize(rns.square_raw(c), rnsk.relin))
         t = rns.add_plain(rns.mod_switch_to(c, x2.level), 0.5)
-        return rns.decrypt_real(rnsk.sk, rns.rescale(rns.mul(x2, t, rnsk.relin)))
+        return rns.decrypt_real(rnsk.sk, rns.rescale(rns.relinearize(rns.mul_raw(x2, t), rnsk.relin)))
 
     out_mp, out_rns = run_mp(), run_rns()
     assert np.max(np.abs(out_mp - want)) < 5e-3

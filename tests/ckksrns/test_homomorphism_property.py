@@ -45,7 +45,7 @@ def test_random_program(ops, seed):
         elif op == "square":
             if levels_used >= _ctx.top_level or np.max(np.abs(ref)) > 40:
                 continue
-            ct = _ctx.rescale(_ctx.square(ct, _keys.relin))
+            ct = _ctx.rescale(_ctx.relinearize(_ctx.square_raw(ct), _keys.relin))
             ref = ref * ref
             levels_used += 1
     out = _ctx.decrypt_real(_keys.sk, ct)

@@ -22,7 +22,7 @@ def test_roundtrip(rns_ctx, rns_keys, rng):
 def test_roundtrip_after_ops(rns_ctx, rns_keys, rng):
     z = rng.uniform(-1, 1, rns_ctx.slots)
     ct = rns_ctx.rescale(
-        rns_ctx.square(rns_ctx.encrypt(rns_keys.pk, z, rng), rns_keys.relin)
+        rns_ctx.relinearize(rns_ctx.square_raw(rns_ctx.encrypt(rns_keys.pk, z, rng)), rns_keys.relin)
     )
     back = ciphertext_from_bytes(ciphertext_to_bytes(ct))
     assert np.allclose(rns_ctx.decrypt_real(rns_keys.sk, back), z * z, atol=2e-3)

@@ -20,6 +20,7 @@ from repro.ckksrns import CkksRnsParams
 from repro.ckksrns.serialize import ciphertext_from_bytes, ciphertext_to_bytes
 from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
 from repro.henn.protocol import _sanitize
+from repro.obs.metrics import get_registry
 
 X = np.array([0.5, -0.25, 0.125, 0.75])
 
@@ -54,8 +55,6 @@ def test_backend_entry_points_refuse_extended_handles(backend):
         refused = [
             lambda: backend.decrypt(ext),
             lambda: backend.rotate(ext, 1),
-            lambda: backend.mul(ext, ct),
-            lambda: backend.square(ext),
             lambda: backend.mul_raw(ext, ct),
             lambda: backend.square_raw(ext),
         ]
@@ -144,18 +143,31 @@ def test_context_entry_points_refuse_extended_ciphertexts(kind):
         for call in (
             lambda: ctx.decrypt(keys.sk, ext),
             lambda: ctx.rotate(ext, 1, keys.galois),
-            lambda: ctx.mul(ext, ct, keys.relin),
-            lambda: ctx.square(ext, keys.relin),
             lambda: ctx.mul_raw(ext, ct),
+            lambda: ctx.square_raw(ext),
             lambda: ctx.rescale(ext),  # rescale_ext is the extended entry point
-            lambda: ctx.sub(ext, ct),
-            lambda: ctx.negate(ext),
         ):
             with pytest.raises(CiphertextDegreeError):
                 call()
     # mod-switching keeps every component (and the flags)
     low = ctx.mod_switch_to(ctx.rescale_ext(raw3), 0)
     assert (low.degree, low.level, low.deferred) == (3, 0, True)
+
+
+@pytest.mark.parametrize("kind", ["ckks", "rns"])
+def test_context_relinearize_refuses_a_degree_one_ciphertext(kind):
+    """The context's key switch needs something to switch.  A fresh
+    ciphertext used to crash deep inside it (CKKS-RNS: ``TypeError`` on
+    ``c2 = None``; CKKS: "expected 128 coefficients") after counting a
+    sweep; the backend's ``relinearize_ext`` passes degree 1 through."""
+    backend = _backend(kind)
+    ct = backend.encrypt(X)
+    sweeps = get_registry().counter("relin.count")
+    before = sweeps.value
+    with pytest.raises(ValueError, match="degree >= 2"):
+        backend.ctx.relinearize(ct, backend.keys.relin, backend.keys.relin3)
+    assert sweeps.value == before
+    assert backend.relinearize_ext(ct) is ct
 
 
 def test_rns_weighted_sum_and_wire_format_refuse_extended():

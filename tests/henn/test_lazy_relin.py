@@ -1,23 +1,31 @@
 """Lazy relinearisation: precision bounds and sweep counts.
 
-The lazy BSGS interpreter keeps products in degree-2/3 extended space
-and relinearises each block sum once (``docs/KERNELS.md``).  Contract:
+The library's BSGS interpreter keeps products in degree-2/3 extended
+space and relinearises each block sum once (``docs/KERNELS.md``).  It is
+held to the frozen eager interpreter of ``eager_oracle.py``, which
+relinearises every product at once.  Contract:
 
 * **mock** — lazy is *bit-identical* to eager: the mock's extended
   handles carry exact float values, so deferring the (no-op) keyswitch
   changes nothing;
 * **CKKS / CKKS-RNS** — lazy is *not* bit-identical (keyswitch noise is
   injected after rescales instead of before, changing the last few
-  bits) but both modes decrypt within the documented per-degree SLAF
-  bound, and their mutual difference stays inside ``LAZY_EAGER_ATOL``;
+  bits) but both decrypt within the documented per-degree SLAF bound,
+  and their mutual difference stays inside ``LAZY_EAGER_ATOL``;
 * **counts** — a degree-*d* SLAF performs exactly ``program.relins``
   keyswitch sweeps lazily (``~ceil(d / giant_step)``) versus
   ``program.ct_mults`` eagerly (``~2*sqrt(d)``), metered through
-  ``relin.count`` / ``relin.deferred``.
+  ``relin.count`` / ``relin.deferred``;
+* **fuzz** — random coefficient rows and inputs, single handles and
+  position batches, against the oracle (``-m fuzz`` runs many).
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.ckks import CkksParams
 from repro.ckksrns import CkksRnsParams
@@ -25,6 +33,7 @@ from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
 from repro.nt.kernels import MAX_POLY_DEGREE, compile_poly_program
 from repro.obs.metrics import get_registry
 
+from .eager_oracle import interpreting_eagerly
 from .test_poly_bsgs import REAL_ATOL
 
 #: Documented bound on |lazy - eager| decrypt drift at Δ = 2**26: both
@@ -66,12 +75,10 @@ def _coeffs(rng, degree):
 
 
 def _eval_mode(backend, ct, coeffs, mode):
-    """``poly_eval`` in *mode*, relinearised (lazy leaves that sweep to the consumer)."""
-    backend.relin_mode = mode
-    try:
+    """``poly_eval`` by the library (``"lazy"``) or the oracle (``"eager"``),
+    relinearised (lazy leaves that sweep to the consumer)."""
+    with interpreting_eagerly() if mode == "eager" else nullcontext():
         return backend.relinearize_ext(backend.poly_eval(ct, coeffs))
-    finally:
-        backend.relin_mode = "lazy"
 
 
 @pytest.mark.parametrize("degree", range(2, MAX_POLY_DEGREE + 1))
@@ -187,3 +194,65 @@ def test_coeff_high_ext_cannot_multiply(rns, rng):
     coeffd = ctx.rescale_ext(ctx.square_raw(ct), defer_high=True)
     with pytest.raises(ValueError, match="NTT domain"):
         ctx.mul_raw(acc, coeffd)
+
+
+# -- differential fuzz against the eager oracle ---------------------------------------
+
+
+@st.composite
+def poly_cases(draw):
+    """``(rows, xs)``: 1–3 positions, one degree-1..8 coefficient row and
+    one 8-slot input per position."""
+    degree = draw(st.integers(1, MAX_POLY_DEGREE))
+    positions = draw(st.integers(1, 3))
+    rows = draw(st.lists(
+        st.lists(st.floats(-0.5, 0.5), min_size=degree + 1, max_size=degree + 1),
+        min_size=positions, max_size=positions,
+    ))
+    xs = draw(st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        min_size=positions, max_size=positions,
+    ))
+    return np.array(rows), np.array(xs)
+
+
+def _both(backend, fn):
+    """``fn()`` under the library's interpreter and under the oracle, relinearised."""
+    lazy = backend.relinearize_many(fn())
+    with interpreting_eagerly():
+        eager = backend.relinearize_many(fn())
+    landed = [[(backend.level_of(h), backend.scale_of(h)) for h in hs] for hs in (lazy, eager)]
+    assert landed[0] == landed[1]
+    return lazy, eager
+
+
+@pytest.mark.fuzz
+def test_interpreter_matches_the_eager_oracle(rns, fuzz_examples):
+    """Mock: bit-identical.  CKKS-RNS, one handle and a 1–3 position
+    ``poly_eval_many`` batch: within ``LAZY_EAGER_ATOL``.  Both: the
+    same final level and scale."""
+    mock = MockBackend(batch=8, scale_bits=26, levels=6)
+
+    @settings(
+        max_examples=fuzz_examples(6, 150), deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(poly_cases())
+    @example((np.full((3, 9), 0.5), np.ones((3, 8))))
+    @example((np.array([[0.0, -0.5]]), -np.ones((1, 8))))
+    def check(case):
+        rows, xs = case
+        x = mock.encrypt(xs[0])
+        lazy, eager = _both(mock, lambda: [mock.poly_eval(x, rows[0])])
+        assert np.array_equal(lazy[0].values, eager[0].values)
+
+        x = rns.encrypt(xs[0])
+        lazy, eager = _both(rns, lambda: [rns.poly_eval(x, rows[0])])
+        handles = rns.encrypt_many(list(xs))
+        batch = _both(rns, lambda: rns.poly_eval_many(handles, rows))
+        for got, want in zip(lazy + batch[0], eager + batch[1]):
+            assert np.allclose(
+                rns.decrypt(got, count=8), rns.decrypt(want, count=8), atol=LAZY_EAGER_ATOL
+            )
+
+    check()

@@ -18,7 +18,13 @@ meter:
   lazy evaluation now ends at its last rescale and leaves the merged
   sweep to its consumer; ``_evaluate`` relinearises the outputs
   (``relinearize_many``, one sweep per packed group), which is exactly
-  the parent's last step, so these digests and counter deltas stand;
+  the parent's last step, so these digests and counter deltas stand.
+  The eager records come from the frozen oracle (``eager_oracle.py``),
+  which spells each product ``relinearize_ext(mul_raw(...))``: every
+  digest stands, and the seven ``mock/eager/2..8`` records'
+  ``relin.count`` delta went from 0 to their ``ct_mults``, because the
+  mock now meters that sweep the way CKKS and CKKS-RNS always did (its
+  old relinearised ``mul`` / ``square`` counted nothing);
 * the score ciphertexts of the CNN1 / CNN2 smoke networks, serial and
   with every packed group split into two position shards (the
   ``*/sharded`` rows replaced the thread-executor rows unchanged: the
@@ -129,13 +135,13 @@ PARENT: dict[str, str] = {
  'cnn2/serial': '873c2700ffa4132c:3,3,6',
  'cnn2/sharded': '873c2700ffa4132c:3,3,6',
  'mock/eager/1': 'a56bb0f2a54c5819:0,0,0',
- 'mock/eager/2': '728c0f2544f72aca:0,0,1',
- 'mock/eager/3': 'f4a5c966818ad194:0,0,2',
- 'mock/eager/4': '6f71fd9372bb2ae3:0,0,3',
- 'mock/eager/5': 'fbe6a7d727cc67e5:0,0,3',
- 'mock/eager/6': 'bc798fe892fae631:0,0,3',
- 'mock/eager/7': 'bbfc94960d7e1a49:0,0,4',
- 'mock/eager/8': 'dd20e19475686bbc:0,0,4',
+ 'mock/eager/2': '728c0f2544f72aca:1,0,1',
+ 'mock/eager/3': 'f4a5c966818ad194:2,0,2',
+ 'mock/eager/4': '6f71fd9372bb2ae3:3,0,3',
+ 'mock/eager/5': 'fbe6a7d727cc67e5:3,0,3',
+ 'mock/eager/6': 'bc798fe892fae631:3,0,3',
+ 'mock/eager/7': 'bbfc94960d7e1a49:4,0,4',
+ 'mock/eager/8': 'dd20e19475686bbc:4,0,4',
  'mock/lazy/1': 'a56bb0f2a54c5819:0,0,0',
  'mock/lazy/2': '728c0f2544f72aca:1,1,1',
  'mock/lazy/3': 'f4a5c966818ad194:1,1,2',

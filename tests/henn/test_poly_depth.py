@@ -5,8 +5,8 @@ giant power, so a degree-*d* SLAF consumes exactly ``PolyProgram.depth``
 levels (2 for the paper's cubic) and the modulus chain is sized to that
 number with no spare prime.  Contract:
 
-* for degrees 1–8 × {eager, lazy} × {mock, CKKS, CKKS-RNS single handle,
-  CKKS-RNS ``poly_eval_many`` batch} a chain of exactly ``depth + 1``
+* for degrees 1–8 × {eager oracle, lazy} × {mock, CKKS, CKKS-RNS single
+  handle, CKKS-RNS ``poly_eval_many`` batch} a chain of exactly ``depth + 1``
   primes suffices, the output lands on level 0 at Δ up to the chain
   primes' own deviation from Δ, both interpreters agree on level and
   scale exactly, and values track ``np.polyval``;
@@ -21,6 +21,7 @@ number with no spare prime.  Contract:
 
 import hashlib
 import math
+from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.henn.protocol import CloudService, _sanitize
 from repro.nt.kernels import MAX_POLY_DEGREE, compile_poly_program
 
 from ..ckksrns.test_hybrid_keyswitch import HW, N, smoke_models  # noqa: F401 - fixture
+from .eager_oracle import interpreting_eagerly
 from .test_lazy_relin import LAZY_EAGER_ATOL
 from .test_poly_bsgs import REAL_ATOL
 
@@ -80,12 +82,14 @@ def _rows(degree: int) -> np.ndarray:
 def _evaluate(backend, kind: str, mode: str, degree: int):
     """``(inputs, outputs, plaintext references)`` of one evaluation.
 
-    The outputs are relinearised — the sweep a lazy evaluation leaves to
-    its consumer, run here the way the linear map behind it would.
+    ``mode`` ``"eager"`` runs the backend's ``poly_eval`` /
+    ``poly_eval_many`` with the oracle interpreter swapped in, so their
+    ``poly.bsgs.*`` accounting stays.  The outputs are relinearised —
+    the sweep a lazy evaluation leaves to its consumer, run here the way
+    the linear map behind it would.
     """
     rows = _rows(degree)
-    backend.relin_mode = mode
-    try:
+    with interpreting_eagerly() if mode == "eager" else nullcontext():
         if kind == "rns-batch":
             xs = [X * s for s in (1.0, 0.5, -0.8)]
             ins = [backend.encrypt(x) for x in xs]
@@ -94,8 +98,6 @@ def _evaluate(backend, kind: str, mode: str, degree: int):
             xs, rows = [X], rows[:1]
             ins = [backend.encrypt(X)]
             outs = [backend.poly_eval(ins[0], rows[0])]
-    finally:
-        backend.relin_mode = "lazy"
     outs = backend.relinearize_many(outs)
     return ins, outs, [np.polyval(r[::-1], x) for r, x in zip(rows, xs)]
 
@@ -312,6 +314,6 @@ def test_smoke_logits_within_atol_of_parent_schedule(
     assert {engine.backend.level_of(h) for h in scores} == {0}
     logits = np.stack([engine.backend.decrypt(h, count=4) for h in scores], axis=1)
 
-    monkeypatch.setattr(backend_mod, "_run_poly_program_lazy", _parent_fold_lazy)
+    monkeypatch.setattr(backend_mod, "_run_poly_program", _parent_fold_lazy)
     parent = _smoke_engine(layers, paper).classify(images[:4])
     assert np.allclose(logits, parent, atol=LAZY_EAGER_ATOL)

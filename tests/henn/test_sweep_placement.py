@@ -119,7 +119,7 @@ def test_smoke_logits_within_atol_of_the_parent_schedule(
 ):
     layers, images = smoke_models
     here = _logits(layers[arch], images, kind, mode)
-    monkeypatch.setattr(backend_mod, "_run_poly_program_lazy", parent_lazy)
+    monkeypatch.setattr(backend_mod, "_run_poly_program", parent_lazy)
     parent = _logits(layers[arch], images, kind, mode)
     assert np.allclose(here, parent, atol=LAZY_EAGER_ATOL)
 
@@ -128,13 +128,13 @@ def test_smoke_logits_within_atol_of_the_parent_schedule(
 def test_mock_is_bit_identical_to_the_parent_schedule(smoke_models, monkeypatch, arch):  # noqa: F811
     layers, images = smoke_models
     here = _logits(layers[arch], images, "mock")
-    monkeypatch.setattr(backend_mod, "_run_poly_program_lazy", parent_lazy)
+    monkeypatch.setattr(backend_mod, "_run_poly_program", parent_lazy)
     assert np.array_equal(here, _logits(layers[arch], images, "mock"))
 
 
 def test_parent_schedule_reproduces_the_parent_digests(smoke_models, monkeypatch):  # noqa: F811
     """Only the sweep placement moves bits: the map kernel is exact."""
-    monkeypatch.setattr(backend_mod, "_run_poly_program_lazy", parent_lazy)
+    monkeypatch.setattr(backend_mod, "_run_poly_program", parent_lazy)
     assert smoke_table(smoke_models) == PARENT_SCHEDULE_DIGESTS
 
 

@@ -308,3 +308,35 @@ def test_residue_channels_run_serial_or_on_threads_only():
         for name in imported
         if "shared_memory" in name or name.endswith("ProcessPoolExecutor")
     }
+
+
+# -- one BSGS interpreter, one way to write a relinearised product -----------------
+
+
+def _methods(cls: ast.ClassDef) -> set[str]:
+    return {n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_one_bsgs_interpreter_and_no_relinearising_products():
+    """The eager interpreter lives in ``tests/henn/eager_oracle.py``; a
+    relinearised product is ``relinearize(mul_raw(...))`` at every level.
+    No ``relin_mode`` switch, no second interpreter, no ``mul`` /
+    ``square`` on a backend, and neither scheme context keeps ``mul``,
+    ``square`` or the uncalled ``sub`` / ``negate`` / ``rescale_to_match``."""
+    interpreters, switched = [], []
+    classes: dict[str, ast.ClassDef] = {}
+    for path, tree in _trees("src"):
+        if "relin_mode" in path.read_text():
+            switched.append(str(path.relative_to(ROOT)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_poly_program"):
+                interpreters.append(node.name)
+            elif isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    assert interpreters == ["_run_poly_program"]
+    assert switched == []
+    for name in {"HeBackend"} | BACKENDS:
+        assert not _methods(classes[name]) & {"mul", "square"}, name
+    for name in ("CkksContext", "CkksRnsContext"):
+        dropped = {"mul", "square", "sub", "negate", "rescale_to_match"}
+        assert not _methods(classes[name]) & dropped, name

@@ -44,7 +44,7 @@ def test_ciphertext_health_fields_on_mock():
     assert h["modulus_bits"] == pytest.approx(26.0 * 6)
     assert h["noise_margin_bits"] == pytest.approx(26.0 * 5)
     # consume one level: margin shrinks by one prime
-    ct2 = backend.rescale(backend.square(ct))
+    ct2 = backend.rescale(backend.relinearize_ext(backend.square_raw(ct)))
     h2 = ciphertext_health(backend, ct2)
     assert h2["level"] == 4 and h2["depth_consumed"] == 1
     assert h2["noise_margin_bits"] < h["noise_margin_bits"]
@@ -73,7 +73,7 @@ def test_observe_layer_records_labelled_gauges(fresh_registry):
     backend = MockBackend(batch=4, levels=5)
     handles = np.array([backend.encrypt(np.array([0.5])) for _ in range(3)], dtype=object)
     # make one handle strictly weaker: it must define the floor
-    handles[1] = backend.rescale(backend.square(handles[1]))
+    handles[1] = backend.rescale(backend.relinearize_ext(backend.square_raw(handles[1])))
     with obs.tracing(metrics=fresh_registry):
         health = observe_layer(backend, handles, "HeConv2d", 2)
     assert health is not None and health["level"] == 4

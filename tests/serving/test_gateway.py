@@ -138,7 +138,7 @@ def test_admission_rejects_malformed_without_poisoning_batchmates(layers, images
     wrong_shape = np.empty((1, 5, 5), dtype=object)
     # a drifted ciphertext: consumed levels disqualify it at admission
     drifted = client.encrypt_request(images[:1]).copy()
-    drifted[0, 0, 0] = backend.rescale(backend.square(drifted[0, 0, 0]))
+    drifted[0, 0, 0] = backend.rescale(backend.relinearize_ext(backend.square_raw(drifted[0, 0, 0])))
 
     good_future = gateway.submit(good, count=1)
     bad_shape = gateway.try_classify(wrong_shape)
@@ -160,7 +160,7 @@ def test_error_detail_never_echoes_request_data(layers, images):
     client = Client(backend, SHAPE)
     gateway = BatchedCloudService(backend, layers, SHAPE)
     drifted = client.encrypt_request(images[:1]).copy()
-    drifted[0, 0, 0] = backend.rescale(backend.square(drifted[0, 0, 0]))
+    drifted[0, 0, 0] = backend.rescale(backend.relinearize_ext(backend.square_raw(drifted[0, 0, 0])))
     response = gateway.try_classify(drifted, count=1)
     # canned sentence from the fixed vocabulary, no interpolation
     assert response.error.detail == "request rejected at admission"
@@ -250,7 +250,7 @@ def test_concurrent_submitters_with_poison_and_overload(layers, images):
         enc = client.encrypt_request(images[i % len(images)][None])
         if i % 5 == 0:  # poison: drift the level of one handle
             enc = enc.copy()
-            enc[0, 0, 0] = backend.rescale(backend.square(enc[0, 0, 0]))
+            enc[0, 0, 0] = backend.rescale(backend.relinearize_ext(backend.square_raw(enc[0, 0, 0])))
             want.append(None)
         else:
             want.append(client.decrypt_response(serial.classify_encrypted(enc), batch=1))
@@ -397,6 +397,19 @@ def test_retry_gives_up_after_max_attempts_of_overload(images):
         client.classify_with_retry(cloud, images[:1], max_attempts=3)
     assert cloud.calls == 3
     assert info.value.error.category == "overload"
+
+
+@pytest.mark.parametrize("attempts", [0, -1])
+def test_retry_rejects_fewer_than_one_attempt(images, attempts):
+    """Zero attempts used to send nothing and still raise ``ProtocolError``
+    ("failed after 0 attempt(s): None"), reporting a failure that never
+    happened."""
+    backend = _mock()
+    client = Client(backend, SHAPE)
+    cloud = _FlakyCloud(overloaded_calls=0, then=_ok_response(backend))
+    with pytest.raises(ValueError, match="max_attempts"):
+        client.classify_with_retry(cloud, images[:1], max_attempts=attempts)
+    assert cloud.calls == 0
 
 
 def test_retry_stops_immediately_on_non_retryable(images):

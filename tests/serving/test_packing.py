@@ -38,8 +38,8 @@ def test_mock_concat_is_bit_exact():
     handles = [backend.encrypt(x) for x in xs]
     packed = backend.concat_slots(handles, [2, 1])
     # serial evaluation of each member vs sliced evaluation of the pack
-    serial = [backend.square(backend.rescale(h)) for h in handles]
-    batched = backend.square(backend.rescale(packed))
+    serial = [backend.relinearize_ext(backend.square_raw(backend.rescale(h))) for h in handles]
+    batched = backend.relinearize_ext(backend.square_raw(backend.rescale(packed)))
     for i, (s, count) in enumerate(zip(serial, [2, 1])):
         got = backend.decrypt(
             backend.slice_slots(batched, 0 if i == 0 else 2, count), count=count
@@ -50,7 +50,7 @@ def test_mock_concat_is_bit_exact():
 def test_mock_concat_rejects_mixed_levels_and_scales():
     backend = MockBackend(batch=8, levels=4)
     a = backend.encrypt(np.array([1.0]))
-    b = backend.rescale(backend.square(backend.encrypt(np.array([2.0]))))
+    b = backend.rescale(backend.relinearize_ext(backend.square_raw(backend.encrypt(np.array([2.0])))))
     with pytest.raises(ValueError):
         backend.concat_slots([a, b], [1, 1])
 
@@ -182,7 +182,7 @@ def test_poisoned_member_rejected_at_admission_on_rns(pk_layers, pk_images):
     want = [client.decrypt_response(serial.classify_encrypted(e), batch=1) for e in good]
     drifted = client.encrypt_request(pk_images[2:3]).copy()
     first = (0,) * drifted.ndim  # a pixel cell, or the one packed handle
-    drifted[first] = backend.rescale(backend.square(drifted[first]))
+    drifted[first] = backend.rescale(backend.relinearize_ext(backend.square_raw(drifted[first])))
 
     futures = [gateway.submit(e, count=1) for e in good]
     poisoned = gateway.try_classify(drifted, count=1)
