@@ -9,7 +9,7 @@ key switching, docs/KERNELS.md), so one number sets both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.ckks.sampling import DEFAULT_SIGMA
 
@@ -125,34 +125,5 @@ class CkksRnsParams:
             moduli_bits=(40,) + (26,) * 11 + (40,),
             scale_bits=26,
             special_bits=50,
-            hw=64,
-        )
-
-    @classmethod
-    def for_chain_length(
-        cls,
-        k: int,
-        n: int = 2**12,
-        total_bits: int = 366,
-        scale_bits: int = 26,
-        max_prime_bits: int = 50,
-    ) -> "CkksRnsParams":
-        """Moduli chain of length *k* under a fixed total-precision budget.
-
-        Used by the Table IV / VI sweeps: the target ``log q`` stays fixed
-        while the number of co-prime moduli varies, so small *k* gets wide
-        (expensive) primes and large *k* narrow (cheap) ones — capped at
-        ``max_prime_bits`` per the SEAL co-prime tool's 60-bit limit
-        (ours: 50, see DESIGN.md).
-        """
-        if k < 1:
-            raise ValueError("chain length must be >= 1")
-        per = min(max_prime_bits, max(20, round(total_bits / k)))
-        bits = tuple([per] * k)
-        return cls(
-            n=n,
-            moduli_bits=bits,
-            scale_bits=scale_bits,
-            special_bits=max(per, scale_bits + 10, 40),
             hw=64,
         )

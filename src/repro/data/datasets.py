@@ -36,9 +36,6 @@ class Dataset:
             sel = idx[start : start + batch_size]
             yield self.x[sel], self.y[sel]
 
-    def subset(self, n: int) -> "Dataset":
-        return Dataset(self.x[:n], self.y[:n])
-
 
 def train_test_split(
     x: np.ndarray, y: np.ndarray, test_fraction: float = 0.2, seed: int | None = None

@@ -78,9 +78,6 @@ class _SinglePolyOps:
     def delta(self) -> float:
         return self.b.scale
 
-    def scale_of(self, h: Any) -> float:
-        return self.b.scale_of(h)
-
     def rescale(self, h: Any, defer_high: bool = False) -> Any:
         return self.b.rescale(h, defer_high=defer_high)
 
@@ -90,7 +87,7 @@ class _SinglePolyOps:
     def mul_plain_vec(self, h: Any, consts: np.ndarray, ps: float) -> Any:
         if len(consts) == 1:
             return self.b.mul_plain_scalar(h, float(consts[0]), ps)
-        return self.b.mul_plain_vector(h, consts, ps)
+        return self.b._mul_encoded(h, self.b._encode_vector(consts, ps, h.level), ps)
 
     def add_plain_vec(self, h: Any, consts: np.ndarray) -> Any:
         return self.b.add_plain(h, float(consts[0]) if len(consts) == 1 else consts)
@@ -161,11 +158,11 @@ def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -
             if bd == 0:
                 pending = coeffs[:, base]
                 continue
-            target = ops.scale_of(powers[bd]) * ops.delta
+            target = powers[bd].scale * ops.delta
         elif pending is not None:
             acc = ops.mul_plain_vec(y_raw, pending, ops.delta)
             pending = None
-            target = ops.scale_of(acc)
+            target = acc.scale
         else:
             # The accumulator must be degree 1 before folding with the
             # raw giant power (degree 1 x 2 -> 3 is the ceiling the
@@ -173,9 +170,9 @@ def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -
             # identity on the first, still degree-1, block sum).
             acc = ops.relinearize(ops.rescale(acc, defer_high=True))
             acc = ops.mul_raw(acc, y_raw)
-            target = ops.scale_of(acc)
+            target = acc.scale
         for j in range(bd, 0, -1):
-            ps = target / ops.scale_of(powers[j])
+            ps = target / powers[j].scale
             term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
             acc = term if acc is None else ops.add(acc, term)
         acc = ops.add_plain_vec(acc, coeffs[:, base])
@@ -213,8 +210,8 @@ class EncodedMap:
     """
 
     def __init__(self, rows: "list[tuple[list[int] | None, EncodedTaps]]", inputs: int):
-        if not rows:
-            raise ValueError("a linear map needs at least one row")
+        if not rows or inputs < 1:
+            raise ValueError("a linear map needs at least one row and one input")
         self.rows = rows
         self.inputs = inputs
         self.plain_scale = rows[0][1].plain_scale
@@ -245,28 +242,28 @@ class HeBackend(ABC):
     ``mul_raw`` return handles that still carry their ``s²``/``s³``
     components, the linear ops below accept them like any other handle,
     and ``relinearize_ext`` brings them back to degree 1 — a relinearised
-    product is spelled ``relinearize_ext(mul_raw(a, b))``.  The 26 public
-    names, by role:
+    product is spelled ``relinearize_ext(mul_raw(a, b))``.  A handle
+    carries its own ``scale`` and ``level``.  The 22 public names, by
+    role:
 
-    **Primitives** (19; what a scheme implements)
+    **Primitives** (16; what a scheme implements)
 
     * parameters — ``scale``, ``max_batch``;
     * client side — ``encrypt``, ``encrypt_many``, ``decrypt`` (degree 1);
     * linear, any degree — ``add``, ``add_plain``, ``mul_plain_scalar``,
-      ``rescale``, ``scale_of``, ``level_of``;
+      ``rescale``;
     * ct × ct — ``square_raw``, ``mul_raw`` (left operand degree 1) and
       ``relinearize_ext``;
-    * single-image packing — ``mul_plain_vector`` (any degree) and
-      ``rotate`` (degree 1, one step or a hoisted sequence);
+    * single-image packing — ``rotate`` (degree 1, one step or a hoisted
+      sequence);
     * request packing, degree 1 — ``concat_slots``, ``slice_slots``;
     * compile-once constants — ``encode_taps``.
 
-    **Derived composites** (7; defined here on top of the primitives):
+    **Derived composites** (6; defined here on top of the primitives):
     ``weighted_sum_encoded``, ``poly_eval_many``, ``rescale_many``,
     ``add_plain_each`` and ``relinearize_many`` are what the engine's
     plan calls, and the real schemes override them with fused kernels;
-    ``weighted_sum`` and ``poly_eval`` are spelled once and no scheme
-    overrides them.
+    ``poly_eval`` is spelled once and no scheme overrides it.
 
     Degree-1-only entry points raise
     :class:`~repro.ckks.ciphertext.CiphertextDegreeError` on an
@@ -339,20 +336,6 @@ class HeBackend(ABC):
         degree-1 handle or a backend without that optimisation.
         """
 
-    @abstractmethod
-    def scale_of(self, a: Any) -> float:
-        """Current plaintext scale of *a*."""
-
-    @abstractmethod
-    def level_of(self, a: Any) -> int:
-        """Remaining multiplicative levels of *a*."""
-
-    def mul_plain_vector(self, a: Any, values: np.ndarray, plain_scale: float | None = None) -> Any:
-        """Slotwise multiply by a plaintext vector encoded at *plain_scale* (default Δ), any degree."""
-        ps = float(plain_scale or self.scale)
-        plain = self._encode_vector(np.asarray(values, dtype=np.float64), ps, self.level_of(a))
-        return self._mul_encoded(a, plain, ps)
-
     def rotate(self, a: Any, steps: "int | Sequence[int]") -> Any:
         """Left-rotate slots by *steps*; a sequence returns one handle per step.
 
@@ -406,35 +389,6 @@ class HeBackend(ABC):
         raise NotImplementedError(f"{self.name} backend has no native slot packing")
 
     # -- composite operations (overridable fast paths) -------------------------
-
-    def weighted_sum(
-        self, handles: Sequence[Any], weights: np.ndarray, plain_scale: float | None = None
-    ) -> Any:
-        """``sum_i weights[i] * handles[i]`` at a common plain scale.
-
-        The reference spelling: encodes *weights* on every call and
-        replays them as a one-row map through
-        :meth:`weighted_sum_encoded`, where each backend's kernel lives.
-
-        Parameters
-        ----------
-        handles:
-            Ciphertext handles of the summands (any degree).
-        weights:
-            Matching plaintext weights (same length as *handles*).
-        plain_scale:
-            Encoding scale of the weights (defaults to Δ).
-
-        Returns
-        -------
-        A handle for the weighted sum at scale ``scale * plain_scale``.
-        """
-        if len(handles) != len(weights):
-            raise ValueError("handles/weights length mismatch")
-        if len(handles) == 0:
-            raise ValueError("weighted_sum needs at least one term")
-        row = self.encode_taps(weights, plain_scale)
-        return self.weighted_sum_encoded(handles, EncodedMap([(None, row)], len(handles)))[0]
 
     def encode_taps(
         self, weights: np.ndarray, plain_scale: float | None = None, level: int | None = None
@@ -662,7 +616,10 @@ class MockBackend(HeBackend):
 
     def add_plain(self, a: _MockHandle, value: "float | np.ndarray") -> _MockHandle:
         plain = self._q(value if isinstance(value, np.ndarray) else float(value), a.scale)
-        return _MockHandle(a.values + plain, a.scale, a.level, a.degree, a.deferred)
+        values = a.values
+        if np.ndim(value) == 1 and len(value) > len(values):
+            values = _zero_extend(values, len(value))  # the slots past a handle's values hold 0
+        return _MockHandle(values + plain, a.scale, a.level, a.degree, a.deferred)
 
     def mul_plain_scalar(self, a: _MockHandle, scalar: float, plain_scale: float | None = None) -> _MockHandle:
         ps = float(plain_scale or self._scale)
@@ -677,12 +634,6 @@ class MockBackend(HeBackend):
             scale = self.fault_injector.next_scale(scale)
         return _MockHandle(a.values, scale, a.level - 1, a.degree, a.degree > 1)
 
-    def scale_of(self, a: _MockHandle) -> float:
-        return a.scale
-
-    def level_of(self, a: _MockHandle) -> int:
-        return a.level
-
     def _encode_vector(self, values: np.ndarray, plain_scale: float, level: int) -> np.ndarray:
         return np.asarray(self._q(values, plain_scale))
 
@@ -694,7 +645,7 @@ class MockBackend(HeBackend):
         require_degree1(a, "rotate")
         if not isinstance(steps, (int, np.integer)):
             return [self.rotate(a, r) for r in steps]
-        return _MockHandle(np.roll(a.values, -steps), a.scale, a.level)
+        return _MockHandle(np.roll(_zero_extend(a.values, self._batch), -steps), a.scale, a.level)
 
     # -- ct x ct products (relinearisation deferred) ------------------------------
 
@@ -759,6 +710,11 @@ class MockBackend(HeBackend):
         return _MockHandle(a.values[start : start + count].copy(), a.scale, a.level)
 
 
+def _zero_extend(values: np.ndarray, width: int) -> np.ndarray:
+    """*values* padded with zeros to *width* slots, as a ciphertext holds them."""
+    return np.pad(values, (0, width - len(values)))
+
+
 # --------------------------------------------------------------------------- multiprecision CKKS
 
 
@@ -800,12 +756,6 @@ class CkksBackend(HeBackend):
     def rescale(self, a, defer_high: bool = False):
         return self.ctx.rescale_ext(a) if a.degree > 1 else self.ctx.rescale(a)
 
-    def scale_of(self, a) -> float:
-        return a.scale
-
-    def level_of(self, a) -> int:
-        return a.level
-
     # -- ct x ct products (relinearisation deferred) ------------------------------
 
     def square_raw(self, a):
@@ -844,6 +794,9 @@ class CkksBackend(HeBackend):
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
             out = []
             for row, enc in emap.gather(handles):
+                scales = [h.scale for h in row]
+                if not np.isclose(scales, scales[0], rtol=1e-9).all():  # CkksContext.add's rule
+                    raise ValueError(f"scale mismatch in weighted_sum: {min(scales)} vs {max(scales)}")
                 level = min(h.level for h in row)
                 q = self.ctx.ring(level).q
                 accs = [np.zeros(self.ctx.n, dtype=object)] * (max(h.degree for h in row) + 1)
@@ -939,12 +892,6 @@ class CkksRnsBackend(HeBackend):
             out.scale = self.fault_injector.next_scale(out.scale)
         return out
 
-    def scale_of(self, a) -> float:
-        return a.scale
-
-    def level_of(self, a) -> int:
-        return a.level
-
     # -- ct x ct products (relinearisation deferred) ------------------------------
 
     def square_raw(self, a):
@@ -981,7 +928,7 @@ class CkksRnsBackend(HeBackend):
         slot-vector taps (no ``matrix``) sums its
         dyadic products per row instead
         (:meth:`CkksRnsContext.weighted_sum_plain`), bit-identical to
-        the generic ``mul_plain_vector`` / ``add`` chain.
+        the generic ``_mul_encoded`` / ``add`` chain.
         """
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
             if emap.matrix is None:

@@ -87,8 +87,7 @@ class HeInferenceEngine:
         Expected ``(C, H, W)`` of one input image.
     plan:
         An :class:`~repro.henn.plan.InferencePlan` already compiled for
-        this backend and graph, adopted as-is (a cluster worker compiles
-        its own against the shared-memory cache).  By default the engine
+        this backend and graph, adopted as-is.  By default the engine
         compiles one: every linear map's weights are encoded once, and
         scalar plaintexts are memoized as the first image flows through,
         so warm ``classify()`` calls perform zero plaintext encodes.

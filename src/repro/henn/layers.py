@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.henn.backend import HeBackend
+from repro.henn.backend import EncodedMap, HeBackend
 from repro.nn.layers.conv import conv_output_shape
 from repro.nt.kernels import compile_poly_program
 from repro.obs.health import _top_level
@@ -111,9 +111,10 @@ class HeLinearMap(HeLayer):
     """A plaintext-weighted sum per output position: conv, dense, pooling.
 
     A subclass describes itself once, as the :class:`TapProgram` of
-    :meth:`taps`; this class holds the reference evaluation of it (one
-    :meth:`~HeBackend.weighted_sum`, one rescale and one plaintext bias
-    add per position, then one batched relinearisation of the outputs)
+    :meth:`taps`; this class holds the reference evaluation of it (per
+    position, its weights encoded afresh as a one-row
+    :class:`~repro.henn.backend.EncodedMap`, one rescale and one
+    plaintext bias add, then one batched relinearisation of the outputs)
     and :class:`repro.henn.plan.PlannedTaps` the precompiled one the
     engine runs.  Consumes one level.
     """
@@ -130,7 +131,8 @@ class HeLinearMap(HeLayer):
         out = np.empty(len(entries), dtype=object)
         for pos, (idxs, ws) in enumerate(entries):
             handles = flat if idxs is None else [flat[t] for t in idxs]
-            acc = backend.rescale(backend.weighted_sum(handles, ws))
+            emap = EncodedMap([(None, backend.encode_taps(ws))], len(handles))
+            acc = backend.rescale(backend.weighted_sum_encoded(handles, emap)[0])
             if bias is not None:
                 acc = backend.add_plain(acc, float(bias[pos]))
             out[pos] = acc

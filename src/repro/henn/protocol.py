@@ -561,11 +561,10 @@ class BatchedCloudService(CloudService):
             raise RequestValidationError(
                 f"request claims {count} slots, capacity {self.scheduler.max_batch_slots}"
             )
-        backend = self.engine.backend
         for i, cell in enumerate(enc.reshape(-1)):
             try:
-                level = int(backend.level_of(cell))
-                scale = float(backend.scale_of(cell))
+                level = int(cell.level)
+                scale = float(cell.scale)
             except Exception as exc:
                 raise RequestValidationError(f"handle {i} is not a ciphertext") from exc
             if self._expected_level is not None and level != self._expected_level:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_normal", "kaiming_uniform", "zeros"]
+__all__ = ["kaiming_normal", "zeros"]
 
 
 def kaiming_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -12,14 +12,6 @@ def kaiming_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator
     if fan_in <= 0:
         raise ValueError("fan_in must be positive")
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def kaiming_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
-    """He-uniform variant: U(-b, b) with b = sqrt(6/fan_in)."""
-    if fan_in <= 0:
-        raise ValueError("fan_in must be positive")
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

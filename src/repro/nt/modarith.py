@@ -30,7 +30,6 @@ __all__ = [
     "mulmod",
     "powmod",
     "invmod",
-    "barrett_ratio",
 ]
 
 #: Largest supported modulus bit-width (float-Barrett correctness bound).
@@ -119,8 +118,3 @@ def invmod(a: int, m: int) -> int:
         return pow(a, -1, int(m))
     except ValueError as exc:  # non-invertible
         raise ValueError(f"{a} is not invertible modulo {m}") from exc
-
-
-def barrett_ratio(m: int) -> float:
-    """Precomputed ``1/m`` as float64 (kept for API symmetry / plans)."""
-    return 1.0 / float(_check_modulus(m))

@@ -45,7 +45,6 @@ __all__ = [
     "BatchedNttPlan",
     "NttPlan",
     "bit_reverse_permutation",
-    "plan_registry_stats",
 ]
 
 #: Widest first pass: its weights are ``n * n1`` entries, so ``n1`` stays
@@ -249,11 +248,6 @@ class NttPlan:
 #: Process-global ``(n, p) -> NttPlan`` store behind :meth:`NttPlan.get`.
 _PLAN_REGISTRY: dict[tuple[int, int], NttPlan] = {}
 _PLAN_LOCK = threading.Lock()
-
-
-def plan_registry_stats() -> dict[str, int]:
-    """Size of the shared plan registries (for tests and obs reports)."""
-    return {"plans": len(_PLAN_REGISTRY), "batched_plans": len(_BATCHED_REGISTRY)}
 
 
 class BatchedNttPlan:

@@ -12,7 +12,8 @@ serving process exposes its health.  The pieces:
 * :mod:`repro.obs.metrics` — process-global counters/gauges/histograms
   fed by span completions (and usable directly), with labelled series
   and cross-process delta merging (``to_delta``/``merge_delta``) used
-  by the :mod:`repro.parallel` executors to ship worker telemetry home.
+  by the :mod:`repro.serving.cluster` workers to ship their telemetry
+  home.
 * :mod:`repro.obs.health` — ciphertext-health gauges (scale, level,
   modulus-chain depth, noise margin) sampled at every ``henn`` layer
   boundary, plus the decrypt-side precision probe.

@@ -90,8 +90,8 @@ def ciphertext_health(backend: Any, handle: Any) -> dict[str, float | int | None
     * ``noise_margin_bits`` — the cheap noise-budget estimate
       ``modulus_bits − scale_bits``; at 0 the message drowns.
     """
-    scale = float(backend.scale_of(handle))
-    level = int(backend.level_of(handle))
+    scale = float(handle.scale)
+    level = int(handle.level)
     scale_bits = math.log2(scale) if scale > 0 else 0.0
     modulus_bits = _modulus_bits(backend, level)
     top = _top_level(backend)
@@ -141,7 +141,7 @@ def observe_layer(
     flat = _flat_handles(handles)
     if not flat:
         return None
-    worst = min(flat, key=lambda h: (backend.level_of(h), -backend.scale_of(h)))
+    worst = min(flat, key=lambda h: (h.level, -h.scale))
     health = ciphertext_health(backend, worst)
     labels: dict[str, Any] = {"layer": layer, "backend": getattr(backend, "name", "?")}
     if index is not None:

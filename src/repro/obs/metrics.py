@@ -148,10 +148,6 @@ class Gauge(_Metric):
             self._max = max(self._max, v)
             self._samples += 1
 
-    def dec(self, delta: float = 1.0) -> None:
-        """Adjust the gauge by ``-delta``."""
-        self.inc(-delta)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -549,9 +545,10 @@ def isolate_thread() -> None:
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     """Install *registry* as the process-global registry and return it.
 
-    Used by the metered executors: a pool worker redirects the global
-    registry to a fresh one for the duration of an item, so the item's
-    metrics arrive as an isolated, serialisable delta.
+    Used by the cluster worker (:mod:`repro.serving.cluster`): it
+    installs a fresh registry at start and after every shipped delta,
+    so each batch's metrics arrive home as an isolated, serialisable
+    delta.
     """
     global _REGISTRY
     _REGISTRY = registry

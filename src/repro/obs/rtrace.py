@@ -252,18 +252,6 @@ class TraceContext:
         with self._lock:
             self._spans.extend(spans)
 
-    # -- wire format --------------------------------------------------------
-
-    def wire(self) -> dict[str, Any] | None:
-        """Picklable propagation header for the worker transport.
-
-        ``None`` for unsampled requests — the worker then skips tracer
-        activation entirely (span shipping costs nothing when off).
-        """
-        if not self.sampled:
-            return None
-        return {"trace_id": self.trace_id, "request_id": self.request_id}
-
     # -- reading ------------------------------------------------------------
 
     def stages(self) -> dict[str, float]:

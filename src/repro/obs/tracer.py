@@ -32,7 +32,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = [
     "Span",
@@ -215,11 +215,6 @@ class Tracer:
             self.metrics.counter(f"span.{sp.name}.calls").inc()
             self.metrics.histogram(f"span.{sp.name}.seconds").observe(sp.duration)
 
-    def absorb(self, spans: Iterable[Span]) -> None:
-        """Append already-finished spans (e.g. from another tracer)."""
-        with self._lock:
-            self._spans.extend(spans)
-
     # -- reading -----------------------------------------------------------
 
     def finished(self) -> list[Span]:
@@ -248,9 +243,6 @@ class NullTracer:
 
     def finished(self) -> list[Span]:
         return []
-
-    def absorb(self, spans: Iterable[Span]) -> None:
-        return None
 
     def clear(self) -> None:
         return None

@@ -12,18 +12,14 @@
 """
 
 from repro.rns.base import RnsBase
-from repro.rns.decompose import rns_decompose, rns_recompose, rns_recompose_signed
-from repro.rns.arithmetic import channel_add, channel_mul, channel_neg, channel_scalar_mul
+from repro.rns.decompose import rns_decompose, rns_recompose_signed
+from repro.rns.arithmetic import channel_mul
 from repro.rns.convert import approx_base_convert
 
 __all__ = [
     "RnsBase",
     "rns_decompose",
-    "rns_recompose",
     "rns_recompose_signed",
-    "channel_add",
     "channel_mul",
-    "channel_neg",
-    "channel_scalar_mul",
     "approx_base_convert",
 ]

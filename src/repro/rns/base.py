@@ -14,8 +14,6 @@ element, big-int work only for digits past the 62-bit Horner prefix).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nt.crt import CrtBasis
 from repro.nt.primes import gen_ntt_primes
 
@@ -81,25 +79,11 @@ class RnsBase(CrtBasis):
         """``log2 Q`` rounded up — the paper's Table II "log q" row."""
         return self.modulus.bit_length()
 
-    def drop_last(self) -> "RnsBase":
-        """Sub-base without the final modulus (one rescaling step down)."""
-        if self.k == 1:
-            raise ValueError("cannot drop the only modulus")
-        return RnsBase(self.moduli[:-1], n=self.n)
-
     def prefix(self, k: int) -> "RnsBase":
         """Sub-base of the first *k* moduli."""
         if not 1 <= k <= self.k:
             raise ValueError(f"k must be in [1, {self.k}], got {k}")
         return RnsBase(self.moduli[:k], n=self.n)
-
-    def max_representable(self) -> int:
-        """Largest magnitude of signed values exactly representable: Q//2."""
-        return self.modulus // 2
-
-    def channel_dtype_ok(self) -> bool:
-        """True when every channel fits the fast int64 vectorised path."""
-        return all(m.bit_length() <= 62 for m in self.moduli)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RnsBase(k={self.k}, bits={self.bit_sizes}, n={self.n})"

@@ -23,7 +23,7 @@ import numpy as np
 from repro.obs.tracer import traced
 from repro.rns.base import RnsBase
 
-__all__ = ["rns_decompose", "rns_recompose", "rns_recompose_signed"]
+__all__ = ["rns_decompose", "rns_recompose_signed"]
 
 
 @traced("rns.decompose")
@@ -56,43 +56,12 @@ def rns_decompose(x: np.ndarray, base: RnsBase) -> np.ndarray:
     return np.stack(chans, axis=0)
 
 
-@traced("rns.recompose")
-def rns_recompose(channels: np.ndarray, base: RnsBase) -> np.ndarray:
-    """CRT recomposition to canonical representatives in ``[0, Q)``.
-
-    Parameters
-    ----------
-    channels:
-        ``(k, ...)`` residue stack, channel *i* holding values mod
-        ``q_i`` (unreduced int64 inputs are accepted and reduced).
-    base:
-        The moduli chain the stack was decomposed against.
-
-    Returns
-    -------
-    Array of ``x mod Q`` per element — ``int64`` when ``Q`` fits 62
-    bits, else ``object`` (Python ints).
-
-    Notes
-    -----
-    Vectorised Garner lift (``docs/KERNELS.md``): O(k^2) int64 vector
-    ops for the mixed-radix digits plus one exact int64 Horner fold
-    over the leading digits; no final ``mod Q``.  Property-tested
-    against the big-int oracle in ``tests/nt/test_crt.py``.
-    """
-    _check(channels, base)
-    out = base.compose([channels[i] for i in range(base.k)])
-    if base.modulus.bit_length() <= 62:
-        return out.astype(np.int64)
-    return out
-
-
 @traced("rns.recompose_signed")
 def rns_recompose_signed(channels: np.ndarray, base: RnsBase) -> np.ndarray:
     """CRT recomposition to signed values in ``[-Q/2, Q/2)``.
 
-    This is the variant the CNN-RNS pipeline uses after convolution,
-    where outputs may be negative.
+    The CNN-RNS pipeline recomposes with it after convolution, where
+    outputs may be negative.
 
     Parameters
     ----------
@@ -108,10 +77,12 @@ def rns_recompose_signed(channels: np.ndarray, base: RnsBase) -> np.ndarray:
 
     Notes
     -----
-    Same Garner lift as :func:`rns_recompose`; the sign decision
-    (``x >= Q/2``) compares mixed-radix digit vectors against the
-    precomputed digits of ``Q // 2``, so it never leaves int64 either
-    (``docs/KERNELS.md``).
+    Vectorised Garner lift (``docs/KERNELS.md``): O(k^2) int64 vector
+    ops for the mixed-radix digits plus one exact int64 Horner fold
+    over the leading digits.  The sign decision (``x >= Q/2``) compares
+    mixed-radix digit vectors against the precomputed digits of
+    ``Q // 2``, so it never leaves int64 either.  Property-tested
+    against the big-int oracle in ``tests/nt/test_crt.py``.
     """
     _check(channels, base)
     out = base.compose_centered([channels[i] for i in range(base.k)])

@@ -2,6 +2,6 @@
 
 from repro.utils.cache import PlaintextCache
 from repro.utils.rng import derive_rng, spawn_rngs
-from repro.utils.timing import LatencyStats, Timer, time_call
+from repro.utils.timing import LatencyStats, Timer
 
-__all__ = ["derive_rng", "spawn_rngs", "LatencyStats", "Timer", "time_call", "PlaintextCache"]
+__all__ = ["derive_rng", "spawn_rngs", "LatencyStats", "Timer", "PlaintextCache"]

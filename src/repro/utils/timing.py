@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
-__all__ = ["Timer", "LatencyStats", "time_call"]
+__all__ = ["Timer", "LatencyStats"]
 
 
 class Timer:
@@ -70,11 +69,6 @@ class LatencyStats:
         mu = self.avg
         return math.sqrt(sum((s - mu) ** 2 for s in self.samples) / (len(self.samples) - 1))
 
-    def merge(self, other: "LatencyStats") -> "LatencyStats":
-        out = LatencyStats()
-        out.samples = self.samples + other.samples
-        return out
-
     def row(self) -> dict[str, float]:
         """Dictionary shaped like one row of the paper's latency tables."""
         return {"min": self.min, "max": self.max, "avg": self.avg}
@@ -84,16 +78,3 @@ class LatencyStats:
             f"LatencyStats(n={self.count}, min={self.min:.4f}, "
             f"max={self.max:.4f}, avg={self.avg:.4f})"
         )
-
-
-def time_call(fn: Callable[..., Any], *args: Any, repeats: int = 1, **kwargs: Any) -> tuple[Any, LatencyStats]:
-    """Call ``fn`` *repeats* times, returning the last result and its stats."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    stats = LatencyStats()
-    result = None
-    for _ in range(repeats):
-        with Timer() as t:
-            result = fn(*args, **kwargs)
-        stats.add(t.elapsed)
-    return result, stats

@@ -49,13 +49,3 @@ def test_paper_table2():
     assert set(p.moduli_bits[1:-1]) == {26}
     assert p.scale_bits == 26
     assert p.special_bits == 50 and p.log_qp == 416  # the paper's single prime
-
-
-def test_for_chain_length_budget():
-    p3 = CkksRnsParams.for_chain_length(3, total_bits=120)
-    assert p3.chain_length == 3
-    assert all(b <= 50 for b in p3.moduli_bits)
-    p9 = CkksRnsParams.for_chain_length(9, total_bits=366)
-    assert p9.chain_length == 9
-    with pytest.raises(ValueError):
-        CkksRnsParams.for_chain_length(0)

@@ -57,16 +57,16 @@ def run_poly_program_eager(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarr
             if bd == 0:
                 pending = coeffs[:, base]
                 continue
-            target = ops.scale_of(powers[bd]) * ops.delta
+            target = powers[bd].scale * ops.delta
         elif pending is not None:
             acc = ops.mul_plain_vec(y, pending, ops.delta)
             pending = None
-            target = ops.scale_of(acc)
+            target = acc.scale
         else:
             acc = ops.relinearize(ops.mul_raw(ops.rescale(acc), y))
-            target = ops.scale_of(acc)
+            target = acc.scale
         for j in range(bd, 0, -1):
-            ps = target / ops.scale_of(powers[j])
+            ps = target / powers[j].scale
             term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
             acc = term if acc is None else ops.add(acc, term)
         acc = ops.add_plain_vec(acc, coeffs[:, base])

@@ -18,7 +18,7 @@ from repro.ckks import CkksParams
 from repro.ckks.ciphertext import CiphertextDegreeError
 from repro.ckksrns import CkksRnsParams
 from repro.ckksrns.serialize import ciphertext_from_bytes, ciphertext_to_bytes
-from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
+from repro.henn.backend import CkksBackend, CkksRnsBackend, EncodedMap, MockBackend
 from repro.henn.protocol import _sanitize
 from repro.obs.metrics import get_registry
 
@@ -48,6 +48,12 @@ def _extended(backend):
     return ct, raw2, backend.mul_raw(ct, raw2)
 
 
+def _weighted_sum(backend, taps, ws):
+    """The reference forward's one-row map: *ws* encoded afresh."""
+    row = backend.encode_taps(ws)
+    return backend.weighted_sum_encoded(taps, EncodedMap([(None, row)], len(taps)))
+
+
 def test_backend_entry_points_refuse_extended_handles(backend):
     ct, raw2, raw3 = _extended(backend)
     assert [h.degree for h in (ct, raw2, raw3)] == [1, 2, 3]
@@ -70,15 +76,18 @@ def test_linear_ops_carry_every_component(backend):
     acc = backend.add(backend.mul_plain_scalar(raw2, 0.5), backend.mul_plain_scalar(raw2, 0.25))
     acc = backend.add_plain(backend.rescale(acc), 0.125)
     assert acc.degree == 2 and acc.deferred
-    assert backend.scale_of(acc) == pytest.approx(backend.scale**2, rel=1e-2)
-    assert backend.level_of(acc) == backend.level_of(ct) - 1
+    assert acc.scale == pytest.approx(backend.scale**2, rel=1e-2)
+    assert acc.level == ct.level - 1
     out = backend.rescale(backend.relinearize_ext(acc))
     assert out.degree == 1
     assert backend.relinearize_ext(out) is out  # identity on degree 1
     assert np.allclose(backend.decrypt(out, count=4), 0.75 * X**2 + 0.125, atol=1e-3)
     v = np.zeros(backend.max_batch)
     v[:4] = [2.0, -1.0, 0.5, 0.25]
-    prod = backend.mul_plain_vector(raw2, v)  # every component times the slot vector
+    # every component times the slot vector
+    (prod,) = backend.weighted_sum_encoded(
+        [raw2], EncodedMap([(None, backend.encode_taps(v[None], level=raw2.level))], 1)
+    )
     assert prod.degree == 2
     out = backend.rescale(backend.relinearize_ext(prod))
     assert np.allclose(backend.decrypt(out, count=4), v[:4] * X**2, atol=1e-3)
@@ -89,11 +98,18 @@ def test_weighted_sum_weights_every_component(backend):
     zero high components) relinearises to the weighted plaintexts."""
     ct, raw2, raw3 = _extended(backend)
     taps = [backend.mul_plain_scalar(ct, 1.0), raw2, backend.rescale(raw3)]  # all at ~Δ²
-    acc = backend.weighted_sum(taps, np.array([0.5, 0.25, -0.5]))
+    (acc,) = _weighted_sum(backend, taps, [0.5, 0.25, -0.5])
     assert acc.degree == 3 and acc.deferred
     out = backend.relinearize_ext(backend.rescale(acc))
     want = 0.5 * X + 0.25 * X**2 - 0.5 * X**3
     assert np.allclose(backend.decrypt(out, count=4), want, atol=1e-3)
+
+
+def test_weighted_sum_refuses_taps_of_different_scales(backend):
+    """Taps at Δ and Δ² do not sum: every scheme raises, as ``add`` does."""
+    ct = backend.encrypt(X)
+    with pytest.raises(ValueError, match="scale mismatch"):
+        _weighted_sum(backend, [ct, backend.mul_plain_scalar(ct, 1.0)], [1.0, 1.0])
 
 
 def _same(a, b, backend):
@@ -175,7 +191,7 @@ def test_rns_weighted_sum_and_wire_format_refuse_extended():
     component); the wire format still refuses one."""
     backend = _backend("rns")
     ct, raw2, _ = _extended(backend)
-    acc = backend.weighted_sum([backend.mul_plain_scalar(ct, 1.0), raw2], np.array([0.5, 0.25]))
+    (acc,) = _weighted_sum(backend, [backend.mul_plain_scalar(ct, 1.0), raw2], [0.5, 0.25])
     assert acc.degree == 2 and np.array_equal(acc.c2, backend.ctx.mul_plain_scalar(raw2, 0.25).c2)
     got = backend.decrypt(backend.relinearize_ext(acc), count=4)
     assert np.allclose(got, 0.5 * X + 0.25 * X**2, atol=1e-3)

@@ -221,7 +221,7 @@ def _both(backend, fn):
     lazy = backend.relinearize_many(fn())
     with interpreting_eagerly():
         eager = backend.relinearize_many(fn())
-    landed = [[(backend.level_of(h), backend.scale_of(h)) for h in hs] for hs in (lazy, eager)]
+    landed = [[(h.level, h.scale) for h in hs] for hs in (lazy, eager)]
     assert landed[0] == landed[1]
     return lazy, eager
 

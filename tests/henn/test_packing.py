@@ -124,12 +124,9 @@ def test_rotation_backend_support(rng):
         add = add_plain = mul_plain_scalar = square_raw = mul_raw = relinearize_ext = rescale = (
             lambda self, *a, **k: None
         )
-        scale_of = level_of = lambda self, a: 0
 
     with pytest.raises(NotImplementedError):
         Stub().rotate(None, 1)
-    with pytest.raises(NotImplementedError):
-        Stub().mul_plain_vector(None, np.zeros(2))
 
 
 @st.composite

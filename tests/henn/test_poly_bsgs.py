@@ -92,8 +92,8 @@ def test_bsgs_final_scale_and_level(rns):
         prog = compile_poly_program(degree)
         h = rns.encrypt(np.linspace(-1, 1, 8))
         out = rns.poly_eval(h, np.ones(degree + 1) * 0.1)
-        assert rns.level_of(h) - rns.level_of(out) == prog.depth
-        assert np.isclose(rns.scale_of(out), rns.scale, rtol=0.05)
+        assert h.level - out.level == prog.depth
+        assert np.isclose(out.scale, rns.scale, rtol=0.05)
 
 
 def test_poly_eval_many_bitidentical_to_singles(rns, rng):

@@ -125,14 +125,14 @@ def test_exact_chain_suffices_and_ends_on_level_zero(kind, degree):
     for mode in MODES:
         ins, outs, wants = _evaluate(backend, kind, mode, degree)
         for h, out, want in zip(ins, outs, wants):
-            assert backend.level_of(h) - backend.level_of(out) == depth, mode
-            assert backend.level_of(out) == 0, mode  # no unused prime
-            drift = abs(backend.scale_of(out) / backend.scale - 1.0)
+            assert h.level - out.level == depth, mode
+            assert out.level == 0, mode  # no unused prime
+            drift = abs(out.scale / backend.scale - 1.0)
             assert drift <= _scale_drift_bound(backend, degree), mode
             assert degree > 3 or drift < 1e-3, mode
             got = np.real(backend.decrypt(out, count=8))
             assert np.allclose(got, want, atol=atol), mode
-        landed[mode] = [(backend.level_of(o), backend.scale_of(o)) for o in outs]
+        landed[mode] = [(o.level, o.scale) for o in outs]
     assert landed["eager"] == landed["lazy"]
 
 
@@ -196,7 +196,7 @@ def digest(backend, outs) -> str:
         for comp in ("values", "c0", "c1"):
             if hasattr(out, comp):
                 h.update(_component_bytes(getattr(out, comp)))
-        h.update(repr((backend.level_of(out), float(backend.scale_of(out)))).encode())
+        h.update(repr((out.level, float(out.scale))).encode())
     return h.hexdigest()[:16]
 
 
@@ -262,20 +262,20 @@ def _parent_fold_lazy(ops, prog, x, coeffs):
             if bd == 0:
                 pending = coeffs[:, base]
                 continue
-            target = ops.scale_of(powers[bd]) * ops.delta
+            target = powers[bd].scale * ops.delta
         elif pending is not None:
             acc_ext = ops.mul_plain_vec(y_raw, pending, ops.delta)
             pending = None
-            target = ops.scale_of(acc_ext)
+            target = acc_ext.scale
         else:
             if acc_ext is not None:
                 acc = ops.relinearize(acc_ext)
                 acc_ext = None
             acc_ext = ops.rescale(ops.mul_raw(acc, y_raw), defer_high=True)
             acc = None
-            target = ops.scale_of(acc_ext)
+            target = acc_ext.scale
         for j in range(bd, 0, -1):
-            ps = target / ops.scale_of(powers[j])
+            ps = target / powers[j].scale
             term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
             if acc_ext is not None:
                 acc_ext = ops.add(acc_ext, term)
@@ -311,7 +311,7 @@ def test_smoke_logits_within_atol_of_parent_schedule(
     engine = _smoke_engine(layers, consumed)
     enc = engine.encrypt_images(images[:4])
     scores = engine.run_encrypted(enc)
-    assert {engine.backend.level_of(h) for h in scores} == {0}
+    assert {h.level for h in scores} == {0}
     logits = np.stack([engine.backend.decrypt(h, count=4) for h in scores], axis=1)
 
     monkeypatch.setattr(backend_mod, "_run_poly_program", _parent_fold_lazy)

@@ -67,17 +67,17 @@ def parent_lazy(ops, prog, x, coeffs):
             if bd == 0:
                 pending = coeffs[:, base]
                 continue
-            target = ops.scale_of(powers[bd]) * ops.delta
+            target = powers[bd].scale * ops.delta
         elif pending is not None:
             acc = ops.mul_plain_vec(y_raw, pending, ops.delta)
             pending = None
-            target = ops.scale_of(acc)
+            target = acc.scale
         else:
             acc = ops.relinearize(ops.rescale(acc, defer_high=True))
             acc = ops.mul_raw(acc, y_raw)
-            target = ops.scale_of(acc)
+            target = acc.scale
         for j in range(bd, 0, -1):
-            ps = target / ops.scale_of(powers[j])
+            ps = target / powers[j].scale
             term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
             acc = term if acc is None else ops.add(acc, term)
         acc = ops.add_plain_vec(acc, coeffs[:, base])

@@ -11,8 +11,10 @@ environment variables ``src/`` may read are the two deployment settings
 (cache directory, benchmark preset).  The same rule one level up: the
 ``HeBackend`` interface is implemented by the three schemes and nothing
 else (a serving wrapper would be a fourth copy of every method), and
-every name ``repro.serving``, ``repro.parallel`` or ``repro.resilience``
-exports is used by code outside ``tests/``.
+every name ``repro.serving``, ``repro.parallel``, ``repro.resilience``,
+``repro.henn``, ``repro.ckks``, ``repro.ckksrns``, ``repro.nn``,
+``repro.bench`` or ``repro.rns`` exports is used by code outside
+``tests/``.
 """
 
 from __future__ import annotations
@@ -236,8 +238,14 @@ def test_every_serving_export_is_referenced_outside_tests():
     assert _unreferenced_exports("serving") == []
 
 
-@pytest.mark.parametrize("package_name", ["parallel", "resilience"])
+@pytest.mark.parametrize(
+    "package_name", ["parallel", "resilience", "henn", "ckks", "ckksrns", "nn", "bench", "rns"]
+)
 def test_every_export_is_referenced_outside_tests(package_name):
+    """``nt``, ``data``, ``obs`` and ``utils`` stay out: they export
+    library helpers a caller may reach for (modular arithmetic, dataset
+    loaders, timers), a format inverse only tests read back
+    (``obs.load_json``) and a test hook (``obs.capture_logs``)."""
     assert _unreferenced_exports(package_name) == []
 
 
@@ -281,9 +289,11 @@ def test_linear_maps_have_one_reference_and_one_planned_spelling():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 calls.setdefault(node.func.attr, []).append(path.name)
-    assert calls["weighted_sum"] == ["layers.py"]  # the reference forward
-    for composite in ("weighted_sum_encoded", "rescale_many", "add_plain_each"):
+    # the reference forward and PlannedTaps
+    assert sorted(calls["weighted_sum_encoded"]) == ["layers.py", "plan.py"]
+    for composite in ("rescale_many", "add_plain_each"):
         assert calls[composite] == ["plan.py"], composite
+    assert "weighted_sum" not in calls
 
 
 # -- one way to run residue channels ----------------------------------------------
@@ -339,4 +349,24 @@ def test_one_bsgs_interpreter_and_no_relinearising_products():
         assert not _methods(classes[name]) & {"mul", "square"}, name
     for name in ("CkksContext", "CkksRnsContext"):
         dropped = {"mul", "square", "sub", "negate", "rescale_to_match"}
+        assert not _methods(classes[name]) & dropped, name
+
+
+# -- handles carry their own scale and level ---------------------------------------
+
+
+def test_backends_have_no_wrappers_for_what_a_handle_or_a_map_carries():
+    """A handle answers ``.scale`` / ``.level`` itself, a weighted sum is
+    a one-row ``EncodedMap`` through ``weighted_sum_encoded``, and a
+    slot-vector product is ``_mul_encoded(_encode_vector(...))``: no
+    backend defines ``scale_of``, ``level_of``, ``weighted_sum`` or
+    ``mul_plain_vector``."""
+    dropped = {"scale_of", "level_of", "weighted_sum", "mul_plain_vector"}
+    classes = {
+        node.name: node
+        for _, tree in _trees("src")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    for name in {"HeBackend"} | BACKENDS:
         assert not _methods(classes[name]) & dropped, name

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ckksrns import CkksRnsParams
-from repro.henn.backend import CkksRnsBackend, MockBackend
+from repro.henn.backend import CkksRnsBackend, EncodedMap, MockBackend
 from repro.henn.layers import HeLinear
 from repro.henn.plan import compile_plan
 from repro.nt.kernels import EXACT_BITS, MapBoundError, compile_limb_matrix, limb_gemm
@@ -150,5 +150,5 @@ def test_unmeetable_bound_is_refused_at_compile_time():
     for backend in (MockBackend(batch=4, levels=2), rns):
         with pytest.raises(MapBoundError):
             compile_plan(backend, [huge], (3,))
-    with pytest.raises(MapBoundError):
-        rns.weighted_sum([rns.encrypt(np.ones(4))], np.array([2.0**40]))
+    with pytest.raises(MapBoundError):  # the reference forward's one-row map
+        EncodedMap([(None, rns.encode_taps(np.array([2.0**40])))], 1)

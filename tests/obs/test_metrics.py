@@ -93,7 +93,7 @@ def test_gauge_set_inc_dec_and_envelope():
     d = g.to_dict()
     assert d["min"] == 2.0 and d["max"] == 4.0 and d["samples"] == 3
     g.inc(1.5)
-    g.dec(0.5)
+    g.inc(-0.5)
     assert g.value == 4.0
 
 

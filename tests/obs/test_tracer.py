@@ -140,16 +140,6 @@ def test_span_feeds_metrics_registry():
     assert h.count == 2 and h.total >= 0
 
 
-def test_absorb_merges_foreign_spans():
-    a, b = Tracer(), Tracer()
-    with a.span("from_a"):
-        pass
-    b.absorb(a.finished())
-    assert [s.name for s in b.finished()] == ["from_a"]
-    b.clear()
-    assert b.finished() == []
-
-
 def test_dropped_span_counted_in_process():
     """A tracer inherited by a forked worker refuses to record, and
     counts the loss in the worker's registry (whose delta ships home)."""

@@ -22,23 +22,18 @@ def test_no_n_skips_ntt_check():
     assert base.k == 2
 
 
-def test_drop_last_and_prefix():
+def test_prefix():
     base = RnsBase.from_bit_sizes([30, 26, 26, 26], 64)
-    assert base.drop_last().moduli == base.moduli[:-1]
     assert base.prefix(2).moduli == base.moduli[:2]
     with pytest.raises(ValueError):
         base.prefix(0)
     with pytest.raises(ValueError):
         base.prefix(5)
-    with pytest.raises(ValueError):
-        RnsBase.from_bit_sizes([26], 64).drop_last()
 
 
 def test_total_bits_and_range():
     base = RnsBase.from_bit_sizes([26, 26], 64)
     assert base.total_bits == base.modulus.bit_length()
-    assert base.max_representable() == base.modulus // 2
-    assert base.channel_dtype_ok()
 
 
 def test_exclusion_gives_distinct_chains():

@@ -27,6 +27,7 @@ from repro.henn.protocol import (
 )
 from repro.obs.logs import capture_logs
 from repro.resilience.errors import ProtocolError
+from repro.serving.errors import RequestValidationError
 
 SHAPE = (1, 6, 6)
 
@@ -152,6 +153,18 @@ def test_admission_rejects_malformed_without_poisoning_batchmates(layers, images
         assert not response.error.retryable
     good_response = good_future.result(timeout=30)
     assert good_response.ok, "a rejected request must not fail its batchmates"
+    gateway.close()
+
+
+def test_admission_rejects_a_request_of_plain_floats(layers):
+    """Cells without a level and scale are refused before batching."""
+    gateway = BatchedCloudService(_mock(), layers, SHAPE)
+    floats = np.full(SHAPE, 0.5, dtype=object)
+    response = gateway.submit(floats, count=1).result(timeout=30)
+    assert not response.ok
+    assert response.error.code == "RequestValidationError"
+    with pytest.raises(RequestValidationError, match="handle 0 is not a ciphertext"):
+        gateway._validate_request(floats, 1)
     gateway.close()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import derive_rng, spawn_rngs
-from repro.utils.timing import LatencyStats, Timer, time_call
+from repro.utils.timing import LatencyStats, Timer
 
 
 def test_timer_measures():
@@ -29,20 +29,10 @@ def test_latency_stats():
         s.add(-1.0)
 
 
-def test_latency_stats_empty_and_merge():
+def test_latency_stats_empty():
     s = LatencyStats()
     assert math.isnan(s.avg)
     assert s.std == 0.0
-    merged = s.merge(LatencyStats([1.0, 2.0]))
-    assert merged.count == 2
-
-
-def test_time_call():
-    result, stats = time_call(lambda a: a + 1, 41, repeats=3)
-    assert result == 42
-    assert stats.count == 3
-    with pytest.raises(ValueError):
-        time_call(lambda: None, repeats=0)
 
 
 def test_derive_rng_passthrough_and_seed():

@@ -163,7 +163,7 @@ def cubic_schedule(images: np.ndarray) -> tuple[Counter, Counter, list[dict], in
 
     (slaf,) = [layer for layer in engine.layers if isinstance(layer, HePoly)]
     (dense,) = [layer for layer in engine.layers if isinstance(layer, HeLinear)]
-    levels = {engine.backend.level_of(h) for h in out[0]}
+    levels = {h.level for h in out[0]}
     return (
         inside("HePoly"),
         inside("HeLinear"),
@@ -202,7 +202,7 @@ def packed_census(engine: HeInferenceEngine, images: np.ndarray) -> tuple[list[d
 
     def forward(self, be, x):
         active[0] = seen[id(self)]
-        active[0]["in_level"] = be.level_of(x[0])
+        active[0]["in_level"] = x[0].level
         try:
             return real_forward(self, be, x)
         finally:
