@@ -43,7 +43,7 @@ def test_fig5_stage_trace(benchmark, cnn1_models, preset):
             engine.stages.total,
             engine.stages.conv_stage,
             engine.stages.he_stage,
-            engine.tail.trace.as_rows(),
+            list(engine.tail.layer_seconds),
         )
         if best is None or snap[0] < best[0]:
             best = snap
@@ -52,7 +52,7 @@ def test_fig5_stage_trace(benchmark, cnn1_models, preset):
         engine.stages.total,
         engine.stages.conv_stage,
         engine.stages.he_stage,
-        engine.tail.trace.as_rows(),
+        list(engine.tail.layer_seconds),
     )
     if snap[0] < best[0]:
         best = snap
@@ -63,7 +63,7 @@ def test_fig5_stage_trace(benchmark, cnn1_models, preset):
         ["total", total],
         ["cold first-image total (cache fills included)", cold_total],
     ]
-    # the engine's per-layer trace of the tail (fastest warm round)
+    # the engine's per-layer timings of the tail (fastest warm round)
     for name, secs in tail_rows:
         rows.append([f"  tail layer {name}", secs])
     save_record(

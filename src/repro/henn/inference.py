@@ -14,18 +14,16 @@ as it is; scores always leave relinearised.
 
 Timing is span-based (:mod:`repro.obs`): every layer forward is a
 ``henn.layer`` span and the classify stages are ``henn.stage.*`` spans,
-so the Fig. 5 per-stage breakdown falls out of the tracer.  When global
-tracing is disabled the engine records layer spans into a private
-tracer (a handful of spans per run — negligible), keeping the
-:attr:`~HeInferenceEngine.trace` view available at all times while the
-primitive-level instrumentation stays a no-op.
+so the Fig. 5 per-stage breakdown falls out of the tracer when tracing
+is on.  Independently of tracing, the engine keeps the last run's
+``(layer, seconds)`` rows in :attr:`~HeInferenceEngine.layer_seconds`
+(two clock reads per layer).
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -37,41 +35,9 @@ from repro.henn.packing import BatchLayout
 from repro.henn.plan import InferencePlan, compile_plan
 from repro.obs import health as _health
 from repro.obs.metrics import get_registry
-from repro.obs.tracer import Span, Tracer
 from repro.utils.timing import LatencyStats
 
-__all__ = ["HeInferenceEngine", "LayerTrace", "evaluate_batch"]
-
-
-@dataclass
-class LayerTrace:
-    """Per-layer wall-clock view of the last run (Fig. 5 pipeline view).
-
-    Deprecated front: since the observability refactor this is derived
-    from the engine's ``henn.layer`` spans (see
-    :attr:`HeInferenceEngine.trace`), kept so existing callers and
-    benchmark tables do not change shape.
-    """
-
-    names: list[str] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
-
-    @classmethod
-    def from_spans(cls, spans: list[Span]) -> "LayerTrace":
-        """Build the flat view from finished ``henn.layer`` spans."""
-        t = cls()
-        for s in spans:
-            t.names.append(str(s.tags.get("layer", s.name)))
-            t.seconds.append(s.duration)
-        return t
-
-    def as_rows(self) -> list[tuple[str, float]]:
-        """``(layer name, seconds)`` pairs in execution order."""
-        return list(zip(self.names, self.seconds))
-
-    def total(self) -> float:
-        """Summed per-layer seconds (the evaluate-stage wall-clock)."""
-        return float(sum(self.seconds))
+__all__ = ["HeInferenceEngine", "evaluate_batch"]
 
 
 class HeInferenceEngine:
@@ -111,7 +77,9 @@ class HeInferenceEngine:
         self.layers = layers
         self.input_shape = input_shape
         self.latency = LatencyStats()
-        self._layer_spans: list[Span] = []
+        #: ``(layer name, seconds)`` per layer of the last
+        #: :meth:`run_encrypted` call, in execution order (Fig. 5 view).
+        self.layer_seconds: list[tuple[str, float]] = []
         self.plan = plan if plan is not None else compile_plan(backend, layers, input_shape)
 
     @property
@@ -122,11 +90,6 @@ class HeInferenceEngine:
         of one request follows from it and the request's batch size.
         """
         return self.plan.packed_width
-
-    @property
-    def trace(self) -> LayerTrace:
-        """Per-layer timings of the last :meth:`run_encrypted` call."""
-        return LayerTrace.from_spans(self._layer_spans)
 
     # -- client side -------------------------------------------------------------
 
@@ -280,31 +243,28 @@ class HeInferenceEngine:
         Flat object array of output ciphertext handles (one per class;
         one holding every class for a packed request).
         """
-        tracer = obs.get_tracer()
-        if not tracer.enabled:
-            # Private always-on tracer: keeps the layer-level Fig. 5 view
-            # available while primitive spans stay no-ops.
-            tracer = Tracer()
-        spans: list[Span] = []
+        rows: list[tuple[str, float]] = []
         x = enc
         executors, widths = self.plan.layers, [None] * len(self.layers)
         # A (1,)-shaped input is per-position whatever its batch: packed is the same layout.
         if enc.shape == (1,) != tuple(self.input_shape) and self.packed_width is not None:
             executors, widths = self.plan.packed.layers, self.plan.packed.widths
         # The plan's layers do the work; spans carry the source layers' names.
-        with tracer.span("henn.stage.evaluate", layers=len(self.layers)):
+        with obs.span("henn.stage.evaluate", layers=len(self.layers)):
             for i, (layer, ex, width) in enumerate(zip(self.layers, executors, widths)):
-                with tracer.span("henn.layer", layer=type(layer).__name__, index=i) as h:
+                name = type(layer).__name__
+                t0 = time.perf_counter()
+                with obs.span("henn.layer", layer=name, index=i):
                     x = ex.forward(self.backend, x)
-                spans.append(h.record)
+                rows.append((name, time.perf_counter() - t0))
                 # Scale/level/noise/slot gauges for the ciphertexts crossing
                 # this layer boundary; no-op unless tracing is enabled.
-                _health.observe_layer(self.backend, x, type(layer).__name__, i, used_slots=width)
+                _health.observe_layer(self.backend, x, name, i, used_slots=width)
             # A graph ending in an activation: its sweep has no map to ride.
             out = np.empty(x.size, dtype=object)
             out[:] = self.backend.relinearize_many(list(x.reshape(-1)))
             x = out.reshape(x.shape)
-        self._layer_spans = spans
+        self.layer_seconds = rows
         return x
 
     # -- end to end ----------------------------------------------------------------

@@ -428,14 +428,14 @@ class CloudService:
         """Seconds spent on the most recent encrypted classification.
 
         Snapshotted per request inside :meth:`try_classify` (reading
-        the engine's shared trace would race concurrent requests); for
-        direct :meth:`classify_encrypted` callers that bypass the
-        request path it falls back to the engine's layer-span total.
+        the engine's shared layer timings would race concurrent
+        requests); direct :meth:`classify_encrypted` callers get the sum
+        of the engine's :attr:`~HeInferenceEngine.layer_seconds`.
         """
         with self._state_lock:
             if self._requests_served:
                 return self._last_latency
-        return self.engine.trace.total()
+        return float(sum(seconds for _, seconds in self.engine.layer_seconds))
 
 
 class BatchedCloudService(CloudService):

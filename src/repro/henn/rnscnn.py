@@ -321,7 +321,6 @@ class RnsIntegerConv:
                 max(m.bit_length() for m in self._work.moduli)
             )
             reg.gauge("rnscnn.faults.recovered", labels).set(len(self.last_faults))
-            reg.counter("rnscnn.conv.calls").inc()
         return composed.transpose(0, 2, 1).reshape(n, oc, oh, ow)
 
     def _lower(self, x_int: np.ndarray) -> tuple[np.ndarray, tuple]:

@@ -8,12 +8,14 @@ serving process exposes its health.  The pieces:
   default.  The CKKS/CKKS-RNS primitives, the NTT/CRT kernels, the
   channel executors and the inference engines are all instrumented, so
   enabling the tracer turns one encrypted classification into a span
-  tree from ``henn.stage.*`` down to individual NTTs.
+  tree from ``henn.stage.*`` down to individual NTTs.  A span is
+  recorded once, in the tracer; per-name counts and times are derived
+  from the spans (:func:`aggregate_spans`).
 * :mod:`repro.obs.metrics` — process-global counters/gauges/histograms
-  fed by span completions (and usable directly), with labelled series
-  and cross-process delta merging (``to_delta``/``merge_delta``) used
-  by the :mod:`repro.serving.cluster` workers to ship their telemetry
-  home.
+  for events that are not spans (cache hits, queue depths, ciphertext
+  health), with labelled series and cross-process delta merging
+  (``to_delta``/``merge_delta``) used by the :mod:`repro.serving.cluster`
+  workers to ship their telemetry home into the gateway's totals.
 * :mod:`repro.obs.health` — ciphertext-health gauges (scale, level,
   modulus-chain depth, noise margin) sampled at every ``henn`` layer
   boundary, plus the decrypt-side precision probe.
@@ -72,7 +74,7 @@ from repro.obs.export import (
     to_chrome_trace,
     trace_to_json,
 )
-from repro.obs.report import aggregate_spans, layer_rows, render_report, stage_rows
+from repro.obs.report import aggregate_spans, layer_rows, render_report
 from repro.obs.prometheus import render_prometheus
 from repro.obs.logs import JsonLogger, capture_logs, get_logger
 from repro.obs.server import ObservabilityServer
@@ -115,7 +117,6 @@ __all__ = [
     "aggregate_spans",
     "layer_rows",
     "render_report",
-    "stage_rows",
     "render_prometheus",
     "JsonLogger",
     "get_logger",

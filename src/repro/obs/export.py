@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span, Tracer, _spans_of
 
 __all__ = [
     "TraceDump",
@@ -39,12 +39,6 @@ class TraceDump:
 
     spans: list[Span] = field(default_factory=list)
     metrics: dict[str, dict[str, Any]] = field(default_factory=dict)
-
-
-def _spans_of(source: Tracer | Iterable[Span]) -> list[Span]:
-    if isinstance(source, Tracer):
-        return source.finished()
-    return list(source)
 
 
 def to_chrome_trace(source: Tracer | Iterable[Span]) -> dict[str, Any]:

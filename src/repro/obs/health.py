@@ -33,13 +33,7 @@ __all__ = [
     "ciphertext_health",
     "observe_layer",
     "precision_probe",
-    "health_enabled",
 ]
-
-
-def health_enabled() -> bool:
-    """Whether layer-boundary health sampling is active (tracing on)."""
-    return _tracer.get_tracer().enabled
 
 
 def _modulus_bits(backend: Any, level: int) -> float:
@@ -136,7 +130,7 @@ def observe_layer(
     per-position layout hides how many images ride in it, so there the
     gauge is not set.
     """
-    if not health_enabled():
+    if not _tracer.enabled():
         return None
     flat = _flat_handles(handles)
     if not flat:
@@ -166,7 +160,6 @@ def precision_probe(
     backend: Any,
     handles: Any,
     reference: np.ndarray,
-    count: int | None = None,
     labels: Mapping[str, Any] | None = None,
 ) -> dict[str, float]:
     """Decrypt-side ground truth: error statistics against a reference.
@@ -187,10 +180,8 @@ def precision_probe(
         One ciphertext handle, or a sequence/object-array of handles
         (decrypted columns are stacked on the last axis).
     reference:
-        Expected plaintext values; shape must match the decryption.
-    count:
-        Slots to keep per handle (defaults to the reference's leading
-        dimension for stacked handles, all slots for a single one).
+        Expected plaintext values; shape must match the decryption.  Its
+        leading dimension is the number of slots kept per handle.
     labels:
         Extra gauge labels (merged over ``{"backend": ...}``).
 
@@ -204,10 +195,10 @@ def precision_probe(
     reference = np.asarray(reference, dtype=np.float64)
     flat = _flat_handles(handles)
     if len(flat) == 1 and reference.ndim <= 1:
-        decrypted = np.real(np.asarray(backend.decrypt(flat[0], count=count)))
+        decrypted = np.real(np.asarray(backend.decrypt(flat[0])))
         decrypted = decrypted[: reference.shape[0]] if reference.ndim else decrypted
     else:
-        n = count if count is not None else (reference.shape[0] if reference.ndim else None)
+        n = reference.shape[0] if reference.ndim else None
         decrypted = np.stack(
             [np.real(np.asarray(backend.decrypt(h, count=n))) for h in flat], axis=-1
         )

@@ -8,7 +8,9 @@ One record per line (``jsonl``), one event per record:
 The logger is a no-op until a sink is configured — the serving default
 stays silent, matching the tracer's zero-overhead philosophy.  Point it
 at a stream (or a path) with :meth:`JsonLogger.configure`, or scoped,
-with the :func:`capture_logs` context manager used by tests.
+with the :func:`capture_logs` context manager used by tests.  A file
+the logger opened from a path is closed when another sink replaces it
+or logging is disabled; a stream the caller passed in is never closed.
 
 Records deliberately carry only operational fields (durations, batch
 shapes, sanitised error codes).  Nothing derived from ciphertext *data*
@@ -34,6 +36,7 @@ class JsonLogger:
 
     def __init__(self) -> None:
         self._sink: IO[str] | None = None
+        self._owned = False  # _sink is a file opened here, so closed here
         self._lock = threading.Lock()
 
     @property
@@ -42,10 +45,19 @@ class JsonLogger:
 
     def configure(self, sink: "IO[str] | str | Path | None") -> None:
         """Attach a sink (stream or file path); ``None`` disables logging."""
-        if isinstance(sink, (str, Path)):
+        owned = isinstance(sink, (str, Path))
+        if owned:
             sink = open(sink, "a", encoding="utf-8")
+        prev, prev_owned = self._swap(sink, owned)  # type: ignore[arg-type]
+        if prev_owned and prev is not sink:
+            prev.close()  # type: ignore[union-attr]
+
+    def _swap(self, sink: "IO[str] | None", owned: bool) -> "tuple[IO[str] | None, bool]":
+        """Install *sink* and return the previous ``(sink, owned)`` pair."""
         with self._lock:
-            self._sink = sink
+            prev = (self._sink, self._owned)
+            self._sink, self._owned = sink, owned
+        return prev
 
     def event(self, name: str, **fields: Any) -> dict[str, Any] | None:
         """Emit one event record; returns it (or ``None`` when disabled).
@@ -84,21 +96,21 @@ def get_logger() -> JsonLogger:
 class capture_logs:
     """Scoped capture: ``with capture_logs() as buf: ...`` then read lines.
 
-    Restores the previous sink on exit; the buffer's
-    :meth:`records` parses every captured line back into dicts.
+    Restores the previous sink (still open, ownership unchanged) on
+    exit; the buffer's :meth:`records` parses every captured line back
+    into dicts.
     """
 
     def __init__(self) -> None:
         self.buffer = io.StringIO()
-        self._prev: IO[str] | None = None
+        self._prev: "tuple[IO[str] | None, bool]" = (None, False)
 
     def __enter__(self) -> "capture_logs":
-        self._prev = _LOGGER._sink
-        _LOGGER.configure(self.buffer)
+        self._prev = _LOGGER._swap(self.buffer, False)
         return self
 
     def __exit__(self, *exc: object) -> None:
-        _LOGGER.configure(self._prev)
+        _LOGGER._swap(*self._prev)
 
     def records(self) -> list[dict[str, Any]]:
         """All captured events, parsed."""

@@ -12,7 +12,7 @@ Three metric kinds:
 * :class:`Gauge` — last-observed value of a sampled quantity
   (``henn.ct.scale_bits``); unlike a counter it can move both ways.
 * :class:`Histogram` — raw float observations with exact summaries
-  (``span.nt.ntt.forward.seconds``).
+  (``serving.batch.wait_seconds``).
 
 Metrics may carry **labels** (``registry.gauge("henn.ct.level",
 labels={"layer": "HeConv2d"})``): each distinct label set is its own
@@ -23,10 +23,8 @@ the JSON trace round-trip and become real Prometheus labels in
 
 Cross-process aggregation: a worker process records into its own
 registry, serialises it with :meth:`MetricsRegistry.to_delta`, and the
-parent folds it back in with :meth:`MetricsRegistry.merge_delta` —
-optionally tagged with a worker id, in which case the registry also
-keeps a per-worker ledger (:meth:`MetricsRegistry.per_worker`) next to
-the merged view.  Cluster workers do this with every batch reply
+parent folds it into its totals with :meth:`MetricsRegistry.merge_delta`.
+Cluster workers do this with every batch reply
 (:mod:`repro.serving.cluster`).
 """
 
@@ -59,11 +57,11 @@ def metric_key(name: str, labels: Mapping[str, Any] | None = None) -> str:
 
 
 class _Metric:
-    """Shared name/label plumbing of the three metric kinds."""
+    """Name/label plumbing of the three kinds; :class:`MetricsRegistry` builds them."""
 
     __slots__ = ("name", "labels", "_lock")
 
-    def __init__(self, name: str, labels: Mapping[str, Any] | None = None):
+    def __init__(self, name: str, labels: Mapping[str, Any] | None):
         self.name = name
         self.labels: dict[str, str] = {k: str(v) for k, v in (labels or {}).items()}
         self._lock = threading.Lock()
@@ -85,7 +83,7 @@ class Counter(_Metric):
 
     __slots__ = ("_value",)
 
-    def __init__(self, name: str, labels: Mapping[str, Any] | None = None):
+    def __init__(self, name: str, labels: Mapping[str, Any] | None):
         super().__init__(name, labels)
         self._value = 0
 
@@ -122,7 +120,7 @@ class Gauge(_Metric):
 
     __slots__ = ("_value", "_min", "_max", "_samples")
 
-    def __init__(self, name: str, labels: Mapping[str, Any] | None = None):
+    def __init__(self, name: str, labels: Mapping[str, Any] | None):
         super().__init__(name, labels)
         self._value = math.nan
         self._min = math.inf
@@ -133,16 +131,6 @@ class Gauge(_Metric):
         """Record the current value of the tracked quantity."""
         v = float(v)
         with self._lock:
-            self._value = v
-            self._min = min(self._min, v)
-            self._max = max(self._max, v)
-            self._samples += 1
-
-    def inc(self, delta: float = 1.0) -> None:
-        """Adjust the gauge by *delta* (``nan`` start counts as 0)."""
-        with self._lock:
-            base = 0.0 if math.isnan(self._value) else self._value
-            v = base + float(delta)
             self._value = v
             self._min = min(self._min, v)
             self._max = max(self._max, v)
@@ -172,7 +160,7 @@ class Histogram(_Metric):
     ``count``/``total``/``min``/``max``/``mean`` are exact for any
     observation count.  The samples backing :meth:`percentile` and the
     ``p50``/``p90``/``p95``/``p99`` summary live in a **bounded
-    reservoir** (Algorithm R, ``reservoir_size`` slots, default 4096):
+    reservoir** (Algorithm R, :attr:`RESERVOIR_SIZE` slots):
     below the cap every observation is kept and percentiles are exact;
     past it each new observation replaces a uniformly chosen slot, so
     the reservoir stays an unbiased sample of the full stream and the
@@ -182,21 +170,13 @@ class Histogram(_Metric):
     metric key, so runs are reproducible.
     """
 
-    __slots__ = ("_reservoir", "_cap", "_count", "_total", "_min", "_max", "_rng")
+    __slots__ = ("_reservoir", "_count", "_total", "_min", "_max", "_rng")
 
-    #: Default reservoir capacity; short profiling runs stay exact.
+    #: Reservoir capacity; short profiling runs stay exact.
     RESERVOIR_SIZE = 4096
 
-    def __init__(
-        self,
-        name: str,
-        labels: Mapping[str, Any] | None = None,
-        reservoir_size: int | None = None,
-    ):
+    def __init__(self, name: str, labels: Mapping[str, Any] | None):
         super().__init__(name, labels)
-        self._cap = int(reservoir_size or self.RESERVOIR_SIZE)
-        if self._cap < 1:
-            raise ValueError("reservoir_size must be >= 1")
         self._reservoir: list[float] = []
         self._count = 0
         self._total = 0.0
@@ -212,11 +192,11 @@ class Histogram(_Metric):
             self._min = x
         if x > self._max:
             self._max = x
-        if len(self._reservoir) < self._cap:
+        if len(self._reservoir) < self.RESERVOIR_SIZE:
             self._reservoir.append(x)
         else:
             j = self._rng.randrange(self._count)
-            if j < self._cap:
+            if j < self.RESERVOIR_SIZE:
                 self._reservoir[j] = x
 
     def observe(self, x: float) -> None:
@@ -373,7 +353,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._workers: dict[str, dict[str, dict[str, Any]]] = {}
         self._lock = threading.Lock()
 
     def counter(self, name: str, labels: Mapping[str, Any] | None = None) -> Counter:
@@ -444,16 +423,11 @@ class MetricsRegistry:
             out[key] = entry
         return out
 
-    def merge_delta(
-        self, delta: Mapping[str, Mapping[str, Any]], worker: str | None = None
-    ) -> None:
+    def merge_delta(self, delta: Mapping[str, Mapping[str, Any]]) -> None:
         """Fold a :meth:`to_delta` document into this registry.
 
         Counters add, histograms extend their samples, gauges adopt the
-        delta's last value (and widen their min/max envelope).  With a
-        *worker* id the raw delta is additionally accumulated into the
-        per-worker ledger, so reports can show both the merged totals
-        and each worker's contribution.
+        delta's last value (and widen their min/max envelope).
         """
         for entry in delta.values():
             name = str(entry["name"])
@@ -479,40 +453,11 @@ class MetricsRegistry:
                     mn=entry.get("min"),
                     mx=entry.get("max"),
                 )
-        if worker is not None:
-            self._note_worker(worker, delta)
-
-    def _note_worker(self, worker: str, delta: Mapping[str, Mapping[str, Any]]) -> None:
-        with self._lock:
-            ledger = self._workers.setdefault(worker, {})
-            for key, entry in delta.items():
-                kind = entry.get("type")
-                prev = ledger.get(key)
-                if kind == "counter":
-                    value = int(entry.get("value", 0))
-                    if prev is None:
-                        ledger[key] = {"type": "counter", "value": value}
-                    else:
-                        prev["value"] += value
-                elif kind == "gauge":
-                    ledger[key] = {"type": "gauge", "value": entry.get("value")}
-                elif kind == "histogram":
-                    samples = entry.get("samples", ())
-                    if prev is None:
-                        prev = ledger[key] = {"type": "histogram", "count": 0, "total": 0.0}
-                    prev["count"] += int(entry.get("count", len(samples)))
-                    prev["total"] += float(entry.get("total", sum(samples)))
-
-    def per_worker(self) -> dict[str, dict[str, dict[str, Any]]]:
-        """Per-worker metric ledgers accumulated by :meth:`merge_delta`."""
-        with self._lock:
-            return {w: {k: dict(v) for k, v in led.items()} for w, led in self._workers.items()}
 
     def reset(self) -> None:
-        """Drop every metric (names included) and the per-worker ledgers."""
+        """Drop every metric (names included)."""
         with self._lock:
             self._metrics.clear()
-            self._workers.clear()
 
 
 _REGISTRY = MetricsRegistry()
@@ -526,8 +471,8 @@ _THREAD = _ThreadRegistry()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-global registry (what :func:`repro.obs.enable` feeds),
-    or the calling thread's own after :func:`isolate_thread`."""
+    """The process-global registry, or the calling thread's own after
+    :func:`isolate_thread`."""
     own = _THREAD.registry
     return _REGISTRY if own is None else own
 

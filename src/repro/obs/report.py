@@ -12,15 +12,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span, Tracer, _spans_of
 
 __all__ = [
     "SpanAggregate",
     "aggregate_spans",
     "layer_rows",
-    "serving_rows",
-    "cluster_rows",
-    "stage_rows",
     "render_report",
     "format_table",
 ]
@@ -40,12 +37,6 @@ class SpanAggregate:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-
-def _spans_of(source: Tracer | Iterable[Span]) -> list[Span]:
-    if isinstance(source, Tracer):
-        return source.finished()
-    return list(source)
 
 
 def aggregate_spans(source: Tracer | Iterable[Span]) -> dict[str, SpanAggregate]:
@@ -84,40 +75,19 @@ def layer_rows(source: Tracer | Iterable[Span]) -> list[tuple[str, float]]:
     return rows
 
 
-def serving_rows(metrics: MetricsRegistry) -> list[list]:
-    """Serving-gateway summary rows from the ``serving.*`` metrics.
-
-    One row per series: histograms show count / mean / p50 / p99 (the
-    batching trade-off in four numbers — how full batches get and what
-    the coalescing wait costs), gauges and counters their value.
-    Empty when no batching gateway ran.
-    """
-    return _prefixed_rows(metrics, "serving.")
-
-
-def cluster_rows(metrics: MetricsRegistry) -> list[list]:
-    """Worker-pool summary rows from the ``cluster.*`` metrics.
-
-    The failover story in numbers: dispatches vs. failovers vs. worker
-    deaths/respawns, per-worker health and in-flight gauges, batch and
-    warm-up timings.  Empty when no cluster gateway ran.
-    """
-    return _prefixed_rows(metrics, "cluster.")
-
-
-def stage_rows(metrics: MetricsRegistry) -> list[list]:
-    """Serving-stage summary rows from the ``rtrace.*`` request tracing.
-
-    Where a request's latency goes, stage by stage: one histogram row
-    per ``rtrace.stage.<name>.seconds`` series (gateway admission,
-    queue wait, pack, compute, split, failover retries) plus the
-    end-to-end ``rtrace.request.seconds`` and the sampling counters.
-    Empty when request tracing never ran.
-    """
-    return _prefixed_rows(metrics, "rtrace.")
+#: The registry tables of :func:`render_report`: ``(metric prefix,
+#: first-column header, title)``.  Each is empty, and left out, when
+#: nothing under its prefix ran.
+_PREFIX_TABLES = (
+    ("serving.", "serving metric", "serving gateway (batch coalescing)"),
+    ("cluster.", "cluster metric", "worker pool (dispatch / failover / respawn)"),
+    ("rtrace.", "serving stage", "request tracing (per-stage latency, rtrace.*)"),
+)
 
 
 def _prefixed_rows(metrics: MetricsRegistry, prefix: str) -> list[list]:
+    """One row per series under *prefix*: histograms show count / mean /
+    p50 / p95 / p99, gauges and counters their value."""
     rows: list[list] = []
     for key, m in sorted(metrics.snapshot().items()):
         if not key.startswith(prefix):
@@ -163,18 +133,23 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = 
 def render_report(
     source: Tracer | Iterable[Span],
     metrics: MetricsRegistry | None = None,
-    title: str = "repro.obs trace report",
 ) -> str:
     """Pretty per-primitive (and, when present, per-layer) breakdown.
 
     The primitive table is ranked by self time — the ordering that says
     which kernel to optimise next; ``share %`` is self time relative to
-    the summed root spans (total traced wall-clock).
+    the summed root spans.  Spans recorded on worker threads (position
+    shards, executor channels) have no parent, so they are roots too:
+    that sum is *busy* time over every recording thread, and the title
+    gives it next to the wall-clock extent of the trace.
     """
     spans = _spans_of(source)
     aggs = aggregate_spans(spans)
-    root_total = sum(s.duration for s in spans if s.parent_id is None)
-    sections = [title]
+    roots = [s for s in spans if s.parent_id is None]
+    busy = sum(s.duration for s in roots)
+    wall = max(s.end for s in spans) - min(s.start for s in spans) if spans else 0.0
+    threads = len({s.thread_id for s in roots})
+    sections = ["repro.obs trace report"]
 
     rows = [
         [
@@ -183,7 +158,7 @@ def render_report(
             a.total,
             a.self_total,
             a.mean * 1e3,
-            (100.0 * a.self_total / root_total) if root_total else 0.0,
+            (100.0 * a.self_total / busy) if busy else 0.0,
         ]
         for a in sorted(aggs.values(), key=lambda a: a.self_total, reverse=True)
     ]
@@ -191,7 +166,8 @@ def render_report(
         format_table(
             ["span", "calls", "incl s", "self s", "mean ms", "share %"],
             rows,
-            f"per-primitive breakdown (root wall-clock {root_total:.4f} s)",
+            f"per-primitive breakdown (busy {busy:.4f} s over {threads} thread(s), "
+            f"wall-clock {wall:.4f} s)",
         )
     )
 
@@ -205,37 +181,16 @@ def render_report(
             )
         )
 
-    srows = serving_rows(metrics) if metrics is not None else []
-    if srows:
-        sections.append(
-            format_table(
-                ["serving metric", "n", "value/mean", "p50", "p95", "p99"],
-                srows,
-                "serving gateway (batch coalescing)",
+    if metrics is None:
+        return "\n\n".join(sections)
+    for prefix, header, title in _PREFIX_TABLES:
+        prows = _prefixed_rows(metrics, prefix)
+        if prows:
+            sections.append(
+                format_table([header, "n", "value/mean", "p50", "p95", "p99"], prows, title)
             )
-        )
 
-    crows = cluster_rows(metrics) if metrics is not None else []
-    if crows:
-        sections.append(
-            format_table(
-                ["cluster metric", "n", "value/mean", "p50", "p95", "p99"],
-                crows,
-                "worker pool (dispatch / failover / respawn)",
-            )
-        )
-
-    trows = stage_rows(metrics) if metrics is not None else []
-    if trows:
-        sections.append(
-            format_table(
-                ["serving stage", "n", "value/mean", "p50", "p95", "p99"],
-                trows,
-                "request tracing (per-stage latency, rtrace.*)",
-            )
-        )
-
-    if metrics is not None and metrics.names():
+    if metrics.names():
         mrows = []
         for name, m in metrics.snapshot().items():
             if m["type"] == "counter":
@@ -252,28 +207,5 @@ def render_report(
                 mean = m["mean"]
                 mrows.append([name, m["count"], f"mean={mean:.6f}" if mean is not None else ""])
         sections.append(format_table(["metric", "count/value", "detail"], mrows, "metrics"))
-
-    workers = metrics.per_worker() if metrics is not None else {}
-    if workers:
-        # Merged totals above; this is each cluster worker's
-        # contribution, as shipped back with its batch replies.
-        wrows = []
-        for worker in sorted(workers):
-            for name, m in sorted(workers[worker].items()):
-                if m["type"] == "counter":
-                    wrows.append([worker, name, m["value"], ""])
-                elif m["type"] == "gauge":
-                    v = m.get("value")
-                    wrows.append([worker, name, f"{v:.6g}" if v is not None else "-", ""])
-                else:
-                    total = m.get("total", 0.0)
-                    wrows.append([worker, name, m.get("count", 0), f"total={total:.6f}"])
-        sections.append(
-            format_table(
-                ["worker", "metric", "count/value", "detail"],
-                wrows,
-                "per-worker metrics (merged into the totals above)",
-            )
-        )
 
     return "\n\n".join(sections)

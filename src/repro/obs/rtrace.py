@@ -29,7 +29,7 @@ pieces mirror a Dapper-style pipeline scaled down to this repo:
 * :class:`SamplingPolicy` — serving-grade sampling: probabilistic head
   sampling (``rate``), plus tail retention for every errored/shed
   request and for slow-tail outliers detected against a **latency ring
-  buffer** (a request slower than ``slow_factor`` × the ring median is
+  buffer** (a request slower than :data:`SLOW_FACTOR` × the ring median is
   kept even when head sampling said no; such tail-kept records carry
   stage timings but no spans — spans cannot be recorded retroactively).
 * :class:`TraceStore` — bounded in-memory record store: the most recent
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -65,6 +66,16 @@ __all__ = [
     "STAGES",
     "batch_stage",
 ]
+
+#: Slow-tail retention: slower than ``SLOW_FACTOR`` × the median of the
+#: last ``RING_SIZE`` successful latencies, once ``MIN_RING`` are in.
+SLOW_FACTOR = 4.0
+RING_SIZE = 128
+MIN_RING = 16
+#: :class:`TraceStore` bounds: the ``CAPACITY`` most recent records,
+#: plus the ``SLOWEST_N`` slowest ever seen.
+CAPACITY = 256
+SLOWEST_N = 32
 
 #: Canonical serving-path stage names, in pipeline order.  ``gateway``
 #: covers admission validation, ``queue_wait`` the coalescing queue,
@@ -294,39 +305,16 @@ class SamplingPolicy:
     rate:
         Head-sampling probability in ``[0, 1]``.  ``0`` disables
         request tracing entirely (nothing minted, nothing kept).
-    slow_factor:
-        A finished request slower than ``slow_factor`` × the ring
-        median is retained even when head sampling skipped it.
-    ring_size / min_ring:
-        Latency ring-buffer capacity, and how many completed requests
-        must be in the ring before the slow-tail rule arms (warm-up
-        requests must not all be flagged against an empty ring).
     seed:
-        Seeds the head-sampling RNG for reproducible tests; ``None``
+        Seeds the head-sampling RNG for reproducible runs; ``None``
         draws from the process RNG.
     """
 
-    def __init__(
-        self,
-        rate: float = 0.0,
-        *,
-        slow_factor: float = 4.0,
-        ring_size: int = 128,
-        min_ring: int = 16,
-        seed: int | None = None,
-    ):
+    def __init__(self, rate: float = 0.0, *, seed: int | None = None):
         if not 0.0 <= rate <= 1.0:
             raise ValueError("sampling rate must be in [0, 1]")
-        if slow_factor <= 1.0:
-            raise ValueError("slow_factor must be > 1")
-        if ring_size < 1 or min_ring < 1:
-            raise ValueError("ring sizes must be >= 1")
-        import random
-
         self.rate = float(rate)
-        self.slow_factor = float(slow_factor)
-        self.min_ring = int(min_ring)
-        self._ring: deque[float] = deque(maxlen=int(ring_size))
+        self._ring: deque[float] = deque(maxlen=RING_SIZE)
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
 
@@ -347,10 +335,10 @@ class SamplingPolicy:
     def slow_threshold(self) -> float | None:
         """Current slow-tail latency bound, or ``None`` while warming."""
         with self._lock:
-            if len(self._ring) < self.min_ring:
+            if len(self._ring) < MIN_RING:
                 return None
             ordered = sorted(self._ring)
-            return self.slow_factor * ordered[len(ordered) // 2]
+            return SLOW_FACTOR * ordered[len(ordered) // 2]
 
     def keep_reason(self, sampled: bool, outcome: str, seconds: float) -> str | None:
         """Why (or whether) a finished request's record is retained."""
@@ -369,17 +357,14 @@ class SamplingPolicy:
 class TraceStore:
     """Bounded per-request record store: recent ring + slowest-N exemplars.
 
-    ``capacity`` bounds the recent ring; independently the ``slowest_n``
-    worst latencies seen are pinned, so a burst of fast requests cannot
-    evict the exemplar a latency investigation needs.  Thread-safe.
+    :data:`CAPACITY` bounds the recent ring; independently the
+    :data:`SLOWEST_N` worst latencies seen are pinned, so a burst of fast
+    requests cannot evict the exemplar a latency investigation needs.
+    Thread-safe.
     """
 
-    def __init__(self, capacity: int = 256, slowest_n: int = 32):
-        if capacity < 1 or slowest_n < 1:
-            raise ValueError("store bounds must be >= 1")
-        self.capacity = int(capacity)
-        self.slowest_n = int(slowest_n)
-        self._recent: deque[RequestTrace] = deque(maxlen=self.capacity)
+    def __init__(self) -> None:
+        self._recent: deque[RequestTrace] = deque(maxlen=CAPACITY)
         self._slowest: list[RequestTrace] = []
         self._total = 0
         self._lock = threading.Lock()
@@ -390,7 +375,7 @@ class TraceStore:
             self._recent.append(trace)
             self._slowest.append(trace)
             self._slowest.sort(key=lambda t: t.seconds, reverse=True)
-            del self._slowest[self.slowest_n :]
+            del self._slowest[SLOWEST_N:]
 
     def recent(self, n: int | None = None) -> list[RequestTrace]:
         """Most recent records, newest last."""
@@ -418,12 +403,6 @@ class TraceStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._recent)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._recent.clear()
-            self._slowest.clear()
-            self._total = 0
 
     def snapshot(self, n: int = 16) -> dict[str, Any]:
         """JSON-ready summary for the ``/debug/traces`` index."""
@@ -458,25 +437,17 @@ class RequestTracer:
     :meth:`mint` at admission and :meth:`finish` exactly once per
     request.  With a disabled policy both are near-free (``mint``
     returns ``None`` and the scheduler/cluster plumbing skips every
-    trace branch).
+    trace branch).  Counters and histograms go to whatever
+    :func:`~repro.obs.metrics.get_registry` returns at that moment.
     """
 
-    def __init__(
-        self,
-        policy: SamplingPolicy | None = None,
-        store: TraceStore | None = None,
-        registry: Any | None = None,
-    ):
+    def __init__(self, policy: SamplingPolicy | None = None):
         self.policy = policy or SamplingPolicy(rate=0.0)
-        self.store = store or TraceStore()
-        self._registry = registry
+        self.store = TraceStore()
 
     @property
     def enabled(self) -> bool:
         return self.policy.enabled
-
-    def _reg(self) -> Any:
-        return self._registry if self._registry is not None else get_registry()
 
     def mint(self, request_id: int) -> TraceContext | None:
         """Admission: a new context, or ``None`` when tracing is off."""
@@ -488,7 +459,7 @@ class RequestTracer:
             request_id=request_id,
             sampled=sampled,
         )
-        reg = self._reg()
+        reg = get_registry()
         reg.counter("rtrace.minted").inc()
         if sampled:
             reg.counter("rtrace.sampled").inc()
@@ -517,7 +488,7 @@ class RequestTracer:
         end = perf_counter()
         seconds = end - ctx.started
         stages = ctx.stages()
-        reg = self._reg()
+        reg = get_registry()
         reg.histogram("rtrace.request.seconds").observe(seconds)
         for name, duration in stages.items():
             reg.histogram(f"rtrace.stage.{name}.seconds").observe(duration)

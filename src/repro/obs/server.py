@@ -5,8 +5,9 @@ daemon thread, so attaching it to a
 :class:`~repro.henn.protocol.CloudService` costs nothing on the request
 path — a scraper pulls whenever it wants:
 
-* ``GET /metrics`` — the process registry rendered by
-  :func:`repro.obs.prometheus.render_prometheus`;
+* ``GET /metrics`` — the process registry (whatever
+  :func:`~repro.obs.metrics.get_registry` returns at scrape time)
+  rendered by :func:`repro.obs.prometheus.render_prometheus`;
 * ``GET /healthz`` — a small JSON document from the owner's health
   callback (HTTP 200 when ``"ok": true``, 503 otherwise);
 * ``GET /debug/traces`` — when the owner attached a
@@ -29,7 +30,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 from urllib.parse import parse_qs
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.prometheus import CONTENT_TYPE, render_prometheus
 
 __all__ = ["ObservabilityServer"]
@@ -41,7 +42,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         path, _, query = self.path.partition("?")
         if path == "/metrics":
-            body = render_prometheus(self.server.registry).encode("utf-8")
+            body = render_prometheus(get_registry()).encode("utf-8")
             self._reply(200, CONTENT_TYPE, body)
         elif path == "/healthz":
             try:
@@ -95,7 +96,6 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _ObsHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
-    registry: MetricsRegistry
     health_fn: Callable[[], dict[str, Any]]
     trace_store: Any | None
 
@@ -109,8 +109,6 @@ class ObservabilityServer:
         TCP port to bind on ``host``; ``0`` (the default) lets the OS
         pick a free one — read it back from :attr:`port` after
         :meth:`start`.
-    registry:
-        Metrics source; defaults to the process-global registry.
     health_fn:
         Zero-argument callable returning the ``/healthz`` JSON dict;
         the endpoint answers 200 when its ``"ok"`` key is true, 503
@@ -124,13 +122,11 @@ class ObservabilityServer:
         self,
         port: int = 0,
         host: str = "127.0.0.1",
-        registry: MetricsRegistry | None = None,
         health_fn: Callable[[], dict[str, Any]] | None = None,
         trace_store: Any | None = None,
     ):
         self.host = host
         self._requested_port = port
-        self.registry = registry if registry is not None else get_registry()
         self.health_fn = health_fn or (lambda: {"ok": True})
         self.trace_store = trace_store
         self._httpd: _ObsHTTPServer | None = None
@@ -157,7 +153,6 @@ class ObservabilityServer:
         if self._httpd is not None:
             return self
         httpd = _ObsHTTPServer((self.host, self._requested_port), _Handler)
-        httpd.registry = self.registry
         httpd.health_fn = self.health_fn
         httpd.trace_store = self.trace_store
         thread = threading.Thread(

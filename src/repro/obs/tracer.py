@@ -32,7 +32,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "Span",
@@ -114,15 +114,14 @@ class Span:
 
 
 class _SpanHandle:
-    """Context manager for one in-flight span; exposes the result as ``record``."""
+    """Context manager for one in-flight span."""
 
-    __slots__ = ("_tracer", "name", "tags", "_start", "span_id", "parent_id", "record")
+    __slots__ = ("_tracer", "name", "tags", "_start", "span_id", "parent_id")
 
     def __init__(self, tracer: "Tracer", name: str, tags: dict[str, Any]):
         self._tracer = tracer
         self.name = name
         self.tags = tags
-        self.record: Span | None = None
 
     def __enter__(self) -> "_SpanHandle":
         stack = self._tracer._stack()
@@ -135,23 +134,23 @@ class _SpanHandle:
     def __exit__(self, *exc: object) -> None:
         end = perf_counter()
         self._tracer._stack().pop()
-        self.record = Span(
-            name=self.name,
-            start=self._start,
-            end=end,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            thread_id=threading.get_ident(),
-            tags=self.tags,
+        self._tracer._record(
+            Span(
+                name=self.name,
+                start=self._start,
+                end=end,
+                span_id=self.span_id,
+                parent_id=self.parent_id,
+                thread_id=threading.get_ident(),
+                tags=self.tags,
+            )
         )
-        self._tracer._record(self.record)
 
 
 class _NullSpan:
     """Shared do-nothing context manager handed out by :class:`NullTracer`."""
 
     __slots__ = ()
-    record = None
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -166,22 +165,16 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """Collects finished spans; thread-safe.
 
-    Parameters
-    ----------
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When set,
-        every finished span also increments the counter
-        ``span.<name>.calls`` and feeds ``span.<name>.seconds`` — so the
-        aggregate view survives :meth:`clear` and merges across runs.
+    The only record of a span: per-name counts and times are derived
+    from the spans (:func:`repro.obs.report.aggregate_spans`).
     """
 
     enabled = True
 
-    def __init__(self, metrics: "Any | None" = None):
+    def __init__(self) -> None:
         self._spans: list[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        self.metrics = metrics
         #: Owning process: a fork-inherited copy of this tracer records
         #: into memory the parent will never read, so spans finished
         #: under a different pid are counted as dropped instead.
@@ -211,9 +204,6 @@ class Tracer:
             return
         with self._lock:
             self._spans.append(sp)
-        if self.metrics is not None:
-            self.metrics.counter(f"span.{sp.name}.calls").inc()
-            self.metrics.histogram(f"span.{sp.name}.seconds").observe(sp.duration)
 
     # -- reading -----------------------------------------------------------
 
@@ -223,7 +213,7 @@ class Tracer:
             return list(self._spans)
 
     def clear(self) -> None:
-        """Drop recorded spans (open spans and metrics are unaffected)."""
+        """Drop recorded spans (open spans are unaffected)."""
         with self._lock:
             self._spans.clear()
 
@@ -232,11 +222,17 @@ class Tracer:
             return len(self._spans)
 
 
+def _spans_of(source: "Tracer | Iterable[Span]") -> list[Span]:
+    """The spans of a tracer (a snapshot) or of any span iterable."""
+    if isinstance(source, Tracer):
+        return source.finished()
+    return list(source)
+
+
 class NullTracer:
     """Disabled tracer: no clock reads, no allocation, nothing recorded."""
 
     enabled = False
-    metrics = None
 
     def span(self, name: str, **tags: Any) -> _NullSpan:
         return _NULL_SPAN
@@ -266,20 +262,9 @@ def set_tracer(tracer: Tracer | NullTracer) -> Tracer | NullTracer:
     return _ACTIVE
 
 
-def enable(metrics: "Any | None" = None) -> Tracer:
-    """Install and return a fresh collecting :class:`Tracer`.
-
-    Parameters
-    ----------
-    metrics:
-        Registry fed by span completions; defaults to the process-global
-        :func:`repro.obs.metrics.get_registry`.
-    """
-    if metrics is None:
-        from repro.obs.metrics import get_registry
-
-        metrics = get_registry()
-    return set_tracer(Tracer(metrics=metrics))  # type: ignore[return-value]
+def enable() -> Tracer:
+    """Install and return a fresh collecting :class:`Tracer`."""
+    return set_tracer(Tracer())  # type: ignore[return-value]
 
 
 def disable() -> None:
@@ -304,13 +289,12 @@ class tracing:
     profiling cannot leak collection into steady-state code.
     """
 
-    def __init__(self, metrics: "Any | None" = None):
-        self._metrics = metrics
+    def __init__(self) -> None:
         self._prev: Tracer | NullTracer | None = None
 
     def __enter__(self) -> Tracer:
         self._prev = get_tracer()
-        return enable(self._metrics)
+        return enable()
 
     def __exit__(self, *exc: object) -> None:
         assert self._prev is not None

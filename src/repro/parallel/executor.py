@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from repro.obs import tracer as _obs
+from repro.obs.metrics import get_registry
 
 __all__ = ["Executor", "SerialExecutor", "ThreadExecutor", "make_executor"]
 
@@ -50,9 +51,9 @@ class Executor(ABC):
         tracer = _obs.get_tracer()
         if not tracer.enabled:
             return self._map(fn, items)
-        if tracer.metrics is not None:
-            tracer.metrics.counter(f"parallel.{self.name}.map.calls").inc()
-            tracer.metrics.counter(f"parallel.{self.name}.map.items").inc(len(items))
+        reg = get_registry()
+        reg.counter(f"parallel.{self.name}.map.calls").inc()
+        reg.counter(f"parallel.{self.name}.map.items").inc(len(items))
         with tracer.span("parallel.map", executor=self.name, items=len(items)):
             return self._map(fn, items)
 

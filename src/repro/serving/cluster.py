@@ -34,8 +34,8 @@ through the existing Prometheus path and summarised on ``/healthz`` by
 telemetry ships home too: every batch reply carries the child's
 :meth:`~repro.obs.metrics.MetricsRegistry.to_delta` document, which the
 receiver :meth:`~repro.obs.metrics.MetricsRegistry.merge_delta`-folds
-into the gateway registry under a stable ``worker-<index>`` ledger id —
-so ``/metrics`` reflects worker-side NTT/keyswitch/plan-cache counters —
+into the gateway totals — so ``/metrics`` reflects worker-side
+NTT/keyswitch/plan-cache counters —
 and a batch holding sampled request traces additionally ships the
 worker's finished spans for the gateway to merge into the per-request
 cross-process traces (:mod:`repro.obs.rtrace`).
@@ -506,7 +506,7 @@ class WorkerPool:
                 continue  # job was already failed over elsewhere
             if kind == "result":
                 per_request, seconds, delta, span_dicts = payload
-                self._merge_worker_delta(worker, delta)
+                self._merge_worker_delta(delta)
                 if span_dicts:
                     self._absorb_worker_spans(worker, job, span_dicts)
                 with self.cond:
@@ -519,25 +519,23 @@ class WorkerPool:
                     job.future.set_result(per_request)
             else:  # error: the evaluation itself failed — not a worker loss
                 exc, delta = payload
-                self._merge_worker_delta(worker, delta)
+                self._merge_worker_delta(delta)
                 with self.cond:
                     worker.faults += 0.5
                     self._publish(worker)
                 if not job.future.cancelled():
                     job.future.set_exception(exc)
 
-    def _merge_worker_delta(self, worker: ClusterWorker, delta: dict | None) -> None:
+    def _merge_worker_delta(self, delta: dict | None) -> None:
         """Fold one batch's worker-side metrics into the gateway registry.
 
-        Keyed by the worker *slot* index (stable across respawns, unlike
-        the pid), so ``/metrics`` reflects worker-side NTT / keyswitch /
-        plan-cache counters and the per-worker ledgers stay coherent
-        through failover.
+        The delta adds into the gateway totals, so ``/metrics`` reflects
+        worker-side NTT / keyswitch / plan-cache counters.
         """
         if not delta:
             return
         try:
-            get_registry().merge_delta(delta, worker=f"worker-{worker.index}")
+            get_registry().merge_delta(delta)
         except Exception:
             _count("delta.merge_errors")
 

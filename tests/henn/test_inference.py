@@ -42,8 +42,8 @@ def test_engine_latency_and_trace(tiny_setup):
     eng.classify(x[:4])
     assert eng.latency.count == 1
     assert eng.latency.avg > 0
-    assert len(eng.trace.names) == len(layers)
-    assert eng.trace.total() <= eng.latency.samples[-1] + 1e-4
+    assert len(eng.layer_seconds) == len(layers)
+    assert sum(s for _, s in eng.layer_seconds) <= eng.latency.samples[-1] + 1e-4
 
 
 def test_engine_input_validation(tiny_setup):

@@ -322,4 +322,4 @@ def test_planned_trace_keeps_source_layer_names():
     layers = _tiny_layers()
     eng = HeInferenceEngine(backend, layers, IN_SHAPE)
     eng.classify(_images(4))
-    assert eng.trace.names == [type(l).__name__ for l in layers]
+    assert [n for n, _ in eng.layer_seconds] == [type(l).__name__ for l in layers]

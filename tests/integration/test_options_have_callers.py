@@ -14,7 +14,9 @@ else (a serving wrapper would be a fourth copy of every method), and
 every name ``repro.serving``, ``repro.parallel``, ``repro.resilience``,
 ``repro.henn``, ``repro.ckks``, ``repro.ckksrns``, ``repro.nn``,
 ``repro.bench`` or ``repro.rns`` exports is used by code outside
-``tests/``.
+``tests/``.  The telemetry classes are held to a stricter rule: an
+option of theirs must be set outside ``tests/`` (a setting only tests
+pass is a module constant).
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ CLASSES = (
     "HybridRnsEngine",
 )
 
+#: Telemetry classes whose options must be set outside ``tests/``.
+TELEMETRY = (
+    "SamplingPolicy",
+    "TraceStore",
+    "RequestTracer",
+    "ObservabilityServer",
+    "Tracer",
+    "Histogram",
+)
+OUTSIDE_TESTS = ("src", "tools", "benchmarks", "examples")
+
 ALLOWED_ENV = {"REPRO_CACHE", "REPRO_BENCH_PRESET"}
 
 BACKENDS = {"MockBackend", "CkksBackend", "CkksRnsBackend"}
@@ -53,11 +66,11 @@ def _trees(*dirs: str):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def _constructors() -> dict[str, tuple[ast.ClassDef, ast.FunctionDef]]:
+def _constructors(classes=CLASSES) -> dict[str, tuple[ast.ClassDef, ast.FunctionDef]]:
     found = {}
     for _, tree in _trees("src"):
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name in CLASSES:
+            if isinstance(node, ast.ClassDef) and node.name in classes:
                 init = next(
                     n
                     for n in node.body
@@ -65,7 +78,7 @@ def _constructors() -> dict[str, tuple[ast.ClassDef, ast.FunctionDef]]:
                 )
                 assert node.name not in found, f"two classes named {node.name}"
                 found[node.name] = (node, init)
-    assert set(found) == set(CLASSES), set(CLASSES) - set(found)
+    assert set(found) == set(classes), set(classes) - set(found)
     return found
 
 
@@ -97,8 +110,8 @@ def _callee(call: ast.Call, enclosing_class: ast.ClassDef | None) -> str | None:
     return None
 
 
-def _unset_options() -> list[str]:
-    ctors = _constructors()
+def _unset_options(classes=CLASSES, dirs=CALL_SITE_DIRS) -> list[str]:
+    ctors = _constructors(classes)
     sigs = {name: _signature(init) for name, (_, init) in ctors.items()}
     # Keywords a subclass swallows in ``**kwargs`` reach its base class.
     passthrough = {
@@ -139,7 +152,7 @@ def _unset_options() -> list[str]:
         for child in ast.iter_child_nodes(node):
             visit(child, cls, fn)
 
-    for _, tree in _trees(*CALL_SITE_DIRS):
+    for _, tree in _trees(*dirs):
         visit(tree, None, None)
     grew = True
     while grew:
@@ -182,6 +195,64 @@ def _env_reads() -> set[str]:
 
 def test_every_constructor_option_is_set_by_some_caller():
     assert _unset_options() == []
+
+
+def test_telemetry_options_are_set_outside_tests():
+    """Only call sites under ``src/ tools/ benchmarks/ examples/`` count
+    (the serving classes stay in scope so a forwarded ``trace_policy``
+    resolves to the caller that sets it)."""
+    unset = _unset_options(CLASSES + TELEMETRY, OUTSIDE_TESTS)
+    assert [u for u in unset if u.split("(")[0] in TELEMETRY] == []
+
+
+def _defined_names() -> set[str]:
+    """Module-level functions, classes and ``Class.method`` names in ``src/``."""
+    names: set[str] = set()
+    for _, tree in _trees("src"):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                names.update(f"{cls.name}.{m}" for m in _methods(cls))
+    return names
+
+
+def _params(node: ast.FunctionDef) -> set[str]:
+    a = node.args
+    return {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+
+
+def test_telemetry_records_each_event_once():
+    """One record per event: no span→registry mirror (``Tracer`` /
+    ``enable`` / ``tracing`` take no registry), no per-worker ledger
+    beside the merged totals, no engine-private tracer behind a
+    ``LayerTrace`` view, and the one-line wrappers and per-prefix report
+    helpers stay gone."""
+    gone = {
+        "LayerTrace",
+        "HeInferenceEngine.trace",
+        "MetricsRegistry.per_worker",
+        "MetricsRegistry._note_worker",
+        "Gauge.inc",
+        "health_enabled",
+        "serving_rows",
+        "cluster_rows",
+        "stage_rows",
+    }
+    assert gone & _defined_names() == set()
+    (tracer,) = [t for p, t in _trees("src") if p.name == "tracer.py" and p.parent.name == "obs"]
+    (metrics,) = [t for p, t in _trees("src") if p.name == "metrics.py" and p.parent.name == "obs"]
+    functions = {
+        node.name if not isinstance(parent, ast.ClassDef) else f"{parent.name}.{node.name}": node
+        for tree in (tracer, metrics)
+        for parent in ast.walk(tree)
+        for node in ast.iter_child_nodes(parent)
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("Tracer.__init__", "enable", "tracing.__init__"):
+        assert "metrics" not in _params(functions[name]), name
+    assert _params(functions["MetricsRegistry.merge_delta"]) == {"self", "delta"}
 
 
 def test_the_ckks_rns_context_and_backend_take_no_executor():

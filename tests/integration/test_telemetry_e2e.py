@@ -17,7 +17,7 @@ from repro.henn.backend import CkksRnsBackend
 from repro.henn.hybrid import HybridRnsEngine
 from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
-from repro.obs.report import render_report
+from repro.obs.report import aggregate_spans, render_report
 from repro.parallel import ThreadExecutor
 
 
@@ -57,7 +57,7 @@ def test_traced_pool_classify_yields_merged_telemetry(fresh_registry):
     with ThreadExecutor(workers=2) as ex:
         engine = _pool_engine(ex)
         k = engine.k_moduli
-        with obs.tracing(metrics=fresh_registry) as tracer:
+        with obs.tracing() as tracer:
             logits = engine.classify(images)
     assert logits.shape == (2, 10)
 
@@ -69,7 +69,7 @@ def test_traced_pool_classify_yields_merged_telemetry(fresh_registry):
     # each channel ran as its own span, recorded from the worker threads
     channels = [sp for sp in tracer.finished() if sp.name == "rnscnn.channel"]
     assert len(channels) == k
-    assert fresh_registry.counter("span.rnscnn.channel.calls").value == k
+    assert aggregate_spans(tracer)["rnscnn.channel"].count == k
 
     # per-layer ciphertext health gauges, labelled by layer + backend
     for layer in ("HePoly", "HeLinear"):

@@ -74,7 +74,7 @@ def test_observe_layer_records_labelled_gauges(fresh_registry):
     handles = np.array([backend.encrypt(np.array([0.5])) for _ in range(3)], dtype=object)
     # make one handle strictly weaker: it must define the floor
     handles[1] = backend.rescale(backend.relinearize_ext(backend.square_raw(handles[1])))
-    with obs.tracing(metrics=fresh_registry):
+    with obs.tracing():
         health = observe_layer(backend, handles, "HeConv2d", 2)
     assert health is not None and health["level"] == 4
     g = fresh_registry.gauge(
@@ -89,7 +89,7 @@ def test_observe_layer_records_labelled_gauges(fresh_registry):
 def test_engine_layer_boundaries_feed_health_gauges(fresh_registry):
     backend, engine = _engine()
     x = np.random.default_rng(1).uniform(0, 1, (2, 1, 4, 4))
-    with obs.tracing(metrics=fresh_registry):
+    with obs.tracing():
         engine.classify(x)
     names = fresh_registry.names()
     # one labelled series per (layer, index) plus the unlabelled floor
@@ -120,7 +120,7 @@ def test_precision_probe_against_plaintext_reference(fresh_registry):
 
     enc = engine.encrypt_images(x)
     out = engine.run_encrypted(enc)
-    stats = precision_probe(backend, out, reference, count=3, labels={"stage": "logits"})
+    stats = precision_probe(backend, out, reference, labels={"stage": "logits"})
     assert stats["max_abs"] < 1e-4  # mock noise is pure quantisation
     assert stats["bits_precision"] > 10
     g = fresh_registry.gauge(

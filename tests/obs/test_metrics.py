@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, metric_key
+from repro.obs.metrics import Histogram, MetricsRegistry, metric_key
 from repro.parallel import ThreadExecutor
 
 
 def test_counter_basics():
-    c = Counter("x")
+    c = MetricsRegistry().counter("x")
     c.inc()
     c.inc(5)
     assert c.value == 6
@@ -19,7 +19,7 @@ def test_counter_basics():
 
 
 def test_histogram_statistics():
-    h = Histogram("lat")
+    h = MetricsRegistry().histogram("lat")
     for v in [3.0, 1.0, 2.0]:
         h.observe(v)
     assert h.count == 3
@@ -34,7 +34,7 @@ def test_histogram_statistics():
 
 
 def test_empty_histogram_is_nan_not_crash():
-    h = Histogram("empty")
+    h = MetricsRegistry().histogram("empty")
     assert math.isnan(h.mean) and math.isnan(h.min) and math.isnan(h.max)
     assert math.isnan(h.percentile(50))
     d = h.to_dict()
@@ -82,8 +82,8 @@ def test_snapshot_is_json_shaped():
     assert snap["h"]["count"] == 1 and snap["h"]["mean"] == 1.5
 
 
-def test_gauge_set_inc_dec_and_envelope():
-    g = Gauge("level")
+def test_gauge_set_and_envelope():
+    g = MetricsRegistry().gauge("level")
     assert math.isnan(g.value)
     assert g.to_dict() == {"type": "gauge", "value": None, "min": None, "max": None, "samples": 0}
     g.set(4.0)
@@ -92,15 +92,6 @@ def test_gauge_set_inc_dec_and_envelope():
     assert g.value == 3.0
     d = g.to_dict()
     assert d["min"] == 2.0 and d["max"] == 4.0 and d["samples"] == 3
-    g.inc(1.5)
-    g.inc(-0.5)
-    assert g.value == 4.0
-
-
-def test_gauge_inc_from_unset_starts_at_zero():
-    g = Gauge("delta")
-    g.inc(2.0)
-    assert g.value == 2.0
 
 
 def test_labelled_metrics_are_distinct_series():
@@ -124,7 +115,7 @@ def test_metric_key_sorts_labels():
 
 
 def test_summary_empty_and_single_sample():
-    h = Histogram("lat")
+    h = MetricsRegistry().histogram("lat")
     s = h.summary()
     assert s["count"] == 0 and s["total"] == 0.0
     assert all(s[k] is None for k in ("min", "max", "mean", "p50", "p90", "p99"))
@@ -145,15 +136,13 @@ def test_merge_delta_counters_gauges_histograms():
 
     parent = MetricsRegistry()
     parent.counter("ops").inc(1)
-    parent.merge_delta(worker.to_delta(), worker="worker-1")
+    parent.merge_delta(worker.to_delta())
     assert parent.counter("ops").value == 6
     g = parent.gauge("level", {"layer": "L"})
     assert g.value == 4.0
     assert g.to_dict()["min"] == 2.0  # envelope widened from the delta's min
     assert parent.histogram("secs").count == 2
-    ledger = parent.per_worker()["worker-1"]
-    assert ledger["ops"]["value"] == 5
-    assert ledger["secs"] == {"type": "histogram", "count": 2, "total": pytest.approx(0.3)}
+    assert parent.histogram("secs").total == pytest.approx(0.3)
 
 
 def test_snapshot_consistent_under_concurrent_merges():
@@ -168,7 +157,7 @@ def test_snapshot_consistent_under_concurrent_merges():
     n_merges = 200
 
     def merge(i):
-        parent.merge_delta(delta, worker=f"worker-{i % 4}")
+        parent.merge_delta(delta)
         return i
 
     snaps = []
@@ -187,12 +176,10 @@ def test_snapshot_consistent_under_concurrent_merges():
     for s in snaps:
         if "h" in s:
             assert s["h"]["count"] % 3 == 0
-    # odd indices merge, and odd i mod 4 is 1 or 3
-    assert set(parent.per_worker()) == {"worker-1", "worker-3"}
 
 
 def test_histogram_reservoir_bounded_with_exact_scalars():
-    h = Histogram("big")
+    h = MetricsRegistry().histogram("big")
     n = Histogram.RESERVOIR_SIZE + 3000
     h.observe_many(float(i) for i in range(n))
     # Sample storage is bounded; count/total/min/max stay exact.
@@ -207,7 +194,7 @@ def test_histogram_reservoir_bounded_with_exact_scalars():
 
 def test_histogram_reservoir_is_deterministic_per_key():
     def fill(name):
-        h = Histogram(name)
+        h = MetricsRegistry().histogram(name)
         h.observe_many(float(i) for i in range(Histogram.RESERVOIR_SIZE + 500))
         return h.samples()
 
@@ -215,7 +202,7 @@ def test_histogram_reservoir_is_deterministic_per_key():
 
 
 def test_histogram_absorb_delta_corrects_scalars():
-    h = Histogram("merge", reservoir_size=8)
+    h = MetricsRegistry().histogram("merge")
     h.observe(1.0)
     # A worker saw 100 observations but ships only 2 exemplars.
     h.absorb_delta([5.0, 7.0], count=100, total=600.0, mn=0.5, mx=9.0)
@@ -225,8 +212,8 @@ def test_histogram_absorb_delta_corrects_scalars():
 
 
 def test_histogram_summary_has_p95():
-    h = Histogram("s")
+    h = MetricsRegistry().histogram("s")
     h.observe_many(float(i) for i in range(1, 101))
     s = h.summary()
     assert s["p95"] == pytest.approx(95.0, rel=0.02)
-    assert Histogram("empty").summary()["p95"] is None
+    assert MetricsRegistry().histogram("empty").summary()["p95"] is None

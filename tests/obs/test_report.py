@@ -4,8 +4,8 @@ import numpy as np
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import aggregate_spans, cluster_rows, layer_rows, render_report
-from repro.obs.tracer import Tracer
+from repro.obs.report import aggregate_spans, layer_rows, render_report
+from repro.obs.tracer import Span, Tracer
 
 
 def _tree_tracer() -> Tracer:
@@ -67,6 +67,21 @@ def test_render_report_empty_tracer_is_safe():
     assert "per-primitive breakdown" in text
 
 
+def test_render_report_titles_busy_time_and_wall_clock_apart():
+    """Parentless spans on worker threads are roots too: their summed
+    time is thread-busy time, not wall-clock.  Two overlapping 1 s roots
+    on two threads are 2 s busy inside a 1.5 s extent."""
+    spans = [
+        Span("shard", 10.0, 11.0, span_id=1, parent_id=None, thread_id=1),
+        Span("shard", 10.5, 11.5, span_id=2, parent_id=None, thread_id=2),
+    ]
+    text = render_report(spans)
+    assert "busy 2.0000 s over 2 thread(s), wall-clock 1.5000 s" in text
+    # share % stays relative to busy time: the one row holds all of it.
+    (row,) = [line for line in text.splitlines() if line.startswith("shard")]
+    assert row.split("|")[-1].strip() == "100.0000"
+
+
 def test_cluster_rows_summarise_pool_metrics():
     reg = MetricsRegistry()
     reg.counter("cluster.dispatches").inc(5)
@@ -74,14 +89,14 @@ def test_cluster_rows_summarise_pool_metrics():
     reg.gauge("cluster.workers.ready").set(3)
     reg.histogram("cluster.batch.seconds").observe(0.2)
     reg.counter("serving.requests", {"outcome": "ok"}).inc()  # filtered out
-    rows = cluster_rows(reg)
-    names = [r[0] for r in rows]
-    assert "cluster.dispatches" in names
-    assert "cluster.workers.ready" in names
-    assert "cluster.batch.seconds" in names
-    assert all(n.startswith("cluster.") for n in names)
     text = render_report(Tracer(), reg)
-    assert "worker pool (dispatch / failover / respawn)" in text
+    title = "worker pool (dispatch / failover / respawn)"
+    assert title in text
+    table = text.split(title, 1)[1].split("\n\n", 1)[0]
+    names = [line.split("|")[0].strip() for line in table.strip().splitlines()[2:]]
+    assert names == ["cluster.batch.seconds", "cluster.dispatches", "cluster.failovers", "cluster.workers.ready"]
+    # the serving counter has its own table, not this one
+    assert "serving gateway (batch coalescing)" in text
 
 
 def test_engine_trace_report_end_to_end():
@@ -95,18 +110,19 @@ def test_engine_trace_report_end_to_end():
     eng = HeInferenceEngine(MockBackend(batch=4), layers, (1, 2, 2))
     x = rng.random((2, 1, 2, 2))
 
-    with obs.tracing(metrics=MetricsRegistry()) as tracer:
+    with obs.tracing() as tracer:
         eng.classify(x)
     obs.disable()
 
     names = {s.name for s in tracer.finished()}
     assert {"henn.stage.encrypt", "henn.stage.evaluate", "henn.stage.decrypt"} <= names
     assert "henn.layer" in names
-    # Fig. 5 layer view falls out of the tracer and matches engine.trace.
+    # Fig. 5 layer view falls out of the tracer and brackets the
+    # engine's own layer timings (read just outside each span).
     rows = layer_rows(tracer)
     assert [n for n, _ in rows] == ["HeFlatten", "HeLinear"]
-    assert eng.trace.names == ["HeFlatten", "HeLinear"]
-    assert np.allclose(eng.trace.seconds, [s for _, s in rows])
+    assert [n for n, _ in eng.layer_seconds] == ["HeFlatten", "HeLinear"]
+    assert all(s >= span_s for (_, s), (_, span_s) in zip(eng.layer_seconds, rows))
     text = render_report(tracer)
     assert "henn.layer" in text
 
@@ -122,6 +138,6 @@ def test_engine_trace_available_without_global_tracing():
     layers = [HeFlatten(), HeLinear(rng.normal(0, 0.4, (10, 4)), np.zeros(10))]
     eng = HeInferenceEngine(MockBackend(batch=4), layers, (1, 2, 2))
     eng.classify(rng.random((2, 1, 2, 2)))
-    assert eng.trace.names == ["HeFlatten", "HeLinear"]
-    assert eng.trace.total() > 0
+    assert [n for n, _ in eng.layer_seconds] == ["HeFlatten", "HeLinear"]
+    assert sum(s for _, s in eng.layer_seconds) > 0
     assert len(obs.get_tracer()) == 0  # nothing leaked into the global tracer

@@ -9,8 +9,12 @@ import threading
 import pytest
 
 from repro.obs.export import to_chrome_trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.rtrace import (
+    CAPACITY,
+    MIN_RING,
+    SLOW_FACTOR,
+    SLOWEST_N,
     STAGES,
     RequestTrace,
     RequestTracer,
@@ -22,12 +26,19 @@ from repro.obs.rtrace import (
 from repro.obs.tracer import Span
 
 
-def make_tracer(rate=1.0, **policy_kwargs) -> RequestTracer:
-    return RequestTracer(
-        policy=SamplingPolicy(rate=rate, seed=7, **policy_kwargs),
-        store=TraceStore(),
-        registry=MetricsRegistry(),
-    )
+@pytest.fixture(autouse=True)
+def registry():
+    """An isolated global registry: the request tracer reads it at use time."""
+    prev = get_registry()
+    reg = set_registry(MetricsRegistry())
+    try:
+        yield reg
+    finally:
+        set_registry(prev)
+
+
+def make_tracer(rate=1.0) -> RequestTracer:
+    return RequestTracer(policy=SamplingPolicy(rate=rate, seed=7))
 
 
 # -- sampling policy ---------------------------------------------------------
@@ -37,9 +48,7 @@ def test_policy_validates_parameters():
     with pytest.raises(ValueError):
         SamplingPolicy(rate=1.5)
     with pytest.raises(ValueError):
-        SamplingPolicy(rate=0.5, slow_factor=1.0)
-    with pytest.raises(ValueError):
-        SamplingPolicy(rate=0.5, ring_size=0)
+        SamplingPolicy(rate=-0.1)
 
 
 def test_policy_head_decision_extremes():
@@ -50,17 +59,20 @@ def test_policy_head_decision_extremes():
 
 
 def test_policy_keep_reasons():
-    policy = SamplingPolicy(rate=0.5, min_ring=4, slow_factor=2.0)
+    policy = SamplingPolicy(rate=0.5)
     assert policy.keep_reason(sampled=True, outcome="ok", seconds=0.1) == "head"
     assert policy.keep_reason(sampled=False, outcome="error", seconds=0.1) == "error"
     # Ring still warming: no slow-tail verdicts yet.
     assert policy.slow_threshold() is None
     assert policy.keep_reason(sampled=False, outcome="ok", seconds=99.0) is None
-    for _ in range(4):
+    for _ in range(MIN_RING - 1):
         policy.note_latency(0.1)
-    assert policy.slow_threshold() == pytest.approx(0.2)
-    assert policy.keep_reason(sampled=False, outcome="ok", seconds=0.5) == "slow"
-    assert policy.keep_reason(sampled=False, outcome="ok", seconds=0.15) is None
+    assert policy.slow_threshold() is None
+    policy.note_latency(0.1)
+    bound = SLOW_FACTOR * 0.1
+    assert policy.slow_threshold() == pytest.approx(bound)
+    assert policy.keep_reason(sampled=False, outcome="ok", seconds=1.25 * bound) == "slow"
+    assert policy.keep_reason(sampled=False, outcome="ok", seconds=0.75 * bound) is None
 
 
 def test_disabled_policy_keeps_nothing():
@@ -149,20 +161,23 @@ def _record(trace_id: str, seconds: float) -> RequestTrace:
 
 
 def test_store_bounds_recent_and_pins_slowest():
-    store = TraceStore(capacity=4, slowest_n=2)
-    for i in range(10):
-        store.record(_record(f"t-{i}", seconds=float(i)))
-    assert len(store) == 4
-    assert [t.trace_id for t in store.recent()] == ["t-6", "t-7", "t-8", "t-9"]
-    assert [t.trace_id for t in store.slowest()] == ["t-9", "t-8"]
-    # Slow exemplars survive eviction from the recent ring.
-    store.record(_record("fast", seconds=0.0))
-    assert [t.trace_id for t in store.slowest()] == ["t-9", "t-8"]
-    assert store.get("t-9").seconds == 9.0
-    assert store.get("nope") is None
+    store = TraceStore()
+    # One more slow trace than the store pins, then a ring's worth of fast ones.
+    for i in range(SLOWEST_N + 1):
+        store.record(_record(f"slow-{i}", seconds=100.0 + i))
+    for i in range(CAPACITY):
+        store.record(_record(f"fast-{i}", seconds=0.001 * i))
+    assert len(store) == CAPACITY
+    assert [t.trace_id for t in store.recent()] == [f"fast-{i}" for i in range(CAPACITY)]
+    assert [t.trace_id for t in store.recent(2)] == [f"fast-{CAPACITY - 2}", f"fast-{CAPACITY - 1}"]
+    # Slow exemplars survive eviction from the recent ring; the fastest slow one fell off.
+    want = [f"slow-{i}" for i in range(SLOWEST_N, 0, -1)]
+    assert [t.trace_id for t in store.slowest()] == want
+    assert store.get(f"slow-{SLOWEST_N}").seconds == 100.0 + SLOWEST_N
+    assert store.get("slow-0") is None and store.get("nope") is None
     snap = store.snapshot()
-    assert snap["total_recorded"] == 11 and snap["stored"] == 4
-    assert snap["slowest"][0]["trace_id"] == "t-9"
+    assert snap["total_recorded"] == SLOWEST_N + 1 + CAPACITY and snap["stored"] == CAPACITY
+    assert snap["slowest"][0]["trace_id"] == f"slow-{SLOWEST_N}"
 
 
 def test_request_trace_round_trips_through_dict():
@@ -211,9 +226,9 @@ def test_tail_keeps_errors_even_when_head_skipped():
     assert record.spans == []  # tail-kept: timings only, no spans
 
 
-def test_finish_observes_stage_histograms_and_counters():
-    reg = MetricsRegistry()
-    tracer = RequestTracer(SamplingPolicy(rate=1.0), TraceStore(), registry=reg)
+def test_finish_observes_stage_histograms_and_counters(registry):
+    reg = registry
+    tracer = RequestTracer(SamplingPolicy(rate=1.0))
     ctx = tracer.mint(1)
     ctx.add_stage("queue_wait", 0.0, 0.25)
     tracer.finish(ctx, "ok")
