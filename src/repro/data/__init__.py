@@ -9,18 +9,13 @@ See DESIGN.md §2 for the substitution rationale.
 """
 
 from repro.data.mnist_synth import SynthMnistConfig, generate_synth_mnist, load_synth_mnist, render_digit
-from repro.data.datasets import Dataset, train_test_split
-from repro.data.transforms import normalize_unit, normalize_standard, downsample, to_nchw
+from repro.data.transforms import normalize_unit, to_nchw
 
 __all__ = [
     "SynthMnistConfig",
     "generate_synth_mnist",
     "load_synth_mnist",
     "render_digit",
-    "Dataset",
-    "train_test_split",
     "normalize_unit",
-    "normalize_standard",
-    "downsample",
     "to_nchw",
 ]

@@ -4,32 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["normalize_unit", "normalize_standard", "downsample", "to_nchw"]
+__all__ = ["normalize_unit", "to_nchw"]
 
 
 def normalize_unit(images: np.ndarray) -> np.ndarray:
     """Map uint8 images to floats in [0, 1] — the paper's normalisation
     (and the source of the §III.C near-zero encoding concern)."""
     return np.asarray(images, dtype=np.float64) / 255.0
-
-
-def normalize_standard(images: np.ndarray, mean: float = 0.1307, std: float = 0.3081) -> np.ndarray:
-    """Zero-mean/unit-variance normalisation with MNIST-style constants."""
-    return (normalize_unit(images) - mean) / std
-
-
-def downsample(images: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Average-pool images by an integer factor (reduced-cost presets)."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return np.asarray(images, dtype=np.float64)
-    x = np.asarray(images, dtype=np.float64)
-    h, w = x.shape[-2], x.shape[-1]
-    if h % factor or w % factor:
-        raise ValueError(f"image size {h}x{w} not divisible by {factor}")
-    shape = x.shape[:-2] + (h // factor, factor, w // factor, factor)
-    return x.reshape(shape).mean(axis=(-3, -1))
 
 
 def to_nchw(images: np.ndarray) -> np.ndarray:

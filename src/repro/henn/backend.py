@@ -531,6 +531,9 @@ class HeBackend(ABC):
 
 # --------------------------------------------------------------------------- mock
 
+#: log2 of the mock scheme's scale Δ (the CKKS presets' 26-bit scale).
+MOCK_SCALE_BITS = 26
+
 
 @dataclass
 class _MockHandle:
@@ -552,9 +555,9 @@ class MockBackend(HeBackend):
     """Plaintext simulation with CKKS bookkeeping.
 
     Tracks scale and level like the RNS scheme (every rescale divides by
-    exactly Δ) and quantises plaintext multipliers to the encoding grid,
-    so results match real-HE evaluation to within the scheme's
-    approximation noise.
+    exactly Δ = 2^:data:`MOCK_SCALE_BITS`) and quantises plaintext
+    multipliers to the encoding grid, so results match real-HE
+    evaluation to within the scheme's approximation noise.
     """
 
     name = "mock"
@@ -562,12 +565,11 @@ class MockBackend(HeBackend):
     def __init__(
         self,
         batch: int = 64,
-        scale_bits: int = 26,
         levels: int = 16,
         quantize: bool = True,
         fault_injector: "Any | None" = None,
     ):
-        self._scale = float(1 << scale_bits)
+        self._scale = float(1 << MOCK_SCALE_BITS)
         self._batch = batch
         self.levels = levels
         self.quantize = quantize

@@ -33,7 +33,6 @@ from repro.henn.backend import HeBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeConv2d, HeLayer
 from repro.henn.rnscnn import QuantizedConvSpec, RnsIntegerConv, basis_for_budget
-from repro.parallel import Executor, SerialExecutor, make_executor
 from repro.utils.timing import LatencyStats
 
 __all__ = ["HybridRnsEngine", "StageTimings"]
@@ -63,7 +62,6 @@ class HybridRnsEngine:
         k_moduli: int = 3,
         total_bits: int = 240,
         spec: QuantizedConvSpec | None = None,
-        executor: Executor | str | None = None,
         redundancy: int = 0,
         fault_injector: "object | None" = None,
     ):
@@ -76,10 +74,9 @@ class HybridRnsEngine:
         redundant RRNS moduli so a corrupted or dropped conv channel is
         detected and recovered (see ``docs/RESILIENCE.md``).
 
-        ``executor`` may be an :class:`~repro.parallel.Executor` instance
-        (caller-owned) or a kind string (``"thread"`` …); a kind string
-        builds an executor the engine owns and releases in
-        :meth:`close` (the engine is also a context manager).
+        The residue channels run on the conv's serial executor; to run
+        them on threads, set ``engine.conv.executor`` to a caller-owned
+        :class:`~repro.parallel.ThreadExecutor`.
 
         The encrypted tail's inference plan is compiled up front (see
         :class:`~repro.henn.plan.InferencePlan`).
@@ -94,16 +91,12 @@ class HybridRnsEngine:
         need = self.spec.dynamic_range_bits(conv.weight) + 2
         base = basis_for_budget(k_moduli, max(total_bits, need))
         self.k_moduli = k_moduli
-        self._owned_executor: Executor | None = None
-        if isinstance(executor, str):
-            executor = self._owned_executor = make_executor(executor)
         self.conv = RnsIntegerConv(
             conv.weight,
             base,
             stride=conv.stride,
             padding=conv.padding,
             spec=self.spec,
-            executor=executor or SerialExecutor(),
             redundancy=redundancy,
             fault_injector=fault_injector,
         )
@@ -119,18 +112,6 @@ class HybridRnsEngine:
     def last_faults(self) -> list[int]:
         """Residue channels erased/corrected during the last classify."""
         return self.conv.last_faults
-
-    def close(self) -> None:
-        """Release the engine-owned executor, if any (idempotent)."""
-        ex, self._owned_executor = self._owned_executor, None
-        if ex is not None:
-            ex.close()
-
-    def __enter__(self) -> "HybridRnsEngine":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     def classify(self, images: np.ndarray) -> np.ndarray:
         """Classify ``(B, C, H, W)`` images; returns ``(B, 10)`` logits.

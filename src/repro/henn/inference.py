@@ -7,8 +7,8 @@ activations run their packed positions as shards over the cores, this
 :class:`~repro.henn.backend.CkksBackend` is the non-RNS CNN-HE baseline
 of Tables III/V.
 
-The engine always evaluates its :class:`~repro.henn.plan.InferencePlan`
-(compiled at construction or adopted): one
+The engine always evaluates the :class:`~repro.henn.plan.InferencePlan`
+it compiles at construction: one
 :class:`~repro.henn.plan.PlannedTaps` per linear map, every other layer
 as it is; scores always leave relinearised.
 
@@ -32,7 +32,7 @@ from repro import obs
 from repro.henn.backend import HeBackend
 from repro.henn.layers import HeLayer, check_level_budget
 from repro.henn.packing import BatchLayout
-from repro.henn.plan import InferencePlan, compile_plan
+from repro.henn.plan import compile_plan
 from repro.obs import health as _health
 from repro.obs.metrics import get_registry
 from repro.utils.timing import LatencyStats
@@ -51,12 +51,12 @@ class HeInferenceEngine:
         Compiled HE layer graph (from :func:`repro.henn.compiler.compile_model`).
     input_shape:
         Expected ``(C, H, W)`` of one input image.
-    plan:
-        An :class:`~repro.henn.plan.InferencePlan` already compiled for
-        this backend and graph, adopted as-is.  By default the engine
-        compiles one: every linear map's weights are encoded once, and
-        scalar plaintexts are memoized as the first image flows through,
-        so warm ``classify()`` calls perform zero plaintext encodes.
+
+    The engine compiles its plan on construction: every linear map's
+    weights are encoded once, through the plaintext cache an earlier
+    plan installed on the backend context (or a fresh one), and scalar
+    plaintexts are memoized as the first image flows through, so warm
+    ``classify()`` calls perform zero plaintext encodes.
 
     Raises
     ------
@@ -70,7 +70,6 @@ class HeInferenceEngine:
         backend: HeBackend,
         layers: list[HeLayer],
         input_shape: tuple[int, int, int],
-        plan: "InferencePlan | None" = None,
     ):
         check_level_budget(backend, layers)
         self.backend = backend
@@ -80,7 +79,7 @@ class HeInferenceEngine:
         #: ``(layer name, seconds)`` per layer of the last
         #: :meth:`run_encrypted` call, in execution order (Fig. 5 view).
         self.layer_seconds: list[tuple[str, float]] = []
-        self.plan = plan if plan is not None else compile_plan(backend, layers, input_shape)
+        self.plan = compile_plan(backend, layers, input_shape)
 
     @property
     def packed_width(self) -> "int | None":

@@ -520,7 +520,6 @@ class BatchedCloudService(CloudService):
             max_wait_ms=max_wait_ms,
             max_queue_depth=max_queue_depth,
             shed_policy=shed_policy,
-            name="henn-serving",
         )
 
     # -- admission ----------------------------------------------------------------
@@ -787,9 +786,10 @@ class ClusteredCloudService(BatchedCloudService):
       requeues the orphaned batch onto a survivor within a bounded
       retry budget, while the pool respawns and re-warms the dead
       worker in the background.
-    * Whole-pool loss degrades to serial in-process evaluation on the
-      gateway's own engine (disable with ``serial_fallback=False`` to
-      get the retryable ``unavailable`` error instead).
+    * Whole-pool loss (every worker dead with its respawn budget,
+      :data:`~repro.serving.cluster.RESPAWN_MAX_ATTEMPTS`, spent)
+      degrades to serial in-process evaluation on the gateway's own
+      engine.
     * Overload is shed in tiers (:class:`ShedPolicy`, on by default
       here) driven by queue depth *and* pool saturation.
     * ``/healthz`` reports pool size, per-worker state
@@ -800,11 +800,6 @@ class ClusteredCloudService(BatchedCloudService):
     ------------------------------------------------
     workers:
         Pool size (process-backed engine workers).
-    respawn:
-        Background-respawn dead workers (the whole-pool-loss tests
-        disable this).
-    serial_fallback:
-        Degrade to in-process serial evaluation when the pool is lost.
     fault_injector:
         Seeded :class:`~repro.resilience.FaultInjector` armed with
         ``kill_cluster_worker`` for failover tests.
@@ -817,8 +812,6 @@ class ClusteredCloudService(BatchedCloudService):
         input_shape: tuple[int, int, int],
         *,
         workers: int = 3,
-        respawn: bool = True,
-        serial_fallback: bool = True,
         fault_injector: object | None = None,
         shed_policy: ShedPolicy | None = None,
         **batched_kwargs: object,
@@ -834,13 +827,9 @@ class ClusteredCloudService(BatchedCloudService):
         self.pool = WorkerPool(
             functools.partial(_worker_engine, self.engine.backend, layers, input_shape),
             workers,
-            respawn=respawn,
             fault_injector=fault_injector,
-            name="henn-cluster",
         ).start()
-        self.dispatcher = Dispatcher(
-            self.pool, fallback=self._serial_fallback if serial_fallback else None
-        )
+        self.dispatcher = Dispatcher(self.pool, self._serial_fallback)
         # The shed ladder sees the pool's busy fraction from here on
         # (admission only starts once the constructor returns).
         self.scheduler.saturation_fn = self.pool.saturation

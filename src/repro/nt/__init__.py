@@ -19,13 +19,11 @@ Everything the CKKS / CKKS-RNS schemes need and nothing more:
 from repro.nt.modarith import (
     MAX_MODULUS_BITS,
     addmod,
-    invmod,
     mulmod,
     negmod,
-    powmod,
     submod,
 )
-from repro.nt.primes import gen_coprime_chain, gen_ntt_primes, gen_primes, is_prime, next_prime, prev_prime
+from repro.nt.primes import gen_ntt_primes, gen_primes, is_prime
 from repro.nt.ntt import NttPlan
 from repro.nt.crt import CrtBasis
 from repro.nt.polynomial import PolyRing
@@ -36,14 +34,9 @@ __all__ = [
     "submod",
     "mulmod",
     "negmod",
-    "powmod",
-    "invmod",
     "is_prime",
-    "next_prime",
-    "prev_prime",
     "gen_ntt_primes",
     "gen_primes",
-    "gen_coprime_chain",
     "NttPlan",
     "CrtBasis",
     "PolyRing",

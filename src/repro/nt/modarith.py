@@ -28,8 +28,6 @@ __all__ = [
     "submod",
     "negmod",
     "mulmod",
-    "powmod",
-    "invmod",
 ]
 
 #: Largest supported modulus bit-width (float-Barrett correctness bound).
@@ -69,7 +67,13 @@ def submod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def negmod(a: np.ndarray, m: int) -> np.ndarray:
-    """Elementwise ``(-a) mod m`` for an array already reduced mod *m*."""
+    """Elementwise ``(-a) mod m`` for an array already reduced mod *m*.
+
+    No library kernel calls it: it is the negacyclic sign flip of the
+    reference rotations in ``tests/ckksrns/test_hybrid_keyswitch.py``
+    and ``tests/henn/test_packing.py``, the oracles of the schemes'
+    automorphisms.
+    """
     m = _check_modulus(m)
     a = np.asarray(a, dtype=_I64)
     return np.where(a == 0, a, m - a)
@@ -102,19 +106,3 @@ def _mulmod_wide(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     r = np.where(r >= m, r - m, r)
     r = np.where(r >= m, r - m, r)
     return r
-
-
-def powmod(base: int, exp: int, m: int) -> int:
-    """Scalar modular exponentiation (thin wrapper, for symmetry)."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    return pow(int(base), int(exp), int(m))
-
-
-def invmod(a: int, m: int) -> int:
-    """Scalar modular inverse; raises ``ValueError`` when gcd(a, m) != 1."""
-    a = int(a) % int(m)
-    try:
-        return pow(a, -1, int(m))
-    except ValueError as exc:  # non-invertible
-        raise ValueError(f"{a} is not invertible modulo {m}") from exc

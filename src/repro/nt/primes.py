@@ -9,7 +9,7 @@ modulo ``p``.
 
 from __future__ import annotations
 
-__all__ = ["is_prime", "next_prime", "prev_prime", "gen_ntt_primes", "gen_coprime_chain"]
+__all__ = ["is_prime", "gen_ntt_primes", "gen_primes"]
 
 # Deterministic Miller-Rabin witness sets (Sinclair / Jaeschke bounds).
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -40,34 +40,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than *n*."""
-    n = int(n) + 1
-    if n <= 2:
-        return 2
-    if n % 2 == 0:
-        n += 1
-    while not is_prime(n):
-        n += 2
-    return n
-
-
-def prev_prime(n: int) -> int:
-    """Largest prime strictly smaller than *n*; raises below 3."""
-    n = int(n) - 1
-    if n < 2:
-        raise ValueError("no prime below 2")
-    if n == 2:
-        return 2
-    if n % 2 == 0:
-        n -= 1
-    while n >= 3 and not is_prime(n):
-        n -= 2
-    if n < 2:
-        raise ValueError("no prime found")
-    return n
 
 
 def gen_ntt_primes(bit_sizes: list[int], n: int, exclude: set[int] | None = None) -> list[int]:
@@ -135,10 +107,3 @@ def gen_primes(bit_sizes: list[int], exclude: set[int] | None = None) -> list[in
         else:  # pragma: no cover - unreachable for bits >= 3
             raise RuntimeError(f"no {bits}-bit prime found")
     return out
-
-
-def gen_coprime_chain(k: int, bits: int, n: int) -> list[int]:
-    """Convenience: *k* distinct NTT primes, all of the same bit length."""
-    if k < 1:
-        raise ValueError("need at least one modulus")
-    return gen_ntt_primes([bits] * k, n)

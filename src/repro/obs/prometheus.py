@@ -34,14 +34,12 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 
-def prometheus_name(name: str, prefix: str = "repro") -> str:
-    """Dotted registry name → a valid Prometheus metric name."""
-    flat = _NAME_RE.sub("_", name.strip())
-    if prefix:
-        flat = f"{prefix}_{flat}"
-    if flat and flat[0].isdigit():
-        flat = f"_{flat}"
-    return flat
+def prometheus_name(name: str) -> str:
+    """Dotted registry name → a valid Prometheus metric name.
+
+    Every name starts with ``repro_``, so none starts with a digit.
+    """
+    return "repro_" + _NAME_RE.sub("_", name.strip())
 
 
 def _escape(value: str) -> str:
@@ -68,7 +66,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def render_prometheus(registry: MetricsRegistry, prefix: str = "repro") -> str:
+def render_prometheus(registry: MetricsRegistry) -> str:
     """The registry as Prometheus text exposition format (version 0.0.4).
 
     Series sharing a base name (label variants) are grouped under one
@@ -84,7 +82,7 @@ def render_prometheus(registry: MetricsRegistry, prefix: str = "repro") -> str:
     for name in sorted(groups):
         metrics = groups[name]
         kind = type(metrics[0])
-        base = prometheus_name(name, prefix)
+        base = prometheus_name(name)
         if kind is Counter:
             lines.append(f"# TYPE {base}_total counter")
             for m in metrics:

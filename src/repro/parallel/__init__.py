@@ -12,16 +12,6 @@ Both share one API: :meth:`~Executor.map` over a list of per-channel
 work items.
 """
 
-from repro.parallel.executor import (
-    Executor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.parallel.executor import Executor, SerialExecutor, ThreadExecutor
 
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "make_executor",
-]
+__all__ = ["Executor", "SerialExecutor", "ThreadExecutor"]

@@ -8,8 +8,8 @@ recombination overhead behind the Table IV/VI moduli sweeps is the gap
 between that span and the per-channel work inside it.
 
 Pool lifecycle: :meth:`Executor.close` is idempotent, and every
-:class:`ThreadExecutor` is registered with an ``atexit`` closer, so
-executors created deep inside an engine cannot leak worker threads past
+:class:`ThreadExecutor` is registered with an ``atexit`` closer, so an
+executor its owner never closes cannot leak worker threads past
 interpreter shutdown.
 """
 
@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 from repro.obs import tracer as _obs
 from repro.obs.metrics import get_registry
 
-__all__ = ["Executor", "SerialExecutor", "ThreadExecutor", "make_executor"]
+__all__ = ["Executor", "SerialExecutor", "ThreadExecutor"]
 
 
 class Executor(ABC):
@@ -80,9 +80,8 @@ class SerialExecutor(Executor):
         return [fn(it) for it in items]
 
 
-#: Every live thread executor; drained by the ``atexit`` hook so
-#: internally-created executors (engines, factories) cannot leak worker
-#: threads past interpreter shutdown.
+#: Every live thread executor; drained by the ``atexit`` hook so an
+#: unclosed executor cannot leak worker threads past interpreter shutdown.
 _LIVE_POOLS: "weakref.WeakSet[ThreadExecutor]" = weakref.WeakSet()
 
 
@@ -124,18 +123,3 @@ class ThreadExecutor(Executor):
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-
-def make_executor(kind: str, workers: int | None = None) -> Executor:
-    """Factory keyed by name: ``"serial" | "thread"``.
-
-    Thread executors returned here (and constructed directly) are
-    tracked in a weak set and closed by an ``atexit`` hook, so callers
-    that cannot easily reach ``close()`` — engines that build an
-    executor from a kind string — do not leak workers.
-    """
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(workers)
-    raise ValueError(f"unknown executor kind {kind!r} (serial|thread)")

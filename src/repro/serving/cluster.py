@@ -14,10 +14,10 @@ workers** behind the :class:`~repro.serving.scheduler.BatchingScheduler`:
   EOF = death) and a heartbeat thread (``is_alive`` + idle pings) — and
   respawns dead workers in the background.
 * :class:`Dispatcher` routes each coalesced batch to a worker chosen by
-  **health-weighted load balancing**: among workers with spare
-  in-flight capacity, the highest ``health / (1 + inflight)`` score
-  wins, where health decays with recent faults and recovers with
-  successful batches (exported as ``cluster.worker.health`` gauges).
+  **health-weighted load balancing**: a worker holds one batch at a
+  time, and among the idle ready workers the highest health wins,
+  where health decays with recent faults and recovers with successful
+  batches (exported as ``cluster.worker.health`` gauges).
   Robustness is the contract: a worker killed mid-batch never drops a
   future — the in-flight batch is requeued onto a survivor with a
   bounded retry budget (:data:`FAILOVER_MAX_RETRIES` attempts with
@@ -91,8 +91,11 @@ HEARTBEAT_TIMEOUT_S = 10.0
 #: Budget for one worker to report ready before its spawn counts as failed.
 SPAWN_TIMEOUT_S = 120.0
 #: Spawn attempts per death before that slot is abandoned; when every
-#: slot is abandoned the pool reports itself lost.
+#: slot is abandoned the pool reports itself lost.  A child that dies
+#: before it reports ready uses up the attempt that spawned it.
 RESPAWN_MAX_ATTEMPTS = 3
+#: Name prefix of the pool's worker processes and watcher threads.
+POOL_NAME = "henn-cluster"
 #: Longest one batch may wait for a free worker before the dispatcher
 #: answers with retryable overload backpressure.
 DISPATCH_TIMEOUT_S = 60.0
@@ -285,10 +288,6 @@ class ClusterWorker:
         """Dispatch weight in ``(0, 1]``: 1 = pristine, decays with faults."""
         return 1.0 / (1.0 + self.faults)
 
-    def score(self) -> float:
-        """Selection score: health discounted by queued work."""
-        return self.health() / (1.0 + len(self.inflight))
-
     def describe(self) -> dict[str, Any]:
         return {
             "index": self.index,
@@ -313,14 +312,7 @@ class WorkerPool:
         child after fork (closures over the parent's backend are fine —
         fork inheritance carries the key material).
     size:
-        Worker count.
-    max_inflight:
-        Batches a single worker may hold (1 = strict one-at-a-time;
-        2 lets the pipe hide IPC latency behind the current evaluation).
-    respawn:
-        Respawn dead workers in the background (bounded attempts); with
-        ``False`` a dead worker stays dead — the whole-pool-loss
-        degradation tests rely on this.
+        Worker count; each worker holds at most one batch.
     fault_injector:
         Optional seeded :class:`~repro.resilience.FaultInjector` (armed
         via ``kill_cluster_worker``); consulted parent-side at every
@@ -333,25 +325,19 @@ class WorkerPool:
         engine_factory: Callable[[], Any],
         size: int = 3,
         *,
-        max_inflight: int = 1,
-        respawn: bool = True,
         fault_injector: Any | None = None,
-        name: str = "cluster",
     ):
         if size < 1:
             raise ValueError("pool size must be >= 1")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         self.engine_factory = engine_factory
         self.size = int(size)
-        self.max_inflight = int(max_inflight)
-        self.respawn = respawn
         self.fault_injector = fault_injector
-        self.name = name
         self.cond = threading.Condition()
         self.workers = [ClusterWorker(i) for i in range(self.size)]
         self._closed = False
         self._abandoned: set[int] = set()
+        #: Slots a respawn loop owns; a death there fails the loop's attempt.
+        self._respawning: set[int] = set()
         self._respawns = 0
         self._deaths = 0
         #: Dispatcher callback for jobs orphaned by a worker death.
@@ -364,7 +350,7 @@ class WorkerPool:
                 self._ctx = _mp.get_context()
         self._recv_threads: dict[int, threading.Thread] = {}
         self._monitor = threading.Thread(
-            target=self._heartbeat_loop, name=f"{name}-heartbeat", daemon=True
+            target=self._heartbeat_loop, name=f"{POOL_NAME}-heartbeat", daemon=True
         )
 
     # -- lifecycle -----------------------------------------------------------------
@@ -388,7 +374,7 @@ class WorkerPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(worker.index, child_conn, self.engine_factory, kill_batches),
-            name=f"{self.name}-worker-{worker.index}",
+            name=f"{POOL_NAME}-worker-{worker.index}",
             daemon=True,
         )
         proc.start()
@@ -406,7 +392,7 @@ class WorkerPool:
         thread = threading.Thread(
             target=self._recv_loop,
             args=(worker, worker.generation),
-            name=f"{self.name}-recv-{worker.index}",
+            name=f"{POOL_NAME}-recv-{worker.index}",
             daemon=True,
         )
         self._recv_threads[worker.index] = thread
@@ -565,7 +551,13 @@ class WorkerPool:
                 _count("span.merge_errors")
 
     def _handle_death(self, worker: ClusterWorker, generation: int) -> None:
-        """Mark a worker dead, orphan its jobs, kick off the respawn."""
+        """Mark a worker dead, orphan its jobs, kick off the respawn.
+
+        A death inside a running respawn loop (the child it just spawned
+        died before reporting ready) is that loop's failed attempt: the
+        loop sees the ``dead`` state and spends its next attempt, so no
+        second loop with a fresh budget starts.
+        """
         with self.cond:
             if self._closed or worker.generation != generation:
                 return
@@ -578,6 +570,8 @@ class WorkerPool:
             self._deaths += 1
             self._publish(worker)
             self.cond.notify_all()
+            respawn = worker.index not in self._respawning
+            self._respawning.add(worker.index)
         _count("worker.deaths")
         get_registry().counter(
             "cluster.worker.deaths_by", {"worker": worker.index}
@@ -589,17 +583,13 @@ class WorkerPool:
                 job.future.set_exception(
                     WorkerLostError(f"worker {worker.index} died mid-batch")
                 )
-        if self.respawn:
+        if respawn:
             threading.Thread(
                 target=self._respawn_loop,
                 args=(worker,),
-                name=f"{self.name}-respawn-{worker.index}",
+                name=f"{POOL_NAME}-respawn-{worker.index}",
                 daemon=True,
             ).start()
-        else:
-            with self.cond:
-                self._abandoned.add(worker.index)
-                self.cond.notify_all()
 
     def _respawn_loop(self, worker: ClusterWorker) -> None:
         backoff = 0.05
@@ -617,11 +607,14 @@ class WorkerPool:
                 continue
             self._respawns += 1
             _count("respawns")
-            if self._await_ready(worker, SPAWN_TIMEOUT_S):
-                return
-            # spawned but never became ready: kill and try again
             with self.cond:
+                if self._await_ready(worker, SPAWN_TIMEOUT_S):
+                    # Released under the lock that marks deaths: a later
+                    # death of this generation starts a fresh loop.
+                    self._respawning.discard(worker.index)
+                    return
                 proc = worker.proc
+            # spawned but never became ready: kill and try again
             if proc is not None and proc.is_alive():
                 proc.kill()
                 proc.join(timeout=2.0)
@@ -632,14 +625,14 @@ class WorkerPool:
             self.cond.notify_all()
 
     def _await_ready(self, worker: ClusterWorker, timeout: float) -> bool:
+        """Wait (caller holds the lock) while *worker* warms up."""
         deadline = time.monotonic() + timeout
-        with self.cond:
-            while worker.state == "warming":
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self.cond.wait(timeout=remaining)
-            return worker.state == "ready"
+        while worker.state == "warming":
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or self._closed:
+                break
+            self.cond.wait(timeout=remaining)
+        return worker.state == "ready"
 
     # -- heartbeat -------------------------------------------------------------------
 
@@ -685,19 +678,15 @@ class WorkerPool:
     def acquire(self, job: _Job) -> ClusterWorker | None:
         """Assign *job* to the best available worker (caller holds no lock).
 
-        Health-weighted: among workers in ``ready`` state with spare
-        in-flight capacity, the highest ``health / (1 + inflight)``
-        score wins.  Returns ``None`` when nobody can take the job.
+        Health-weighted: among idle workers in ``ready`` state, the
+        healthiest wins (lowest index on a tie).  Returns ``None`` when
+        nobody can take the job.
         """
         with self.cond:
-            candidates = [
-                w
-                for w in self.workers
-                if w.state == "ready" and len(w.inflight) < self.max_inflight
-            ]
+            candidates = [w for w in self.workers if w.state == "ready" and not w.inflight]
             if not candidates:
                 return None
-            worker = max(candidates, key=lambda w: (w.score(), -w.index))
+            worker = max(candidates, key=lambda w: (w.health(), -w.index))
             worker.inflight[job.job_id] = job
             self._publish(worker)
             return worker
@@ -710,11 +699,9 @@ class WorkerPool:
             self.cond.notify_all()
 
     def is_lost(self) -> bool:
-        """True when no worker is alive and none will come back."""
+        """True when every slot spent its respawn budget: none will come back."""
         with self.cond:
-            if any(w.state in ("ready", "warming", "respawning") for w in self.workers):
-                return False
-            return not self.respawn or len(self._abandoned) >= self.size
+            return len(self._abandoned) >= self.size
 
     def saturation(self) -> float:
         """Busy fraction in [0, 1]; 1.0 when nobody is ready (shed hard)."""
@@ -722,9 +709,7 @@ class WorkerPool:
             ready = [w for w in self.workers if w.state == "ready"]
             if not ready:
                 return 1.0
-            capacity = len(ready) * self.max_inflight
-            busy = sum(len(w.inflight) for w in ready)
-            value = busy / capacity
+            value = sum(1 for w in ready if w.inflight) / len(ready)
         get_registry().gauge("cluster.saturation").set(value)
         return value
 
@@ -749,10 +734,7 @@ class WorkerPool:
                 ),
                 "deaths": self._deaths,
                 "respawns": self._respawns,
-                "lost": not self.respawn
-                and all(w.state == "dead" for w in self.workers)
-                or len(self._abandoned) >= self.size,
-                "max_inflight": self.max_inflight,
+                "lost": self.is_lost(),
                 "workers": [w.describe() for w in self.workers],
             }
 
@@ -772,8 +754,7 @@ class Dispatcher:
     fallback:
         ``(requests, slots) -> per_request_results`` evaluated
         in-process when the whole pool is lost — the serial
-        degradation tier.  ``None`` fails such batches with the
-        retryable :class:`~repro.serving.errors.ClusterUnavailableError`.
+        degradation tier.
 
     The failover budget is :data:`FAILOVER_MAX_RETRIES` extra dispatch
     attempts per batch after a worker loss, with seeded exponential
@@ -783,8 +764,7 @@ class Dispatcher:
     def __init__(
         self,
         pool: WorkerPool,
-        *,
-        fallback: Callable[[Sequence[Any], Sequence[int]], Sequence[Any]] | None = None,
+        fallback: Callable[[Sequence[Any], Sequence[int]], Sequence[Any]],
     ):
         self.pool = pool
         self.fallback = fallback
@@ -896,12 +876,7 @@ class Dispatcher:
                 ctx.add_stage("failover_retry", t0, t1, attempt=job.attempts)
 
     def _run_fallback(self, job: _Job) -> None:
-        """Whole-pool loss: evaluate in-process, or fail retryably."""
-        if self.fallback is None:
-            job.future.set_exception(
-                ClusterUnavailableError("worker pool lost and no serial fallback")
-            )
-            return
+        """Whole-pool loss: evaluate in-process."""
         if not self._degraded:
             self._degraded = True
             get_registry().gauge("cluster.degraded").set(1)

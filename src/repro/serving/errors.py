@@ -84,9 +84,8 @@ class WorkerLostError(ServingError):
 
 
 class ClusterUnavailableError(ServingError):
-    """No live worker remains and serial degradation is disabled.
+    """The worker pool cannot fork its workers on this platform.
 
-    The whole-pool-loss terminal state: every worker is dead, respawn
-    is not succeeding, and the dispatcher has no in-process fallback to
-    degrade to.  Retryable — a supervisor may yet restore the pool.
+    A lost pool never surfaces this to a request: the dispatcher
+    degrades to serial in-process evaluation instead.
     """

@@ -12,8 +12,9 @@ generic half of that bargain, with no knowledge of HE:
   :class:`~repro.serving.errors.ServiceOverloadedError` (backpressure,
   never silent queueing without bound).  An optional
   :class:`~repro.serving.shedding.ShedPolicy` grades that response into
-  the accept / defer / reject / shed ladder, fed by queue fill and a
-  pool-saturation callback.
+  the accept / defer / reject / shed ladder, fed by queue fill and the
+  ``saturation_fn`` attribute (a pool-saturation callback the cluster
+  gateway installs).
 * A single worker thread fires a batch when either the pending prefix
   fills ``max_batch_slots`` (or the next request no longer fits), or
   the *oldest* pending request has waited ``max_wait_ms`` — the classic
@@ -53,15 +54,18 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.obs.metrics import get_registry
+from repro.serving import shedding
 from repro.serving.errors import (
     DrainTimeoutError,
     SchedulerClosedError,
     ServiceOverloadedError,
     ServiceShedError,
 )
-from repro.serving.shedding import SHED_TIERS, ShedPolicy
 
 __all__ = ["BatchingScheduler"]
+
+#: Name prefix of the batcher thread.
+SCHEDULER_NAME = "henn-serving"
 
 
 @dataclass
@@ -130,14 +134,13 @@ class BatchingScheduler:
         admission into the accept/defer/reject/shed tiers.  Without
         one, only the hard ``max_queue_depth`` bound applies (the PR 5
         behaviour).
-    saturation_fn:
-        Zero-argument callable reporting the downstream worker pool's
-        busy fraction in ``[0, 1]`` (advances the shedding ladder);
-        ``None`` means queue fill alone drives the tiers.
-    name:
-        Thread / telemetry name prefix.
     start:
         Start the worker thread immediately (tests may defer).
+
+    The :attr:`saturation_fn` attribute is ``None`` (queue fill alone
+    drives the tiers) until an owner with a worker pool sets it to a
+    zero-argument callable reporting the pool's busy fraction in
+    ``[0, 1]``, which advances the shedding ladder.
     """
 
     def __init__(
@@ -147,9 +150,7 @@ class BatchingScheduler:
         max_batch_slots: int,
         max_wait_ms: float = 5.0,
         max_queue_depth: int = 64,
-        shed_policy: ShedPolicy | None = None,
-        saturation_fn: Callable[[], float] | None = None,
-        name: str = "serving",
+        shed_policy: shedding.ShedPolicy | None = None,
         start: bool = True,
     ):
         if max_batch_slots < 1:
@@ -163,8 +164,7 @@ class BatchingScheduler:
         self.max_wait = float(max_wait_ms) / 1e3
         self.max_queue_depth = int(max_queue_depth)
         self.shed_policy = shed_policy
-        self.saturation_fn = saturation_fn
-        self.name = name
+        self.saturation_fn: Callable[[], float] | None = None
         self._queue: deque[_Pending] = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -178,7 +178,7 @@ class BatchingScheduler:
         #: Batch currently inside a synchronous process_batch call.
         self._firing: list[_Pending] = []
         self._worker = threading.Thread(
-            target=self._loop, name=f"{name}-batcher", daemon=True
+            target=self._loop, name=f"{SCHEDULER_NAME}-batcher", daemon=True
         )
         if start:
             self._worker.start()
@@ -232,7 +232,7 @@ class BatchingScheduler:
             if self._closed:
                 raise SchedulerClosedError("scheduler is closed")
             tier = self._admission_tier(len(self._queue))
-            reg.gauge("serving.shed.tier").set(SHED_TIERS.index(tier))
+            reg.gauge("serving.shed.tier").set(shedding.SHED_TIERS.index(tier))
             if tier in ("reject", "shed"):
                 self._rejected += 1
                 reg.counter("serving.requests", {"outcome": "rejected"}).inc()
@@ -248,7 +248,7 @@ class BatchingScheduler:
             now = time.monotonic()
             deadline = None
             if tier == "defer":
-                deadline = now + self.shed_policy.defer_deadline_s
+                deadline = now + shedding.DEFER_DEADLINE_S
                 reg.counter("serving.shed.deferred").inc()
             future: Future = Future()
             self._queue.append(

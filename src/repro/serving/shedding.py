@@ -10,7 +10,7 @@ saturation:
 
 * ``accept`` — normal admission.
 * ``defer`` — admit, but stamp the request with a shedding deadline:
-  if no batch picks it up within ``defer_deadline_s`` the scheduler
+  if no batch picks it up within :data:`DEFER_DEADLINE_S` the scheduler
   fails it with the retryable overload error instead of evaluating a
   request whose client has likely given up.
 * ``reject`` — retryable :class:`~repro.serving.errors.ServiceOverloadedError`
@@ -35,45 +35,40 @@ __all__ = ["ShedPolicy", "SHED_TIERS"]
 #: Tier names in escalation order; index = the ``serving.shed.tier`` gauge value.
 SHED_TIERS = ("accept", "defer", "reject", "shed")
 
+#: Load index at which admissions are deferred-with-deadline.
+DEFER_FILL = 0.5
+#: Load index at which admissions get the retryable overload error.
+REJECT_FILL = 0.8
+#: Load index at which admissions are hard-shed (non-retryable).
+SHED_FILL = 1.0
+#: Extra queueing a deferred request tolerates before the scheduler
+#: expires it with the retryable overload error.
+DEFER_DEADLINE_S = 2.0
+
 
 @dataclass(frozen=True)
 class ShedPolicy:
-    """Thresholds of the tiered shedding ladder.
+    """The tiered shedding ladder: load index against fixed thresholds.
 
     The load index is ``queue_fill + saturation_weight * saturation``
     where ``queue_fill`` is the admission queue's fill fraction and
     ``saturation`` is the worker pool's busy fraction (0 when unknown).
     A policy therefore starts shedding *earlier* when the pool is
     already saturated — queue depth alone lags the actual overload.
+    The thresholds are :data:`DEFER_FILL`, :data:`REJECT_FILL` and
+    :data:`SHED_FILL`.
 
     Attributes
     ----------
-    defer_fill:
-        Load index at which admissions are deferred-with-deadline.
-    reject_fill:
-        Load index at which admissions get the retryable overload error.
-    shed_fill:
-        Load index at which admissions are hard-shed (non-retryable).
     saturation_weight:
         How strongly pool saturation advances the ladder (0 disables).
-    defer_deadline_s:
-        Extra queueing a deferred request tolerates before the
-        scheduler expires it with the retryable overload error.
     """
 
-    defer_fill: float = 0.5
-    reject_fill: float = 0.8
-    shed_fill: float = 1.0
     saturation_weight: float = 0.5
-    defer_deadline_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.defer_fill <= self.reject_fill <= self.shed_fill:
-            raise ValueError("need 0 <= defer_fill <= reject_fill <= shed_fill")
         if self.saturation_weight < 0:
             raise ValueError("saturation_weight must be >= 0")
-        if self.defer_deadline_s <= 0:
-            raise ValueError("defer_deadline_s must be positive")
 
     def load_index(self, queue_depth: int, max_depth: int, saturation: float) -> float:
         """The scalar the tier thresholds are compared against."""
@@ -83,10 +78,10 @@ class ShedPolicy:
     def tier(self, queue_depth: int, max_depth: int, saturation: float = 0.0) -> str:
         """Tier name for one admission decision (see :data:`SHED_TIERS`)."""
         load = self.load_index(queue_depth, max_depth, saturation)
-        if load >= self.shed_fill:
+        if load >= SHED_FILL:
             return "shed"
-        if load >= self.reject_fill:
+        if load >= REJECT_FILL:
             return "reject"
-        if load >= self.defer_fill:
+        if load >= DEFER_FILL:
             return "defer"
         return "accept"

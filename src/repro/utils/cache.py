@@ -28,26 +28,20 @@ from typing import Any, Callable, Hashable
 
 __all__ = ["PlaintextCache"]
 
+#: Upper bound on stored plaintexts; the least recently used entry is
+#: evicted beyond it.  It comfortably holds every weight, bias and
+#: activation constant of CNN1/CNN2.
+MAX_ENTRIES = 65536
+
 
 class PlaintextCache:
     """Thread-safe LRU map from encoding keys to encoded plaintexts.
 
-    Parameters
-    ----------
-    max_entries:
-        Upper bound on stored plaintexts; the least recently used entry
-        is evicted beyond it.  The default comfortably holds every
-        weight, bias and activation constant of CNN1/CNN2.
-    metric_prefix:
-        Name prefix of the exported counters (``<prefix>.hit`` /
-        ``<prefix>.miss`` / ``<prefix>.evict``).
+    Holds at most :data:`MAX_ENTRIES` plaintexts and counts
+    ``plan.cache.hit`` / ``plan.cache.miss`` / ``plan.cache.evict``.
     """
 
-    def __init__(self, max_entries: int = 65536, metric_prefix: str = "plan.cache"):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.metric_prefix = metric_prefix
+    def __init__(self) -> None:
         self._store: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -56,7 +50,7 @@ class PlaintextCache:
         # time; the registry lookup is a dict get under a lock.
         from repro.obs.metrics import get_registry
 
-        get_registry().counter(f"{self.metric_prefix}.{event}").inc()
+        get_registry().counter(f"plan.cache.{event}").inc()
 
     def get_or_encode(self, key: Hashable, encode: Callable[[], Any]) -> Any:
         """Return the cached plaintext for *key*, encoding it on first use.
@@ -80,7 +74,7 @@ class PlaintextCache:
         with self._lock:
             self._store.setdefault(key, value)
             self._store.move_to_end(key)
-            while len(self._store) > self.max_entries:
+            while len(self._store) > MAX_ENTRIES:
                 self._store.popitem(last=False)
                 self._count("evict")
             return self._store[key]
@@ -98,7 +92,7 @@ class PlaintextCache:
             self._store.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PlaintextCache(entries={len(self._store)}, max={self.max_entries})"
+        return f"PlaintextCache(entries={len(self._store)}, max={MAX_ENTRIES})"
 
 
 _MISS = object()

@@ -10,28 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_rng", "spawn_rngs"]
+__all__ = ["derive_rng"]
 
 
 def derive_rng(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator:
     """Return a ``Generator`` from a seed, an existing generator, or ``None``.
 
     ``None`` yields a fresh, OS-entropy-seeded generator;  an existing
-    generator is returned as-is (shared state), so callers that need
-    independence should use :func:`spawn_rngs`.
+    generator is returned as-is (shared state).
     """
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
-
-
-def spawn_rngs(seed_or_rng: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
-    """Split one RNG into *n* statistically independent child generators.
-
-    Used to give each RNS residue channel its own stream so that parallel
-    and serial execution sample identical noise.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    rng = derive_rng(seed_or_rng)
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]

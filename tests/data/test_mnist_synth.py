@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    Dataset,
     SynthMnistConfig,
     generate_synth_mnist,
     load_synth_mnist,
-    normalize_standard,
     normalize_unit,
-    downsample,
     render_digit,
     to_nchw,
-    train_test_split,
 )
 
 
@@ -77,34 +73,8 @@ def test_transforms():
     x = np.array([[[0, 255], [128, 64]]], dtype=np.uint8)
     u = normalize_unit(x)
     assert u.max() <= 1.0 and u.min() >= 0.0
-    s = normalize_standard(x)
-    assert s.shape == x.shape
     n = to_nchw(x)
     assert n.shape == (1, 1, 2, 2)
     with pytest.raises(ValueError):
         to_nchw(np.zeros((2, 2)))
 
-
-def test_downsample():
-    x = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-    d = downsample(x, 2)
-    assert d.shape == (1, 2, 2)
-    assert np.isclose(d[0, 0, 0], (0 + 1 + 4 + 5) / 4)
-    assert np.array_equal(downsample(x, 1), x)
-    with pytest.raises(ValueError):
-        downsample(x, 3)
-
-
-def test_dataset_batches_and_split(rng):
-    x = rng.normal(size=(25, 3))
-    y = rng.integers(0, 2, 25)
-    ds = Dataset(x, y)
-    assert len(ds) == 25
-    batches = list(ds.batches(10))
-    assert [b[0].shape[0] for b in batches] == [10, 10, 5]
-    tr, te = train_test_split(x, y, test_fraction=0.2, seed=0)
-    assert len(tr) == 20 and len(te) == 5
-    with pytest.raises(ValueError):
-        Dataset(x, y[:-1])
-    with pytest.raises(ValueError):
-        train_test_split(x, y, test_fraction=1.5)

@@ -9,7 +9,7 @@ from repro.henn.backend import CkksBackend, CkksRnsBackend, EncodedMap, HeBacken
 
 @pytest.fixture(scope="module")
 def mock():
-    return MockBackend(batch=8, scale_bits=26, levels=10)
+    return MockBackend(batch=8, levels=10)
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,7 @@ def test_real_backend_square_mul(real, rng):
 def test_mock_slots_past_a_short_handle_are_zeros_like_a_ciphertext():
     """A mock handle holding fewer values than ``max_batch`` rotates and
     takes a full-width plaintext like a CKKS-RNS ciphertext does."""
-    mock = MockBackend(batch=16, scale_bits=26, levels=2)
+    mock = MockBackend(batch=16, levels=2)
     rns = CkksRnsBackend(
         CkksRnsParams(n=32, moduli_bits=(36, 26, 26), scale_bits=26, special_bits=45, hw=8), seed=0
     )

@@ -27,7 +27,7 @@ X = np.array([0.5, -0.25, 0.125, 0.75])
 
 def _backend(kind: str):
     if kind == "mock":
-        return MockBackend(batch=8, scale_bits=26, levels=4)
+        return MockBackend(batch=8, levels=4)
     if kind == "ckks":
         return CkksBackend(CkksParams(n=128, scale_bits=26, q0_bits=40, levels=4, hw=16), seed=0)
     return CkksRnsBackend(

@@ -100,7 +100,7 @@ def test_misshaped_request_is_an_error_response_not_scores(shape):
     from repro.obs.metrics import get_registry
 
     rng = np.random.default_rng(0)
-    backend = MockBackend(batch=4, scale_bits=26, levels=3)
+    backend = MockBackend(batch=4, levels=3)
     layers = [
         HeConv2d(rng.uniform(-0.5, 0.5, (2, 1, 3, 3)), None),
         HeFlatten(),

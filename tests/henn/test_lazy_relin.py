@@ -83,7 +83,7 @@ def _eval_mode(backend, ct, coeffs, mode):
 
 @pytest.mark.parametrize("degree", range(2, MAX_POLY_DEGREE + 1))
 def test_lazy_bitidentical_to_eager_on_mock(degree, rng):
-    backend = MockBackend(batch=8, scale_bits=26, levels=12, quantize=False)
+    backend = MockBackend(batch=8, levels=12, quantize=False)
     coeffs = _coeffs(rng, degree)
     x = rng.uniform(-1, 1, 8)
     lazy = _eval_mode(backend, backend.encrypt(x), coeffs, "lazy")
@@ -231,7 +231,7 @@ def test_interpreter_matches_the_eager_oracle(rns, fuzz_examples):
     """Mock: bit-identical.  CKKS-RNS, one handle and a 1–3 position
     ``poly_eval_many`` batch: within ``LAZY_EAGER_ATOL``.  Both: the
     same final level and scale."""
-    mock = MockBackend(batch=8, scale_bits=26, levels=6)
+    mock = MockBackend(batch=8, levels=6)
 
     @settings(
         max_examples=fuzz_examples(6, 150), deadline=None,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ckks import CkksParams
 from repro.ckksrns import CkksRnsParams
+from repro.henn import backend as backend_module
 from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeAvgPool, HeConv2d, HeFlatten, HeLinear, HePoly
@@ -79,7 +80,7 @@ def _assert_same_ciphertexts(layers):
 
 
 def test_planned_matches_unplanned_mock():
-    backend = MockBackend(batch=8, scale_bits=26, levels=5)
+    backend = MockBackend(batch=8, levels=5)
     layers = _tiny_layers()
     x = _images(8)
     cold = _reference_classify(backend, layers, x)
@@ -111,7 +112,7 @@ def test_planned_matches_unplanned_real(make_backend):
 
 
 def test_planned_avgpool_matches_unplanned():
-    backend = MockBackend(batch=4, scale_bits=26, levels=6)
+    backend = MockBackend(batch=4, levels=6)
     rng = np.random.default_rng(2)
     layers = [
         HeConv2d(rng.uniform(-0.5, 0.5, (2, 1, 3, 3)), None),
@@ -136,7 +137,7 @@ def test_planned_avgpool_matches_unplanned():
 
 def test_planned_pruned_layers_match():
     """Pruned conv/linear (including fully-pruned rows) replay identically."""
-    backend = MockBackend(batch=4, scale_bits=26, levels=5)
+    backend = MockBackend(batch=4, levels=5)
     rng = np.random.default_rng(3)
     lin_w = rng.uniform(-0.3, 0.3, (10, 32))
     lin_w[7] = 1e-9  # fully pruned row -> zero-weight fallback program
@@ -168,7 +169,7 @@ def test_planned_pruned_layers_match():
 
 @pytest.mark.parametrize("shape", [(1, 8, 8), (2, 6, 6)], ids=["1x8x8", "2x6x6"])
 @pytest.mark.parametrize("make_backend", [
-    lambda: MockBackend(batch=4, scale_bits=26, levels=5), lambda: _rns_backend()
+    lambda: MockBackend(batch=4, levels=5), lambda: _rns_backend()
 ], ids=["mock", "ckks-rns"])
 def test_planned_engine_rejects_what_the_reference_rejects(make_backend, shape):
     """A handle array of another shape than the model's: the layer walk
@@ -185,7 +186,7 @@ def test_planned_engine_rejects_what_the_reference_rejects(make_backend, shape):
 # -- cache keys -------------------------------------------------------------
 
 
-def test_backend_signature_changes_with_params():
+def test_backend_signature_changes_with_params(monkeypatch):
     base = CkksRnsParams(
         n=128, moduli_bits=(36, 26, 26, 26, 26), scale_bits=26, special_bits=45, hw=16
     )
@@ -206,8 +207,10 @@ def test_backend_signature_changes_with_params():
         seed=0,
     )
     assert _backend_sig(b_chain) != sig0  # modulus chain changes the signature
-    b_scale = MockBackend(batch=4, scale_bits=20, levels=5)
-    assert _backend_sig(b_scale) != _backend_sig(MockBackend(batch=4, scale_bits=26, levels=5))
+    b_26 = MockBackend(batch=4, levels=5)
+    monkeypatch.setattr(backend_module, "MOCK_SCALE_BITS", 20)
+    b_scale = MockBackend(batch=4, levels=5)
+    assert _backend_sig(b_scale) != _backend_sig(b_26)  # scale changes the signature
 
 
 def test_plan_cache_key_components():
@@ -241,7 +244,7 @@ def test_scalar_cache_misses_across_levels(rns_ctx, rns_keys, rng):
 def test_tap_encodings_deduplicated():
     """All interior conv positions share one kernel: the plan must encode
     it once per output channel, not once per position."""
-    backend = MockBackend(batch=4, scale_bits=26, levels=5)
+    backend = MockBackend(batch=4, levels=5)
     layers = _tiny_layers()
     plan = compile_plan(backend, layers, IN_SHAPE)
     positions = len(plan.layers[0].map.rows)
@@ -306,19 +309,8 @@ def test_service_keeps_its_plan_cache_whoever_is_built_after_it(order):
     assert len(service.engine.plan.cache) == warm
 
 
-def test_plan_reused_across_engines():
-    """An adopted plan object skips recompilation and still evaluates."""
-    backend = MockBackend(batch=4, scale_bits=26, levels=5)
-    layers = _tiny_layers()
-    plan = compile_plan(backend, layers, IN_SHAPE)
-    eng = HeInferenceEngine(backend, layers, IN_SHAPE, plan=plan)
-    assert eng.plan is plan
-    logits = eng.classify(_images(4))
-    assert logits.shape == (4, 10)
-
-
 def test_planned_trace_keeps_source_layer_names():
-    backend = MockBackend(batch=4, scale_bits=26, levels=5)
+    backend = MockBackend(batch=4, levels=5)
     layers = _tiny_layers()
     eng = HeInferenceEngine(backend, layers, IN_SHAPE)
     eng.classify(_images(4))

@@ -33,7 +33,7 @@ REAL_ATOL = {2: 5e-3, 3: 5e-3, 4: 1e-2, 5: 1e-2, 6: 2e-2, 7: 2e-2, 8: 2e-2}
 
 @pytest.fixture(scope="module")
 def mock_exact():
-    return MockBackend(batch=8, scale_bits=26, levels=12, quantize=False)
+    return MockBackend(batch=8, levels=12, quantize=False)
 
 
 @pytest.fixture(scope="module")

@@ -55,7 +55,7 @@ POSITIONS = 3  # handles in the poly_eval_many batch
 def _fresh(kind: str, top: int):
     """Backend whose chain has exactly ``top + 1`` primes (top level *top*)."""
     if kind == "mock":
-        return MockBackend(batch=8, scale_bits=26, levels=top)
+        return MockBackend(batch=8, levels=top)
     if kind == "ckks":
         return CkksBackend(
             CkksParams(n=128, scale_bits=26, q0_bits=40, levels=top, hw=16), seed=0

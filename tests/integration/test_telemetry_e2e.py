@@ -32,6 +32,7 @@ def fresh_registry():
 
 
 def _pool_engine(executor):
+    """CNN1-shaped hybrid engine whose residue channels run on *executor*."""
     rng = np.random.default_rng(0)
     layers = [
         HeConv2d(rng.uniform(-0.5, 0.5, (2, 1, 3, 3)), rng.uniform(-0.1, 0.1, 2)),
@@ -49,7 +50,9 @@ def _pool_engine(executor):
         ),
         seed=0,
     )
-    return HybridRnsEngine(backend, layers, (1, 6, 6), executor=executor)
+    engine = HybridRnsEngine(backend, layers, (1, 6, 6))
+    engine.conv.executor = executor
+    return engine
 
 
 def test_traced_pool_classify_yields_merged_telemetry(fresh_registry):

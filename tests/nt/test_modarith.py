@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from repro.nt.modarith import (
     MAX_MODULUS_BITS,
     addmod,
-    invmod,
     mulmod,
     negmod,
-    powmod,
     submod,
 )
 
@@ -60,14 +58,6 @@ def test_modulus_too_wide_rejected():
 def test_modulus_too_small_rejected():
     with pytest.raises(ValueError):
         addmod(np.array([0]), np.array([0]), 1)
-
-
-def test_powmod_invmod():
-    m = 1_000_003
-    assert powmod(2, 20, m) == pow(2, 20, m)
-    assert invmod(12345, m) * 12345 % m == 1
-    with pytest.raises(ValueError):
-        invmod(m, m)  # gcd != 1
 
 
 def test_broadcasting_shapes(rng):

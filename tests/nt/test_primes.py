@@ -1,17 +1,12 @@
 """Prime generation: primality, NTT-friendliness, distinctness."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nt.primes import (
-    gen_coprime_chain,
-    gen_ntt_primes,
-    gen_primes,
-    is_prime,
-    next_prime,
-    prev_prime,
-)
+from repro.nt.primes import gen_ntt_primes, gen_primes, is_prime
 
 _KNOWN_PRIMES = [2, 3, 5, 7, 97, 7919, 104729, (1 << 31) - 1, 2**61 - 1]
 _KNOWN_COMPOSITES = [0, 1, 4, 100, 561, 1729, 25326001, (1 << 31) - 2]
@@ -25,15 +20,6 @@ def test_known_primes(p):
 @pytest.mark.parametrize("c", _KNOWN_COMPOSITES)
 def test_known_composites(c):
     assert not is_prime(c)
-
-
-def test_next_prev_prime():
-    assert next_prime(10) == 11
-    assert next_prime(13) == 17
-    assert prev_prime(10) == 7
-    assert prev_prime(3) == 2
-    with pytest.raises(ValueError):
-        prev_prime(2)
 
 
 @pytest.mark.parametrize("n", [64, 256, 2048])
@@ -62,7 +48,8 @@ def test_gen_ntt_primes_validation():
 
 
 def test_gen_coprime_chain():
-    chain = gen_coprime_chain(5, 26, 128)
+    """A same-width chain, as ``CkksRnsParams`` builds one: distinct NTT primes."""
+    chain = gen_ntt_primes([26] * 5, 128)
     assert len(set(chain)) == 5
     assert all(p % 256 == 1 for p in chain)
 
@@ -77,10 +64,7 @@ def test_gen_primes_arbitrary_width(bits):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=2, max_value=10**6))
-def test_next_prime_property(n):
-    p = next_prime(n)
-    assert p > n
-    assert is_prime(p)
-    for q in range(n + 1, p):
-        assert not is_prime(q)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_is_prime_property(n):
+    """Miller-Rabin agrees with trial division."""
+    assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))

@@ -34,7 +34,7 @@ def _engine(levels=6):
 
 
 def test_ciphertext_health_fields_on_mock():
-    backend = MockBackend(batch=4, scale_bits=26, levels=5)
+    backend = MockBackend(batch=4, levels=5)
     ct = backend.encrypt(np.array([0.5, -0.25]))
     h = ciphertext_health(backend, ct)
     assert h["scale_bits"] == pytest.approx(26.0)

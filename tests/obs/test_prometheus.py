@@ -6,7 +6,7 @@ from repro.obs.prometheus import CONTENT_TYPE, prometheus_name, render_prometheu
 
 def test_prometheus_name_flattening():
     assert prometheus_name("plan.cache.hit") == "repro_plan_cache_hit"
-    assert prometheus_name("henn.ct.level", prefix="") == "henn_ct_level"
+    assert prometheus_name("henn.ct.level") == "repro_henn_ct_level"
     assert prometheus_name("1weird-name!") == "repro_1weird_name_"
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel import SerialExecutor, ThreadExecutor, make_executor
+from repro.parallel import SerialExecutor, ThreadExecutor
 
 
 def _square(x):
@@ -12,7 +12,7 @@ def _square(x):
 
 @pytest.mark.parametrize("kind", ["serial", "thread"])
 def test_map_order_preserved(kind):
-    with make_executor(kind, workers=4) as ex:
+    with (SerialExecutor() if kind == "serial" else ThreadExecutor(workers=4)) as ex:
         out = ex.map(_square, list(range(20)))
     assert out == [i * i for i in range(20)]
 
@@ -35,13 +35,6 @@ def test_executors_agree_on_numpy_work(rng):
         threaded = tex.map(work, data)
     for s, t in zip(serial, threaded):
         assert np.array_equal(s, t)
-
-
-def test_make_executor_unknown():
-    with pytest.raises(ValueError):
-        make_executor("gpu")
-    with pytest.raises(ValueError):
-        make_executor("process")
 
 
 def test_close_idempotent():
@@ -76,17 +69,17 @@ def _raise_on_three(x):
 def test_map_after_raising_map_still_works(kind):
     """Regression: a worker exception must not leave a dead pool cached —
     the next map has to run, not re-raise a stale error."""
-    with make_executor(kind, workers=2) as ex:
+    with ThreadExecutor(workers=2) as ex:
         with pytest.raises(ValueError):
             ex.map(_raise_on_three, [1, 2, 3, 4])
         assert ex.map(_square, [5, 6, 7]) == [25, 36, 49]
 
 
 def test_pool_executors_registered_for_atexit():
-    """Internally-created executors are tracked so the atexit hook can
-    close them (leak-proofing for make_executor callers)."""
+    """Thread executors are tracked so the atexit hook can close the
+    ones their owners never close."""
     from repro.parallel.executor import _LIVE_POOLS
 
-    ex = make_executor("thread", workers=1)
+    ex = ThreadExecutor(workers=1)
     assert ex in _LIVE_POOLS
     ex.close()

@@ -2,11 +2,10 @@
 
 Extends the resilience suite's degradation-chain story (process ->
 thread -> serial in the executor) to the serving cluster: when every
-worker is dead and none will respawn, batches fall back to serial
-in-process evaluation on the gateway's own engine — slower, but every
-future still resolves with correct scores.  With the fallback disabled,
-the failure is the *retryable* sanitised ``unavailable`` error, never a
-hang.
+worker is dead and none will respawn (the respawn budget is set to
+zero), batches fall back to serial in-process evaluation on the
+gateway's own engine — slower, but every future still resolves with
+correct scores.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import pytest
 from repro.henn.backend import MockBackend
 from repro.henn.layers import HeFlatten, HeLinear, HePoly
 from repro.henn.protocol import Client, ClusteredCloudService, CloudService
+from repro.serving import cluster
 
 SHAPE = (1, 4, 4)
 
@@ -50,7 +50,8 @@ def _kill_pool(pool):
 
 
 @pytest.mark.faults
-def test_whole_pool_loss_degrades_to_serial_in_process(layers, images):
+def test_whole_pool_loss_degrades_to_serial_in_process(monkeypatch, layers, images):
+    monkeypatch.setattr(cluster, "RESPAWN_MAX_ATTEMPTS", 0)  # no way back: the pool stays lost
     backend = MockBackend(batch=8, levels=4)
     client = Client(backend, SHAPE)
     serial = CloudService(backend, layers, SHAPE)
@@ -60,7 +61,6 @@ def test_whole_pool_loss_degrades_to_serial_in_process(layers, images):
         SHAPE,
         workers=2,
         max_wait_ms=5.0,
-        respawn=False,  # no way back: the pool stays lost
     ) as gateway:
         _kill_pool(gateway.pool)
         for i in range(3):
@@ -71,29 +71,8 @@ def test_whole_pool_loss_degrades_to_serial_in_process(layers, images):
             got = client.decrypt_response(response.scores, batch=1)
             assert np.array_equal(got, want)
         assert gateway.dispatcher.degraded is True
-        cluster = gateway._health()["cluster"]
-        assert cluster["ready"] == 0
-        assert cluster["degraded_serial"] is True
-        assert all(w["state"] == "dead" for w in cluster["workers"])
+        pool = gateway._health()["cluster"]
+        assert pool["ready"] == 0
+        assert pool["degraded_serial"] is True
+        assert all(w["state"] == "dead" for w in pool["workers"])
 
-
-@pytest.mark.faults
-def test_whole_pool_loss_without_fallback_is_retryable_not_a_hang(layers, images):
-    backend = MockBackend(batch=8, levels=4)
-    client = Client(backend, SHAPE)
-    with ClusteredCloudService(
-        backend,
-        layers,
-        SHAPE,
-        workers=2,
-        max_wait_ms=5.0,
-        respawn=False,
-        serial_fallback=False,
-    ) as gateway:
-        _kill_pool(gateway.pool)
-        response = gateway.submit(client.encrypt_request(images[:1])).result(timeout=60)
-        assert not response.ok
-        assert response.error.code == "ClusterUnavailableError"
-        assert response.error.category == "unavailable"
-        assert response.error.retryable is True
-        assert gateway.dispatcher.degraded is False

@@ -26,8 +26,8 @@ from repro.henn.protocol import (
 from repro.obs.logs import capture_logs
 from repro.obs.metrics import get_registry
 from repro.resilience import FaultInjector
+from repro.serving import cluster, shedding
 from repro.serving.cluster import WorkerPool, _Job
-from repro.serving.shedding import ShedPolicy
 
 SHAPE = (1, 6, 6)
 
@@ -262,11 +262,11 @@ def _trivial_engine_factory():
 
 
 def test_pool_health_weighted_acquire_prefers_idle_and_healthy():
-    pool = WorkerPool(_trivial_engine_factory, size=3, max_inflight=2)
+    pool = WorkerPool(_trivial_engine_factory, size=3)
     try:
         pool.start()
         assert pool.wait_ready(timeout=30.0)
-        # Load worker 0 and mark worker 1 faulty; worker 2 must win.
+        # Busy worker 0 is no candidate, worker 1 is faulty; worker 2 must win.
         pool.workers[0].inflight = {99: object()}
         pool.workers[1].faults = 2.0
         job = _Job(1, [], [1])
@@ -278,7 +278,7 @@ def test_pool_health_weighted_acquire_prefers_idle_and_healthy():
 
 
 def test_pool_saturation_tracks_busy_fraction():
-    pool = WorkerPool(_trivial_engine_factory, size=2, max_inflight=1)
+    pool = WorkerPool(_trivial_engine_factory, size=2)
     try:
         pool.start()
         assert pool.wait_ready(timeout=30.0)
@@ -293,8 +293,42 @@ def test_pool_saturation_tracks_busy_fraction():
 def test_pool_rejects_bad_sizes():
     with pytest.raises(ValueError):
         WorkerPool(_trivial_engine_factory, size=0)
-    with pytest.raises(ValueError):
-        WorkerPool(_trivial_engine_factory, size=1, max_inflight=0)
+
+
+def _failing_engine_factory():
+    raise RuntimeError("engine build failed")
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("attempts", [1, 2])
+def test_respawn_budget_bounds_a_worker_that_never_gets_ready(monkeypatch, attempts):
+    """Regression: a child that died before reporting ready started a
+    second respawn loop with a fresh budget, so a worker that can never
+    build its engine was respawned without bound.  Its death is the
+    running loop's failed attempt: one spawn plus RESPAWN_MAX_ATTEMPTS,
+    then the pool is lost.  ``_spawn`` is capped so a regression fails
+    fast instead of forking on."""
+    cap = 12
+    spawns = []
+    real_spawn = WorkerPool._spawn
+
+    def capped_spawn(self, worker):
+        spawns.append(worker.index)
+        if len(spawns) > cap:
+            raise RuntimeError("spawn cap reached")
+        real_spawn(self, worker)
+
+    monkeypatch.setattr(cluster, "RESPAWN_MAX_ATTEMPTS", attempts)
+    monkeypatch.setattr(WorkerPool, "_spawn", capped_spawn)
+    pool = WorkerPool(_failing_engine_factory, size=1)
+    try:
+        pool.start()
+        assert _wait(pool.is_lost, timeout=30.0)
+        time.sleep(0.3)  # a stray second loop would spawn again here
+        assert len(spawns) == 1 + attempts
+        assert pool.is_lost() and pool.stats()["lost"]
+    finally:
+        pool.close()
 
 
 def test_failover_backoff_is_seeded_and_capped():
@@ -310,18 +344,14 @@ def test_failover_backoff_is_seeded_and_capped():
     assert a[-1] >= BACKOFF_MAX_S * (1 - BACKOFF_JITTER)
 
 
-def test_shed_policy_reaches_cluster_gateway(layers, images):
-    """The cluster gateway's admission walks the tiered ladder: with a
-    zero-capacity-style policy every submit sheds hard."""
+def test_shed_policy_reaches_cluster_gateway(monkeypatch, layers, images):
+    """The cluster gateway's admission walks the tiered ladder: with every
+    threshold at zero, every submit sheds hard."""
+    for threshold in ("DEFER_FILL", "REJECT_FILL", "SHED_FILL"):
+        monkeypatch.setattr(shedding, threshold, 0.0)
     backend = _mock()
     client = Client(backend, SHAPE)
-    with ClusteredCloudService(
-        backend,
-        layers,
-        SHAPE,
-        workers=1,
-        shed_policy=ShedPolicy(defer_fill=0.0, reject_fill=0.0, shed_fill=0.0),
-    ) as gateway:
+    with ClusteredCloudService(backend, layers, SHAPE, workers=1) as gateway:
         response = gateway.try_classify(client.encrypt_request(images[:1]))
         assert not response.ok
         assert response.error.code == "ServiceShedError"

@@ -6,13 +6,21 @@ import time
 
 import pytest
 
+from repro.serving import shedding
 from repro.serving.errors import ServiceOverloadedError, ServiceShedError
 from repro.serving.scheduler import BatchingScheduler
-from repro.serving.shedding import SHED_TIERS, ShedPolicy
+from repro.serving.shedding import (
+    DEFER_DEADLINE_S,
+    DEFER_FILL,
+    REJECT_FILL,
+    SHED_FILL,
+    SHED_TIERS,
+    ShedPolicy,
+)
 
 
 def test_tier_ladder_escalates_with_queue_fill():
-    policy = ShedPolicy(defer_fill=0.5, reject_fill=0.8, shed_fill=1.0)
+    policy = ShedPolicy()  # thresholds 0.5 / 0.8 / 1.0
     assert policy.tier(0, 10) == "accept"
     assert policy.tier(4, 10) == "accept"
     assert policy.tier(5, 10) == "defer"
@@ -23,7 +31,7 @@ def test_tier_ladder_escalates_with_queue_fill():
 def test_saturation_advances_the_ladder():
     """A saturated pool sheds earlier than queue depth alone suggests —
     queue fill lags the actual overload when workers are the bottleneck."""
-    policy = ShedPolicy(defer_fill=0.5, reject_fill=0.8, saturation_weight=0.5)
+    policy = ShedPolicy(saturation_weight=0.5)
     assert policy.tier(4, 10, saturation=0.0) == "accept"
     assert policy.tier(4, 10, saturation=0.4) == "defer"  # 0.4 + 0.2 = 0.6
     assert policy.tier(4, 10, saturation=0.8) == "reject"  # 0.4 + 0.4 = 0.8
@@ -36,12 +44,10 @@ def test_saturation_weight_zero_ignores_pool():
 
 
 def test_policy_validates_threshold_order():
-    with pytest.raises(ValueError):
-        ShedPolicy(defer_fill=0.9, reject_fill=0.5)
+    assert 0.0 <= DEFER_FILL <= REJECT_FILL <= SHED_FILL
+    assert DEFER_DEADLINE_S > 0
     with pytest.raises(ValueError):
         ShedPolicy(saturation_weight=-0.1)
-    with pytest.raises(ValueError):
-        ShedPolicy(defer_deadline_s=0.0)
 
 
 def test_tier_names_are_the_gauge_vocabulary():
@@ -55,46 +61,38 @@ def _echo(payloads, slots):
     return list(payloads)
 
 
-def test_scheduler_reject_tier_raises_retryable_overload():
-    sched = BatchingScheduler(
-        _echo,
-        max_batch_slots=4,
-        max_queue_depth=10,
-        shed_policy=ShedPolicy(defer_fill=0.0, reject_fill=0.2, shed_fill=0.9),
-        start=False,  # worker idle: the queue only fills
+def _idle_scheduler(max_queue_depth=10, **kwargs):
+    """A scheduler whose worker is idle: the queue only fills."""
+    return BatchingScheduler(
+        _echo, max_batch_slots=4, max_queue_depth=max_queue_depth, start=False, **kwargs
     )
-    futures = [sched.submit(i) for i in range(2)]  # fill 0, 0.1: defer tier
+
+
+def test_scheduler_reject_tier_raises_retryable_overload():
+    sched = _idle_scheduler(shed_policy=ShedPolicy())
+    futures = [sched.submit(i) for i in range(8)]  # fill 0 .. 0.7: accept, defer
     with pytest.raises(ServiceOverloadedError):
-        sched.submit("rejected")
+        sched.submit("rejected")  # fill 0.8: the reject tier
     assert all(not f.done() for f in futures)
     sched.close(drain=False, timeout=1.0)
 
 
 def test_scheduler_hard_shed_tier_is_not_retryable():
-    sched = BatchingScheduler(
-        _echo,
-        max_batch_slots=4,
-        max_queue_depth=10,
-        shed_policy=ShedPolicy(defer_fill=0.0, reject_fill=0.15, shed_fill=0.2),
-        start=False,
-    )
-    sched.submit("a")  # fill 0: defer
-    sched.submit("b")  # fill 0.1: defer
+    sched = _idle_scheduler(shed_policy=ShedPolicy(saturation_weight=0.5))
+    saturation = [0.0]
+    sched.saturation_fn = lambda: saturation[0]
+    for i in range(5):
+        sched.submit(i)  # fill 0 .. 0.4, idle pool: accept
+    saturation[0] = 1.0
     with pytest.raises(ServiceShedError):
-        sched.submit("shed")  # fill 0.2: past the hard tier
+        sched.submit("shed")  # 0.5 + 0.5 * 1.0: past the hard tier
     sched.close(drain=False, timeout=1.0)
 
 
 def test_saturation_feeds_admission():
-    sched = BatchingScheduler(
-        _echo,
-        max_batch_slots=4,
-        max_queue_depth=10,
-        shed_policy=ShedPolicy(defer_fill=0.2, reject_fill=0.4, saturation_weight=1.0),
-        saturation_fn=lambda: 0.5,
-        start=False,
-    )
-    # Queue empty, but the pool alone puts the load index at 0.5: reject.
+    sched = _idle_scheduler(shed_policy=ShedPolicy(saturation_weight=1.0))
+    sched.saturation_fn = lambda: 0.8
+    # Queue empty, but the pool alone puts the load index at 0.8: reject.
     with pytest.raises(ServiceOverloadedError):
         sched.submit("x")
     sched.close(drain=False, timeout=1.0)
@@ -104,43 +102,31 @@ def test_broken_saturation_fn_fails_safe_toward_shedding():
     def sick():
         raise RuntimeError("pool gone")
 
-    sched = BatchingScheduler(
-        _echo,
-        max_batch_slots=4,
-        max_queue_depth=10,
-        shed_policy=ShedPolicy(defer_fill=0.2, reject_fill=0.4, saturation_weight=1.0),
-        saturation_fn=sick,
-        start=False,
-    )
+    sched = _idle_scheduler(shed_policy=ShedPolicy(saturation_weight=1.0))
+    sched.saturation_fn = sick
     with pytest.raises(ServiceShedError):
         sched.submit("x")  # saturation reads as 1.0 -> the hard tier, not 0.0
     sched.close(drain=False, timeout=1.0)
 
 
-def test_deferred_requests_expire_with_retryable_overload():
+def test_deferred_requests_expire_with_retryable_overload(monkeypatch):
     """The defer tier's promise: evaluated soon, or told to retry —
     never parked past the shedding deadline."""
-    sched = BatchingScheduler(
-        _echo,
-        max_batch_slots=4,
-        max_queue_depth=10,
-        max_wait_ms=5.0,
-        shed_policy=ShedPolicy(
-            defer_fill=0.0, reject_fill=0.9, defer_deadline_s=0.05
-        ),
-        start=False,
-    )
-    future = sched.submit("deferred")  # fill 0 with defer_fill 0: defer tier
+    monkeypatch.setattr(shedding, "DEFER_DEADLINE_S", 0.05)
+    sched = _idle_scheduler(max_queue_depth=2, shed_policy=ShedPolicy())
+    accepted = sched.submit("accepted")  # fill 0: accept
+    deferred = sched.submit("deferred")  # fill 0.5: defer tier
     time.sleep(0.1)  # let the shedding deadline lapse before the worker runs
     sched._worker.start()
     with pytest.raises(ServiceOverloadedError):
-        future.result(timeout=5.0)
+        deferred.result(timeout=5.0)
+    assert accepted.result(timeout=5.0) == "accepted"
     assert sched.stats()["requests_shed_expired"] == 1
     sched.close()
 
 
 def test_without_policy_legacy_single_bound_behaviour():
-    sched = BatchingScheduler(_echo, max_batch_slots=4, max_queue_depth=2, start=False)
+    sched = _idle_scheduler(max_queue_depth=2)
     sched.submit("a")
     sched.submit("b")
     with pytest.raises(ServiceOverloadedError):

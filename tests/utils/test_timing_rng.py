@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.rng import derive_rng
 from repro.utils.timing import LatencyStats, Timer
 
 
@@ -42,14 +42,3 @@ def test_derive_rng_passthrough_and_seed():
     b = derive_rng(7).integers(0, 100, 5)
     assert np.array_equal(a, b)
 
-
-def test_spawn_rngs_independent():
-    children = spawn_rngs(0, 4)
-    assert len(children) == 4
-    draws = [c.integers(0, 2**31) for c in children]
-    assert len(set(draws)) == 4  # overwhelmingly likely
-    # deterministic: same parent seed -> same children
-    again = [c.integers(0, 2**31) for c in spawn_rngs(0, 4)]
-    assert draws == again
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)
