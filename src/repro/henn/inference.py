@@ -90,6 +90,17 @@ class HeInferenceEngine:
         """
         return self.plan.packed_width
 
+    @property
+    def packed_input(self) -> "np.ndarray | None":
+        """The ``(T, slots)`` gather of a packed request, ``None`` if the layout is not offered.
+
+        Ciphertext *t*, slot *r* of a packed request holds flat pixel
+        ``packed_input[t, r]`` (0 where it is −1): the identity for
+        ``T = 1``, the first map's input windows for ``T > 1``
+        (:func:`repro.henn.packing.packed_input`).
+        """
+        return self.plan.packed_input
+
     # -- client side -------------------------------------------------------------
 
     def encrypt_images(self, images: np.ndarray) -> np.ndarray:
@@ -99,8 +110,9 @@ class HeInferenceEngine:
         ``images[i, c, h, w]`` — the batch rides along for free.  All
         ``C·H·W`` slot rows go to the backend in one
         :meth:`~repro.henn.backend.HeBackend.encrypt_many` call.  A
-        single image, when :attr:`packed_width` offers the packed layout,
-        becomes one ciphertext instead — slot *p* is pixel *p* — in a ``(1,)`` array.
+        single image, when :attr:`packed_input` offers the packed layout,
+        becomes its ``T`` gathered ciphertexts instead — in one
+        ``encrypt_many`` call, a ``(T,)`` array.
 
         Parameters
         ----------
@@ -110,7 +122,7 @@ class HeInferenceEngine:
 
         Returns
         -------
-        ``(C, H, W)`` (or packed ``(1,)``) object array of ciphertext handles.
+        ``(C, H, W)`` (or packed ``(T,)``) object array of ciphertext handles.
         """
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[1:] != self.input_shape:
@@ -126,11 +138,10 @@ class HeInferenceEngine:
                 f"batch {batch} exceeds backend capacity {self.backend.max_batch}"
             )
         pixels = int(np.prod(self.input_shape))
-        packed = batch == 1 and self.packed_width is not None
-        if packed:
-            # One ciphertext: slot p is pixel p, the slots after are zero.
-            rows = np.zeros((1, self.backend.max_batch))
-            rows[0, :pixels] = images.reshape(-1)
+        gather = self.packed_input if batch == 1 else None
+        if gather is not None:
+            # Ciphertext t, slot r: pixel gather[t, r]; a -1 entry is a zero slot.
+            rows = np.where(gather >= 0, images.reshape(-1)[gather], 0.0)
         else:
             # Row p is pixel position p (C-order over c, h, w) across the batch.
             rows = images.reshape(batch, pixels).T
@@ -143,7 +154,7 @@ class HeInferenceEngine:
         ):
             for p, handle in enumerate(self.backend.encrypt_many(rows)):
                 enc[p] = handle
-        return enc if packed else enc.reshape(self.input_shape)
+        return enc if gather is not None else enc.reshape(self.input_shape)
 
     def decrypt_scores(self, scores: np.ndarray, batch: int) -> np.ndarray:
         """``(batch, classes)`` logits from the score handles of :meth:`run_encrypted`.
@@ -234,20 +245,32 @@ class HeInferenceEngine:
         ----------
         enc:
             Encrypted feature handles from :meth:`encrypt_images`: the
-            ``(C, H, W)`` per-position array, or a packed ``(1,)`` one,
-            which runs the plan's packed executors.
+            ``(C, H, W)`` per-position array, or a packed ``(T,)`` one
+            (``T`` the rows of :attr:`packed_input`), which runs the
+            plan's packed executors.
 
         Returns
         -------
         Flat object array of output ciphertext handles (one per class;
         one holding every class for a packed request).
+
+        Raises
+        ------
+        ValueError
+            For any other shape — a packed request of another ``T`` than
+            the plan's included — before any layer runs.
         """
         rows: list[tuple[str, float]] = []
         x = enc
         executors, widths = self.plan.layers, [None] * len(self.layers)
-        # A (1,)-shaped input is per-position whatever its batch: packed is the same layout.
-        if enc.shape == (1,) != tuple(self.input_shape) and self.packed_width is not None:
+        shape = tuple(self.input_shape)
+        windows = self.packed_input
+        # A graph whose input shape is (T,) reads (T,) arrays per-position: it never packs.
+        if windows is not None and enc.shape == (len(windows),) != shape:
             executors, widths = self.plan.packed.layers, self.plan.packed.widths
+        elif enc.shape != shape:
+            packed = "" if windows is None else f" or packed ({len(windows)},)"
+            raise ValueError(f"request of shape {enc.shape}, the plan reads {shape}{packed}")
         # The plan's layers do the work; spans carry the source layers' names.
         with obs.span("henn.stage.evaluate", layers=len(self.layers)):
             for i, (layer, ex, width) in enumerate(zip(self.layers, executors, widths)):
@@ -262,9 +285,8 @@ class HeInferenceEngine:
             # A graph ending in an activation: its sweep has no map to ride.
             out = np.empty(x.size, dtype=object)
             out[:] = self.backend.relinearize_many(list(x.reshape(-1)))
-            x = out.reshape(x.shape)
         self.layer_seconds = rows
-        return x
+        return out
 
     # -- end to end ----------------------------------------------------------------
 

@@ -125,6 +125,19 @@ class HeLinearMap(HeLayer):
     def taps(self, in_shape: tuple[int, ...]) -> TapProgram:
         """The tap program for one input shape; ``ValueError`` if it does not fit."""
 
+    def windows(self, in_shape: tuple[int, ...]) -> np.ndarray:
+        """The map's input windows over *in_shape*, from its geometry alone.
+
+        A ``(T, out)`` integer array: entry ``(t, r)`` is the flat input
+        index output *r* reads at tap *t*, or −1 where it reads nothing
+        (padding).  A pruned tap keeps its entry, so the array says
+        nothing about the weights.  A dense map reads every input at
+        every output: ``T`` is the input width.
+        """
+        width = int(np.prod(in_shape))
+        out = int(np.prod(self.taps(tuple(in_shape)).out_shape))
+        return np.repeat(np.arange(width)[:, None], out, axis=1)
+
     def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
         out_shape, entries, bias = self.taps(x.shape)
         flat = list(x.reshape(-1))
@@ -195,6 +208,21 @@ class HeConv2d(HeLinearMap):
                     entries.append((idxs, np.asarray(ws, dtype=np.float64)))
         bias = None if self.bias is None else np.repeat(self.bias, oh * ow)
         return TapProgram((oc, oh, ow), entries, bias)
+
+    def windows(self, in_shape: tuple[int, ...]) -> np.ndarray:
+        """One window per kernel tap ``(ci, di, dj)``, the same for every output channel."""
+        oc, ic, kh, kw = self.weight.shape
+        if len(in_shape) != 3 or in_shape[0] != ic:
+            raise ValueError(f"conv expects ({ic}, H, W), got {in_shape}")
+        _, h, w = in_shape
+        s, p = self.stride, self.padding
+        oh, ow = conv_output_shape(h, w, kh, kw, s, p)
+        ci, di, dj = (a.reshape(-1, 1, 1) for a in np.indices((ic, kh, kw)))
+        yy = np.arange(oh)[:, None] * s - p + di
+        xx = np.arange(ow)[None, :] * s - p + dj
+        inside = (0 <= yy) & (yy < h) & (0 <= xx) & (xx < w)
+        flat = np.where(inside, (ci * h + yy) * w + xx, -1).reshape(ic * kh * kw, oh * ow)
+        return np.tile(flat, (1, oc))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         oc, ic, kh, _ = self.weight.shape

@@ -14,6 +14,10 @@ slots past the feature width are zero.
   kept, pre-rotated and encoded once at the level the map runs; the
   baby-step rotations of the input share one hoisted ModUp and each
   giant step rotates its group sum once;
+* the graph's first map may instead read the client's **input windows**
+  (:func:`packed_input`): the request is ``T`` ciphertexts, window *t*
+  holding in slot *r* the pixel output *r* reads at tap *t*, and the map
+  is one plaintext weighted sum over them — no rotation, no Galois key;
 * an activation evaluates its per-channel coefficients as per-slot
   plaintext vectors (:class:`PackedPoly`) — one BSGS program on one
   ciphertext instead of one per position;
@@ -21,9 +25,10 @@ slots past the feature width are zero.
 
 :class:`PackedPlan` compiles those executors for a graph and generates
 the Galois keys of their rotation set, once.  Whether a plan offers the
-layout is decided by :func:`packed_score_width` and held by the plan
-(``InferencePlan.packed_width``); plans also publish it through
-:func:`publish_layout`, for the layer-less client to read.
+layout is decided by :func:`packed_score_width`, what a request holds
+by :func:`packed_input`; the plan holds both
+(``InferencePlan.packed_width`` / ``packed_input``) and publishes them
+through :func:`publish_layout`, for the layer-less client to read.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "PackedPlan",
     "PackedPoly",
     "PackedTaps",
+    "packed_input",
     "packed_score_width",
     "publish_layout",
     "published_layout",
@@ -158,6 +164,8 @@ def _diagonals(program: TapProgram, in_width: int, slots: int) -> dict[int, np.n
         weights.append(np.asarray(ws, dtype=np.float64))
     r, c, w = (np.concatenate(v) for v in (rows, cols, weights))
     keep = w != 0
+    if not keep.any():  # an all-zero map (every window padding or pruned): one zero diagonal
+        return {0: np.zeros(slots)}
     r, c, w = r[keep], c[keep], w[keep]
     d = (c - r) % slots
     uniq, which = np.unique(d, return_inverse=True)
@@ -187,6 +195,74 @@ def _baby_step(diagonals: "list[int]", slots: int) -> int:
     return best
 
 
+def _identity_input(width: int, slots: int) -> np.ndarray:
+    """The gather of one ciphertext holding the input: slot *p* is pixel *p*."""
+    gather = np.full((1, slots), -1, dtype=np.int64)
+    gather[0, :width] = np.arange(width)
+    return gather
+
+
+def _window_weights(program: TapProgram, windows: np.ndarray, in_width: int) -> np.ndarray:
+    """``W[t, r]``: the weight output *r* gives the input it reads at window *t*.
+
+    Every nonzero weight of *program* must sit on an entry of *windows*
+    (a pruned one simply leaves its entry zero).
+    """
+    taps, slots = windows.shape
+    weights = np.zeros((taps, slots))
+    tap = np.empty(in_width, dtype=np.int64)
+    for r, (idxs, ws) in enumerate(program.entries):
+        col = windows[:, r]
+        tap.fill(-1)
+        tap[col[col >= 0]] = np.flatnonzero(col >= 0)
+        t = tap[np.arange(in_width) if idxs is None else np.asarray(idxs, dtype=np.int64)]
+        nonzero = np.asarray(ws) != 0
+        if np.any(t[nonzero] < 0):
+            raise ValueError(f"output {r} reads an input outside its windows")
+        np.add.at(weights, (t[nonzero], r), np.asarray(ws)[nonzero])
+    return weights
+
+
+def packed_input(backend: HeBackend, layers: "list[HeLayer]", input_shape: tuple) -> np.ndarray:
+    """What a packed request holds: the ``(T, slots)`` gather the client encrypts.
+
+    Ciphertext *t*, slot *r* holds flat pixel ``gather[t, r]`` (0 where
+    it is −1).  The graph's first map is **window-encoded** — the client
+    sends its ``T`` input windows (:meth:`HeLinearMap.windows`) and the
+    map rotates nothing — when ``T`` is smaller than the rotation steps
+    of its BSGS form; otherwise the gather is the identity (``T = 1``,
+    slot *p* is pixel *p*) and the map rotates its one ciphertext.  Both
+    sides of the comparison are read off the map's geometry — the
+    diagonals are those of every tap, pruned or not — so the gather
+    tells the client nothing about the weights.  Call it only for a
+    graph that has the packed layout (:func:`packed_score_width`).
+    """
+    slots = backend.max_batch
+    shape = tuple(input_shape)
+    width = int(np.prod(shape))
+    for layer in layers:
+        if isinstance(layer, HeFlatten):
+            shape = (width,)
+            continue
+        if not isinstance(layer, HeLinearMap):
+            break
+        windows = layer.windows(shape)
+        taps, out = windows.shape
+        rows = np.broadcast_to(np.arange(out), windows.shape)
+        valid = windows >= 0
+        diags = np.unique((windows[valid] - rows[valid]) % slots)
+        b = _baby_step(list(diags), slots)
+        rotations = np.count_nonzero(np.unique(diags % b)) + np.count_nonzero(
+            np.unique(diags - diags % b)
+        )
+        if taps >= rotations:
+            break
+        gather = np.full((taps, slots), -1, dtype=np.int64)
+        gather[:, :out] = windows
+        return gather
+    return _identity_input(width, slots)
+
+
 class PackedTaps(HeLayer):
     """A linear map's :class:`TapProgram` as a BSGS diagonal product on one ciphertext.
 
@@ -201,6 +277,12 @@ class PackedTaps(HeLayer):
     — rotations need degree 1 — which is the one sweep the per-position
     map pays after its weighted sum.  Consumes one level.
 
+    With *windows* (the graph's first map, see :func:`packed_input`) the
+    baby-step inputs are the client's ``T`` window ciphertexts instead —
+    window *t* already holds, in slot *r*, the input output *r* reads at
+    tap *t* — so the map is one row ``Σ_t W[t] ⊙ window_t`` of ``T``
+    slot-vector taps: no rotation, no key switch, no Galois key.
+
     Attributes
     ----------
     babies, giants:
@@ -212,6 +294,9 @@ class PackedTaps(HeLayer):
         The group sums' :class:`~repro.henn.plan.PlannedTaps`.
     level:
         The level the diagonals are encoded at — the map's input level.
+    windows:
+        The ``(T, slots)`` gather of the input windows, or ``None``: the
+        input is one ciphertext, rotated.
     """
 
     depth = 1
@@ -222,10 +307,12 @@ class PackedTaps(HeLayer):
         backend: HeBackend,
         in_shape: tuple[int, ...],
         level: int,
+        windows: "np.ndarray | None",
     ):
         slots = backend.max_batch
         self.src = src
         self.level = level
+        self.windows = windows
         program = src.taps(tuple(in_shape))
         self.out_shape = program.out_shape
         self.out_width = int(np.prod(program.out_shape))
@@ -234,21 +321,25 @@ class PackedTaps(HeLayer):
             raise ValueError(
                 f"map {in_width} -> {self.out_width} does not fit {slots} slots"
             )
-        diags = _diagonals(program, in_width, slots)
-        b = _baby_step(list(diags), slots)
-        self.babies = sorted({d % b for d in diags} - {0})
-        tap_of = {j: t for t, j in enumerate([0] + self.babies)}
-        groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for d, vec in diags.items():
-            groups.setdefault(d - d % b, []).append((tap_of[d % b], np.roll(vec, d - d % b)))
-        self.steps = sorted(groups)
-        rows = []
-        for g in self.steps:
-            taps, vecs = zip(*groups[g])
-            rows.append((list(taps), backend.encode_taps(np.stack(vecs), backend.scale, level=level)))
-        self.groups = PlannedTaps(
-            src, EncodedMap(rows, len(tap_of)), (len(tap_of),), (len(self.steps),)
-        )
+        if windows is not None:
+            self.babies, self.steps = [], [0]
+            inputs = len(windows)
+            weights = _window_weights(program, windows, in_width)
+            rows = [(list(range(inputs)), backend.encode_taps(weights, backend.scale, level=level))]
+        else:
+            diags = _diagonals(program, in_width, slots)
+            b = _baby_step(list(diags), slots)
+            self.babies = sorted({d % b for d in diags} - {0})
+            tap_of = {j: t for t, j in enumerate([0] + self.babies)}
+            groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+            for d, vec in diags.items():
+                groups.setdefault(d - d % b, []).append((tap_of[d % b], np.roll(vec, d - d % b)))
+            self.steps = sorted(groups)
+            inputs, rows = len(tap_of), []
+            for g in self.steps:
+                taps, vecs = zip(*groups[g])
+                rows.append((list(taps), backend.encode_taps(np.stack(vecs), backend.scale, level=level)))
+        self.groups = PlannedTaps(src, EncodedMap(rows, inputs), (inputs,), (len(self.steps),))
         self.bias = None
         if program.bias is not None:
             self.bias = np.zeros(slots)
@@ -261,7 +352,7 @@ class PackedTaps(HeLayer):
 
     @property
     def diagonals(self) -> int:
-        """Nonzero generalised diagonals of the map's matrix."""
+        """Slot-vector taps: the map's nonzero diagonals, or its input windows."""
         return sum(len(idxs) for idxs, _ in self.groups.map.rows)
 
     @property
@@ -275,10 +366,13 @@ class PackedTaps(HeLayer):
         return int(bool(self.babies)) + len(self.giants)
 
     def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
-        (ct,) = x
-        ct = backend.relinearize_ext(ct)
-        babies = np.empty(1 + len(self.babies), dtype=object)
-        babies[:] = [ct] + (backend.rotate(ct, self.babies) if self.babies else [])
+        if self.windows is not None:
+            babies = x  # the client's fresh windows
+        else:
+            (ct,) = x
+            ct = backend.relinearize_ext(ct)
+            babies = np.empty(1 + len(self.babies), dtype=object)
+            babies[:] = [ct] + (backend.rotate(ct, self.babies) if self.babies else [])
         acc = None
         for g, part in zip(self.steps, self.groups.forward(backend, babies)):
             part = backend.rotate(part, g) if g else part
@@ -346,26 +440,35 @@ class PackedPlan:
     """The packed layout's executors for one graph, compiled once.
 
     Walks the graph with its level schedule: a :class:`PackedTaps` per
-    linear map (diagonals encoded at the level the map runs), a
-    :class:`PackedPoly` per activation, flatten as it is (the identity on
-    one ciphertext).  Then generates the Galois keys of every rotation
-    step (a backend without keys — the mock — needs none), so a request
-    never generates a key: a missing one is a :class:`KeyError` at
-    ``rotate``.
+    linear map (diagonals encoded at the level the map runs; the first
+    map reads the request's *windows* when they are not the identity,
+    see :func:`packed_input`), a :class:`PackedPoly` per activation,
+    flatten as it is (the identity on one ciphertext).  Then generates
+    the Galois keys of every rotation step (a backend without keys — the
+    mock — needs none), so a request never generates a key: a missing
+    one is a :class:`KeyError` at ``rotate``.
     """
 
-    def __init__(self, backend: HeBackend, layers: "list[HeLayer]", input_shape: tuple):
+    def __init__(
+        self,
+        backend: HeBackend,
+        layers: "list[HeLayer]",
+        input_shape: tuple,
+        windows: np.ndarray,
+    ):
         slots = backend.max_batch
         level = _top_level(backend)
         shape = tuple(input_shape)
+        identity = np.array_equal(windows, _identity_input(int(np.prod(shape)), slots))
+        reads = None if identity else windows
         self.layers: list[HeLayer] = []
         #: Used slots of the ciphertext leaving each layer (the feature width).
         self.widths: list[int] = []
         with obs.span("henn.plan.compile_packed", layers=len(layers)):
             for layer in layers:
                 if isinstance(layer, HeLinearMap):
-                    ex = PackedTaps(layer, backend, shape, level)
-                    shape = ex.out_shape
+                    ex = PackedTaps(layer, backend, shape, level, reads)
+                    shape, reads = ex.out_shape, None
                 elif isinstance(layer, HePoly):
                     ex = PackedPoly(layer, shape, slots)
                 else:
@@ -381,32 +484,45 @@ class PackedPlan:
 
 
 # What the cloud plans on a backend offer a client, per input shape: the
-# packed score width, or None.  The engines never read this — each one
-# follows its own plan (``InferencePlan.packed_width``).  It exists so a
-# ``Client(backend, input_shape)``, which holds no layers, learns whether
-# a single-image request may travel as one ciphertext.  Only a client
-# sharing the cloud's backend object in one process can learn it; a
-# client in another process (or built on its own backend) stays
-# per-position, the layout every engine accepts.
-_PUBLISHED: "weakref.WeakKeyDictionary[HeBackend, dict[tuple, int | None]]" = weakref.WeakKeyDictionary()
+# packed score width and the gather of a packed request
+# (:func:`packed_input`), or None.  The engines never read this — each one
+# follows its own plan (``InferencePlan.packed_width`` / ``packed_input``).
+# It exists so a ``Client(backend, input_shape)``, which holds no layers,
+# learns whether a single-image request may travel packed, and as which
+# ciphertexts.  Only a client sharing the cloud's backend object in one
+# process can learn it; a client in another process (or built on its own
+# backend) stays per-position, the layout every engine accepts.
+_PUBLISHED: "weakref.WeakKeyDictionary[HeBackend, dict[tuple, tuple[int, np.ndarray] | None]]" = (
+    weakref.WeakKeyDictionary()
+)
 _PUBLISH_LOCK = threading.Lock()
 
 
-def publish_layout(backend: HeBackend, input_shape: tuple, out_width: "int | None") -> None:
-    """Record the packed score width a plan on *backend* offers for *input_shape*.
+def publish_layout(
+    backend: HeBackend, input_shape: tuple, out_width: "int | None", windows: "np.ndarray | None"
+) -> None:
+    """Record the packed layout a plan on *backend* offers for *input_shape*.
 
-    ``None`` records a plan that does not offer the layout.  Plans that
-    disagree (two graphs on one backend and input shape) leave the entry
-    ``None`` for good: a client then sends per-position requests, which
-    every plan serves.
+    *out_width* ``None`` records a plan that does not offer the layout.
+    Plans that disagree (two graphs on one backend and input shape, in
+    score width or in gather) leave the entry ``None`` for good: a
+    client then sends per-position requests, which every plan serves.
     """
     key = tuple(input_shape)
+    new = None if out_width is None else (int(out_width), windows)
     with _PUBLISH_LOCK:
-        widths = _PUBLISHED.setdefault(backend, {})
-        widths[key] = out_width if widths.get(key, out_width) == out_width else None
+        layouts = _PUBLISHED.setdefault(backend, {})
+        old = layouts.get(key, new)
+        same = old is new or (
+            old is not None
+            and new is not None
+            and old[0] == new[0]
+            and np.array_equal(old[1], new[1])
+        )
+        layouts[key] = new if same else None
 
 
-def published_layout(backend: HeBackend, input_shape: tuple) -> "int | None":
-    """The packed score width every plan on *backend* offers for *input_shape*, if any."""
+def published_layout(backend: HeBackend, input_shape: tuple) -> "tuple[int, np.ndarray] | None":
+    """The packed ``(score width, request gather)`` every plan on *backend* offers for *input_shape*, if any."""
     with _PUBLISH_LOCK:
         return _PUBLISHED.get(backend, {}).get(tuple(input_shape))

@@ -158,16 +158,30 @@ def _tags(error: ServiceError) -> dict:
 
 
 class _ClientPacker(HeInferenceEngine):
-    """A layer-less engine for its packing logic; the layers stay on the cloud.
+    """The engine's client half (encrypt, decrypt) without a graph or a plan.
 
-    With no graph of its own it cannot decide the packed layout, so it
-    reads what the cloud plans on its backend published
-    (:func:`repro.henn.packing.published_layout`) at each request.
+    The layers — and every encoded weight — stay on the cloud: this
+    object holds the backend and the input shape only.  With no graph of
+    its own it cannot decide the packed layout, so it reads what the
+    cloud plans on its backend published
+    (:func:`repro.henn.packing.published_layout`) at each request: the
+    score width, and the gather of the ciphertexts to send — the first
+    map's input *geometry* at most, never a weight.
     """
+
+    def __init__(self, backend: HeBackend, input_shape: tuple[int, int, int]):
+        self.backend = backend
+        self.input_shape = input_shape
 
     @property
     def packed_width(self) -> "int | None":
-        return published_layout(self.backend, self.input_shape)
+        layout = published_layout(self.backend, self.input_shape)
+        return None if layout is None else layout[0]
+
+    @property
+    def packed_input(self) -> "np.ndarray | None":
+        layout = published_layout(self.backend, self.input_shape)
+        return None if layout is None else layout[1]
 
 
 class Client:
@@ -181,9 +195,7 @@ class Client:
     def __init__(self, backend: HeBackend, input_shape: tuple[int, int, int]):
         self.backend = backend
         self.input_shape = input_shape
-        # Its empty plan adopts the cache the cloud installed on the
-        # shared context (or installs the one the cloud will adopt).
-        self._packer = _ClientPacker(backend, [], input_shape)
+        self._packer = _ClientPacker(backend, input_shape)
 
     def encrypt_request(self, images: np.ndarray) -> np.ndarray:
         """Package a batch of images as ciphertext handles."""
@@ -542,13 +554,15 @@ class BatchedCloudService(CloudService):
         Raises :class:`~repro.serving.errors.RequestValidationError`
         (index-only messages — never slot values) so one malformed or
         drifted request cannot poison its batchmates mid-batch.  A
-        packed single-image request (one handle) is admitted where the
-        plan offers that layout.
+        packed single-image request is admitted where the plan offers
+        that layout, as the ``(T,)`` handles of its gather
+        (:attr:`~repro.henn.inference.HeInferenceEngine.packed_input`)
+        — a packed request of another ``T`` (a stale layout) is refused.
         """
         enc = np.asarray(encrypted_images, dtype=object)
-        packed = (
-            enc.shape == (1,) != tuple(self.engine.input_shape)
-            and self.engine.plan.packed_width is not None
+        windows = self.engine.packed_input
+        packed = windows is not None and enc.shape == (len(windows),) != tuple(
+            self.engine.input_shape
         )
         if enc.shape != self.engine.input_shape and not packed:
             raise RequestValidationError(

@@ -605,10 +605,11 @@ class WorkerPool:
                 time.sleep(backoff)
                 backoff = min(1.0, backoff * 2)
                 continue
-            self._respawns += 1
-            _count("respawns")
             with self.cond:
                 if self._await_ready(worker, SPAWN_TIMEOUT_S):
+                    # Counted once the worker is ready, not when it forks.
+                    self._respawns += 1
+                    _count("respawns")
                     # Released under the lock that marks deaths: a later
                     # death of this generation starts a fresh loop.
                     self._respawning.discard(worker.index)

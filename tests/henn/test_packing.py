@@ -1,10 +1,12 @@
 """The packed single-image layout: BSGS diagonal products on one ciphertext.
 
 Covers the executor (:class:`repro.henn.packing.PackedTaps`) against the
-plain matrix–vector product, the layout decision, packed against
-per-position inference on all three backends, and the two CKKS-RNS
-primitives the layout stands on: the evaluation-domain Galois
-permutation and the hoisted multi-step ``rotate``.
+plain matrix–vector product, the window-encoded first map against the
+rotated one and the per-position one, the layout decision (and what a
+client learns of it), packed against per-position inference on all
+three backends, and the two CKKS-RNS primitives the layout stands on:
+the evaluation-domain Galois permutation and the hoisted multi-step
+``rotate``.
 """
 
 import numpy as np
@@ -16,14 +18,32 @@ from repro.ckks import CkksParams
 from repro.ckksrns import CkksRnsParams, RnsCiphertext
 from repro.data import load_synth_mnist, normalize_unit, to_nchw
 from repro.henn import build_cnn1, build_cnn2, compile_model, slafify
-from repro.henn.backend import CkksBackend, CkksRnsBackend, HeBackend, MockBackend
+from repro.henn.backend import (
+    CkksBackend,
+    CkksRnsBackend,
+    EncodedMap,
+    EncodedTaps,
+    HeBackend,
+    MockBackend,
+)
 from repro.henn.compiler import model_depth
 from repro.henn.inference import HeInferenceEngine
-from repro.henn.layers import HeAvgPool, HeConv2d, HeFlatten, HeLinear, HePoly
-from repro.henn.packing import PackedPlan, _diagonals, packed_score_width
-from repro.henn.protocol import Client, CloudService
+from repro.henn.layers import HeAvgPool, HeConv2d, HeFlatten, HeLayer, HeLinear, HePoly
+from repro.henn.packing import (
+    PackedPlan,
+    _diagonals,
+    _identity_input,
+    packed_input,
+    packed_score_width,
+    published_layout,
+)
+from repro.henn.protocol import BatchedCloudService, Client, CloudService
 from repro.nt.modarith import addmod, negmod
 from repro.obs.metrics import get_registry
+from repro.serving.errors import RequestValidationError
+from repro.utils.cache import PlaintextCache
+
+from .test_lazy_relin import LAZY_EAGER_ATOL
 
 #: The end-to-end benchmark's bound on |encrypted − plaintext| logits.
 LOGIT_TOLERANCE = 0.05
@@ -36,13 +56,21 @@ def _rns(n=64, moduli_bits=(36, 26, 26), seed=0):
     )
 
 
-def _run_packed(backend, layers, shape, x):
-    """Compile the packed executors and run one image through them."""
-    plan = PackedPlan(backend, layers, shape)
-    slots = np.zeros(backend.max_batch)
-    slots[: x.size] = x.reshape(-1)
-    enc = np.empty(1, dtype=object)
-    enc[0] = backend.encrypt(slots)
+def _identity(backend, shape):
+    return _identity_input(int(np.prod(shape)), backend.max_batch)
+
+
+def _run_packed(backend, layers, shape, x, windows=None):
+    """Compile the packed executors and run one image through them.
+
+    *windows* is the request's gather; by default the identity, one
+    ciphertext that every map rotates.
+    """
+    windows = _identity(backend, shape) if windows is None else windows
+    plan = PackedPlan(backend, layers, shape, windows)
+    rows = np.where(windows >= 0, np.asarray(x).reshape(-1)[windows], 0.0)
+    enc = np.empty(len(rows), dtype=object)
+    enc[:] = backend.encrypt_many(rows)
     for ex in plan.layers:
         enc = ex.forward(backend, enc)
     return plan, backend.decrypt(backend.relinearize_ext(enc[0]), count=plan.widths[-1])
@@ -63,7 +91,7 @@ def _steps_cover_diagonals(ex, program, in_width, slots):
 def test_rotations_needed():
     backend = MockBackend(batch=32, levels=4)
     layer = HeLinear(np.random.default_rng(0).uniform(-1, 1, (4, 10)), None)
-    plan = PackedPlan(backend, [layer], (10,))
+    plan = PackedPlan(backend, [layer], (10,), _identity(backend, (10,)))
     (ex,) = plan.layers
     assert ex.rotations == len(ex.babies) + len(ex.giants)
     assert plan.rotations == sorted(set(ex.babies) | set(ex.giants))
@@ -105,9 +133,9 @@ def test_encrypt_features_capacity():
 def test_dense_single_validation(rng):
     backend = MockBackend(batch=16, levels=4)
     with pytest.raises(ValueError):
-        PackedPlan(backend, [HeLinear(np.zeros((2, 7)), None)], (6,))
+        PackedPlan(backend, [HeLinear(np.zeros((2, 7)), None)], (6,), _identity(backend, (6,)))
     with pytest.raises(ValueError):  # 20 outputs do not fit 16 slots
-        PackedPlan(backend, [HeLinear(np.ones((20, 6)), None)], (6,))
+        PackedPlan(backend, [HeLinear(np.ones((20, 6)), None)], (6,), _identity(backend, (6,)))
 
 
 def test_rotation_backend_support(rng):
@@ -175,10 +203,75 @@ def test_bsgs_diagonal_product_matches_tap_program(case, seed):
     assert np.allclose(got, want, atol=1e-5)
 
 
+@st.composite
+def _first_convs(draw):
+    """A first conv (k ∈ {1, 2, 3, 5}, stride 1–2, padding 0–2, 1–2 in and
+    1–3 out channels) with dyadic weights and bias, its input shape and a
+    dyadic image: every product and sum of them is exact in float64."""
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    ic, oc = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    h = draw(st.integers(max(1, k - 2 * padding), 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    conv = HeConv2d(
+        rng.integers(-64, 65, (oc, ic, k, k)) / 128,
+        rng.integers(-64, 65, oc) / 128 if draw(st.booleans()) else None,
+        stride=stride,
+        padding=padding,
+    )
+    return conv, (ic, h, h), rng.integers(0, 257, (ic, h, h)) / 256
+
+
+def _window_gather(layer, shape, slots):
+    """The layer's windows as a request gather, whatever the cost rule would pick."""
+    windows = layer.windows(shape)
+    gather = np.full((len(windows), slots), -1)
+    gather[:, : windows.shape[1]] = windows
+    return gather
+
+
+@pytest.fixture(scope="module")
+def rns512():
+    return _backend("ckks-rns", 1)
+
+
+@pytest.mark.fuzz
+def test_window_encoded_rotated_and_per_position_first_maps_agree(rns512, fuzz_examples):
+    """Random first convs: the window-encoded map, the rotated ``PackedTaps``
+    and the per-position ``PlannedTaps`` — bit for bit on the quantized mock,
+    within ``LAZY_EAGER_ATOL`` on CKKS-RNS at n = 512."""
+    mock = MockBackend(batch=256, levels=1, quantize=True)
+
+    @settings(
+        max_examples=fuzz_examples(4, 60), deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_first_convs())
+    def check(case):
+        conv, shape, x = case
+        assume(int(np.prod(conv.taps(shape).out_shape)) <= 256)
+        for backend in (mock, rns512):
+            windows = _window_gather(conv, shape, backend.max_batch)
+            _, windowed = _run_packed(backend, [conv], shape, x, windows)
+            _, rotated = _run_packed(backend, [conv], shape, x)
+            engine = HeInferenceEngine(backend, [conv], shape)
+            per_position = engine.classify(np.stack([x, x]))[0]  # a batch never packs
+            if backend is mock:
+                assert np.array_equal(windowed, rotated)
+                assert np.array_equal(windowed, per_position)
+            else:
+                assert np.allclose(windowed, rotated, atol=LAZY_EAGER_ATOL)
+                assert np.allclose(windowed, per_position, atol=LAZY_EAGER_ATOL)
+
+    check()
+
+
 def test_rns_group_sums_are_bit_identical_to_the_generic_chain(rng):
     """The fused slot-vector weighted sum == the base class's mul_plain / add chain."""
     backend = _rns()  # the 36-bit channel reduces every product, the 26-bit ones sum lazily
-    plan = PackedPlan(backend, [HeLinear(rng.uniform(-1, 1, (6, 12)), None)], (12,))
+    plan = PackedPlan(
+        backend, [HeLinear(rng.uniform(-1, 1, (6, 12)), None)], (12,), _identity(backend, (12,))
+    )
     emap = plan.layers[0].groups.map
     handles = [backend.encrypt(rng.uniform(-1, 1, 32)) for _ in range(emap.inputs)]
     got = backend.weighted_sum_encoded(handles, emap)
@@ -230,10 +323,14 @@ def test_packed_matches_per_position(tiny_models, arch, kind):
     per_position = engine.classify(images[:2])[:1]  # a batch never packs
     if kind == "mock":  # slot-sharing: the engine never packs, run the executors
         assert engine.plan.packed is None
-        _, packed = _run_packed(backend, layers, (1, 12, 12), images[0])
+        windows = packed_input(backend, layers, (1, 12, 12))
+        _, packed = _run_packed(backend, layers, (1, 12, 12), images[0], windows)
+        _, rotated = _run_packed(backend, layers, (1, 12, 12), images[0])
+        assert np.max(np.abs(packed - rotated)) <= LOGIT_TOLERANCE
         packed = packed[None, :]
     else:
-        assert engine.encrypt_images(images[:1]).shape == (1,)
+        # the client's first-map windows, 9 taps of the 3x3 kernel
+        assert engine.encrypt_images(images[:1]).shape == (len(engine.packed_input),) == (9,)
         packed = engine.classify(images[:1])
     assert packed.shape == per_position.shape
     assert np.max(np.abs(packed - per_position)) <= LOGIT_TOLERANCE
@@ -271,7 +368,7 @@ def test_client_packs_one_image_and_warm_request_generates_nothing():
     ])
     reg = get_registry()
     enc = client.encrypt_request(images[:1])
-    assert enc.shape == (1,)
+    assert enc.shape == (9,)  # one ciphertext per tap of the first conv's 3x3 kernel
     first = client.decrypt_response(service.try_classify(enc).scores, 1)  # compiles, keys
     keys, fresh = reg.counter("keys.galois.generated").value, reg.counter("plan.encode.fresh").value
     response = service.try_classify(client.encrypt_request(images[1:2]))
@@ -299,7 +396,7 @@ def test_engines_sharing_a_backend_follow_their_own_plans():
     images = rng.uniform(0, 1, (1, 1, 6, 6))
     client = Client(backend, (1, 6, 6))
     engines = [HeInferenceEngine(backend, packable, (1, 6, 6))]
-    assert client.encrypt_request(images).shape == (1,)  # every plan so far offers it
+    assert client.encrypt_request(images).shape == (9,)  # every plan so far offers it
     engines += [HeInferenceEngine(backend, g, (1, 6, 6)) for g in (wide, narrow)]
     assert [e.packed_width for e in engines] == [10, None, 4]
     for engine in engines:
@@ -314,6 +411,90 @@ def test_engines_sharing_a_backend_follow_their_own_plans():
         assert np.allclose(
             client.decrypt_response(engine.run_encrypted(enc), 1), engine.classify(images), atol=1e-2
         )
+
+
+def _identity_request(backend, image):
+    """One ciphertext, slot p = pixel p: the packed request of an identity gather."""
+    enc = np.empty(1, dtype=object)
+    enc[0] = backend.encrypt(np.asarray(image).reshape(-1))
+    return enc
+
+
+@pytest.mark.parametrize("stale", ["one handle to a windowed plan", "windows to a rotating plan"])
+def test_a_stale_packed_layout_is_refused_not_evaluated(stale):
+    """A packed request of another ``T`` than the plan's gather never yields scores:
+    admission refuses it with ``RequestValidationError``, ``run_encrypted`` with ``ValueError``."""
+    backend = _rns128()
+    rng = np.random.default_rng(4)
+    image = rng.uniform(0, 1, (1, 1, 6, 6))
+    windowed = HeInferenceEngine(backend, _tiny_layers(), (1, 6, 6))
+    assert windowed.packed_input.shape == (9, 64)
+    if stale == "one handle to a windowed plan":
+        layers, request = _tiny_layers(), _identity_request(backend, image)
+    else:  # a dense first map keeps its rotations: its gather is the identity
+        layers = [HeFlatten(), HeLinear(rng.uniform(-0.3, 0.3, (4, 36)), None)]
+        request = windowed.encrypt_images(image)
+    with BatchedCloudService(backend, layers, (1, 6, 6)) as service:
+        assert (len(service.engine.packed_input), len(request)) in {(9, 1), (1, 9)}
+        with pytest.raises(RequestValidationError):
+            service._validate_request(request, 1)
+        response = service.submit(request, 1).result(timeout=60)
+        assert not response.ok and response.scores is None
+        assert response.error.code == "RequestValidationError"
+        with pytest.raises(ValueError):
+            service.engine.run_encrypted(request)
+
+
+def test_the_window_gather_is_geometry_only():
+    """Two convs of one geometry publish the same gather, however many taps one prunes."""
+    rng = np.random.default_rng(5)
+    weight = rng.uniform(-0.5, 0.5, (2, 1, 3, 3))
+    cut = float(np.median(np.abs(weight)))
+    convs = [HeConv2d(weight, None), HeConv2d(weight, None, prune_below=cut)]
+    kept = [sum(len(idxs) for idxs, _ in conv.taps((1, 6, 6)).entries) for conv in convs]
+    assert kept[1] <= kept[0] // 2 + 1  # about half the taps dropped
+    gathers = []
+    for conv in convs:
+        backend = _rns128()
+        layers = [conv, HePoly(np.array([0.1, 0.5, 0.25])), HeFlatten(),
+                  HeLinear(rng.uniform(-0.3, 0.3, (10, 32)), None)]
+        HeInferenceEngine(backend, layers, (1, 6, 6))
+        width, gather = published_layout(backend, (1, 6, 6))
+        assert width == 10
+        gathers.append(gather)
+    assert gathers[0].shape == (9, 64)
+    assert np.array_equal(gathers[0], gathers[1])
+
+
+def test_the_client_holds_no_weight():
+    """Everything a ``Client`` reaches, bar the backend it shares with the
+    cloud in this process: no encoded map, no plan cache, no float array."""
+    backend = _rns128()
+    client = Client(backend, (1, 6, 6))
+    service = CloudService(backend, _tiny_layers(), (1, 6, 6))
+    image = np.random.default_rng(6).uniform(0, 1, (1, 1, 6, 6))
+    assert service.try_classify(client.encrypt_request(image)).ok
+    seen, stack, found = set(), [client], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, HeBackend):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (EncodedTaps, EncodedMap, PlaintextCache, HeLayer)):
+            found.append(type(obj).__name__)
+        elif isinstance(obj, np.ndarray):
+            if obj.dtype.kind not in "iu":
+                found.append(f"ndarray[{obj.dtype}]")
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    assert found == []
+    # what it does read: the first map's geometry, as an integer gather
+    assert client._packer.packed_input.shape == (9, 64)
 
 
 def test_one_feature_input_stays_per_position_for_any_batch():

@@ -194,7 +194,8 @@ def _shard_threads() -> int:
 @pytest.mark.parametrize("layout", ["one-core", "packed"])
 def test_no_pool_and_no_thread_without_a_second_shard(monkeypatch, layout):
     """One usable core, floor or not; or two cores and a packed
-    one-image request, whose one ciphertext never reaches the floor."""
+    one-image request, whose packed groups hold one ciphertext each and
+    never reach the floor."""
     monkeypatch.setattr(backend_mod, "_SHARD_POOLS", {})
     engine = _small_engine()
     threads = _shard_threads()
@@ -205,7 +206,7 @@ def test_no_pool_and_no_thread_without_a_second_shard(monkeypatch, layout):
         client = Client(engine.backend, engine.input_shape)
         service = CloudService(engine.backend, engine.layers, engine.input_shape)
         request = client.encrypt_request(np.random.default_rng(1).uniform(0, 1, (1, 1, 6, 6)))
-        assert request.shape == (1,)  # one ciphertext: the packed layout
+        assert request.shape == (9,)  # the packed layout: one ciphertext per 3x3 kernel tap
         with mock.patch("os.sched_getaffinity", return_value={0, 1}):
             assert service.try_classify(request).ok
     assert backend_mod._SHARD_POOLS == {}

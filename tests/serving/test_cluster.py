@@ -331,6 +331,35 @@ def test_respawn_budget_bounds_a_worker_that_never_gets_ready(monkeypatch, attem
         pool.close()
 
 
+@pytest.mark.faults
+def test_a_respawn_counts_only_a_worker_that_became_ready(monkeypatch):
+    """Regression: ``respawns`` ("dead workers successfully respawned to
+    ready") ticked as soon as the fork returned, so a worker that never
+    built its engine counted every attempt.  ``_spawn`` is capped so a
+    regression fails fast instead of forking on."""
+    spawns = []
+    real_spawn = WorkerPool._spawn
+
+    def capped_spawn(self, worker):
+        spawns.append(worker.index)
+        if len(spawns) > 6:
+            raise RuntimeError("spawn cap reached")
+        real_spawn(self, worker)
+
+    monkeypatch.setattr(cluster, "RESPAWN_MAX_ATTEMPTS", 2)
+    monkeypatch.setattr(WorkerPool, "_spawn", capped_spawn)
+    counted = get_registry().counter("cluster.respawns").value
+    pool = WorkerPool(_failing_engine_factory, size=1)
+    try:
+        pool.start()
+        assert _wait(pool.is_lost, timeout=30.0)
+        assert pool.stats()["respawns"] == 0
+        assert get_registry().counter("cluster.respawns").value == counted
+        assert pool.is_lost()
+    finally:
+        pool.close()
+
+
 def test_failover_backoff_is_seeded_and_capped():
     import random
 

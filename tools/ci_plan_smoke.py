@@ -35,11 +35,14 @@ The first engine must refuse a handle array of another shape than the
 one its plan was compiled for.  Last, the packed single-image layout
 (``docs/ARCHITECTURE.md`` "Packed layout"): warm one-image requests
 through ``Client`` / ``CloudService`` on the first engine's graph must
-encrypt one ciphertext and decrypt one, perform per linear map exactly
-the rotation steps and hoisted ModUps its ``PackedTaps`` plan lists,
-the same ``relin.count`` as the per-position path, no Galois key
-generation and no fresh encode — every diagonal was encoded when the
-packed plan compiled, at the level its map runs.  These engines stay
+encrypt the first conv's ``T`` input windows (one per kernel tap, in one
+``encrypt_many`` of ``T`` times the per-ciphertext transform rows) and
+decrypt one ciphertext, perform no rotation and no ModUp in that
+window-encoded first map and per later linear map exactly the rotation
+steps and hoisted ModUps its ``PackedTaps`` plan lists, the same
+``relin.count`` as the per-position path, no Galois key generation and
+no fresh encode — every diagonal was encoded when the packed plan
+compiled, at the level its map runs.  These engines stay
 below the position-shard floor, so each packed group is one sweep.
 Forced into two shards per group (floor lowered, two cores), the first
 engine's warm classify must count the same ``relin.count``, run the
@@ -404,11 +407,18 @@ def main() -> int:
                 f"encoded at {entry['diagonal_levels']} (plan level {entry['level']})"
             )
             ok = False
+    # The first conv reads one window per kernel tap (C_in x k x k).
+    taps = int(np.prod(engine.layers[0].weight.shape[1:]))
+    first = census[0]
+    first_cost = (first["planned_rotations"], first["rotations"], first["planned_modups"], first["modups"])
+    if first_cost != (0, 0, 0, 0):
+        print(f"FAIL: the window-encoded first map planned / performed rotations and ModUps {first_cost}")
+        ok = False
     want_packed = {
-        "request_handles": (1,),
+        "request_handles": (taps,),
         "score_handles": 1,
         "encrypt_many": 1,
-        "encrypt_rows": engine.backend.encrypt_transform_rows,
+        "encrypt_rows": taps * engine.backend.encrypt_transform_rows,
         "decrypt": 1,
         "relin.count": expected_relins,
         "plan.encode.fresh": 0,
@@ -497,8 +507,8 @@ def main() -> int:
             f"{warm_relin} deferred relinearisation sweeps and one fused "
             f"encryption of {3 * pixels} transform rows; alpha={alpha} sweeps are "
             f"one raised-digit forward + one {alpha}-channel inverse + one ModDown forward; "
-            f"a warm packed request is one ciphertext each way through "
-            f"{sum(e['rotations'] for e in census)} planned rotations"
+            f"a warm packed request is {taps} window ciphertexts in and one out, through "
+            f"{sum(e['rotations'] for e in census)} planned rotations, none in the first map"
         )
     return 0 if ok else 1
 
