@@ -15,7 +15,8 @@ domain), so
 
 from repro.ckksrns.params import CkksRnsParams
 from repro.ckksrns.ciphertext import RnsCiphertext
-from repro.ckksrns.keys import RnsGaloisKey, RnsKeyPair, RnsPublicKey, RnsRelinKey, RnsSecretKey
+from repro.ckksrns.keys import RnsKeyPair, RnsPublicKey, RnsSecretKey
+from repro.ckksrns.keyswitch import SwitchKey
 from repro.ckksrns.context import CkksRnsContext
 
 __all__ = [
@@ -25,6 +26,5 @@ __all__ = [
     "RnsKeyPair",
     "RnsSecretKey",
     "RnsPublicKey",
-    "RnsRelinKey",
-    "RnsGaloisKey",
+    "SwitchKey",
 ]

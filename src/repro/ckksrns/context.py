@@ -6,19 +6,11 @@ Representation invariants
   ``int64``, canonically reduced per channel, held in the **NTT domain**
   unless a function says otherwise.
 * A ciphertext at ``level`` uses the chain prefix ``q_0 .. q_level``.
-* Key switching is **hybrid**: with α special primes ``P = p_0 ⋯ p_{α-1}``
-  the chain is grouped α primes at a time, ``Q_g = q_{gα} ⋯ q_{gα+α-1}``
-  (last group partial), and digit *g* of ``x`` is
-  ``D_g(x) = [x * (Q_top/Q_g)^{-1}]_{Q_g}``; the key for digit *g*
-  encodes ``P * (Q_top/Q_g) * s'``.  Reconstruction
-  ``sum_g D_g(x) * (Q_top/Q_g) ≡ x (mod q_i)`` holds for every active
-  channel *i*, at every level (a group is cut to its active primes),
-  because each omitted factor contains ``q_i``.  Each digit is raised to
-  the other active primes and the specials by one exact centered base
-  conversion (ModUp); after accumulation the special channels are
-  divided out exactly (ModDown), leaving noise
-  ``≈ ⌈k/α⌉ * Q_g * e / P``.  α = 1 is the classic one-digit-per-prime
-  gadget.  See docs/KERNELS.md "Hybrid key switching".
+* Key switching is **hybrid** (α special primes, one digit per group of
+  α chain primes); its tables and its three stages — ModUp, the key
+  inner product, ModDown — live in :mod:`repro.ckksrns.keyswitch`, and
+  :meth:`CkksRnsContext.relinearize` / :meth:`CkksRnsContext.rotate`
+  compose them.
 
 Every primitive is shape-generic over batch axes between channel and
 coefficient: a ``(k, B, n)`` stack is *B* ciphertexts, each computed
@@ -30,21 +22,14 @@ shards").
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.ckks.encoder import CkksEncoder
-from repro.ckks.sampling import DEFAULT_SIGMA, sample_gaussian, sample_hwt, sample_zo
+from repro.ckks.sampling import sample_gaussian, sample_hwt, sample_zo
 from repro.ckks.ciphertext import require_degree1, with_components
 from repro.ckksrns.ciphertext import RnsCiphertext
-from repro.ckksrns.keys import (
-    RnsGaloisKey,
-    RnsKeyPair,
-    RnsPublicKey,
-    RnsRelinKey,
-    RnsSecretKey,
-)
+from repro.ckksrns.keys import RnsKeyPair, RnsPublicKey, RnsSecretKey
+from repro.ckksrns.keyswitch import HybridKeySwitch, SwitchKey, divide_exact
 from repro.ckksrns.params import CkksRnsParams
 from repro.nt.kernels import LimbMatrix, limb_gemm, scale_channels
 from repro.nt.modarith import addmod, mulmod, submod
@@ -53,20 +38,11 @@ from repro.nt.primes import gen_ntt_primes
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import traced
 from repro.rns.base import RnsBase
-from repro.rns.convert import approx_base_convert
 from repro.utils.cache import PlaintextCache
 from repro.utils.rng import derive_rng
 
 __all__ = ["CkksRnsContext", "RnsPlaintext"]
 
-#: Batch-axis chunk budget for the digit key switch, in elements of the
-#: ``(k+α, D, B_chunk, ..., n)`` lifted-digit tensor (int64).  1 << 21
-#: elements = 16 MB keeps the decomposition temporaries cache-friendly;
-#: large position batches otherwise scale super-linearly (measured ~2x
-#: worse than linear at 16x the positions unchunked).  Latency is flat
-#: from 2^18 to 2^22 (docs/PERFORMANCE.md), so this is a constant, not a
-#: knob; chunking never changes a result bit.
-KEYSWITCH_CHUNK_ELEMS = 1 << 21
 #: Smallest position shard :class:`~repro.henn.backend.CkksRnsBackend`
 #: splits a packed group into, in elements of its ``(k, B_shard, n)``
 #: ``c0`` stack.  Two shards of a BSGS program or a rescale break even
@@ -104,9 +80,6 @@ class CkksRnsContext:
     def __init__(self, params: CkksRnsParams):
         self.params = params
         self.n = params.n
-        #: Batch-axis chunk budget of the digit key switch (elements of
-        #: the raised-digit tensor); the chunk-invariance tests shrink it.
-        self.keyswitch_chunk_elems = KEYSWITCH_CHUNK_ELEMS
         #: Position-shard floor of the backend's batch entry points; the
         #: shard-invariance tests shrink it.
         self.shard_min_elems = SHARD_MIN_ELEMS
@@ -128,40 +101,16 @@ class CkksRnsContext:
         self.plain_cache: PlaintextCache | None = None
         self._galois_perms: dict[int, np.ndarray] = {}
         self._bases = {k: RnsBase(self.moduli[:k], n=params.n) for k in range(1, self.k_top + 1)}
-        self._special_base = RnsBase(self.special_moduli, n=params.n)
-        # Digit groups: α chain primes each (last one partial), Q_g their
-        # product at the top level and hat_g = Q_top / Q_g.
-        alpha = self.alpha
-        q_top = self._bases[self.k_top].modulus
-        p_prod = self._special_base.modulus
-        group_hats = [
-            q_top // math.prod(self.moduli[s : s + alpha])
-            for s in range(0, self.k_top, alpha)
+        #: _rescale_by[level] = (the one-prime base of q_level, q_level^{-1}
+        #: mod each lower prime): the divisor of a rescale at that level.
+        self._rescale_by = [
+            (
+                RnsBase([q], n=params.n),
+                np.array([pow(q % m, -1, m) for m in self.moduli[:level]], dtype=np.int64),
+            )
+            for level, q in enumerate(self.moduli)
         ]
-        #: digit_hat_inv[i] = hat_g^{-1} mod q_i for the group g holding q_i
-        self.digit_hat_inv = [
-            pow(group_hats[i // alpha], -1, m) for i, m in enumerate(self.moduli)
-        ]
-        #: factor_table[g][i] = (P * hat_g) mod ext_moduli[i]
-        self.factor_table = [
-            np.array([(p_prod * hg) % mi for mi in self.ext_moduli], dtype=np.int64)
-            for hg in group_hats
-        ]
-        self.p_inv = [pow(p_prod % m, -1, m) for m in self.moduli]
-        #: _digit_groups[k] = the groups cut to k active primes, each
-        #: ``(own channels, their base, rows of the (k+α)-row extended
-        #: stack the digit is raised to)``.
-        self._digit_groups: dict[int, list[tuple[range, RnsBase, list[int]]]] = {
-            k: [
-                (
-                    own,
-                    RnsBase(self.moduli[own.start : own.stop], n=params.n),
-                    [t for t in range(k + alpha) if t not in own],
-                )
-                for own in (range(s, min(s + alpha, k)) for s in range(0, k, alpha))
-            ]
-            for k in range(1, self.k_top + 1)
-        }
+        self.keyswitch = HybridKeySwitch(params.n, self.moduli, self.special_moduli)
 
     # -- small helpers --------------------------------------------------------
 
@@ -221,7 +170,7 @@ class CkksRnsContext:
         s_coeff = sample_hwt(n, self.params.hw, rng)
         s_ext = self._ntt(self._decompose_small(s_coeff, self.ext_moduli), self.ext_moduli)
         # Public key over the ciphertext basis.
-        a = self._uniform(self.moduli, rng)
+        a = np.stack([rng.integers(0, m, size=n, dtype=np.int64) for m in self.moduli])
         e = self._ntt(
             self._decompose_small(sample_gaussian(n, rng, self.params.sigma), self.moduli),
             self.moduli,
@@ -234,18 +183,19 @@ class CkksRnsContext:
             ]
         )
         s2_ext = self._square_ext(s_ext)
-        relin = self._gen_switch_key(s_ext, s2_ext, rng)
+        sigma = self.params.sigma
+        relin = self.keyswitch.gen_key(s_ext, s2_ext, rng, sigma)
         # s^3 evaluation key: lets a degree-3 extended ciphertext (lazy
         # BSGS giant-step fold) relinearise in one merged digit sweep.
         s3_ext = np.stack(
             [mulmod(s2_ext[i], s_ext[i], m) for i, m in enumerate(self.ext_moduli)]
         )
-        relin3 = self._gen_switch_key(s_ext, s3_ext, rng)
+        relin3 = self.keyswitch.gen_key(s_ext, s3_ext, rng, sigma)
         kp = RnsKeyPair(
             sk=RnsSecretKey(s=s_ext, s_coeff=s_coeff),
             pk=RnsPublicKey(b=b, a=a),
-            relin=RnsRelinKey(b=relin[0], a=relin[1]),
-            relin3=RnsRelinKey(b=relin3[0], a=relin3[1]),
+            relin=relin,
+            relin3=relin3,
         )
         for r in rotations:
             self.add_galois_key(kp, r, rng)
@@ -256,35 +206,6 @@ class CkksRnsContext:
             [mulmod(s_ext[i], s_ext[i], m) for i, m in enumerate(self.ext_moduli)]
         )
 
-    def _uniform(self, moduli: list[int], rng: np.random.Generator) -> np.ndarray:
-        return np.stack(
-            [rng.integers(0, m, size=self.n, dtype=np.int64) for m in moduli]
-        )
-
-    def _gen_switch_key(
-        self, s_ext: np.ndarray, target_ext: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Digit keys encoding ``P * hat_g * target`` under ``s`` (NTT domain)."""
-        digits_b = []
-        digits_a = []
-        for factors in self.factor_table:
-            a_j = self._uniform(self.ext_moduli, rng)
-            e_j = self._ntt(
-                self._decompose_small(
-                    sample_gaussian(self.n, rng, self.params.sigma), self.ext_moduli
-                ),
-                self.ext_moduli,
-            )
-            rows_b = []
-            for i, m in enumerate(self.ext_moduli):
-                t = mulmod(target_ext[i], factors[i], m)
-                t = addmod(t, e_j[i], m)
-                t = submod(t, mulmod(a_j[i], s_ext[i], m), m)
-                rows_b.append(t)
-            digits_b.append(np.stack(rows_b))
-            digits_a.append(a_j)
-        return np.stack(digits_b), np.stack(digits_a)
-
     def add_galois_key(self, kp: RnsKeyPair, rotation: int, rng: np.random.Generator) -> None:
         """Generate the key for left-rotation by *rotation* slots (idempotent)."""
         g = self.galois_element(rotation)
@@ -292,8 +213,7 @@ class CkksRnsContext:
             return
         sg_coeff = self._galois_signed(kp.sk.s_coeff, g)
         sg_ext = self._ntt(self._decompose_small(sg_coeff, self.ext_moduli), self.ext_moduli)
-        b, a = self._gen_switch_key(kp.sk.s, sg_ext, rng)
-        kp.galois[g] = RnsGaloisKey(g=g, b=b, a=a)
+        kp.galois[g] = self.keyswitch.gen_key(kp.sk.s, sg_ext, rng, self.params.sigma)
         get_registry().counter("keys.galois.generated").inc()
 
     def galois_element(self, rotation: int) -> int:
@@ -801,8 +721,8 @@ class CkksRnsContext:
     def relinearize(
         self,
         x: RnsCiphertext,
-        relin: RnsRelinKey,
-        relin3: RnsRelinKey | None = None,
+        relin: SwitchKey,
+        relin3: SwitchKey | None = None,
     ) -> RnsCiphertext:
         """Switch the high components back to degree 1.
 
@@ -818,12 +738,11 @@ class CkksRnsContext:
         reg.counter("relin.count").inc()
         if x.deferred:
             reg.counter("relin.deferred").inc()
-        k = x.k
-        moduli = self.moduli[:k]
-        g = len(self._digit_groups[k])  # active digits per source polynomial
+        moduli = self.moduli[: x.k]
+        g = self.keyswitch.digits(x.level)
         if x.c3 is None:
             x_coeff = x.c2 if x.coeff_high else self._intt(x.c2, moduli)
-            r0, r1 = self._keyswitch_coeff(x_coeff, relin.b[:g], relin.a[:g], x.level)
+            kb, ka = relin.b[:g], relin.a[:g]
         else:
             if relin3 is None:
                 raise ValueError("degree-3 relinearisation requires the s^3 key (relin3)")
@@ -835,177 +754,20 @@ class CkksRnsContext:
                 x_coeff = np.concatenate([coeff[:, 0], coeff[:, 1]], axis=0)  # (2k, ..., n)
             kb = np.concatenate([relin.b[:g], relin3.b[:g]], axis=0)
             ka = np.concatenate([relin.a[:g], relin3.a[:g]], axis=0)
-            r0, r1 = self._keyswitch_coeff(x_coeff, kb, ka, x.level)
+        r0, r1 = self.keyswitch.switch(x_coeff, kb, ka, x.level)
         c0 = np.stack([addmod(x.c0[i], r0[i], m) for i, m in enumerate(moduli)])
         c1 = np.stack([addmod(x.c1[i], r1[i], m) for i, m in enumerate(moduli)])
         return RnsCiphertext(c0, c1, x.level, x.scale)
-
-    # -- key switching core -----------------------------------------------------------
-
-    @traced("ckksrns.keyswitch")
-    def _keyswitch_coeff(
-        self, x_coeff: np.ndarray, kb: np.ndarray, ka: np.ndarray, level: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Hybrid key switch of a coefficient-domain stack; returns eval stacks.
-
-        ``x_coeff`` may be ``(k, n)`` or ``(k, B, n)`` — batch axes ride
-        through the digit decomposition, base conversions, transforms
-        and inner products unchanged, so a batched switch is
-        bit-identical to *B* independent ones (same per-element
-        arithmetic, same order).
-
-        ``x_coeff`` may also stack *p* source polynomials along the
-        leading axis — ``(p·k, ..., n)``, row ``s·k + i`` being channel
-        *i* of source *s* — with ``kb``/``ka`` holding the matching
-        digit keys, ``(p·G, k_top+α, n)`` for ``G = ⌈k/α⌉`` active
-        digits, row ``s·G + g``.  That is the merged multi-key switch of
-        degree-3 relinearisation: every source shares one NTT sweep and
-        one P-division.  Keys are always passed pre-sliced to the active
-        digit rows.
-
-        Large batches are processed in batch-axis chunks: the raised
-        digit tensor is ``(k+α) * D`` times the position size, so an
-        unchunked batch of many positions would allocate hundreds of MB
-        of temporaries and fall out of cache (measured super-linear
-        scaling in the batch size).  Chunking only splits the batch axis —
-        per-position arithmetic and ordering are untouched, so results
-        stay bit-identical.  The chunk budget is
-        :attr:`keyswitch_chunk_elems`.
-        """
-        k = level + 1
-        d_rows = kb.shape[0]
-        if x_coeff.ndim >= 3:
-            inner = int(np.prod(x_coeff.shape[2:]))
-            per_b = (k + self.alpha) * d_rows * inner
-            chunk = (
-                max(1, self.keyswitch_chunk_elems // per_b) if per_b else x_coeff.shape[1]
-            )
-            b = x_coeff.shape[1]
-            if b > chunk:
-                parts = [
-                    self._keyswitch_coeff(x_coeff[:, s : s + chunk], kb, ka, level)
-                    for s in range(0, b, chunk)
-                ]
-                return (
-                    np.concatenate([p[0] for p in parts], axis=1),
-                    np.concatenate([p[1] for p in parts], axis=1),
-                )
-        # All digits raised into every target modulus at once: a
-        # (k+α, D, ..., n) tensor through one batched transform.
-        ext = self.moduli[:k] + self.special_moduli
-        lifted_eval = self._ntt(self._raise_digits(x_coeff, level), ext)
-        return self._switch_raised(lifted_eval, kb, ka, level)
-
-    def _switch_raised(
-        self, lifted_eval: np.ndarray, kb: np.ndarray, ka: np.ndarray, level: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Key inner product and ModDown of an evaluation-domain raised stack.
-
-        ``lifted_eval`` is the ``(k+α, D, ..., n)`` forward transform of
-        :meth:`_raise_digits`.  The keys are ``(D, k_top+α, ..., n)``; their
-        axes between channel and coefficient align with the trailing batch
-        axes of ``lifted_eval`` (a hoisted :meth:`rotate` stacks one key
-        per step against the permuted copies of one raised stack).
-        """
-        k = level + 1
-        ext = self.moduli[:k] + self.special_moduli
-        d_rows = kb.shape[0]
-        # Key rows broadcast over the leading batch axes they lack.
-        pad = (1,) * (lifted_eval.ndim - kb.ndim)
-        contribs = []
-        for i, m in enumerate(ext):
-            key_idx = i if i < k else self.k_top + i - k
-            krow_b = kb[:, key_idx].reshape((d_rows,) + pad + kb.shape[2:])
-            krow_a = ka[:, key_idx].reshape((d_rows,) + pad + ka.shape[2:])
-            if d_rows * m * m < 2**63:
-                # Narrow modulus: raw products fit int64 even summed
-                # over all D digits, so skip the per-product
-                # reduction and fold one modulo at the end — exact,
-                # same ints as the reduced path.
-                le = lifted_eval[i]
-                p0 = np.multiply(le, krow_b, dtype=np.int64).sum(axis=0)
-                p1 = np.multiply(le, krow_a, dtype=np.int64).sum(axis=0)
-                contribs.append((p0 % m, p1 % m))
-            else:
-                p0 = mulmod(lifted_eval[i], krow_b, m)
-                p1 = mulmod(lifted_eval[i], krow_a, m)
-                contribs.append((p0.sum(axis=0) % m, p1.sum(axis=0) % m))
-        return self._mod_down_pair(contribs, level)
-
-    def _mod_down_pair(
-        self, contribs: "list[tuple[np.ndarray, np.ndarray]]", level: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both accumulator components divided by P (:meth:`_div_special`)."""
-        # Both accumulator components divide by P through one fused
-        # (k+α, 2, n) transform pair instead of two separate passes.
-        acc = np.stack(
-            [np.stack([c[0] for c in contribs]), np.stack([c[1] for c in contribs])],
-            axis=1,
-        )
-        r = self._div_special(acc, level)
-        return np.ascontiguousarray(r[:, 0]), np.ascontiguousarray(r[:, 1])
-
-    def _raise_digits(self, x_coeff: np.ndarray, level: int) -> np.ndarray:
-        """ModUp: the ``(k+α, D, ..., n)`` raised digit tensor, coefficient domain.
-
-        Digit *g* of a source polynomial is ``[x * hat_g^{-1}]_{Q_g}``
-        over the group's active primes: on its own channels that is just
-        ``x_i * hat_g^{-1} mod q_i``; every other active prime and the α
-        specials get the residue of its centered representative through
-        one exact base conversion.  With α = 1 the conversion of a
-        one-prime base is the centered lift ``d - q·[d > q/2]`` reduced
-        per target modulus.
-        """
-        k = level + 1
-        groups = self._digit_groups[k]
-        ext = self.moduli[:k] + self.special_moduli
-        batch = x_coeff.shape[1:]
-        x = x_coeff.reshape((-1, k) + batch)  # (p, k, ..., n)
-        lifted = np.empty((len(ext), x.shape[0], len(groups)) + batch, dtype=np.int64)
-        for g, (own, base, dst) in enumerate(groups):
-            for i in own:
-                lifted[i, :, g] = mulmod(
-                    x[:, i], np.int64(self.digit_hat_inv[i]), self.moduli[i]
-                )
-            approx_base_convert(
-                [lifted[i, :, g] for i in own],
-                base,
-                [ext[t] for t in dst],
-                out=[lifted[t, :, g] for t in dst],
-            )
-        return lifted.reshape((len(ext), -1) + batch)
-
-    def _div_special(self, acc_ext: np.ndarray, level: int) -> np.ndarray:
-        """ModDown, exact division by P: (acc - lift([acc]_P)) * P^{-1}, eval domain.
-
-        Accepts ``(k+α, n)`` stacks or ``(k+α, B, n)`` batches (extra
-        axes divide together, sharing the transforms).
-
-        Only the α special channels leave the evaluation domain: the
-        centered representative of ``[acc]_P`` is base-converted to each
-        chain modulus, transformed forward and subtracted *in eval
-        domain*.  The NTT is a ring isomorphism, so this is
-        bit-identical to inverse-transforming the whole stack,
-        subtracting in coefficient domain and transforming back — while
-        doing one α-channel inverse instead of ``k + α``
-        (see ``docs/KERNELS.md``).
-        """
-        k = level + 1
-        moduli = self.moduli[:k]
-        last = self._intt(acc_ext[k:], self.special_moduli)
-        lifted = approx_base_convert(last, self._special_base, moduli)
-        lift_eval = self._ntt(lifted, moduli)
-        out = np.empty((k,) + acc_ext.shape[1:], dtype=np.int64)
-        for i, m in enumerate(moduli):
-            t = submod(acc_ext[i], lift_eval[i], m)
-            out[i] = mulmod(t, np.int64(self.p_inv[i]), m)
-        return out
 
     # -- rescaling / level management ---------------------------------------------------
 
     @traced("ckksrns.rescale")
     def rescale(self, a: RnsCiphertext) -> RnsCiphertext:
         """``Resc(c)``: exact RNS division by the last prime of the level.
+
+        The division kernel of ModDown
+        (:func:`~repro.ckksrns.keyswitch.divide_exact`) with ``q_last``
+        as the dropped channel.
 
         Parameters
         ----------
@@ -1020,68 +782,8 @@ class CkksRnsContext:
         require_degree1(a, "rescale")
         if a.level == 0:
             raise ValueError("cannot rescale below level 0")
-        comps, q_last = self._rescale_comps([a.c0, a.c1], a.level)
-        return RnsCiphertext(comps[0], comps[1], a.level - 1, a.scale / q_last)
-
-    def _rescale_comps(
-        self, comps: list[np.ndarray], level: int
-    ) -> tuple[list[np.ndarray], int]:
-        """Exact divide-by-``q_last`` of any number of components.
-
-        Only the dropped channel leaves the evaluation domain; its
-        centered lift is transformed forward under every remaining
-        modulus and subtracted in eval domain.  Bit-identical to the
-        full coefficient-domain round trip (the NTT is a ring
-        isomorphism) at one single-channel inverse instead of ``k``
-        (see ``docs/KERNELS.md``).
-        """
-        k = level + 1
-        moduli = self.moduli[:k]
-        q_last = moduli[-1]
-        half = q_last // 2
-        last = NttPlan.get(self.n, q_last).inverse(
-            np.stack([c[k - 1] for c in comps])
-        )
-        lifted = np.where(last > half, last - q_last, last)
-        rem = moduli[:-1]
-        lift_eval = self._ntt(
-            np.stack([np.mod(lifted, np.int64(m)) for m in rem]), rem
-        )
-        out = np.empty((k - 1, len(comps)) + comps[0].shape[1:], dtype=np.int64)
-        for i, m in enumerate(rem):
-            inv = np.int64(pow(q_last % m, -1, m))
-            for c_idx, c in enumerate(comps):
-                out[i, c_idx] = mulmod(submod(c[i], lift_eval[i, c_idx], m), inv, m)
-        return [np.ascontiguousarray(out[:, j]) for j in range(len(comps))], q_last
-
-    def _rescale_coeff_comps(
-        self, comps: list[np.ndarray], level: int
-    ) -> list[np.ndarray]:
-        """Exact divide-by-``q_last`` of coefficient-domain components.
-
-        The channel-wise arithmetic of :meth:`_rescale_comps` with *no*
-        NTT at all: the dropped channel is already in coefficient form,
-        so its centered lift reduces into each remaining channel
-        directly.  Produces the exact integers of the eval-domain path
-        followed by an inverse transform (the NTT is a ring
-        isomorphism).
-        """
-        k = level + 1
-        moduli = self.moduli[:k]
-        q_last = moduli[-1]
-        half = q_last // 2
-        rem = moduli[:-1]
-        out = []
-        for c in comps:
-            lifted = np.where(c[k - 1] > half, c[k - 1] - q_last, c[k - 1])
-            oc = np.empty((k - 1,) + c.shape[1:], dtype=np.int64)
-            for i, m in enumerate(rem):
-                inv = np.int64(pow(q_last % m, -1, m))
-                oc[i] = mulmod(
-                    submod(c[i], np.mod(lifted, np.int64(m)), m), inv, m
-                )
-            out.append(oc)
-        return out
+        c0, c1 = divide_exact([a.c0, a.c1], self.moduli[: a.level], *self._rescale_by[a.level])
+        return RnsCiphertext(c0, c1, a.level - 1, a.scale / self.moduli[a.level])
 
     @traced("ckksrns.rescale_ext")
     def rescale_ext(self, x: RnsCiphertext, defer_high: bool = False) -> RnsCiphertext:
@@ -1104,22 +806,21 @@ class CkksRnsContext:
         if x.level == 0:
             raise ValueError("cannot rescale below level 0")
         comps = x.components()
-        q_last = self.moduli[x.level]
-        if x.coeff_high or defer_high:
-            low, _ = self._rescale_comps(comps[:2], x.level)
+        keep, drop = self.moduli[: x.level], self._rescale_by[x.level]
+        coeff_high = x.coeff_high or defer_high
+        if coeff_high:
             high = comps[2:]
             if not x.coeff_high:
-                stacked = np.stack(high, axis=1)  # (k, H, ..., n)
-                un = self._intt(stacked, self.moduli[: x.k])
+                un = self._intt(np.stack(high, axis=1), self.moduli[: x.k])  # (k, H, ..., n)
                 high = [un[:, j] for j in range(un.shape[1])]
-            high = self._rescale_coeff_comps(high, x.level)
-            comps = low + high
-            coeff_high = True
+            # Coefficient-domain high components divide with no transform.
+            comps = divide_exact(comps[:2], keep, *drop) + divide_exact(
+                high, keep, *drop, ntt=False
+            )
         else:
-            comps, q_last = self._rescale_comps(comps, x.level)
-            coeff_high = False
+            comps = divide_exact(comps, keep, *drop)
         return RnsCiphertext(
-            comps[0], comps[1], x.level - 1, x.scale / q_last, *comps[2:],
+            comps[0], comps[1], x.level - 1, x.scale / self.moduli[x.level], *comps[2:],
             deferred=True, coeff_high=coeff_high,
         )
 
@@ -1158,7 +859,7 @@ class CkksRnsContext:
         self,
         a: RnsCiphertext,
         rotation: "int | Sequence[int]",
-        galois: dict[int, RnsGaloisKey],
+        galois: dict[int, SwitchKey],
     ) -> "RnsCiphertext | list[RnsCiphertext]":
         """``Rot(c, r)``: left-rotate slots using the matching Galois key.
 
@@ -1203,18 +904,18 @@ class CkksRnsContext:
         out = [a.copy() if g is None else None for g in elements]
         live = [t for t, g in enumerate(elements) if g is not None]
         if live:
-            moduli = self.moduli[: a.k]
-            ext = moduli + self.special_moduli
-            lifted = self._ntt(self._raise_digits(self._intt(a.c1, moduli), a.level), ext)
-            g_act = len(self._digit_groups[a.k])
+            ks, moduli = self.keyswitch, self.moduli[: a.k]
+            raised = ks.mod_up(self._intt(a.c1, moduli), a.level)
             perms = [self.galois_permutation(elements[t]) for t in live]
             keys = [galois[elements[t]] for t in live]
-            r0, r1 = self._switch_raised(
-                np.stack([lifted[..., p] for p in perms], axis=-2),
-                np.stack([key.b[:g_act] for key in keys], axis=-2),
-                np.stack([key.a[:g_act] for key in keys], axis=-2),
+            d = ks.digits(a.level)
+            acc = ks.inner(
+                np.stack([raised[..., p] for p in perms], axis=-2),
+                np.stack([key.b[:d] for key in keys], axis=-2),
+                np.stack([key.a[:d] for key in keys], axis=-2),
                 a.level,
-            )  # (k, ..., steps, n)
+            )
+            r0, r1 = ks.mod_down(acc, a.level)  # (k, ..., steps, n)
             c0 = np.stack([a.c0[..., p] for p in perms], axis=-2)
             c0 = np.stack([addmod(c0[i], r0[i], m) for i, m in enumerate(moduli)])
             for s, t in enumerate(live):

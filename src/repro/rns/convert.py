@@ -5,9 +5,9 @@ CKKS paper [9]: residues over a base ``Q`` become residues over other
 moduli up to a small multiple of ``Q`` (the well-known ``v``-overflow),
 which a float estimate of ``v`` removes — leaving the **centered**
 representative.  It is the one base-conversion implementation in the
-repo: hybrid key switching (:mod:`repro.ckksrns.context`) raises every
+repo: hybrid key switching (:mod:`repro.ckksrns.keyswitch`) raises every
 digit group (ModUp) and divides the special primes out (ModDown)
-through it.
+through it, and the rescale lifts its dropped prime with it.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ def approx_base_convert(
     representative ``x_c in (-Q/2, Q/2]``.  The float sum carries about
     ``k * 2**-53`` of error, so ``v`` can only be off (by one, i.e. the
     result by one ``Q``) for ``|x_c|`` within ``k * 2**-52 * Q`` of
-    ``Q/2``; a single-prime source is always exact (``q`` is odd, and
-    ``y/q`` is never within ``2**-51`` of one half).
+    ``Q/2``.  A single-prime source skips the estimate: its centered
+    representative is the lift ``x − q·[x > q//2]``, exact.
 
     Parameters
     ----------
@@ -67,6 +67,14 @@ def approx_base_convert(
     if len(channels) != src.k:
         raise ValueError(f"expected {src.k} source channels, got {len(channels)}")
     dst_moduli = [int(p) for p in getattr(dst, "moduli", dst)]
+    if src.k == 1 and correct_overflow:
+        q = src.moduli[0]
+        lifted = np.where(channels[0] > q // 2, channels[0] - q, channels[0])
+        rows = [
+            np.mod(lifted, np.int64(p), out=None if out is None else out[j])
+            for j, p in enumerate(dst_moduli)
+        ]
+        return None if out is not None else np.stack(rows)
     # y_i = [x_i * hat_inv_i]_{q_i}
     ys = [
         channels[i] if src.hat_invs[i] == 1

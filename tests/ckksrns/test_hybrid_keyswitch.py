@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.ckks.sampling import DEFAULT_SIGMA
-from repro.ckksrns import CkksRnsContext, CkksRnsParams
+from repro.ckksrns import CkksRnsContext, CkksRnsParams, keyswitch
 from repro.ckksrns.ciphertext import RnsCiphertext
 from repro.data import load_synth_mnist, normalize_unit, to_nchw
 from repro.henn import CkksRnsBackend, build_cnn1, compile_model, slafify
@@ -184,7 +184,7 @@ def test_alpha1_rotate_is_the_gadget(gadget_backend, rng):
 
 
 @pytest.mark.parametrize("mode", ["serial", "sharded"])
-def test_alpha1_batched_switch_across_a_chunk_boundary(gadget_backend, mode, rng):
+def test_alpha1_batched_switch_across_a_chunk_boundary(gadget_backend, mode, rng, monkeypatch):
     """Five positions in chunks of 2 + 2 + 1 — or in shards of 3 + 2 and
     2 + 2 + 1, each chunked again — equal the unchunked gadget."""
     ctx, kp = gadget_backend.ctx, gadget_backend.keys
@@ -195,12 +195,10 @@ def test_alpha1_batched_switch_across_a_chunk_boundary(gadget_backend, mode, rng
     )
     want = gadget_relinearize(ctx, ctx.square_raw(batch), kp.relin)
     xs = [ctx.square_raw(ct) for ct in cts] if mode == "sharded" else [ctx.square_raw(batch)]
-    before = ctx.keyswitch_chunk_elems
-    ctx.keyswitch_chunk_elems = 2 * (ctx.k_top + 1) * ctx.k_top * ctx.n  # two positions
-    try:
-        got = relinearize_all(gadget_backend, mode, xs)
-    finally:
-        ctx.keyswitch_chunk_elems = before
+    monkeypatch.setattr(
+        keyswitch, "KEYSWITCH_CHUNK_ELEMS", 2 * (ctx.k_top + 1) * ctx.k_top * ctx.n
+    )  # two positions
+    got = relinearize_all(gadget_backend, mode, xs)
     c0 = np.stack([g.c0 for g in got], axis=1).reshape(want[0].shape)
     c1 = np.stack([g.c1 for g in got], axis=1).reshape(want[1].shape)
     assert np.array_equal(c0, want[0]) and np.array_equal(c1, want[1])
@@ -306,7 +304,7 @@ def test_grouped_merged_degree3_and_executors_agree(alpha, rng):
         assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
 
 
-def test_grouped_batch_is_bit_identical_per_position_and_chunk_invariant(rng):
+def test_grouped_batch_is_bit_identical_per_position_and_chunk_invariant(rng, monkeypatch):
     ctx = CkksRnsContext(_params(3))
     kp = ctx.keygen(3)
     cts = ctx.encrypt_many(kp.pk, [rng.uniform(-1, 1, ctx.slots) for _ in range(5)], 9)
@@ -319,7 +317,9 @@ def test_grouped_batch_is_bit_identical_per_position_and_chunk_invariant(rng):
         one = ctx.relinearize(ctx.square_raw(c), kp.relin)
         assert np.array_equal(whole.c0[:, j], one.c0) and np.array_equal(whole.c1[:, j], one.c1)
     digits = kp.relin.b.shape[0]
-    ctx.keyswitch_chunk_elems = 2 * (ctx.k_top + 3) * digits * ctx.n  # two positions
+    monkeypatch.setattr(
+        keyswitch, "KEYSWITCH_CHUNK_ELEMS", 2 * (ctx.k_top + 3) * digits * ctx.n
+    )  # two positions
     chunked = ctx.relinearize(ctx.square_raw(batch), kp.relin)
     assert np.array_equal(whole.c0, chunked.c0) and np.array_equal(whole.c1, chunked.c1)
 

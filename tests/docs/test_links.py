@@ -49,6 +49,29 @@ def test_checker_flags_deleted_package_symbols(tmp_path):
     assert flagged == ["repro.nosuch.module", "repro.serving.packing.MemberwiseBackend"]
 
 
+def test_checker_flags_missing_repo_paths(tmp_path):
+    """A backticked path under ``src/``, ``tests/``, ``tools/``, ``benchmarks/``,
+    ``examples/`` or ``docs/`` must exist once a ``::name`` / ``:line``
+    suffix is stripped; a glob must match something."""
+    (tmp_path / "tests" / "henn").mkdir(parents=True)
+    (tmp_path / "tests" / "henn" / "test_plan.py").write_text("")
+    (tmp_path / "a.md").write_text(
+        "kept: `tests/henn/test_plan.py::test_x`, `tests/henn/test_plan.py:12`, "
+        "`tests/henn/`, `tests/*/test_*.py`, `other/missing.py`\n"
+        "gone: `tests/henn/test_backend_agreement.py`, `src/nowhere.py:3–5`, `docs/*.md`\n"
+        "```\n`docs/fenced/blocks/are/skipped.md`\n```\n"
+    )
+    (tmp_path / "ROADMAP.md").write_text("history may name `tools/gone.py`\n")
+    proc = subprocess.run(
+        [sys.executable, str(CHECKER), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    flagged = [line.split("-> ")[1] for line in proc.stderr.splitlines() if "->" in line]
+    assert flagged == ["docs/*.md", "src/nowhere.py", "tests/henn/test_backend_agreement.py"]
+
+
 def test_architecture_and_observability_docs_linked_from_readme():
     readme = (REPO / "README.md").read_text()
     assert "docs/ARCHITECTURE.md" in readme

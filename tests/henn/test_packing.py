@@ -552,8 +552,9 @@ def _reference_rotate(ctx, a, r, galois):
     moduli = ctx.moduli[: a.k]
     key = galois[g]
     c1g = ctx._intt(_coeff_domain(ctx, a.c1, g, moduli), moduli)
-    groups = len(ctx._digit_groups[a.k])
-    r0, r1 = ctx._keyswitch_coeff(c1g, key.b[:groups], key.a[:groups], a.level)
+    ks, d = ctx.keyswitch, ctx.keyswitch.digits(a.level)
+    acc = ks.inner(ks.mod_up(c1g, a.level), key.b[:d], key.a[:d], a.level)
+    r0, r1 = ks.mod_down(acc, a.level)
     c0g = _coeff_domain(ctx, a.c0, g, moduli)
     c0 = np.stack([addmod(c0g[i], r0[i], m) for i, m in enumerate(moduli)])
     return RnsCiphertext(c0, r1, a.level, a.scale)

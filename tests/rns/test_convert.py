@@ -50,18 +50,25 @@ def _uniform_mod(rng, modulus: int, count: int) -> np.ndarray:
     )
 
 
-@pytest.mark.parametrize("src_bits", [(40, 26, 26), (26, 40, 26), (45, 45), (36, 36, 36), (40,)])
+@pytest.mark.parametrize(
+    "src_bits", [(40, 26, 26), (26, 40, 26), (45, 45), (36, 36, 36), (40,), (26,), (50,)]
+)
 @pytest.mark.parametrize("dst_bits", [26, 30, 36, 40, 45, 50])
 def test_mixed_width_conversion_is_exact_and_centered(rng, src_bits, dst_bits):
     """Every source/destination width mix, against big-int arithmetic.
 
     A source prime wider than a narrow destination used to overflow
     int64 inside ``mulmod`` (a 40-bit ``q_0`` into a 26- or 30-bit
-    prime); the corrected result is the *centered* representative.
+    prime); the corrected result is the *centered* representative.  A
+    one-prime source is the exact centered lift (the rescale's and
+    α = 1 key switching's), checked at its boundaries too.
     """
     src = RnsBase.from_bit_sizes(list(src_bits), 64)
     dst = RnsBase.from_bit_sizes([dst_bits, dst_bits], 64, exclude=set(src.moduli))
     x = _uniform_mod(rng, src.modulus, 2000)
+    if src.k == 1:
+        q = src.modulus
+        x = np.concatenate([np.array([0, 1, q // 2, q // 2 + 1, q - 1], dtype=object), x])
     centered = np.where(x > src.modulus // 2, x - src.modulus, x)
     got = approx_base_convert(rns_decompose(x, src), src, dst)
     assert np.array_equal(got, rns_decompose(centered, dst))

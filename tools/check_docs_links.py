@@ -15,9 +15,12 @@ an offline structural check. Exits non-zero listing every broken link.
 It also resolves every inline code span that is a dotted ``repro.…``
 path (``repro.henn.backend.HeBackend``, optionally with ``()``) to an
 importable module or an attribute chain below one, so a name deleted
-from the package cannot linger in the documentation.  The PR-process
-files that describe past or planned states (:data:`HISTORY_FILES`) are
-exempt from that check.
+from the package cannot linger in the documentation, and every inline
+code span that is a repo-relative path under one of :data:`PATH_ROOTS`
+(``tests/henn/test_plan.py``, optionally with a ``::name`` or ``:line``
+suffix; a glob must match something) to an existing file or directory.
+The PR-process files that describe past or planned states
+(:data:`HISTORY_FILES`) are exempt from those two checks.
 """
 
 from __future__ import annotations
@@ -36,6 +39,13 @@ HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
 #: A whole inline code span that is a dotted path into the package.
 SYMBOL_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+#: Top-level directories whose backticked paths must exist.
+PATH_ROOTS = ("src", "tests", "tools", "benchmarks", "examples", "docs")
+#: A whole inline code span that is a path under one of them, with an
+#: optional ``::name`` (pytest node) or ``:line`` / ``:line–line`` suffix.
+PATH_RE = re.compile(
+    rf"`((?:{'|'.join(PATH_ROOTS)})/[^`\s:]*)(?:::[^`\s]+|:\d+(?:[-–]\d+)?)?`"
+)
 #: Change log, roadmap and the issue being worked on name symbols that
 #: no longer (or do not yet) exist; their links are still checked.
 HISTORY_FILES = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
@@ -103,6 +113,13 @@ def resolves(dotted: str) -> bool:
     return False
 
 
+def path_exists(root: Path, rel: str) -> bool:
+    """Whether *rel* names a file or directory under *root* (a glob: matches one)."""
+    if any(c in rel for c in "*?["):
+        return any(root.glob(rel))
+    return (root / rel).exists()
+
+
 def iter_markdown(root: Path):
     for path in sorted(root.rglob("*.md")):
         if not any(part in SKIP_DIRS for part in path.parts):
@@ -132,6 +149,9 @@ def check(root: Path) -> list[str]:
             for dotted in sorted(set(_prose_matches(md, SYMBOL_RE))):
                 if not resolves(dotted):
                     errors.append(f"{md.relative_to(root)}: unresolved symbol -> {dotted}")
+            for rel in sorted(set(_prose_matches(md, PATH_RE))):
+                if not path_exists(root, rel):
+                    errors.append(f"{md.relative_to(root)}: missing path -> {rel}")
     return errors
 
 

@@ -67,6 +67,7 @@ import numpy as np
 
 from repro import obs
 from repro.ckksrns import CkksRnsContext, CkksRnsParams
+from repro.ckksrns.keyswitch import HybridKeySwitch
 from repro.henn.backend import CkksRnsBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly, model_depth
@@ -109,7 +110,7 @@ def record_sweeps(run) -> list[dict]:
     """Call *run* and return the transform shapes of every key-switch sweep in it."""
     sweeps: list[dict] = []
     inside = [False]
-    real_switch = CkksRnsContext._keyswitch_coeff
+    real_switch = HybridKeySwitch.switch
 
     def switch(self, x_coeff, kb, ka, level):
         sweeps.append(
@@ -129,7 +130,7 @@ def record_sweeps(run) -> list[dict]:
 
         return call
 
-    with mock.patch.object(CkksRnsContext, "_keyswitch_coeff", switch), mock.patch.object(
+    with mock.patch.object(HybridKeySwitch, "switch", switch), mock.patch.object(
         BatchedNttPlan, "forward", record("fwd", BatchedNttPlan.forward)
     ), mock.patch.object(BatchedNttPlan, "inverse", record("inv", BatchedNttPlan.inverse)):
         run()
@@ -201,7 +202,7 @@ def packed_census(engine: HeInferenceEngine, images: np.ndarray) -> tuple[list[d
     active: list = [None]
     in_rotate = [False]
     real_forward, real_rotate = PackedTaps.forward, CkksRnsContext.rotate
-    real_raise = CkksRnsContext._raise_digits
+    real_raise = HybridKeySwitch.mod_up
 
     def forward(self, be, x):
         active[0] = seen[id(self)]
@@ -230,7 +231,7 @@ def packed_census(engine: HeInferenceEngine, images: np.ndarray) -> tuple[list[d
     with obs.tracing() as tracer, mock.patch.object(
         PackedTaps, "forward", forward
     ), mock.patch.object(CkksRnsContext, "rotate", rotate), mock.patch.object(
-        CkksRnsContext, "_raise_digits", raise_digits
+        HybridKeySwitch, "mod_up", raise_digits
     ):
         enc = client.encrypt_request(images[2:3])
         response = service.try_classify(enc)
@@ -269,7 +270,7 @@ def sharded_census(images: np.ndarray, cores: int) -> tuple[dict, int]:
         engine.backend.ctx.shard_min_elems = 1
     enc = engine.encrypt_images(images)
     calls: list[tuple[int, int]] = []
-    real_switch = CkksRnsContext._keyswitch_coeff
+    real_switch = HybridKeySwitch.switch
 
     def switch(self, x_coeff, kb, ka, level):
         calls.append((threading.get_ident(), x_coeff.shape[1] if x_coeff.ndim == 3 else 1))
@@ -277,7 +278,7 @@ def sharded_census(images: np.ndarray, cores: int) -> tuple[dict, int]:
 
     reg = get_registry()
     before = reg.counter("relin.count").value
-    with mock.patch.object(CkksRnsContext, "_keyswitch_coeff", switch), mock.patch(
+    with mock.patch.object(HybridKeySwitch, "switch", switch), mock.patch(
         "os.sched_getaffinity", return_value=set(range(cores))
     ):
         scores = engine.run_encrypted(enc)
