@@ -33,7 +33,7 @@ from repro.ckksrns.keyswitch import HybridKeySwitch, SwitchKey, divide_exact
 from repro.ckksrns.params import CkksRnsParams
 from repro.nt.kernels import LimbMatrix, limb_gemm, scale_channels
 from repro.nt.modarith import addmod, mulmod, submod
-from repro.nt.ntt import BatchedNttPlan, NttPlan, bit_reverse_permutation
+from repro.nt.ntt import BatchedNttPlan, bit_reverse_permutation
 from repro.nt.primes import gen_ntt_primes
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import traced
@@ -93,7 +93,6 @@ class CkksRnsContext:
         )
         self.moduli: list[int] = self.ext_moduli[: self.k_top]
         self.special_moduli: list[int] = self.ext_moduli[self.k_top :]
-        self.plans = {m: NttPlan.get(params.n, m) for m in self.ext_moduli}
         #: Optional compile-once store for encoded plaintexts; installed
         #: by the inference-plan layer (:mod:`repro.henn.plan`) so scalar
         #: ``add_plain`` constants are encoded once per (value, scale,

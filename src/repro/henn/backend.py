@@ -12,8 +12,9 @@ only, so the same compiled model runs under:
 * :class:`CkksBackend` — multiprecision CKKS (the paper's CNN-HE).
 * :class:`CkksRnsBackend` — full-RNS CKKS (CNN-HE-RNS), whose
   ``weighted_sum_encoded`` evaluates a whole linear map as one exact
-  limb GEMM per residue channel, and whose batch entry points split the
-  packed position axis over the cores.
+  limb GEMM per residue channel, and whose grouping hook packs like
+  handles for the batch entry points and splits the packed position
+  axis over the cores.
 
 An activation leaves its outputs unrelinearised; the linear map behind
 it weights every component and relinearises its own, fewer, outputs
@@ -51,62 +52,20 @@ __all__ = [
 
 # ----------------------------------------------------------------- BSGS interpreter
 #
-# One interpreter serves every backend: the `ops` adapter supplies the
-# primitive operations, either on a single handle with scalar constants
-# (`_SinglePolyOps`, any backend) or on a batched (k, B, n) RNS
-# ciphertext with per-position constant vectors (`_RnsBatchOps`).  The
-# adapter contract: rescale / add, the raw products and relinearize as
-# on the backend — every op takes a handle of any degree it is defined
-# on — plus ``mul_plain_vec(h, consts, ps)`` and
-# ``add_plain_vec(h, consts)`` where ``consts`` has one value per packed
-# position.
+# One interpreter serves every backend and every handle shape: a lone
+# handle with a scalar (or per-slot vector) constant column, or a packed
+# (k, B, n) RNS group with one constant per position.  It calls the
+# backend's primitives — rescale / add, the raw products and
+# ``relinearize_ext``, each on a handle of any degree it is defined on —
+# plus ``_mul_consts(h, consts, ps)`` and ``_add_consts(h, consts)``,
+# the two ops whose constants follow the handle's shape.
 
 
-class _SinglePolyOps:
-    """Adapter: one handle, position batch of size 1.
-
-    A constant column of one value is a scalar; a column of one value
-    per slot (per-slot coefficient rows) is a plaintext slot vector.
-    """
-
-    __slots__ = ("b",)
-
-    def __init__(self, backend: "HeBackend"):
-        self.b = backend
-
-    @property
-    def delta(self) -> float:
-        return self.b.scale
-
-    def rescale(self, h: Any, defer_high: bool = False) -> Any:
-        return self.b.rescale(h, defer_high=defer_high)
-
-    def add(self, a: Any, b: Any) -> Any:
-        return self.b.add(a, b)
-
-    def mul_plain_vec(self, h: Any, consts: np.ndarray, ps: float) -> Any:
-        if len(consts) == 1:
-            return self.b.mul_plain_scalar(h, float(consts[0]), ps)
-        return self.b._mul_encoded(h, self.b._encode_vector(consts, ps, h.level), ps)
-
-    def add_plain_vec(self, h: Any, consts: np.ndarray) -> Any:
-        return self.b.add_plain(h, float(consts[0]) if len(consts) == 1 else consts)
-
-    def square_raw(self, h: Any) -> Any:
-        return self.b.square_raw(h)
-
-    def mul_raw(self, a: Any, b: Any) -> Any:
-        return self.b.mul_raw(a, b)
-
-    def relinearize(self, h: Any) -> Any:
-        return self.b.relinearize_ext(h)
-
-
-def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -> Any:
-    """Interpret a compiled BSGS program over one (possibly batched) handle.
+def _run_poly_program(b: "HeBackend", prog: PolyProgram, x: Any, coeffs: np.ndarray) -> Any:
+    """Interpret a compiled BSGS program on backend *b* over one (possibly packed) handle.
 
     ``coeffs`` is ``(B, degree + 1)`` with one coefficient row per packed
-    position (``B == 1`` for the single-handle path).  Baby powers are
+    position (``B == 1`` for a lone handle).  Baby powers are
     computed once; blocks are folded from the top giant down (Horner in
     ``y = x^baby_m``), their terms aligned to a common scale by per-term
     plain-scale compensation.  A constant-only top block is deferred and
@@ -140,14 +99,14 @@ def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -
     y_raw = None
     for j in range(2, prog.baby_top + 1):
         prev = powers[j - 1]
-        raw = ops.square_raw(prev) if j == 2 else ops.mul_raw(prev, x)
+        raw = b.square_raw(prev) if j == 2 else b.mul_raw(prev, x)
         if j == prog.baby_m and prog.giants > 1:
             # The giant power stays extended (no keyswitch) and must keep
             # its high component in the NTT domain: it feeds dyadic
             # ct x ext products in the Horner folds below.
-            y_raw = ops.rescale(raw)
+            y_raw = b.rescale(raw)
         else:
-            powers[j] = ops.relinearize(ops.rescale(raw, defer_high=True))
+            powers[j] = b.relinearize_ext(b.rescale(raw, defer_high=True))
     m = prog.baby_m
     acc = None  # block-sum accumulator, degree 1 until the first fold
     pending = None  # constants of a deferred degree-0 top block
@@ -158,9 +117,9 @@ def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -
             if bd == 0:
                 pending = coeffs[:, base]
                 continue
-            target = powers[bd].scale * ops.delta
+            target = powers[bd].scale * b.scale
         elif pending is not None:
-            acc = ops.mul_plain_vec(y_raw, pending, ops.delta)
+            acc = b._mul_consts(y_raw, pending, b.scale)
             pending = None
             target = acc.scale
         else:
@@ -168,15 +127,15 @@ def _run_poly_program(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -
             # raw giant power (degree 1 x 2 -> 3 is the ceiling the
             # merged sweep handles): relinearise the block sum now (the
             # identity on the first, still degree-1, block sum).
-            acc = ops.relinearize(ops.rescale(acc, defer_high=True))
-            acc = ops.mul_raw(acc, y_raw)
+            acc = b.relinearize_ext(b.rescale(acc, defer_high=True))
+            acc = b.mul_raw(acc, y_raw)
             target = acc.scale
         for j in range(bd, 0, -1):
             ps = target / powers[j].scale
-            term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
-            acc = term if acc is None else ops.add(acc, term)
-        acc = ops.add_plain_vec(acc, coeffs[:, base])
-    return ops.rescale(acc, defer_high=True)
+            term = b._mul_consts(powers[j], coeffs[:, base + j], ps)
+            acc = term if acc is None else b.add(acc, term)
+        acc = b._add_consts(acc, coeffs[:, base])
+    return b.rescale(acc, defer_high=True)
 
 
 @dataclass
@@ -259,11 +218,14 @@ class HeBackend(ABC):
     * request packing, degree 1 — ``concat_slots``, ``slice_slots``;
     * compile-once constants — ``encode_taps``.
 
-    **Derived composites** (6; defined here on top of the primitives):
-    ``weighted_sum_encoded``, ``poly_eval_many``, ``rescale_many``,
-    ``add_plain_each`` and ``relinearize_many`` are what the engine's
-    plan calls, and the real schemes override them with fused kernels;
-    ``poly_eval`` is spelled once and no scheme overrides it.
+    **Derived composites** (6; defined here on top of the primitives),
+    what the engine's plan calls: ``weighted_sum_encoded`` (the real
+    schemes override it with fused kernels), ``poly_eval`` and the four
+    batch entry points ``poly_eval_many``, ``rescale_many``,
+    ``add_plain_each`` and ``relinearize_many``, one call per group of
+    :meth:`_shard_plan` — here every handle alone; CKKS-RNS packs like
+    handles, overriding only that hook and the interpreter's
+    :meth:`_mul_consts` / :meth:`_add_consts`.
 
     Degree-1-only entry points raise
     :class:`~repro.ckks.ciphertext.CiphertextDegreeError` on an
@@ -482,39 +444,82 @@ class HeBackend(ABC):
             reg = get_registry()
             reg.counter("poly.bsgs.evals").inc()
             reg.counter("poly.bsgs.ct_mults").inc(program.ct_mults)
-            return _run_poly_program(_SinglePolyOps(self), program, x, coeffs)
+            return _run_poly_program(self, program, x, coeffs)
 
     def poly_eval_many(self, handles: Sequence[Any], rows: np.ndarray) -> list[Any]:
         """Evaluate one polynomial per handle (``rows[i]`` on ``handles[i]``).
 
-        The generic implementation loops :meth:`poly_eval`; the RNS
-        backend overrides it to evaluate all positions through shared
-        batched kernels.  ``rows`` may be a single row (broadcast to all
-        handles) or one row per handle.
+        ``rows`` may be a single row (broadcast) or one row per handle.
+        Each group of :meth:`_shard_plan` runs through *one* BSGS
+        program: on CKKS-RNS a ``(k, B, n)`` stack of like handles, one
+        NTT / keyswitch sweep per ciphertext multiply instead of *B*.
+        Bit-identical per position to :meth:`poly_eval` on the lone
+        handle: every context primitive is slot-parallel over the packed
+        axis, which is also why a group may run as position shards (the
+        span's ``shards`` tag counts them).
         """
         handles = list(handles)
         rows = self._check_poly_rows(rows, len(handles))
-        degree = rows.shape[1] - 1
+        program = compile_poly_program(rows.shape[1] - 1)
+        plan = self._shard_plan(handles)
+        reg = get_registry()
+        reg.counter("poly.bsgs.evals").inc(len(handles))
+        reg.counter("poly.bsgs.batches").inc(len(plan))
+        reg.counter("poly.bsgs.ct_mults").inc(program.ct_mults * len(plan))
         with obs.span(
-            "henn.poly_eval_many", backend=self.name, positions=len(handles), degree=degree
+            "henn.poly_eval_many", backend=self.name, positions=len(handles),
+            degree=program.degree, shards=sum(map(len, plan)),
         ):
-            return [self.poly_eval(h, row) for h, row in zip(handles, rows)]
+            return _run_shards(
+                handles, plan, lambda x, part: _run_poly_program(self, program, x, rows[part])
+            )
 
     def rescale_many(self, handles: Sequence[Any]) -> list[Any]:
-        """Rescale each handle (overridden with a packed batch on RNS)."""
-        return [self.rescale(h) for h in handles]
+        """:meth:`rescale` of each handle, one call per group of :meth:`_shard_plan`.
+
+        Bit-identical per handle, every component included — the
+        context's rescale is slot-parallel over the packed position axis.
+        """
+        handles = list(handles)
+        return _run_shards(handles, self._shard_plan(handles), lambda x, _: self.rescale(x))
 
     def add_plain_each(self, handles: Sequence[Any], values: np.ndarray) -> list[Any]:
-        """``handles[i] + values[i]`` per handle (batched on RNS)."""
-        return [self.add_plain(h, float(v)) for h, v in zip(handles, values)]
+        """``handles[i] + values[i]`` per handle, one call per group."""
+        handles = list(handles)
+        values = np.asarray(values, dtype=np.float64)
+        return _run_shards(
+            handles, self._shard_plan(handles), lambda x, part: self._add_consts(x, values[part])
+        )
 
     def relinearize_many(self, handles: Sequence[Any]) -> list[Any]:
         """:meth:`relinearize_ext` of each handle (degree 1 passes through).
 
-        The RNS backend runs one merged sweep per packed group instead —
-        the sweep a linear map pays for its outputs.
+        One merged key-switch sweep per group of extended handles
+        (``relin.count`` + 1 per group, however many shards run it) —
+        on CKKS-RNS, the sweep a linear map pays for its outputs.
         """
-        return [self.relinearize_ext(h) for h in handles]
+        handles = list(handles)
+        plan = [s for s in self._shard_plan(handles) if handles[int(s[0][0])].degree > 1]
+        return _run_shards(handles, plan, lambda x, _: self.relinearize_ext(x))
+
+    def _shard_plan(self, handles: list[Any]) -> "list[list[Sequence[int]]]":
+        """The groups the batch entry points run, each as its shards of handle indices.
+
+        Here every handle is a group of one shard, ``[i]``; a backend
+        whose kernels stack like handles (CKKS-RNS) groups them.
+        """
+        return [[[i]] for i in range(len(handles))]
+
+    def _mul_consts(self, h: Any, consts: np.ndarray, ps: float) -> Any:
+        """*h* times one constant per packed position, encoded at *ps*: on
+        a lone handle a scalar, or a slot vector for per-slot rows."""
+        if len(consts) == 1:
+            return self.mul_plain_scalar(h, float(consts[0]), ps)
+        return self._mul_encoded(h, self._encode_vector(consts, ps, h.level), ps)
+
+    def _add_consts(self, h: Any, consts: np.ndarray) -> Any:
+        """*h* plus one constant per packed position (as :meth:`_mul_consts`)."""
+        return self.add_plain(h, float(consts[0]) if len(consts) == 1 else consts)
 
     @staticmethod
     def _check_poly_rows(rows: np.ndarray, count: int) -> np.ndarray:
@@ -823,13 +828,15 @@ class CkksBackend(HeBackend):
 class CkksRnsBackend(HeBackend):
     """The paper's CNN-HE-RNS backend: residue channels, position shards over the cores.
 
-    ``poly_eval_many``, ``rescale_many``, ``add_plain_each`` and
-    ``relinearize_many`` pack each group of like handles into one
-    ``(k, B, n)`` ciphertext and split its positions into contiguous
+    It only chooses the groups of the base class's batch entry points
+    (:meth:`_shard_plan`): each group of like handles packs into one
+    ``(k, B, n)`` ciphertext, its positions split into contiguous
     shards, one per usable core while each keeps
-    ``ctx.shard_min_elems`` elements (:meth:`_shard_plan`).  Every
-    context primitive is slot-parallel over the packed axis, so a shard
-    computes exactly what the whole group computes on its positions.
+    ``ctx.shard_min_elems`` elements.  Every context primitive is
+    slot-parallel over the packed axis, so a shard computes exactly what
+    the whole group computes on its positions; only the per-position
+    constants of a packed group need the context's ``*_many`` ops
+    (:meth:`_mul_consts`, :meth:`_add_consts`).
     """
 
     name = "ckks-rns"
@@ -941,70 +948,6 @@ class CkksRnsBackend(HeBackend):
                 return self.ctx.weighted_sum_plain(list(handles), rows)
             return self.ctx.weighted_sum(list(handles), emap.matrix, emap.plain_scale)
 
-    def poly_eval_many(self, handles: Sequence[Any], rows: np.ndarray) -> list[RnsCiphertext]:
-        """Batched BSGS: pack positions into one ciphertext per level group.
-
-        Handles sharing (level, scale) stack into a single
-        :class:`RnsCiphertext` with ``(k, B, n)`` components, so the
-        whole position batch runs through *one* BSGS program — one NTT /
-        keyswitch sweep per ciphertext multiply instead of *B*.
-        Per-position SLAF coefficients apply through
-        :meth:`CkksRnsContext.mul_plain_scalar_many` /
-        :meth:`~CkksRnsContext.add_plain_many`.  Bit-identical per
-        position to :meth:`poly_eval` on the lone handle, because every
-        context primitive is slot-parallel over the packed axis — which
-        is also why each group may run as position shards (the span's
-        ``shards`` tag counts them).
-        """
-        handles = list(handles)
-        rows = self._check_poly_rows(rows, len(handles))
-        degree = rows.shape[1] - 1
-        program = compile_poly_program(degree)
-        plan = self._shard_plan(handles)
-        reg = get_registry()
-        reg.counter("poly.bsgs.evals").inc(len(handles))
-        reg.counter("poly.bsgs.batches").inc(len(plan))
-        reg.counter("poly.bsgs.ct_mults").inc(program.ct_mults * len(plan))
-        with obs.span(
-            "henn.poly_eval_many", backend=self.name, positions=len(handles), degree=degree,
-            shards=sum(map(len, plan)),
-        ):
-            return self._run_shards(
-                handles, plan,
-                lambda x, part: _run_poly_program(_RnsBatchOps(self), program, x, rows[part]),
-            )
-
-    def rescale_many(self, handles: Sequence[RnsCiphertext]) -> list[RnsCiphertext]:
-        """Batched rescale: one transform pair per packed group (shard).
-
-        Bit-identical per handle to :meth:`rescale`, every component
-        included — the context's rescale is slot-parallel over the
-        packed position axis.
-        """
-        handles = list(handles)
-        return self._run_shards(handles, self._shard_plan(handles), lambda x, _: self.rescale(x))
-
-    def add_plain_each(self, handles: Sequence[RnsCiphertext], values: np.ndarray) -> list[RnsCiphertext]:
-        """Batched per-handle plaintext adds (``values[i]`` onto ``handles[i]``)."""
-        handles = list(handles)
-        values = np.asarray(values, dtype=np.float64)
-        return self._run_shards(
-            handles, self._shard_plan(handles),
-            lambda x, part: self.ctx.add_plain_many(x, values[part]),
-        )
-
-    def relinearize_many(self, handles: Sequence[RnsCiphertext]) -> list[RnsCiphertext]:
-        """One merged key-switch sweep per packed group of extended handles.
-
-        Degree-1 handles pass through; each group of extended ones is
-        stacked along the position axis and relinearised once
-        (``relin.count`` + 1 per group, however many shards run it),
-        bit-identical per handle to :meth:`relinearize_ext`.
-        """
-        handles = list(handles)
-        plan = [s for s in self._shard_plan(handles) if handles[int(s[0][0])].degree > 1]
-        return self._run_shards(handles, plan, lambda x, _: self.relinearize_ext(x))
-
     def _shard_plan(self, handles: list[RnsCiphertext]) -> "list[list[np.ndarray]]":
         """Per packed group (:func:`_rns_groups`), its contiguous position shards.
 
@@ -1022,19 +965,41 @@ class CkksRnsBackend(HeBackend):
             plan.append(np.array_split(idxs, max(1, count)))
         return plan
 
-    def _run_shards(
-        self,
-        handles: list[RnsCiphertext],
-        plan: "list[list[np.ndarray]]",
-        fn: "Callable[[RnsCiphertext, np.ndarray], RnsCiphertext]",
-    ) -> list[RnsCiphertext]:
-        """``fn(packed shard, its indices)`` for every shard of *plan*, one
-        fork-join per group (:func:`_fork_join`); handles of no group pass
-        through."""
-        out = list(handles)
-        for shards in plan:
-            _fork_join(lambda part: _unpack_rns(fn(_pack_rns(handles, part), part), part, out), shards)
-        return out
+    # A packed (k, B, n) group takes one constant per position.
+
+    def _mul_consts(self, h, consts: np.ndarray, ps: float):
+        if h.c0.ndim == 3:
+            return self.ctx.mul_plain_scalar_many(h, consts, ps)
+        return super()._mul_consts(h, consts, ps)
+
+    def _add_consts(self, h, consts: np.ndarray):
+        if h.c0.ndim == 3:
+            return self.ctx.add_plain_many(h, consts)
+        return super()._add_consts(h, consts)
+
+
+# --------------------------------------------------------------------------- groups and shards
+
+
+def _run_shards(handles: list[Any], plan: "list[list[Sequence[int]]]", fn: Callable) -> list[Any]:
+    """``fn(shard, its indices)`` for every shard of *plan*, one fork-join per
+    group (:func:`_fork_join`); handles of no group pass through.
+
+    A one-handle shard is the handle itself; a wider one (CKKS-RNS) is
+    packed into ``(k, B, n)`` components and sliced back afterwards.
+    """
+    out = list(handles)
+
+    def run(part: Sequence[int]) -> None:
+        if len(part) == 1:
+            i = part[0]
+            out[i] = fn(handles[i], part)
+        else:
+            _unpack_rns(fn(_pack_rns(handles, part), part), part, out)
+
+    for shards in plan:
+        _fork_join(run, shards)
+    return out
 
 
 #: The position-shard pools by process id: a pool inherited across
@@ -1094,21 +1059,3 @@ def _unpack_rns(res: RnsCiphertext, idxs: np.ndarray, out: "list[RnsCiphertext |
         out[int(i)] = with_components(
             res, [np.ascontiguousarray(c[:, b]) for c in res.components()]
         )
-
-
-class _RnsBatchOps(_SinglePolyOps):
-    """Adapter: batched ``(k, B, n)`` RNS ciphertext, per-position constants.
-
-    Every primitive delegates to the backend (hence the context), whose
-    elementwise kernels, NTT plans and keyswitch are shape-generic over
-    the packed position axis; only the plaintext-constant ops need the
-    position-aware ``*_many`` variants.
-    """
-
-    __slots__ = ()
-
-    def mul_plain_vec(self, h: RnsCiphertext, consts: np.ndarray, ps: float) -> RnsCiphertext:
-        return self.b.ctx.mul_plain_scalar_many(h, consts, ps)
-
-    def add_plain_vec(self, h: RnsCiphertext, consts: np.ndarray) -> RnsCiphertext:
-        return self.b.ctx.add_plain_many(h, consts)

@@ -89,6 +89,11 @@ __all__ = [
 #: its future before answering with a ``compute`` error.
 REQUEST_TIMEOUT_S = 120.0
 
+#: Jittered fraction of each :meth:`Client.classify_with_retry` backoff
+#: delay, in ``[0, 1]``: ``1.0`` draws the whole delay uniformly from
+#: ``[0, base]``; ``0.0`` is the deterministic exponential schedule.
+RETRY_JITTER = 1.0
+
 
 @dataclass(frozen=True)
 class ServiceError:
@@ -212,8 +217,6 @@ class Client:
         max_attempts: int = 3,
         backoff_seconds: float = 0.0,
         *,
-        jitter: float = 1.0,
-        max_elapsed: float | None = None,
         seed: int | None = None,
     ) -> np.ndarray:
         """Full round trip with bounded client-side retry.
@@ -229,46 +232,27 @@ class Client:
         *k*, from the base delay ``backoff_seconds * 2^(k-2)`` — the
         polite response to an ``overload`` rejection from a
         backpressured :class:`BatchedCloudService` (its queue needs
-        draining, not hammering).  By default the delay is **fully
-        jittered** (uniform in ``[0, base]``, AWS-style): a fleet of
-        clients rejected together must not retry in lockstep, or every
-        backoff wave arrives as the same thundering herd that overloaded
-        the gateway in the first place.
+        draining, not hammering).  The delay is **fully jittered**
+        (:data:`RETRY_JITTER`; uniform in ``[0, base]``, AWS-style): a
+        fleet of clients rejected together must not retry in lockstep,
+        or every backoff wave arrives as the same thundering herd that
+        overloaded the gateway in the first place.
 
         Parameters
         ----------
-        jitter:
-            Jittered fraction of each backoff delay, in ``[0, 1]``:
-            ``1.0`` (default) draws the whole delay uniformly from
-            ``[0, base]``; ``0.0`` restores the deterministic
-            exponential schedule.
-        max_elapsed:
-            Wall-clock cap in seconds across *all* attempts and
-            backoffs: once the budget cannot cover the next delay the
-            client gives up immediately with the last sanitised error
-            instead of sleeping past its own deadline.
         seed:
             Seeds the jitter RNG (reproducible tests); ``None`` draws
             from the process RNG.
         """
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if max_elapsed is not None and max_elapsed <= 0:
-            raise ValueError("max_elapsed must be positive (or None)")
         images = np.asarray(images, dtype=np.float64)
         rng = random.Random(seed)
-        started = time.monotonic()
         error: ServiceError | None = None
         for attempt in range(1, max_attempts + 1):
             if attempt > 1:
                 base = backoff_seconds * 2 ** (attempt - 2)
-                delay = base * (1.0 - jitter) + rng.uniform(0.0, base * jitter)
-                if max_elapsed is not None:
-                    remaining = max_elapsed - (time.monotonic() - started)
-                    if remaining <= delay:
-                        raise ProtocolError(error, attempts=attempt - 1)
+                delay = base * (1.0 - RETRY_JITTER) + rng.uniform(0.0, base * RETRY_JITTER)
                 get_registry().counter("resilience.protocol_retries").inc()
                 if delay > 0:
                     time.sleep(delay)

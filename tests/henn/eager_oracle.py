@@ -30,12 +30,12 @@ from repro.nt.kernels import PolyProgram
 __all__ = ["interpreting_eagerly", "run_poly_program_eager"]
 
 
-def run_poly_program_eager(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -> Any:
+def run_poly_program_eager(b: Any, prog: PolyProgram, x: Any, coeffs: np.ndarray) -> Any:
     """Interpret a compiled BSGS program, relinearising after every product.
 
-    ``ops`` is the library's adapter (one handle or a packed position
-    batch) and ``coeffs`` is ``(B, degree + 1)``, exactly as for the
-    library's interpreter.  Blocks fold from the top giant down (Horner
+    ``b`` is the backend, ``x`` one handle or a packed position batch
+    and ``coeffs`` is ``(B, degree + 1)``, exactly as for the library's
+    interpreter.  Blocks fold from the top giant down (Horner
     in ``y = x^baby_m``); each fold rescales the block sum *before* the
     product.  A constant-only top block is deferred into the first giant
     step as a plaintext multiply.  Ends with one rescale back to ~Δ, on a
@@ -44,8 +44,8 @@ def run_poly_program_eager(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarr
     powers = {1: x}
     for j in range(2, prog.baby_top + 1):
         prev = powers[j - 1]
-        raw = ops.square_raw(prev) if j == 2 else ops.mul_raw(prev, x)
-        powers[j] = ops.rescale(ops.relinearize(raw))
+        raw = b.square_raw(prev) if j == 2 else b.mul_raw(prev, x)
+        powers[j] = b.rescale(b.relinearize_ext(raw))
     y = powers[prog.baby_m] if prog.giants > 1 else None
     m = prog.baby_m
     acc = None
@@ -57,20 +57,20 @@ def run_poly_program_eager(ops: Any, prog: PolyProgram, x: Any, coeffs: np.ndarr
             if bd == 0:
                 pending = coeffs[:, base]
                 continue
-            target = powers[bd].scale * ops.delta
+            target = powers[bd].scale * b.scale
         elif pending is not None:
-            acc = ops.mul_plain_vec(y, pending, ops.delta)
+            acc = b._mul_consts(y, pending, b.scale)
             pending = None
             target = acc.scale
         else:
-            acc = ops.relinearize(ops.mul_raw(ops.rescale(acc), y))
+            acc = b.relinearize_ext(b.mul_raw(b.rescale(acc), y))
             target = acc.scale
         for j in range(bd, 0, -1):
             ps = target / powers[j].scale
-            term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
-            acc = term if acc is None else ops.add(acc, term)
-        acc = ops.add_plain_vec(acc, coeffs[:, base])
-    return ops.rescale(acc)
+            term = b._mul_consts(powers[j], coeffs[:, base + j], ps)
+            acc = term if acc is None else b.add(acc, term)
+        acc = b._add_consts(acc, coeffs[:, base])
+    return b.rescale(acc)
 
 
 @contextmanager

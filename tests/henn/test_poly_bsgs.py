@@ -7,8 +7,9 @@ with direct polynomial evaluation on every backend:
   same polynomial, so it matches Horner/`polyval` to float rounding;
 * **CKKS / CKKS-RNS** — decrypted results match the plaintext
   polynomial within the documented approximation bound for Δ = 2**26;
-* **CKKS-RNS batching** — ``poly_eval_many`` packs positions into one
-  batched ciphertext per ``(level, scale)`` group and must be
+* **batching** — ``poly_eval_many`` packs positions into one batched
+  ciphertext per ``(level, scale)`` group on CKKS-RNS, and runs every
+  handle as its own group on CKKS and the mock; on all three it must be
   *bit-identical* to evaluating each handle alone, as must the batched
   ``rescale_many`` / ``add_plain_each`` helpers and ``encrypt_many``.
 """
@@ -23,6 +24,7 @@ from repro.nt.kernels import MAX_POLY_DEGREE, compile_poly_program
 from repro.obs.metrics import get_registry
 from repro.utils.rng import derive_rng
 
+from .test_ciphertext_degree import _same
 from .test_encrypt_batch import reference_encrypt
 
 #: Documented decrypt-precision bound for BSGS SLAF evaluation at
@@ -51,6 +53,16 @@ def ckks():
     return CkksBackend(
         CkksParams(n=128, scale_bits=26, q0_bits=40, levels=6, hw=16), seed=0
     )
+
+
+@pytest.fixture(scope="module")
+def mock():
+    return MockBackend(batch=8, levels=12)
+
+
+#: ``poly_eval_many`` on packed groups (rns) and on the base class's
+#: one-handle groups (ckks, the quantized mock).
+BATCH_BACKENDS = pytest.mark.parametrize("kind", ["rns", "ckks", "mock"])
 
 
 def _coeffs(rng, degree):
@@ -96,38 +108,50 @@ def test_bsgs_final_scale_and_level(rns):
         assert np.isclose(out.scale, rns.scale, rtol=0.05)
 
 
-def test_poly_eval_many_bitidentical_to_singles(rns, rng):
+@BATCH_BACKENDS
+def test_poly_eval_many_bitidentical_to_singles(kind, request, rng):
     """Packed evaluation equals per-handle evaluation down to the last limb."""
+    backend = request.getfixturevalue(kind)
     coeffs = np.array([0.1, -0.3, 0.25, 0.2])
     rows = np.tile(coeffs, (5, 1))
-    handles = [rns.encrypt(rng.uniform(-1, 1, 8)) for _ in range(5)]
-    batched = rns.relinearize_many(rns.poly_eval_many(handles, rows))
-    singles = [_poly(rns, h, coeffs) for h in handles]
+    handles = [backend.encrypt(rng.uniform(-1, 1, 8)) for _ in range(5)]
+    batched = backend.relinearize_many(backend.poly_eval_many(handles, rows))
+    singles = [_poly(backend, h, coeffs) for h in handles]
     for b, s in zip(batched, singles):
-        assert np.array_equal(b.c0, s.c0) and np.array_equal(b.c1, s.c1)
-        assert b.level == s.level and b.scale == s.scale
+        _same(b, s, backend)
+        if kind != "mock":
+            assert np.array_equal(b.c0, s.c0) and np.array_equal(b.c1, s.c1)
+            assert b.level == s.level and b.scale == s.scale
 
 
-def test_poly_eval_many_per_row_coeffs(rns, rng):
+@BATCH_BACKENDS
+def test_poly_eval_many_per_row_coeffs(kind, request, rng):
     """Per-position coefficient rows (the per-channel SLAF path) batch exactly."""
+    backend = request.getfixturevalue(kind)
     rows = np.array([[0.1, 0.5, -0.2, 0.3], [0.0, -0.4, 0.1, 0.2], [0.2, 0.2, 0.2, 0.1]])
-    handles = [rns.encrypt(rng.uniform(-1, 1, 8)) for _ in range(3)]
-    batched = rns.relinearize_many(rns.poly_eval_many(handles, rows))
+    handles = [backend.encrypt(rng.uniform(-1, 1, 8)) for _ in range(3)]
+    batched = backend.relinearize_many(backend.poly_eval_many(handles, rows))
     for b, h, row in zip(batched, handles, rows):
-        s = _poly(rns, h, row)
-        assert np.array_equal(b.c0, s.c0) and np.array_equal(b.c1, s.c1)
+        s = _poly(backend, h, row)
+        _same(b, s, backend)
+        if kind != "mock":
+            assert np.array_equal(b.c0, s.c0) and np.array_equal(b.c1, s.c1)
 
 
-def test_poly_eval_many_mixed_levels(rns, rng):
+@BATCH_BACKENDS
+def test_poly_eval_many_mixed_levels(kind, request, rng):
     """Handles at different (level, scale) split into groups, still exact."""
+    backend = request.getfixturevalue(kind)
     coeffs = np.array([0.1, 0.4, -0.3])
-    hs = [rns.encrypt(rng.uniform(-1, 1, 8)) for _ in range(4)]
-    hs[1] = rns.rescale(rns.mul_plain_scalar(hs[1], 0.5))
-    hs[3] = rns.rescale(rns.mul_plain_scalar(hs[3], 0.25))
-    batched = rns.relinearize_many(rns.poly_eval_many(hs, np.tile(coeffs, (4, 1))))
+    hs = [backend.encrypt(rng.uniform(-1, 1, 8)) for _ in range(4)]
+    hs[1] = backend.rescale(backend.mul_plain_scalar(hs[1], 0.5))
+    hs[3] = backend.rescale(backend.mul_plain_scalar(hs[3], 0.25))
+    batched = backend.relinearize_many(backend.poly_eval_many(hs, np.tile(coeffs, (4, 1))))
     for b, h in zip(batched, hs):
-        s = _poly(rns, h, coeffs)
-        assert np.array_equal(b.c0, s.c0) and np.array_equal(b.c1, s.c1)
+        s = _poly(backend, h, coeffs)
+        _same(b, s, backend)
+        if kind != "mock":
+            assert np.array_equal(b.c0, s.c0) and np.array_equal(b.c1, s.c1)
 
 
 def test_rescale_many_and_add_plain_each_bitidentical(rns, rng):

@@ -240,7 +240,7 @@ def test_degrees_one_and_two_bit_identical_to_parent():
 # -- CNN1 / CNN2 against the parent schedule -----------------------------------------
 
 
-def _parent_fold_lazy(ops, prog, x, coeffs):
+def _parent_fold_lazy(b, prog, x, coeffs):
     """Frozen copy of PR 13's lazy interpreter: ``rescale(acc * y)`` after
     each fold (Δ²·Δ → two rescales), one level more per fold.  Schedule as
     recorded; only the op names follow the one-family backend interface."""
@@ -248,11 +248,11 @@ def _parent_fold_lazy(ops, prog, x, coeffs):
     y_raw = None
     for j in range(2, prog.baby_top + 1):
         prev = powers[j - 1]
-        raw = ops.square_raw(prev) if j == 2 else ops.mul_raw(prev, x)
+        raw = b.square_raw(prev) if j == 2 else b.mul_raw(prev, x)
         if j == prog.baby_m and prog.giants > 1:
-            y_raw = ops.rescale(raw)
+            y_raw = b.rescale(raw)
         else:
-            powers[j] = ops.relinearize(ops.rescale(raw, defer_high=True))
+            powers[j] = b.relinearize_ext(b.rescale(raw, defer_high=True))
     m = prog.baby_m
     acc = acc_ext = pending = None
     for g in range(prog.giants - 1, -1, -1):
@@ -262,32 +262,32 @@ def _parent_fold_lazy(ops, prog, x, coeffs):
             if bd == 0:
                 pending = coeffs[:, base]
                 continue
-            target = powers[bd].scale * ops.delta
+            target = powers[bd].scale * b.scale
         elif pending is not None:
-            acc_ext = ops.mul_plain_vec(y_raw, pending, ops.delta)
+            acc_ext = b._mul_consts(y_raw, pending, b.scale)
             pending = None
             target = acc_ext.scale
         else:
             if acc_ext is not None:
-                acc = ops.relinearize(acc_ext)
+                acc = b.relinearize_ext(acc_ext)
                 acc_ext = None
-            acc_ext = ops.rescale(ops.mul_raw(acc, y_raw), defer_high=True)
+            acc_ext = b.rescale(b.mul_raw(acc, y_raw), defer_high=True)
             acc = None
             target = acc_ext.scale
         for j in range(bd, 0, -1):
             ps = target / powers[j].scale
-            term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
+            term = b._mul_consts(powers[j], coeffs[:, base + j], ps)
             if acc_ext is not None:
-                acc_ext = ops.add(acc_ext, term)
+                acc_ext = b.add(acc_ext, term)
             else:
-                acc = term if acc is None else ops.add(acc, term)
+                acc = term if acc is None else b.add(acc, term)
         if acc_ext is not None:
-            acc_ext = ops.add_plain_vec(acc_ext, coeffs[:, base])
+            acc_ext = b._add_consts(acc_ext, coeffs[:, base])
         else:
-            acc = ops.add_plain_vec(acc, coeffs[:, base])
+            acc = b._add_consts(acc, coeffs[:, base])
     if acc_ext is not None:
-        return ops.relinearize(ops.rescale(acc_ext, defer_high=True))
-    return ops.rescale(acc)
+        return b.relinearize_ext(b.rescale(acc_ext, defer_high=True))
+    return b.rescale(acc)
 
 
 def _smoke_engine(layers, depth: int) -> HeInferenceEngine:

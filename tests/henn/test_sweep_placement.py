@@ -45,18 +45,18 @@ PARENT_SCHEDULE_DIGESTS = {
 }
 
 
-def parent_lazy(ops, prog, x, coeffs):
+def parent_lazy(b, prog, x, coeffs):
     """The parent's lazy interpreter, frozen: it relinearises its last
     block sum itself, over every position of the activation."""
     powers = {1: x}
     y_raw = None
     for j in range(2, prog.baby_top + 1):
         prev = powers[j - 1]
-        raw = ops.square_raw(prev) if j == 2 else ops.mul_raw(prev, x)
+        raw = b.square_raw(prev) if j == 2 else b.mul_raw(prev, x)
         if j == prog.baby_m and prog.giants > 1:
-            y_raw = ops.rescale(raw)
+            y_raw = b.rescale(raw)
         else:
-            powers[j] = ops.relinearize(ops.rescale(raw, defer_high=True))
+            powers[j] = b.relinearize_ext(b.rescale(raw, defer_high=True))
     m = prog.baby_m
     acc = None
     pending = None
@@ -67,21 +67,21 @@ def parent_lazy(ops, prog, x, coeffs):
             if bd == 0:
                 pending = coeffs[:, base]
                 continue
-            target = powers[bd].scale * ops.delta
+            target = powers[bd].scale * b.scale
         elif pending is not None:
-            acc = ops.mul_plain_vec(y_raw, pending, ops.delta)
+            acc = b._mul_consts(y_raw, pending, b.scale)
             pending = None
             target = acc.scale
         else:
-            acc = ops.relinearize(ops.rescale(acc, defer_high=True))
-            acc = ops.mul_raw(acc, y_raw)
+            acc = b.relinearize_ext(b.rescale(acc, defer_high=True))
+            acc = b.mul_raw(acc, y_raw)
             target = acc.scale
         for j in range(bd, 0, -1):
             ps = target / powers[j].scale
-            term = ops.mul_plain_vec(powers[j], coeffs[:, base + j], ps)
-            acc = term if acc is None else ops.add(acc, term)
-        acc = ops.add_plain_vec(acc, coeffs[:, base])
-    return ops.relinearize(ops.rescale(acc, defer_high=True))
+            term = b._mul_consts(powers[j], coeffs[:, base + j], ps)
+            acc = term if acc is None else b.add(acc, term)
+        acc = b._add_consts(acc, coeffs[:, base])
+    return b.relinearize_ext(b.rescale(acc, defer_high=True))
 
 
 def _backend(kind: str, depth: int):

@@ -445,6 +445,28 @@ def test_one_bsgs_interpreter_and_no_relinearising_products():
         assert not _methods(classes[name]) & dropped, name
 
 
+def test_batch_entry_points_are_written_once():
+    """``poly_eval_many``, ``rescale_many``, ``add_plain_each`` and
+    ``relinearize_many`` live on ``HeBackend`` over one grouping hook
+    (``_shard_plan``) and one module-level ``_run_shards``: the
+    interpreter takes the backend itself (no ``_SinglePolyOps`` /
+    ``_RnsBatchOps`` adapter), and ``CkksRnsBackend`` only chooses the
+    groups."""
+    classes: dict[str, ast.ClassDef] = {}
+    runners = []
+    for _, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+            elif isinstance(node, ast.FunctionDef) and node.name == "_run_shards":
+                runners.append(node.name)
+    assert not {"_SinglePolyOps", "_RnsBatchOps"} & set(classes)
+    batch = {"poly_eval_many", "rescale_many", "add_plain_each", "relinearize_many"}
+    assert batch <= _methods(classes["HeBackend"])
+    assert not _methods(classes["CkksRnsBackend"]) & (batch | {"_run_shards"})
+    assert runners == ["_run_shards"]
+
+
 # -- handles carry their own scale and level ---------------------------------------
 
 
