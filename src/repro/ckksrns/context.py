@@ -896,26 +896,14 @@ class CkksRnsContext:
         """
         require_degree1(a, "rotate")
         steps = [rotation] if isinstance(rotation, (int, np.integer)) else list(rotation)
-        elements = [self.galois_element(r) if r % self.slots else None for r in steps]
-        for r, g in zip(steps, elements):
-            if g is not None and g not in galois:
-                raise KeyError(f"no Galois key for rotation {r % self.slots} (element {g})")
+        elements = self._galois_elements(steps, galois)
         out = [a.copy() if g is None else None for g in elements]
         live = [t for t, g in enumerate(elements) if g is not None]
         if live:
             ks, moduli = self.keyswitch, self.moduli[: a.k]
             raised = ks.mod_up(self._intt(a.c1, moduli), a.level)
-            perms = [self.galois_permutation(elements[t]) for t in live]
-            keys = [galois[elements[t]] for t in live]
-            d = ks.digits(a.level)
-            acc = ks.inner(
-                np.stack([raised[..., p] for p in perms], axis=-2),
-                np.stack([key.b[:d] for key in keys], axis=-2),
-                np.stack([key.a[:d] for key in keys], axis=-2),
-                a.level,
-            )
+            c0, acc = self._galois_switch(a.c0, raised, elements, galois, a.level)
             r0, r1 = ks.mod_down(acc, a.level)  # (k, ..., steps, n)
-            c0 = np.stack([a.c0[..., p] for p in perms], axis=-2)
             c0 = np.stack([addmod(c0[i], r0[i], m) for i, m in enumerate(moduli)])
             for s, t in enumerate(live):
                 out[t] = RnsCiphertext(
@@ -926,9 +914,69 @@ class CkksRnsContext:
                 )
         return out[0] if isinstance(rotation, (int, np.integer)) else out
 
+    @traced("ckksrns.rotate_sum")
+    def rotate_sum(self, cts: list[RnsCiphertext], steps: list[int], galois: dict) -> RnsCiphertext:
+        """``Σ_t Rot(cts[t], steps[t])``: a BSGS product's giant steps as one key switch.
+
+        Double hoisting (Bossuat et al., Eurocrypt 2021): one inverse
+        transform and one ModUp sweep of the stacked ``c1``, each part's
+        raised digits gathered through its own permutation into its own
+        key's inner product (:meth:`rotate`'s), the ``Q·P`` accumulators
+        summed before **one** ModDown; step-0 parts add as they are.  A
+        one-part sum is its :meth:`rotate` bit for bit.  Mixed levels or
+        scales, or not one step per part, raise :class:`ValueError`; a
+        missing key raises :class:`KeyError` before any transform.
+        """
+        level, scale = cts[0].level, cts[0].scale
+        for ct in cts:
+            require_degree1(ct, "rotate_sum")
+            self._check_scales(scale, ct.scale, "rotate_sum")
+            if ct.level != level:
+                raise ValueError(f"rotate_sum parts at levels {level} and {ct.level}")
+        elements = self._galois_elements(steps, galois)
+        moduli, ks = self.moduli[: level + 1], self.keyswitch
+        live = [t for t, g in enumerate(elements) if g is not None]
+        c0 = [ct.c0 for ct, g in zip(cts, elements, strict=True) if g is None]
+        c1 = [ct.c1 for ct, g in zip(cts, elements) if g is None]
+        if live:
+            c0_live = np.stack([cts[t].c0 for t in live], axis=-2)
+            c1_live = np.stack([cts[t].c1 for t in live], axis=-2)
+            raised = ks.mod_up(self._intt(c1_live, moduli), level)  # (k+α, D, ..., G, n)
+            own = (np.arange(len(live))[:, None],)
+            rot0, acc = self._galois_switch(c0_live, raised, elements, galois, level, own)
+            r0, r1 = ks.mod_down([_sum_mod(x, moduli + ks.special_moduli) for x in acc], level)
+            c0 += [_sum_mod(rot0, moduli), r0]
+            c1.append(r1)
+        c0, c1 = (_sum_mod(np.stack(c, axis=-2), moduli) for c in (c0, c1))
+        return RnsCiphertext(c0, c1, level, scale)
+
+    def _galois_elements(self, steps: list[int], galois: dict) -> list:
+        """Each step's Galois element (``None`` for 0); :class:`KeyError` for a missing key."""
+        elements = [self.galois_element(r) if r % self.slots else None for r in steps]
+        for r, g in zip(steps, elements):
+            if g is not None and g not in galois:
+                raise KeyError(f"no Galois key for rotation {r % self.slots} (element {g})")
+        return elements
+
+    def _galois_switch(self, c0, raised, elements, galois, level, own=()) -> tuple:
+        """``c0`` and the raised digits gathered through the permutation of
+        each element but ``None`` (axis −2; with *own*, element *t* permutes
+        source *t* of that axis) and the ``Q·P`` accumulators of the key inner products."""
+        elements = [g for g in elements if g is not None]
+        at = (Ellipsis, *own, np.stack([self.galois_permutation(g) for g in elements]))
+        keys, d = [galois[g] for g in elements], self.keyswitch.digits(level)
+        kb, ka = (np.stack([getattr(k, c)[:d] for k in keys], axis=-2) for c in "ba")
+        return c0[at], self.keyswitch.inner(raised[at], kb, ka, level)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         p = self.params
         return (
             f"CkksRnsContext(n={p.n}, chain={list(p.moduli_bits)}, "
             f"Δ=2^{p.scale_bits}, α={self.alpha})"
         )
+
+
+
+def _sum_mod(x: np.ndarray, moduli: list[int]) -> np.ndarray:
+    """Sum reduced residues ``(len(moduli), ..., T, n)`` over axis −2 (50-bit moduli: exact)."""
+    return x.sum(axis=-2) % np.array(moduli, dtype=np.int64).reshape((-1,) + (1,) * (x.ndim - 2))

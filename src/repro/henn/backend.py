@@ -225,7 +225,7 @@ class HeBackend(ABC):
     ``add_plain_each`` and ``relinearize_many``, one call per group of
     :meth:`_shard_plan` — here every handle alone; CKKS-RNS packs like
     handles, overriding only that hook and the interpreter's
-    :meth:`_mul_consts` / :meth:`_add_consts`.
+    :meth:`_mul_consts` / :meth:`_add_consts` and the BSGS fold :meth:`_rotate_sum`.
 
     Degree-1-only entry points raise
     :class:`~repro.ckks.ciphertext.CiphertextDegreeError` on an
@@ -520,6 +520,15 @@ class HeBackend(ABC):
     def _add_consts(self, h: Any, consts: np.ndarray) -> Any:
         """*h* plus one constant per packed position (as :meth:`_mul_consts`)."""
         return self.add_plain(h, float(consts[0]) if len(consts) == 1 else consts)
+
+    def _rotate_sum(self, handles: Sequence[Any], steps: Sequence[int]) -> Any:
+        """``Σ_t rot_{steps[t]}(handles[t])``, a BSGS product's giant-step fold:
+        a :meth:`rotate` / :meth:`add` loop here, one key switch on CKKS-RNS."""
+        acc = None
+        for h, g in zip(handles, steps):
+            h = self.rotate(h, g) if g else h
+            acc = h if acc is None else self.add(acc, h)
+        return acc
 
     @staticmethod
     def _check_poly_rows(rows: np.ndarray, count: int) -> np.ndarray:
@@ -923,6 +932,10 @@ class CkksRnsBackend(HeBackend):
     def rotate(self, a, steps):
         """One step, or a sequence sharing one hoisted ModUp (:meth:`CkksRnsContext.rotate`)."""
         return self.ctx.rotate(a, steps, self.keys.galois)
+
+    def _rotate_sum(self, handles, steps):
+        """One ModUp sweep and one ModDown (:meth:`CkksRnsContext.rotate_sum`)."""
+        return self.ctx.rotate_sum(list(handles), list(steps), self.keys.galois)
 
     add_rotation_keys = CkksBackend.add_rotation_keys
 

@@ -12,8 +12,8 @@ slots past the feature width are zero.
   a **BSGS diagonal product** (:class:`PackedTaps`): only the nonzero
   generalised diagonals ``d = (c − r) mod slots`` of its tap program are
   kept, pre-rotated and encoded once at the level the map runs; the
-  baby-step rotations of the input share one hoisted ModUp and each
-  giant step rotates its group sum once;
+  baby-step rotations of the input share one hoisted ModUp, the giant
+  steps one ModUp sweep and one ModDown of their sum (double hoisting);
 * the graph's first map may instead read the client's **input windows**
   (:func:`packed_input`): the request is ``T`` ciphertexts, window *t*
   holding in slot *r* the pixel output *r* reads at tap *t*, and the map
@@ -179,10 +179,12 @@ def _baby_step(diagonals: "list[int]", slots: int) -> int:
 
     Diagonal ``d`` splits as giant ``d − d mod b`` plus baby ``d mod b``.
     A hoisted baby costs one key inner product and its share of one
-    batched ModDown; a giant is a whole rotation with its own ModUp
-    (CKKS-RNS, n = 512, top level: 2.75 ms against 7.4 ms).  The cost is
-    the distinct nonzero babies plus twice the giants, ties going to
-    fewer giants — weights 2 and 3 pick the same CNN1 split.
+    batched ModDown, a folded giant one inner product and its share of
+    one ModUp sweep: ~1.0 against ~1.1 ms at the top level, ~0.55 ms both
+    four levels down (CKKS-RNS, n = 512, k = 8, α = 3, one core).  The
+    cost is the distinct nonzero babies plus twice the giants, ties going
+    to fewer giants; weight 2, a giant's pre-fold price, keeps the Galois
+    keys (weight 1 splits tiny CNN1 7 + 10 and 5 + 4, not 15 + 5, 7 + 3).
     """
     d = np.asarray(diagonals, dtype=np.int64)
     best, best_cost = 1, None
@@ -271,8 +273,9 @@ class PackedTaps(HeLayer):
     hoisted :meth:`~repro.henn.backend.HeBackend.rotate` call, the group
     sums are one :class:`~repro.henn.plan.PlannedTaps` over them with
     slot-vector taps (one row per giant step, weighted sum then batched
-    rescale), each rescaled group sum is rotated once by its giant step —
-    one level down, on one limb fewer — then one packed bias add.  An
+    rescale), the rescaled group sums are rotated by their giant steps
+    and summed in one :meth:`~repro.henn.backend.HeBackend._rotate_sum`
+    — one level down, on one limb fewer — then one packed bias add.  An
     unrelinearised input (an activation in front) is relinearised first
     — rotations need degree 1 — which is the one sweep the per-position
     map pays after its weighted sum.  Consumes one level.
@@ -286,8 +289,8 @@ class PackedTaps(HeLayer):
     Attributes
     ----------
     babies, giants:
-        Nonzero baby and giant rotation steps; ``len(babies)`` rotations
-        share one ModUp, every giant pays its own.
+        Nonzero baby and giant rotation steps; the babies share one
+        ModUp sweep, the giants another.
     steps:
         Giant step of each group sum (0: no giant rotation).
     groups:
@@ -362,8 +365,13 @@ class PackedTaps(HeLayer):
 
     @property
     def modups(self) -> int:
-        """Digit raises (ModUp) those rotations cost: one shared by the babies, one per giant."""
-        return int(bool(self.babies)) + len(self.giants)
+        """ModUp sweeps those rotations cost: one for the babies, one for the giants."""
+        return int(bool(self.babies)) + int(bool(self.giants))
+
+    @property
+    def moddowns(self) -> int:
+        """Ciphertexts leaving a ModDown: one per baby, one for the giants' sum."""
+        return len(self.babies) + int(bool(self.giants))
 
     def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
         if self.windows is not None:
@@ -373,10 +381,8 @@ class PackedTaps(HeLayer):
             ct = backend.relinearize_ext(ct)
             babies = np.empty(1 + len(self.babies), dtype=object)
             babies[:] = [ct] + (backend.rotate(ct, self.babies) if self.babies else [])
-        acc = None
-        for g, part in zip(self.steps, self.groups.forward(backend, babies)):
-            part = backend.rotate(part, g) if g else part
-            acc = part if acc is None else backend.add(acc, part)
+        parts = self.groups.forward(backend, babies)
+        acc = backend._rotate_sum(parts, self.steps) if self.giants else parts[0]
         if self.bias is not None:
             acc = backend.add_plain(acc, self.bias)
         return _one(acc)

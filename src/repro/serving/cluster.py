@@ -71,6 +71,7 @@ from repro.serving.errors import (
     ServiceOverloadedError,
     WorkerLostError,
 )
+from repro.serving.scheduler import _resolve
 
 __all__ = [
     "WorkerPool",
@@ -501,16 +502,14 @@ class WorkerPool:
                         else 0.8 * worker.ewma_seconds + 0.2 * seconds
                     )
                 reg.histogram("cluster.batch.seconds").observe(seconds)
-                if not job.future.cancelled():
-                    job.future.set_result(per_request)
+                _resolve(job.future, per_request)
             else:  # error: the evaluation itself failed — not a worker loss
                 exc, delta = payload
                 self._merge_worker_delta(delta)
                 with self.cond:
                     worker.faults += 0.5
                     self._publish(worker)
-                if not job.future.cancelled():
-                    job.future.set_exception(exc)
+                _resolve(job.future, error=exc)
 
     def _merge_worker_delta(self, delta: dict | None) -> None:
         """Fold one batch's worker-side metrics into the gateway registry.
@@ -580,9 +579,7 @@ class WorkerPool:
             if self.on_job_orphaned is not None:
                 self.on_job_orphaned(job)
             else:
-                job.future.set_exception(
-                    WorkerLostError(f"worker {worker.index} died mid-batch")
-                )
+                _resolve(job.future, error=WorkerLostError(f"worker {worker.index} died mid-batch"))
         if respawn:
             threading.Thread(
                 target=self._respawn_loop,
@@ -805,7 +802,7 @@ class Dispatcher:
         deadline = time.monotonic() + DISPATCH_TIMEOUT_S
         while True:
             if self.pool.closed:
-                job.future.set_exception(SchedulerClosedError("cluster pool is closed"))
+                _resolve(job.future, error=SchedulerClosedError("cluster pool is closed"))
                 return
             if self.pool.is_lost():
                 self._run_fallback(job)
@@ -820,14 +817,11 @@ class Dispatcher:
                 if remaining <= 0:
                     break
                 self.pool.cond.wait(timeout=min(remaining, 0.25))
-        if first:
-            job.future.set_exception(
-                ServiceOverloadedError("no worker accepted the batch in time")
-            )
-        else:
-            job.future.set_exception(
-                WorkerLostError("failover found no worker in time")
-            )
+        error = (
+            ServiceOverloadedError("no worker accepted the batch in time")
+            if first else WorkerLostError("failover found no worker in time")
+        )
+        _resolve(job.future, error=error)
 
     def _send(self, worker: ClusterWorker, job: _Job) -> bool:
         try:
@@ -853,10 +847,9 @@ class Dispatcher:
         job.attempts += 1
         if job.attempts > FAILOVER_MAX_RETRIES:
             _count("failovers.exhausted")
-            job.future.set_exception(
-                WorkerLostError(
-                    f"batch lost {job.attempts} worker(s); retry budget spent"
-                )
+            _resolve(
+                job.future,
+                error=WorkerLostError(f"batch lost {job.attempts} worker(s); retry budget spent"),
             )
             return
         _count("failovers")
@@ -883,9 +876,9 @@ class Dispatcher:
             get_registry().gauge("cluster.degraded").set(1)
         _count("degraded_serial")
         try:
-            job.future.set_result(self.fallback(job.requests, job.slots))
+            _resolve(job.future, self.fallback(job.requests, job.slots))
         except BaseException as exc:  # noqa: BLE001 - forwarded to the future
-            job.future.set_exception(exc)
+            _resolve(job.future, error=exc)
 
     @property
     def degraded(self) -> bool:

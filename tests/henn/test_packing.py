@@ -11,7 +11,7 @@ the evaluation-domain Galois permutation and the hoisted multi-step
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.ckks import CkksParams
@@ -39,6 +39,7 @@ from repro.henn.packing import (
 )
 from repro.henn.protocol import BatchedCloudService, Client, CloudService
 from repro.nt.modarith import addmod, negmod
+from repro.nt.ntt import BatchedNttPlan
 from repro.obs.metrics import get_registry
 from repro.serving.errors import RequestValidationError
 from repro.utils.cache import PlaintextCache
@@ -182,6 +183,14 @@ def _linear_maps(draw):
     return layer, (c, h, h)
 
 
+def _matvec(program, x):
+    """The tap program applied to *x* in the clear."""
+    want = np.zeros(int(np.prod(program.out_shape)))
+    for r, (idxs, ws) in enumerate(program.entries):
+        want[r] = ws @ (x if idxs is None else x[idxs])
+    return want if program.bias is None else want + program.bias
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_linear_maps(), st.integers(0, 2**16))
 def test_bsgs_diagonal_product_matches_tap_program(case, seed):
@@ -192,15 +201,36 @@ def test_bsgs_diagonal_product_matches_tap_program(case, seed):
     width = int(np.prod(shape))
     assume(int(np.prod(program.out_shape)) <= 64)  # the layout needs width <= slots
     x = np.random.default_rng(seed).uniform(-1, 1, width)
-    want = np.zeros(int(np.prod(program.out_shape)))
-    for r, (idxs, ws) in enumerate(program.entries):
-        want[r] = ws @ (x if idxs is None else x[idxs])
-    if program.bias is not None:
-        want += program.bias
     plan, got = _run_packed(backend, [layer], shape, x)
     (ex,) = plan.layers
     assert _steps_cover_diagonals(ex, program, width, 64)
-    assert np.allclose(got, want, atol=1e-5)
+    assert np.allclose(got, _matvec(program, x), atol=1e-5)
+
+
+@pytest.mark.fuzz
+def test_bsgs_giant_fold_on_ckks_rns_matches_tap_program(rns512, fuzz_examples):
+    """The CKKS-RNS giant-step fold (one ModUp sweep, one ModDown of the
+    sum): random conv / dense / pool maps at n = 512 against the dense
+    matvec, maps with zero, one and several giant steps among them."""
+    giants = set()
+
+    @settings(
+        max_examples=fuzz_examples(6, 80), deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_linear_maps(), st.integers(0, 2**16))
+    @example((HeLinear(np.full((1, 3), 0.5), None), (3,)), 0)  # no giant step
+    @example((HeLinear(np.full((1, 6), 0.5), None), (6,)), 1)  # one
+    @example((HeLinear(np.full((4, 10), 0.5), None), (10,)), 2)  # two
+    def check(case, seed):
+        layer, shape = case
+        x = np.random.default_rng(seed).uniform(-1, 1, int(np.prod(shape)))
+        plan, got = _run_packed(rns512, [layer], shape, x)
+        giants.add(min(len(plan.layers[0].giants), 2))
+        assert np.allclose(got, _matvec(layer.taps(shape), x), atol=1e-3)
+
+    check()
+    assert giants == {0, 1, 2}
 
 
 @st.composite
@@ -584,3 +614,45 @@ def test_hoisted_rotate_is_bit_identical_to_sequential(rns_ctx, rns_keys, drop):
         single = ctx.rotate(ct, r, rns_keys.galois)
         for other in (want, single):
             assert np.array_equal(got.c0, other.c0) and np.array_equal(got.c1, other.c1)
+
+
+
+def test_one_part_rotate_sum_is_bit_identical_to_rotate(rns_ctx, rns_keys):
+    ctx = rns_ctx
+    rng = np.random.default_rng(3)
+    ct = ctx.encrypt(rns_keys.pk, rng.uniform(-1, 1, ctx.slots), rng)
+    ct = ctx.rescale(ctx.mul_plain_scalar(ct, 0.5))
+    for r in (5, 0):
+        got, want = ctx.rotate_sum([ct], [r], rns_keys.galois), ctx.rotate(ct, r, rns_keys.galois)
+        assert (got.level, got.scale) == (want.level, want.scale)
+        assert np.array_equal(got.c0, want.c0) and np.array_equal(got.c1, want.c1)
+
+
+def test_rotate_sum_adds_the_rotated_parts(rns_ctx, rns_keys):
+    ctx = rns_ctx
+    rng = np.random.default_rng(4)
+    values = rng.uniform(-1, 1, (4, ctx.slots))
+    cts = ctx.encrypt_many(rns_keys.pk, list(values), rng)
+    steps = [0, 1, 5, 2]
+    got = ctx.decrypt_real(rns_keys.sk, ctx.rotate_sum(cts, steps, rns_keys.galois))
+    want = sum(np.roll(v, -r) for v, r in zip(values, steps))
+    assert np.allclose(got, want, atol=1e-4)
+
+
+def test_rotate_sum_refuses_mixed_parts_and_missing_keys(rns_ctx, rns_keys, monkeypatch):
+    ctx = rns_ctx
+    rng = np.random.default_rng(5)
+    ct = ctx.encrypt(rns_keys.pk, rng.uniform(-1, 1, ctx.slots), rng)
+    lower = ctx.rescale(ctx.mul_plain_scalar(ct, 0.5))
+    with pytest.raises(ValueError, match="levels"):
+        ctx.rotate_sum([ct, lower], [1, 2], rns_keys.galois)
+    with pytest.raises(ValueError, match="scale"):
+        ctx.rotate_sum([ct, ctx.mul_plain_scalar(ct, 0.5)], [1, 2], rns_keys.galois)
+
+    def no_transform(plan, stack):
+        raise AssertionError("a transform ran before the key check")
+
+    monkeypatch.setattr(BatchedNttPlan, "forward", no_transform)
+    monkeypatch.setattr(BatchedNttPlan, "inverse", no_transform)
+    with pytest.raises(KeyError):
+        ctx.rotate_sum([ct, ct], [1, 3], rns_keys.galois)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,6 +287,42 @@ def test_pool_saturation_tracks_busy_fraction():
         pool.workers[0].inflight = {1: object()}
         assert pool.saturation() == 0.5
         pool.workers[0].inflight = {}
+    finally:
+        pool.close()
+
+
+def _doubling_engine_factory():
+    class _Engine:
+        backend = SimpleNamespace(native_slot_concat=False)  # evaluated member by member
+
+        def run_encrypted(self, enc):
+            return np.asarray(enc) * 2
+
+    return _Engine()
+
+
+@pytest.mark.faults
+def test_a_result_for_a_resolved_future_leaves_the_receiver_serving():
+    """Regression: the receive loop resolved a job with a bare ``set_result``,
+    so a result for a future already resolved elsewhere raised
+    ``InvalidStateError`` on the receiver thread; it died and no later
+    result of that worker was read.  Every cluster resolution goes
+    through the exactly-once ``_resolve`` now."""
+    pool = WorkerPool(_doubling_engine_factory, size=1)
+    try:
+        pool.start()
+        assert pool.wait_ready(timeout=30.0)
+        worker = pool.workers[0]
+        stale, fresh = _Job(1, [np.ones(2)], [1]), _Job(2, [np.full(2, 3.0)], [1])
+        stale.future.set_result("resolved elsewhere")
+        for job in (stale, fresh):
+            assert pool.acquire(job) is worker
+            worker.conn.send(("batch", job.job_id, (job.requests, job.slots, job.sampled)))
+            assert _wait(lambda: not worker.inflight, timeout=30.0)
+        assert stale.future.result(timeout=0) == "resolved elsewhere"
+        (scores,) = fresh.future.result(timeout=30.0)
+        assert np.array_equal(scores, np.full(2, 6.0))
+        assert pool._recv_threads[worker.index].is_alive()
     finally:
         pool.close()
 

@@ -39,7 +39,9 @@ encrypt the first conv's ``T`` input windows (one per kernel tap, in one
 ``encrypt_many`` of ``T`` times the per-ciphertext transform rows) and
 decrypt one ciphertext, perform no rotation and no ModUp in that
 window-encoded first map and per later linear map exactly the rotation
-steps and hoisted ModUps its ``PackedTaps`` plan lists, the same
+steps (``rotate`` and the giant-step fold ``rotate_sum``), ModUp sweeps
+and ModDown outputs (one per baby step, one for the giants' sum) its
+``PackedTaps`` plan lists, the same
 ``relin.count`` as the per-position path, no Galois key generation and
 no fresh encode — every diagonal was encoded when the packed plan
 compiled, at the level its map runs.  These engines stay
@@ -198,11 +200,14 @@ def packed_census(engine: HeInferenceEngine, images: np.ndarray) -> tuple[list[d
     request(0)  # cold: the packed plan compiles, its Galois keys are generated
     request(1)  # the scalar / bias plaintexts are cached
     maps = [ex for ex in service.engine.plan.packed.layers if isinstance(ex, PackedTaps)]
-    seen: dict[int, dict] = {id(ex): {"rotations": 0, "modups": 0, "in_level": None} for ex in maps}
+    seen: dict[int, dict] = {
+        id(ex): {"rotations": 0, "modups": 0, "moddowns": 0, "in_level": None} for ex in maps
+    }
     active: list = [None]
     in_rotate = [False]
     real_forward, real_rotate = PackedTaps.forward, CkksRnsContext.rotate
-    real_raise = HybridKeySwitch.mod_up
+    real_fold = CkksRnsContext.rotate_sum
+    real_raise, real_lower = HybridKeySwitch.mod_up, HybridKeySwitch.mod_down
 
     def forward(self, be, x):
         active[0] = seen[id(self)]
@@ -212,26 +217,40 @@ def packed_census(engine: HeInferenceEngine, images: np.ndarray) -> tuple[list[d
         finally:
             active[0] = None
 
-    def rotate(self, a, rotation, galois):
-        steps = [rotation] if isinstance(rotation, (int, np.integer)) else list(rotation)
-        active[0]["rotations"] += sum(1 for r in steps if r % self.slots)
-        in_rotate[0] = True
-        try:
-            return real_rotate(self, a, rotation, galois)
-        finally:
-            in_rotate[0] = False
+    def rotating(real):
+        """*real* (``rotate`` or the giant-step fold ``rotate_sum``), its
+        nonzero steps counted as rotations."""
+
+        def call(self, a, rotation, galois):
+            steps = [rotation] if isinstance(rotation, (int, np.integer)) else list(rotation)
+            active[0]["rotations"] += sum(1 for r in steps if r % self.slots)
+            in_rotate[0] = True
+            try:
+                return real(self, a, rotation, galois)
+            finally:
+                in_rotate[0] = False
+
+        return call
 
     def raise_digits(self, *args, **kwargs):
         if in_rotate[0]:
             active[0]["modups"] += 1
         return real_raise(self, *args, **kwargs)
 
+    def lower(self, acc, level):
+        # (k+α, ..., n): every axis between channel and coefficient is a ciphertext.
+        if in_rotate[0]:
+            active[0]["moddowns"] += int(np.prod(acc[0].shape[1:-1]))
+        return real_lower(self, acc, level)
+
     counters = ("relin.count", "plan.encode.fresh", "keys.galois.generated")
     before = {name: reg.counter(name).value for name in counters}
     with obs.tracing() as tracer, mock.patch.object(
         PackedTaps, "forward", forward
-    ), mock.patch.object(CkksRnsContext, "rotate", rotate), mock.patch.object(
-        HybridKeySwitch, "mod_up", raise_digits
+    ), mock.patch.object(CkksRnsContext, "rotate", rotating(real_rotate)), mock.patch.object(
+        CkksRnsContext, "rotate_sum", rotating(real_fold)
+    ), mock.patch.object(HybridKeySwitch, "mod_up", raise_digits), mock.patch.object(
+        HybridKeySwitch, "mod_down", lower
     ):
         enc = client.encrypt_request(images[2:3])
         response = service.try_classify(enc)
@@ -243,6 +262,7 @@ def packed_census(engine: HeInferenceEngine, images: np.ndarray) -> tuple[list[d
         {
             "planned_rotations": ex.rotations,
             "planned_modups": ex.modups,
+            "planned_moddowns": ex.moddowns,
             "diagonal_levels": sorted({pt.level for _, enc in ex.groups.map.rows for pt in enc.plain}),
             "level": ex.level,
             **seen[id(ex)],
@@ -400,6 +420,12 @@ def main() -> int:
                 f"FAIL: packed map {i} performed {entry['rotations']} rotations / "
                 f"{entry['modups']} ModUps, its plan lists {entry['planned_rotations']} / "
                 f"{entry['planned_modups']}"
+            )
+            ok = False
+        if entry["moddowns"] != entry["planned_moddowns"]:
+            print(
+                f"FAIL: packed map {i} took {entry['moddowns']} ciphertexts through ModDown, "
+                f"its plan lists {entry['planned_moddowns']} (one per baby, one for the giants' sum)"
             )
             ok = False
         if entry["diagonal_levels"] != [entry["level"]] or entry["in_level"] != entry["level"]:
