@@ -8,26 +8,26 @@ word-sized and the CRT bracket is where the (small) overhead lives.
 import numpy as np
 from conftest import save_record
 
-from repro.rns import RnsBase, channel_mul, rns_decompose, rns_recompose_signed
+from repro.nt.crt import CrtBasis
+from repro.nt.primes import gen_ntt_primes
 from repro.utils.timing import Timer
 
 
 def test_fig2_decompose_roundtrip(benchmark, rng=np.random.default_rng(0)):
-    base = RnsBase.from_bit_sizes([26, 26, 26], 64)
+    base = CrtBasis(gen_ntt_primes([26, 26, 26], 64))
     x = rng.integers(-(2**40), 2**40, (64, 28, 28))
 
     def roundtrip():
-        st = rns_decompose(x, base)
-        st = channel_mul(st, st, base)
-        return rns_recompose_signed(st, base)
+        res = base.decompose(x)
+        return base.compose_centered(base.mul(res, res))
 
     benchmark(roundtrip)
 
     rows = []
     for stage, fn in [
-        ("decompose", lambda: rns_decompose(x, base)),
-        ("channel mul", lambda st=rns_decompose(x, base): channel_mul(st, st, base)),
-        ("recompose", lambda st=rns_decompose(x, base): rns_recompose_signed(st, base)),
+        ("decompose", lambda: base.decompose(x)),
+        ("channel mul", lambda res=base.decompose(x): base.mul(res, res)),
+        ("recompose", lambda res=base.decompose(x): base.compose_centered(res)),
     ]:
         with Timer() as t:
             fn()

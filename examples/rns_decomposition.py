@@ -14,18 +14,19 @@ import numpy as np
 
 from repro.data import load_synth_mnist, normalize_unit
 from repro.henn.rnscnn import QuantizedConvSpec, RnsIntegerConv, basis_for_budget
-from repro.rns import RnsBase, rns_decompose, rns_recompose_signed
+from repro.nt.crt import CrtBasis
+from repro.nt.primes import gen_ntt_primes
 
 
 def main() -> None:
     print("== Fig. 2: a number becomes residues; ops act componentwise ==")
-    base = RnsBase.from_bit_sizes([26, 26, 26], 64)
+    base = CrtBasis(gen_ntt_primes([26, 26, 26], 64))
     x = np.array([123456789, -987654321])
-    channels = rns_decompose(x, base)
+    channels = base.decompose(x)
     print(f"   moduli: {base.moduli}")
     for i, m in enumerate(base.moduli):
         print(f"   x mod {m} = {channels[i]}")
-    print(f"   CRT recompose -> {rns_recompose_signed(channels, base)} (exact)")
+    print(f"   CRT recompose -> {base.compose_centered(channels)} (exact)")
 
     print("\n== Fig. 5: decompose -> parallel conv channels -> recompose ==")
     xtr, *_ = load_synth_mnist(n_train=64, n_test=10, seed=3)

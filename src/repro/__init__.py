@@ -8,8 +8,9 @@ The package is organised bottom-up:
     Number-theory substrate: modular arithmetic, NTT-friendly prime
     generation, negacyclic NTT, CRT, and multiprecision polynomial rings.
 ``repro.rns``
-    Residue Number System: bases, decomposition/recomposition of integer
-    tensors (paper Fig. 2), per-channel arithmetic and base conversion.
+    Residue Number System kernels on the CRT basis of ``repro.nt.crt``
+    (whose ``CrtBasis`` decomposes, multiplies and recomposes integer
+    tensors, paper Fig. 2): base conversion and multi-limb arithmetic.
 ``repro.ckks``
     Textbook (multiprecision) CKKS scheme of Cheon-Kim-Kim-Song 2017 —
     the non-RNS "CNN-HE" baseline.

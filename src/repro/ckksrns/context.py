@@ -31,13 +31,13 @@ from repro.ckksrns.ciphertext import RnsCiphertext
 from repro.ckksrns.keys import RnsKeyPair, RnsPublicKey, RnsSecretKey
 from repro.ckksrns.keyswitch import HybridKeySwitch, SwitchKey, divide_exact
 from repro.ckksrns.params import CkksRnsParams
+from repro.nt.crt import CrtBasis
 from repro.nt.kernels import LimbMatrix, limb_gemm, scale_channels
 from repro.nt.modarith import addmod, mulmod, submod
 from repro.nt.ntt import BatchedNttPlan, bit_reverse_permutation
 from repro.nt.primes import gen_ntt_primes
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import traced
-from repro.rns.base import RnsBase
 from repro.utils.cache import PlaintextCache
 from repro.utils.rng import derive_rng
 
@@ -99,12 +99,12 @@ class CkksRnsContext:
         #: level) instead of per call.
         self.plain_cache: PlaintextCache | None = None
         self._galois_perms: dict[int, np.ndarray] = {}
-        self._bases = {k: RnsBase(self.moduli[:k], n=params.n) for k in range(1, self.k_top + 1)}
+        self._bases = {k: CrtBasis(self.moduli[:k]) for k in range(1, self.k_top + 1)}
         #: _rescale_by[level] = (the one-prime base of q_level, q_level^{-1}
         #: mod each lower prime): the divisor of a rescale at that level.
         self._rescale_by = [
             (
-                RnsBase([q], n=params.n),
+                CrtBasis([q]),
                 np.array([pow(q % m, -1, m) for m in self.moduli[:level]], dtype=np.int64),
             )
             for level, q in enumerate(self.moduli)
@@ -121,7 +121,7 @@ class CkksRnsContext:
     def slots(self) -> int:
         return self.n // 2
 
-    def base(self, level: int) -> RnsBase:
+    def base(self, level: int) -> CrtBasis:
         return self._bases[level + 1]
 
     def _ntt(self, stack: np.ndarray, moduli: list[int]) -> np.ndarray:

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ckks.sampling import sample_gaussian
+from repro.nt.crt import CrtBasis
 from repro.nt.modarith import addmod, mulmod, submod
 from repro.nt.ntt import BatchedNttPlan
 from repro.obs.tracer import traced
-from repro.rns.base import RnsBase
 from repro.rns.convert import approx_base_convert
 
 __all__ = ["KEYSWITCH_CHUNK_ELEMS", "HybridKeySwitch", "SwitchKey", "divide_exact"]
@@ -66,7 +66,7 @@ class SwitchKey:
 def divide_exact(
     comps: list[np.ndarray],
     keep: list[int],
-    drop: RnsBase,
+    drop: CrtBasis,
     inv: np.ndarray,
     *,
     ntt: bool = True,
@@ -123,7 +123,7 @@ class HybridKeySwitch:
         self.n = n
         self.moduli = list(moduli)
         self.special_moduli = list(special_moduli)
-        self.special = RnsBase(self.special_moduli, n=n)
+        self.special = CrtBasis(self.special_moduli)
         self.alpha = alpha = len(special_moduli)
         ext = self.moduli + self.special_moduli
         # Digit groups: α chain primes each (last one partial), Q_g their
@@ -149,11 +149,11 @@ class HybridKeySwitch:
         #: groups[k] = the groups cut to k active primes, each ``(own
         #: channels, their base, rows of the (k+α)-row raised stack the
         #: digit is raised to)``.
-        self.groups: dict[int, list[tuple[range, RnsBase, list[int]]]] = {
+        self.groups: dict[int, list[tuple[range, CrtBasis, list[int]]]] = {
             k: [
                 (
                     own,
-                    RnsBase(self.moduli[own.start : own.stop], n=n),
+                    CrtBasis(self.moduli[own.start : own.stop]),
                     [t for t in range(k + alpha) if t not in own],
                 )
                 for own in (range(s, min(s + alpha, k)) for s in range(0, k, alpha))

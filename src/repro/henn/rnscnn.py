@@ -28,7 +28,6 @@ property of Tables III/V.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,39 +97,6 @@ def _conv_channel_kernel(
             acc[i + j] += prod & LIMB_MASK
             acc[i + j + 1] += prod >> LIMB_BITS
     return fold_mod(carry_normalize(acc), m)  # (N, OH*OW, OC) residues
-
-
-class _ConvChannelWorker:
-    """Per-residue-channel conv task.
-
-    Reads the shared limb tensor and the per-channel weight limbs from
-    ``arrays`` (``limbs`` / ``w<i>`` keys); every channel reads the same
-    arrays and writes only its own result.  Each call is a
-    ``rnscnn.channel`` span.
-    """
-
-    __slots__ = ("moduli", "value_bits", "img_shape", "kh", "kw", "stride", "padding")
-
-    def __init__(self, moduli, value_bits, img_shape, kh, kw, stride, padding):
-        self.moduli = moduli
-        self.value_bits = value_bits
-        self.img_shape = img_shape
-        self.kh = kh
-        self.kw = kw
-        self.stride = stride
-        self.padding = padding
-
-    @traced("rnscnn.channel")
-    def __call__(self, arrays, i: int) -> np.ndarray:
-        m = self.moduli[i]
-        limbs_full = arrays["limbs"]
-        if m.bit_length() > self.value_bits:
-            xl = limbs_full  # inputs already canonical below m
-        else:
-            xl = partial_residue_limbs(limbs_full, m)
-        return _conv_channel_kernel(
-            xl, arrays[f"w{i}"], m, self.img_shape, self.kh, self.kw, self.stride, self.padding
-        )
 
 
 @dataclass(frozen=True)
@@ -279,22 +245,21 @@ class RnsIntegerConv:
         with obs.span("rnscnn.decompose", k=self._work.k):
             limbs_full = split_limbs(x_int, big_d)
 
-        worker = _ConvChannelWorker(
-            list(self._work.moduli),
-            value_bits,
-            tuple(int(s) for s in img_shape),
-            self.w_int.shape[2],
-            self.w_int.shape[3],
-            self.stride,
-            self.padding,
-        )
-        arrays = {"limbs": limbs_full}
-        for i, wl in enumerate(self._w_limbs):
-            arrays[f"w{i}"] = wl
-        with obs.span("rnscnn.conv_channels", k=self._work.k):
-            outs = self.executor.map(
-                functools.partial(worker, arrays), list(range(self._work.k))
+        kh, kw = self.w_int.shape[2:]
+
+        @traced("rnscnn.channel")
+        def conv_channel(i: int) -> np.ndarray:
+            m = self._work.moduli[i]
+            if m.bit_length() > value_bits:
+                xl = limbs_full  # inputs already canonical below m
+            else:
+                xl = partial_residue_limbs(limbs_full, m)
+            return _conv_channel_kernel(
+                xl, self._w_limbs[i], m, img_shape, kh, kw, self.stride, self.padding
             )
+
+        with obs.span("rnscnn.conv_channels", k=self._work.k):
+            outs = self.executor.map(conv_channel, list(range(self._work.k)))
         if self.fault_injector is not None:
             outs = self.fault_injector.apply_channel_faults(outs, self._work.moduli)
         with obs.span("rnscnn.recompose", k=self._work.k):

@@ -19,8 +19,13 @@ NumPy ``int64`` arrays (see ``docs/KERNELS.md`` for the derivation):
    against the precomputed digits of ``Q // 2`` — int64 comparisons,
    never big-int ones.
 
-Bases whose moduli exceed the vectorised-arithmetic bound
-(:data:`repro.nt.modarith.MAX_MODULUS_BITS`) fall back to the classical
+Decomposition and the componentwise ring operations stay in machine
+words too: an integer array is reduced with one ``int64`` ``mod`` per
+channel when every modulus fits 62 bits, and :meth:`CrtBasis.add` /
+:meth:`CrtBasis.mul` run :func:`~repro.nt.modarith.addmod` /
+:func:`~repro.nt.modarith.mulmod` per channel.  Wider moduli take the
+exact object-dtype path; bases beyond the vectorised-arithmetic bound
+(:data:`repro.nt.modarith.MAX_MODULUS_BITS`) compose with the classical
 big-integer formula ``x = sum_i r_i * e_i mod Q``, kept as
 :meth:`CrtBasis.compose_bigint` — which is also the oracle the property
 tests check the Garner path against.
@@ -258,16 +263,30 @@ class CrtBasis:
 
     @traced("nt.crt.decompose")
     def decompose(self, x: np.ndarray | int) -> list[np.ndarray]:
-        """Residues of *x* (array of arbitrary Python/NumPy ints) per modulus.
+        """Residues of the integer array *x* per modulus.
 
         Negative inputs are mapped to the canonical representative in
         ``[0, q_i)``; recomposition restores them via :meth:`compose_centered`.
+        An ``int64``-castable array over moduli that fit 62 bits is reduced
+        in ``int64``; anything else (Python big ints, wider moduli) takes
+        the exact object path.  Raises :class:`TypeError` for float or
+        complex input, or an object array holding a non-integer.
         """
-        arr = np.asarray(x, dtype=object)
+        arr = np.asarray(x)
+        if arr.dtype.kind in "fc" or (
+            arr.dtype == object
+            and not all(isinstance(v, (int, np.integer)) for v in arr.flat)
+        ):
+            raise TypeError(f"CRT decomposition needs integers, got dtype {arr.dtype}")
+        word_sized = max(self.moduli).bit_length() <= _INT64_SAFE_BITS
+        if arr.dtype != object and word_sized and np.can_cast(arr.dtype, np.int64):
+            arr = arr.astype(np.int64, copy=False)
+            return [np.mod(arr, np.int64(m)) for m in self.moduli]
+        arr = arr.astype(object)
         out = []
         for m in self.moduli:
             res = np.mod(arr, m)
-            out.append(res.astype(np.int64) if m.bit_length() <= 62 else res)
+            out.append(res.astype(np.int64) if m.bit_length() <= _INT64_SAFE_BITS else res)
         return out
 
     @traced("nt.crt.compose")
@@ -323,21 +342,26 @@ class CrtBasis:
     # -- componentwise ring operations ------------------------------------
 
     def add(self, a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-        """Componentwise residue addition (Fig. 2 semantics)."""
-        self._check_channels(a)
-        self._check_channels(b)
-        return [(np.asarray(x) + np.asarray(y)) % m for x, y, m in zip(a, b, self.moduli)]
+        """Componentwise addition of canonical residues (Fig. 2 semantics)."""
+        return self._componentwise(addmod, np.add, a, b)
 
     def mul(self, a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-        """Componentwise residue multiplication (Fig. 2 semantics)."""
+        """Componentwise multiplication of canonical residues (Fig. 2 semantics)."""
+        return self._componentwise(mulmod, np.multiply, a, b)
+
+    def _componentwise(self, word_op, object_op, a, b) -> list[np.ndarray]:
+        """``word_op`` per channel whose modulus fits ``MAX_MODULUS_BITS``,
+        exact object arithmetic (``object_op`` then ``mod``) beyond it."""
         self._check_channels(a)
         self._check_channels(b)
         out = []
         for x, y, m in zip(a, b, self.moduli):
-            xo = np.asarray(x, dtype=object)
-            yo = np.asarray(y, dtype=object)
-            r = np.mod(xo * yo, m)
-            out.append(r.astype(np.int64) if m.bit_length() <= 62 else r)
+            if m.bit_length() <= MAX_MODULUS_BITS:
+                r = word_op(np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64), m)
+            else:
+                r = np.mod(object_op(np.asarray(x, dtype=object), np.asarray(y, dtype=object)), m)
+                r = r.astype(np.int64) if m.bit_length() <= _INT64_SAFE_BITS else r
+            out.append(r)
         return out
 
     def __len__(self) -> int:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.nt.modarith import mulmod
-from repro.rns.base import RnsBase
+from repro.nt.crt import CrtBasis
 
 __all__ = ["approx_base_convert"]
 
@@ -28,8 +28,8 @@ _ACC_LIMIT = 1 << 62
 
 def approx_base_convert(
     channels: np.ndarray,
-    src: RnsBase,
-    dst: "RnsBase | Sequence[int]",
+    src: CrtBasis,
+    dst: "CrtBasis | Sequence[int]",
     *,
     correct_overflow: bool = True,
     out: Sequence[np.ndarray] | None = None,

@@ -303,14 +303,21 @@ def test_hebackend_is_implemented_by_the_three_schemes_only():
 TEST_ONLY_EXPORTS = {"obs": {"capture_logs", "load_json"}, "nt": {"negmod"}}
 
 
-def _unreferenced_exports(package_name: str) -> list[str]:
-    """Names in ``repro.<package_name>.__all__`` no code outside tests uses."""
+def _exports(package_name: str) -> list[str]:
+    """``repro.<package_name>.__all__``, read from the source."""
     package = ROOT / "src" / "repro" / package_name / "__init__.py"
     (exported,) = [
         ast.literal_eval(node.value)
         for node in ast.parse(package.read_text()).body
         if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
     ]
+    return exported
+
+
+def _unreferenced_exports(package_name: str) -> list[str]:
+    """Names in ``repro.<package_name>.__all__`` no code outside tests uses."""
+    package = ROOT / "src" / "repro" / package_name / "__init__.py"
+    exported = _exports(package_name)
     used: set[str] = set()
     for path, tree in _trees("src", "tools", "benchmarks", "examples"):
         if path == package:
@@ -485,3 +492,29 @@ def test_backends_have_no_wrappers_for_what_a_handle_or_a_map_carries():
     }
     for name in {"HeBackend"} | BACKENDS:
         assert not _methods(classes[name]) & dropped, name
+
+
+# -- one CRT basis ------------------------------------------------------------------
+
+
+def test_one_crt_basis():
+    """``repro.nt.crt.CrtBasis`` decomposes, multiplies and composes at
+    word speed itself: nothing under ``src/`` subclasses it, no module
+    defines the stacked-tensor wrappers it replaced, and ``repro.rns``
+    exports base conversion only."""
+    wrappers = {"RnsBase", "rns_decompose", "rns_recompose_signed", "channel_mul"}
+    subclasses, defined = [], []
+    for path, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and "CrtBasis" in _base_names(node):
+                subclasses.append(node.name)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names = {node.name}
+            elif isinstance(node, ast.Assign):
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            defined += [f"{path.relative_to(ROOT)}:{n}" for n in names & wrappers]
+    assert subclasses == []
+    assert defined == []
+    assert _exports("rns") == ["approx_base_convert"]

@@ -16,8 +16,7 @@ counterpart are also failures.
 
 ``--markdown`` additionally prints one GitHub-Markdown table row per
 compared key (``| name | key | baseline | current | ratio | status |``),
-ready to paste into a PR description or the hot-spot history table in
-``docs/PERFORMANCE.md``.
+ready to paste into a PR description.
 
 Exit status: 0 clean, 1 regressions or invalid/missing records —
 unless ``--warn-only`` (the CI bench-smoke default, since shared
