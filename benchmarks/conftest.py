@@ -45,6 +45,13 @@ def _bench_tracing():
         obs.disable()
 
 
+@pytest.fixture(autouse=True)
+def _fresh_registry():
+    """Start every benchmark on an empty metrics registry, so the
+    snapshot in its record holds its own counters only."""
+    obs.get_registry().reset()
+
+
 def save_artifact(name: str, text: str) -> None:
     ARTIFACTS.mkdir(exist_ok=True)
     (ARTIFACTS / f"{name}.txt").write_text(text + "\n")

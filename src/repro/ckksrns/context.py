@@ -35,6 +35,7 @@ from repro.nt.crt import CrtBasis
 from repro.nt.kernels import LimbMatrix, limb_gemm, scale_channels
 from repro.nt.modarith import addmod, mulmod, submod
 from repro.nt.ntt import BatchedNttPlan, bit_reverse_permutation
+from repro.nt.polynomial import _galois_signed
 from repro.nt.primes import gen_ntt_primes
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import traced
@@ -210,23 +211,13 @@ class CkksRnsContext:
         g = self.galois_element(rotation)
         if g in kp.galois:
             return
-        sg_coeff = self._galois_signed(kp.sk.s_coeff, g)
+        sg_coeff = _galois_signed(kp.sk.s_coeff, g)
         sg_ext = self._ntt(self._decompose_small(sg_coeff, self.ext_moduli), self.ext_moduli)
         kp.galois[g] = self.keyswitch.gen_key(kp.sk.s, sg_ext, rng, self.params.sigma)
         get_registry().counter("keys.galois.generated").inc()
 
     def galois_element(self, rotation: int) -> int:
         return pow(5, rotation % self.slots, 2 * self.n)
-
-    @staticmethod
-    def _galois_signed(coeffs: np.ndarray, g: int) -> np.ndarray:
-        """Galois map on small signed coefficients (no modulus)."""
-        n = coeffs.shape[0]
-        idx = (g * np.arange(n, dtype=np.int64)) % (2 * n)
-        pos = idx % n
-        out = np.zeros(n, dtype=np.int64)
-        out[pos] = np.where(idx >= n, -coeffs, coeffs)
-        return out
 
     # -- encoding / encryption ----------------------------------------------------
 

@@ -13,7 +13,8 @@ Everything the CKKS / CKKS-RNS schemes need and nothing more:
   exact GEMM passes per transform (:mod:`repro.nt.kernels`).
 * :mod:`repro.nt.crt` — Chinese Remainder Theorem compose/decompose.
 * :mod:`repro.nt.polynomial` — multiprecision negacyclic polynomial ring
-  used by the non-RNS CKKS baseline (Kronecker-substitution multiply).
+  used by the non-RNS CKKS baseline; its operands stay big ints and only
+  the product goes through a temporary CRT over NTT primes.
 """
 
 from repro.nt.modarith import (

@@ -8,15 +8,23 @@ variant removes (§II: "the original implementation relies on a
 multi-precision library, which leads to higher computational
 complexity").
 
-Polynomial multiplication uses **Kronecker substitution**: coefficients
-are packed into one huge integer, multiplied with CPython's subquadratic
-big-int multiplication, and unpacked by byte slicing.  This keeps the
-baseline honest (genuinely multiprecision) while staying subquadratic.
+The operands stay multiprecision; only the product goes through a
+temporary CRT, as NTL's ``ZZX`` multiply (the substrate of HEAAN, the
+paper's [8]) does at large degree: both centred operands are split over
+enough 26-bit NTT primes to hold the exact integer product, multiplied
+pointwise in the evaluation domain of :class:`~repro.nt.ntt.BatchedNttPlan`,
+recomposed signed by :meth:`~repro.nt.crt.CrtBasis.compose_centered` and
+reduced mod ``q``.  Rescale, modulus switch and the key switch's
+division by ``P`` stay on Python big integers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.nt.crt import CrtBasis
+from repro.nt.ntt import BatchedNttPlan
+from repro.nt.primes import gen_ntt_primes
 
 __all__ = ["PolyRing"]
 
@@ -28,16 +36,29 @@ def _as_object_array(coeffs: np.ndarray | list[int], n: int) -> np.ndarray:
     return arr
 
 
+def _galois_signed(coeffs: np.ndarray, g: int) -> np.ndarray:
+    """Galois map ``m(X) -> m(X^g)`` on signed coefficients (no modulus).
+
+    Coefficient ``a_k`` moves to index ``g*k mod 2n``; indices >= n wrap
+    with a sign flip because ``X^n = -1``.  The dtype is kept.
+    """
+    n = coeffs.shape[0]
+    idx = (g * np.arange(n, dtype=np.int64)) % (2 * n)
+    out = np.zeros_like(coeffs)
+    out[idx % n] = np.where(idx >= n, -coeffs, coeffs)
+    return out
+
+
 class PolyRing:
     """Arithmetic in ``Z_q[X]/(X^n + 1)`` with big-integer coefficients.
 
     Polynomials are ``object`` ndarrays whose trailing axis has length
     ``n`` and whose entries are canonically reduced to ``[0, q)``; the
-    ring object carries the parameters and the packed-multiplication
-    plan.  The coefficientwise operations (add/sub/neg, scalar multiply,
-    centered lift, rounded division, modulus switch) accept stacks of
-    polynomials — leading axes broadcast through — while Kronecker multiplication and automorphisms remain
-    single-polynomial.
+    ring object carries the parameters and the product's CRT basis and
+    NTT plan.  The coefficientwise operations (add/sub/neg, scalar
+    multiply, centered lift, rounded division, modulus switch) accept
+    stacks of polynomials — leading axes broadcast through — while
+    multiplication and automorphisms remain single-polynomial.
     """
 
     def __init__(self, n: int, q: int):
@@ -47,11 +68,12 @@ class PolyRing:
             raise ValueError(f"q must be >= 2, got {q}")
         self.n = int(n)
         self.q = int(q)
-        # Slot width for Kronecker packing: coefficients of the 2n-1 term
-        # product are sums of <= n products < q^2, so they fit in
-        # 2*bits(q) + bits(n) bits; round up to whole bytes for slicing.
-        slot_bits = 2 * self.q.bit_length() + self.n.bit_length() + 1
-        self._slot_bytes = (slot_bits + 7) // 8
+        # A product coefficient of centred operands is a sum of n terms of
+        # magnitude <= (q//2)^2, so below 2^(bits - 1); k = ceil(bits/25)
+        # primes above 2^25 give Q > 2^bits, a signed range that holds it.
+        bits = 2 * (self.q // 2).bit_length() + self.n.bit_length()
+        self._basis = CrtBasis(gen_ntt_primes([26] * -(-bits // 25), self.n))
+        self._ntt = BatchedNttPlan.get(self.n, tuple(self._basis.moduli))
 
     # -- constructors ------------------------------------------------------
 
@@ -96,42 +118,21 @@ class PolyRing:
     # -- multiplication ------------------------------------------------------
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Negacyclic product via Kronecker substitution.
+        """Negacyclic product through a temporary CRT over NTT primes.
 
-        ``O(M(n * log q))`` where ``M`` is big-int multiplication — the
-        genuine multiprecision cost profile of a non-RNS implementation.
+        The centred operands are decomposed, transformed, multiplied per
+        channel and transformed back; the signed recomposition is the
+        exact integer product, reduced mod ``q``.
         """
         a = _as_object_array(a, self.n)
         b = _as_object_array(b, self.n)
         if a.ndim != 1 or b.ndim != 1:
-            raise ValueError("Kronecker multiplication is single-polynomial (1-D) only")
-        sb = self._slot_bytes
-        pa = self._pack(a, sb)
-        pb = self._pack(b, sb)
-        prod = pa * pb
-        coeffs = self._unpack(prod, sb)
-        # Negacyclic fold: X^n = -1 => r_k = c_k - c_{k+n}.
-        low = coeffs[: self.n]
-        high = np.zeros(self.n, dtype=object)
-        high[: self.n - 1] = coeffs[self.n : 2 * self.n - 1]
-        return np.mod(low - high, self.q)
-
-    @staticmethod
-    def _pack(coeffs: np.ndarray, slot_bytes: int) -> int:
-        buf = bytearray(len(coeffs) * slot_bytes)
-        for i, c in enumerate(coeffs):
-            buf[i * slot_bytes : i * slot_bytes + slot_bytes] = int(c).to_bytes(
-                slot_bytes, "little"
-            )
-        return int.from_bytes(bytes(buf), "little")
-
-    def _unpack(self, big: int, slot_bytes: int) -> np.ndarray:
-        total = 2 * self.n - 1
-        raw = big.to_bytes(total * slot_bytes + slot_bytes, "little")
-        out = np.empty(total, dtype=object)
-        for k in range(total):
-            out[k] = int.from_bytes(raw[k * slot_bytes : (k + 1) * slot_bytes], "little")
-        return out
+            raise ValueError("multiplication is single-polynomial (1-D) only")
+        basis, ntt = self._basis, self._ntt
+        fa = ntt.forward(np.stack(basis.decompose(self.to_centered(a))))
+        fb = ntt.forward(np.stack(basis.decompose(self.to_centered(b))))
+        prod = ntt.inverse(np.stack(basis.mul(list(fa), list(fb))))
+        return np.mod(basis.compose_centered(list(prod)).astype(object), self.q)
 
     # -- CKKS-specific helpers -------------------------------------------------
 
@@ -162,25 +163,14 @@ class PolyRing:
         return np.mod(self.to_centered(a), int(new_q))
 
     def automorphism(self, a: np.ndarray, g: int) -> np.ndarray:
-        """Galois map ``m(X) -> m(X^g)`` for odd *g* (negacyclic sign rule).
-
-        Coefficient ``a_k`` moves to index ``g*k mod 2n``; indices >= n wrap
-        with a sign flip because ``X^n = -1``.
-        """
+        """Galois map ``m(X) -> m(X^g)`` for odd *g*, reduced mod ``q``."""
         g = int(g) % (2 * self.n)
         if g % 2 == 0:
             raise ValueError("Galois element must be odd")
         a = _as_object_array(a, self.n)
         if a.ndim != 1:
             raise ValueError("automorphism is single-polynomial (1-D) only")
-        out = self.zero()
-        for k in range(self.n):
-            idx = (g * k) % (2 * self.n)
-            if idx < self.n:
-                out[idx] = (out[idx] + a[k]) % self.q
-            else:
-                out[idx - self.n] = (out[idx - self.n] - a[k]) % self.q
-        return out
+        return np.mod(_galois_signed(a, g), self.q)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PolyRing(n={self.n}, log2(q)~{self.q.bit_length()})"

@@ -518,3 +518,16 @@ def test_one_crt_basis():
     assert subclasses == []
     assert defined == []
     assert _exports("rns") == ["approx_base_convert"]
+
+
+def test_one_polynomial_product():
+    """``PolyRing.mul`` multiplies through ``CrtBasis`` and
+    ``BatchedNttPlan`` like the RNS scheme: the multiprecision ring keeps
+    no Kronecker packing of its own."""
+    (ring,) = [
+        node
+        for _, tree in _trees("src")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "PolyRing"
+    ]
+    assert not _methods(ring) & {"_pack", "_unpack"}

@@ -1,4 +1,4 @@
-"""Multiprecision negacyclic ring: Kronecker multiply, rescale helpers."""
+"""Multiprecision negacyclic ring: multi-modular multiply, rescale helpers."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,11 @@ def naive_mul(a, b, n, q):
     return np.array(out, dtype=object)
 
 
+#: Rings the product is also checked on: every small degree, an even q
+#: and an odd ~2^100 q.
+_MUL_RINGS = [(n, q) for n in (2, 4, 16, 64) for q in (1 << 40, (1 << 100) + 277)]
+
+
 @pytest.fixture(scope="module")
 def ring():
     return PolyRing(16, (1 << 100) + 277)
@@ -34,17 +39,23 @@ def test_constructor_validation():
 
 
 def test_mul_matches_naive(ring, rng):
-    a = np.array([int(v) for v in rng.integers(0, 2**60, ring.n)], dtype=object) % ring.q
-    b = np.array([int(v) for v in rng.integers(0, 2**60, ring.n)], dtype=object) % ring.q
-    assert all(int(x) == int(y) for x, y in zip(ring.mul(a, b), naive_mul(a, b, ring.n, ring.q)))
+    for ring in [ring] + [PolyRing(n, q) for n, q in _MUL_RINGS]:
+        a = np.array([int(v) for v in rng.integers(0, 2**60, ring.n)], dtype=object) % ring.q
+        b = np.array([int(v) for v in rng.integers(0, 2**60, ring.n)], dtype=object) % ring.q
+        assert all(int(x) == int(y) for x, y in zip(ring.mul(a, b), naive_mul(a, b, ring.n, ring.q)))
 
 
 def test_mul_with_huge_coefficients(ring, rng):
-    a = ring.random_uniform(rng)
-    b = ring.random_uniform(rng)
-    got = ring.mul(a, b)
-    ref = naive_mul(a, b, ring.n, ring.q)
-    assert all(int(x) == int(y) for x, y in zip(got, ref))
+    """Uniform operands, and an operand of all q//2: its square puts a
+    product coefficient at the n * (q/2)^2 bound the CRT basis holds."""
+    for ring in [ring] + [PolyRing(n, q) for n, q in _MUL_RINGS]:
+        a = ring.random_uniform(rng)
+        b = ring.random_uniform(rng)
+        half = np.full(ring.n, ring.q // 2, dtype=object)
+        for u, v in [(a, b), (half, half), (a, half)]:
+            got = ring.mul(u, v)
+            ref = naive_mul(u, v, ring.n, ring.q)
+            assert all(int(x) == int(y) for x, y in zip(got, ref))
 
 
 def test_linear_ops(ring, rng):
@@ -122,3 +133,20 @@ def test_mul_commutative_property(coeffs):
     ab = ring.mul(a, b)
     ba = ring.mul(b, a)
     assert all(int(x) == int(y) for x, y in zip(ab, ba))
+
+
+@pytest.mark.fuzz
+def test_mul_matches_naive_property(fuzz_examples):
+    """The multi-modular product against the schoolbook one over random
+    degrees n <= 64, moduli q < 2^400 and coefficients in [0, q)."""
+
+    @settings(max_examples=fuzz_examples(12, 400), deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 2**400 - 1), st.data())
+    def check(log_n, q, data):
+        ring = PolyRing(1 << log_n, q)
+        coeffs = st.lists(st.integers(0, q - 1), min_size=ring.n, max_size=ring.n)
+        a = np.array(data.draw(coeffs), dtype=object)
+        b = np.array(data.draw(coeffs), dtype=object)
+        assert [int(v) for v in ring.mul(a, b)] == [int(v) for v in naive_mul(a, b, ring.n, q)]
+
+    check()
