@@ -9,9 +9,11 @@ post-rescale (``program.relins ~ sqrt(d)`` sweeps, against the
 ``program.ct_mults ~ 2*sqrt(d)`` of relinearising every product).
 
 CKKS-RNS runs at α = 1 (one 49-bit special prime, the
-one-prime-per-digit gadget) and at α ∈ {2, 3, 4} 36-bit special primes
+one-prime-per-digit gadget), at α ∈ {2, 3, 4} 36-bit special primes
 (hybrid key switching, ``docs/KERNELS.md``): ``⌈k/α⌉·(k+α)``
-lifted-digit transforms per sweep instead of ``k·(k+1)``.
+lifted-digit transforms per sweep instead of ``k·(k+1)``, and at the
+benchmark presets' 3 × 31 bits: the digits of 3 × 36, every special
+channel below 2³¹ (int64 ``mulmod``, two limb GEMMs per NTT pass).
 
 Every round encrypts a **fresh** ciphertext outside the timed region,
 as every request does.  ``relin.count`` is metered per round, must
@@ -40,19 +42,25 @@ DEPTH = 8
 DEGREES = range(2, 9)
 ROUNDS = 3
 RNS_POSITIONS = 16  # ciphertexts per evaluation, one batched program
-#: special_bits per α; 4 x 36 bits covers the widest group (40, 26, 26, 26).
-ALPHAS = {1: 49, 2: (36, 36), 3: (36, 36, 36), 4: (36, 36, 36, 36)}
+#: special_bits per swept set, by result key; α is their count.  4 x 36
+#: bits covers the widest group (40, 26, 26, 26), 3 x 31 = 93 the widest
+#: (40, 26, 26).
+SPECIAL_SETS = {
+    "a1": 49,
+    "a2": (36, 36),
+    "a3": (36, 36, 36),
+    "a3x31": (31, 31, 31),
+    "a4": (36, 36, 36, 36),
+}
 
 
 def _coeffs(degree: int) -> np.ndarray:
     return np.random.default_rng(degree).uniform(-0.5, 0.5, degree + 1)
 
 
-def _rns_backend(alpha: int) -> CkksRnsBackend:
+def _rns_backend(special: int | tuple[int, ...]) -> CkksRnsBackend:
     return CkksRnsBackend(
-        CkksRnsParams(
-            n=RNS_N, moduli_bits=(40,) + (26,) * DEPTH, special_bits=ALPHAS[alpha]
-        ),
+        CkksRnsParams(n=RNS_N, moduli_bits=(40,) + (26,) * DEPTH, special_bits=special),
         seed=0,
     )
 
@@ -80,7 +88,7 @@ def _meter_eval(backend, rng, positions, coeffs):
     return secs, reg.counter("relin.count").value - relin0
 
 
-def _run_degrees(backend, alpha, positions):
+def _run_degrees(backend, key, alpha, special, positions):
     """Benchmark every degree on one backend.
 
     Each cell keeps the best-of-ROUNDS wall time over fresh ciphertexts
@@ -103,25 +111,27 @@ def _run_degrees(backend, alpha, positions):
         )
         # The headline: never more sweeps than relinearising every product.
         assert relins <= prog.ct_mults, (backend.name, degree)
-        rows.append([backend.name, alpha, degree, positions, best, relins])
+        rows.append([backend.name, key, alpha, special, degree, positions, best, relins])
     return rows
 
 
 def test_keyswitch_strategies(benchmark, ckks_backend):
     rows = []
-    for alpha in ALPHAS:
-        rows += _run_degrees(_rns_backend(alpha), alpha, RNS_POSITIONS)
-    rows += _run_degrees(ckks_backend, "-", 1)
+    for key, special in SPECIAL_SETS.items():
+        bits = (special,) if isinstance(special, int) else special
+        label = f"{len(bits)}x{bits[0]}"
+        rows += _run_degrees(_rns_backend(special), key, len(bits), label, RNS_POSITIONS)
+    rows += _run_degrees(ckks_backend, "a-", "-", "-", 1)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     results = {
-        f"{scheme}.a{alpha}.lazy.d{degree}.seconds": secs
-        for scheme, alpha, degree, _, secs, _ in rows
+        f"{scheme}.{key}.lazy.d{degree}.seconds": secs
+        for scheme, key, _, _, degree, _, secs, _ in rows
     }
     save_record(
         "keyswitch",
-        ["scheme", "alpha", "degree", "positions", "seconds", "relins"],
-        rows,
+        ["scheme", "alpha", "special", "degree", "positions", "seconds", "relins"],
+        [row[:1] + row[2:] for row in rows],
         f"KEYSWITCH — lazy SLAF evaluation, alpha special primes "
         f"(RNS n={RNS_N}, CKKS n={CKKS_N}, depth={DEPTH}, best of {ROUNDS} "
         f"fresh ciphertexts)",

@@ -37,24 +37,28 @@ class BenchPreset:
     def rns_params(self, depth: int) -> CkksRnsParams:
         """CKKS-RNS chain long enough for *depth* rescales.
 
-        Hybrid key switching with α = 3 special primes of 36 bits: a
-        third of the digits of α = 1, and every special channel's NTT
-        three limb GEMMs per pass (a 49-bit prime takes six, at about
-        twice the cost per row).  Where the ring degree makes a
-        security claim (the chain fits the HE-standard budget), α is the
-        largest value ≤ 3 whose ``log QP`` still fits it; α = 1 is the
-        single 49-bit prime that covers the 40-bit ``q_0``.
+        Hybrid key switching with α = 3 special primes of 31 bits: a
+        third of the digits of α = 1, and 3 × 31 = 93 bits still cover
+        the widest digit group, 40 + 26 + 26 = 92.  Below 2³¹ a special
+        channel multiplies in one int64 product (``repro.nt.modarith``)
+        and its NTT takes two limb GEMMs per pass; the 36-bit specials
+        used before took three GEMMs per pass and the float-Barrett
+        ``mulmod``.  Only the 40-bit ``q_0`` stays wide.  Where the ring
+        degree makes a security claim (the chain fits the HE-standard
+        budget), α is the largest value ≤ 3 whose ``log QP`` still fits
+        it, falling back to 2 × 36 bits and then to the single 49-bit
+        prime that covers ``q_0`` alone.
         """
         bits = (40,) + (26,) * depth
-        alpha = 3
+        special: int | tuple[int, ...] = (31,) * 3
         headroom = he_standard_max_logq(self.n_ring) - sum(bits)
-        if headroom >= 0:
-            alpha = min(3, max(1, headroom // 36))
+        if 0 <= headroom < sum(special):
+            special = (36, 36) if headroom >= 72 else 49
         return CkksRnsParams(
             n=self.n_ring,
             moduli_bits=bits,
             scale_bits=26,
-            special_bits=(36,) * alpha if alpha > 1 else 49,
+            special_bits=special,
         )
 
     def mp_params(self, depth: int) -> CkksParams:

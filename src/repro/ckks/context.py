@@ -198,8 +198,9 @@ class CkksContext:
         v = ring.from_coeffs(sample_zo(self.n, rng).astype(object))
         e0 = sample_gaussian(self.n, rng, self.params.sigma).astype(object)
         e1 = sample_gaussian(self.n, rng, self.params.sigma).astype(object)
-        c0 = ring.add(ring.mul(v, pk.b), ring.from_coeffs(np.asarray(m, dtype=object) + e0))
-        c1 = ring.add(ring.mul(v, pk.a), ring.from_coeffs(e1))
+        vb, va = ring.mul_many([(v, pk.b), (v, pk.a)])
+        c0 = ring.add(vb, ring.from_coeffs(np.asarray(m, dtype=object) + e0))
+        c1 = ring.add(va, ring.from_coeffs(e1))
         return Ciphertext(c0=c0, c1=c1, level=self.top_level, scale=scale, n=self.n)
 
     @traced("ckks.decrypt")
@@ -301,7 +302,7 @@ class CkksContext:
         plain_scale = float(plain_scale or self.params.scale)
         encoded = isinstance(values, np.ndarray) and values.dtype == object
         m = ring.from_coeffs(values if encoded else self._cached_encode(values, plain_scale))
-        comps = [ring.mul(c, m) for c in a.components()]
+        comps = ring.mul_many([(c, m) for c in a.components()])
         return with_components(a, comps, scale=a.scale * plain_scale)
 
     @traced("ckks.mul_plain_scalar")
@@ -330,9 +331,10 @@ class CkksContext:
             return self._mul_ct_ext(a, b)
         a, b = self._align(a, b)
         ring = self.ring(a.level)
-        d0 = ring.mul(a.c0, b.c0)
-        d1 = ring.add(ring.mul(a.c0, b.c1), ring.mul(a.c1, b.c0))
-        d2 = ring.mul(a.c1, b.c1)
+        d0, c0c1, c1c0, d2 = ring.mul_many(
+            [(a.c0, b.c0), (a.c0, b.c1), (a.c1, b.c0), (a.c1, b.c1)]
+        )
+        d1 = ring.add(c0c1, c1c0)
         return Ciphertext(d0, d1, a.level, a.scale * b.scale, self.n, d2)
 
     @traced("ckks.square_raw")
@@ -340,10 +342,8 @@ class CkksContext:
         """Raw squaring without relinearisation (degree-2 result)."""
         require_degree1(a, "square_raw")
         ring = self.ring(a.level)
-        d0 = ring.mul(a.c0, a.c0)
-        c0c1 = ring.mul(a.c0, a.c1)
+        d0, c0c1, d2 = ring.mul_many([(a.c0, a.c0), (a.c0, a.c1), (a.c1, a.c1)])
         d1 = ring.add(c0c1, c0c1)
-        d2 = ring.mul(a.c1, a.c1)
         return Ciphertext(d0, d1, a.level, a.scale**2, self.n, d2)
 
     def _mul_ct_ext(self, a: Ciphertext, x: Ciphertext) -> Ciphertext:
@@ -352,10 +352,11 @@ class CkksContext:
             raise ValueError("ct × ext products require a degree-2 extended operand")
         a, x = self._align(a, x)
         ring = self.ring(a.level)
-        e0 = ring.mul(a.c0, x.c0)
-        e1 = ring.add(ring.mul(a.c0, x.c1), ring.mul(a.c1, x.c0))
-        e2 = ring.add(ring.mul(a.c0, x.c2), ring.mul(a.c1, x.c1))
-        e3 = ring.mul(a.c1, x.c2)
+        e0, p01, p10, p02, p11, e3 = ring.mul_many(
+            [(a.c0, x.c0), (a.c0, x.c1), (a.c1, x.c0), (a.c0, x.c2), (a.c1, x.c1), (a.c1, x.c2)]
+        )
+        e1 = ring.add(p01, p10)
+        e2 = ring.add(p02, p11)
         return Ciphertext(
             e0, e1, a.level, a.scale * x.scale, self.n, e2, e3, deferred=x.deferred
         )
@@ -383,16 +384,17 @@ class CkksContext:
         x2_big = np.mod(ring.to_centered(x.c2), q_big)
         kb_l = np.mod(self._center(relin.b, lift_q), q_big)
         ka_l = np.mod(self._center(relin.a, lift_q), q_big)
-        t0 = big.mul(x2_big, kb_l)
-        t1 = big.mul(x2_big, ka_l)
+        pairs = [(x2_big, kb_l), (x2_big, ka_l)]
         if x.c3 is not None:
             if relin3 is None:
                 raise ValueError("degree-3 relinearisation requires the s^3 key (relin3)")
             x3_big = np.mod(ring.to_centered(x.c3), q_big)
             kb3_l = np.mod(self._center(relin3.b, lift_q), q_big)
             ka3_l = np.mod(self._center(relin3.a, lift_q), q_big)
-            t0 = big.add(t0, big.mul(x3_big, kb3_l))
-            t1 = big.add(t1, big.mul(x3_big, ka3_l))
+            pairs += [(x3_big, kb3_l), (x3_big, ka3_l)]
+        t0, t1, *t3 = big.mul_many(pairs)
+        if t3:
+            t0, t1 = big.add(t0, t3[0]), big.add(t1, t3[1])
         r0 = big.round_div(t0, self.p_special, ring.q)
         r1 = big.round_div(t1, self.p_special, ring.q)
         return Ciphertext(
@@ -410,8 +412,7 @@ class CkksContext:
         x_big = np.mod(ring.to_centered(x), q_big)
         kb_l = np.mod(self._center(kb, self.q_top * self.p_special), q_big)
         ka_l = np.mod(self._center(ka, self.q_top * self.p_special), q_big)
-        t0 = big.mul(x_big, kb_l)
-        t1 = big.mul(x_big, ka_l)
+        t0, t1 = big.mul_many([(x_big, kb_l), (x_big, ka_l)])
         r0 = big.round_div(t0, self.p_special, ring.q)
         r1 = big.round_div(t1, self.p_special, ring.q)
         return r0, r1

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.nt.modarith import NARROW_MODULUS_BITS, mulmod
+from repro.nt.modarith import NARROW_MODULUS_BITS, _reduce, mulmod
 
 __all__ = [
     "MapBoundError",
@@ -145,19 +145,6 @@ def compile_limb_matrix(
             f"2**{EXACT_BITS}"
         )
     return best[1]
-
-
-def _reduce(acc: np.ndarray, m: int) -> np.ndarray:
-    """``acc mod m`` in place, as ``acc - (acc // m) * m``.
-
-    NumPy divides by a scalar with libdivide's multiply-and-shift but
-    takes a hardware division per element for ``%``: 1.3 against 3.4
-    ns per element.  Products wrap modulo 2**64 like the exact result.
-    """
-    q = np.floor_divide(acc, m)
-    q *= m
-    acc -= q
-    return acc
 
 
 def _gemm(w: np.ndarray, x: np.ndarray) -> np.ndarray:

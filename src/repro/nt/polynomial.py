@@ -118,21 +118,35 @@ class PolyRing:
     # -- multiplication ------------------------------------------------------
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Negacyclic product through a temporary CRT over NTT primes.
+        """Negacyclic product through a temporary CRT over NTT primes
+        (:meth:`mul_many` of one pair)."""
+        return self.mul_many([(a, b)])[0]
 
-        The centred operands are decomposed, transformed, multiplied per
-        channel and transformed back; the signed recomposition is the
-        exact integer product, reduced mod ``q``.
+    def mul_many(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+        """Negacyclic products of several operand pairs.
+
+        Each distinct operand — by identity, so pass the same array
+        object where an operand recurs — is centred, decomposed and
+        forward-transformed once, all of them in one stacked transform;
+        the products are multiplied per channel, transformed back
+        together, and each signed recomposition (the exact integer
+        product) is reduced mod ``q``.  A ciphertext product's four
+        pairs thus cost four forward transforms, not eight.
         """
-        a = _as_object_array(a, self.n)
-        b = _as_object_array(b, self.n)
-        if a.ndim != 1 or b.ndim != 1:
+        slots: dict[int, int] = {}
+        operands = []
+        for x in (x for pair in pairs for x in pair):
+            if id(x) not in slots:
+                slots[id(x)] = len(operands)
+                operands.append(_as_object_array(x, self.n))
+        if any(x.ndim != 1 for x in operands):
             raise ValueError("multiplication is single-polynomial (1-D) only")
         basis, ntt = self._basis, self._ntt
-        fa = ntt.forward(np.stack(basis.decompose(self.to_centered(a))))
-        fb = ntt.forward(np.stack(basis.decompose(self.to_centered(b))))
-        prod = ntt.inverse(np.stack(basis.mul(list(fa), list(fb))))
-        return np.mod(basis.compose_centered(list(prod)).astype(object), self.q)
+        spectra = ntt.forward(np.stack(basis.decompose(self.to_centered(np.stack(operands)))))
+        left = spectra[:, [slots[id(a)] for a, _ in pairs]]
+        right = spectra[:, [slots[id(b)] for _, b in pairs]]
+        prod = ntt.inverse(np.stack(basis.mul(list(left), list(right))))
+        return list(np.mod(basis.compose_centered(list(prod)).astype(object), self.q))
 
     # -- CKKS-specific helpers -------------------------------------------------
 

@@ -52,6 +52,37 @@ def test_mul_and_rescale(ckks_ctx, ckks_keys, rng):
     assert np.allclose(ckks_ctx.decrypt_real(ckks_keys.sk, cm), z1 * z2, atol=1e-3)
 
 
+def test_products_transform_each_operand_once(ckks_ctx, ckks_keys, rng, monkeypatch):
+    """``mul_raw`` forward-transforms its four distinct components once
+    each — 4 polynomials, not one per factor of its 4 products (8);
+    ``square_raw`` 2, a degree-1 x degree-2 product 5 (not 12)."""
+    c1, c2 = (_enc(ckks_ctx, ckks_keys, rng.uniform(-1, 1, ckks_ctx.slots), rng) for _ in range(2))
+    ring = ckks_ctx.ring(c1.level)
+    ntt, polys = ring._ntt, []
+
+    class CountingPlan:
+        def forward(self, x):
+            polys.append(x[0].size // ring.n)  # (channels, operands, n) stack
+            return ntt.forward(x)
+
+        def inverse(self, x):
+            return ntt.inverse(x)
+
+    monkeypatch.setattr(ring, "_ntt", CountingPlan())
+    raw = ckks_ctx.mul_raw(c1, c2)
+    assert polys == [4]
+    polys.clear()
+    ckks_ctx.square_raw(c1)
+    assert polys == [2]
+    polys.clear()
+    ckks_ctx.mul_raw(c2, raw)
+    assert polys == [5]
+    monkeypatch.undo()
+    # one product per pair, each on copies (nothing shared) equals the batched one
+    fresh = [ring.mul(x.copy(), y.copy()) for x, y in [(c1.c0, c2.c0), (c1.c1, c2.c1)]]
+    assert [list(v) for v in fresh] == [list(raw.c0), list(raw.c2)]
+
+
 def test_square_matches_mul(ckks_ctx, ckks_keys, rng):
     z = rng.uniform(-1, 1, ckks_ctx.slots)
     c = _enc(ckks_ctx, ckks_keys, z, rng)

@@ -53,7 +53,7 @@ class Radix2NttPlan:
         self._tw_inv_f = self._tw_inv / self.p
         self._n_inv_f = self.n_inv / self.p
         stages = self.n.bit_length() - 1
-        self._narrow = self.p.bit_length() < NARROW_MODULUS_BITS
+        self._narrow = self.p < 1 << NARROW_MODULUS_BITS
         if self._narrow:
             self._lazy = (stages + 2) * self.p * self.p < 2**63
         else:

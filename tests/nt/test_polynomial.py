@@ -58,6 +58,19 @@ def test_mul_with_huge_coefficients(ring, rng):
             assert all(int(x) == int(y) for x, y in zip(got, ref))
 
 
+def test_mul_many_matches_naive(ring, rng):
+    """Pairs sharing operands (by identity) transform each operand once
+    and still return every product, in order."""
+    a, b, c = (ring.random_uniform(rng) for _ in range(3))
+    pairs = [(a, b), (a, a), (c, a), (b, c), (a, b)]
+    got = ring.mul_many(pairs)
+    assert len(got) == len(pairs)
+    for (u, v), p in zip(pairs, got):
+        assert all(int(x) == int(y) for x, y in zip(p, naive_mul(u, v, ring.n, ring.q)))
+    with pytest.raises(ValueError, match="1-D"):
+        ring.mul_many([(a, np.stack([b, c]))])
+
+
 def test_linear_ops(ring, rng):
     a = ring.random_uniform(rng)
     b = ring.random_uniform(rng)
