@@ -17,6 +17,7 @@ from repro.henn.hybrid import HybridRnsEngine
 from repro.henn.layers import HeConv2d
 from repro.henn.rnscnn import QuantizedConvSpec, RnsIntegerConv, basis_for_budget
 from repro.henn.security import validate_security
+from repro.obs.report import format_table
 from repro.utils.timing import LatencyStats
 
 __all__ = [
@@ -30,23 +31,6 @@ __all__ = [
     "measure_engine_latency",
     "mock_accuracy",
 ]
-
-
-def format_table(headers: list[str], rows: list[list], title: str = "") -> str:
-    """Plain-text table (the paper's layout, monospace)."""
-    cells = [[str(h) for h in headers]] + [
-        [f"{c:.2f}" if isinstance(c, float) else str(c) for c in row] for row in rows
-    ]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    if title:
-        lines.append(title)
-    sep = "-+-".join("-" * w for w in widths)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
-    lines.append(sep)
-    for row in cells[1:]:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 # ------------------------------------------------------------------ Table I

@@ -161,18 +161,28 @@ class EncodedMap:
     """Every output row of one linear map, encoded once (a lone weighted sum is one row).
 
     ``rows[r]`` is output *r*'s ``(flat input indices or None for all,
-    EncodedTaps)``; ``matrix`` the same map as a dense ``(rows, inputs)``
-    :class:`~repro.nt.kernels.LimbMatrix` for the exact limb GEMM — a
-    weight too wide for it raises :class:`~repro.nt.kernels.MapBoundError`
-    here, at compile time, never at evaluation.  A map of slot-vector
-    taps (the packed layout's diagonal products) has no ``matrix``.
+    EncodedTaps)``; ``bias[r]`` (``None``: no bias) the plaintext output
+    *r* adds after its rescale; ``matrix`` the same map as a dense
+    ``(rows, inputs)`` :class:`~repro.nt.kernels.LimbMatrix` for the
+    exact limb GEMM — a weight too wide for it raises
+    :class:`~repro.nt.kernels.MapBoundError` here, at compile time, never
+    at evaluation.  A map of slot-vector taps (the packed layout's
+    diagonal products) has no ``matrix``.
     """
 
-    def __init__(self, rows: "list[tuple[list[int] | None, EncodedTaps]]", inputs: int):
+    def __init__(
+        self,
+        rows: "list[tuple[list[int] | None, EncodedTaps]]",
+        inputs: int,
+        bias: np.ndarray | None = None,
+    ):
         if not rows or inputs < 1:
             raise ValueError("a linear map needs at least one row and one input")
+        if bias is not None and len(bias) != len(rows):
+            raise ValueError(f"{len(bias)} biases for {len(rows)} rows")
         self.rows = rows
         self.inputs = inputs
+        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
         self.plain_scale = rows[0][1].plain_scale
         self.matrix = None
         if rows[0][1].plain is not None:
@@ -202,7 +212,7 @@ class HeBackend(ABC):
     components, the linear ops below accept them like any other handle,
     and ``relinearize_ext`` brings them back to degree 1 — a relinearised
     product is spelled ``relinearize_ext(mul_raw(a, b))``.  A handle
-    carries its own ``scale`` and ``level``.  The 22 public names, by
+    carries its own ``scale`` and ``level``.  The 20 public names, by
     role:
 
     **Primitives** (16; what a scheme implements)
@@ -218,11 +228,12 @@ class HeBackend(ABC):
     * request packing, degree 1 — ``concat_slots``, ``slice_slots``;
     * compile-once constants — ``encode_taps``.
 
-    **Derived composites** (6; defined here on top of the primitives),
-    what the engine's plan calls: ``weighted_sum_encoded`` (the real
-    schemes override it with fused kernels), ``poly_eval`` and the four
-    batch entry points ``poly_eval_many``, ``rescale_many``,
-    ``add_plain_each`` and ``relinearize_many``, one call per group of
+    **Derived composites** (4; defined here on top of the primitives),
+    what the engine's plan calls: ``weighted_sum_encoded`` (a whole
+    linear map, rescaled and biased; the real schemes override its sum
+    with fused kernels), ``poly_eval`` and the two batch entry points
+    ``poly_eval_many`` and ``relinearize_many``.  The batch entry points
+    and the map's rescale-and-bias finish run one call per group of
     :meth:`_shard_plan` — here every handle alone; CKKS-RNS packs like
     handles, overriding only that hook and the interpreter's
     :meth:`_mul_consts` / :meth:`_add_consts` and the BSGS fold :meth:`_rotate_sum`.
@@ -388,10 +399,12 @@ class HeBackend(ABC):
         """Every output row of a precompiled linear map over fresh handles.
 
         *handles* holds one handle per map input; the result one per
-        row.  Every component of an unrelinearised handle is weighted.
-        The generic implementation multiplies and adds pairwise, row by
-        row; the real schemes override it (this is where convolutions
-        spend their time).
+        row, rescaled and with the row's bias added (:meth:`_finish_map`):
+        the whole conv / dense block of the paper's Fig. 5 but its
+        relinearisation.  Every component of an unrelinearised handle is
+        weighted.  The generic implementation multiplies and adds
+        pairwise, row by row; the real schemes override the sum (this is
+        where convolutions spend their time).
         """
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
             out = []
@@ -405,7 +418,23 @@ class HeBackend(ABC):
                 for term in terms[1:]:
                     acc = self.add(acc, term)
                 out.append(acc)
-            return out
+        return self._finish_map(out, emap.bias)
+
+    def _finish_map(self, sums: list[Any], bias: np.ndarray | None) -> list[Any]:
+        """:meth:`rescale` each row sum, then add its bias: one call per group
+        of :meth:`_shard_plan`.
+
+        Bit-identical per row, every component included, to ``rescale``
+        then ``add_plain(h, float(bias[r]))`` on the lone handle — both
+        context ops are slot-parallel over the packed position axis.  An
+        armed fault injector draws once per group.
+        """
+
+        def finish(x: Any, part: Sequence[int]) -> Any:
+            x = self.rescale(x)
+            return x if bias is None else self._add_consts(x, bias[part])
+
+        return _run_shards(sums, self._shard_plan(sums), finish)
 
     def poly_eval(self, x: Any, coeffs: np.ndarray) -> Any:
         """Evaluate ``sum_k coeffs[k] x^k`` homomorphically.
@@ -474,23 +503,6 @@ class HeBackend(ABC):
                 handles, plan, lambda x, part: _run_poly_program(self, program, x, rows[part])
             )
 
-    def rescale_many(self, handles: Sequence[Any]) -> list[Any]:
-        """:meth:`rescale` of each handle, one call per group of :meth:`_shard_plan`.
-
-        Bit-identical per handle, every component included — the
-        context's rescale is slot-parallel over the packed position axis.
-        """
-        handles = list(handles)
-        return _run_shards(handles, self._shard_plan(handles), lambda x, _: self.rescale(x))
-
-    def add_plain_each(self, handles: Sequence[Any], values: np.ndarray) -> list[Any]:
-        """``handles[i] + values[i]`` per handle, one call per group."""
-        handles = list(handles)
-        values = np.asarray(values, dtype=np.float64)
-        return _run_shards(
-            handles, self._shard_plan(handles), lambda x, part: self._add_consts(x, values[part])
-        )
-
     def relinearize_many(self, handles: Sequence[Any]) -> list[Any]:
         """:meth:`relinearize_ext` of each handle (degree 1 passes through).
 
@@ -503,7 +515,8 @@ class HeBackend(ABC):
         return _run_shards(handles, plan, lambda x, _: self.relinearize_ext(x))
 
     def _shard_plan(self, handles: list[Any]) -> "list[list[Sequence[int]]]":
-        """The groups the batch entry points run, each as its shards of handle indices.
+        """The groups the batch entry points and a map's finish run, each as its
+        shards of handle indices.
 
         Here every handle is a group of one shard, ``[i]``; a backend
         whose kernels stack like handles (CKKS-RNS) groups them.
@@ -804,7 +817,8 @@ class CkksBackend(HeBackend):
             self.ctx.add_galois_key(self.keys, int(r), self._key_rng)
 
     def weighted_sum_encoded(self, handles, emap: EncodedMap):
-        """Per row, accumulate every big-int component lazily, reducing mod q once."""
+        """Per row, accumulate every big-int component lazily, reducing mod q once;
+        then rescale and add the bias (:meth:`HeBackend._finish_map`)."""
         if emap.matrix is None:
             return super().weighted_sum_encoded(handles, emap)
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
@@ -828,7 +842,7 @@ class CkksBackend(HeBackend):
                         deferred=any(h.deferred for h in row),
                     )
                 )
-            return out
+        return self._finish_map(out, emap.bias)
 
 
 # --------------------------------------------------------------------------- full-RNS CKKS
@@ -838,9 +852,9 @@ class CkksRnsBackend(HeBackend):
     """The paper's CNN-HE-RNS backend: residue channels, position shards over the cores.
 
     It only chooses the groups of the base class's batch entry points
-    (:meth:`_shard_plan`): each group of like handles packs into one
-    ``(k, B, n)`` ciphertext, its positions split into contiguous
-    shards, one per usable core while each keeps
+    and map finish (:meth:`_shard_plan`): each group of like handles
+    packs into one ``(k, B, n)`` ciphertext, its positions split into
+    contiguous shards, one per usable core while each keeps
     ``ctx.shard_min_elems`` elements.  Every context primitive is
     slot-parallel over the packed axis, so a shard computes exactly what
     the whole group computes on its positions; only the per-position
@@ -950,7 +964,9 @@ class CkksRnsBackend(HeBackend):
         slot-vector taps (no ``matrix``) sums its
         dyadic products per row instead
         (:meth:`CkksRnsContext.weighted_sum_plain`), bit-identical to
-        the generic ``_mul_encoded`` / ``add`` chain.
+        the generic ``_mul_encoded`` / ``add`` chain.  The row sums then
+        rescale and add the bias in one pass per packed group
+        (:meth:`HeBackend._finish_map`).
         """
         with obs.span("henn.weighted_sum", backend=self.name, taps=len(handles)):
             if emap.matrix is None:
@@ -958,8 +974,10 @@ class CkksRnsBackend(HeBackend):
                 for idxs, enc in emap.rows:
                     taps = range(len(handles)) if idxs is None else idxs
                     rows.append(([taps[t] for t in enc.keep], [enc.plain[t] for t in enc.keep]))
-                return self.ctx.weighted_sum_plain(list(handles), rows)
-            return self.ctx.weighted_sum(list(handles), emap.matrix, emap.plain_scale)
+                sums = self.ctx.weighted_sum_plain(list(handles), rows)
+            else:
+                sums = self.ctx.weighted_sum(list(handles), emap.matrix, emap.plain_scale)
+        return self._finish_map(sums, emap.bias)
 
     def _shard_plan(self, handles: list[RnsCiphertext]) -> "list[list[np.ndarray]]":
         """Per packed group (:func:`_rns_groups`), its contiguous position shards.

@@ -112,9 +112,10 @@ class HeLinearMap(HeLayer):
 
     A subclass describes itself once, as the :class:`TapProgram` of
     :meth:`taps`; this class holds the reference evaluation of it (per
-    position, its weights encoded afresh as a one-row
-    :class:`~repro.henn.backend.EncodedMap`, one rescale and one
-    plaintext bias add, then one batched relinearisation of the outputs)
+    position, its weights and bias encoded afresh as a one-row
+    :class:`~repro.henn.backend.EncodedMap` — a weighted sum, one rescale
+    and one plaintext bias add — then one batched relinearisation of the
+    outputs)
     and :class:`repro.henn.plan.PlannedTaps` the precompiled one the
     engine runs.  Consumes one level.
     """
@@ -144,11 +145,9 @@ class HeLinearMap(HeLayer):
         out = np.empty(len(entries), dtype=object)
         for pos, (idxs, ws) in enumerate(entries):
             handles = flat if idxs is None else [flat[t] for t in idxs]
-            emap = EncodedMap([(None, backend.encode_taps(ws))], len(handles))
-            acc = backend.rescale(backend.weighted_sum_encoded(handles, emap)[0])
-            if bias is not None:
-                acc = backend.add_plain(acc, float(bias[pos]))
-            out[pos] = acc
+            row_bias = None if bias is None else bias[pos : pos + 1]
+            emap = EncodedMap([(None, backend.encode_taps(ws))], len(handles), row_bias)
+            (out[pos],) = backend.weighted_sum_encoded(handles, emap)
         out[:] = backend.relinearize_many(list(out))
         return out.reshape(out_shape)
 

@@ -272,8 +272,8 @@ class PackedTaps(HeLayer):
     rot_{-g}(diag_{g+j})``: the baby rotations ``rot_j(x)`` come from one
     hoisted :meth:`~repro.henn.backend.HeBackend.rotate` call, the group
     sums are one :class:`~repro.henn.plan.PlannedTaps` over them with
-    slot-vector taps (one row per giant step, weighted sum then batched
-    rescale), the rescaled group sums are rotated by their giant steps
+    slot-vector taps (one row per giant step, each rescaled; the map has
+    no bias), the rescaled group sums are rotated by their giant steps
     and summed in one :meth:`~repro.henn.backend.HeBackend._rotate_sum`
     — one level down, on one limb fewer — then one packed bias add.  An
     unrelinearised input (an activation in front) is relinearised first

@@ -6,19 +6,18 @@ evaluation that does not depend on the ciphertexts:
 
 * one :class:`PlannedTaps` per linear map (conv, dense, pooling): the
   layer's :class:`~repro.henn.layers.TapProgram` — which handles each
-  output position gathers and with which weights — encoded once as an
-  :class:`~repro.henn.backend.EncodedMap`: the quantized weights of
-  every row (:meth:`repro.henn.backend.HeBackend.encode_taps`,
-  deduplicated through a keyed :class:`PlaintextCache`, so the
-  thousands of interior conv positions that share one kernel encode it
-  exactly once) and the dense integer matrix split for the exact limb
-  GEMM the CKKS-RNS kernel runs;
+  output position gathers, with which weights, and the bias it adds —
+  encoded once as an :class:`~repro.henn.backend.EncodedMap`: the
+  quantized weights of every row
+  (:meth:`repro.henn.backend.HeBackend.encode_taps`, ``round(w·Δ)``; no
+  scheme plaintext is encoded), the bias, and the dense integer matrix
+  split for the exact limb GEMM the CKKS-RNS kernel runs;
 * a :class:`~repro.utils.cache.PlaintextCache` installed on the
-  backend's context, which memoizes the scalar plaintexts (biases,
-  polynomial constant terms) the first image encodes — every later
-  image performs **zero** plaintext encodes, which the CI smoke job
-  asserts by counting ``plan.encode.fresh`` / ``plan.cache.miss``, not
-  by timing.
+  backend's context, which memoizes the runtime plaintexts (biases,
+  polynomial constant terms, packed diagonals) the first image encodes
+  — every later image performs **zero** plaintext encodes, which the CI
+  smoke job asserts by counting ``plan.encode.fresh`` /
+  ``plan.cache.miss``, not by timing.
 
 Every other layer (activation, flatten) sits in the plan as it is.
 :class:`PlannedTaps` is the executor of the per-position layout; it is
@@ -52,7 +51,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro import obs
-from repro.henn.backend import EncodedMap, EncodedTaps, HeBackend
+from repro.henn.backend import EncodedMap, HeBackend
 from repro.henn.layers import HeFlatten, HeLayer, HeLinearMap, check_level_budget
 from repro.obs.metrics import get_registry
 from repro.utils.cache import PlaintextCache
@@ -60,58 +59,18 @@ from repro.utils.cache import PlaintextCache
 if TYPE_CHECKING:
     from repro.henn.packing import PackedPlan
 
-__all__ = ["InferencePlan", "PlannedTaps", "compile_plan", "plan_cache_key"]
-
-
-def _backend_sig(backend: HeBackend) -> tuple:
-    """Content-based identity of a backend's encoding parameters.
-
-    Two backends with the same signature produce identical encodings, so
-    cache entries may be shared between them; anything that changes the
-    encoding (ring degree, modulus chain, scale) changes the signature.
-    """
-    ctx = getattr(backend, "ctx", None)
-    sig: tuple = (backend.name, float(backend.scale))
-    if ctx is not None:
-        sig += (int(getattr(ctx, "n", 0)),)
-        moduli = getattr(ctx, "moduli", None)
-        if moduli is not None:
-            sig += (tuple(int(m) for m in moduli),)
-    else:
-        sig += (int(getattr(backend, "levels", 0)),)
-    return sig
-
-
-def plan_cache_key(sig: tuple, ps: float, consts: tuple[int, ...]) -> tuple:
-    """Cache key of one encoded weighted sum (see ``docs/PERFORMANCE.md``)."""
-    return ("taps", sig, float(ps), consts)
-
-
-class _TapEncoder:
-    """Encodes tap weights through the plan cache with content keys."""
-
-    def __init__(self, backend: HeBackend, cache: PlaintextCache):
-        self.backend = backend
-        self.cache = cache
-        self.sig = _backend_sig(backend)
-        self.ps = float(backend.scale)
-
-    def __call__(self, weights: np.ndarray) -> EncodedTaps:
-        consts = tuple(int(round(float(w) * self.ps)) for w in weights)
-        key = plan_cache_key(self.sig, self.ps, consts)
-        return self.cache.get_or_encode(
-            key, lambda: self.backend.encode_taps(weights, self.ps)
-        )
+__all__ = ["InferencePlan", "PlannedTaps", "compile_plan"]
 
 
 class PlannedTaps(HeLayer):
     """A linear map encoded once as an :class:`EncodedMap`.
 
-    ``forward``: one map-wide weighted sum, then batched rescale, bias
-    add and relinearisation — the sweep of an activation in front, paid
-    over this map's outputs.  :meth:`compile` plans a layer's tap
-    program (the per-position layout); the packed layout runs the group
-    sums of its diagonal products through one as well
+    ``forward``: one map-wide weighted sum, rescaled and biased
+    (:meth:`HeBackend.weighted_sum_encoded`), then one batched
+    relinearisation — the sweep of an activation in front, paid over
+    this map's outputs.  :meth:`compile` plans a layer's tap program (the
+    per-position layout); the packed layout runs the group sums of its
+    diagonal products through one as well
     (:class:`repro.henn.packing.PackedTaps`).
     """
 
@@ -123,28 +82,23 @@ class PlannedTaps(HeLayer):
         emap: EncodedMap,
         in_shape: tuple[int, ...],
         out_shape: tuple[int, ...],
-        bias: np.ndarray | None = None,
     ):
         self.src = src
         self.map = emap
         self.in_shape = tuple(in_shape)
         self.out_shape = tuple(out_shape)
-        self.bias = bias
 
     @classmethod
-    def compile(cls, src: HeLinearMap, enc: _TapEncoder, in_shape: tuple[int, ...]) -> "PlannedTaps":
-        """Plan *src*'s tap program over *in_shape*, every row encoded through *enc*."""
+    def compile(cls, backend: HeBackend, src: HeLinearMap, in_shape: tuple[int, ...]) -> "PlannedTaps":
+        """Plan *src*'s tap program over *in_shape*, every row quantized by *backend*."""
         out_shape, entries, bias = src.taps(tuple(in_shape))
-        emap = EncodedMap([(idxs, enc(ws)) for idxs, ws in entries], int(np.prod(in_shape)))
-        return cls(src, emap, in_shape, out_shape, bias)
+        rows = [(idxs, backend.encode_taps(ws)) for idxs, ws in entries]
+        return cls(src, EncodedMap(rows, int(np.prod(in_shape)), bias), in_shape, out_shape)
 
     def forward(self, backend: HeBackend, x: np.ndarray) -> np.ndarray:
         if x.shape != self.in_shape:
             raise ValueError(f"{self.src!r} was planned for {self.in_shape}, got {x.shape}")
-        accs = backend.rescale_many(backend.weighted_sum_encoded(list(x.reshape(-1)), self.map))
-        if self.bias is not None:
-            accs = backend.add_plain_each(accs, self.bias)
-        accs = backend.relinearize_many(accs)
+        accs = backend.relinearize_many(backend.weighted_sum_encoded(list(x.reshape(-1)), self.map))
         out = np.empty(len(accs), dtype=object)
         out[:] = accs
         return out.reshape(self.out_shape)
@@ -160,9 +114,9 @@ class InferencePlan:
         :class:`PlannedTaps` for every linear map, the source layer
         itself for everything else (activations, flatten).
     cache:
-        The :class:`PlaintextCache` holding deduplicated tap encodings
-        and (after the first image) every scalar plaintext; also
-        installed as the backend context's ``plain_cache``.
+        The :class:`PlaintextCache` holding (after the first image) every
+        runtime plaintext; also installed as the backend context's
+        ``plain_cache``.
     packed_width:
         Score width of the packed single-image layout, or ``None`` when
         the plan does not offer it.
@@ -208,30 +162,24 @@ class InferencePlan:
 
 
 def compile_plan(
-    backend: HeBackend,
-    layers: list[HeLayer],
-    input_shape: tuple[int, int, int],
-    cache: PlaintextCache | None = None,
+    backend: HeBackend, layers: list[HeLayer], input_shape: tuple[int, int, int]
 ) -> InferencePlan:
     """Compile the graph's plaintext side once for this backend.
 
-    Walks the layer list with shape propagation, pre-encoding every
-    weighted sum through *cache* (deduplicated by quantized content) and
-    installing the cache on the backend context so runtime scalar
-    encodes (biases, activation constants) are memoized as the first
-    image flows through.  Layers the plan does not specialize are kept
-    as-is, so a planned engine always evaluates the exact same graph.
+    Walks the layer list with shape propagation, quantizing every
+    weighted sum once and installing a plaintext cache on the backend
+    context, so runtime encodes (biases, activation constants, packed
+    diagonals) are memoized as the first image flows through.  The plan
+    adopts the cache an earlier plan installed on this context
+    (replacing it would leave that plan's runtime plaintexts memoised on
+    an object it does not hold), or creates a fresh one.  Layers the plan
+    does not specialize are kept as-is, so a planned engine always
+    evaluates the exact same graph.
 
     Parameters
     ----------
     backend, layers, input_shape:
         As on :class:`~repro.henn.inference.HeInferenceEngine`.
-    cache:
-        Cache to (re)use.  By default the plan adopts the cache an
-        earlier plan installed on this backend's context (replacing it
-        would leave that plan's runtime scalars memoised on an object it
-        does not hold), or creates a fresh one.  Sharing one cache
-        between plans is safe — keys carry the backend signature.
 
     Raises
     ------
@@ -240,19 +188,17 @@ def compile_plan(
     """
     check_level_budget(backend, layers)
     ctx = getattr(backend, "ctx", None)
-    if cache is None:
-        cache = getattr(ctx, "plain_cache", None)
+    cache = getattr(ctx, "plain_cache", None)
     if cache is None:
         cache = PlaintextCache()
     if ctx is not None and hasattr(ctx, "plain_cache"):
         ctx.plain_cache = cache
-    enc = _TapEncoder(backend, cache)
     shape: tuple = tuple(input_shape)
     planned: list[HeLayer] = []
     with obs.span("henn.plan.compile", layers=len(layers)):
         for layer in layers:
             if isinstance(layer, HeLinearMap):
-                layer = PlannedTaps.compile(layer, enc, shape)
+                layer = PlannedTaps.compile(backend, layer, shape)
                 shape = layer.out_shape
             elif isinstance(layer, HeFlatten):
                 shape = (int(np.prod(shape)),)

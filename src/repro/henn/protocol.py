@@ -758,8 +758,9 @@ def _worker_engine(
     *is* the warm-up the pool's ``warming`` state covers.  On CKKS /
     CKKS-RNS the fork also carries the parent plan's cache as the
     context's ``plain_cache``, which :func:`~repro.henn.plan.compile_plan`
-    adopts, so every tap encoding is a hit on pages shared copy-on-write
-    with the gateway.
+    adopts, so the runtime plaintexts the gateway already encoded
+    (biases, SLAF constants) are hits on pages shared copy-on-write with
+    it; the taps themselves are only quantized, never encoded.
     """
     return HeInferenceEngine(backend, layers, input_shape)
 

@@ -8,6 +8,7 @@ key switching vs. executor dispatch vs. layer overhead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -116,10 +117,13 @@ def _prefixed_rows(metrics: MetricsRegistry, prefix: str) -> list[list]:
     return rows
 
 
-def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
-    """Monospace table (same layout as the benchmark tables)."""
+def format_table(
+    headers: Sequence[str], rows: Sequence[Sequence], title: str = "", digits: int = 2
+) -> str:
+    """Monospace table, floats to *digits* places: the paper's layout, which
+    every benchmark table (``repro.bench.format_table``) and report uses."""
     cells = [[str(h) for h in headers]] + [
-        [f"{c:.4f}" if isinstance(c, float) else str(c) for c in row] for row in rows
+        [f"{c:.{digits}f}" if isinstance(c, float) else str(c) for c in row] for row in rows
     ]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     lines = [title] if title else []
@@ -150,6 +154,7 @@ def render_report(
     wall = max(s.end for s in spans) - min(s.start for s in spans) if spans else 0.0
     threads = len({s.thread_id for s in roots})
     sections = ["repro.obs trace report"]
+    table = functools.partial(format_table, digits=4)
 
     rows = [
         [
@@ -163,7 +168,7 @@ def render_report(
         for a in sorted(aggs.values(), key=lambda a: a.self_total, reverse=True)
     ]
     sections.append(
-        format_table(
+        table(
             ["span", "calls", "incl s", "self s", "mean ms", "share %"],
             rows,
             f"per-primitive breakdown (busy {busy:.4f} s over {threads} thread(s), "
@@ -174,7 +179,7 @@ def render_report(
     layers = layer_rows(spans)
     if layers:
         sections.append(
-            format_table(
+            table(
                 ["layer", "seconds"],
                 [[n, s] for n, s in layers],
                 "per-layer breakdown (henn.layer spans)",
@@ -187,7 +192,7 @@ def render_report(
         prows = _prefixed_rows(metrics, prefix)
         if prows:
             sections.append(
-                format_table([header, "n", "value/mean", "p50", "p95", "p99"], prows, title)
+                table([header, "n", "value/mean", "p50", "p95", "p99"], prows, title)
             )
 
     if metrics.names():
@@ -206,6 +211,6 @@ def render_report(
             else:
                 mean = m["mean"]
                 mrows.append([name, m["count"], f"mean={mean:.6f}" if mean is not None else ""])
-        sections.append(format_table(["metric", "count/value", "detail"], mrows, "metrics"))
+        sections.append(table(["metric", "count/value", "detail"], mrows, "metrics"))
 
     return "\n\n".join(sections)

@@ -2,9 +2,9 @@
 
 An unrelinearised ciphertext is an ordinary handle for the linear ops
 (``add`` / ``add_plain`` / ``mul_plain_scalar`` / plaintext-vector
-products / ``rescale`` / ``mod_switch_to``, weighted sums and their
-batched ``rescale_many`` / ``add_plain_each``, which carry every
-component), but everything that reads ``(c0, c1)`` only — decryption,
+products / ``rescale`` / ``mod_switch_to``, and weighted sums with their
+batched rescale and bias add, which carry every component), but
+everything that reads ``(c0, c1)`` only — decryption,
 rotation, the left operand of a product, serialisation, request packing
 — must raise :class:`CiphertextDegreeError` instead of dropping
 ``c2``/``c3``.  Before each fix these returned a wrong plaintext (or a
@@ -84,12 +84,12 @@ def test_linear_ops_carry_every_component(backend):
     assert np.allclose(backend.decrypt(out, count=4), 0.75 * X**2 + 0.125, atol=1e-3)
     v = np.zeros(backend.max_batch)
     v[:4] = [2.0, -1.0, 0.5, 0.25]
-    # every component times the slot vector
+    # every component times the slot vector, then rescaled
     (prod,) = backend.weighted_sum_encoded(
         [raw2], EncodedMap([(None, backend.encode_taps(v[None], level=raw2.level))], 1)
     )
-    assert prod.degree == 2
-    out = backend.rescale(backend.relinearize_ext(prod))
+    assert (prod.degree, prod.level) == (2, raw2.level - 1)
+    out = backend.relinearize_ext(prod)
     assert np.allclose(backend.decrypt(out, count=4), v[:4] * X**2, atol=1e-3)
 
 
@@ -100,7 +100,7 @@ def test_weighted_sum_weights_every_component(backend):
     taps = [backend.mul_plain_scalar(ct, 1.0), raw2, backend.rescale(raw3)]  # all at ~Δ²
     (acc,) = _weighted_sum(backend, taps, [0.5, 0.25, -0.5])
     assert acc.degree == 3 and acc.deferred
-    out = backend.relinearize_ext(backend.rescale(acc))
+    out = backend.relinearize_ext(acc)
     want = 0.5 * X + 0.25 * X**2 - 0.5 * X**3
     assert np.allclose(backend.decrypt(out, count=4), want, atol=1e-3)
 
@@ -123,31 +123,56 @@ def _same(a, b, backend):
     assert getattr(a, "coeff_high", False) == getattr(b, "coeff_high", False)
 
 
-@pytest.mark.parametrize("degree", [2, 3])
+B = X[::-1]
+
+
+def _tap_groups(backend, degree):
+    """Groups of like taps of *degree* — each one map's input — and their plaintexts.
+
+    Degrees 2 and 3 add a coefficient-domain group
+    (``rescale(..., defer_high=True)``), a level lower.
+    """
+    a, b = backend.encrypt(X), backend.encrypt(B)
+    if degree == 1:
+        return [([a, b, backend.add(a, b)], [X, B, X + B])]
+    if degree == 2:
+        return [
+            ([backend.square_raw(a), backend.mul_raw(a, b), backend.square_raw(b)], [X**2, X * B, B**2]),
+            ([backend.rescale(backend.square_raw(a), defer_high=True)], [X**2]),
+        ]
+    sq = backend.rescale(backend.square_raw(a))
+    a1, b1 = (backend.rescale(backend.mul_plain_scalar(h, 1.0)) for h in (a, b))
+    cube = [backend.mul_raw(a1, sq), backend.mul_raw(b1, sq)]
+    plain = [X**3, B * X**2]
+    return [(cube, plain), ([backend.rescale(h, defer_high=True) for h in cube], plain)]
+
+
+def _chain(backend, taps, ws, bias):
+    """One row by hand: ``mul_plain_scalar`` / ``add``, ``rescale``, ``add_plain``."""
+    acc = None
+    for h, w in zip(taps, ws):
+        term = backend.mul_plain_scalar(h, float(w))
+        acc = term if acc is None else backend.add(acc, term)
+    return backend.add_plain(backend.rescale(acc), float(bias))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
 def test_batched_linear_ops_keep_every_component(backend, degree):
-    """``rescale_many`` / ``add_plain_each`` of extended handles equal the
-    per-handle ``rescale`` / ``add_plain``, component for component.  The
-    RNS batch used to stack c0/c1 only: a degree-2 handle came back
-    degree 1 and decrypted to garbage."""
-    ct = backend.encrypt(X)
-    raw = backend.square_raw(ct)
-    if degree == 3:
-        raw = backend.mul_raw(ct, backend.rescale(raw))
-        ct = backend.rescale(backend.mul_plain_scalar(ct, 1.0))
-    hs = [backend.mul_plain_scalar(raw, w) for w in (0.5, -0.25, 0.75)]
-    hs.append(backend.rescale(backend.mul_plain_scalar(backend.square_raw(ct), 0.5), True))
-    if degree == 3:  # a coefficient-domain group beside the evaluation-domain one
-        hs[-1] = backend.mul_plain_scalar(backend.rescale(raw, defer_high=True), 2.0)
-    rescaled = backend.rescale_many(hs)
-    for got, h in zip(rescaled, hs):
-        _same(got, backend.rescale(h), backend)
-        assert got.degree == degree
-    values = np.array([0.125, -0.5, 0.25, 1.0])
-    for got, h, v in zip(backend.add_plain_each(rescaled, values), rescaled, values):
-        _same(got, backend.add_plain(h, float(v)), backend)
-    out = backend.relinearize_ext(rescaled[0])
-    want = 0.5 * X**2 if degree == 2 else 0.5 * X**3
-    assert np.allclose(backend.decrypt(out, count=4), want, atol=1e-3)
+    """A map's rows leave ``weighted_sum_encoded`` rescaled and biased in
+    one batched pass, equal component for component to the per-handle
+    chain.  The RNS batch used to stack c0/c1 only: a degree-2 handle
+    came back degree 1 and decrypted to garbage."""
+    for taps, plain in _tap_groups(backend, degree):
+        ws = np.array([[0.5, -0.25, 0.75][: len(taps)], [-0.5, 0.25, 1.0][: len(taps)]])
+        bias = np.array([0.1, -0.3])  # not dyadic: quantized at Δ, not at the sum's scale
+        emap = EncodedMap([(None, backend.encode_taps(w)) for w in ws], len(taps), bias)
+        got = backend.weighted_sum_encoded(taps, emap)
+        for g, w, b in zip(got, ws, bias, strict=True):
+            _same(g, _chain(backend, taps, w, b), backend)
+            assert (g.degree, g.level) == (degree, taps[0].level - 1)
+        out = backend.relinearize_ext(got[0])
+        want = sum(w * p for w, p in zip(ws[0], plain)) + bias[0]
+        assert np.allclose(backend.decrypt(out, count=4), want, atol=1e-3)
 
 
 @pytest.mark.parametrize("kind", ["ckks", "rns"])
@@ -192,7 +217,9 @@ def test_rns_weighted_sum_and_wire_format_refuse_extended():
     backend = _backend("rns")
     ct, raw2, _ = _extended(backend)
     (acc,) = _weighted_sum(backend, [backend.mul_plain_scalar(ct, 1.0), raw2], [0.5, 0.25])
-    assert acc.degree == 2 and np.array_equal(acc.c2, backend.ctx.mul_plain_scalar(raw2, 0.25).c2)
+    # rescaling is componentwise: the sum's c2 is the weighted raw2's, rescaled
+    want = backend.rescale(backend.ctx.mul_plain_scalar(raw2, 0.25))
+    assert acc.degree == 2 and np.array_equal(acc.c2, want.c2)
     got = backend.decrypt(backend.relinearize_ext(acc), count=4)
     assert np.allclose(got, 0.5 * X + 0.25 * X**2, atol=1e-3)
     with pytest.raises(CiphertextDegreeError):

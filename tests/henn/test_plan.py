@@ -5,11 +5,10 @@ import pytest
 
 from repro.ckks import CkksParams
 from repro.ckksrns import CkksRnsParams
-from repro.henn import backend as backend_module
 from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeAvgPool, HeConv2d, HeFlatten, HeLinear, HePoly
-from repro.henn.plan import _backend_sig, compile_plan, plan_cache_key
+from repro.henn.plan import compile_plan
 from repro.obs.metrics import get_registry
 from repro.utils.cache import PlaintextCache
 
@@ -183,43 +182,7 @@ def test_planned_engine_rejects_what_the_reference_rejects(make_backend, shape):
         HeInferenceEngine(backend, layers, IN_SHAPE).run_encrypted(enc)
 
 
-# -- cache keys -------------------------------------------------------------
-
-
-def test_backend_signature_changes_with_params(monkeypatch):
-    base = CkksRnsParams(
-        n=128, moduli_bits=(36, 26, 26, 26, 26), scale_bits=26, special_bits=45, hw=16
-    )
-    b0 = CkksRnsBackend(base, seed=0)
-    sig0 = _backend_sig(b0)
-    assert sig0 == _backend_sig(CkksRnsBackend(base, seed=1))  # keys don't matter
-    b_n = CkksRnsBackend(
-        CkksRnsParams(
-            n=64, moduli_bits=(36, 26, 26, 26, 26), scale_bits=26, special_bits=45, hw=8
-        ),
-        seed=0,
-    )
-    assert _backend_sig(b_n) != sig0  # ring degree changes the signature
-    b_chain = CkksRnsBackend(
-        CkksRnsParams(
-            n=128, moduli_bits=(36, 26, 26, 26), scale_bits=26, special_bits=45, hw=16
-        ),
-        seed=0,
-    )
-    assert _backend_sig(b_chain) != sig0  # modulus chain changes the signature
-    b_26 = MockBackend(batch=4, levels=5)
-    monkeypatch.setattr(backend_module, "MOCK_SCALE_BITS", 20)
-    b_scale = MockBackend(batch=4, levels=5)
-    assert _backend_sig(b_scale) != _backend_sig(b_26)  # scale changes the signature
-
-
-def test_plan_cache_key_components():
-    sig = ("mock", 2.0**26, 5)
-    k0 = plan_cache_key(sig, 2.0**26, (1, 2, 3))
-    assert k0 == plan_cache_key(sig, 2.0**26, (1, 2, 3))
-    assert k0 != plan_cache_key(sig, 2.0**24, (1, 2, 3))  # plain scale
-    assert k0 != plan_cache_key(sig, 2.0**26, (1, 2, 4))  # quantized weights
-    assert k0 != plan_cache_key(("mock", 2.0**26, 6), 2.0**26, (1, 2, 3))  # signature
+# -- plaintext cache --------------------------------------------------------
 
 
 def test_scalar_cache_misses_across_levels(rns_ctx, rns_keys, rng):
@@ -239,20 +202,6 @@ def test_scalar_cache_misses_across_levels(rns_ctx, rns_keys, rng):
         assert len(cache) == n0 + 2
     finally:
         rns_ctx.plain_cache = None
-
-
-def test_tap_encodings_deduplicated():
-    """All interior conv positions share one kernel: the plan must encode
-    it once per output channel, not once per position."""
-    backend = MockBackend(batch=4, levels=5)
-    layers = _tiny_layers()
-    plan = compile_plan(backend, layers, IN_SHAPE)
-    positions = len(plan.layers[0].map.rows)
-    assert positions == 2 * 4 * 4
-    # 2 conv kernels + 10 linear rows = 12 distinct encodings.
-    assert len(plan.cache) == 12
-    hits = get_registry().counter("plan.cache.hit").value
-    assert hits > 0
 
 
 # -- warm-path counters ------------------------------------------------------

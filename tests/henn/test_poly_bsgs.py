@@ -10,8 +10,8 @@ with direct polynomial evaluation on every backend:
 * **batching** — ``poly_eval_many`` packs positions into one batched
   ciphertext per ``(level, scale)`` group on CKKS-RNS, and runs every
   handle as its own group on CKKS and the mock; on all three it must be
-  *bit-identical* to evaluating each handle alone, as must the batched
-  ``rescale_many`` / ``add_plain_each`` helpers and ``encrypt_many``.
+  *bit-identical* to evaluating each handle alone, as must a linear
+  map's batched rescale and bias add and ``encrypt_many``.
 """
 
 import numpy as np
@@ -19,12 +19,12 @@ import pytest
 
 from repro.ckks import CkksParams
 from repro.ckksrns import CkksRnsParams
-from repro.henn.backend import CkksBackend, CkksRnsBackend, MockBackend
+from repro.henn.backend import CkksBackend, CkksRnsBackend, EncodedMap, MockBackend
 from repro.nt.kernels import MAX_POLY_DEGREE, compile_poly_program
 from repro.obs.metrics import get_registry
 from repro.utils.rng import derive_rng
 
-from .test_ciphertext_degree import _same
+from .test_ciphertext_degree import _chain, _same
 from .test_encrypt_batch import reference_encrypt
 
 #: Documented decrypt-precision bound for BSGS SLAF evaluation at
@@ -154,20 +154,19 @@ def test_poly_eval_many_mixed_levels(kind, request, rng):
             assert np.array_equal(b.c0, s.c0) and np.array_equal(b.c1, s.c1)
 
 
-def test_rescale_many_and_add_plain_each_bitidentical(rns, rng):
-    hs = [
-        rns.mul_plain_scalar(rns.encrypt(rng.uniform(-1, 1, 8)), 0.5)
-        for _ in range(4)
-    ]
-    batched = rns.rescale_many(hs)
-    singles = [rns.rescale(h) for h in hs]
-    for b, s in zip(batched, singles):
-        assert np.array_equal(b.c0, s.c0) and np.array_equal(b.c1, s.c1)
-    values = rng.uniform(-1, 1, 4)
-    badd = rns.add_plain_each(batched, values)
-    sadd = [rns.add_plain(s, float(v)) for s, v in zip(singles, values)]
-    for b, s in zip(badd, sadd):
-        assert np.array_equal(b.c0, s.c0) and np.array_equal(b.c1, s.c1)
+def test_weighted_sum_rescale_and_bias_bitidentical(rns, rng):
+    """A map's rows (a dense one and a pruned one) leave the fused limb GEMM
+    rescaled and biased in one packed pass: bit for bit the lone handle's
+    ``mul_plain_scalar`` / ``add`` / ``rescale`` / ``add_plain`` chain."""
+    hs = [rns.encrypt(rng.uniform(-1, 1, 8)) for _ in range(4)]
+    ws = rng.uniform(-1, 1, (2, 4))
+    bias = rng.uniform(-1, 1, 2)
+    rows = [(None, rns.encode_taps(ws[0])), ([1, 3], rns.encode_taps(ws[1, [1, 3]]))]
+    batched = rns.weighted_sum_encoded(hs, EncodedMap(rows, 4, bias))
+    for got, taps, w, b in zip(batched, (hs, [hs[1], hs[3]]), (ws[0], ws[1, [1, 3]]), bias):
+        want = _chain(rns, taps, w, b)
+        assert np.array_equal(got.c0, want.c0) and np.array_equal(got.c1, want.c1)
+        assert (got.level, got.scale) == (want.level, want.scale)
 
 
 def test_encrypt_many_bitidentical_to_sequential(rns, rng):

@@ -1,9 +1,9 @@
 """Position shards: the CKKS-RNS backend splits each packed group over the cores.
 
-``poly_eval_many``, ``rescale_many``, ``add_plain_each`` and
-``relinearize_many`` run every group as contiguous position shards, the
-calling thread one and a per-process pool the rest.  Nothing but time
-may move:
+``poly_eval_many``, ``relinearize_many`` and a linear map's rescale and
+bias add (``weighted_sum_encoded``) run every group as contiguous
+position shards, the calling thread one and a per-process pool the
+rest.  Nothing but time may move:
 
 * outputs are bit-identical for 1, 2 and 3 shards (the ``*/sharded``
   rows of ``test_parent_identity`` hold the same at engine level);
@@ -27,7 +27,7 @@ import pytest
 import repro.henn.backend as backend_mod
 from repro import obs
 from repro.ckksrns import CkksRnsParams
-from repro.henn.backend import CkksRnsBackend
+from repro.henn.backend import CkksRnsBackend, EncodedMap
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeConv2d, HeFlatten, HeLinear, HePoly
 from repro.henn.protocol import Client, CloudService
@@ -71,12 +71,16 @@ def _two_groups(backend: CkksRnsBackend, rng) -> list:
 
 
 def _pipeline(backend: CkksRnsBackend, handles) -> list:
-    """All four batch entry points, one after the other."""
+    """Both batch entry points, then one biased linear map per group."""
     rows = np.linspace(0.1, 0.4, 4 * len(handles)).reshape(len(handles), 4)
     out = backend.poly_eval_many(handles, rows)  # lazy cubic: unrelinearised
     out = backend.relinearize_many(out)
-    out = backend.add_plain_each(out, np.linspace(-0.5, 0.5, len(out)))
-    return backend.rescale_many(out)
+    scores = []
+    for group in (out[:5], out[5:]):  # a map sums handles of one level and scale
+        k = len(group)
+        taps = [([r], backend.encode_taps(np.array([0.25 + r / 8]))) for r in range(k)]
+        scores += backend.weighted_sum_encoded(group, EncodedMap(taps, k, np.linspace(-0.5, 0.5, k)))
+    return scores
 
 
 def test_batch_entry_points_are_shard_invariant(rng):
@@ -133,7 +137,7 @@ def test_an_armed_fault_injector_sees_one_draw_per_group(rng):
             out = _pipeline(backend, handles)
         runs.append((_digest(out), injector.events[drawn:]))
     assert runs[1] == runs[0]
-    # per group: the cubic program's three rescales and rescale_many's one
+    # per group: the cubic program's three rescales and the map finish's one
     assert len(runs[0][1]) == 2 * (3 + 1)
 
 

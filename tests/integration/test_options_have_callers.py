@@ -389,10 +389,8 @@ def test_linear_maps_have_one_reference_and_one_planned_spelling():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 calls.setdefault(node.func.attr, []).append(path.name)
-    # the reference forward and PlannedTaps
+    # the reference forward and PlannedTaps; the map rescales and adds its bias itself
     assert sorted(calls["weighted_sum_encoded"]) == ["layers.py", "plan.py"]
-    for composite in ("rescale_many", "add_plain_each"):
-        assert calls[composite] == ["plan.py"], composite
     assert "weighted_sum" not in calls
 
 
@@ -453,10 +451,10 @@ def test_one_bsgs_interpreter_and_no_relinearising_products():
 
 
 def test_batch_entry_points_are_written_once():
-    """``poly_eval_many``, ``rescale_many``, ``add_plain_each`` and
-    ``relinearize_many`` live on ``HeBackend`` over one grouping hook
-    (``_shard_plan``) and one module-level ``_run_shards``: the
-    interpreter takes the backend itself (no ``_SinglePolyOps`` /
+    """``poly_eval_many``, ``relinearize_many`` and a linear map's finish
+    (``_finish_map``: rescale, then bias) live on ``HeBackend`` over one
+    grouping hook (``_shard_plan``) and one module-level ``_run_shards``:
+    the interpreter takes the backend itself (no ``_SinglePolyOps`` /
     ``_RnsBatchOps`` adapter), and ``CkksRnsBackend`` only chooses the
     groups."""
     classes: dict[str, ast.ClassDef] = {}
@@ -468,10 +466,44 @@ def test_batch_entry_points_are_written_once():
             elif isinstance(node, ast.FunctionDef) and node.name == "_run_shards":
                 runners.append(node.name)
     assert not {"_SinglePolyOps", "_RnsBatchOps"} & set(classes)
-    batch = {"poly_eval_many", "rescale_many", "add_plain_each", "relinearize_many"}
+    batch = {"poly_eval_many", "relinearize_many", "_finish_map"}
     assert batch <= _methods(classes["HeBackend"])
     assert not _methods(classes["CkksRnsBackend"]) & (batch | {"_run_shards"})
     assert runners == ["_run_shards"]
+
+
+#: ``HeBackend``'s public names: 16 primitives and 4 derived composites.
+HEBACKEND_PUBLIC = 20
+
+
+def test_a_linear_map_is_one_backend_call():
+    """``weighted_sum_encoded`` rescales and adds the bias itself:
+    ``HeBackend`` keeps exactly :data:`HEBACKEND_PUBLIC` public names,
+    and the batched ``rescale_many`` / ``add_plain_each``, the plan's tap
+    encoder with its cache keys (``_TapEncoder``, ``plan_cache_key``,
+    ``_backend_sig``) and ``compile_plan``'s ``cache`` parameter stay
+    gone — defined nowhere, called nowhere."""
+    gone = {"rescale_many", "add_plain_each", "_TapEncoder", "plan_cache_key", "_backend_sig"}
+    defined, called = [], []
+    for path, tree in _trees(*CALL_SITE_DIRS):
+        where = str(path.relative_to(ROOT))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in gone:
+                defined.append(f"{where}:{node.name}")
+            elif isinstance(node, ast.Attribute) and node.attr in gone:
+                called.append(f"{where}:{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in gone:
+                called.append(f"{where}:{node.id}")
+            elif isinstance(node, ast.ImportFrom):
+                called += [f"{where}:{a.name}" for a in node.names if a.name in gone]
+    assert defined == []
+    assert called == []
+    src = [node for _, tree in _trees("src") for node in ast.walk(tree)]
+    (backend,) = [n for n in src if isinstance(n, ast.ClassDef) and n.name == "HeBackend"]
+    public = sorted(m for m in _methods(backend) if not m.startswith("_"))
+    assert len(public) == HEBACKEND_PUBLIC, public
+    (compile_plan,) = [n for n in src if isinstance(n, ast.FunctionDef) and n.name == "compile_plan"]
+    assert "cache" not in _params(compile_plan)
 
 
 # -- handles carry their own scale and level ---------------------------------------
