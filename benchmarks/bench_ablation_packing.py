@@ -1,28 +1,34 @@
 """Ablation — DESIGN.md §5.3: SIMD batch packing amortisation.
 
-One encrypted classification costs the same wall-clock whether 1 or
-max-batch images ride in the slots; throughput therefore scales with
-the batch while single-image latency is constant.  A one-image request
-on CKKS-RNS travels in the packed single-image layout instead (the
-``layout`` column), so row 1 is not a per-position batch.  The table is
-written before the check, so a failing run still records what it
-measured.
+One per-position classification costs about the same wall-clock
+whether 2 or 16 images ride in the slots, so throughput scales with the
+batch while latency stays flat.  A one-image request on CKKS-RNS
+travels in the packed single-image layout instead (the ``layout``
+column, read from ``engine.layout``): row 1 is not a per-position
+batch, so the amortisation check starts at B = 2, the smallest
+per-position batch, and row 1 is checked to beat it.  Each latency is
+the median of warm requests.  The table is written before the checks,
+so a failing run still records what it measured.
 """
 
+import numpy as np
 from conftest import save_record
 
 from repro.bench.tables import measure_engine_latency
 from repro.bench.workloads import make_engine
 
+#: Warm requests timed per row; the row reports their median.
+REPEATS = 5
+
 
 def test_ablation_packing(benchmark, cnn1_models):
     engine = make_engine(cnn1_models, "ckks-rns")
-    batches = [1, 4, 16]
     rows = []
-    for b in batches:
-        stats = measure_engine_latency(engine, cnn1_models.x_test[:b], repeats=1)
-        layout = "packed" if b == 1 and engine.plan.packed_width is not None else "per-position"
-        rows.append([b, layout, stats.avg, b / stats.avg])
+    for b in (1, 2, 4, 16):
+        stats = measure_engine_latency(engine, cnn1_models.x_test[:b], repeats=REPEATS)
+        lat = float(np.median(stats.samples))
+        layout = "packed" if b == 1 and engine.layout is not None else "per-position"
+        rows.append([b, layout, lat, b / lat])
 
     benchmark.pedantic(
         lambda: engine.classify(cnn1_models.x_test[:1]), rounds=1, iterations=1
@@ -31,8 +37,8 @@ def test_ablation_packing(benchmark, cnn1_models):
         "ablation_packing",
         ["batch (images)", "layout", "latency (s)", "throughput (img/s)"],
         rows,
-        "SIMD batch packing: latency is batch-invariant",
+        f"SIMD batch packing: per-position latency is batch-invariant (median of {REPEATS} warm requests)",
     )
-    lat1 = rows[0][2]
-    lat16 = rows[-1][2]
-    assert lat16 < 2.0 * lat1, "batched packing should not scale latency with batch"
+    lat = {row[0]: row[2] for row in rows}
+    assert lat[16] < 2.0 * lat[2], "per-position batching should not scale latency with batch"
+    assert lat[1] < lat[2], "one packed image should beat the smallest per-position batch"

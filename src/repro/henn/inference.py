@@ -10,7 +10,9 @@ of Tables III/V.
 The engine always evaluates the :class:`~repro.henn.plan.InferencePlan`
 it compiles at construction: one
 :class:`~repro.henn.plan.PlannedTaps` per linear map, every other layer
-as it is; scores always leave relinearised.
+as it is; scores always leave relinearised.  A one-image request travels
+in the plan's packed :attr:`~HeInferenceEngine.layout` where it offers
+one (:class:`~repro.henn.packing.PackedLayout`).
 
 Timing is span-based (:mod:`repro.obs`): every layer forward is a
 ``henn.layer`` span and the classify stages are ``henn.stage.*`` spans,
@@ -30,8 +32,8 @@ import numpy as np
 
 from repro import obs
 from repro.henn.backend import HeBackend
-from repro.henn.layers import HeLayer, check_level_budget
-from repro.henn.packing import BatchLayout
+from repro.henn.layers import HeLayer
+from repro.henn.packing import BatchLayout, PackedLayout
 from repro.henn.plan import compile_plan
 from repro.obs import health as _health
 from repro.obs.metrics import get_registry
@@ -71,7 +73,6 @@ class HeInferenceEngine:
         layers: list[HeLayer],
         input_shape: tuple[int, int, int],
     ):
-        check_level_budget(backend, layers)
         self.backend = backend
         self.layers = layers
         self.input_shape = input_shape
@@ -82,24 +83,13 @@ class HeInferenceEngine:
         self.plan = compile_plan(backend, layers, input_shape)
 
     @property
-    def packed_width(self) -> "int | None":
-        """Score width of the packed single-image layout, ``None`` if not offered.
+    def layout(self) -> "PackedLayout | None":
+        """The packed single-image layout, ``None`` if the plan does not offer it.
 
-        The plan decides (:attr:`InferencePlan.packed_width`); the layout
-        of one request follows from it and the request's batch size.
+        The plan decides (:attr:`InferencePlan.layout`); the layout of
+        one request follows from it and the request's batch size.
         """
-        return self.plan.packed_width
-
-    @property
-    def packed_input(self) -> "np.ndarray | None":
-        """The ``(T, slots)`` gather of a packed request, ``None`` if the layout is not offered.
-
-        Ciphertext *t*, slot *r* of a packed request holds flat pixel
-        ``packed_input[t, r]`` (0 where it is −1): the identity for
-        ``T = 1``, the first map's input windows for ``T > 1``
-        (:func:`repro.henn.packing.packed_input`).
-        """
-        return self.plan.packed_input
+        return self.plan.layout
 
     # -- client side -------------------------------------------------------------
 
@@ -110,8 +100,8 @@ class HeInferenceEngine:
         ``images[i, c, h, w]`` — the batch rides along for free.  All
         ``C·H·W`` slot rows go to the backend in one
         :meth:`~repro.henn.backend.HeBackend.encrypt_many` call.  A
-        single image, when :attr:`packed_input` offers the packed layout,
-        becomes its ``T`` gathered ciphertexts instead — in one
+        single image, when :attr:`layout` offers the packed layout,
+        becomes the ``T`` ciphertexts of its gather instead — in one
         ``encrypt_many`` call, a ``(T,)`` array.
 
         Parameters
@@ -138,9 +128,10 @@ class HeInferenceEngine:
                 f"batch {batch} exceeds backend capacity {self.backend.max_batch}"
             )
         pixels = int(np.prod(self.input_shape))
-        gather = self.packed_input if batch == 1 else None
-        if gather is not None:
+        layout = self.layout if batch == 1 else None
+        if layout is not None:
             # Ciphertext t, slot r: pixel gather[t, r]; a -1 entry is a zero slot.
+            gather = layout.gather
             rows = np.where(gather >= 0, images.reshape(-1)[gather], 0.0)
         else:
             # Row p is pixel position p (C-order over c, h, w) across the batch.
@@ -154,7 +145,7 @@ class HeInferenceEngine:
         ):
             for p, handle in enumerate(self.backend.encrypt_many(rows)):
                 enc[p] = handle
-        return enc if gather is not None else enc.reshape(self.input_shape)
+        return enc if layout is not None else enc.reshape(self.input_shape)
 
     def decrypt_scores(self, scores: np.ndarray, batch: int) -> np.ndarray:
         """``(batch, classes)`` logits from the score handles of :meth:`run_encrypted`.
@@ -163,9 +154,9 @@ class HeInferenceEngine:
         slots; packed scores (one image) are one handle, the classes in
         its slots.
         """
-        width = self.packed_width
-        if batch == 1 and width is not None and scores.shape == (1,):
-            return self.backend.decrypt(scores[0], count=width)[None, :]
+        layout = self.layout
+        if batch == 1 and layout is not None and scores.shape == (1,):
+            return self.backend.decrypt(scores[0], count=layout.width)[None, :]
         return np.stack([self.backend.decrypt(h, count=batch) for h in scores], axis=1)
 
     # -- batch assembly (serving gateway) ----------------------------------------
@@ -246,7 +237,7 @@ class HeInferenceEngine:
         enc:
             Encrypted feature handles from :meth:`encrypt_images`: the
             ``(C, H, W)`` per-position array, or a packed ``(T,)`` one
-            (``T`` the rows of :attr:`packed_input`), which runs the
+            (``T`` the rows of :attr:`layout`'s gather), which runs the
             plan's packed executors.
 
         Returns
@@ -264,12 +255,11 @@ class HeInferenceEngine:
         x = enc
         executors, widths = self.plan.layers, [None] * len(self.layers)
         shape = tuple(self.input_shape)
-        windows = self.packed_input
-        # A graph whose input shape is (T,) reads (T,) arrays per-position: it never packs.
-        if windows is not None and enc.shape == (len(windows),) != shape:
+        layout = self.layout
+        if layout is not None and layout.matches(enc.shape, shape):
             executors, widths = self.plan.packed.layers, self.plan.packed.widths
         elif enc.shape != shape:
-            packed = "" if windows is None else f" or packed ({len(windows)},)"
+            packed = "" if layout is None else f" or packed ({len(layout.gather)},)"
             raise ValueError(f"request of shape {enc.shape}, the plan reads {shape}{packed}")
         # The plan's layers do the work; spans carry the source layers' names.
         with obs.span("henn.stage.evaluate", layers=len(self.layers)):

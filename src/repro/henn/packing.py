@@ -15,7 +15,7 @@ slots past the feature width are zero.
   baby-step rotations of the input share one hoisted ModUp, the giant
   steps one ModUp sweep and one ModDown of their sum (double hoisting);
 * the graph's first map may instead read the client's **input windows**
-  (:func:`packed_input`): the request is ``T`` ciphertexts, window *t*
+  (:attr:`PackedLayout.windowed`): the request is ``T`` ciphertexts, window *t*
   holding in slot *r* the pixel output *r* reads at tap *t*, and the map
   is one plaintext weighted sum over them — no rotation, no Galois key;
 * an activation evaluates its per-channel coefficients as per-slot
@@ -25,10 +25,10 @@ slots past the feature width are zero.
 
 :class:`PackedPlan` compiles those executors for a graph and generates
 the Galois keys of their rotation set, once.  Whether a plan offers the
-layout is decided by :func:`packed_score_width`, what a request holds
-by :func:`packed_input`; the plan holds both
-(``InferencePlan.packed_width`` / ``packed_input``) and publishes them
-through :func:`publish_layout`, for the layer-less client to read.
+layout, and what a request holds, is one :class:`PackedLayout` decided
+by :func:`packed_layout` in one walk of the graph; the plan holds it
+(``InferencePlan.layout``) and publishes it through
+:func:`publish_layout`, for the layer-less client to read.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from repro.obs.health import _top_level
 
 __all__ = [
     "BatchLayout",
+    "PackedLayout",
     "PackedPlan",
     "PackedPoly",
     "PackedTaps",
-    "packed_input",
-    "packed_score_width",
+    "packed_layout",
     "publish_layout",
     "published_layout",
 ]
@@ -174,8 +174,8 @@ def _diagonals(program: TapProgram, in_width: int, slots: int) -> dict[int, np.n
     return {int(dd): table[i] for i, dd in enumerate(uniq)}
 
 
-def _baby_step(diagonals: "list[int]", slots: int) -> int:
-    """Baby-step width minimising the rotation cost of a diagonal set.
+def _baby_step(diagonals: "list[int]", slots: int) -> tuple[int, list[int], list[int]]:
+    """BSGS split minimising the rotation cost of a diagonal set.
 
     Diagonal ``d`` splits as giant ``d − d mod b`` plus baby ``d mod b``.
     A hoisted baby costs one key inner product and its share of one
@@ -185,23 +185,21 @@ def _baby_step(diagonals: "list[int]", slots: int) -> int:
     cost is the distinct nonzero babies plus twice the giants, ties going
     to fewer giants; weight 2, a giant's pre-fold price, keeps the Galois
     keys (weight 1 splits tiny CNN1 7 + 10 and 5 + 4, not 15 + 5, 7 + 3).
+
+    Returns the baby-step width ``b`` and the sorted nonzero baby and
+    giant steps of that split; their count is the rotations a map
+    evaluated this way performs.
     """
     d = np.asarray(diagonals, dtype=np.int64)
-    best, best_cost = 1, None
+    best = None
     for b in range(1, slots + 1):
-        babies = np.count_nonzero(np.unique(d % b))
-        giants = np.count_nonzero(np.unique(d - d % b))
-        cost = (babies + 2 * giants, giants)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = b, cost
-    return best
-
-
-def _identity_input(width: int, slots: int) -> np.ndarray:
-    """The gather of one ciphertext holding the input: slot *p* is pixel *p*."""
-    gather = np.full((1, slots), -1, dtype=np.int64)
-    gather[0, :width] = np.arange(width)
-    return gather
+        babies, giants = np.unique(d % b), np.unique(d - d % b)
+        babies, giants = babies[babies != 0], giants[giants != 0]
+        cost = (len(babies) + 2 * len(giants), len(giants))
+        if best is None or cost < best[0]:
+            best = cost, b, babies, giants
+    _, b, babies, giants = best
+    return b, babies.tolist(), giants.tolist()
 
 
 def _window_weights(program: TapProgram, windows: np.ndarray, in_width: int) -> np.ndarray:
@@ -225,46 +223,6 @@ def _window_weights(program: TapProgram, windows: np.ndarray, in_width: int) -> 
     return weights
 
 
-def packed_input(backend: HeBackend, layers: "list[HeLayer]", input_shape: tuple) -> np.ndarray:
-    """What a packed request holds: the ``(T, slots)`` gather the client encrypts.
-
-    Ciphertext *t*, slot *r* holds flat pixel ``gather[t, r]`` (0 where
-    it is −1).  The graph's first map is **window-encoded** — the client
-    sends its ``T`` input windows (:meth:`HeLinearMap.windows`) and the
-    map rotates nothing — when ``T`` is smaller than the rotation steps
-    of its BSGS form; otherwise the gather is the identity (``T = 1``,
-    slot *p* is pixel *p*) and the map rotates its one ciphertext.  Both
-    sides of the comparison are read off the map's geometry — the
-    diagonals are those of every tap, pruned or not — so the gather
-    tells the client nothing about the weights.  Call it only for a
-    graph that has the packed layout (:func:`packed_score_width`).
-    """
-    slots = backend.max_batch
-    shape = tuple(input_shape)
-    width = int(np.prod(shape))
-    for layer in layers:
-        if isinstance(layer, HeFlatten):
-            shape = (width,)
-            continue
-        if not isinstance(layer, HeLinearMap):
-            break
-        windows = layer.windows(shape)
-        taps, out = windows.shape
-        rows = np.broadcast_to(np.arange(out), windows.shape)
-        valid = windows >= 0
-        diags = np.unique((windows[valid] - rows[valid]) % slots)
-        b = _baby_step(list(diags), slots)
-        rotations = np.count_nonzero(np.unique(diags % b)) + np.count_nonzero(
-            np.unique(diags - diags % b)
-        )
-        if taps >= rotations:
-            break
-        gather = np.full((taps, slots), -1, dtype=np.int64)
-        gather[:, :out] = windows
-        return gather
-    return _identity_input(width, slots)
-
-
 class PackedTaps(HeLayer):
     """A linear map's :class:`TapProgram` as a BSGS diagonal product on one ciphertext.
 
@@ -280,7 +238,7 @@ class PackedTaps(HeLayer):
     — rotations need degree 1 — which is the one sweep the per-position
     map pays after its weighted sum.  Consumes one level.
 
-    With *windows* (the graph's first map, see :func:`packed_input`) the
+    With *windows* (the graph's first map, see :attr:`PackedLayout.windowed`) the
     baby-step inputs are the client's ``T`` window ciphertexts instead —
     window *t* already holds, in slot *r*, the input output *r* reads at
     tap *t* — so the map is one row ``Σ_t W[t] ⊙ window_t`` of ``T``
@@ -331,8 +289,7 @@ class PackedTaps(HeLayer):
             rows = [(list(range(inputs)), backend.encode_taps(weights, backend.scale, level=level))]
         else:
             diags = _diagonals(program, in_width, slots)
-            b = _baby_step(list(diags), slots)
-            self.babies = sorted({d % b for d in diags} - {0})
+            b, self.babies, _ = _baby_step(list(diags), slots)
             tap_of = {j: t for t, j in enumerate([0] + self.babies)}
             groups: dict[int, list[tuple[int, np.ndarray]]] = {}
             for d, vec in diags.items():
@@ -411,35 +368,94 @@ class PackedPoly(HeLayer):
         return _one(backend.poly_eval(backend.relinearize_ext(ct), self.rows))
 
 
-def packed_score_width(
+@dataclass(frozen=True, eq=False)
+class PackedLayout:
+    """The packed single-image layout a plan offers: what one request holds.
+
+    Attributes
+    ----------
+    width:
+        Score width: the used slots of the one score ciphertext.
+    gather:
+        The ``(T, slots)`` gather the client encrypts: ciphertext *t*,
+        slot *r* holds flat pixel ``gather[t, r]`` (0 where it is −1).
+    windowed:
+        Whether the graph's first map reads the ``T`` ciphertexts as its
+        input windows (one plaintext weighted sum, no rotation); else
+        ``gather`` is the identity (``T = 1``, slot *p* is pixel *p*)
+        and the map rotates its one ciphertext.
+    """
+
+    width: int
+    gather: np.ndarray
+    windowed: bool
+
+    def matches(self, shape: tuple, input_shape: tuple) -> bool:
+        """Whether a request of *shape* is packed: the ``T`` ciphertexts of the gather.
+
+        A graph whose input shape is ``(T,)`` itself reads ``(T,)``
+        arrays per-position: it never packs.
+        """
+        return tuple(shape) == (len(self.gather),) != tuple(input_shape)
+
+
+def packed_layout(
     backend: HeBackend, layers: "list[HeLayer]", input_shape: tuple
-) -> "int | None":
-    """The score width of a graph in the packed layout on *backend*, or None if it has none.
+) -> "PackedLayout | None":
+    """The packed layout of a graph on *backend*, or None if it has none.
 
     A backend that shares slots between requests (``native_slot_concat``)
-    keeps the per-position layout; otherwise every feature map the graph
-    produces must fit in the slots, and every layer must be a linear
-    map, an activation or a flatten.
+    keeps the per-position layout, as does a graph without a linear map;
+    otherwise every feature map the graph produces must fit in the
+    slots, and every layer must be a linear map, an activation or a
+    flatten.
+
+    The graph's first map — only flattens before it — is
+    **window-encoded** when its ``T`` input windows
+    (:meth:`HeLinearMap.windows`) are fewer than the rotation steps of
+    its BSGS form; otherwise the gather is the identity.  Both sides of
+    the comparison are read off the map's geometry — the diagonals are
+    those of every tap, pruned or not — so the gather tells the client
+    nothing about the weights.
     """
     if backend.native_slot_concat or not any(isinstance(l, HeLinearMap) for l in layers):
         return None
     slots = backend.max_batch
     shape = tuple(input_shape)
-    if int(np.prod(shape)) > slots:
+    width = int(np.prod(shape))
+    if width > slots:
         return None
+    gather = np.full((1, slots), -1, dtype=np.int64)
+    gather[0, :width] = np.arange(width)
+    windowed, first = False, True
     for layer in layers:
         if isinstance(layer, HeLinearMap):
             try:
-                shape = layer.taps(shape).out_shape
+                out_shape = layer.taps(shape).out_shape
             except ValueError:
                 return None
+            if int(np.prod(out_shape)) > slots:
+                return None
+            if first:  # decided once the map's outputs are known to fit
+                windows = layer.windows(shape)
+                taps, out = windows.shape
+                rows = np.broadcast_to(np.arange(out), windows.shape)
+                valid = windows >= 0
+                _, babies, giants = _baby_step(
+                    list(np.unique((windows[valid] - rows[valid]) % slots)), slots
+                )
+                if taps < len(babies) + len(giants):
+                    gather = np.full((taps, slots), -1, dtype=np.int64)
+                    gather[:, :out] = windows
+                    windowed = True
+            shape = out_shape
         elif isinstance(layer, HeFlatten):
             shape = (int(np.prod(shape)),)
+            continue
         elif not isinstance(layer, HePoly):
             return None
-        if int(np.prod(shape)) > slots:
-            return None
-    return int(np.prod(shape))
+        first = False
+    return PackedLayout(int(np.prod(shape)), gather, windowed)
 
 
 class PackedPlan:
@@ -447,8 +463,8 @@ class PackedPlan:
 
     Walks the graph with its level schedule: a :class:`PackedTaps` per
     linear map (diagonals encoded at the level the map runs; the first
-    map reads the request's *windows* when they are not the identity,
-    see :func:`packed_input`), a :class:`PackedPoly` per activation,
+    map reads the request's windows when the *layout* is
+    :attr:`~PackedLayout.windowed`), a :class:`PackedPoly` per activation,
     flatten as it is (the identity on one ciphertext).  Then generates
     the Galois keys of every rotation step (a backend without keys — the
     mock — needs none), so a request never generates a key: a missing
@@ -460,13 +476,12 @@ class PackedPlan:
         backend: HeBackend,
         layers: "list[HeLayer]",
         input_shape: tuple,
-        windows: np.ndarray,
+        layout: PackedLayout,
     ):
         slots = backend.max_batch
         level = _top_level(backend)
         shape = tuple(input_shape)
-        identity = np.array_equal(windows, _identity_input(int(np.prod(shape)), slots))
-        reads = None if identity else windows
+        reads = layout.gather if layout.windowed else None
         self.layers: list[HeLayer] = []
         #: Used slots of the ciphertext leaving each layer (the feature width).
         self.widths: list[int] = []
@@ -490,45 +505,41 @@ class PackedPlan:
 
 
 # What the cloud plans on a backend offer a client, per input shape: the
-# packed score width and the gather of a packed request
-# (:func:`packed_input`), or None.  The engines never read this — each one
-# follows its own plan (``InferencePlan.packed_width`` / ``packed_input``).
-# It exists so a ``Client(backend, input_shape)``, which holds no layers,
-# learns whether a single-image request may travel packed, and as which
+# plan's :class:`PackedLayout`, or None.  The engines never read this —
+# each one follows its own plan (``InferencePlan.layout``).  It exists so
+# a ``Client(backend, input_shape)``, which holds no layers, learns
+# whether a single-image request may travel packed, and as which
 # ciphertexts.  Only a client sharing the cloud's backend object in one
 # process can learn it; a client in another process (or built on its own
 # backend) stays per-position, the layout every engine accepts.
-_PUBLISHED: "weakref.WeakKeyDictionary[HeBackend, dict[tuple, tuple[int, np.ndarray] | None]]" = (
+_PUBLISHED: "weakref.WeakKeyDictionary[HeBackend, dict[tuple, PackedLayout | None]]" = (
     weakref.WeakKeyDictionary()
 )
 _PUBLISH_LOCK = threading.Lock()
 
 
-def publish_layout(
-    backend: HeBackend, input_shape: tuple, out_width: "int | None", windows: "np.ndarray | None"
-) -> None:
+def publish_layout(backend: HeBackend, input_shape: tuple, layout: "PackedLayout | None") -> None:
     """Record the packed layout a plan on *backend* offers for *input_shape*.
 
-    *out_width* ``None`` records a plan that does not offer the layout.
+    *layout* ``None`` records a plan that does not offer the layout.
     Plans that disagree (two graphs on one backend and input shape, in
     score width or in gather) leave the entry ``None`` for good: a
     client then sends per-position requests, which every plan serves.
     """
     key = tuple(input_shape)
-    new = None if out_width is None else (int(out_width), windows)
     with _PUBLISH_LOCK:
         layouts = _PUBLISHED.setdefault(backend, {})
-        old = layouts.get(key, new)
-        same = old is new or (
+        old = layouts.get(key, layout)
+        same = old is layout or (
             old is not None
-            and new is not None
-            and old[0] == new[0]
-            and np.array_equal(old[1], new[1])
+            and layout is not None
+            and old.width == layout.width
+            and np.array_equal(old.gather, layout.gather)
         )
-        layouts[key] = new if same else None
+        layouts[key] = layout if same else None
 
 
-def published_layout(backend: HeBackend, input_shape: tuple) -> "tuple[int, np.ndarray] | None":
-    """The packed ``(score width, request gather)`` every plan on *backend* offers for *input_shape*, if any."""
+def published_layout(backend: HeBackend, input_shape: tuple) -> "PackedLayout | None":
+    """The :class:`PackedLayout` every plan on *backend* offers for *input_shape*, if any."""
     with _PUBLISH_LOCK:
         return _PUBLISHED.get(backend, {}).get(tuple(input_shape))

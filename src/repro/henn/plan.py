@@ -27,16 +27,16 @@ and cached plaintexts are the very objects a fresh encode would produce
 (see ``docs/PERFORMANCE.md``).
 
 Where the graph fits the slots of a backend that does not share them
-between requests (:func:`repro.henn.packing.packed_score_width`), the
-plan also offers the **packed** single-image layout: one ciphertext per
-request — or, when the first map is cheaper that way, one per input
-window of that map (``packed_input``) — each linear map a BSGS diagonal
-product compiled from the same tap program, the window-encoded first
-map one plaintext weighted sum (:class:`repro.henn.packing.PackedPlan`).
-The layout of a request follows from its batch size — one image
-travels packed.  The plan's ``packed_width`` and ``packed_input`` are
-the one record of that decision the engine and admission read; they
-are also published for the layer-less client
+between requests, the plan also offers the **packed** single-image
+layout: one ciphertext per request — or, when the first map is cheaper
+that way, one per input window of that map — each linear map a BSGS
+diagonal product compiled from the same tap program, the window-encoded
+first map one plaintext weighted sum
+(:class:`repro.henn.packing.PackedPlan`).  The layout of a request
+follows from its batch size — one image travels packed.  The plan's
+``layout`` (:func:`repro.henn.packing.packed_layout`, ``None`` where the
+layout is not offered) is the one record of that decision the engine
+and admission read; it is also published for the layer-less client
 (:func:`repro.henn.packing.publish_layout`).  The packed executors (and
 their Galois keys) compile on first use: a backend that only ever sees
 full batches never pays for them.
@@ -57,7 +57,7 @@ from repro.obs.metrics import get_registry
 from repro.utils.cache import PlaintextCache
 
 if TYPE_CHECKING:
-    from repro.henn.packing import PackedPlan
+    from repro.henn.packing import PackedLayout, PackedPlan
 
 __all__ = ["InferencePlan", "PlannedTaps", "compile_plan"]
 
@@ -117,28 +117,22 @@ class InferencePlan:
         The :class:`PlaintextCache` holding (after the first image) every
         runtime plaintext; also installed as the backend context's
         ``plain_cache``.
-    packed_width:
-        Score width of the packed single-image layout, or ``None`` when
-        the plan does not offer it.
-    packed_input:
-        The ``(T, slots)`` gather of a packed request
-        (:func:`repro.henn.packing.packed_input`): the ``T`` ciphertexts
-        the client encrypts, ``T > 1`` when the first map reads its
-        input windows; ``None`` without the packed layout.
+    layout:
+        The packed single-image layout
+        (:class:`repro.henn.packing.PackedLayout`: score width and
+        request gather), or ``None`` when the plan does not offer it.
     """
 
     def __init__(
         self,
         layers: list[HeLayer],
         cache: PlaintextCache,
-        packed_width: int | None,
-        packed_input: np.ndarray | None,
+        layout: PackedLayout | None,
         compile_packed: "Callable[[], PackedPlan] | None",
     ):
         self.layers = layers
         self.cache = cache
-        self.packed_width = packed_width
-        self.packed_input = packed_input
+        self.layout = layout
         self._compile_packed = compile_packed
         self._packed: PackedPlan | None = None
         self._packed_lock = threading.Lock()
@@ -157,7 +151,7 @@ class InferencePlan:
         planned = sum(isinstance(layer, PlannedTaps) for layer in self.layers)
         return (
             f"InferencePlan(layers={len(self.layers)}, planned={planned}, "
-            f"packed={self.packed_width is not None}, cache_entries={len(self.cache)})"
+            f"packed={self.layout is not None}, cache_entries={len(self.cache)})"
         )
 
 
@@ -204,19 +198,18 @@ def compile_plan(
                 shape = (int(np.prod(shape)),)
             planned.append(layer)
     # The packed executors build on PlannedTaps, so the module loads late.
-    from repro.henn.packing import PackedPlan, packed_input, packed_score_width, publish_layout
+    from repro.henn.packing import PackedPlan, packed_layout, publish_layout
 
     shape = tuple(input_shape)
-    width = packed_score_width(backend, layers, shape)
-    windows = compile_packed = None
-    if width is not None:
-        windows = packed_input(backend, layers, shape)
-        compile_packed = functools.partial(PackedPlan, backend, layers, shape, windows)
+    layout = packed_layout(backend, layers, shape)
+    compile_packed = None
+    if layout is not None:
+        compile_packed = functools.partial(PackedPlan, backend, layers, shape, layout)
     if layers:  # a layer-less plan serves nothing, so says nothing
-        publish_layout(backend, shape, width, windows)
+        publish_layout(backend, shape, layout)
     reg = get_registry()
     reg.counter("plan.compiled").inc()
     # Cache-size gauge next to the hit/miss counters: together they say
     # whether a serving process is still warming or fully steady-state.
     reg.gauge("plan.cache.entries", {"backend": backend.name}).set(len(cache))
-    return InferencePlan(planned, cache, width, windows, compile_packed)
+    return InferencePlan(planned, cache, layout, compile_packed)

@@ -55,7 +55,7 @@ from repro.ckks.ciphertext import CiphertextDegreeError
 from repro.henn.backend import HeBackend
 from repro.henn.inference import HeInferenceEngine, evaluate_batch
 from repro.henn.layers import HeLayer, LevelBudgetError
-from repro.henn.packing import published_layout
+from repro.henn.packing import PackedLayout, published_layout
 from repro.obs import health as _obs_health
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
@@ -169,9 +169,10 @@ class _ClientPacker(HeInferenceEngine):
     object holds the backend and the input shape only.  With no graph of
     its own it cannot decide the packed layout, so it reads what the
     cloud plans on its backend published
-    (:func:`repro.henn.packing.published_layout`) at each request: the
-    score width, and the gather of the ciphertexts to send — the first
-    map's input *geometry* at most, never a weight.
+    (:func:`repro.henn.packing.published_layout`) at each request: its
+    :class:`~repro.henn.packing.PackedLayout` — the score width and the
+    gather of the ciphertexts to send, the first map's input *geometry*
+    at most, never a weight.
     """
 
     def __init__(self, backend: HeBackend, input_shape: tuple[int, int, int]):
@@ -179,14 +180,8 @@ class _ClientPacker(HeInferenceEngine):
         self.input_shape = input_shape
 
     @property
-    def packed_width(self) -> "int | None":
-        layout = published_layout(self.backend, self.input_shape)
-        return None if layout is None else layout[0]
-
-    @property
-    def packed_input(self) -> "np.ndarray | None":
-        layout = published_layout(self.backend, self.input_shape)
-        return None if layout is None else layout[1]
+    def layout(self) -> "PackedLayout | None":
+        return published_layout(self.backend, self.input_shape)
 
 
 class Client:
@@ -540,14 +535,12 @@ class BatchedCloudService(CloudService):
         drifted request cannot poison its batchmates mid-batch.  A
         packed single-image request is admitted where the plan offers
         that layout, as the ``(T,)`` handles of its gather
-        (:attr:`~repro.henn.inference.HeInferenceEngine.packed_input`)
+        (:attr:`~repro.henn.inference.HeInferenceEngine.layout`)
         — a packed request of another ``T`` (a stale layout) is refused.
         """
         enc = np.asarray(encrypted_images, dtype=object)
-        windows = self.engine.packed_input
-        packed = windows is not None and enc.shape == (len(windows),) != tuple(
-            self.engine.input_shape
-        )
+        layout = self.engine.layout
+        packed = layout is not None and layout.matches(enc.shape, self.engine.input_shape)
         if enc.shape != self.engine.input_shape and not packed:
             raise RequestValidationError(
                 f"request shape {enc.shape} != expected {self.engine.input_shape}"

@@ -30,11 +30,10 @@ from repro.henn.compiler import model_depth
 from repro.henn.inference import HeInferenceEngine
 from repro.henn.layers import HeAvgPool, HeConv2d, HeFlatten, HeLayer, HeLinear, HePoly
 from repro.henn.packing import (
+    PackedLayout,
     PackedPlan,
     _diagonals,
-    _identity_input,
-    packed_input,
-    packed_score_width,
+    packed_layout,
     published_layout,
 )
 from repro.henn.protocol import BatchedCloudService, Client, CloudService
@@ -58,17 +57,22 @@ def _rns(n=64, moduli_bits=(36, 26, 26), seed=0):
 
 
 def _identity(backend, shape):
-    return _identity_input(int(np.prod(shape)), backend.max_batch)
+    """The rotated layout: one ciphertext, slot *p* is pixel *p* (score width unused)."""
+    width = int(np.prod(shape))
+    gather = np.full((1, backend.max_batch), -1, dtype=np.int64)
+    gather[0, :width] = np.arange(width)
+    return PackedLayout(0, gather, windowed=False)
 
 
-def _run_packed(backend, layers, shape, x, windows=None):
+def _run_packed(backend, layers, shape, x, layout=None):
     """Compile the packed executors and run one image through them.
 
-    *windows* is the request's gather; by default the identity, one
-    ciphertext that every map rotates.
+    *layout* is the request's; by default the identity, one ciphertext
+    that every map rotates.
     """
-    windows = _identity(backend, shape) if windows is None else windows
-    plan = PackedPlan(backend, layers, shape, windows)
+    layout = _identity(backend, shape) if layout is None else layout
+    plan = PackedPlan(backend, layers, shape, layout)
+    windows = layout.gather
     rows = np.where(windows >= 0, np.asarray(x).reshape(-1)[windows], 0.0)
     enc = np.empty(len(rows), dtype=object)
     enc[:] = backend.encrypt_many(rows)
@@ -122,13 +126,13 @@ def test_encrypt_features_capacity():
     """A graph wider than the slots, or a slot-sharing backend, stays per-position."""
     backend = _rns()  # 32 slots
     layers = [HeFlatten(), HeLinear(np.ones((2, 36)), None)]
-    assert packed_score_width(backend, layers, (1, 6, 6)) is None
-    assert packed_score_width(backend, layers[1:], (32,)) is None  # 36 inputs != 32
+    assert packed_layout(backend, layers, (1, 6, 6)) is None
+    assert packed_layout(backend, layers[1:], (32,)) is None  # 36 inputs != 32
     engine = HeInferenceEngine(backend, layers, (1, 6, 6))
     assert engine.plan.packed is None
     assert engine.encrypt_images(np.zeros((1, 1, 6, 6))).shape == (1, 6, 6)
     mock = MockBackend(batch=64, levels=4)
-    assert packed_score_width(mock, layers, (1, 6, 6)) is None
+    assert packed_layout(mock, layers, (1, 6, 6)) is None
 
 
 def test_dense_single_validation(rng):
@@ -253,11 +257,11 @@ def _first_convs(draw):
 
 
 def _window_gather(layer, shape, slots):
-    """The layer's windows as a request gather, whatever the cost rule would pick."""
+    """The layer's windows as a window-encoded layout, whatever the cost rule would pick."""
     windows = layer.windows(shape)
     gather = np.full((len(windows), slots), -1)
     gather[:, : windows.shape[1]] = windows
-    return gather
+    return PackedLayout(windows.shape[1], gather, windowed=True)
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +273,8 @@ def rns512():
 def test_window_encoded_rotated_and_per_position_first_maps_agree(rns512, fuzz_examples):
     """Random first convs: the window-encoded map, the rotated ``PackedTaps``
     and the per-position ``PlannedTaps`` — bit for bit on the quantized mock,
-    within ``LAZY_EAGER_ATOL`` on CKKS-RNS at n = 512."""
+    within ``LAZY_EAGER_ATOL`` on CKKS-RNS at n = 512.  The windowed leg is
+    forced by its layout, also where the windows equal the identity gather."""
     mock = MockBackend(batch=256, levels=1, quantize=True)
 
     @settings(
@@ -277,12 +282,14 @@ def test_window_encoded_rotated_and_per_position_first_maps_agree(rns512, fuzz_e
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(_first_convs())
+    @example((HeConv2d(np.full((1, 1, 1, 1), 0.5), None), (1, 3, 3), np.arange(9.0).reshape(1, 3, 3) / 16))
     def check(case):
         conv, shape, x = case
         assume(int(np.prod(conv.taps(shape).out_shape)) <= 256)
         for backend in (mock, rns512):
-            windows = _window_gather(conv, shape, backend.max_batch)
-            _, windowed = _run_packed(backend, [conv], shape, x, windows)
+            layout = _window_gather(conv, shape, backend.max_batch)
+            plan, windowed = _run_packed(backend, [conv], shape, x, layout)
+            assert plan.layers[0].windows is layout.gather  # no rotation fallback
             _, rotated = _run_packed(backend, [conv], shape, x)
             engine = HeInferenceEngine(backend, [conv], shape)
             per_position = engine.classify(np.stack([x, x]))[0]  # a batch never packs
@@ -353,14 +360,16 @@ def test_packed_matches_per_position(tiny_models, arch, kind):
     per_position = engine.classify(images[:2])[:1]  # a batch never packs
     if kind == "mock":  # slot-sharing: the engine never packs, run the executors
         assert engine.plan.packed is None
-        windows = packed_input(backend, layers, (1, 12, 12))
-        _, packed = _run_packed(backend, layers, (1, 12, 12), images[0], windows)
+        assert packed_layout(backend, layers, (1, 12, 12)) is None
+        layout = _window_gather(layers[0], (1, 12, 12), backend.max_batch)
+        _, packed = _run_packed(backend, layers, (1, 12, 12), images[0], layout)
         _, rotated = _run_packed(backend, layers, (1, 12, 12), images[0])
         assert np.max(np.abs(packed - rotated)) <= LOGIT_TOLERANCE
         packed = packed[None, :]
     else:
         # the client's first-map windows, 9 taps of the 3x3 kernel
-        assert engine.encrypt_images(images[:1]).shape == (len(engine.packed_input),) == (9,)
+        assert engine.layout.windowed
+        assert engine.encrypt_images(images[:1]).shape == (len(engine.layout.gather),) == (9,)
         packed = engine.classify(images[:1])
     assert packed.shape == per_position.shape
     assert np.max(np.abs(packed - per_position)) <= LOGIT_TOLERANCE
@@ -428,7 +437,7 @@ def test_engines_sharing_a_backend_follow_their_own_plans():
     engines = [HeInferenceEngine(backend, packable, (1, 6, 6))]
     assert client.encrypt_request(images).shape == (9,)  # every plan so far offers it
     engines += [HeInferenceEngine(backend, g, (1, 6, 6)) for g in (wide, narrow)]
-    assert [e.packed_width for e in engines] == [10, None, 4]
+    assert [e.layout and e.layout.width for e in engines] == [10, None, 4]
     for engine in engines:
         want = HeInferenceEngine(MockBackend(batch=4, levels=4), engine.layers, (1, 6, 6))
         got = engine.classify(images)
@@ -458,14 +467,14 @@ def test_a_stale_packed_layout_is_refused_not_evaluated(stale):
     rng = np.random.default_rng(4)
     image = rng.uniform(0, 1, (1, 1, 6, 6))
     windowed = HeInferenceEngine(backend, _tiny_layers(), (1, 6, 6))
-    assert windowed.packed_input.shape == (9, 64)
+    assert windowed.layout.gather.shape == (9, 64)
     if stale == "one handle to a windowed plan":
         layers, request = _tiny_layers(), _identity_request(backend, image)
     else:  # a dense first map keeps its rotations: its gather is the identity
         layers = [HeFlatten(), HeLinear(rng.uniform(-0.3, 0.3, (4, 36)), None)]
         request = windowed.encrypt_images(image)
     with BatchedCloudService(backend, layers, (1, 6, 6)) as service:
-        assert (len(service.engine.packed_input), len(request)) in {(9, 1), (1, 9)}
+        assert (len(service.engine.layout.gather), len(request)) in {(9, 1), (1, 9)}
         with pytest.raises(RequestValidationError):
             service._validate_request(request, 1)
         response = service.submit(request, 1).result(timeout=60)
@@ -489,11 +498,27 @@ def test_the_window_gather_is_geometry_only():
         layers = [conv, HePoly(np.array([0.1, 0.5, 0.25])), HeFlatten(),
                   HeLinear(rng.uniform(-0.3, 0.3, (10, 32)), None)]
         HeInferenceEngine(backend, layers, (1, 6, 6))
-        width, gather = published_layout(backend, (1, 6, 6))
-        assert width == 10
-        gathers.append(gather)
+        layout = published_layout(backend, (1, 6, 6))
+        assert layout.width == 10 and layout.windowed
+        gathers.append(layout.gather)
     assert gathers[0].shape == (9, 64)
     assert np.array_equal(gathers[0], gathers[1])
+
+
+@pytest.mark.parametrize("make", [_rns128, lambda: MockBackend(batch=64, levels=4)])
+def test_plan_engine_registry_and_client_share_one_layout(make):
+    """One ``PackedLayout`` per plan: the engine, its plan, the registry and
+    the client read the very same object — ``None`` on the slot-sharing mock."""
+    backend = make()
+    client = Client(backend, (1, 6, 6))
+    engine = HeInferenceEngine(backend, _tiny_layers(), (1, 6, 6))
+    layout = engine.layout
+    assert layout is engine.plan.layout is published_layout(backend, (1, 6, 6))
+    assert layout is client._packer.layout
+    if isinstance(backend, MockBackend):
+        assert layout is None
+    else:
+        assert (layout.width, layout.gather.shape, layout.windowed) == (10, (9, 64), True)
 
 
 def test_the_client_holds_no_weight():
@@ -524,7 +549,7 @@ def test_the_client_holds_no_weight():
             stack.extend(vars(obj).values())
     assert found == []
     # what it does read: the first map's geometry, as an integer gather
-    assert client._packer.packed_input.shape == (9, 64)
+    assert client._packer.layout.gather.shape == (9, 64)
 
 
 def test_one_feature_input_stays_per_position_for_any_batch():
@@ -532,7 +557,7 @@ def test_one_feature_input_stays_per_position_for_any_batch():
     backend = _rns()
     layers = [HeLinear(np.array([[0.5], [-0.25]]), np.array([0.1, 0.2]))]
     engine = HeInferenceEngine(backend, layers, (1,))
-    assert engine.packed_width == 2
+    assert engine.layout.width == 2
     x = np.array([0.4, -0.8])  # two images of one feature, one per slot
     enc = np.empty(1, dtype=object)
     enc[0] = backend.encrypt(x)

@@ -506,6 +506,29 @@ def test_a_linear_map_is_one_backend_call():
     assert "cache" not in _params(compile_plan)
 
 
+def test_the_packed_layout_is_one_record():
+    """``packing.packed_layout`` decides the packed layout in one walk and
+    everything reads its one ``PackedLayout``: the two deciding functions
+    and the rebuilt identity gather are defined nowhere under ``src/``, and
+    no code reads the two parallel ``packed_width`` / ``packed_input``
+    fields."""
+    gone = {"packed_score_width", "packed_input", "_identity_input"}
+    defined = [
+        f"{path.relative_to(ROOT)}:{node.name}"
+        for path, tree in _trees("src")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in gone
+    ]
+    read = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _trees(*CALL_SITE_DIRS)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in {"packed_width", "packed_input"}
+    ]
+    assert defined == []
+    assert read == []
+
+
 # -- handles carry their own scale and level ---------------------------------------
 
 
